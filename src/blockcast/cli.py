@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, resolve_config
-from .errors import PipelineError, SchemaError
+from .errors import ConfigMismatchError, PipelineError, SchemaError
 from .evaluation import (
     BlockageReport,
     blockage_table,
@@ -53,9 +53,7 @@ from .ingest import (
     split_dataset,
 )
 from .models import (
-    RfBlockageModel,
-    RfLidarBlockageModel,
-    RfLocalizationModel,
+    Model,
     TrainConfig,
     load_model,
     predict_blockage_probs,
@@ -172,16 +170,26 @@ def _geometric_flags(coords: np.ndarray, link: LinkGeometry) -> np.ndarray:
     return flags
 
 
-def _split_stack(dataset, split: str):
-    samples = dataset.subset(split)
-    if not samples:
-        raise ValueError(f"split {split!r} is empty")
-    windows = np.stack([s.window for s in samples])
-    futures = np.stack([s.future for s in samples])
-    blocked = np.stack([s.future_blocked for s in samples])
-    rasters = np.stack([s.lidar_raster for s in samples])
-    times = [s.t for s in samples]
-    return samples, windows, futures, blocked, rasters, times
+_CHECKPOINT_FLAGS = {"localization": "--loc", "rf": "--rf", "rf+lidar": "--lidar"}
+
+
+def _load_checked(path, kind: str, dims: dict, source: str) -> Model:
+    """Load a checkpoint given under the flag for ``kind``; its window_len,
+    horizon and (rf+lidar) raster_bins must match ``dims``, the ``source``
+    (dataset meta or resolved config) its inputs are cut by."""
+    model = load_model(path)
+    if model.kind != kind:
+        raise SchemaError(
+            f"{path}: {_CHECKPOINT_FLAGS[kind]} expects a {kind} checkpoint, "
+            f"got a {model.kind} one"
+        )
+    for key in ("window_len", "horizon") + (("raster_bins",) if kind == "rf+lidar" else ()):
+        if getattr(model, key) != int(dims[key]):
+            raise ConfigMismatchError(
+                f"{path}: checkpoint {key}={getattr(model, key)} does not match "
+                f"the {source} {key}={dims[key]}"
+            )
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +350,8 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     del cfg
     dataset = load_dataset(inputs["dataset"])
     model = load_model(inputs["checkpoint"])
-    _, windows, _, _, rasters, times = _split_stack(dataset, inputs["split"])
-    if isinstance(model, RfLocalizationModel):
+    windows, _, _, rasters, times = dataset.arrays(inputs["split"])
+    if model.kind == "localization":
         coords = predict_locations_batch(model, windows)
         rows = [
             [str(i), str(times[i]), str(k + 1), repr(float(coords[i, k, 0])),
@@ -353,8 +361,7 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         ]
         _write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "x", "y"], rows)
     else:
-        rasters_arg = rasters if isinstance(model, RfLidarBlockageModel) else None
-        probs = predict_blockage_probs(model, windows, rasters_arg)
+        probs = predict_blockage_probs(model, windows, rasters)
         rows = [
             [str(i), str(times[i]), str(k + 1), repr(float(probs[i, k])),
              str(int(probs[i, k] >= 0.5))]
@@ -367,23 +374,10 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     return ["predictions.csv"]
 
 
-def _blockage_flags_for(model, windows, rasters, link) -> tuple[np.ndarray, np.ndarray | None]:
-    """Predicted (B, N) blockage flags; probabilities when the model emits
-    them, None for the location pipeline (its flags come from geometry)."""
-    if isinstance(model, RfLocalizationModel):
-        coords = predict_locations_batch(model, windows)
-        return _geometric_flags(coords, link), None
-    rasters_arg = rasters if isinstance(model, RfLidarBlockageModel) else None
-    probs = predict_blockage_probs(model, windows, rasters_arg)
-    return probs >= 0.5, probs
-
-
 def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     del cfg
     dataset = load_dataset(inputs["dataset"])
-    samples, windows, futures, blocked, rasters, times = _split_stack(
-        dataset, inputs["split"]
-    )
+    windows, futures, blocked, rasters, times = dataset.arrays(inputs["split"])
     groups = [
         ("localization", inputs.get("loc") or []),
         ("rf", inputs.get("rf") or []),
@@ -402,26 +396,20 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     per_method_step_acc: dict[str, list[list[float]]] = {}
     for method, paths in groups:
         for run_idx, ckpt in enumerate(paths):
-            model = load_model(ckpt)
-            expected = {
-                "localization": RfLocalizationModel,
-                "rf": RfBlockageModel,
-                "rf+lidar": RfLidarBlockageModel,
-            }[method]
-            if not isinstance(model, expected):
-                raise SchemaError(
-                    f"{ckpt}: checkpoint kind does not match --{'loc' if method == 'localization' else method} usage"
-                )
-            flags, probs = _blockage_flags_for(model, windows, rasters, link)
-            report = evaluate_blockage(flags, blocked)
+            model = _load_checked(ckpt, method, dataset.meta, "dataset")
             label = f"{method}#{run_idx}"
+            if method == "localization":
+                coords = predict_locations_batch(model, windows)
+                flags, probs = _geometric_flags(coords, link), None
+                loc_reports.append((label, evaluate_localization(coords, futures)))
+            else:
+                probs = predict_blockage_probs(model, windows, rasters)
+                flags = probs >= 0.5
+            report = evaluate_blockage(flags, blocked)
             blockage_reports.append((label, report))
             per_method_step_acc.setdefault(method, []).append(
                 [c.accuracy for c in report.per_step]
             )
-            if isinstance(model, RfLocalizationModel):
-                coords = predict_locations_batch(model, windows)
-                loc_reports.append((label, evaluate_localization(coords, futures)))
             for i in range(flags.shape[0]):
                 for k in range(flags.shape[1]):
                     raw_rows.append(
@@ -453,6 +441,12 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
+    loc_model = _load_checked(inputs["loc"], "localization", cfg, "config")
+    baselines = [
+        (kind, _load_checked(ckpt, kind, cfg, "config"))
+        for kind, flag in (("rf", "rf"), ("rf+lidar", "lidar"))
+        for ckpt in inputs.get(flag) or []
+    ]
     bundle = load_scenario(inputs["scenario"])
     meta = bundle.meta
     if bundle.truth is None:
@@ -497,22 +491,11 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     rasters = np.stack([s.lidar_raster for s, _ in kept])
     positions = np.stack([pos for _, pos in kept])  # (B, N, 2) world frame
 
-    loc_model = load_model(inputs["loc"])
-    if not isinstance(loc_model, RfLocalizationModel):
-        raise SchemaError(f"{inputs['loc']}: --loc expects a localization checkpoint")
-    baselines = []
-    for ckpt in inputs.get("rf") or []:
-        m = load_model(ckpt)
-        if not isinstance(m, RfBlockageModel):
-            raise SchemaError(f"{ckpt}: --rf expects an rssi-only blockage checkpoint")
-        baselines.append(("rf", m))
-    for ckpt in inputs.get("lidar") or []:
-        m = load_model(ckpt)
-        if not isinstance(m, RfLidarBlockageModel):
-            raise SchemaError(f"{ckpt}: --lidar expects an rssi+lidar blockage checkpoint")
-        baselines.append(("rf+lidar", m))
-
     coords = predict_locations_batch(loc_model, windows)
+    # The baselines cannot use the receiver position: their flags are fixed.
+    baseline_flags = [
+        (name, predict_blockage_probs(m, windows, rasters) >= 0.5) for name, m in baselines
+    ]
     # Predictions live in the road frame the model was trained in; shift
     # the link into that frame rather than trusting the local config.
     origin = loc_model.stats.road_origin
@@ -540,11 +523,8 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
              str(int(pos_idx == 0)),
              repr(float(np.mean(pred == truth_flags)))]
         )
-        for name, m in baselines:
-            probs = predict_blockage_probs(
-                m, windows, rasters if isinstance(m, RfLidarBlockageModel) else None
-            )
-            acc = float(np.mean((probs >= 0.5) == truth_flags))
+        for name, predicted in baseline_flags:
+            acc = float(np.mean(predicted == truth_flags))
             rows.append(
                 [name, str(pos_idx), repr(rx[0]), repr(rx[1]),
                  str(int(pos_idx == 0)), repr(acc)]

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DegenerateLinkError
 from .preprocess import Centroid
 from .scene import BlockageLabel, RssiFrame, total_power
@@ -76,18 +74,6 @@ def blockage_labels_from_rssi(
     if power_threshold <= 0:
         raise ValueError("power_threshold must be positive")
     return [BlockageLabel(f.t, total_power(f) < power_threshold) for f in frames]
-
-
-def predict_blockage_sequence(model, window, link: LinkGeometry) -> np.ndarray:
-    """Predicted locations pushed through the geometric test, one flag per
-    horizon step; an invalid predicted location maps to not-blocked."""
-    from .models import predict_locations
-
-    locs = predict_locations(model, window)
-    return np.array(
-        [loc.valid and blockage_from_location(loc, link) for loc in locs],
-        dtype=bool,
-    )
 
 
 def transfer_link(link: LinkGeometry, new_rx: tuple[float, float]) -> LinkGeometry:

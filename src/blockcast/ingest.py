@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,6 +240,16 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
 # Datasets of labeled windows
 # ---------------------------------------------------------------------------
 
+class SplitArrays(NamedTuple):
+    """One split's samples stacked along a leading batch axis."""
+
+    windows: np.ndarray  # (B, T0, M) raw powers
+    futures: np.ndarray  # (B, N, 2) road-frame centroids
+    blocked: np.ndarray  # (B, N) bool
+    rasters: np.ndarray  # (B, bins) lidar depths
+    times: list[int]
+
+
 @dataclass
 class DatasetFile:
     samples: list[LabeledSample]
@@ -250,21 +261,30 @@ class DatasetFile:
             raise KeyError(f"unknown split {split!r}; have {sorted(self.splits)}")
         return [self.samples[i] for i in self.splits[split]]
 
+    def arrays(self, split: str) -> SplitArrays:
+        """The split's samples stacked into arrays; an empty split is an error."""
+        samples = self.subset(split)
+        if not samples:
+            raise ValueError(f"split {split!r} is empty")
+        return SplitArrays(
+            np.stack([s.window for s in samples]),
+            np.stack([s.future for s in samples]),
+            np.stack([s.future_blocked for s in samples]),
+            np.stack([s.lidar_raster for s in samples]),
+            [s.t for s in samples],
+        )
+
 
 def split_dataset(
     samples: list[LabeledSample],
     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
-    seed: int = 0,
     meta: dict | None = None,
 ) -> DatasetFile:
     """Assign contiguous per-scenario blocks to train/val/test.
 
     Windows overlap in time, so shuffling would leak nearly identical
     samples across splits; contiguous blocks keep evaluation honest.
-    The seed is accepted for interface stability but the assignment is
-    fully deterministic.
     """
-    del seed
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:

@@ -1,35 +1,36 @@
-"""The three trainable predictors and their training loops.
+"""The three trainable predictors: one ``Model`` type, one training loop.
 
-* location model: single-layer LSTM (hidden 32) over the RSSI window,
-  then dense 32->20 with ReLU and dense 20->2N with a final ReLU. Trained
-  with Huber loss against future object centroids, flattened
-  (x1, y1, ..., xN, yN) and normalized to [0, 1] by the road extent so
-  the final ReLU cannot clip a legitimate target.
-* rssi-only blockage model: four stacked LSTM layers (hidden 16) and a
-  dense head emitting N logits; sigmoid probabilities, BCE loss.
-* rssi+lidar blockage model: two stacked LSTM layers (hidden 16) over the
-  RSSI window, a small 1-D CNN over the polar depth raster of the latest
-  scan (two conv layers, 8 then 16 channels, kernel 5, stride 2, ReLU,
-  then global average pooling), features concatenated into one vector and
-  mapped by a dense head to N logits; sigmoid probabilities, BCE loss.
+A ``Model`` is an ordered dict of named layers; ``build_model`` lays them
+out per kind, drawing initial weights from one RNG in layer order, and
+parameters are named ``<layer>.<array>`` (``lstm0.w_in``, ``head.bias``).
+
+* ``localization``: ``lstm`` (hidden 32) over the RSSI window, ``dense1``
+  32->20 with ReLU and ``dense2`` 20->2N with a final ReLU. Huber loss
+  against future object centroids, flattened (x1, y1, ..., xN, yN) and
+  normalized to [0, 1] by the road extent so the final ReLU cannot clip a
+  legitimate target.
+* ``rf``: four stacked LSTM layers ``lstm0``..``lstm3`` (hidden 16) and a
+  dense ``head`` emitting N logits; sigmoid probabilities, BCE loss.
+* ``rf+lidar``: two stacked LSTM layers (hidden 16) plus a 1-D CNN over
+  the polar depth raster of the latest scan (``conv1``, ``conv2``: 8 then
+  16 channels, kernel 5, stride 2, ReLU, global average pooling); both
+  feature vectors are concatenated and mapped by ``head`` to N logits.
 
 RSSI windows enter every model as per-beam standardized dB values; the
-standardization statistics come from the training split only and ride
-along in the checkpoint so inference needs no dataset access. Training is
+statistics come from the training split only and ride along in the
+checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigMismatchError, SchemaError
-from .ingest import DatasetFile
+from .ingest import DatasetFile, SplitArrays
 from .nn import (
-    AdamState,
     Conv1dParams,
     DenseParams,
     LstmParams,
@@ -133,92 +134,9 @@ def rssi_features(windows: np.ndarray, stats: NormStats) -> np.ndarray:
     return (power_to_db(windows) - stats.rssi_mean) / stats.rssi_std
 
 
-def _to_seq(features: np.ndarray) -> np.ndarray:
-    """(B, T0, M) -> (T0, B, M) for the time-major LSTM kernel."""
-    return np.ascontiguousarray(np.transpose(features, (1, 0, 2)))
-
-
 # ---------------------------------------------------------------------------
-# Model containers
+# The model
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RfLocalizationModel:
-    lstm: LstmParams
-    dense1: DenseParams
-    dense2: DenseParams
-    window_len: int
-    horizon: int
-    stats: NormStats
-
-    @property
-    def num_beams(self) -> int:
-        return self.lstm.input_size
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        return {
-            "lstm.w_in": self.lstm.w_in,
-            "lstm.w_rec": self.lstm.w_rec,
-            "lstm.bias": self.lstm.bias,
-            "dense1.weight": self.dense1.weight,
-            "dense1.bias": self.dense1.bias,
-            "dense2.weight": self.dense2.weight,
-            "dense2.bias": self.dense2.bias,
-        }
-
-
-@dataclass
-class RfBlockageModel:
-    lstms: list[LstmParams]  # stacked bottom-up
-    head: DenseParams
-    window_len: int
-    horizon: int
-    stats: NormStats
-
-    @property
-    def num_beams(self) -> int:
-        return self.lstms[0].input_size
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, p in enumerate(self.lstms):
-            out[f"lstm{i}.w_in"] = p.w_in
-            out[f"lstm{i}.w_rec"] = p.w_rec
-            out[f"lstm{i}.bias"] = p.bias
-        out["head.weight"] = self.head.weight
-        out["head.bias"] = self.head.bias
-        return out
-
-
-@dataclass
-class RfLidarBlockageModel:
-    lstms: list[LstmParams]
-    conv1: Conv1dParams
-    conv2: Conv1dParams
-    head: DenseParams
-    window_len: int
-    horizon: int
-    raster_bins: int
-    stats: NormStats
-
-    @property
-    def num_beams(self) -> int:
-        return self.lstms[0].input_size
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, p in enumerate(self.lstms):
-            out[f"lstm{i}.w_in"] = p.w_in
-            out[f"lstm{i}.w_rec"] = p.w_rec
-            out[f"lstm{i}.bias"] = p.bias
-        out["conv1.weight"] = self.conv1.weight
-        out["conv1.bias"] = self.conv1.bias
-        out["conv2.weight"] = self.conv2.weight
-        out["conv2.bias"] = self.conv2.bias
-        out["head.weight"] = self.head.weight
-        out["head.bias"] = self.head.bias
-        return out
-
 
 LOC_HIDDEN = 32
 LOC_BOTTLENECK = 20
@@ -229,218 +147,182 @@ CONV_CHANNELS = (8, 16)
 CONV_KERNEL = 5
 CONV_STRIDE = 2
 
+# Model kind -> the "kind" string its checkpoint descriptor carries.
+CHECKPOINT_KINDS = {
+    "localization": "localization",
+    "rf": "rf-blockage",
+    "rf+lidar": "rf+lidar-blockage",
+}
 
-def build_localization_model(
-    num_beams: int, window_len: int, horizon: int, stats: NormStats, seed: int = 0
-) -> RfLocalizationModel:
-    rng = np.random.default_rng(seed)
-    return RfLocalizationModel(
-        lstm=lstm_init(rng, num_beams, LOC_HIDDEN),
-        dense1=dense_init(rng, LOC_HIDDEN, LOC_BOTTLENECK),
-        dense2=dense_init(rng, LOC_BOTTLENECK, 2 * horizon),
-        window_len=window_len,
-        horizon=horizon,
-        stats=stats,
-    )
+Layer = LstmParams | DenseParams | Conv1dParams
 
 
-def build_rf_blockage_model(
-    num_beams: int, window_len: int, horizon: int, stats: NormStats, seed: int = 0
-) -> RfBlockageModel:
-    rng = np.random.default_rng(seed)
-    lstms = []
-    width = num_beams
-    for _ in range(RF_LSTM_LAYERS):
-        lstms.append(lstm_init(rng, width, BLOCKAGE_HIDDEN))
-        width = BLOCKAGE_HIDDEN
-    return RfBlockageModel(
-        lstms=lstms,
-        head=dense_init(rng, BLOCKAGE_HIDDEN, horizon),
-        window_len=window_len,
-        horizon=horizon,
-        stats=stats,
-    )
+@dataclass
+class Model:
+    """One predictor: its named layers in initialization order, plus the
+    shapes and normalization statistics inference needs."""
+
+    kind: str  # "localization" | "rf" | "rf+lidar"
+    layers: dict[str, Layer]
+    window_len: int
+    horizon: int
+    stats: NormStats
+    raster_bins: int | None = None  # length of the lidar raster; rf+lidar only
+
+    @property
+    def num_beams(self) -> int:
+        return next(iter(self.layers.values())).input_size  # layers start with an LSTM
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        """The live parameter arrays, keyed ``<layer>.<array>``."""
+        return {
+            f"{name}.{key}": value
+            for name, layer in self.layers.items()
+            for key, value in vars(layer).items()
+            if isinstance(value, np.ndarray)
+        }
+
+    def names(self, layer_type: type) -> list[str]:
+        """Names of the layers of one type, in order."""
+        return [name for name, layer in self.layers.items() if isinstance(layer, layer_type)]
 
 
-def build_rf_lidar_blockage_model(
+def build_model(
+    kind: str,
     num_beams: int,
     window_len: int,
     horizon: int,
-    raster_bins: int,
     stats: NormStats,
+    raster_bins: int | None = None,
     seed: int = 0,
-) -> RfLidarBlockageModel:
+) -> Model:
+    """A freshly initialized predictor of the given kind."""
     rng = np.random.default_rng(seed)
-    lstms = []
-    width = num_beams
-    for _ in range(LIDAR_LSTM_LAYERS):
-        lstms.append(lstm_init(rng, width, BLOCKAGE_HIDDEN))
-        width = BLOCKAGE_HIDDEN
-    conv1 = conv1d_init(rng, 1, CONV_CHANNELS[0], CONV_KERNEL, CONV_STRIDE)
-    conv2 = conv1d_init(rng, CONV_CHANNELS[0], CONV_CHANNELS[1], CONV_KERNEL, CONV_STRIDE)
-    return RfLidarBlockageModel(
-        lstms=lstms,
-        conv1=conv1,
-        conv2=conv2,
-        head=dense_init(rng, BLOCKAGE_HIDDEN + CONV_CHANNELS[1], horizon),
-        window_len=window_len,
-        horizon=horizon,
-        raster_bins=raster_bins,
-        stats=stats,
-    )
+    layers: dict[str, Layer] = {}
+    if kind == "localization":
+        layers["lstm"] = lstm_init(rng, num_beams, LOC_HIDDEN)
+        layers["dense1"] = dense_init(rng, LOC_HIDDEN, LOC_BOTTLENECK)
+        layers["dense2"] = dense_init(rng, LOC_BOTTLENECK, 2 * horizon)
+    elif kind in ("rf", "rf+lidar"):
+        width = num_beams
+        for i in range(RF_LSTM_LAYERS if kind == "rf" else LIDAR_LSTM_LAYERS):
+            layers[f"lstm{i}"] = lstm_init(rng, width, BLOCKAGE_HIDDEN)
+            width = BLOCKAGE_HIDDEN
+        if kind == "rf+lidar":
+            layers["conv1"] = conv1d_init(rng, 1, CONV_CHANNELS[0], CONV_KERNEL, CONV_STRIDE)
+            layers["conv2"] = conv1d_init(
+                rng, CONV_CHANNELS[0], CONV_CHANNELS[1], CONV_KERNEL, CONV_STRIDE
+            )
+            width += CONV_CHANNELS[1]
+        layers["head"] = dense_init(rng, width, horizon)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    bins = raster_bins if kind == "rf+lidar" else None
+    return Model(kind, layers, window_len, horizon, stats, bins)
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _stack_forward(layers: list[LstmParams], seq: np.ndarray):
-    caches = []
-    x = seq
-    for p in layers:
-        x, h_last, cache = lstm_forward(p, x)
-        caches.append(cache)
-    return h_last, caches
+def forward(model: Model, features: np.ndarray, rasters: np.ndarray | None = None):
+    """Standardized (B, T0, M) features -> output and the backward cache.
+
+    The LSTM layers run over the window. An rf+lidar model also runs its
+    conv layers over the normalized (B, raster_bins) rasters and appends
+    the pooled channels to the last hidden state; other kinds ignore
+    ``rasters``. The dense layers then map that vector to the output:
+    (B, 2N) nonnegative road-unit locations (ReLU after every dense
+    layer), or (B, N) sigmoid probabilities.
+    """
+    layers, caches = model.layers, {}
+    seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
+    for name in model.names(LstmParams):
+        seq, feat, caches[name] = lstm_forward(layers[name], seq)
+    conv = model.names(Conv1dParams)
+    if conv:
+        if rasters.ndim != 2 or rasters.shape[1] != model.raster_bins:
+            raise ConfigMismatchError(
+                f"raster shape {rasters.shape} does not match model bins {model.raster_bins}"
+            )
+        x = rasters[:, None, :]  # (B, 1, bins)
+        for name in conv:
+            z, cache = conv1d_forward(layers[name], x)
+            caches[name] = (z, cache)
+            x = relu(z)
+        pooled, caches["pool"] = global_avg_pool(x)
+        feat = np.concatenate([feat, pooled], axis=1)
+    regress = model.kind == "localization"
+    for name in model.names(DenseParams):
+        z, cache = dense_forward(layers[name], feat)
+        caches[name] = (z, cache)
+        feat = relu(z) if regress else z
+    return (feat if regress else sigmoid(feat)), caches
 
 
-def _stack_backward(prefix: str, layers: list[LstmParams], d_h_last: np.ndarray, caches, grads: dict):
-    d_hidden = np.zeros_like(caches[-1].hidden)
-    d_hidden[-1] = d_h_last
-    for idx in range(len(layers) - 1, -1, -1):
-        d_seq, g = lstm_backward(layers[idx], d_hidden, caches[idx])
-        grads[f"{prefix}{idx}.w_in"] = g["w_in"]
-        grads[f"{prefix}{idx}.w_rec"] = g["w_rec"]
-        grads[f"{prefix}{idx}.bias"] = g["bias"]
-        d_hidden = d_seq
-    return d_hidden
+def _backward(model: Model, d_out: np.ndarray, caches: dict) -> dict[str, np.ndarray]:
+    """Gradient of every named parameter from the loss gradient w.r.t. the
+    output (w.r.t. the logits for the classifiers)."""
+    layers, grads = model.layers, {}
 
+    def keep(name, g):
+        grads.update({f"{name}.{key}": value for key, value in g.items()})
 
-def localization_forward(model: RfLocalizationModel, features: np.ndarray):
-    """features: standardized (B, T0, M). Returns (B, 2N) nonnegative output."""
-    seq = _to_seq(features)
-    hs, h_last, lstm_cache = lstm_forward(model.lstm, seq)
-    z1, d1_cache = dense_forward(model.dense1, h_last)
-    a1 = relu(z1)
-    z2, d2_cache = dense_forward(model.dense2, a1)
-    out = relu(z2)
-    cache = (lstm_cache, z1, d1_cache, z2, d2_cache)
-    return out, cache
-
-
-def localization_backward(model: RfLocalizationModel, d_out: np.ndarray, cache) -> dict:
-    lstm_cache, z1, d1_cache, z2, d2_cache = cache
-    d_z2 = relu_backward(d_out, z2)
-    d_a1, g2 = dense_backward(model.dense2, d_z2, d2_cache)
-    d_z1 = relu_backward(d_a1, z1)
-    d_h, g1 = dense_backward(model.dense1, d_z1, d1_cache)
-    grads = {
-        "dense1.weight": g1["weight"],
-        "dense1.bias": g1["bias"],
-        "dense2.weight": g2["weight"],
-        "dense2.bias": g2["bias"],
-    }
-    d_hidden = np.zeros_like(lstm_cache.hidden)
-    d_hidden[-1] = d_h
-    _, gl = lstm_backward(model.lstm, d_hidden, lstm_cache)
-    grads["lstm.w_in"] = gl["w_in"]
-    grads["lstm.w_rec"] = gl["w_rec"]
-    grads["lstm.bias"] = gl["bias"]
+    d = d_out
+    for name in reversed(model.names(DenseParams)):
+        z, cache = caches[name]
+        if model.kind == "localization":
+            d = relu_backward(d, z)
+        d, g = dense_backward(layers[name], d, cache)
+        keep(name, g)
+    lstm = model.names(LstmParams)
+    conv = model.names(Conv1dParams)
+    if conv:
+        hidden = layers[lstm[-1]].hidden_size
+        d, d_pool = d[:, :hidden], d[:, hidden:]
+        dx = global_avg_pool_backward(d_pool, caches["pool"])
+        for name in reversed(conv):
+            z, cache = caches[name]
+            dx, g = conv1d_backward(layers[name], relu_backward(dx, z), cache)
+            keep(name, g)
+    d_hidden = np.zeros_like(caches[lstm[-1]].hidden)
+    d_hidden[-1] = d
+    for name in reversed(lstm):
+        d_hidden, g = lstm_backward(layers[name], d_hidden, caches[name])
+        keep(name, g)
     return grads
 
 
-def localization_loss_and_grads(
-    model: RfLocalizationModel, features: np.ndarray, targets: np.ndarray, delta: float = 1.0
+def _loss(model: Model, out: np.ndarray, targets: np.ndarray, delta: float):
+    """Huber for locations, BCE for blockage probabilities: (loss, d_out)."""
+    if model.kind == "localization":
+        return huber_loss(out, targets, delta)
+    return bce_loss(out, targets)
+
+
+def loss_and_grads(
+    model: Model,
+    features: np.ndarray,
+    targets: np.ndarray,
+    rasters: np.ndarray | None = None,
+    delta: float = 1.0,
 ):
-    out, cache = localization_forward(model, features)
+    """Mean loss of one batch and the gradient of every named parameter.
+
+    targets are normalized (B, 2N) locations or (B, N) binary flags;
+    ``delta`` is the Huber transition point, used by localization only.
+    """
+    out, caches = forward(model, features, rasters)
     if targets.shape != out.shape:
         raise ConfigMismatchError(
             f"target shape {targets.shape} does not match model output {out.shape}"
         )
-    loss, d_out = huber_loss(out, targets, delta)
-    return loss, localization_backward(model, d_out, cache)
-
-
-def rf_blockage_forward(model: RfBlockageModel, features: np.ndarray):
-    seq = _to_seq(features)
-    h_last, caches = _stack_forward(model.lstms, seq)
-    logits, head_cache = dense_forward(model.head, h_last)
-    probs = sigmoid(logits)
-    return probs, (caches, head_cache)
-
-
-def rf_blockage_loss_and_grads(
-    model: RfBlockageModel, features: np.ndarray, targets: np.ndarray
-):
-    probs, (caches, head_cache) = rf_blockage_forward(model, features)
-    if targets.shape != probs.shape:
-        raise ConfigMismatchError(
-            f"target shape {targets.shape} does not match model output {probs.shape}"
-        )
-    loss, d_logits = bce_loss(probs, targets)
-    d_h, gh = dense_backward(model.head, d_logits, head_cache)
-    grads = {"head.weight": gh["weight"], "head.bias": gh["bias"]}
-    _stack_backward("lstm", model.lstms, d_h, caches, grads)
-    return loss, grads
-
-
-def rf_lidar_forward(model: RfLidarBlockageModel, features: np.ndarray, rasters: np.ndarray):
-    """rasters: normalized (B, raster_bins) latest-scan depth vectors."""
-    if rasters.ndim != 2 or rasters.shape[1] != model.raster_bins:
-        raise ConfigMismatchError(
-            f"raster shape {rasters.shape} does not match model bins {model.raster_bins}"
-        )
-    seq = _to_seq(features)
-    h_last, lstm_caches = _stack_forward(model.lstms, seq)
-
-    x0 = rasters[:, None, :]  # (B, 1, bins)
-    z1, c1 = conv1d_forward(model.conv1, x0)
-    a1 = relu(z1)
-    z2, c2 = conv1d_forward(model.conv2, a1)
-    a2 = relu(z2)
-    pooled, length = global_avg_pool(a2)
-
-    feat = np.concatenate([h_last, pooled], axis=1)
-    logits, head_cache = dense_forward(model.head, feat)
-    probs = sigmoid(logits)
-    cache = (lstm_caches, z1, c1, z2, c2, length, head_cache)
-    return probs, cache
-
-
-def rf_lidar_loss_and_grads(
-    model: RfLidarBlockageModel,
-    features: np.ndarray,
-    rasters: np.ndarray,
-    targets: np.ndarray,
-):
-    probs, cache = rf_lidar_forward(model, features, rasters)
-    if targets.shape != probs.shape:
-        raise ConfigMismatchError(
-            f"target shape {targets.shape} does not match model output {probs.shape}"
-        )
-    lstm_caches, z1, c1, z2, c2, length, head_cache = cache
-    loss, d_logits = bce_loss(probs, targets)
-    d_feat, gh = dense_backward(model.head, d_logits, head_cache)
-    grads = {"head.weight": gh["weight"], "head.bias": gh["bias"]}
-
-    hidden = model.lstms[-1].hidden_size
-    d_h = d_feat[:, :hidden]
-    d_pool = d_feat[:, hidden:]
-    _stack_backward("lstm", model.lstms, d_h, lstm_caches, grads)
-
-    d_a2 = global_avg_pool_backward(d_pool, length)
-    d_z2 = relu_backward(d_a2, z2)
-    d_a1, g2 = conv1d_backward(model.conv2, d_z2, c2)
-    d_z1 = relu_backward(d_a1, z1)
-    _, g1 = conv1d_backward(model.conv1, d_z1, c1)
-    grads["conv1.weight"] = g1["weight"]
-    grads["conv1.bias"] = g1["bias"]
-    grads["conv2.weight"] = g2["weight"]
-    grads["conv2.bias"] = g2["bias"]
-    return loss, grads
+    loss, d_out = _loss(model, out, targets, delta)
+    return loss, _backward(model, d_out, caches)
 
 
 # ---------------------------------------------------------------------------
-# Dataset plumbing shared by the training loops
+# Training
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -449,68 +331,45 @@ class LossCurves:
     val: list[float] = field(default_factory=list)    # one entry per episode
 
 
-def _split_arrays(dataset: DatasetFile, split: str):
-    samples = dataset.subset(split)
-    if not samples:
-        return None
-    windows = np.stack([s.window for s in samples])
-    futures = np.stack([s.future for s in samples])
-    blocked = np.stack([s.future_blocked for s in samples]).astype(np.float64)
-    rasters = np.stack([s.lidar_raster for s in samples])
-    return windows, futures, blocked, rasters
-
-
-def _check_dims(dataset: DatasetFile, window_len: int, num_beams: int, horizon: int):
-    meta = dataset.meta
-    for key, expected in (
-        ("window_len", window_len),
-        ("num_beams", num_beams),
-        ("horizon", horizon),
-    ):
-        if key in meta and int(meta[key]) != expected:
-            raise ConfigMismatchError(
-                f"dataset {key}={meta[key]} does not match model {key}={expected}"
-            )
-
-
-def _normalized_targets(futures: np.ndarray, stats: NormStats) -> np.ndarray:
-    """(B, N, 2) road-frame meters -> (B, 2N) in [0,1] road units."""
-    return (futures / stats.road_size).reshape(futures.shape[0], -1)
-
-
 def _norm_rasters(rasters: np.ndarray, stats: NormStats) -> np.ndarray:
     return rasters / stats.lidar_max_range
 
 
-def train_localization(
-    dataset: DatasetFile, cfg: TrainConfig = TrainConfig(), model: RfLocalizationModel | None = None
-):
-    """Fit the location predictor; returns (model, loss curves)."""
-    train = _split_arrays(dataset, "train")
-    if train is None:
-        raise ValueError("train split is empty")
-    windows, futures, _, _ = train
-    n, window_len, num_beams = windows.shape
-    horizon = futures.shape[1]
+def _inputs(model: Model, arrays: SplitArrays):
+    """(features, targets, rasters) for one split; rasters is None unless
+    the model reads them."""
+    feats = rssi_features(arrays.windows, model.stats)
+    if model.kind == "localization":  # (B, N, 2) road-frame meters -> (B, 2N) road units
+        targets = (arrays.futures / model.stats.road_size).reshape(len(arrays.futures), -1)
+    else:
+        targets = arrays.blocked.astype(np.float64)
+    rasters = _norm_rasters(arrays.rasters, model.stats) if model.kind == "rf+lidar" else None
+    return feats, targets, rasters
+
+
+def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str, model: Model | None):
+    train = dataset.arrays("train")
+    n, window_len, num_beams = train.windows.shape
+    horizon = train.futures.shape[1]
+    raster_bins = train.rasters.shape[1] if kind == "rf+lidar" else None
+    for key, value in (("window_len", window_len), ("num_beams", num_beams), ("horizon", horizon)):
+        if key in dataset.meta and int(dataset.meta[key]) != value:
+            raise ConfigMismatchError(
+                f"dataset {key}={dataset.meta[key]} does not match its samples' {key}={value}"
+            )
 
     if model is None:
         stats = compute_norm_stats(dataset.subset("train"), dataset.meta)
-        model = build_localization_model(num_beams, window_len, horizon, stats, cfg.seed)
-    else:
-        if (model.window_len, model.num_beams, model.horizon) != (window_len, num_beams, horizon):
-            raise ConfigMismatchError(
-                "dataset dims "
-                f"(T0={window_len}, M={num_beams}, N={horizon}) do not match model "
-                f"(T0={model.window_len}, M={model.num_beams}, N={model.horizon})"
-            )
-    _check_dims(dataset, model.window_len, model.num_beams, model.horizon)
+        model = build_model(kind, num_beams, window_len, horizon, stats, raster_bins, cfg.seed)
+    want = (kind, window_len, num_beams, horizon, raster_bins)
+    have = (model.kind, model.window_len, model.num_beams, model.horizon, model.raster_bins)
+    if have != want:
+        raise ConfigMismatchError(
+            f"dataset (variant, T0, M, N, raster bins) {want} does not match model {have}"
+        )
 
-    feats = rssi_features(windows, model.stats)
-    targets = _normalized_targets(futures, model.stats)
-    val = _split_arrays(dataset, "val") if "val" in dataset.splits else None
-    if val is not None:
-        val_feats = rssi_features(val[0], model.stats)
-        val_targets = _normalized_targets(val[1], model.stats)
+    feats, targets, rasters = _inputs(model, train)
+    val = _inputs(model, dataset.arrays("val")) if dataset.splits.get("val") else None
 
     params = model.named_params()
     opt = adam_init(params, lr=cfg.lr)
@@ -519,109 +378,62 @@ def train_localization(
     for _ in range(cfg.episodes):
         for _ in range(cfg.iterations):
             idx = rng.integers(0, n, size=cfg.batch_size)
-            loss, grads = localization_loss_and_grads(
-                model, feats[idx], targets[idx], cfg.delta
+            loss, grads = loss_and_grads(
+                model, feats[idx], targets[idx],
+                None if rasters is None else rasters[idx], cfg.delta,
             )
             adam_step(opt, params, grads)
             curves.train.append(loss)
         if val is not None:
-            out, _ = localization_forward(model, val_feats)
-            curves.val.append(huber_loss(out, val_targets, cfg.delta)[0])
+            val_feats, val_targets, val_rasters = val
+            out, _ = forward(model, val_feats, val_rasters)
+            curves.val.append(_loss(model, out, val_targets, cfg.delta)[0])
     return model, curves
+
+
+def train_localization(
+    dataset: DatasetFile, cfg: TrainConfig = TrainConfig(), model: Model | None = None
+):
+    """Fit the location predictor; returns (model, loss curves)."""
+    return _train(dataset, cfg, "localization", model)
 
 
 def train_blockage(
     dataset: DatasetFile,
     cfg: TrainConfig = TrainConfig(),
     variant: str = "rf",
-    model: RfBlockageModel | RfLidarBlockageModel | None = None,
+    model: Model | None = None,
 ):
     """Fit a blockage predictor ("rf" or "rf+lidar"); returns (model, curves)."""
     if variant not in ("rf", "rf+lidar"):
         raise ValueError(f"unknown variant {variant!r}")
-    train = _split_arrays(dataset, "train")
-    if train is None:
-        raise ValueError("train split is empty")
-    windows, _, blocked, rasters = train
-    n, window_len, num_beams = windows.shape
-    horizon = blocked.shape[1]
-    raster_bins = rasters.shape[1]
-
-    if model is None:
-        stats = compute_norm_stats(dataset.subset("train"), dataset.meta)
-        if variant == "rf":
-            model = build_rf_blockage_model(num_beams, window_len, horizon, stats, cfg.seed)
-        else:
-            model = build_rf_lidar_blockage_model(
-                num_beams, window_len, horizon, raster_bins, stats, cfg.seed
-            )
-    else:
-        wanted = RfBlockageModel if variant == "rf" else RfLidarBlockageModel
-        if not isinstance(model, wanted):
-            raise ConfigMismatchError(f"model type does not match variant {variant!r}")
-        if (model.window_len, model.num_beams, model.horizon) != (window_len, num_beams, horizon):
-            raise ConfigMismatchError(
-                "dataset dims "
-                f"(T0={window_len}, M={num_beams}, N={horizon}) do not match model "
-                f"(T0={model.window_len}, M={model.num_beams}, N={model.horizon})"
-            )
-        if variant == "rf+lidar" and model.raster_bins != raster_bins:
-            raise ConfigMismatchError(
-                f"dataset raster bins {raster_bins} do not match model {model.raster_bins}"
-            )
-    _check_dims(dataset, model.window_len, model.num_beams, model.horizon)
-
-    feats = rssi_features(windows, model.stats)
-    rast = _norm_rasters(rasters, model.stats)
-    val = _split_arrays(dataset, "val") if "val" in dataset.splits else None
-    if val is not None:
-        val_feats = rssi_features(val[0], model.stats)
-        val_blocked = val[2]
-        val_rast = _norm_rasters(val[3], model.stats)
-
-    params = model.named_params()
-    opt = adam_init(params, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    curves = LossCurves()
-    for _ in range(cfg.episodes):
-        for _ in range(cfg.iterations):
-            idx = rng.integers(0, n, size=cfg.batch_size)
-            if variant == "rf":
-                loss, grads = rf_blockage_loss_and_grads(model, feats[idx], blocked[idx])
-            else:
-                loss, grads = rf_lidar_loss_and_grads(
-                    model, feats[idx], rast[idx], blocked[idx]
-                )
-            adam_step(opt, params, grads)
-            curves.train.append(loss)
-        if val is not None:
-            if variant == "rf":
-                probs, _ = rf_blockage_forward(model, val_feats)
-            else:
-                probs, _ = rf_lidar_forward(model, val_feats, val_rast)
-            curves.val.append(bce_loss(probs, val_blocked)[0])
-    return model, curves
+    return _train(dataset, cfg, variant, model)
 
 
 # ---------------------------------------------------------------------------
 # Inference
 # ---------------------------------------------------------------------------
 
-def predict_locations_batch(model: RfLocalizationModel, windows: np.ndarray) -> np.ndarray:
-    """(B, T0, M) raw powers -> (B, N, 2) road-frame meters."""
+def _checked_windows(model: Model, windows, kinds: tuple[str, ...]) -> np.ndarray:
+    if model.kind not in kinds:
+        raise ConfigMismatchError(f"a {model.kind} model cannot make this prediction")
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1:] != (model.window_len, model.num_beams):
         raise ConfigMismatchError(
             f"window shape {windows.shape[1:]} does not match model "
             f"(T0={model.window_len}, M={model.num_beams})"
         )
-    out, _ = localization_forward(model, rssi_features(windows, model.stats))
+    return windows
+
+
+def predict_locations_batch(model: Model, windows: np.ndarray) -> np.ndarray:
+    """(B, T0, M) raw powers -> (B, N, 2) road-frame meters."""
+    windows = _checked_windows(model, windows, ("localization",))
+    out, _ = forward(model, rssi_features(windows, model.stats))
     return out.reshape(-1, model.horizon, 2) * model.stats.road_size
 
 
-def predict_locations(
-    model: RfLocalizationModel, window: np.ndarray, start_t: int = 0
-) -> list[Centroid]:
+def predict_locations(model: Model, window: np.ndarray, start_t: int = 0) -> list[Centroid]:
     """Single (T0, M) raw window -> N future centroids in the road frame."""
     coords = predict_locations_batch(model, np.asarray(window)[None])[0]
     return [
@@ -631,26 +443,16 @@ def predict_locations(
 
 
 def predict_blockage_probs(
-    model: RfBlockageModel | RfLidarBlockageModel,
-    windows: np.ndarray,
-    rasters: np.ndarray | None = None,
+    model: Model, windows: np.ndarray, rasters: np.ndarray | None = None
 ) -> np.ndarray:
     """(B, T0, M) raw powers (+ raw rasters for the lidar model) -> (B, N)."""
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1:] != (model.window_len, model.num_beams):
-        raise ConfigMismatchError(
-            f"window shape {windows.shape[1:]} does not match model "
-            f"(T0={model.window_len}, M={model.num_beams})"
-        )
+    windows = _checked_windows(model, windows, ("rf", "rf+lidar"))
     feats = rssi_features(windows, model.stats)
-    if isinstance(model, RfLidarBlockageModel):
+    if model.kind == "rf+lidar":
         if rasters is None:
             raise ValueError("the rf+lidar model needs lidar rasters")
-        probs, _ = rf_lidar_forward(
-            model, feats, _norm_rasters(np.asarray(rasters, dtype=np.float64), model.stats)
-        )
-    else:
-        probs, _ = rf_blockage_forward(model, feats)
+        rasters = _norm_rasters(np.asarray(rasters, dtype=np.float64), model.stats)
+    probs, _ = forward(model, feats, rasters)
     return probs
 
 
@@ -658,39 +460,34 @@ def predict_blockage_probs(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def save_model(model, path) -> None:
-    if isinstance(model, RfLocalizationModel):
-        descriptor = {"kind": "localization"}
-    elif isinstance(model, RfLidarBlockageModel):
-        descriptor = {"kind": "rf+lidar-blockage", "raster_bins": model.raster_bins}
-    elif isinstance(model, RfBlockageModel):
-        descriptor = {"kind": "rf-blockage"}
-    else:
+def save_model(model: Model, path) -> None:
+    if not isinstance(model, Model):
         raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
-    descriptor["window_len"] = model.window_len
-    descriptor["horizon"] = model.horizon
-    descriptor["num_beams"] = model.num_beams
-    descriptor["norm"] = model.stats.to_json()
+    descriptor = {
+        "kind": CHECKPOINT_KINDS[model.kind],
+        "window_len": model.window_len,
+        "horizon": model.horizon,
+        "num_beams": model.num_beams,
+        "norm": model.stats.to_json(),
+    }
+    if model.raster_bins is not None:
+        descriptor["raster_bins"] = model.raster_bins
     save_params(path, descriptor, model.named_params())
 
 
-def load_model(path):
+def load_model(path) -> Model:
     descriptor, params = load_params(path)
-    kind = descriptor.get("kind")
-    stats = NormStats.from_json(descriptor["norm"])
-    window_len = int(descriptor["window_len"])
-    horizon = int(descriptor["horizon"])
-    num_beams = int(descriptor["num_beams"])
-    if kind == "localization":
-        model = build_localization_model(num_beams, window_len, horizon, stats)
-    elif kind == "rf-blockage":
-        model = build_rf_blockage_model(num_beams, window_len, horizon, stats)
-    elif kind == "rf+lidar-blockage":
-        model = build_rf_lidar_blockage_model(
-            num_beams, window_len, horizon, int(descriptor["raster_bins"]), stats
-        )
-    else:
-        raise SchemaError(f"{path}: unknown model kind {kind!r}")
+    kind = {v: k for k, v in CHECKPOINT_KINDS.items()}.get(descriptor.get("kind"))
+    if kind is None:
+        raise SchemaError(f"{path}: unknown model kind {descriptor.get('kind')!r}")
+    model = build_model(
+        kind,
+        int(descriptor["num_beams"]),
+        int(descriptor["window_len"]),
+        int(descriptor["horizon"]),
+        NormStats.from_json(descriptor["norm"]),
+        int(descriptor["raster_bins"]) if kind == "rf+lidar" else None,
+    )
     live = model.named_params()
     if set(live) != set(params):
         raise SchemaError(f"{path}: checkpoint parameters do not match architecture")

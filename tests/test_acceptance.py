@@ -18,13 +18,9 @@ from blockcast.config import resolve_config
 from blockcast.geometry import LinkGeometry, blockage_from_location
 from blockcast.models import (
     TrainConfig,
-    build_localization_model,
-    build_rf_blockage_model,
-    build_rf_lidar_blockage_model,
-    localization_loss_and_grads,
+    build_model,
+    loss_and_grads,
     predict_locations_batch,
-    rf_blockage_loss_and_grads,
-    rf_lidar_loss_and_grads,
     save_model,
     train_blockage,
     train_localization,
@@ -165,13 +161,13 @@ def test_criterion_1_gradients():
         loc_targets = rng.uniform(0.0, 1.0, size=(2, 4))
         cls_targets = rng.integers(0, 2, size=(2, 2)).astype(np.float64)
 
-        loc = build_localization_model(4, 3, 2, toy_stats(4), seed=seed)
-        rf = build_rf_blockage_model(4, 3, 2, toy_stats(4), seed=seed)
-        lidar = build_rf_lidar_blockage_model(4, 3, 2, 13, toy_stats(4), seed=seed)
+        loc = build_model("localization", 4, 3, 2, toy_stats(4), seed=seed)
+        rf = build_model("rf", 4, 3, 2, toy_stats(4), seed=seed)
+        lidar = build_model("rf+lidar", 4, 3, 2, toy_stats(4), 13, seed=seed)
         cases = [
-            (loc, lambda: localization_loss_and_grads(loc, feats, loc_targets, 1.0)),
-            (rf, lambda: rf_blockage_loss_and_grads(rf, feats, cls_targets)),
-            (lidar, lambda: rf_lidar_loss_and_grads(lidar, feats, rasters, cls_targets)),
+            (loc, lambda: loss_and_grads(loc, feats, loc_targets, delta=1.0)),
+            (rf, lambda: loss_and_grads(rf, feats, cls_targets)),
+            (lidar, lambda: loss_and_grads(lidar, feats, cls_targets, rasters)),
         ]
         for model, closure in cases:
             _, grads = closure()

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockcast
 from blockcast.cli import replay_manifest, run
 from blockcast.config import DEFAULTS, dump_config, parse_config_file, resolve_config
 from blockcast.errors import ParseError
@@ -308,3 +313,55 @@ def test_domain_errors_exit_one(chain, tmp_path):
          "--dataset", str(chain / "data"), "--split", "nope",
          "--out", str(tmp_path / "f")]
     ) == 1
+
+
+@pytest.mark.parametrize("flag, wrong", [("--loc", "rf"), ("--rf", "lidar"), ("--lidar", "rf")])
+def test_transfer_rejects_a_checkpoint_of_the_wrong_kind(chain, tmp_path, capsys, flag, wrong):
+    ckpt = chain / wrong / "model.json"
+    loc = [] if flag == "--loc" else ["--loc", str(chain / "loc" / "model.json")]
+    assert run(
+        ["transfer", "--scenario", str(chain / "scene"), *loc, flag, str(ckpt),
+         "--rx", "4,12", "--out", str(tmp_path / "sweep")]
+    ) == 1
+    assert str(ckpt.resolve()) in capsys.readouterr().err
+
+
+def test_transfer_names_the_checkpoint_trained_for_another_horizon(chain, tmp_path, capsys):
+    ckpt = chain / "loc" / "model.json"
+    assert run(
+        ["transfer", "--scenario", str(chain / "scene"), "--loc", str(ckpt),
+         "--rx", "4,12", "--set", "horizon=3", "--out", str(tmp_path / "sweep")]
+    ) == 1
+    err = capsys.readouterr().err
+    assert "horizon" in err and str(ckpt.resolve()) in err
+    assert "broadcast" not in err
+
+
+@pytest.mark.parametrize(
+    "key, label_args, flag, sub",
+    [("horizon", ["--horizon", "3"], "--loc", "loc"),
+     ("raster_bins", ["--set", "raster_bins=180"], "--lidar", "lidar")],
+)
+def test_evaluate_names_the_checkpoint_cut_for_other_windows(
+    chain, tmp_path, capsys, key, label_args, flag, sub
+):
+    data = tmp_path / "data"
+    assert run(["label", "--scenario", str(chain / "scene"), *label_args, "--out", str(data)]) == 0
+    ckpt = chain / sub / "model.json"
+    assert run(
+        ["evaluate", "--dataset", str(data), flag, str(ckpt), "--out", str(tmp_path / "r")]
+    ) == 1
+    err = capsys.readouterr().err
+    assert key in err and str(ckpt.resolve()) in err
+    assert "broadcast" not in err
+
+
+@pytest.mark.parametrize("module", ["blockcast", "blockcast.cli"])
+def test_module_entry_points_run_without_runtime_warnings(module):
+    src = str(Path(blockcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -10,11 +10,9 @@ from blockcast.geometry import (
     LinkGeometry,
     blockage_from_location,
     blockage_labels_from_rssi,
-    predict_blockage_sequence,
     transfer_link,
 )
-from blockcast.models import build_localization_model, predict_locations_batch
-from blockcast.models import NormStats
+from blockcast.models import predict_locations_batch
 from blockcast.preprocess import Centroid
 from blockcast.scene import RssiFrame
 
@@ -224,23 +222,6 @@ def test_geometric_and_threshold_labels_agree_on_the_standard_run(
 # ---------------------------------------------------------------------------
 # Prediction plumbing and zero-shot transfer
 # ---------------------------------------------------------------------------
-
-def test_predicted_sequence_from_a_zeroed_model_is_all_clear():
-    stats = NormStats(
-        rssi_mean=np.zeros(3),
-        rssi_std=np.ones(3),
-        road_origin=np.array([-14.0, 4.0]),
-        road_size=np.array([28.0, 4.0]),
-        lidar_max_range=16.0,
-    )
-    model = build_localization_model(3, 4, 5, stats)
-    for arr in model.named_params().values():
-        arr[...] = 0.0
-    link = LinkGeometry((14.0, -4.0), (14.0, 8.0), object_width=4.0)
-    flags = predict_blockage_sequence(model, np.full((4, 3), 0.5), link)
-    assert flags.shape == (5,) and flags.dtype == bool
-    assert not flags.any()
-
 
 def test_trained_model_tracks_transitions(trained_localization, standard_dataset):
     link = LinkGeometry((14.0, -4.0), (14.0, 8.0), object_width=4.0)

@@ -10,18 +10,14 @@ from blockcast.models import (
     STD_FLOOR,
     NormStats,
     TrainConfig,
-    build_localization_model,
-    build_rf_blockage_model,
-    build_rf_lidar_blockage_model,
+    build_model,
     compute_norm_stats,
     load_model,
-    localization_loss_and_grads,
+    loss_and_grads,
     power_to_db,
     predict_blockage_probs,
     predict_locations,
     predict_locations_batch,
-    rf_blockage_loss_and_grads,
-    rf_lidar_loss_and_grads,
     rssi_features,
     save_model,
     train_blockage,
@@ -103,39 +99,39 @@ def max_rel_err(a, b):
 
 def test_localization_model_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
-    model = build_localization_model(4, 3, 2, toy_stats(4), seed=1)
+    model = build_model("localization", 4, 3, 2, toy_stats(4), seed=1)
     feats = rng.normal(size=(2, 3, 4))
     targets = rng.uniform(0.0, 1.0, size=(2, 4))
-    _, grads = localization_loss_and_grads(model, feats, targets, delta=1.0)
+    _, grads = loss_and_grads(model, feats, targets, delta=1.0)
     params = model.named_params()
     for name, arr in params.items():
         fd = fd_grad(
-            lambda: localization_loss_and_grads(model, feats, targets, 1.0)[0], arr
+            lambda: loss_and_grads(model, feats, targets, delta=1.0)[0], arr
         )
         assert max_rel_err(grads[name], fd) < 1e-4, name
 
 
 def test_rf_blockage_model_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
-    model = build_rf_blockage_model(4, 3, 2, toy_stats(4), seed=2)
+    model = build_model("rf", 4, 3, 2, toy_stats(4), seed=2)
     feats = rng.normal(size=(2, 3, 4))
     targets = rng.integers(0, 2, size=(2, 2)).astype(np.float64)
-    _, grads = rf_blockage_loss_and_grads(model, feats, targets)
+    _, grads = loss_and_grads(model, feats, targets)
     for name, arr in model.named_params().items():
-        fd = fd_grad(lambda: rf_blockage_loss_and_grads(model, feats, targets)[0], arr)
+        fd = fd_grad(lambda: loss_and_grads(model, feats, targets)[0], arr)
         assert max_rel_err(grads[name], fd) < 1e-4, name
 
 
 def test_rf_lidar_model_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    model = build_rf_lidar_blockage_model(4, 3, 2, 13, toy_stats(4), seed=3)
+    model = build_model("rf+lidar", 4, 3, 2, toy_stats(4), 13, seed=3)
     feats = rng.normal(size=(2, 3, 4))
     rasters = rng.uniform(0.05, 1.0, size=(2, 13))
     targets = rng.integers(0, 2, size=(2, 2)).astype(np.float64)
-    _, grads = rf_lidar_loss_and_grads(model, feats, rasters, targets)
+    _, grads = loss_and_grads(model, feats, targets, rasters)
     for name, arr in model.named_params().items():
         fd = fd_grad(
-            lambda: rf_lidar_loss_and_grads(model, feats, rasters, targets)[0], arr
+            lambda: loss_and_grads(model, feats, targets, rasters)[0], arr
         )
         assert max_rel_err(grads[name], fd) < 1e-4, name
 
@@ -261,7 +257,7 @@ def test_training_validates_inputs():
     with pytest.raises(ValueError):
         train_blockage(ds, variant="fusion")
 
-    wrong = build_localization_model(3, 4, 5, toy_stats(3))  # horizon differs
+    wrong = build_model("localization", 3, 4, 5, toy_stats(3))  # horizon differs
     with pytest.raises(ConfigMismatchError):
         train_localization(ds, TrainConfig(episodes=1, iterations=1), model=wrong)
 
@@ -269,7 +265,7 @@ def test_training_validates_inputs():
     with pytest.raises(ConfigMismatchError):
         train_localization(tagged, TrainConfig(episodes=1, iterations=1))
 
-    rf_model = build_rf_blockage_model(3, 4, 2, toy_stats(3))
+    rf_model = build_model("rf", 3, 4, 2, toy_stats(3))
     with pytest.raises(ConfigMismatchError):
         train_blockage(ds, TrainConfig(episodes=1, iterations=1), "rf+lidar", model=rf_model)
 
@@ -279,7 +275,7 @@ def test_training_validates_inputs():
 # ---------------------------------------------------------------------------
 
 def test_zeroed_model_predicts_the_road_origin_corner():
-    model = build_localization_model(3, 4, 2, toy_stats(3))
+    model = build_model("localization", 3, 4, 2, toy_stats(3))
     for arr in model.named_params().values():
         arr[...] = 0.0
     out = predict_locations_batch(model, np.full((1, 4, 3), 0.5))
@@ -290,7 +286,7 @@ def test_zeroed_model_predicts_the_road_origin_corner():
 
 
 def test_zeroed_blockage_model_is_maximally_unsure():
-    model = build_rf_blockage_model(3, 4, 2, toy_stats(3))
+    model = build_model("rf", 3, 4, 2, toy_stats(3))
     for arr in model.named_params().values():
         arr[...] = 0.0
     probs = predict_blockage_probs(model, np.full((2, 4, 3), 0.5))
@@ -302,26 +298,26 @@ def test_prediction_shapes_ranges_and_determinism():
     windows = rng.uniform(1e-6, 2.0, size=(5, 4, 3))
     rasters = rng.uniform(0.1, 16.0, size=(5, 13))
 
-    loc = build_localization_model(3, 4, 2, toy_stats(3), seed=1)
+    loc = build_model("localization", 3, 4, 2, toy_stats(3), seed=1)
     out = predict_locations_batch(loc, windows)
     assert out.shape == (5, 2, 2)
     assert np.all(out >= 0.0)
     np.testing.assert_array_equal(out, predict_locations_batch(loc, windows))
 
-    lidar = build_rf_lidar_blockage_model(3, 4, 2, 13, toy_stats(3), seed=1)
+    lidar = build_model("rf+lidar", 3, 4, 2, toy_stats(3), 13, seed=1)
     probs = predict_blockage_probs(lidar, windows, rasters)
     assert probs.shape == (5, 2)
     assert np.all((probs > 0.0) & (probs < 1.0))
 
 
 def test_prediction_input_validation():
-    loc = build_localization_model(3, 4, 2, toy_stats(3))
+    loc = build_model("localization", 3, 4, 2, toy_stats(3))
     with pytest.raises(ConfigMismatchError):
         predict_locations_batch(loc, np.zeros((1, 4, 5)))
     with pytest.raises(ConfigMismatchError):
         predict_locations_batch(loc, np.zeros((4, 3)))
 
-    lidar = build_rf_lidar_blockage_model(3, 4, 2, 13, toy_stats(3))
+    lidar = build_model("rf+lidar", 3, 4, 2, toy_stats(3), 13)
     with pytest.raises(ValueError):
         predict_blockage_probs(lidar, np.zeros((1, 4, 3)))
     with pytest.raises(ConfigMismatchError):
@@ -337,15 +333,17 @@ def test_model_checkpoint_round_trip_is_bitwise(tmp_path, kind):
     stats = toy_stats(3)
     stats.rssi_mean[:] = [0.3, -1.2, math.pi]
     if kind == "localization":
-        model = build_localization_model(3, 4, 2, stats, seed=9)
+        model = build_model("localization", 3, 4, 2, stats, seed=9)
     elif kind == "rf":
-        model = build_rf_blockage_model(3, 4, 2, stats, seed=9)
+        model = build_model("rf", 3, 4, 2, stats, seed=9)
     else:
-        model = build_rf_lidar_blockage_model(3, 4, 2, 13, stats, seed=9)
+        model = build_model("rf+lidar", 3, 4, 2, stats, 13, seed=9)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
     assert type(loaded) is type(model)
+    assert loaded.kind == model.kind
+    assert loaded.raster_bins == model.raster_bins
     assert (loaded.window_len, loaded.horizon) == (4, 2)
     for name, arr in model.named_params().items():
         np.testing.assert_array_equal(loaded.named_params()[name], arr)
@@ -365,8 +363,40 @@ def test_model_checkpoint_round_trip_is_bitwise(tmp_path, kind):
         )
 
 
+@pytest.mark.parametrize(
+    "kind, checkpoint_kind, names",
+    [
+        ("localization", "localization", [
+            "dense1.bias", "dense1.weight", "dense2.bias", "dense2.weight",
+            "lstm.bias", "lstm.w_in", "lstm.w_rec",
+        ]),
+        ("rf", "rf-blockage", [
+            "head.bias", "head.weight",
+            "lstm0.bias", "lstm0.w_in", "lstm0.w_rec",
+            "lstm1.bias", "lstm1.w_in", "lstm1.w_rec",
+            "lstm2.bias", "lstm2.w_in", "lstm2.w_rec",
+            "lstm3.bias", "lstm3.w_in", "lstm3.w_rec",
+        ]),
+        ("rf+lidar", "rf+lidar-blockage", [
+            "conv1.bias", "conv1.weight", "conv2.bias", "conv2.weight",
+            "head.bias", "head.weight",
+            "lstm0.bias", "lstm0.w_in", "lstm0.w_rec",
+            "lstm1.bias", "lstm1.w_in", "lstm1.w_rec",
+        ]),
+    ],
+)
+def test_checkpoint_names_and_kind_are_pinned(tmp_path, kind, checkpoint_kind, names):
+    model = build_model(kind, 3, 4, 2, toy_stats(3), 13)
+    assert sorted(model.named_params()) == names
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["descriptor"]["kind"] == checkpoint_kind
+    assert sorted(payload["params"]) == names
+
+
 def test_checkpoint_kind_and_params_are_checked(tmp_path):
-    model = build_rf_blockage_model(3, 4, 2, toy_stats(3))
+    model = build_model("rf", 3, 4, 2, toy_stats(3))
     path = tmp_path / "model.json"
     save_model(model, path)
 
