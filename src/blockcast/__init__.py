@@ -4,140 +4,9 @@ The pipeline: simulate (or import) a scenario of per-beam power vectors
 plus lidar sweeps, derive self-supervised location and blockage labels,
 train sequence models, and evaluate blockage prediction, including
 zero-shot receiver moves through a geometric line-of-sight test.
+Import from the submodules (``blockcast.cli``, ``blockcast.models``, ...).
 """
 
-from .errors import (
-    ConfigMismatchError,
-    DegenerateLinkError,
-    NonFiniteError,
-    ParseError,
-    PipelineError,
-    SchemaError,
-    TimeIndexGapError,
-    VersionError,
-)
-from .scene import (
-    BeamCodebook,
-    BlockageLabel,
-    ChannelConfig,
-    GroundTruth,
-    LidarScan,
-    RssiFrame,
-    SimulationResult,
-    Vehicle,
-    WorldState,
-    beam_gains,
-    build_codebook,
-    calibrate_power_threshold,
-    segment_intersects_rect,
-    simulate_scenario,
-    total_power,
-)
-from .preprocess import (
-    Centroid,
-    DbscanConfig,
-    LabeledSample,
-    SrcConfig,
-    build_windows,
-    dbscan,
-    extract_centroid,
-    rasterize_scan,
-    scenario_centroids,
-    src_filter,
-)
-from .geometry import (
-    LinkGeometry,
-    blockage_from_location,
-    blockage_labels_from_rssi,
-    transfer_link,
-)
-from .ingest import (
-    DatasetFile,
-    ScenarioBundle,
-    load_dataset,
-    load_scenario,
-    save_dataset,
-    save_scenario,
-    split_dataset,
-)
-from .models import (
-    Model,
-    NormStats,
-    TrainConfig,
-    load_model,
-    predict_blockage_probs,
-    predict_locations,
-    predict_locations_batch,
-    save_model,
-    train_blockage,
-    train_localization,
-)
-from .evaluation import (
-    ConfusionCounts,
-    evaluate_blockage,
-    evaluate_localization,
-    multi_seed_report,
-)
+from .models import load_model
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "BeamCodebook",
-    "BlockageLabel",
-    "Centroid",
-    "ChannelConfig",
-    "ConfigMismatchError",
-    "ConfusionCounts",
-    "DatasetFile",
-    "DbscanConfig",
-    "DegenerateLinkError",
-    "GroundTruth",
-    "LabeledSample",
-    "LidarScan",
-    "LinkGeometry",
-    "Model",
-    "NonFiniteError",
-    "NormStats",
-    "ParseError",
-    "PipelineError",
-    "RssiFrame",
-    "ScenarioBundle",
-    "SchemaError",
-    "SimulationResult",
-    "SrcConfig",
-    "TimeIndexGapError",
-    "TrainConfig",
-    "Vehicle",
-    "VersionError",
-    "WorldState",
-    "beam_gains",
-    "blockage_from_location",
-    "blockage_labels_from_rssi",
-    "build_codebook",
-    "build_windows",
-    "calibrate_power_threshold",
-    "dbscan",
-    "evaluate_blockage",
-    "evaluate_localization",
-    "extract_centroid",
-    "load_dataset",
-    "load_model",
-    "load_scenario",
-    "multi_seed_report",
-    "predict_blockage_probs",
-    "predict_locations",
-    "predict_locations_batch",
-    "rasterize_scan",
-    "save_dataset",
-    "save_model",
-    "save_scenario",
-    "scenario_centroids",
-    "segment_intersects_rect",
-    "simulate_scenario",
-    "split_dataset",
-    "src_filter",
-    "total_power",
-    "train_blockage",
-    "train_localization",
-    "transfer_link",
-]
+__all__ = ["load_model"]

@@ -51,6 +51,7 @@ from .ingest import (
     save_dataset,
     save_scenario,
     split_dataset,
+    write_csv,
 )
 from .models import (
     Model,
@@ -134,12 +135,6 @@ def replay_manifest(manifest_path, out_dir) -> dict[str, bool]:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _road_frame_link(meta: dict) -> LinkGeometry:
     """Link endpoints shifted into the road frame used by centroids."""
     tx = meta.get("tx")
@@ -173,22 +168,28 @@ def _geometric_flags(coords: np.ndarray, link: LinkGeometry) -> np.ndarray:
 _CHECKPOINT_FLAGS = {"localization": "--loc", "rf": "--rf", "rf+lidar": "--lidar"}
 
 
+def _check_dims(path, model: Model, dims: dict, source: str) -> None:
+    """Raise ConfigMismatchError, naming ``path`` and the key, unless the
+    model's window_len, horizon and (rf+lidar) raster_bins match ``dims``,
+    the ``source`` (dataset meta or resolved config) its inputs are cut by."""
+    for key in ("window_len", "horizon") + (("raster_bins",) if model.kind == "rf+lidar" else ()):
+        if getattr(model, key) != int(dims[key]):
+            raise ConfigMismatchError(
+                f"{path}: checkpoint {key}={getattr(model, key)} does not match "
+                f"the {source} {key}={dims[key]}"
+            )
+
+
 def _load_checked(path, kind: str, dims: dict, source: str) -> Model:
-    """Load a checkpoint given under the flag for ``kind``; its window_len,
-    horizon and (rf+lidar) raster_bins must match ``dims``, the ``source``
-    (dataset meta or resolved config) its inputs are cut by."""
+    """Load a checkpoint given under the flag for ``kind`` and check its
+    dimensions against ``dims``."""
     model = load_model(path)
     if model.kind != kind:
         raise SchemaError(
             f"{path}: {_CHECKPOINT_FLAGS[kind]} expects a {kind} checkpoint, "
             f"got a {model.kind} one"
         )
-    for key in ("window_len", "horizon") + (("raster_bins",) if kind == "rf+lidar" else ()):
-        if getattr(model, key) != int(dims[key]):
-            raise ConfigMismatchError(
-                f"{path}: checkpoint {key}={getattr(model, key)} does not match "
-                f"the {source} {key}={dims[key]}"
-            )
+    _check_dims(path, model, dims, source)
     return model
 
 
@@ -338,11 +339,11 @@ def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     rows = []
     per_episode = tcfg.iterations
     for i, loss in enumerate(curves.train):
-        val = ""
+        val = None
         if (i + 1) % per_episode == 0 and curves.val:
-            val = repr(curves.val[(i + 1) // per_episode - 1])
-        rows.append([str(i + 1), repr(loss), val])
-    _write_csv(out_dir / "curves.csv", ["iteration", "train_loss", "val_loss"], rows)
+            val = curves.val[(i + 1) // per_episode - 1]
+        rows.append([i + 1, loss, val])
+    write_csv(out_dir / "curves.csv", ["iteration", "train_loss", "val_loss"], rows)
     return ["model.json", "curves.csv"]
 
 
@@ -350,25 +351,24 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     del cfg
     dataset = load_dataset(inputs["dataset"])
     model = load_model(inputs["checkpoint"])
+    _check_dims(inputs["checkpoint"], model, dataset.meta, "dataset")
     windows, _, _, rasters, times = dataset.arrays(inputs["split"])
     if model.kind == "localization":
         coords = predict_locations_batch(model, windows)
         rows = [
-            [str(i), str(times[i]), str(k + 1), repr(float(coords[i, k, 0])),
-             repr(float(coords[i, k, 1]))]
+            [i, times[i], k + 1, coords[i, k, 0], coords[i, k, 1]]
             for i in range(coords.shape[0])
             for k in range(coords.shape[1])
         ]
-        _write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "x", "y"], rows)
+        write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "x", "y"], rows)
     else:
         probs = predict_blockage_probs(model, windows, rasters)
         rows = [
-            [str(i), str(times[i]), str(k + 1), repr(float(probs[i, k])),
-             str(int(probs[i, k] >= 0.5))]
+            [i, times[i], k + 1, probs[i, k], probs[i, k] >= 0.5]
             for i in range(probs.shape[0])
             for k in range(probs.shape[1])
         ]
-        _write_csv(
+        write_csv(
             out_dir / "predictions.csv", ["sample", "t", "step", "probability", "blocked"], rows
         )
     return ["predictions.csv"]
@@ -392,7 +392,7 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
     blockage_reports: list[tuple[str, BlockageReport]] = []
     loc_reports = []
-    raw_rows: list[list[str]] = []
+    raw_rows: list[list] = []
     per_method_step_acc: dict[str, list[list[float]]] = {}
     for method, paths in groups:
         for run_idx, ckpt in enumerate(paths):
@@ -413,14 +413,13 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             for i in range(flags.shape[0]):
                 for k in range(flags.shape[1]):
                     raw_rows.append(
-                        [label, str(i), str(times[i]), str(k + 1),
-                         "" if probs is None else repr(float(probs[i, k])),
-                         str(int(flags[i, k])), str(int(blocked[i, k]))]
+                        [label, i, times[i], k + 1, None if probs is None else probs[i, k],
+                         flags[i, k], blocked[i, k]]
                     )
 
     outputs = ["blockage.csv", "predictions_raw.csv", "report.txt"]
     write_blockage_csv(out_dir / "blockage.csv", blockage_reports)
-    _write_csv(
+    write_csv(
         out_dir / "predictions_raw.csv",
         ["method", "sample", "t", "step", "probability", "predicted", "actual"],
         raw_rows,
@@ -518,18 +517,11 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             power_threshold=1.0 if threshold is None else float(threshold),
         )
         pred = _geometric_flags(coords, link)
-        rows.append(
-            ["localization", str(pos_idx), repr(rx[0]), repr(rx[1]),
-             str(int(pos_idx == 0)),
-             repr(float(np.mean(pred == truth_flags)))]
-        )
-        for name, predicted in baseline_flags:
-            acc = float(np.mean(predicted == truth_flags))
+        for name, predicted in [("localization", pred)] + baseline_flags:
             rows.append(
-                [name, str(pos_idx), repr(rx[0]), repr(rx[1]),
-                 str(int(pos_idx == 0)), repr(acc)]
+                [name, pos_idx, rx[0], rx[1], pos_idx == 0, np.mean(predicted == truth_flags)]
             )
-    _write_csv(
+    write_csv(
         out_dir / "transfer.csv",
         ["method", "position", "rx_x", "rx_y", "is_original", "accuracy"],
         rows,

@@ -10,9 +10,10 @@ cell, "-" in tables) when no positive was predicted, never as 0 or 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .ingest import write_csv
 
 
 @dataclass(frozen=True)
@@ -170,68 +171,46 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _opt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def blockage_report_rows(label: str, report: BlockageReport) -> list[list[str]]:
-    rows = []
-    for k, c in enumerate(report.per_step, start=1):
-        rows.append(
-            [label, str(k), str(c.tp), str(c.fp), str(c.tn), str(c.fn),
-             repr(c.accuracy), _opt(c.precision)]
-        )
-    c = report.aggregate
-    rows.append(
-        [label, "all", str(c.tp), str(c.fp), str(c.tn), str(c.fn),
-         repr(c.accuracy), _opt(c.precision)]
-    )
-    return rows
+def blockage_report_rows(label: str, report: BlockageReport) -> list[list]:
+    """One row per horizon step plus an "all" row; precision None when absent."""
+    steps = list(enumerate(report.per_step, start=1)) + [("all", report.aggregate)]
+    return [[label, step, c.tp, c.fp, c.tn, c.fn, c.accuracy, c.precision] for step, c in steps]
 
 
 BLOCKAGE_CSV_HEADER = ["method", "step", "tp", "fp", "tn", "fn", "accuracy", "precision"]
 
 
 def write_blockage_csv(path, labeled_reports: list[tuple[str, BlockageReport]]) -> None:
-    lines = [",".join(BLOCKAGE_CSV_HEADER)]
-    for label, report in labeled_reports:
-        lines.extend(",".join(row) for row in blockage_report_rows(label, report))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [row for label, report in labeled_reports for row in blockage_report_rows(label, report)]
+    write_csv(path, BLOCKAGE_CSV_HEADER, rows)
 
 
 LOCALIZATION_CSV_HEADER = ["method", "step", "mean", "median", "p90"]
 
 
 def write_localization_csv(path, labeled_reports: list[tuple[str, LocalizationReport]]) -> None:
-    lines = [",".join(LOCALIZATION_CSV_HEADER)]
-    for label, report in labeled_reports:
-        for k, stats in enumerate(report.per_step, start=1):
-            lines.append(
-                ",".join([label, str(k), repr(stats.mean), repr(stats.median), repr(stats.p90)])
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, LOCALIZATION_CSV_HEADER, (
+        [label, k, stats.mean, stats.median, stats.p90]
+        for label, report in labeled_reports
+        for k, stats in enumerate(report.per_step, start=1)
+    ))
 
 
 MULTI_SEED_CSV_HEADER = ["method", "step", "mean_accuracy", "stddev", "num_seeds"]
 
 
 def write_multi_seed_csv(path, labeled_reports: list[tuple[str, MultiSeedReport]]) -> None:
-    lines = [",".join(MULTI_SEED_CSV_HEADER)]
-    for label, report in labeled_reports:
-        for k in range(report.per_step_mean.shape[0]):
-            lines.append(
-                ",".join(
-                    [label, str(k + 1), repr(float(report.per_step_mean[k])),
-                     repr(float(report.per_step_stddev[k])), str(report.num_seeds)]
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, MULTI_SEED_CSV_HEADER, (
+        [label, k + 1, report.per_step_mean[k], report.per_step_stddev[k], report.num_seeds]
+        for label, report in labeled_reports
+        for k in range(report.per_step_mean.shape[0])
+    ))
 
 
 def blockage_table(labeled_reports: list[tuple[str, BlockageReport]]) -> str:
     rows = []
     for label, report in labeled_reports:
-        for row in blockage_report_rows(label, report):
-            pretty = row[:6] + [f"{float(row[6]):.4f}", "-" if row[7] == "" else f"{float(row[7]):.4f}"]
-            rows.append(pretty)
-    return format_table(["method", "step", "tp", "fp", "tn", "fn", "accuracy", "precision"], rows)
+        for *cells, accuracy, precision in blockage_report_rows(label, report):
+            pretty = "-" if precision is None else f"{precision:.4f}"
+            rows.append([str(c) for c in cells] + [f"{accuracy:.4f}", pretty])
+    return format_table(BLOCKAGE_CSV_HEADER, rows)

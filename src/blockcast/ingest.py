@@ -1,17 +1,20 @@
 """Scenario and dataset serialization.
 
-A scenario lives in its own directory as three CSV files plus a JSON
-sidecar:
+This module owns every CSV and JSON format blockcast reads or writes, and
+the errors for bad input: ``write_csv`` is the one CSV writer, ``CsvTable``
+the one CSV reader and ``read_json_object`` the one JSON reader. A scenario
+lives in its own directory (the import format for real captures too):
 
-  rssi.csv   t,p0,...,p{M-1}       one row per frame, consecutive t
-  lidar.csv  t,angle,depth         zero or more points per frame
-  truth.csv  t,x,y,blocked         optional; x,y blank when unknown
-  meta.json                        codebook, channel, link, region, threshold
+  rssi.csv    t,p0,...,p{M-1}   one row per frame, consecutive t
+  lidar.csv   t,angle,depth     zero or more points per frame
+  truth.csv   t,x,y,blocked     optional; x,y blank when unknown
+  labels.csv  t,blocked         optional; one row per frame
+  meta.json                     codebook, channel, link, region, threshold
 
-Datasets of training windows use the same approach: samples.csv with one
-row per (scenario, t, flattened window, label, future, raster) record and
-dataset.json carrying preprocessing settings and split assignments. All
-floats are written with repr so a load after save is bit-identical.
+A dataset of training windows is samples.csv, one row per (scenario, t,
+flattened window, label, future, flags, raster) record, plus dataset.json
+with the preprocessing settings and the splits. Floats are written with
+repr, so a load after save is bit-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, SchemaError, TimeIndexGapError
-from .preprocess import LabeledSample
+from .preprocess import Centroid, LabeledSample
 from .scene import BlockageLabel, GroundTruth, LidarScan, RssiFrame
 
 SCENARIO_FORMAT_VERSION = 1
@@ -65,10 +68,6 @@ class ScenarioBundle:
                 raise SchemaError("blockage labels do not align with RSSI frames")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _parse_float(path: Path, line_no: int, cell: str, column: str) -> float:
     try:
         value = float(cell)
@@ -81,35 +80,119 @@ def _parse_float(path: Path, line_no: int, cell: str, column: str) -> float:
 
 def _parse_int(path: Path, line_no: int, cell: str, column: str) -> int:
     try:
-        return int(cell)
+        value = int(cell)
+        if -(2**63) <= value < 2**63:
+            return value
     except ValueError:
-        raise ParseError(str(path), line_no, f"bad integer {cell!r} in column {column}") from None
+        pass
+    raise ParseError(str(path), line_no, f"bad integer {cell!r} in column {column}")
 
 
-def _read_csv(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(int(value))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header``, then one line per row: str cells as they are, None blank,
+    floats with ``repr`` (bit-exact on reload), the rest as integers (flags as
+    0/1). A row that is not one line of ``len(header)`` cells is a SchemaError."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            # Most cells are floats; formatting them inline skips a call per cell.
+            line = ",".join([repr(v) if type(v) is float else _cell(v) for v in row])
+            if line.count(",") != len(header) - 1 or "\n" in line or "\r" in line:
+                raise SchemaError(f"{path}: a row does not make one line of {len(header)} cells")
+            fh.write(line + "\n")
+
+
+class CsvTable:
+    """A CSV file's data cells in one object array, read once its header and
+    each row's cell count are checked; blank lines are skipped. ``floats`` /
+    ``ints`` / ``flags`` type adjacent columns in one cast, which calls
+    Python's ``float`` / ``int`` on each cell; the scalar parsers only name
+    the first cell the cast rejects."""
+
+    def __init__(self, path: Path, header: list[str]):
+        if not path.exists():
+            raise ParseError(str(path), 0, "file not found")
+        self.path, self.header, self.line_nos = path, header, []
+        expected, width, flat = ",".join(header), len(header), []
+        with path.open(encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                if line_no == 1:
+                    if line != expected:
+                        raise ParseError(path, 1, f"expected header {expected!r}, got {line!r}")
+                    continue
+                cells = line.split(",")
+                if len(cells) != width:
+                    raise ParseError(path, line_no, f"expected {width} cells, got {len(cells)}")
+                self.line_nos.append(line_no)
+                flat.extend(cells)
+        self.cells = np.array(flat, dtype=object).reshape(len(self.line_nos), width)
+
+    def _cast(self, lo: int, hi: int, dtype, parse) -> np.ndarray:
+        block = self.cells[:, lo:hi]
+        try:
+            values = block.astype(dtype)
+            if dtype is np.int64 or np.isfinite(values).all():
+                return values
+        except (ValueError, OverflowError):
+            pass
+        for line_no, row in zip(self.line_nos, block):
+            for column, cell in zip(self.header[lo:hi], row):
+                parse(self.path, line_no, cell, column)
+        raise AssertionError("the cast rejected a cell the scalar parsers accept")
+
+    def floats(self, lo: int, hi: int) -> np.ndarray:
+        """Columns lo..hi-1, one row per data line, as finite float64."""
+        return self._cast(lo, hi, np.float64, _parse_float)
+
+    def ints(self, lo: int, hi: int) -> np.ndarray:
+        return self._cast(lo, hi, np.int64, _parse_int)
+
+    def flags(self, lo: int, hi: int) -> np.ndarray:
+        """Columns lo..hi-1 as bool; a cell other than 0 or 1 is a ParseError."""
+        values = self.ints(lo, hi)
+        for column, cells in zip(self.header[lo:hi], values.T):
+            self.reject_rows((cells != 0) & (cells != 1), f"{column} must be 0 or 1")
+        return values.astype(bool)
+
+    def reject_rows(self, bad: np.ndarray, message: str) -> None:
+        """A ParseError at the line of the first row where ``bad`` is set."""
+        if bad.any():
+            raise ParseError(self.path, self.line_nos[int(bad.argmax())], message)
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in ``path``; anything else is an error naming the file."""
+    path = Path(path)
     if not path.exists():
         raise ParseError(str(path), 0, "file not found")
-    rows: list[tuple[int, list[str]]] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if line_no == 1:
-                if cells != expected_header:
-                    raise ParseError(
-                        str(path), 1,
-                        f"expected header {','.join(expected_header)!r}, got {line!r}",
-                    )
-                continue
-            if len(cells) != len(expected_header):
-                raise ParseError(
-                    str(path), line_no,
-                    f"expected {len(expected_header)} cells, got {len(cells)}",
-                )
-            rows.append((line_no, cells))
-    return rows
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, exc.msg) from None
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: must hold a JSON object")
+    return payload
+
+
+def json_int(obj: dict, key: str, path) -> int:
+    """``obj[key]`` as an int, or a SchemaError naming the file and the key."""
+    try:
+        return int(obj[key])
+    except KeyError:
+        raise SchemaError(f"{path}: missing {key}") from None
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: {key} must be an integer, got {obj[key]!r}") from None
 
 
 def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
@@ -117,36 +200,20 @@ def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     num_beams = bundle.rssi[0].powers.shape[0]
 
-    header = ["t"] + [f"p{m}" for m in range(num_beams)]
-    lines = [",".join(header)]
-    for frame in bundle.rssi:
-        lines.append(",".join([str(frame.t)] + [_fmt(p) for p in frame.powers]))
-    (out / "rssi.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["t,angle,depth"]
-    for scan in bundle.lidar:
-        for angle, depth in scan.points:
-            lines.append(f"{scan.t},{_fmt(angle)},{_fmt(depth)}")
-    (out / "lidar.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    write_csv(out / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
+              ([frame.t] + frame.powers.tolist() for frame in bundle.rssi))
+    write_csv(out / "lidar.csv", ["t", "angle", "depth"],
+              ([scan.t, a, d] for scan in bundle.lidar for a, d in scan.points.tolist()))
     if bundle.truth is not None:
-        lines = ["t,x,y,blocked"]
-        for row in bundle.truth:
-            x = "" if row.pos is None else _fmt(row.pos[0])
-            y = "" if row.pos is None else _fmt(row.pos[1])
-            lines.append(f"{row.t},{x},{y},{int(row.blocked)}")
-        (out / "truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+        write_csv(out / "truth.csv", ["t", "x", "y", "blocked"],
+                  ([row.t, *(row.pos if row.pos is not None else (None, None)), row.blocked]
+                   for row in bundle.truth))
     if bundle.labels is not None:
-        lines = ["t,blocked"]
-        for lab in bundle.labels:
-            lines.append(f"{lab.t},{int(lab.blocked)}")
-        (out / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_csv(out / "labels.csv", ["t", "blocked"],
+                  ([lab.t, lab.blocked] for lab in bundle.labels))
 
-    meta = dict(bundle.meta)
-    meta["format_version"] = SCENARIO_FORMAT_VERSION
-    meta["scenario_id"] = bundle.scenario_id
-    meta["num_beams"] = num_beams
+    meta = {**bundle.meta, "format_version": SCENARIO_FORMAT_VERSION,
+            "scenario_id": bundle.scenario_id, "num_beams": num_beams}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8")
     return out
 
@@ -154,86 +221,44 @@ def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
 def load_scenario(scenario_dir) -> ScenarioBundle:
     root = Path(scenario_dir)
     meta_path = root / "meta.json"
-    if not meta_path.exists():
-        raise ParseError(str(meta_path), 0, "file not found")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(meta_path), exc.lineno, exc.msg) from None
-    if not isinstance(meta, dict):
-        raise SchemaError(f"{meta_path}: meta must be a JSON object")
+    meta = read_json_object(meta_path)
     if meta.get("format_version") != SCENARIO_FORMAT_VERSION:
-        raise SchemaError(
-            f"{meta_path}: unsupported format_version {meta.get('format_version')!r}"
-        )
+        raise SchemaError(f"{meta_path}: unsupported format_version {meta.get('format_version')!r}")
     if "num_beams" not in meta or "scenario_id" not in meta:
         raise SchemaError(f"{meta_path}: missing num_beams or scenario_id")
-    num_beams = int(meta["num_beams"])
+    num_beams = json_int(meta, "num_beams", meta_path)
 
-    rssi_path = root / "rssi.csv"
-    header = ["t"] + [f"p{m}" for m in range(num_beams)]
-    frames = []
-    for line_no, cells in _read_csv(rssi_path, header):
-        t = _parse_int(rssi_path, line_no, cells[0], "t")
-        powers = np.array(
-            [_parse_float(rssi_path, line_no, c, f"p{m}") for m, c in enumerate(cells[1:])]
-        )
-        if np.any(powers < 0):
-            raise ParseError(str(rssi_path), line_no, "negative power")
-        frames.append(RssiFrame(t, powers))
+    table = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)])
+    powers = table.floats(1, num_beams + 1)
+    table.reject_rows((powers < 0).any(axis=1), "negative power")
+    frames = [RssiFrame(t, p) for t, p in zip(table.ints(0, 1)[:, 0].tolist(), powers)]
 
-    lidar_path = root / "lidar.csv"
-    by_time: dict[int, list[list[float]]] = {}
-    for line_no, cells in _read_csv(lidar_path, ["t", "angle", "depth"]):
-        t = _parse_int(lidar_path, line_no, cells[0], "t")
-        angle = _parse_float(lidar_path, line_no, cells[1], "angle")
-        depth = _parse_float(lidar_path, line_no, cells[2], "depth")
-        by_time.setdefault(t, []).append([angle, depth])
-    scans = [
-        LidarScan(t, np.array(pts).reshape(-1, 2)) for t, pts in sorted(by_time.items())
-    ]
+    table = CsvTable(root / "lidar.csv", ["t", "angle", "depth"])
+    times = table.ints(0, 1)[:, 0]
+    order = np.argsort(times, kind="stable")
+    scan_times, starts = np.unique(times[order], return_index=True)
+    points = np.split(table.floats(1, 3)[order], starts[1:])
+    scans = [LidarScan(t, pts) for t, pts in zip(scan_times.tolist(), points)]
 
     truth = None
     truth_path = root / "truth.csv"
     if truth_path.exists():
-        truth = []
-        for line_no, cells in _read_csv(truth_path, ["t", "x", "y", "blocked"]):
-            t = _parse_int(truth_path, line_no, cells[0], "t")
-            if (cells[1] == "") != (cells[2] == ""):
-                raise ParseError(str(truth_path), line_no, "x and y must be blank together")
-            flag = _parse_int(truth_path, line_no, cells[3], "blocked")
-            if flag not in (0, 1):
-                raise ParseError(str(truth_path), line_no, "blocked must be 0 or 1")
-            if cells[1] == "":
-                pos = None
-            else:
-                pos = np.array(
-                    [
-                        _parse_float(truth_path, line_no, cells[1], "x"),
-                        _parse_float(truth_path, line_no, cells[2], "y"),
-                    ]
-                )
-            truth.append(GroundTruth(t, pos, bool(flag)))
+        table = CsvTable(truth_path, ["t", "x", "y", "blocked"])
+        blank = table.cells[:, 1:3] == ""
+        table.reject_rows(blank[:, 0] != blank[:, 1], "x and y must be blank together")
+        table.cells[:, 1:3][blank] = "0"  # placeholders, so unknown positions cast; dropped below
+        rows = zip(table.ints(0, 1)[:, 0].tolist(), blank[:, 0].tolist(), table.floats(1, 3),
+                   table.flags(3, 4)[:, 0].tolist())
+        truth = [GroundTruth(t, None if unknown else pos, flag) for t, unknown, pos, flag in rows]
 
     labels = None
     labels_path = root / "labels.csv"
     if labels_path.exists():
-        labels = []
-        for line_no, cells in _read_csv(labels_path, ["t", "blocked"]):
-            t = _parse_int(labels_path, line_no, cells[0], "t")
-            flag = _parse_int(labels_path, line_no, cells[1], "blocked")
-            if flag not in (0, 1):
-                raise ParseError(str(labels_path), line_no, "blocked must be 0 or 1")
-            labels.append(BlockageLabel(t, bool(flag)))
+        table = CsvTable(labels_path, ["t", "blocked"])
+        labels = [BlockageLabel(t, flag) for t, flag in
+                  zip(table.ints(0, 1)[:, 0].tolist(), table.flags(1, 2)[:, 0].tolist())]
 
-    return ScenarioBundle(
-        scenario_id=str(meta["scenario_id"]),
-        rssi=frames,
-        lidar=scans,
-        truth=truth,
-        labels=labels,
-        meta=meta,
-    )
+    return ScenarioBundle(str(meta["scenario_id"]), frames, scans, truth, labels, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +329,12 @@ def split_dataset(
     return DatasetFile(samples=samples, splits=splits, meta=dict(meta or {}))
 
 
+def _samples_header(window_len: int, num_beams: int, horizon: int, raster_bins: int) -> list[str]:
+    return (["scenario", "t"] + [f"w{i}" for i in range(window_len * num_beams)]
+            + ["label_x", "label_y", "label_valid"] + [f"f{i}" for i in range(horizon * 2)]
+            + [f"b{i}" for i in range(horizon)] + [f"r{i}" for i in range(raster_bins)])
+
+
 def save_dataset(dataset: DatasetFile, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,110 +345,59 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
         raster_bins = first.lidar_raster.shape[0]
     else:
         window_len = num_beams = horizon = raster_bins = 0
-
-    header = (
-        ["scenario", "t"]
-        + [f"w{i}" for i in range(window_len * num_beams)]
-        + ["label_x", "label_y", "label_valid"]
-        + [f"f{i}" for i in range(horizon * 2)]
-        + [f"b{i}" for i in range(horizon)]
-        + [f"r{i}" for i in range(raster_bins)]
-    )
-    lines = [",".join(header)]
     for s in dataset.samples:
         if s.window.shape != (window_len, num_beams) or s.future.shape != (horizon, 2):
             raise SchemaError("dataset samples have inconsistent shapes")
-        cells = [s.scenario, str(s.t)]
-        cells += [_fmt(v) for v in s.window.ravel()]
-        cells += [_fmt(s.label.x), _fmt(s.label.y), str(int(s.label.valid))]
-        cells += [_fmt(v) for v in s.future.ravel()]
-        cells += [str(int(b)) for b in s.future_blocked]
-        cells += [_fmt(v) for v in s.lidar_raster]
-        lines.append(",".join(cells))
-    (out / "samples.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    meta = dict(dataset.meta)
-    meta["format_version"] = DATASET_FORMAT_VERSION
-    meta["num_samples"] = len(dataset.samples)
-    meta["window_len"] = window_len
-    meta["num_beams"] = num_beams
-    meta["horizon"] = horizon
-    meta["raster_bins"] = raster_bins
-    payload = {"meta": meta, "splits": dataset.splits}
-    (out / "dataset.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2), encoding="utf-8"
+    write_csv(
+        out / "samples.csv",
+        _samples_header(window_len, num_beams, horizon, raster_bins),
+        ([s.scenario, s.t] + s.window.ravel().tolist() + [s.label.x, s.label.y, s.label.valid]
+         + s.future.ravel().tolist() + s.future_blocked.tolist() + s.lidar_raster.tolist()
+         for s in dataset.samples),
     )
+
+    meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION,
+            "num_samples": len(dataset.samples), "window_len": window_len,
+            "num_beams": num_beams, "horizon": horizon, "raster_bins": raster_bins}
+    payload = json.dumps({"meta": meta, "splits": dataset.splits}, sort_keys=True, indent=2)
+    (out / "dataset.json").write_text(payload, encoding="utf-8")
     return out
 
 
 def load_dataset(dataset_dir) -> DatasetFile:
-    from .preprocess import Centroid  # local import keeps module load order flexible
-
     root = Path(dataset_dir)
     json_path = root / "dataset.json"
-    if not json_path.exists():
-        raise ParseError(str(json_path), 0, "file not found")
-    try:
-        payload = json.loads(json_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(json_path), exc.lineno, exc.msg) from None
+    payload = read_json_object(json_path)
     meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{json_path}: meta must be a JSON object")
     if meta.get("format_version") != DATASET_FORMAT_VERSION:
-        raise SchemaError(
-            f"{json_path}: unsupported format_version {meta.get('format_version')!r}"
-        )
-    window_len = int(meta["window_len"])
-    num_beams = int(meta["num_beams"])
-    horizon = int(meta["horizon"])
-    raster_bins = int(meta["raster_bins"])
-
-    csv_path = root / "samples.csv"
-    header = (
-        ["scenario", "t"]
-        + [f"w{i}" for i in range(window_len * num_beams)]
-        + ["label_x", "label_y", "label_valid"]
-        + [f"f{i}" for i in range(horizon * 2)]
-        + [f"b{i}" for i in range(horizon)]
-        + [f"r{i}" for i in range(raster_bins)]
+        raise SchemaError(f"{json_path}: unsupported format_version {meta.get('format_version')!r}")
+    window_len, num_beams, horizon, raster_bins = (
+        json_int(meta, key, json_path)
+        for key in ("window_len", "num_beams", "horizon", "raster_bins")
     )
-    samples = []
-    for line_no, cells in _read_csv(csv_path, header):
-        pos = 0
-        scenario = cells[pos]; pos += 1
-        t = _parse_int(csv_path, line_no, cells[pos], "t"); pos += 1
-        window = np.array(
-            [_parse_float(csv_path, line_no, c, "w") for c in cells[pos : pos + window_len * num_beams]]
-        ).reshape(window_len, num_beams)
-        pos += window_len * num_beams
-        lx = _parse_float(csv_path, line_no, cells[pos], "label_x")
-        ly = _parse_float(csv_path, line_no, cells[pos + 1], "label_y")
-        lvalid = _parse_int(csv_path, line_no, cells[pos + 2], "label_valid")
-        pos += 3
-        future = np.array(
-            [_parse_float(csv_path, line_no, c, "f") for c in cells[pos : pos + horizon * 2]]
-        ).reshape(horizon, 2)
-        pos += horizon * 2
-        future_blocked = np.array(
-            [_parse_int(csv_path, line_no, c, "b") for c in cells[pos : pos + horizon]],
-            dtype=bool,
-        )
-        pos += horizon
-        raster = np.array(
-            [_parse_float(csv_path, line_no, c, "r") for c in cells[pos : pos + raster_bins]]
-        )
-        samples.append(
-            LabeledSample(
-                scenario=scenario,
-                t=t,
-                window=window,
-                label=Centroid(t, lx, ly, bool(lvalid)),
-                future=future,
-                future_blocked=future_blocked,
-                lidar_raster=raster,
-            )
-        )
 
-    splits = {name: list(map(int, idxs)) for name, idxs in payload.get("splits", {}).items()}
+    header = _samples_header(window_len, num_beams, horizon, raster_bins)
+    table = CsvTable(root / "samples.csv", header)
+    w = 2 + window_len * num_beams  # end of the window columns; label_x/y/valid follow
+    f, b, r = w + 3, w + 3 + 2 * horizon, w + 3 + 3 * horizon
+    rows = zip(
+        table.cells[:, 0].tolist(), table.ints(1, 2)[:, 0].tolist(),
+        table.floats(2, w), table.floats(w, w + 2).tolist(), table.flags(w + 2, f)[:, 0].tolist(),
+        table.floats(f, b), table.flags(b, r), table.floats(r, len(header)),
+    )
+    samples = [
+        LabeledSample(scenario, t, window.reshape(window_len, num_beams),
+                      Centroid(t, lx, ly, valid), future.reshape(horizon, 2), blocked, raster)
+        for scenario, t, window, (lx, ly), valid, future, blocked, raster in rows
+    ]
+
+    try:
+        splits = {name: list(map(int, idxs)) for name, idxs in payload.get("splits", {}).items()}
+    except (AttributeError, TypeError, ValueError):
+        raise SchemaError(f"{json_path}: splits must map names to lists of indices") from None
     for name, idxs in splits.items():
         for i in idxs:
             if not 0 <= i < len(samples):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigMismatchError, SchemaError
-from .ingest import DatasetFile, SplitArrays
+from .ingest import DatasetFile, SplitArrays, json_int
 from .nn import (
     Conv1dParams,
     DenseParams,
@@ -480,14 +480,13 @@ def load_model(path) -> Model:
     kind = {v: k for k, v in CHECKPOINT_KINDS.items()}.get(descriptor.get("kind"))
     if kind is None:
         raise SchemaError(f"{path}: unknown model kind {descriptor.get('kind')!r}")
-    model = build_model(
-        kind,
-        int(descriptor["num_beams"]),
-        int(descriptor["window_len"]),
-        int(descriptor["horizon"]),
-        NormStats.from_json(descriptor["norm"]),
-        int(descriptor["raster_bins"]) if kind == "rf+lidar" else None,
-    )
+    dims = [json_int(descriptor, key, path) for key in ("num_beams", "window_len", "horizon")]
+    raster_bins = json_int(descriptor, "raster_bins", path) if kind == "rf+lidar" else None
+    try:
+        stats = NormStats.from_json(descriptor["norm"])
+        model = build_model(kind, *dims, stats, raster_bins)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: bad descriptor: {exc!r}") from None
     live = model.named_params()
     if set(live) != set(params):
         raise SchemaError(f"{path}: checkpoint parameters do not match architecture")

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteError, VersionError
+from .errors import NonFiniteError, SchemaError, VersionError
+from .ingest import read_json_object
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -411,12 +412,17 @@ def save_params(path, descriptor: dict, params: dict[str, Array]) -> None:
 
 
 def load_params(path) -> tuple[dict, dict[str, Array]]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json_object(path)
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise VersionError(f"unsupported checkpoint format version: {version!r}")
-    params = {
-        name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
+        raise VersionError(f"{path}: unsupported checkpoint format version: {version!r}")
+    for key in ("descriptor", "params"):
+        if not isinstance(payload.get(key), dict):
+            raise SchemaError(f"{path}: {key} must be a JSON object")
+    params = {}
+    for name, entry in payload["params"].items():
+        try:
+            params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise SchemaError(f"{path}: params.{name} is not a shape and its data") from None
     return payload["descriptor"], params

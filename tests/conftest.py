@@ -7,6 +7,7 @@ here match what `blockcast simulate` / `label` / `train` produce.
 """
 
 import pytest
+from hypothesis import settings
 
 from blockcast import cli
 from blockcast.config import resolve_config
@@ -16,6 +17,13 @@ from blockcast.models import (
     train_blockage,
     train_localization,
 )
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no example database is kept between runs.
+settings.register_profile(
+    "blockcast", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("blockcast")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -354,6 +355,62 @@ def test_evaluate_names_the_checkpoint_cut_for_other_windows(
     err = capsys.readouterr().err
     assert key in err and str(ckpt.resolve()) in err
     assert "broadcast" not in err
+
+
+@pytest.mark.parametrize(
+    "key, label_args, sub",
+    [("horizon", ["--horizon", "3"], "rf"), ("raster_bins", ["--set", "raster_bins=180"], "lidar")],
+)
+def test_predict_names_the_checkpoint_cut_for_other_windows(
+    chain, tmp_path, capsys, key, label_args, sub
+):
+    data = tmp_path / "data"
+    assert run(["label", "--scenario", str(chain / "scene"), *label_args, "--out", str(data)]) == 0
+    ckpt = chain / sub / "model.json"
+    out = tmp_path / "pred"
+    assert run(
+        ["predict", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert key in err and str(ckpt.resolve()) in err
+    assert not (out / "predictions.csv").exists()
+
+
+def _without_window_len(payload):
+    del payload["meta"]["window_len"]
+    return json.dumps(payload)
+
+
+BAD_JSON = {  # case -> (chain directory, file, rewrite of the parsed file)
+    "dataset-without-window_len": ("data", "dataset.json", _without_window_len),
+    "dataset-holding-a-list": ("data", "dataset.json", lambda payload: "[1, 2]"),
+    "meta-with-text-num_beams": (
+        "scene", "meta.json", lambda payload: json.dumps({**payload, "num_beams": "x"})
+    ),
+    "model-without-params": ("loc", "model.json", lambda payload: '{"format_version": 1}'),
+    "model-not-json": ("loc", "model.json", lambda payload: "nope"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON))
+def test_a_bad_json_file_is_a_domain_error_naming_it(chain, tmp_path, capsys, case):
+    """An exception ``run`` does not report escapes it with its traceback and
+    fails this test, so exit code 1 means the error was reported."""
+    sub, name, rewrite = BAD_JSON[case]
+    copy = tmp_path / sub
+    shutil.copytree(chain / sub, copy)
+    path = copy / name
+    path.write_text(rewrite(json.loads(path.read_text())))
+    if sub == "scene":
+        argv = ["label", "--scenario", str(copy)]
+    else:
+        ckpt = path if sub == "loc" else chain / "loc" / "model.json"
+        data = copy if sub == "data" else chain / "data"
+        argv = ["predict", "--checkpoint", str(ckpt), "--dataset", str(data)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(path.resolve()) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("module", ["blockcast", "blockcast.cli"])

@@ -1,8 +1,13 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockcast.errors import ParseError, SchemaError, TimeIndexGapError
 from blockcast.ingest import (
@@ -328,3 +333,210 @@ def test_subset_unknown_split():
     with pytest.raises(KeyError):
         ds.subset("holdout")
     assert len(ds.subset("train")) == 7
+
+
+def test_dataset_flag_other_than_zero_or_one_names_its_line_and_column(tmp_path):
+    save_dataset(split_dataset(random_samples(10, np.random.default_rng(0))), tmp_path / "d")
+    path = tmp_path / "d" / "samples.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    for column, value in (("b0", "7"), ("label_valid", "2")):
+        cells = lines[3].split(",")
+        cells[header.index(column)] = value
+        path.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(tmp_path / "d")
+        assert ":4:" in str(err.value) and column in str(err.value)
+
+
+def test_a_scenario_name_holding_a_separator_is_refused_on_save(tmp_path):
+    # Found by the dataset round-trip property with separators allowed in
+    # names: "a,b" was written as two cells, and the file did not load.
+    for name in ("a,b", "a\nb"):
+        samples = random_samples(3, np.random.default_rng(0), scenario=name)
+        with pytest.raises(SchemaError):
+            save_dataset(split_dataset(samples), tmp_path / "d")
+
+
+# ---------------------------------------------------------------------------
+# Property tests: random scenarios and datasets, and corrupted copies
+# ---------------------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# Text with no CSV separator; scenario names land in samples.csv as they are.
+names = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
+                max_size=5)
+
+
+def _rejected(cell: str) -> bool:
+    for parse in (float, int):
+        try:
+            parse(cell)
+            return False
+        except ValueError:
+            pass
+    return True
+
+
+garbage = st.text(st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)),
+                  min_size=1, max_size=5).filter(_rejected)
+
+
+@st.composite
+def bundles(draw):
+    beams, t0, n = draw(st.integers(1, 4)), draw(st.integers(-5, 5)), draw(st.integers(1, 6))
+    times = list(range(t0, t0 + n))
+    power = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+    rssi = [RssiFrame(t, draw(arrays(np.float64, beams, elements=power))) for t in times]
+    point = st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True),
+                      st.floats(0.0, exclude_min=True, allow_infinity=False))
+    lidar = [LidarScan(t, np.array(draw(st.lists(point, min_size=1, max_size=3))))
+             for t in sorted(draw(st.sets(st.sampled_from(times))))]
+    truth = labels = None
+    if draw(st.booleans()):
+        position = st.none() | arrays(np.float64, 2, elements=finite)
+        truth = [GroundTruth(t, draw(position), draw(st.booleans())) for t in times]
+    if draw(st.booleans()):
+        labels = [BlockageLabel(t, draw(st.booleans())) for t in times]
+    return ScenarioBundle(draw(names), rssi, lidar, truth, labels, {"note": draw(finite)})
+
+
+@st.composite
+def datasets(draw, min_samples=0):
+    window_len, beams, horizon, bins = (draw(st.integers(1, 3)) for _ in range(4))
+    samples = []
+    for _ in range(draw(st.integers(min_samples, 5))):
+        t = draw(st.integers(-3, 50))
+        samples.append(LabeledSample(
+            scenario=draw(names),
+            t=t,
+            window=draw(arrays(np.float64, (window_len, beams), elements=finite)),
+            label=Centroid(t, draw(finite), draw(finite), draw(st.booleans())),
+            future=draw(arrays(np.float64, (horizon, 2), elements=finite)),
+            future_blocked=draw(arrays(np.bool_, horizon)),
+            lidar_raster=draw(arrays(np.float64, bins, elements=finite)),
+        ))
+    return split_dataset(samples, meta={"note": draw(finite)})
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@given(bundles())
+def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(bundle):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_scenario(bundle, Path(tmp) / "a")
+        loaded = load_scenario(Path(tmp) / "a")
+        save_scenario(loaded, Path(tmp) / "b")
+        assert _files(Path(tmp) / "a") == _files(Path(tmp) / "b")
+    assert (loaded.scenario_id, loaded.meta["note"]) == (bundle.scenario_id, bundle.meta["note"])
+    assert [f.t for f in loaded.rssi] == [f.t for f in bundle.rssi]
+    assert all(_same_bits(a.powers, b.powers) for a, b in zip(loaded.rssi, bundle.rssi))
+    assert [s.t for s in loaded.lidar] == [s.t for s in bundle.lidar]
+    assert all(_same_bits(a.points, b.points) for a, b in zip(loaded.lidar, bundle.lidar))
+    if bundle.truth is None:
+        assert loaded.truth is None
+    else:
+        assert [(g.t, g.blocked, g.pos is None) for g in loaded.truth] == [
+            (g.t, g.blocked, g.pos is None) for g in bundle.truth
+        ]
+        assert all(a.pos is None or _same_bits(a.pos, b.pos)
+                   for a, b in zip(loaded.truth, bundle.truth))
+    assert (loaded.labels is None) == (bundle.labels is None)
+    if bundle.labels is not None:
+        assert loaded.labels == bundle.labels
+
+
+@given(datasets())
+def test_random_datasets_round_trip_bit_exactly_and_resave_identically(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(dataset, Path(tmp) / "a")
+        loaded = load_dataset(Path(tmp) / "a")
+        save_dataset(loaded, Path(tmp) / "b")
+        assert _files(Path(tmp) / "a") == _files(Path(tmp) / "b")
+    assert loaded.splits == dataset.splits and loaded.meta["note"] == dataset.meta["note"]
+    assert len(loaded.samples) == len(dataset.samples)
+    for a, b in zip(loaded.samples, dataset.samples):
+        assert (a.scenario, a.t, a.label.t) == (b.scenario, b.t, b.label.t)
+        assert a.label.valid == b.label.valid
+        assert _same_bits([a.label.x, a.label.y], [b.label.x, b.label.y])
+        for field in ("window", "future", "future_blocked", "lidar_raster"):
+            assert _same_bits(getattr(a, field), getattr(b, field)), field
+
+
+def _saved(data, tmp: str) -> Path:
+    """A random scenario and a random nonempty dataset saved under tmp."""
+    root = Path(tmp)
+    save_scenario(data.draw(bundles()), root / "scene")
+    save_dataset(data.draw(datasets(min_samples=1)), root / "data")
+    return root
+
+
+def _load(path: Path):
+    return (load_scenario if path.parent.name == "scene" else load_dataset)(path.parent)
+
+
+def _lines(path: Path) -> list[str]:
+    # Not str.splitlines: only "\n" ends a line, other line breaks are cell text.
+    return path.read_text().split("\n")[:-1]
+
+
+def _csv_with_rows(data, root: Path) -> tuple[Path, list[str], int]:
+    """A saved CSV file that has data rows, its lines and one data row index."""
+    with_rows = [p for p in sorted(root.glob("*/*.csv")) if len(_lines(p)) > 1]
+    path = data.draw(st.sampled_from(with_rows))
+    lines = _lines(path)
+    return path, lines, data.draw(st.integers(1, len(lines) - 1))
+
+
+@given(st.data())
+def test_one_bad_cell_is_a_parse_or_schema_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, lines, row = _csv_with_rows(data, _saved(data, tmp))
+        cells = lines[row].split(",")
+        first = 1 if path.name == "samples.csv" else 0  # the scenario column is free text
+        col = data.draw(st.integers(first, len(cells) - 1))
+        cells[col] = data.draw(st.sampled_from(["nan", "inf", "-inf", ""]) | garbage)
+        assume(",".join(cells) != lines[row])
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises((ParseError, SchemaError)):
+            _load(path)
+
+
+@given(st.data())
+def test_a_dropped_cell_is_a_parse_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, lines, row = _csv_with_rows(data, _saved(data, tmp))
+        cells = lines[row].split(",")
+        del cells[data.draw(st.integers(0, len(cells) - 1))]
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError):
+            _load(path)
+
+
+@given(st.data())
+def test_a_file_cut_mid_line_is_a_parse_error(data):
+    """CSV files are cut inside a line, before its last comma, so at least
+    one separator is lost; JSON files are cut anywhere."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = _saved(data, tmp)
+        path = data.draw(st.sampled_from(sorted(root.glob("*/*"))))
+        text = path.read_text()
+        if path.suffix == ".json":
+            cut = data.draw(st.integers(0, len(text) - 1))
+        else:
+            lines = _lines(path)
+            row = data.draw(st.integers(0, len(lines) - 1))
+            start = sum(len(line) + 1 for line in lines[:row])
+            cut = start + data.draw(st.integers(1, lines[row].rindex(",")))
+        path.write_text(text[:cut])
+        with pytest.raises(ParseError):
+            _load(path)
