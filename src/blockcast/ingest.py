@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, TimeIndexGapError
 from .preprocess import Centroid, LabeledSample
-from .scene import BlockageLabel, GroundTruth, LidarScan, RssiFrame
+from .scene import TWO_PI, BlockageLabel, GroundTruth, LidarScan, RssiFrame
 
 SCENARIO_FORMAT_VERSION = 1
 DATASET_FORMAT_VERSION = 1
@@ -122,20 +123,23 @@ class CsvTable:
             raise ParseError(str(path), 0, "file not found")
         self.path, self.header, self.line_nos = path, header, []
         expected, width, flat = ",".join(header), len(header), []
-        with path.open(encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                if line_no == 1:
-                    if line != expected:
-                        raise ParseError(path, 1, f"expected header {expected!r}, got {line!r}")
-                    continue
-                cells = line.split(",")
-                if len(cells) != width:
-                    raise ParseError(path, line_no, f"expected {width} cells, got {len(cells)}")
-                self.line_nos.append(line_no)
-                flat.extend(cells)
+        try:
+            with path.open(encoding="utf-8") as fh:
+                for line_no, raw in enumerate(fh, start=1):
+                    line = raw.rstrip("\n")
+                    if not line:
+                        continue
+                    if line_no == 1:
+                        if line != expected:
+                            raise ParseError(path, 1, f"expected header {expected!r}, got {line!r}")
+                        continue
+                    cells = line.split(",")
+                    if len(cells) != width:
+                        raise ParseError(path, line_no, f"expected {width} cells, got {len(cells)}")
+                    self.line_nos.append(line_no)
+                    flat.extend(cells)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         self.cells = np.array(flat, dtype=object).reshape(len(self.line_nos), width)
 
     def _cast(self, lo: int, hi: int, dtype, parse) -> np.ndarray:
@@ -171,6 +175,19 @@ class CsvTable:
             raise ParseError(self.path, self.line_nos[int(bad.argmax())], message)
 
 
+def _not_utf8(path: Path) -> ParseError:
+    """A ParseError at the first line of ``path`` holding a byte that is not UTF-8."""
+    # surrogateescape turns each such byte into a lone surrogate, which valid
+    # UTF-8 never decodes to; the lines split as in CsvTable.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                return ParseError(path, line_no, f"byte 0x{byte:02x} is not UTF-8 text")
+    return ParseError(path, 0, "not UTF-8 text")
+
+
 def read_json_object(path) -> dict:
     """The JSON object in ``path``; anything else is an error naming the file."""
     path = Path(path)
@@ -180,6 +197,8 @@ def read_json_object(path) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.msg) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: must hold a JSON object")
     return payload
@@ -237,7 +256,10 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     times = table.ints(0, 1)[:, 0]
     order = np.argsort(times, kind="stable")
     scan_times, starts = np.unique(times[order], return_index=True)
-    points = np.split(table.floats(1, 3)[order], starts[1:])
+    points = table.floats(1, 3)
+    table.reject_rows((points[:, 0] < 0) | (points[:, 0] >= TWO_PI), "angle must lie in [0, 2*pi)")
+    table.reject_rows(points[:, 1] <= 0, "depth must be positive")
+    points = np.split(points[order], starts[1:])
     scans = [LidarScan(t, pts) for t, pts in zip(scan_times.tolist(), points)]
 
     truth = None

@@ -1,6 +1,8 @@
 """Minimal neural kernel: dense, LSTM, 1-D conv, pooling, losses, Adam.
 
-Everything runs in float64 on plain numpy arrays. Each layer ships a
+Everything runs in float64 on plain numpy arrays. The conv is computed tap
+by tap with BLAS matmuls over strided views, and the LSTM backward pass
+keeps only the recurrent matmul inside its time loop. Each layer ships a
 hand-derived backward pass returning gradients in the same shapes as its
 parameters; finite-difference tests lock every one of them. There is no
 autodiff graph: the architecture set is small and fixed, and explicit
@@ -51,13 +53,10 @@ def relu_backward(d_out: Array, x: Array) -> Array:
 
 
 def sigmoid(x: Array) -> Array:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below are the
+    # two halves of the sign split, without boolean-mask gathers.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +161,11 @@ def lstm_forward(
         raise ValueError(f"seq width {width} != input_size {p.input_size}")
     _check_finite("lstm input", seq)
     hid = p.hidden_size
-    h = np.zeros((batch, hid)) if h0 is None else np.array(h0, dtype=np.float64)
-    c = np.zeros((batch, hid)) if c0 is None else np.array(c0, dtype=np.float64)
-    if h.shape != (batch, hid) or c.shape != (batch, hid):
+    h0 = np.zeros((batch, hid)) if h0 is None else np.array(h0, dtype=np.float64)
+    c0 = np.zeros((batch, hid)) if c0 is None else np.array(c0, dtype=np.float64)
+    if h0.shape != (batch, hid) or c0.shape != (batch, hid):
         raise ValueError("h0/c0 must have shape (batch, hidden_size)")
-    h0_arr, c0_arr = h.copy(), c.copy()
+    h, c = h0, c0  # the loop writes each step's states into the buffers below
 
     gates = np.empty((steps, batch, 4 * hid))
     cells = np.empty((steps, batch, hid))
@@ -174,20 +173,17 @@ def lstm_forward(
     hidden = np.empty((steps, batch, hid))
     pre = seq @ p.w_in + p.bias  # recurrent term added per step
     for t in range(steps):
-        a = pre[t] + h @ p.w_rec
-        i = sigmoid(a[:, :hid])
-        f = sigmoid(a[:, hid : 2 * hid])
-        g = np.tanh(a[:, 2 * hid : 3 * hid])
-        o = sigmoid(a[:, 3 * hid :])
-        c = f * c + i * g
-        ct = np.tanh(c)
-        h = o * ct
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
-        cells[t] = c
-        cell_tanh[t] = ct
-        hidden[t] = h
+        a = np.add(pre[t], h @ p.w_rec, out=gates[t])  # each gate activated in place
+        i, f, g, o = a[:, :hid], a[:, hid : 2 * hid], a[:, 2 * hid : 3 * hid], a[:, 3 * hid :]
+        i[:] = sigmoid(i)
+        f[:] = sigmoid(f)
+        np.tanh(g, out=g)
+        o[:] = sigmoid(o)
+        c = np.multiply(f, c, out=cells[t])
+        c += i * g
+        h = np.multiply(o, np.tanh(c, out=cell_tanh[t]), out=hidden[t])
     _check_finite("lstm hidden", hidden)
-    cache = LstmCache(seq, gates, cells, cell_tanh, hidden, h0_arr, c0_arr)
+    cache = LstmCache(seq, gates, cells, cell_tanh, hidden, h0, c0)
     return hidden, hidden[-1], cache
 
 
@@ -197,45 +193,40 @@ def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
     d_hidden holds the loss gradient w.r.t. every hidden output (T, B, H);
     callers that only use the final state pass zeros elsewhere. Returns
     the gradient w.r.t. the input sequence and a parameter-gradient dict.
+    Only the recurrent term dh_next is a matmul per step; the parameter and
+    input gradients are one matmul each over all T*B rows of d_pre.
     """
     steps, batch, hid = cache.hidden.shape
     if d_hidden.shape != (steps, batch, hid):
         raise ValueError("d_hidden must match the hidden sequence shape")
-    d_w_in = np.zeros_like(p.w_in)
-    d_w_rec = np.zeros_like(p.w_rec)
-    d_bias = np.zeros_like(p.bias)
-    d_seq = np.empty_like(cache.inputs)
+    # Each gate's pre-activation gradient is dc (dh for the output gate) times
+    # a factor of forward values alone. d_pre starts as those factors for all
+    # steps at once; the loop scales them by the recurrent dc and dh.
+    i, f, g, o = (cache.gates[:, :, k * hid : (k + 1) * hid] for k in range(4))
+    ct = cache.cell_tanh
+    c_prev = np.concatenate([cache.c0[None], cache.cells[:-1]])
+    d_pre = np.concatenate(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2), ct * o * (1.0 - o)], axis=2
+    ).reshape(steps, batch, 4, hid)
+    dc_dh = o * (1.0 - ct**2)
     dh_next = np.zeros((batch, hid))
     dc_next = np.zeros((batch, hid))
-
     for t in range(steps - 1, -1, -1):
-        i = cache.gates[t][:, :hid]
-        f = cache.gates[t][:, hid : 2 * hid]
-        g = cache.gates[t][:, 2 * hid : 3 * hid]
-        o = cache.gates[t][:, 3 * hid :]
-        ct = cache.cell_tanh[t]
-        c_prev = cache.cells[t - 1] if t > 0 else cache.c0
-        h_prev = cache.hidden[t - 1] if t > 0 else cache.h0
-
         dh = d_hidden[t] + dh_next
-        dc = dc_next + dh * o * (1.0 - ct**2)
-        d_a = np.concatenate(
-            [
-                dc * g * i * (1.0 - i),          # input gate pre-activation
-                dc * c_prev * f * (1.0 - f),     # forget gate
-                dc * i * (1.0 - g**2),           # candidate
-                dh * ct * o * (1.0 - o),         # output gate
-            ],
-            axis=1,
-        )
-        d_w_in += cache.inputs[t].T @ d_a
-        d_w_rec += h_prev.T @ d_a
-        d_bias += d_a.sum(axis=0)
-        d_seq[t] = d_a @ p.w_in.T
-        dh_next = d_a @ p.w_rec.T
-        dc_next = dc * f
+        dc = dc_next + dh * dc_dh[t]
+        d_pre[t, :, :3] *= dc[:, None]
+        d_pre[t, :, 3] *= dh
+        dh_next = d_pre[t].reshape(batch, 4 * hid) @ p.w_rec.T
+        dc_next = dc * f[t]
 
-    grads = {"w_in": d_w_in, "w_rec": d_w_rec, "bias": d_bias}
+    rows = d_pre.reshape(steps * batch, 4 * hid)
+    h_prev = np.concatenate([cache.h0[None], cache.hidden[:-1]]).reshape(steps * batch, hid)
+    grads = {
+        "w_in": cache.inputs.reshape(steps * batch, -1).T @ rows,
+        "w_rec": h_prev.T @ rows,
+        "bias": rows.sum(axis=0),
+    }
+    d_seq = (rows @ p.w_in.T).reshape(cache.inputs.shape)
     return d_seq, grads
 
 
@@ -267,33 +258,41 @@ def conv1d_init(
     )
 
 
+def _taps(x: Array, kernel: int, stride: int, out_len: int) -> list[Array]:
+    """Strided views x[:, :, k::stride] of out_len samples, one per kernel tap."""
+    span = stride * (out_len - 1) + 1
+    return [x[:, :, k : k + span : stride] for k in range(kernel)]
+
+
 def conv1d_forward(p: Conv1dParams, x: Array) -> tuple[Array, Array]:
-    """x: (B, in_channels, length) -> (B, out_channels, out_length)."""
+    """x: (B, in_channels, length) -> (B, out_channels, out_length).
+
+    Computed tap by tap: y = bias + sum_k W[:, :, k] @ x_k, with x_k a
+    strided view of x, so no (B, out_length, in_channels * kernel) copy.
+    """
     out_c, in_c, kernel = p.weight.shape
     if x.ndim != 3 or x.shape[1] != in_c:
         raise ValueError("conv input must be (batch, in_channels, length)")
     if x.shape[2] < kernel:
         raise ValueError("kernel is longer than the input signal")
-    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)
-    windows = windows[:, :, :: p.stride, :]  # (B, in_c, out_len, K)
-    y = np.einsum("bilk,oik->bol", windows, p.weight) + p.bias[None, :, None]
+    taps = _taps(x, kernel, p.stride, (x.shape[2] - kernel) // p.stride + 1)
+    y = p.bias[:, None] + p.weight[:, :, 0] @ taps[0]
+    for k in range(1, kernel):
+        y += p.weight[:, :, k] @ taps[k]
     _check_finite("conv output", y)
     return y, x
 
 
 def conv1d_backward(p: Conv1dParams, d_out: Array, cache: Array):
     x = cache
-    out_c, in_c, kernel = p.weight.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)
-    windows = windows[:, :, :: p.stride, :]
-    d_w = np.einsum("bilk,bol->oik", windows, d_out)
-    d_b = d_out.sum(axis=(0, 2))
+    kernel = p.weight.shape[2]
+    d_w = np.empty_like(p.weight)
     d_x = np.zeros_like(x)
-    d_win = np.einsum("bol,oik->bilk", d_out, p.weight)
-    for j in range(d_out.shape[2]):
-        start = j * p.stride
-        d_x[:, :, start : start + kernel] += d_win[:, :, j, :]
-    return d_x, {"weight": d_w, "bias": d_b}
+    d_x_taps = _taps(d_x, kernel, p.stride, d_out.shape[2])
+    for k, x_k in enumerate(_taps(x, kernel, p.stride, d_out.shape[2])):
+        d_w[:, :, k] = np.tensordot(d_out, x_k, ([0, 2], [0, 2]))
+        d_x_taps[k] += p.weight[:, :, k].T @ d_out
+    return d_x, {"weight": d_w, "bias": d_out.sum(axis=(0, 2))}
 
 
 def global_avg_pool(x: Array) -> tuple[Array, int]:

@@ -413,6 +413,16 @@ def test_a_bad_json_file_is_a_domain_error_naming_it(chain, tmp_path, capsys, ca
     assert "Traceback" not in err
 
 
+def test_a_capture_that_is_not_utf8_is_a_domain_error_naming_it(chain, tmp_path, capsys):
+    scene = tmp_path / "scene"
+    shutil.copytree(chain / "scene", scene)
+    (scene / "lidar.csv").write_bytes(b"t,angle,depth\n0,\xff\xfe,1.0\n")
+    assert run(["label", "--scenario", str(scene), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert f"{(scene / 'lidar.csv').resolve()}:2:" in err
+    assert "codec" not in err
+
+
 @pytest.mark.parametrize("module", ["blockcast", "blockcast.cli"])
 def test_module_entry_points_run_without_runtime_warnings(module):
     src = str(Path(blockcast.__file__).resolve().parents[1])

@@ -184,6 +184,33 @@ def test_negative_power_rejected_on_load(tmp_path):
         load_scenario(tmp_path / "s")
 
 
+@pytest.mark.parametrize("row, message", [("0,7.0,1.0", "angle"), ("0,-0.5,1.0", "angle"),
+                                          ("0,1.0,0.0", "depth"), ("0,1.0,-2.0", "depth")])
+def test_lidar_point_out_of_range_names_its_line(tmp_path, row, message):
+    # LidarScan checks the same ranges, but its error names neither the file
+    # nor the line.
+    save_scenario(small_bundle(), tmp_path / "s")
+    path = tmp_path / "s" / "lidar.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(3, row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_scenario(tmp_path / "s")
+    assert "lidar.csv:4:" in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["rssi.csv", "lidar.csv", "meta.json"])
+def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, name):
+    save_scenario(small_bundle(), tmp_path / "s")
+    path = tmp_path / "s" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:3] + b"\xff\xfe" + lines[2][3:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_scenario(tmp_path / "s")
+    assert f"{name}:3:" in str(err.value) and "0xff" in str(err.value)
+
+
 def test_unknown_meta_version_rejected(tmp_path):
     save_scenario(small_bundle(), tmp_path / "s")
     meta_path = tmp_path / "s" / "meta.json"

@@ -239,6 +239,147 @@ def test_lstm_input_validation():
 
 
 # ---------------------------------------------------------------------------
+# Kernels against their reference forms
+# ---------------------------------------------------------------------------
+# The references are the straightforward forms the kernels replaced: the conv
+# as einsums over sliding windows with a per-window scatter, the sigmoid split
+# by sign with boolean masks, and BPTT with every gradient accumulated per step.
+
+def ref_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_conv1d_forward(p, x):
+    windows = np.lib.stride_tricks.sliding_window_view(x, p.weight.shape[2], axis=2)
+    windows = windows[:, :, :: p.stride, :]
+    return np.einsum("bilk,oik->bol", windows, p.weight) + p.bias[None, :, None]
+
+
+def ref_conv1d_backward(p, d_out, x):
+    kernel = p.weight.shape[2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)
+    windows = windows[:, :, :: p.stride, :]
+    d_w = np.einsum("bilk,bol->oik", windows, d_out)
+    d_x = np.zeros_like(x)
+    d_win = np.einsum("bol,oik->bilk", d_out, p.weight)
+    for j in range(d_out.shape[2]):
+        start = j * p.stride
+        d_x[:, :, start : start + kernel] += d_win[:, :, j, :]
+    return d_x, {"weight": d_w, "bias": d_out.sum(axis=(0, 2))}
+
+
+def ref_lstm_backward(p, d_hidden, cache):
+    steps, batch, hid = cache.hidden.shape
+    d_w_in, d_w_rec, d_bias = np.zeros_like(p.w_in), np.zeros_like(p.w_rec), np.zeros_like(p.bias)
+    d_seq = np.empty_like(cache.inputs)
+    dh_next, dc_next = np.zeros((batch, hid)), np.zeros((batch, hid))
+    for t in range(steps - 1, -1, -1):
+        i, f, g, o = np.split(cache.gates[t], 4, axis=1)
+        ct = cache.cell_tanh[t]
+        c_prev = cache.cells[t - 1] if t > 0 else cache.c0
+        h_prev = cache.hidden[t - 1] if t > 0 else cache.h0
+        dh = d_hidden[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - ct**2)
+        d_a = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                              dc * i * (1.0 - g**2), dh * ct * o * (1.0 - o)], axis=1)
+        d_w_in += cache.inputs[t].T @ d_a
+        d_w_rec += h_prev.T @ d_a
+        d_bias += d_a.sum(axis=0)
+        d_seq[t] = d_a @ p.w_in.T
+        dh_next = d_a @ p.w_rec.T
+        dc_next = dc * f
+    return d_seq, {"w_in": d_w_in, "w_rec": d_w_rec, "bias": d_bias}
+
+
+def assert_close(got, want, tol=1e-12):
+    """Max difference within tol of the reference's largest magnitude (at least 1)."""
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want))) <= tol * scale
+
+
+CONV_CASES = {  # name -> (batch, in_channels, out_channels, kernel, stride, length)
+    "conv1-train": (8, 1, 8, 5, 2, 360),
+    "conv2-train": (8, 8, 16, 5, 2, 178),
+    "conv2-transfer-batch": (1500, 8, 16, 5, 2, 178),
+    "stride-1": (3, 3, 2, 4, 1, 11),
+    "kernel-below-stride": (2, 2, 3, 2, 3, 11),
+    "uneven-last-window": (2, 3, 4, 5, 2, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv_matches_the_einsum_reference(case):
+    batch, in_c, out_c, kernel, stride, length = CONV_CASES[case]
+    rng = np.random.default_rng(length + kernel)
+    p = conv1d_init(rng, in_c, out_c, kernel, stride=stride)
+    p.bias[:] = rng.normal(size=out_c)
+    x = rng.normal(size=(batch, in_c, length))
+    y, cache = conv1d_forward(p, x)
+    want = ref_conv1d_forward(p, x)
+    assert y.shape == want.shape
+    assert_close(y, want)
+    d_out = rng.normal(size=y.shape)
+    d_x, grads = conv1d_backward(p, d_out, cache)
+    want_d_x, want_grads = ref_conv1d_backward(p, d_out, x)
+    assert_close(d_x, want_d_x)
+    for name in ("weight", "bias"):
+        assert grads[name].shape == want_grads[name].shape
+        assert_close(grads[name], want_grads[name])
+
+
+def test_sigmoid_is_bit_equal_to_the_sign_split_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, 710.0, -710.0, 1e300, -1e300, np.inf, -np.inf,
+                        tiny, -tiny, 1e3 * tiny, -1e3 * tiny, 2.2e-308, -2.2e-308])
+    grid = np.concatenate([special, np.linspace(-40.0, 40.0, 1601),
+                           np.random.default_rng(0).normal(scale=10.0, size=4000)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got, want = sigmoid(grid), ref_sigmoid(grid)
+        assert got.tobytes() == want.tobytes()
+        block = grid[:1200].reshape(8, 150)  # gate-shaped input
+        assert sigmoid(block).tobytes() == ref_sigmoid(block).tobytes()
+
+
+@pytest.mark.parametrize("steps, batch, width, hid", [(8, 8, 64, 16), (8, 8, 16, 32), (3, 1, 5, 4)])
+def test_lstm_backward_matches_the_per_step_reference(steps, batch, width, hid):
+    rng = np.random.default_rng(steps * batch + hid)
+    p = lstm_init(rng, width, hid)
+    p.bias[:] = rng.normal(size=4 * hid)
+    seq = rng.normal(size=(steps, batch, width))
+    h0, c0 = rng.normal(size=(batch, hid)), rng.normal(size=(batch, hid))
+    _, _, cache = lstm_forward(p, seq, h0=h0, c0=c0)
+    d_hidden = rng.normal(size=(steps, batch, hid))
+    d_seq, grads = lstm_backward(p, d_hidden, cache)
+    want_d_seq, want_grads = ref_lstm_backward(p, d_hidden, cache)
+    assert_close(d_seq, want_d_seq)
+    for name in ("w_in", "w_rec", "bias"):
+        assert_close(grads[name], want_grads[name])
+
+
+def test_lstm_forward_is_bit_equal_to_the_concatenating_reference():
+    rng = np.random.default_rng(11)
+    p = lstm_init(rng, 6, 5)
+    seq = rng.normal(size=(7, 4, 6))
+    hidden, last, cache = lstm_forward(p, seq)
+    h = c = np.zeros((4, 5))
+    for t in range(7):
+        a = seq[t] @ p.w_in + p.bias + h @ p.w_rec
+        i, f, o = ref_sigmoid(a[:, :5]), ref_sigmoid(a[:, 5:10]), ref_sigmoid(a[:, 15:])
+        g = np.tanh(a[:, 10:15])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        assert cache.gates[t].tobytes() == np.concatenate([i, f, g, o], axis=1).tobytes()
+        assert cache.cells[t].tobytes() == c.tobytes()
+        assert hidden[t].tobytes() == h.tobytes()
+    assert last.tobytes() == h.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
