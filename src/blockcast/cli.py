@@ -314,7 +314,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     }
     dataset = split_dataset(samples, tuple(cfg["ratios"]), meta=meta)
     save_dataset(dataset, out_dir)
-    return ["samples.csv", "dataset.json"]
+    return ["samples.csv", "frames.csv", "dataset.json"]
 
 
 def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:

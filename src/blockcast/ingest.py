@@ -11,10 +11,20 @@ lives in its own directory (the import format for real captures too):
   labels.csv  t,blocked         optional; one row per frame
   meta.json                     codebook, channel, link, region, threshold
 
-A dataset of training windows is samples.csv, one row per (scenario, t,
-flattened window, label, future, flags, raster) record, plus dataset.json
-with the preprocessing settings and the splits. Floats are written with
-repr, so a load after save is bit-identical.
+A dataset of training windows (format 2) stores each power frame once:
+
+  frames.csv    frame,p0,...,p{M-1}     each distinct window row once, in
+                                        order of first use; frame is its
+                                        0-based row number
+  samples.csv   scenario,t,k0,...,k{T0-1},label_x,label_y,label_valid,
+                f0,...,f{2N-1},b0,...,b{N-1},r0,...,r{bins-1}
+                                        one row per window; k0..k{T0-1} are
+                                        the frames.csv rows of its T0 steps
+  dataset.json                          preprocessing settings and splits
+
+Frames are told apart by their exact float64 bytes, so -0.0 and 0.0 stay
+distinct. Floats are written with repr, so a load after save is
+bit-identical: every window comes back as frames[k].
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .preprocess import Centroid, LabeledSample
 from .scene import TWO_PI, BlockageLabel, GroundTruth, LidarScan, RssiFrame
 
 SCENARIO_FORMAT_VERSION = 1
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -52,10 +62,10 @@ class ScenarioBundle:
             raise SchemaError("scenario has no RSSI frames")
         times = [f.t for f in self.rssi]
         missing = sorted(set(range(times[0], times[-1] + 1)) - set(times))
-        if missing or times != sorted(times):
-            if not missing:
-                raise SchemaError("RSSI frames are not in time order")
+        if missing:
             raise TimeIndexGapError(missing)
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise SchemaError("RSSI frames are not in time order")
         frame_times = set(times)
         for scan in self.lidar:
             if scan.t not in frame_times:
@@ -250,10 +260,15 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     table = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)])
     powers = table.floats(1, num_beams + 1)
     table.reject_rows((powers < 0).any(axis=1), "negative power")
-    frames = [RssiFrame(t, p) for t, p in zip(table.ints(0, 1)[:, 0].tolist(), powers)]
+    # ScenarioBundle checks the times too, but names neither file nor line.
+    frame_times = table.ints(0, 1)[:, 0]
+    table.reject_rows(np.diff(frame_times, prepend=frame_times[:1] - 1) != 1,
+                      "RSSI frames are not in time order: t must follow the row above by 1")
+    frames = [RssiFrame(t, p) for t, p in zip(frame_times.tolist(), powers)]
 
     table = CsvTable(root / "lidar.csv", ["t", "angle", "depth"])
     times = table.ints(0, 1)[:, 0]
+    table.reject_rows(~np.isin(times, frame_times), "lidar scan has no matching RSSI frame")
     order = np.argsort(times, kind="stable")
     scan_times, starts = np.unique(times[order], return_index=True)
     points = table.floats(1, 3)
@@ -269,7 +284,9 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         blank = table.cells[:, 1:3] == ""
         table.reject_rows(blank[:, 0] != blank[:, 1], "x and y must be blank together")
         table.cells[:, 1:3][blank] = "0"  # placeholders, so unknown positions cast; dropped below
-        rows = zip(table.ints(0, 1)[:, 0].tolist(), blank[:, 0].tolist(), table.floats(1, 3),
+        times = table.ints(0, 1)[:, 0]
+        table.reject_rows(~np.isin(times, frame_times), "truth row has no matching RSSI frame")
+        rows = zip(times.tolist(), blank[:, 0].tolist(), table.floats(1, 3),
                    table.flags(3, 4)[:, 0].tolist())
         truth = [GroundTruth(t, None if unknown else pos, flag) for t, unknown, pos, flag in rows]
 
@@ -277,8 +294,16 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     labels_path = root / "labels.csv"
     if labels_path.exists():
         table = CsvTable(labels_path, ["t", "blocked"])
+        times = table.ints(0, 1)[:, 0]
+        n = min(len(times), len(frame_times))
+        misplaced = np.ones(len(times), dtype=bool)  # rows past the last frame, too
+        misplaced[:n] = times[:n] != frame_times[:n]
+        table.reject_rows(misplaced, "blockage labels do not align with RSSI frames")
+        if len(times) < len(frame_times):
+            raise ParseError(labels_path, (table.line_nos or [1])[-1],
+                             f"{len(times)} blockage labels for {len(frame_times)} RSSI frames")
         labels = [BlockageLabel(t, flag) for t, flag in
-                  zip(table.ints(0, 1)[:, 0].tolist(), table.flags(1, 2)[:, 0].tolist())]
+                  zip(times.tolist(), table.flags(1, 2)[:, 0].tolist())]
 
     return ScenarioBundle(str(meta["scenario_id"]), frames, scans, truth, labels, meta)
 
@@ -351,10 +376,29 @@ def split_dataset(
     return DatasetFile(samples=samples, splits=splits, meta=dict(meta or {}))
 
 
-def _samples_header(window_len: int, num_beams: int, horizon: int, raster_bins: int) -> list[str]:
-    return (["scenario", "t"] + [f"w{i}" for i in range(window_len * num_beams)]
+def _samples_header(window_len: int, horizon: int, raster_bins: int) -> list[str]:
+    return (["scenario", "t"] + [f"k{i}" for i in range(window_len)]
             + ["label_x", "label_y", "label_valid"] + [f"f{i}" for i in range(horizon * 2)]
             + [f"b{i}" for i in range(horizon)] + [f"r{i}" for i in range(raster_bins)])
+
+
+def _frames_header(num_beams: int) -> list[str]:
+    return ["frame"] + [f"p{m}" for m in range(num_beams)]
+
+
+def _distinct_frames(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of (B, T0, M) windows by their float64 bytes, in order
+    of first appearance, and the (B, T0) row numbers that rebuild the windows."""
+    batch, window_len, num_beams = windows.shape
+    rows = windows.reshape(batch * window_len, num_beams)
+    if rows.size == 0:  # no rows, or rows of no beams: at most one (empty) frame
+        return rows[:1], np.zeros((batch, window_len), dtype=np.int64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * num_beams)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], rank[inverse].reshape(batch, window_len)
 
 
 def save_dataset(dataset: DatasetFile, out_dir) -> Path:
@@ -371,12 +415,16 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
         if s.window.shape != (window_len, num_beams) or s.future.shape != (horizon, 2):
             raise SchemaError("dataset samples have inconsistent shapes")
 
+    windows = np.array([s.window for s in dataset.samples], dtype=np.float64)
+    frames, keys = _distinct_frames(windows.reshape(len(dataset.samples), window_len, num_beams))
+    write_csv(out / "frames.csv", _frames_header(num_beams),
+              ([i] + row for i, row in enumerate(frames.tolist())))
     write_csv(
         out / "samples.csv",
-        _samples_header(window_len, num_beams, horizon, raster_bins),
-        ([s.scenario, s.t] + s.window.ravel().tolist() + [s.label.x, s.label.y, s.label.valid]
+        _samples_header(window_len, horizon, raster_bins),
+        ([s.scenario, s.t] + k + [s.label.x, s.label.y, s.label.valid]
          + s.future.ravel().tolist() + s.future_blocked.tolist() + s.lidar_raster.tolist()
-         for s in dataset.samples),
+         for s, k in zip(dataset.samples, keys.tolist())),
     )
 
     meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION,
@@ -401,18 +449,27 @@ def load_dataset(dataset_dir) -> DatasetFile:
         for key in ("window_len", "num_beams", "horizon", "raster_bins")
     )
 
-    header = _samples_header(window_len, num_beams, horizon, raster_bins)
+    table = CsvTable(root / "frames.csv", _frames_header(num_beams))
+    table.reject_rows(table.ints(0, 1)[:, 0] != np.arange(len(table.line_nos)),
+                      "frame must equal its 0-based row number")
+    frames = table.floats(1, num_beams + 1)
+
+    header = _samples_header(window_len, horizon, raster_bins)
     table = CsvTable(root / "samples.csv", header)
-    w = 2 + window_len * num_beams  # end of the window columns; label_x/y/valid follow
+    w = 2 + window_len  # end of the frame-row columns; label_x/y/valid follow
     f, b, r = w + 3, w + 3 + 2 * horizon, w + 3 + 3 * horizon
+    keys = table.ints(2, w)
+    for column, k in zip(header[2:w], keys.T):
+        table.reject_rows((k < 0) | (k >= len(frames)),
+                          f"{column} must be a row of frames.csv (0 to {len(frames) - 1})")
     rows = zip(
         table.cells[:, 0].tolist(), table.ints(1, 2)[:, 0].tolist(),
-        table.floats(2, w), table.floats(w, w + 2).tolist(), table.flags(w + 2, f)[:, 0].tolist(),
+        frames[keys], table.floats(w, w + 2).tolist(), table.flags(w + 2, f)[:, 0].tolist(),
         table.floats(f, b), table.flags(b, r), table.floats(r, len(header)),
     )
     samples = [
-        LabeledSample(scenario, t, window.reshape(window_len, num_beams),
-                      Centroid(t, lx, ly, valid), future.reshape(horizon, 2), blocked, raster)
+        LabeledSample(scenario, t, window, Centroid(t, lx, ly, valid),
+                      future.reshape(horizon, 2), blocked, raster)
         for scenario, t, window, (lx, ly), valid, future, blocked, raster in rows
     ]
 

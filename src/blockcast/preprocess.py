@@ -14,7 +14,6 @@ clamping output activation cannot cut off legitimate targets.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -114,12 +113,14 @@ def src_filter(scan: LidarScan, cfg: SrcConfig) -> np.ndarray:
 
 
 def dbscan(points, cfg: DbscanConfig) -> tuple[list[list[int]], list[int]]:
-    """Density clustering with deterministic expansion order.
+    """Density clustering with deterministic cluster order.
 
     Core points have >= min_pts neighbors within eps (inclusive radius,
-    the point counts itself). Clusters are grown one at a time from the
-    lowest-index unclaimed core point, visiting neighbors in ascending
-    index, so border points go to the first cluster that reaches them.
+    the point counts itself). Each cluster is a connected component of the
+    core-core neighbor graph plus its border points, numbered by its lowest
+    core index; a border point joins the lowest-numbered cluster among its
+    core neighbors. This is the partition that growing clusters one at a
+    time from the lowest-index unclaimed core point gives.
     Returns (clusters as sorted index lists, noise indices).
     """
     pts = ensure_finite("points", points)
@@ -129,30 +130,22 @@ def dbscan(points, cfg: DbscanConfig) -> tuple[list[list[int]], list[int]]:
     pts = pts.reshape(n, -1)
     diff = pts[:, None, :] - pts[None, :, :]
     within = np.einsum("ijk,ijk->ij", diff, diff) <= cfg.eps**2
-    neighbor_lists = [np.flatnonzero(within[i]) for i in range(n)]
-    core = np.array([len(nb) >= cfg.min_pts for nb in neighbor_lists])
+    core = within.sum(axis=1) >= cfg.min_pts
 
-    labels = np.full(n, -1, dtype=np.int64)
-    clusters: list[list[int]] = []
-    for start in range(n):
-        if labels[start] != -1 or not core[start]:
-            continue
-        cid = len(clusters)
-        labels[start] = cid
-        members = [start]
-        queue = deque([start])
-        while queue:
-            j = queue.popleft()
-            if not core[j]:
-                continue  # border point: claimed, never expanded
-            for k in neighbor_lists[j]:
-                if labels[k] == -1:
-                    labels[k] = cid
-                    members.append(int(k))
-                    queue.append(int(k))
-        clusters.append(sorted(members))
-    noise = [int(i) for i in np.flatnonzero(labels == -1)]
-    return clusters, noise
+    # Min-label propagation with pointer jumping: a core point's label is
+    # the lowest core index reached so far in its component; n marks "none".
+    label = np.where(core, np.arange(n), n)
+    while True:
+        reach = np.where(within, label, n).min(axis=1)  # lowest label among core neighbors
+        jumped = label.copy()
+        jumped[core] = reach[reach[core]]
+        if (jumped == label).all():
+            break
+        label = jumped
+    # At the fixed point, reach holds each core point's component label and
+    # each border point's lowest neighboring one; noise keeps n.
+    clusters = [np.flatnonzero(reach == root).tolist() for root in np.unique(reach[reach < n])]
+    return clusters, np.flatnonzero(reach == n).tolist()
 
 
 def extract_centroid(scan: LidarScan, src: SrcConfig, db: DbscanConfig) -> Centroid:

@@ -56,7 +56,7 @@ def chain(tmp_path_factory):
 def test_each_stage_writes_exactly_its_artifacts(chain):
     expect = {
         "scene": {"rssi.csv", "lidar.csv", "truth.csv", "labels.csv", "meta.json"},
-        "data": {"samples.csv", "dataset.json"},
+        "data": {"samples.csv", "frames.csv", "dataset.json"},
         "loc": {"model.json", "curves.csv"},
         "rf": {"model.json", "curves.csv"},
     }
@@ -421,6 +421,17 @@ def test_a_capture_that_is_not_utf8_is_a_domain_error_naming_it(chain, tmp_path,
     err = capsys.readouterr().err
     assert f"{(scene / 'lidar.csv').resolve()}:2:" in err
     assert "codec" not in err
+
+
+def test_a_lidar_time_without_an_rssi_frame_names_the_file_and_line(chain, tmp_path, capsys):
+    scene = tmp_path / "scene"
+    shutil.copytree(chain / "scene", scene)
+    with (scene / "lidar.csv").open("a") as fh:
+        fh.write("999,1.0,1.0\n")
+    lines = len((scene / "lidar.csv").read_text().splitlines())
+    assert run(["label", "--scenario", str(scene), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert f"{(scene / 'lidar.csv').resolve()}:{lines}:" in err and "RSSI frame" in err
 
 
 @pytest.mark.parametrize("module", ["blockcast", "blockcast.cli"])

@@ -19,7 +19,15 @@ from blockcast.ingest import (
     save_scenario,
     split_dataset,
 )
-from blockcast.preprocess import Centroid, LabeledSample
+from blockcast.geometry import blockage_labels_from_rssi
+from blockcast.preprocess import (
+    Centroid,
+    DbscanConfig,
+    LabeledSample,
+    SrcConfig,
+    build_windows,
+    scenario_centroids,
+)
 from blockcast.scene import (
     BlockageLabel,
     ChannelConfig,
@@ -199,6 +207,39 @@ def test_lidar_point_out_of_range_names_its_line(tmp_path, row, message):
     assert "lidar.csv:4:" in str(err.value) and message in str(err.value)
 
 
+def _edit_lines(path: Path, edit) -> None:
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name, edit, line, message", [
+    ("lidar.csv", lambda lines: lines.insert(3, "999,1.0,1.0"), 4, "RSSI frame"),
+    ("truth.csv", lambda lines: lines.append("999,1.0,1.0,0"), 17, "RSSI frame"),
+    ("rssi.csv", lambda lines: lines.insert(2, lines.pop(3)), 3, "time order"),
+    ("rssi.csv", lambda lines: lines.insert(3, lines[2]), 4, "time order"),
+    ("rssi.csv", lambda lines: lines.pop(3), 4, "time order"),
+    ("labels.csv", lambda lines: lines.__setitem__(5, "40,0"), 6, "align"),
+    ("labels.csv", lambda lines: lines.append("15,0"), 17, "align"),
+    ("labels.csv", lambda lines: lines.pop(), 15, "14 blockage labels for 15 RSSI frames"),
+])
+def test_a_time_that_does_not_match_the_rssi_frames_names_its_line(
+        tmp_path, name, edit, line, message):
+    # ScenarioBundle checks the same, but its error names neither the file
+    # nor the line.
+    save_scenario(small_bundle(), tmp_path / "s")
+    _edit_lines(tmp_path / "s" / name, edit)
+    with pytest.raises(ParseError) as err:
+        load_scenario(tmp_path / "s")
+    assert f"{name}:{line}:" in str(err.value) and message in str(err.value)
+
+
+def test_a_bundle_with_a_repeated_frame_time_is_out_of_order():
+    frames = [RssiFrame(t, np.array([1.0])) for t in (0, 1, 1, 2)]
+    with pytest.raises(SchemaError, match="time order"):
+        ScenarioBundle("x", frames, [])
+
+
 @pytest.mark.parametrize("name", ["rssi.csv", "lidar.csv", "meta.json"])
 def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, name):
     save_scenario(small_bundle(), tmp_path / "s")
@@ -374,6 +415,95 @@ def test_dataset_flag_other_than_zero_or_one_names_its_line_and_column(tmp_path)
         with pytest.raises(ParseError) as err:
             load_dataset(tmp_path / "d")
         assert ":4:" in str(err.value) and column in str(err.value)
+
+
+def _set_cell(path: Path, line: int, column: str, value: str) -> None:
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_each_window_row_is_stored_once_in_frames_csv(tmp_path):
+    # Stride-1 windows of one drive share all but one row with the next one.
+    frames = np.random.default_rng(0).uniform(0.0, 3.0, size=(6, 2))
+    frames[4] = [-0.0, 1.0]
+    frames[5] = [0.0, 1.0]  # equal to frames[4] as a number, not in its bytes
+    samples = [LabeledSample("a", end, frames[end - 2 : end + 1], Centroid(end, 1.0, 1.0),
+                             np.zeros((1, 2)), np.zeros(1, dtype=bool), np.ones(3))
+               for end in range(2, 6)]
+    save_dataset(split_dataset(samples), tmp_path / "d")
+    lines = (tmp_path / "d" / "frames.csv").read_text().splitlines()
+    assert lines[0] == "frame,p0,p1" and lines[1:] == [
+        ",".join([str(i)] + [repr(v) for v in row]) for i, row in enumerate(frames.tolist())]
+    header, *rows = (tmp_path / "d" / "samples.csv").read_text().splitlines()
+    assert header.startswith("scenario,t,k0,k1,k2,label_x,")
+    assert [row.split(",")[2:5] for row in rows] == [
+        [str(k) for k in range(end - 2, end + 1)] for end in range(2, 6)]
+    loaded = load_dataset(tmp_path / "d")
+    assert all(_same_bits(a.window, b.window) for a, b in zip(loaded.samples, samples))
+
+
+@pytest.mark.parametrize("value, message", [("-1", "k1 must be a row"), ("12", "k1 must be a row"),
+                                            ("1.5", "bad integer"), ("x", "bad integer")])
+def test_a_frame_row_that_does_not_exist_names_its_line_and_column(tmp_path, value, message):
+    samples = random_samples(3, np.random.default_rng(0), window_len=4)  # 12 distinct frames
+    save_dataset(split_dataset(samples), tmp_path / "d")
+    _set_cell(tmp_path / "d" / "samples.csv", 3, "k1", value)
+    with pytest.raises(ParseError) as err:
+        load_dataset(tmp_path / "d")
+    assert "samples.csv:3:" in str(err.value) and "k1" in str(err.value)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["3", "0", "x"])
+def test_a_frame_number_other_than_its_row_names_its_line(tmp_path, value):
+    save_dataset(split_dataset(random_samples(3, np.random.default_rng(0))), tmp_path / "d")
+    _set_cell(tmp_path / "d" / "frames.csv", 3, "frame", value)
+    with pytest.raises(ParseError) as err:
+        load_dataset(tmp_path / "d")
+    assert "frames.csv:3:" in str(err.value) and "frame" in str(err.value)
+
+
+def test_a_missing_frames_csv_is_a_parse_error_naming_it(tmp_path):
+    save_dataset(split_dataset(random_samples(3, np.random.default_rng(0))), tmp_path / "d")
+    (tmp_path / "d" / "frames.csv").unlink()
+    with pytest.raises(ParseError, match="frames.csv"):
+        load_dataset(tmp_path / "d")
+
+
+def test_a_format_1_dataset_is_refused_naming_the_file_and_version(tmp_path):
+    save_dataset(split_dataset(random_samples(3, np.random.default_rng(0))), tmp_path / "d")
+    path = tmp_path / "d" / "dataset.json"
+    payload = json.loads(path.read_text())
+    payload["meta"]["format_version"] = 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as err:
+        load_dataset(tmp_path / "d")
+    assert "dataset.json" in str(err.value) and "format_version 1" in str(err.value)
+
+
+def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_windows(
+        standard_config, standard_bundle, dataset_dir, standard_dataset):
+    cfg = standard_config
+    flags = [lab.blocked for lab in blockage_labels_from_rssi(
+        standard_bundle.rssi, standard_bundle.meta["power_threshold"])]
+    centroids = scenario_centroids(
+        standard_bundle, SrcConfig(cfg["proximity_radius"], tuple(cfg["road_region"])),
+        DbscanConfig(cfg["eps"], cfg["min_pts"]))
+    built = build_windows(standard_bundle, centroids, cfg["window_len"], cfg["horizon"], flags,
+                          cfg["raster_bins"], cfg["lidar_max_range"])
+    assert len(standard_dataset.samples) == len(built)
+    assert all(_same_bits(a.window, b.window) for a, b in zip(standard_dataset.samples, built))
+
+    window_len = cfg["window_len"]
+    first_t = standard_bundle.rssi[0].t
+    covered = {i for s in built for i in range(s.t - first_t - window_len + 1, s.t - first_t + 1)}
+    want = {standard_bundle.rssi[i].powers.tobytes() for i in covered}
+    lines = (dataset_dir / "frames.csv").read_text().splitlines()[1:]
+    got = [np.array([float(c) for c in line.split(",")[1:]]).tobytes() for line in lines]
+    assert len(got) == len(set(got)) == len(want) and set(got) == want
 
 
 def test_a_scenario_name_holding_a_separator_is_refused_on_save(tmp_path):

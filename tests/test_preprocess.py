@@ -1,7 +1,10 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcast.ingest import ScenarioBundle
 from blockcast.preprocess import (
@@ -72,6 +75,42 @@ def reference_dbscan(points, eps, min_pts):
         else:
             noise.append(i)
     return [sorted(c) for c in clusters], sorted(noise)
+
+
+def bfs_dbscan(points, eps, min_pts):
+    """DBSCAN grown one cluster at a time, breadth first, from the lowest-index
+    unclaimed core point: the expansion order `dbscan` must reproduce."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if n == 0:
+        return [], []
+    pts = pts.reshape(n, -1)
+    diff = pts[:, None, :] - pts[None, :, :]
+    within = np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
+    neighbor_lists = [np.flatnonzero(within[i]) for i in range(n)]
+    core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
+
+    labels = np.full(n, -1, dtype=np.int64)
+    clusters = []
+    for start in range(n):
+        if labels[start] != -1 or not core[start]:
+            continue
+        cid = len(clusters)
+        labels[start] = cid
+        members = [start]
+        queue = deque([start])
+        while queue:
+            j = queue.popleft()
+            if not core[j]:
+                continue  # border point: claimed, never expanded
+            for k in neighbor_lists[j]:
+                if labels[k] == -1:
+                    labels[k] = cid
+                    members.append(int(k))
+                    queue.append(int(k))
+        clusters.append(sorted(members))
+    noise = [int(i) for i in np.flatnonzero(labels == -1)]
+    return clusters, noise
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +222,53 @@ def test_dbscan_matches_reference_on_random_sets():
             got = dbscan(pts, DbscanConfig(eps=eps, min_pts=min_pts))
             want = reference_dbscan(pts, eps, min_pts)
             assert got == want, f"seed={seed} eps={eps} min_pts={min_pts}"
+
+
+EPS_VALUES = (0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 60 points in a box: corners of a grid spaced exactly eps (so
+    distances land on the inclusive radius, and repeats make duplicates)
+    mixed with arbitrary points."""
+    eps = draw(st.sampled_from(EPS_VALUES))
+    width, height, n = draw(st.integers(1, 16)), draw(st.integers(1, 6)), draw(st.integers(0, 60))
+    grid = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)).map(
+        lambda ij: (eps * ij[0], eps * ij[1]))
+    free = st.tuples(st.floats(-eps, eps * width), st.floats(-eps, eps * height))
+    pts = draw(st.lists(grid | free, min_size=n, max_size=n))
+    return np.array(pts, dtype=np.float64).reshape(n, 2), eps
+
+
+@settings(max_examples=300)
+@given(point_sets(), st.integers(1, 6))
+def test_dbscan_matches_breadth_first_growth(case, min_pts):
+    pts, eps = case
+    assert dbscan(pts, DbscanConfig(eps=eps, min_pts=min_pts)) == bfs_dbscan(pts, eps, min_pts)
+
+
+def test_dbscan_joins_a_chain_whose_lowest_index_is_at_the_far_end():
+    # A chain of points exactly eps apart, indexed against its order in
+    # space, so the lowest index has to travel its whole length; the lone
+    # end points are border points of the chain's two last cores.
+    eps = 1.0
+    order = [0, 8, 2, 6, 4, 5, 3, 7, 1, 9]
+    pts = np.array([[eps * order.index(i), 0.0] for i in range(10)])
+    assert dbscan(pts, DbscanConfig(eps=eps, min_pts=3)) == ([list(range(10))], [])
+    assert dbscan(pts, DbscanConfig(eps=eps, min_pts=3)) == bfs_dbscan(pts, eps, 3)
+
+
+def test_border_point_exactly_eps_from_two_clusters_joins_the_earlier():
+    # Grid cells eps apart hold 2,1,1,1,2 points; with min_pts=4 the cells
+    # beside the middle one are cores of two clusters, and the middle point,
+    # exactly eps from both, is border to each.
+    eps = 1.5
+    cells = [3, 4, 0, 1, 2, 0, 4]  # x / eps of each point, in index order
+    pts = np.array([[eps * c, 0.0] for c in cells])
+    clusters, noise = dbscan(pts, DbscanConfig(eps=eps, min_pts=4))
+    assert (clusters, noise) == ([[0, 1, 4, 6], [2, 3, 5]], [])
+    assert (clusters, noise) == bfs_dbscan(pts, eps, 4)
 
 
 def test_dbscan_output_is_a_partition():
