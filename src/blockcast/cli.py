@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -43,7 +44,7 @@ from .evaluation import (
     write_localization_csv,
     write_multi_seed_csv,
 )
-from .geometry import LinkGeometry, blockage_from_location, blockage_labels_from_rssi
+from .geometry import LinkGeometry, blockage_labels_from_rssi
 from .ingest import (
     ScenarioBundle,
     load_dataset,
@@ -64,7 +65,6 @@ from .models import (
     train_localization,
 )
 from .preprocess import (
-    Centroid,
     DbscanConfig,
     SrcConfig,
     build_windows,
@@ -146,23 +146,11 @@ def _road_frame_link(meta: dict) -> LinkGeometry:
         )
     ox = min(float(region[0]), float(region[2]))
     oy = min(float(region[1]), float(region[3]))
-    threshold = meta.get("power_threshold")
     return LinkGeometry(
         tx=(float(tx[0]) - ox, float(tx[1]) - oy),
         rx=(float(rx[0]) - ox, float(rx[1]) - oy),
         object_width=float(meta.get("object_width", DEFAULTS["object_width"])),
-        power_threshold=1.0 if threshold is None else float(threshold),
     )
-
-
-def _geometric_flags(coords: np.ndarray, link: LinkGeometry) -> np.ndarray:
-    """(B, N, 2) road-frame positions -> (B, N) blockage booleans."""
-    flags = np.zeros(coords.shape[:2], dtype=bool)
-    for i in range(coords.shape[0]):
-        for k in range(coords.shape[1]):
-            loc = Centroid(0, float(coords[i, k, 0]), float(coords[i, k, 1]))
-            flags[i, k] = blockage_from_location(loc, link)
-    return flags
 
 
 _CHECKPOINT_FLAGS = {"localization": "--loc", "rf": "--rf", "rf+lidar": "--lidar"}
@@ -400,7 +388,9 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             label = f"{method}#{run_idx}"
             if method == "localization":
                 coords = predict_locations_batch(model, windows)
-                flags, probs = _geometric_flags(coords, link), None
+                # The width-only object is the box of depth 0.
+                flags = segment_intersects_rect(link.tx, link.rx, coords, link.object_width, 0.0)
+                probs = None
                 loc_reports.append((label, evaluate_localization(coords, futures)))
             else:
                 probs = predict_blockage_probs(model, windows, rasters)
@@ -504,19 +494,13 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
     rows = []
     for pos_idx, rx in enumerate(rx_positions):
-        truth_flags = np.zeros(positions.shape[:2], dtype=bool)
-        for i in range(positions.shape[0]):
-            for k in range(positions.shape[1]):
-                truth_flags[i, k] = segment_intersects_rect(
-                    tx, rx, positions[i, k], float(width), float(depth)
-                )
         link = LinkGeometry(
             tx=(tx[0] - origin[0], tx[1] - origin[1]),
             rx=(rx[0] - origin[0], rx[1] - origin[1]),
             object_width=object_width,
-            power_threshold=1.0 if threshold is None else float(threshold),
         )
-        pred = _geometric_flags(coords, link)
+        truth_flags = segment_intersects_rect(tx, rx, positions, float(width), float(depth))
+        pred = segment_intersects_rect(link.tx, link.rx, coords, link.object_width, 0.0)
         for name, predicted in [("localization", pred)] + baseline_flags:
             rows.append(
                 [name, pos_idx, rx[0], rx[1], pos_idx == 0, np.mean(predicted == truth_flags)]
@@ -563,9 +547,12 @@ def _rx_pair(text: str):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected X,Y coordinates, got {text!r}")
     try:
-        return [float(parts[0]), float(parts[1])]
+        pair = [float(parts[0]), float(parts[1])]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad coordinates {text!r}") from None
+    if not all(map(math.isfinite, pair)):
+        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}")
+    return pair
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

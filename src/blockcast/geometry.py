@@ -1,10 +1,11 @@
 """Line-of-sight blockage tests driven by object locations.
 
-An object at (x, y) with cross-link width w blocks a Tx-Rx link when the
-link segment passes through the w-wide interval the object occupies. The
-test is split into two unit-interval coordinates: how far along the link
-the object's y falls, and where the link's crossing point lands within
-the object's extent. Both must land in [0, 1]. Swapping a trained
+The object is the paper's width-only blocker: a segment of width w along
+x, centred on its location, i.e. the axis-aligned box of depth 0. It
+blocks a Tx-Rx link when the closed link segment meets it. The test is
+`scene.segment_intersects_rect`, the one segment-vs-box kernel that also
+gives the simulator's occlusion and `transfer`'s truth, so it holds for
+links of any orientation, horizontal ones included. Swapping a trained
 location predictor onto a new link only means re-running this test with
 new endpoints; the model itself is untouched.
 """
@@ -16,11 +17,13 @@ from typing import Sequence
 
 from .errors import DegenerateLinkError
 from .preprocess import Centroid
-from .scene import BlockageLabel, RssiFrame, total_power
-
-# Below this endpoint separation the along-link fraction is numerically
-# undefined and the test switches to the other axis.
-AXIS_EPS = 1e-9
+from .scene import (
+    BlockageLabel,
+    RssiFrame,
+    ensure_finite,
+    segment_intersects_rect,
+    total_power,
+)
 
 
 @dataclass(frozen=True)
@@ -33,38 +36,23 @@ class LinkGeometry:
     power_threshold: float = 1.0
 
     def __post_init__(self):
+        for name in ("tx", "rx", "object_width"):
+            ensure_finite(name, getattr(self, name))
         if self.object_width <= 0:
             raise ValueError("object_width must be positive")
         if self.power_threshold <= 0:
             raise ValueError("power_threshold must be positive")
-        dx = self.rx[0] - self.tx[0]
-        dy = self.rx[1] - self.tx[1]
-        if abs(dx) < AXIS_EPS and abs(dy) < AXIS_EPS:
+        if self.tx[0] == self.rx[0] and self.tx[1] == self.rx[1]:
             raise DegenerateLinkError("tx and rx coincide")
 
 
 def blockage_from_location(loc: Centroid, link: LinkGeometry) -> bool:
-    """True when the link segment crosses the object's occupied interval.
-
-    Parameterizes the link by y (by x for near-horizontal links): `along`
-    is the object's fractional position between the endpoints, `across`
-    is where the link's crossing point falls within the object's
-    width-wide extent. Blocked iff both lie in [0, 1].
-    """
+    """True when the link segment meets the object's width-w extent."""
     if not loc.valid:
         raise ValueError("blockage test requires a valid location")
-    tx, rx, w = link.tx, link.rx, link.object_width
-    dy = rx[1] - tx[1]
-    if abs(dy) >= AXIS_EPS:
-        along = (loc.y - tx[1]) / dy
-        crossing = tx[0] + along * (rx[0] - tx[0])
-        across = 0.5 + (crossing - loc.x) / w
-    else:
-        dx = rx[0] - tx[0]
-        along = (loc.x - tx[0]) / dx
-        crossing = tx[1] + along * dy
-        across = 0.5 + (crossing - loc.y) / w
-    return 0.0 <= along <= 1.0 and 0.0 <= across <= 1.0
+    return bool(
+        segment_intersects_rect(link.tx, link.rx, (loc.x, loc.y), link.object_width, 0.0)
+    )
 
 
 def blockage_labels_from_rssi(

@@ -213,29 +213,40 @@ def _rect_bounds(center, width, depth):
     return cx - width / 2.0, cy - depth / 2.0, cx + width / 2.0, cy + depth / 2.0
 
 
-def segment_intersects_rect(p, q, center, width, depth) -> bool:
-    """Closed-boundary segment vs axis-aligned rectangle test (Liang-Barsky)."""
+def segment_intersects_rect(p, q, center, width, depth) -> bool | np.ndarray:
+    """Closed segment p-q against closed axis-aligned boxes (Liang-Barsky).
+
+    ``center`` is one (x, y) pair, giving a bool, or an (..., 2) array of
+    box centres, giving a bool array of shape (...). Depth 0 is a segment
+    of the given width along x. The segment meets the box iff, on each
+    axis it is parallel to, it lies between the box's sides, and its
+    entering parameters (and 0) all stay <= its exiting ones (and 1).
+    Only arithmetic and comparisons touch ``center``, and the branches
+    read only the scalar endpoints, so the same code runs in pure Python
+    on a pair and vectorizes over an array.
+    """
+    if isinstance(center, np.ndarray):
+        center = np.moveaxis(center, -1, 0)
     x0, y0, x1, y1 = _rect_bounds(center, width, depth)
     px, py = p
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    t_lo, t_hi = 0.0, 1.0
+    hits = True
+    enters, exits = [0.0], [1.0]
     for delta, lo_gap, hi_gap in (
-        (dx, px - x0, x1 - px),
-        (dy, py - y0, y1 - py),
+        (q[0] - px, px - x0, x1 - px),
+        (q[1] - py, py - y0, y1 - py),
     ):
-        for sign, gap in ((-delta, lo_gap), (delta, hi_gap)):
-            if sign == 0.0:
-                if gap < 0.0:
-                    return False
-            else:
-                ratio = gap / sign
-                if sign < 0.0:
-                    t_lo = max(t_lo, ratio)
-                else:
-                    t_hi = min(t_hi, ratio)
-                if t_lo > t_hi:
-                    return False
-    return True
+        if delta == 0.0:
+            hits = hits & (lo_gap >= 0.0) & (hi_gap >= 0.0)
+        elif delta < 0.0:
+            enters.append(hi_gap / delta)
+            exits.append(lo_gap / -delta)
+        else:
+            enters.append(lo_gap / -delta)
+            exits.append(hi_gap / delta)
+    for enter in enters:
+        for leave in exits:
+            hits = hits & (enter <= leave)
+    return hits
 
 
 def _rect_edges(center, width, depth):

@@ -338,6 +338,36 @@ def test_transfer_names_the_checkpoint_trained_for_another_horizon(chain, tmp_pa
     assert "broadcast" not in err
 
 
+@pytest.mark.parametrize("rx", ["nan,12", "4,inf", "-inf,12"])
+def test_transfer_rejects_a_non_finite_receiver_as_a_usage_error(chain, tmp_path, capsys, rx):
+    out = tmp_path / "sweep"
+    assert run(
+        ["transfer", "--scenario", str(chain / "scene"),
+         "--loc", str(chain / "loc" / "model.json"), f"--rx={rx}", "--out", str(out)]
+    ) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "transfer.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["tx", "rx"])
+def test_a_non_finite_link_endpoint_in_the_metadata_is_a_domain_error(
+    chain, tmp_path, capsys, field
+):
+    scene = tmp_path / "scene"
+    shutil.copytree(chain / "scene", scene)
+    meta = json.loads((scene / "meta.json").read_text())
+    meta[field] = [math.nan, 12.0]
+    (scene / "meta.json").write_text(json.dumps(meta))
+    out = tmp_path / "sweep"
+    assert run(
+        ["transfer", "--scenario", str(scene), "--loc", str(chain / "loc" / "model.json"),
+         "--rx", "4,12", "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"{field} contains non-finite values" in err and "Traceback" not in err
+    assert not (out / "transfer.csv").exists()
+
+
 @pytest.mark.parametrize(
     "key, label_args, flag, sub",
     [("horizon", ["--horizon", "3"], "--loc", "loc"),

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from blockcast.errors import DegenerateLinkError
+from blockcast.errors import DegenerateLinkError, NonFiniteError
 from blockcast.geometry import (
-    AXIS_EPS,
     LinkGeometry,
     blockage_from_location,
     blockage_labels_from_rssi,
@@ -14,7 +13,7 @@ from blockcast.geometry import (
 )
 from blockcast.models import predict_locations_batch
 from blockcast.preprocess import Centroid
-from blockcast.scene import RssiFrame
+from blockcast.scene import RssiFrame, segment_intersects_rect
 
 VERTICAL = LinkGeometry((0.0, 0.0), (0.0, 12.0), object_width=4.0)
 
@@ -68,14 +67,29 @@ def test_interval_edges_are_inclusive():
     assert not blockage_from_location(loc(0.0, -0.1), VERTICAL)
 
 
-def test_horizontal_link_uses_the_other_axis():
+def test_horizontal_link_meets_the_object_only_on_its_own_line():
+    # The object is the depth-0 box [x - 2, x + 2] x [y, y]: a horizontal
+    # link meets it only at the object's y, wherever the x ranges overlap.
     link = LinkGeometry((0.0, 5.0), (10.0, 5.0), object_width=4.0)
     assert blockage_from_location(loc(5.0, 5.0), link)
-    assert blockage_from_location(loc(5.0, 6.9), link)
-    assert blockage_from_location(loc(0.0, 5.0), link)
-    assert not blockage_from_location(loc(5.0, 7.1), link)
-    assert not blockage_from_location(loc(-0.1, 5.0), link)
-    assert not blockage_from_location(loc(10.2, 5.0), link)
+    assert blockage_from_location(loc(-2.0, 5.0), link)
+    assert blockage_from_location(loc(12.0, 5.0), link)
+    assert not blockage_from_location(loc(-2.1, 5.0), link)
+    assert not blockage_from_location(loc(12.1, 5.0), link)
+    assert not blockage_from_location(loc(5.0, 5.1), link)
+    assert not blockage_from_location(loc(5.0, 4.9), link)
+
+
+def test_answer_is_continuous_in_the_link_slope():
+    """A link tilting towards horizontal keeps its answers: the object off
+    the link's line never blocks, the one on it always does."""
+    off_line, on_line = set(), set()
+    for dy in (1e-6, 1e-8, 1e-10, 0.0):
+        link = LinkGeometry((0.0, 2.0), (20.0, 2.0 + dy), object_width=4.0)
+        off_line.add(blockage_from_location(loc(10.0, 3.0), link))
+        on_line.add(blockage_from_location(loc(10.0, 2.0 + dy / 2.0), link))
+    assert off_line == {False}
+    assert on_line == {True}
 
 
 def test_diagonal_link_hand_case():
@@ -93,13 +107,28 @@ def test_invalid_location_is_rejected():
 def test_link_validation():
     with pytest.raises(DegenerateLinkError):
         LinkGeometry((1.0, 1.0), (1.0, 1.0))
-    almost = (1.0, 1.0 + AXIS_EPS / 10)
-    with pytest.raises(DegenerateLinkError):
-        LinkGeometry((1.0, 1.0), almost)
     with pytest.raises(ValueError):
         LinkGeometry((0.0, 0.0), (0.0, 12.0), object_width=0.0)
     with pytest.raises(ValueError):
         LinkGeometry((0.0, 0.0), (0.0, 12.0), power_threshold=0.0)
+    # Only coincident endpoints are degenerate: a 1e-10-long link answers
+    # exactly, in the scalar and the array form alike.
+    short = LinkGeometry((1.0, 1.0), (1.0, 1.0 + 1e-10), object_width=4.0)
+    centres = np.array([[1.0, 1.0 + 5e-11], [2.9, 1.0], [1.0, 1.0 + 2e-10], [3.1, 1.0]])
+    expect = [True, True, False, False]
+    assert [blockage_from_location(loc(*c), short) for c in centres] == expect
+    with np.errstate(all="raise"):
+        flags = segment_intersects_rect(short.tx, short.rx, centres, 4.0, 0.0)
+    assert flags.tolist() == expect
+
+
+@pytest.mark.parametrize(
+    "field, value", [("tx", (math.nan, 0.0)), ("rx", (0.0, math.inf)), ("object_width", math.nan)]
+)
+def test_link_rejects_non_finite_values_naming_the_field(field, value):
+    args = {"tx": (0.0, 0.0), "rx": (0.0, 12.0), "object_width": 4.0, field: value}
+    with pytest.raises(NonFiniteError, match=field):
+        LinkGeometry(**args)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcast.errors import NonFiniteError
 from blockcast.scene import (
@@ -124,6 +126,78 @@ def test_segment_hits_and_misses_rect():
     assert segment_intersects_rect((-1, 5.5), (1, 6.5), center, 4.0, 1.8)
     # collinear with an edge but outside
     assert not segment_intersects_rect((2.1, 0), (2.1, 12), center, 4.0, 1.8)
+
+
+def clip_reference(p, q, center, width, depth) -> bool:
+    """The scalar Liang-Barsky clip with early exits, kept as the reference
+    for the branch-free kernel."""
+    cx, cy = center
+    x0, y0, x1, y1 = cx - width / 2.0, cy - depth / 2.0, cx + width / 2.0, cy + depth / 2.0
+    px, py = p
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    t_lo, t_hi = 0.0, 1.0
+    for delta, lo_gap, hi_gap in (
+        (dx, px - x0, x1 - px),
+        (dy, py - y0, y1 - py),
+    ):
+        for sign, gap in ((-delta, lo_gap), (delta, hi_gap)):
+            if sign == 0.0:
+                if gap < 0.0:
+                    return False
+            else:
+                ratio = gap / sign
+                if sign < 0.0:
+                    t_lo = max(t_lo, ratio)
+                else:
+                    t_hi = min(t_hi, ratio)
+                if t_lo > t_hi:
+                    return False
+    return True
+
+
+# Small integers hit the edge cases (axis-parallel links, touching corners,
+# coincident endpoints); arbitrary floats hit everything else.
+coord = st.integers(-12, 12).map(float) | st.floats(-40.0, 40.0)
+point = st.tuples(coord, coord)
+size = st.integers(1, 6).map(float) | st.floats(0.01, 20.0)
+depth = st.just(0.0) | size
+
+
+@settings(max_examples=500)
+@given(point, point, point, size, depth)
+def test_kernel_matches_the_scalar_clip_on_a_pair(p, q, center, width, d):
+    assert segment_intersects_rect(p, q, center, width, d) is clip_reference(p, q, center, width, d)
+
+
+@settings(max_examples=200)
+@given(point, point, st.lists(point, min_size=1, max_size=12), size, depth)
+def test_kernel_matches_the_scalar_clip_on_an_array(p, q, centers, width, d):
+    want = [clip_reference(p, q, c, width, d) for c in centers]
+    got = segment_intersects_rect(p, q, np.array(centers), width, d)
+    assert got.shape == (len(centers),) and got.tolist() == want
+    got = segment_intersects_rect(p, q, np.array(centers).reshape(1, -1, 1, 2), width, d)
+    assert got.shape == (1, len(centers), 1) and got.ravel().tolist() == want
+
+
+# On an integer grid every coordinate, gap and box side is exact, and equal
+# ratios round equally, so the symmetries must hold bit for bit.
+grid = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+
+
+@settings(max_examples=300)
+@given(grid, grid, grid, grid, st.integers(1, 8), st.integers(0, 8))
+def test_kernel_is_invariant_under_translation_swap_and_rotation(p, q, c, shift, w, d):
+    base = segment_intersects_rect(p, q, c, w, d)
+
+    def moved(a):
+        return (a[0] + shift[0], a[1] + shift[1])
+
+    def turned(a):  # 90 degrees counter-clockwise
+        return (-a[1], a[0])
+
+    assert segment_intersects_rect(moved(p), moved(q), moved(c), w, d) == base
+    assert segment_intersects_rect(q, p, c, w, d) == base
+    assert segment_intersects_rect(turned(p), turned(q), turned(c), d, w) == base
 
 
 # ---------------------------------------------------------------------------
