@@ -135,20 +135,26 @@ def replay_manifest(manifest_path, out_dir) -> dict[str, bool]:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _road_frame_link(meta: dict) -> LinkGeometry:
+def _meta_numbers(meta: dict, key: str, count: int, path) -> tuple[float, ...]:
+    """``meta[key]`` as ``count`` floats, or a SchemaError naming the file and the key."""
+    value = meta.get(key)
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == count
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        return tuple(float(v) for v in value)
+    raise SchemaError(f"{path}: {key} must be a list of {count} numbers, got {value!r}")
+
+
+def _road_frame_link(meta: dict, path) -> LinkGeometry:
     """Link endpoints shifted into the road frame used by centroids."""
-    tx = meta.get("tx")
-    rx = meta.get("rx")
-    region = meta.get("road_region")
-    if tx is None or rx is None or region is None:
-        raise SchemaError(
-            "metadata lacks tx/rx/road_region; cannot run the geometric blockage test"
-        )
-    ox = min(float(region[0]), float(region[2]))
-    oy = min(float(region[1]), float(region[3]))
+    tx, rx = (_meta_numbers(meta, key, 2, path) for key in ("tx", "rx"))
+    x0, y0, x1, y1 = _meta_numbers(meta, "road_region", 4, path)
+    ox, oy = min(x0, x1), min(y0, y1)
     return LinkGeometry(
-        tx=(float(tx[0]) - ox, float(tx[1]) - oy),
-        rx=(float(rx[0]) - ox, float(rx[1]) - oy),
+        tx=(tx[0] - ox, tx[1] - oy),
+        rx=(rx[0] - ox, rx[1] - oy),
         object_width=float(meta.get("object_width", DEFAULTS["object_width"])),
     )
 
@@ -307,6 +313,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     dataset = load_dataset(inputs["dataset"])
+    _meta_numbers(dataset.meta, "road_region", 4, Path(inputs["dataset"]) / "dataset.json")
     tcfg = TrainConfig(
         lr=float(cfg["lr"]),
         batch_size=int(cfg["batch_size"]),
@@ -376,7 +383,7 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
     link = None
     if groups[0][1]:
-        link = _road_frame_link(dataset.meta)
+        link = _road_frame_link(dataset.meta, Path(inputs["dataset"]) / "dataset.json")
 
     blockage_reports: list[tuple[str, BlockageReport]] = []
     loc_reports = []
@@ -440,15 +447,14 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     meta = bundle.meta
     if bundle.truth is None:
         raise SchemaError(f"{inputs['scenario']}: transfer needs truth.csv")
-    if meta.get("tx") is None or meta.get("rx") is None:
-        raise SchemaError(f"{inputs['scenario']}: scenario metadata lacks tx/rx")
+    meta_path = Path(inputs["scenario"]) / "meta.json"
+    tx, rx0 = (_meta_numbers(meta, key, 2, meta_path) for key in ("tx", "rx"))
     width = meta.get("vehicle_width")
     depth = meta.get("vehicle_depth")
     if width is None or depth is None:
         raise SchemaError(
             f"{inputs['scenario']}: scenario metadata lacks vehicle dimensions"
         )
-    tx = tuple(map(float, meta["tx"]))
 
     src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
     db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
@@ -489,7 +495,7 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     # the link into that frame rather than trusting the local config.
     origin = loc_model.stats.road_origin
     object_width = float(cfg["object_width"])
-    rx_positions = [tuple(map(float, meta["rx"]))]
+    rx_positions = [rx0]
     rx_positions += [tuple(map(float, p)) for p in inputs["rx_positions"]]
 
     rows = []

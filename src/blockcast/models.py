@@ -49,6 +49,7 @@ from .nn import (
     load_params,
     lstm_backward,
     lstm_forward,
+    lstm_hidden,
     lstm_init,
     relu,
     relu_backward,
@@ -225,8 +226,14 @@ def build_model(
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def forward(model: Model, features: np.ndarray, rasters: np.ndarray | None = None):
-    """Standardized (B, T0, M) features -> output and the backward cache.
+def forward(
+    model: Model,
+    features: np.ndarray,
+    rasters: np.ndarray | None = None,
+    *,
+    caches: dict | None = None,
+) -> np.ndarray:
+    """Standardized (B, T0, M) features -> the model output.
 
     The LSTM layers run over the window. An rf+lidar model also runs its
     conv layers over the normalized (B, raster_bins) rasters and appends
@@ -234,11 +241,21 @@ def forward(model: Model, features: np.ndarray, rasters: np.ndarray | None = Non
     ``rasters``. The dense layers then map that vector to the output:
     (B, 2N) nonnegative road-unit locations (ReLU after every dense
     layer), or (B, N) sigmoid probabilities.
+
+    Given a ``caches`` dict, the LSTM layers run the buffered
+    ``lstm_forward`` and every layer leaves in it what ``_backward`` needs.
+    Without one, they run the cache-free ``lstm_hidden``.
     """
-    layers, caches = model.layers, {}
+    layers = model.layers
+    buffered = caches is not None
+    caches = caches if buffered else {}  # conv and dense entries are only references
     seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
     for name in model.names(LstmParams):
-        seq, feat, caches[name] = lstm_forward(layers[name], seq)
+        if buffered:
+            seq, feat, caches[name] = lstm_forward(layers[name], seq)
+        else:
+            seq = lstm_hidden(layers[name], seq)
+            feat = seq[-1]
     conv = model.names(Conv1dParams)
     if conv:
         if rasters.ndim != 2 or rasters.shape[1] != model.raster_bins:
@@ -257,7 +274,7 @@ def forward(model: Model, features: np.ndarray, rasters: np.ndarray | None = Non
         z, cache = dense_forward(layers[name], feat)
         caches[name] = (z, cache)
         feat = relu(z) if regress else z
-    return (feat if regress else sigmoid(feat)), caches
+    return feat if regress else sigmoid(feat)
 
 
 def _backward(model: Model, d_out: np.ndarray, caches: dict) -> dict[str, np.ndarray]:
@@ -312,7 +329,8 @@ def loss_and_grads(
     targets are normalized (B, 2N) locations or (B, N) binary flags;
     ``delta`` is the Huber transition point, used by localization only.
     """
-    out, caches = forward(model, features, rasters)
+    caches = {}
+    out = forward(model, features, rasters, caches=caches)
     if targets.shape != out.shape:
         raise ConfigMismatchError(
             f"target shape {targets.shape} does not match model output {out.shape}"
@@ -386,7 +404,7 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str, model: Model | Non
             curves.train.append(loss)
         if val is not None:
             val_feats, val_targets, val_rasters = val
-            out, _ = forward(model, val_feats, val_rasters)
+            out = forward(model, val_feats, val_rasters)
             curves.val.append(_loss(model, out, val_targets, cfg.delta)[0])
     return model, curves
 
@@ -429,7 +447,7 @@ def _checked_windows(model: Model, windows, kinds: tuple[str, ...]) -> np.ndarra
 def predict_locations_batch(model: Model, windows: np.ndarray) -> np.ndarray:
     """(B, T0, M) raw powers -> (B, N, 2) road-frame meters."""
     windows = _checked_windows(model, windows, ("localization",))
-    out, _ = forward(model, rssi_features(windows, model.stats))
+    out = forward(model, rssi_features(windows, model.stats))
     return out.reshape(-1, model.horizon, 2) * model.stats.road_size
 
 
@@ -452,8 +470,7 @@ def predict_blockage_probs(
         if rasters is None:
             raise ValueError("the rf+lidar model needs lidar rasters")
         rasters = _norm_rasters(np.asarray(rasters, dtype=np.float64), model.stats)
-    probs, _ = forward(model, feats, rasters)
-    return probs
+    return forward(model, feats, rasters)
 
 
 # ---------------------------------------------------------------------------

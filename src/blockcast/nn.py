@@ -2,11 +2,15 @@
 
 Everything runs in float64 on plain numpy arrays. The conv is computed tap
 by tap with BLAS matmuls over strided views, and the LSTM backward pass
-keeps only the recurrent matmul inside its time loop. Each layer ships a
-hand-derived backward pass returning gradients in the same shapes as its
-parameters; finite-difference tests lock every one of them. There is no
-autodiff graph: the architecture set is small and fixed, and explicit
-backward code keeps the arithmetic auditable.
+keeps only the recurrent matmul inside its time loop. The LSTM has two
+forwards with the same bits: training runs ``lstm_forward``, which buffers
+the gates and cell states of every step for ``lstm_backward``; prediction
+runs ``lstm_hidden``, a cache-free recurrence with one ``sigmoid`` over all
+four gates per step. Each layer ships a hand-derived backward pass
+returning gradients in the same shapes as its parameters; finite-difference
+tests lock every one of them. There is no autodiff graph: the architecture
+set is small and fixed, and explicit backward code keeps the arithmetic
+auditable.
 
 Parameter initialization is fully seeded: weights are uniform in
 [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases start at zero except the LSTM
@@ -145,6 +149,16 @@ class LstmCache:
     c0: Array
 
 
+def _checked_seq(p: LstmParams, seq) -> Array:
+    """seq as float64 (T, B, input_size) with T >= 1 and finite values."""
+    seq = np.asarray(seq, dtype=np.float64)
+    if seq.ndim != 3 or seq.shape[0] < 1:
+        raise ValueError("seq must be (T, B, input_size) with T >= 1")
+    if seq.shape[2] != p.input_size:
+        raise ValueError(f"seq width {seq.shape[2]} != input_size {p.input_size}")
+    return _check_finite("lstm input", seq)
+
+
 def lstm_forward(
     p: LstmParams, seq: Array, h0: Array | None = None, c0: Array | None = None
 ) -> tuple[Array, Array, LstmCache]:
@@ -153,13 +167,8 @@ def lstm_forward(
     Returns the full hidden sequence (T, B, H), the final hidden state,
     and the cache needed for an exact backward pass.
     """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 3 or seq.shape[0] < 1:
-        raise ValueError("seq must be (T, B, input_size) with T >= 1")
-    steps, batch, width = seq.shape
-    if width != p.input_size:
-        raise ValueError(f"seq width {width} != input_size {p.input_size}")
-    _check_finite("lstm input", seq)
+    seq = _checked_seq(p, seq)
+    steps, batch, _ = seq.shape
     hid = p.hidden_size
     h0 = np.zeros((batch, hid)) if h0 is None else np.array(h0, dtype=np.float64)
     c0 = np.zeros((batch, hid)) if c0 is None else np.array(c0, dtype=np.float64)
@@ -185,6 +194,30 @@ def lstm_forward(
     _check_finite("lstm hidden", hidden)
     cache = LstmCache(seq, gates, cells, cell_tanh, hidden, h0, c0)
     return hidden, hidden[-1], cache
+
+
+def lstm_hidden(p: LstmParams, seq: Array) -> Array:
+    """The hidden sequence (T, B, H) of ``lstm_forward`` from zero state,
+    bit for bit, without its backward buffers.
+
+    Each step activates all 4H gate columns with one ``sigmoid`` and then
+    overwrites the candidate slice with ``tanh`` of its pre-activation.
+    """
+    seq = _checked_seq(p, seq)
+    steps, batch, _ = seq.shape
+    hid = p.hidden_size
+    i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
+    h = c = np.zeros((batch, hid))
+    hidden = np.empty((steps, batch, hid))
+    pre = seq @ p.w_in + p.bias
+    for t in range(steps):
+        a = pre[t] + h @ p.w_rec
+        gates = sigmoid(a)
+        cand = np.tanh(a[:, g], out=gates[:, g])
+        c = gates[:, f] * c
+        c += gates[:, i] * cand
+        h = np.multiply(gates[:, o], np.tanh(c), out=hidden[t])
+    return _check_finite("lstm hidden", hidden)
 
 
 def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):

@@ -368,6 +368,57 @@ def test_a_non_finite_link_endpoint_in_the_metadata_is_a_domain_error(
     assert not (out / "transfer.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("tx", [0.0]), ("rx", [1, 2, 3]), ("tx", "0,2")])
+def test_a_link_endpoint_that_is_not_a_pair_names_the_file_and_key(
+    chain, tmp_path, capsys, key, value
+):
+    scene = tmp_path / "scene"
+    shutil.copytree(chain / "scene", scene)
+    meta = json.loads((scene / "meta.json").read_text())
+    meta[key] = value
+    (scene / "meta.json").write_text(json.dumps(meta))
+    out = tmp_path / "sweep"
+    assert run(
+        ["transfer", "--scenario", str(scene), "--loc", str(chain / "loc" / "model.json"),
+         "--rx", "4,12", "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"{(scene / 'meta.json').resolve()}: {key} must be a list of 2 numbers" in err
+    assert "Traceback" not in err
+    assert not (out / "transfer.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, count",
+    [("road_region", [-14.0, 4.0, 14.0], 4), ("tx", [0.0], 2), ("rx", [1, 2, 3], 2)],
+)
+def test_a_bad_link_or_road_in_the_dataset_names_the_file_and_key(
+    chain, tmp_path, capsys, key, value, count
+):
+    data = tmp_path / "data"
+    shutil.copytree(chain / "data", data)
+    payload = json.loads((data / "dataset.json").read_text())
+    payload["meta"][key] = value
+    (data / "dataset.json").write_text(json.dumps(payload))
+    out = tmp_path / "report"
+    assert run(
+        ["evaluate", "--dataset", str(data), "--loc", str(chain / "loc" / "model.json"),
+         "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"{(data / 'dataset.json').resolve()}: {key} must be a list of {count} numbers" in err
+    assert "Traceback" not in err
+    assert not (out / "report.txt").exists()
+    if key == "road_region":  # the training targets are scaled by the road extent
+        assert run(
+            ["train", "--dataset", str(data), "--variant", "rf", "--episodes", "1",
+             "--iterations", "1", "--out", str(out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"{(data / 'dataset.json').resolve()}: road_region must be a list of 4" in err
+        assert not (out / "model.json").exists()
+
+
 @pytest.mark.parametrize(
     "key, label_args, flag, sub",
     [("horizon", ["--horizon", "3"], "--loc", "loc"),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blockcast.errors import ConfigMismatchError, SchemaError
+from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
 from blockcast.models import (
     STD_FLOOR,
@@ -12,6 +12,7 @@ from blockcast.models import (
     TrainConfig,
     build_model,
     compute_norm_stats,
+    forward,
     load_model,
     loss_and_grads,
     power_to_db,
@@ -23,6 +24,7 @@ from blockcast.models import (
     train_blockage,
     train_localization,
 )
+from blockcast.nn import bce_loss, huber_loss
 from blockcast.preprocess import Centroid, LabeledSample
 
 ROAD = [-14.0, 4.0, 14.0, 8.0]
@@ -97,17 +99,22 @@ def max_rel_err(a, b):
 # Whole-model gradients
 # ---------------------------------------------------------------------------
 
+# Each perturbed loss is the cache-free forward plus the loss alone: the
+# backward pass of loss_and_grads would be computed and thrown away.
+
 def test_localization_model_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     model = build_model("localization", 4, 3, 2, toy_stats(4), seed=1)
     feats = rng.normal(size=(2, 3, 4))
     targets = rng.uniform(0.0, 1.0, size=(2, 4))
-    _, grads = loss_and_grads(model, feats, targets, delta=1.0)
-    params = model.named_params()
-    for name, arr in params.items():
-        fd = fd_grad(
-            lambda: loss_and_grads(model, feats, targets, delta=1.0)[0], arr
-        )
+    loss, grads = loss_and_grads(model, feats, targets, delta=1.0)
+
+    def loss_only():
+        return huber_loss(forward(model, feats), targets, 1.0)[0]
+
+    assert loss_only() == loss
+    for name, arr in model.named_params().items():
+        fd = fd_grad(loss_only, arr)
         assert max_rel_err(grads[name], fd) < 1e-4, name
 
 
@@ -116,9 +123,14 @@ def test_rf_blockage_model_gradients_match_finite_differences():
     model = build_model("rf", 4, 3, 2, toy_stats(4), seed=2)
     feats = rng.normal(size=(2, 3, 4))
     targets = rng.integers(0, 2, size=(2, 2)).astype(np.float64)
-    _, grads = loss_and_grads(model, feats, targets)
+    loss, grads = loss_and_grads(model, feats, targets)
+
+    def loss_only():
+        return bce_loss(forward(model, feats), targets)[0]
+
+    assert loss_only() == loss
     for name, arr in model.named_params().items():
-        fd = fd_grad(lambda: loss_and_grads(model, feats, targets)[0], arr)
+        fd = fd_grad(loss_only, arr)
         assert max_rel_err(grads[name], fd) < 1e-4, name
 
 
@@ -128,11 +140,14 @@ def test_rf_lidar_model_gradients_match_finite_differences():
     feats = rng.normal(size=(2, 3, 4))
     rasters = rng.uniform(0.05, 1.0, size=(2, 13))
     targets = rng.integers(0, 2, size=(2, 2)).astype(np.float64)
-    _, grads = loss_and_grads(model, feats, targets, rasters)
+    loss, grads = loss_and_grads(model, feats, targets, rasters)
+
+    def loss_only():
+        return bce_loss(forward(model, feats, rasters), targets)[0]
+
+    assert loss_only() == loss
     for name, arr in model.named_params().items():
-        fd = fd_grad(
-            lambda: loss_and_grads(model, feats, targets, rasters)[0], arr
-        )
+        fd = fd_grad(loss_only, arr)
         assert max_rel_err(grads[name], fd) < 1e-4, name
 
 
@@ -322,6 +337,64 @@ def test_prediction_input_validation():
         predict_blockage_probs(lidar, np.zeros((1, 4, 3)))
     with pytest.raises(ConfigMismatchError):
         predict_blockage_probs(lidar, np.zeros((1, 4, 3)), np.zeros((1, 12)))
+
+
+KINDS = ["localization", "rf", "rf+lidar"]
+
+
+def predictor(kind, beams=6, window_len=5, horizon=3, bins=40, seed=7):
+    """A random-weight model and a predict function over (windows, rasters)."""
+    stats = toy_stats(beams)
+    stats.rssi_mean[:] = np.linspace(-1.0, 1.0, beams)
+    model = build_model(kind, beams, window_len, horizon, stats, bins, seed=seed)
+    if kind == "localization":
+        return model, lambda w, r: predict_locations_batch(model, w)
+    if kind == "rf":
+        return model, lambda w, r: predict_blockage_probs(model, w)
+    return model, lambda w, r: predict_blockage_probs(model, w, r)
+
+
+def buffered_prediction(model, windows, rasters):
+    """The prediction through the training forward, which fills the caches."""
+    out = forward(
+        model, rssi_features(windows, model.stats),
+        rasters / model.stats.lidar_max_range, caches={},
+    )
+    if model.kind == "localization":
+        return out.reshape(-1, model.horizon, 2) * model.stats.road_size
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_window_forecasts_match_the_batch_and_the_buffered_forward(kind):
+    model, predict = predictor(kind)
+    rng = np.random.default_rng(12)
+    windows = rng.uniform(1e-6, 2.0, size=(9, 5, 6))
+    rasters = rng.uniform(0.1, 16.0, size=(9, 40))
+    batch = predict(windows, rasters)
+    assert batch.tobytes() == buffered_prediction(model, windows, rasters).tobytes()
+    for i in range(len(windows)):
+        w, r = windows[i : i + 1], rasters[i : i + 1]
+        one = predict(w, r)
+        assert one.tobytes() == buffered_prediction(model, w, r).tobytes()
+        # BLAS picks its kernel by row count, so a window's result may differ
+        # from its row of the batch in the last bits, as the buffered path does.
+        np.testing.assert_allclose(one[0], batch[i], rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_non_finite_window_is_rejected_by_every_predictor(kind):
+    _, predict = predictor(kind)
+    windows = np.full((2, 5, 6), 0.5)
+    rasters = np.full((2, 40), 4.0)
+    windows[1, 2, 3] = math.nan
+    with pytest.raises(NonFiniteError, match="lstm input"):
+        predict(windows, rasters)
+    if kind == "rf+lidar":
+        windows[1, 2, 3] = 0.5
+        rasters[0, 7] = math.inf
+        with pytest.raises(NonFiniteError, match="conv output"):
+            predict(windows, rasters)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcast.errors import NonFiniteError, VersionError
 from blockcast.nn import (
@@ -25,6 +27,7 @@ from blockcast.nn import (
     load_params,
     lstm_backward,
     lstm_forward,
+    lstm_hidden,
     lstm_init,
     relu,
     relu_backward,
@@ -238,6 +241,24 @@ def test_lstm_input_validation():
         lstm_backward(p, np.zeros((2, 1, 5)), cache)
 
 
+@pytest.mark.parametrize("run", [lambda p, seq: lstm_forward(p, seq), lstm_hidden])
+def test_both_lstm_paths_reject_the_same_inputs(run):
+    p = lstm_init(np.random.default_rng(0), 3, 4)
+    with pytest.raises(ValueError, match="must be"):
+        run(p, np.zeros((2, 3)))  # not 3-D
+    with pytest.raises(ValueError, match="seq width 5 != input_size 3"):
+        run(p, np.zeros((2, 1, 5)))
+    with pytest.raises(ValueError, match="T >= 1"):
+        run(p, np.zeros((0, 1, 3)))
+    seq = np.zeros((2, 1, 3))
+    seq[1, 0, 2] = math.nan
+    with pytest.raises(NonFiniteError, match="lstm input"):
+        run(p, seq)
+    p.w_in[0, 0] = math.nan  # finite input, non-finite hidden state
+    with pytest.raises(NonFiniteError, match="lstm hidden"):
+        run(p, np.ones((2, 1, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Kernels against their reference forms
 # ---------------------------------------------------------------------------
@@ -377,6 +398,23 @@ def test_lstm_forward_is_bit_equal_to_the_concatenating_reference():
         assert cache.cells[t].tobytes() == c.tobytes()
         assert hidden[t].tobytes() == h.tobytes()
     assert last.tobytes() == h.tobytes()
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 9), st.integers(1, 5), st.integers(1, 6), st.integers(1, 8),
+    st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+)
+def test_cache_free_lstm_is_bit_equal_to_the_buffered_one(steps, batch, width, hid, seed, scale):
+    # Scales up to 1e3 put pre-activations on both sides of the sigmoid's sign
+    # split and deep into saturation, where it returns exactly 0 or 1.
+    rng = np.random.default_rng(seed)
+    p = lstm_init(rng, width, hid)
+    p.bias[:] = rng.normal(scale=scale, size=4 * hid)
+    seq = rng.normal(scale=scale, size=(steps, batch, width))
+    hidden = lstm_hidden(p, seq)
+    assert hidden.shape == (steps, batch, hid)
+    assert hidden.tobytes() == lstm_forward(p, seq)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

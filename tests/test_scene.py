@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockcast.errors import NonFiniteError
@@ -198,6 +198,55 @@ def test_kernel_is_invariant_under_translation_swap_and_rotation(p, q, c, shift,
     assert segment_intersects_rect(moved(p), moved(q), moved(c), w, d) == base
     assert segment_intersects_rect(q, p, c, w, d) == base
     assert segment_intersects_rect(turned(p), turned(q), turned(c), d, w) == base
+
+
+# Links of every orientation: exactly horizontal, exactly vertical, shallow
+# (|dy| < 0.5) and at an arbitrary angle.
+length = st.floats(0.5, 30.0) | st.floats(-30.0, -0.5)
+direction = st.one_of(
+    st.tuples(length, st.just(0.0)),
+    st.tuples(st.just(0.0), length),
+    st.tuples(length, st.floats(-0.49, 0.49)),
+    st.builds(lambda a, r: (r * math.cos(a), r * math.sin(a)),
+              st.floats(0.0, 2.0 * math.pi), st.floats(0.5, 30.0)),
+)
+offset = st.just(0.0) | st.floats(-2.0, 2.0)
+
+
+def dense_verdict(p, q, center, width, depth, samples=4001, tol=1e-9):
+    """True if points sampled along the link show it meets the closed box,
+    False if they show it misses, None inside the boundary band.
+
+    A sample inside the box, or two neighbours on either side of the box's
+    centre line (y = cy) with both x inside, show a hit. The sample nearest
+    any hit point lies within half a step of it on each axis, so no sample
+    inside the box grown by half a step shows a miss. On an axis the link
+    does not move along, a sample exactly on the box's centre is inside.
+    """
+    p, q, c = (np.asarray(v, dtype=np.float64) for v in (p, q, center))
+    pts = p + np.linspace(0.0, 1.0, samples)[:, None] * (q - p)
+    off = np.abs(pts - c)
+    half = np.array([width, depth]) / 2.0
+    inside = (off <= half - tol) | ((p == q) & (off == 0.0))
+    y_gap = pts[:, 1] - c[1]
+    side = np.where(np.abs(y_gap) >= tol, np.sign(y_gap), 0.0)  # 0: too close to tell
+    crosses = side[:-1] * side[1:] < 0.0
+    if inside.all(axis=1).any() or (crosses & inside[:-1, 0] & inside[1:, 0]).any():
+        return True
+    step = np.abs(q - p) / (samples - 1)
+    if not (off <= half + step / 2.0 + tol).all(axis=1).any():
+        return False
+    return None
+
+
+@settings(max_examples=400)
+@given(point, direction, st.floats(-0.25, 1.25), st.tuples(offset, offset), size, depth)
+def test_kernel_agrees_with_dense_sampling_at_all_angles(p, d, along, off, width, box_depth):
+    q = (p[0] + d[0], p[1] + d[1])
+    center = (p[0] + along * d[0] + off[0], p[1] + along * d[1] + off[1])
+    want = dense_verdict(p, q, center, width, box_depth)
+    assume(want is not None)
+    assert segment_intersects_rect(p, q, center, width, box_depth) is want
 
 
 # ---------------------------------------------------------------------------
