@@ -147,6 +147,18 @@ def _meta_numbers(meta: dict, key: str, count: int, path) -> tuple[float, ...]:
     raise SchemaError(f"{path}: {key} must be a list of {count} numbers, got {value!r}")
 
 
+def _power_threshold(meta: dict, path) -> float | None:
+    """``meta["power_threshold"]``, None when absent or null; anything but a
+    finite positive number is a SchemaError naming the file and the key."""
+    value = meta.get("power_threshold")
+    if value is None:
+        return None
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        return float(value)
+    raise SchemaError(f"{path}: power_threshold must be a finite positive number, got {value!r}")
+
+
 def _road_frame_link(meta: dict, path) -> LinkGeometry:
     """Link endpoints shifted into the road frame used by centroids."""
     tx, rx = (_meta_numbers(meta, key, 2, path) for key in ("tx", "rx"))
@@ -157,6 +169,13 @@ def _road_frame_link(meta: dict, path) -> LinkGeometry:
         rx=(rx[0] - ox, rx[1] - oy),
         object_width=float(meta.get("object_width", DEFAULTS["object_width"])),
     )
+
+
+def _window_steps(times, horizon: int) -> list[np.ndarray]:
+    """The sample, t and step columns of one row per window and horizon step."""
+    return [np.repeat(np.arange(len(times)), horizon),
+            np.repeat(np.asarray(times, dtype=np.int64), horizon),
+            np.tile(np.arange(1, horizon + 1), len(times))]
 
 
 _CHECKPOINT_FLAGS = {"localization": "--loc", "rf": "--rf", "rf+lidar": "--lidar"}
@@ -270,12 +289,13 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     link_meta: dict = {}
     for sdir in inputs["scenarios"]:
         bundle = load_scenario(sdir)
-        threshold = bundle.meta.get("power_threshold")
+        meta_path = Path(sdir) / "meta.json"
+        threshold = _power_threshold(bundle.meta, meta_path)
         if threshold is None:
-            raise SchemaError(
-                f"{sdir}: scenario metadata has no power_threshold; "
-                "blockage flags cannot be derived"
-            )
+            raise SchemaError(f"{meta_path}: no power_threshold; blockage flags cannot be derived")
+        for key in ("tx", "rx"):  # copied into dataset.json, where evaluate reads them
+            if bundle.meta.get(key) is not None:
+                _meta_numbers(bundle.meta, key, 2, meta_path)
         flags = [lab.blocked for lab in blockage_labels_from_rssi(bundle.rssi, threshold)]
         centroids = scenario_centroids(bundle, src_cfg, db_cfg)
         samples.extend(
@@ -293,7 +313,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             link_meta = {
                 "tx": bundle.meta.get("tx"),
                 "rx": bundle.meta.get("rx"),
-                "power_threshold": float(threshold),
+                "power_threshold": threshold,
             }
     if not samples:
         raise ValueError("no valid windows were produced from the given scenarios")
@@ -331,14 +351,11 @@ def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         raise ValueError(f"unknown variant {variant!r}")
     save_model(model, out_dir / "model.json")
 
-    rows = []
-    per_episode = tcfg.iterations
-    for i, loss in enumerate(curves.train):
-        val = None
-        if (i + 1) % per_episode == 0 and curves.val:
-            val = curves.val[(i + 1) // per_episode - 1]
-        rows.append([i + 1, loss, val])
-    write_csv(out_dir / "curves.csv", ["iteration", "train_loss", "val_loss"], rows)
+    val = [None] * len(curves.train)  # filled at the last iteration of each episode
+    for episode, loss in enumerate(curves.val, start=1):
+        val[episode * tcfg.iterations - 1] = loss
+    write_csv(out_dir / "curves.csv", ["iteration", "train_loss", "val_loss"],
+              [np.arange(1, len(curves.train) + 1), np.array(curves.train), val])
     return ["model.json", "curves.csv"]
 
 
@@ -350,22 +367,12 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     windows, _, _, rasters, times = dataset.arrays(inputs["split"])
     if model.kind == "localization":
         coords = predict_locations_batch(model, windows)
-        rows = [
-            [i, times[i], k + 1, coords[i, k, 0], coords[i, k, 1]]
-            for i in range(coords.shape[0])
-            for k in range(coords.shape[1])
-        ]
-        write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "x", "y"], rows)
+        write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "x", "y"],
+                  _window_steps(times, coords.shape[1]) + [coords.reshape(-1, 2)])
     else:
         probs = predict_blockage_probs(model, windows, rasters)
-        rows = [
-            [i, times[i], k + 1, probs[i, k], probs[i, k] >= 0.5]
-            for i in range(probs.shape[0])
-            for k in range(probs.shape[1])
-        ]
-        write_csv(
-            out_dir / "predictions.csv", ["sample", "t", "step", "probability", "blocked"], rows
-        )
+        write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "probability", "blocked"],
+                  _window_steps(times, probs.shape[1]) + [probs.ravel(), probs.ravel() >= 0.5])
     return ["predictions.csv"]
 
 
@@ -387,7 +394,7 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
     blockage_reports: list[tuple[str, BlockageReport]] = []
     loc_reports = []
-    raw_rows: list[list] = []
+    raw: list[tuple[str, np.ndarray, np.ndarray | None]] = []  # per checkpoint
     per_method_step_acc: dict[str, list[list[float]]] = {}
     for method, paths in groups:
         for run_idx, ckpt in enumerate(paths):
@@ -407,19 +414,20 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             per_method_step_acc.setdefault(method, []).append(
                 [c.accuracy for c in report.per_step]
             )
-            for i in range(flags.shape[0]):
-                for k in range(flags.shape[1]):
-                    raw_rows.append(
-                        [label, i, times[i], k + 1, None if probs is None else probs[i, k],
-                         flags[i, k], blocked[i, k]]
-                    )
+            raw.append((label, flags.ravel(), None if probs is None else probs.ravel()))
 
     outputs = ["blockage.csv", "predictions_raw.csv", "report.txt"]
     write_blockage_csv(out_dir / "blockage.csv", blockage_reports)
+    cells = blocked.size
     write_csv(
         out_dir / "predictions_raw.csv",
         ["method", "sample", "t", "step", "probability", "predicted", "actual"],
-        raw_rows,
+        [[label for label, _, _ in raw for _ in range(cells)],
+         *(np.tile(column, len(raw)) for column in _window_steps(times, blocked.shape[1])),
+         [p for _, _, probs in raw
+          for p in ([None] * cells if probs is None else probs.tolist())],
+         np.concatenate([flags for _, flags, _ in raw]),
+         np.tile(blocked.ravel(), len(raw))],
     )
     (out_dir / "report.txt").write_text(blockage_table(blockage_reports), encoding="utf-8")
     if loc_reports:
@@ -458,7 +466,7 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
     src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
     db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
-    threshold = meta.get("power_threshold")
+    threshold = _power_threshold(meta, meta_path)
     flags = None
     if threshold is not None:
         flags = [lab.blocked for lab in blockage_labels_from_rssi(bundle.rssi, threshold)]
@@ -511,11 +519,9 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             rows.append(
                 [name, pos_idx, rx[0], rx[1], pos_idx == 0, np.mean(predicted == truth_flags)]
             )
-    write_csv(
-        out_dir / "transfer.csv",
-        ["method", "position", "rx_x", "rx_y", "is_original", "accuracy"],
-        rows,
-    )
+    header = ["method", "position", "rx_x", "rx_y", "is_original", "accuracy"]
+    write_csv(out_dir / "transfer.csv", header,
+              [np.array(rows, dtype=object).reshape(len(rows), len(header))])
     return ["transfer.csv"]
 
 

@@ -182,29 +182,30 @@ BLOCKAGE_CSV_HEADER = ["method", "step", "tp", "fp", "tn", "fn", "accuracy", "pr
 
 def write_blockage_csv(path, labeled_reports: list[tuple[str, BlockageReport]]) -> None:
     rows = [row for label, report in labeled_reports for row in blockage_report_rows(label, report)]
-    write_csv(path, BLOCKAGE_CSV_HEADER, rows)
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(BLOCKAGE_CSV_HEADER))
+    write_csv(path, BLOCKAGE_CSV_HEADER, [cells])
 
 
 LOCALIZATION_CSV_HEADER = ["method", "step", "mean", "median", "p90"]
 
 
 def write_localization_csv(path, labeled_reports: list[tuple[str, LocalizationReport]]) -> None:
-    write_csv(path, LOCALIZATION_CSV_HEADER, (
-        [label, k, stats.mean, stats.median, stats.p90]
-        for label, report in labeled_reports
-        for k, stats in enumerate(report.per_step, start=1)
-    ))
+    rows = [[label, k, stats.mean, stats.median, stats.p90]
+            for label, report in labeled_reports
+            for k, stats in enumerate(report.per_step, start=1)]
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(LOCALIZATION_CSV_HEADER))
+    write_csv(path, LOCALIZATION_CSV_HEADER, [cells])
 
 
 MULTI_SEED_CSV_HEADER = ["method", "step", "mean_accuracy", "stddev", "num_seeds"]
 
 
 def write_multi_seed_csv(path, labeled_reports: list[tuple[str, MultiSeedReport]]) -> None:
-    write_csv(path, MULTI_SEED_CSV_HEADER, (
-        [label, k + 1, report.per_step_mean[k], report.per_step_stddev[k], report.num_seeds]
-        for label, report in labeled_reports
-        for k in range(report.per_step_mean.shape[0])
-    ))
+    rows = [[label, k + 1, report.per_step_mean[k], report.per_step_stddev[k], report.num_seeds]
+            for label, report in labeled_reports
+            for k in range(report.per_step_mean.shape[0])]
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(MULTI_SEED_CSV_HEADER))
+    write_csv(path, MULTI_SEED_CSV_HEADER, [cells])
 
 
 def blockage_table(labeled_reports: list[tuple[str, BlockageReport]]) -> str:

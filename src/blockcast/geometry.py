@@ -12,6 +12,7 @@ new endpoints; the model itself is untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -59,8 +60,9 @@ def blockage_labels_from_rssi(
     frames: Sequence[RssiFrame], power_threshold: float
 ) -> list[BlockageLabel]:
     """Blocked iff total power drops strictly below the threshold."""
-    if power_threshold <= 0:
-        raise ValueError("power_threshold must be positive")
+    if not (math.isfinite(power_threshold) and power_threshold > 0):
+        raise ValueError(
+            f"power_threshold must be a finite positive number, got {power_threshold!r}")
     return [BlockageLabel(f.t, total_power(f) < power_threshold) for f in frames]
 
 

@@ -25,6 +25,12 @@ A dataset of training windows (format 2) stores each power frame once:
 Frames are told apart by their exact float64 bytes, so -0.0 and 0.0 stay
 distinct. Floats are written with repr, so a load after save is
 bit-identical: every window comes back as frames[k].
+
+``write_csv`` takes a table as column blocks (arrays or lists) and formats
+each numeric block once per distinct value: one ``repr`` per float64 bit
+pattern, one ``str`` per integer or flag, then a gather. The scenario and
+dataset files repeat their values a lot (lidar angles and depths, the
+raster's max-range fill), so most cells cost an index, not a ``repr``.
 """
 
 from __future__ import annotations
@@ -107,18 +113,78 @@ def _cell(value) -> str:
     return "" if value is None else str(int(value))
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write ``header``, then one line per row: str cells as they are, None blank,
-    floats with ``repr`` (bit-exact on reload), the rest as integers (flags as
-    0/1). A row that is not one line of ``len(header)`` cells is a SchemaError."""
+# Cells formatted, joined and written per chunk of whole rows, so no file's
+# whole text, nor any block's strings, is held at once. Chunks of this size
+# (about 300 KB of text) write as fast as larger ones, and the short-lived
+# strings keep the heap, and the run's peak RSS, where it was.
+CHUNK_CELLS = 16384
+
+
+def _block(path, block) -> np.ndarray:
+    """A column block as a 2-D array: a float, integer or bool ndarray as it
+    is, anything else (a list, or an array of str, None or mixed cells) as
+    the strings of its cells, formatted by ``_cell`` one by one; a cell
+    holding a separator is a SchemaError."""
+    numeric = isinstance(block, np.ndarray) and block.dtype.kind in "fbiu"
+    values = block if numeric else np.array(block, dtype=object)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.ndim != 2:
+        raise SchemaError(f"{path}: a column block must be 1-D or 2-D, got {values.ndim}-D")
+    if numeric:
+        return values
+    strings = [_cell(v) for v in values.ravel().tolist()]
+    text = "".join(strings)
+    if "," in text or "\n" in text or "\r" in text:
+        bad = next(s for s in strings if "," in s or "\n" in s or "\r" in s)
+        raise SchemaError(f"{path}: cell {bad!r} holds a comma or a line break")
+    return np.array(strings, dtype=object).reshape(values.shape)
+
+
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """The cell strings of a 2-D block, each distinct value formatted once:
+    ``repr`` per float64 bit pattern (so -0.0 and 0.0, and NaN payloads,
+    stay apart), ``str`` per integer or flag, then a gather."""
+    kind = values.dtype.kind
+    if kind == "O":
+        return values
+    if kind == "f":
+        keys = values.astype(np.float64, copy=False).view(np.uint64)
+    else:
+        keys = values.view(np.uint8) if kind == "b" else values
+    distinct, index = np.unique(keys, return_inverse=True)
+    if kind == "f":
+        strings = list(map(repr, distinct.view(np.float64).tolist()))
+    else:
+        strings = list(map(str, distinct.tolist()))
+    return np.array(strings, dtype=object)[index.reshape(values.shape)]
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """Write ``header``, then the table held in ``columns``: a list of column
+    blocks, each one column (a 1-D array or a list) or several (a 2-D array),
+    with ``len(header)`` columns in all and the same number of rows each.
+
+    Numeric blocks are formatted chunk by chunk of rows, each distinct value
+    of a chunk once: floats with ``repr`` (bit-exact on reload), integers
+    and flags (0/1) with ``str``. Other cells go one by one: str as they
+    are, None blank. Each chunk of about ``CHUNK_CELLS`` cells is joined
+    into lines and written. A column count other than ``len(header)``,
+    blocks of unequal length, or a str cell holding ``,``, ``\n`` or ``\r``
+    is a SchemaError, raised before the file is opened."""
+    blocks = [_block(path, block) for block in columns]
+    width = sum(block.shape[1] for block in blocks)
+    if width != len(header):
+        raise SchemaError(f"{path}: {width} columns for a header of {len(header)}")
+    lengths = sorted({block.shape[0] for block in blocks})
+    if len(lengths) > 1:
+        raise SchemaError(f"{path}: column blocks of unequal length {lengths}")
+    step = max(1, CHUNK_CELLS // max(1, width))
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            # Most cells are floats; formatting them inline skips a call per cell.
-            line = ",".join([repr(v) if type(v) is float else _cell(v) for v in row])
-            if line.count(",") != len(header) - 1 or "\n" in line or "\r" in line:
-                raise SchemaError(f"{path}: a row does not make one line of {len(header)} cells")
-            fh.write(line + "\n")
+        for lo in range(0, lengths[0] if lengths else 0, step):
+            cells = np.concatenate([_formatted(b[lo:lo + step]) for b in blocks], axis=1)
+            fh.write("\n".join(map(",".join, cells.tolist())) + "\n")
 
 
 class CsvTable:
@@ -228,18 +294,25 @@ def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     num_beams = bundle.rssi[0].powers.shape[0]
+    if any(frame.powers.shape != (num_beams,) for frame in bundle.rssi):
+        raise SchemaError(f"{out / 'rssi.csv'}: RSSI frames hold different beam counts")
 
     write_csv(out / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
-              ([frame.t] + frame.powers.tolist() for frame in bundle.rssi))
+              [np.array([frame.t for frame in bundle.rssi]),
+               np.array([frame.powers for frame in bundle.rssi])])
+    counts = [scan.points.shape[0] for scan in bundle.lidar]
     write_csv(out / "lidar.csv", ["t", "angle", "depth"],
-              ([scan.t, a, d] for scan in bundle.lidar for a, d in scan.points.tolist()))
+              [np.repeat(np.array([scan.t for scan in bundle.lidar], dtype=np.int64), counts),
+               np.concatenate([scan.points for scan in bundle.lidar] + [np.empty((0, 2))])])
     if bundle.truth is not None:
+        pos = [row.pos if row.pos is not None else (None, None) for row in bundle.truth]
         write_csv(out / "truth.csv", ["t", "x", "y", "blocked"],
-                  ([row.t, *(row.pos if row.pos is not None else (None, None)), row.blocked]
-                   for row in bundle.truth))
+                  [np.array([row.t for row in bundle.truth]), [p[0] for p in pos],
+                   [p[1] for p in pos], np.array([row.blocked for row in bundle.truth])])
     if bundle.labels is not None:
         write_csv(out / "labels.csv", ["t", "blocked"],
-                  ([lab.t, lab.blocked] for lab in bundle.labels))
+                  [np.array([lab.t for lab in bundle.labels]),
+                   np.array([lab.blocked for lab in bundle.labels])])
 
     meta = {**bundle.meta, "format_version": SCENARIO_FORMAT_VERSION,
             "scenario_id": bundle.scenario_id, "num_beams": num_beams}
@@ -412,20 +485,25 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
     else:
         window_len = num_beams = horizon = raster_bins = 0
     for s in dataset.samples:
-        if s.window.shape != (window_len, num_beams) or s.future.shape != (horizon, 2):
+        if (s.window.shape != (window_len, num_beams) or s.future.shape != (horizon, 2)
+                or s.future_blocked.shape != (horizon,)
+                or s.lidar_raster.shape != (raster_bins,)):
             raise SchemaError("dataset samples have inconsistent shapes")
 
-    windows = np.array([s.window for s in dataset.samples], dtype=np.float64)
-    frames, keys = _distinct_frames(windows.reshape(len(dataset.samples), window_len, num_beams))
-    write_csv(out / "frames.csv", _frames_header(num_beams),
-              ([i] + row for i, row in enumerate(frames.tolist())))
-    write_csv(
-        out / "samples.csv",
-        _samples_header(window_len, horizon, raster_bins),
-        ([s.scenario, s.t] + k + [s.label.x, s.label.y, s.label.valid]
-         + s.future.ravel().tolist() + s.future_blocked.tolist() + s.lidar_raster.tolist()
-         for s, k in zip(dataset.samples, keys.tolist())),
-    )
+    samples, n = dataset.samples, len(dataset.samples)
+    windows = np.array([s.window for s in samples], dtype=np.float64)
+    frames, keys = _distinct_frames(windows.reshape(n, window_len, num_beams))
+    write_csv(out / "frames.csv", _frames_header(num_beams), [np.arange(len(frames)), frames])
+    write_csv(out / "samples.csv", _samples_header(window_len, horizon, raster_bins), [
+        [s.scenario for s in samples],
+        np.array([s.t for s in samples]),
+        keys,
+        np.array([[s.label.x, s.label.y] for s in samples]).reshape(n, 2),
+        np.array([s.label.valid for s in samples]),
+        np.array([s.future.ravel() for s in samples]).reshape(n, 2 * horizon),
+        np.array([s.future_blocked for s in samples]).reshape(n, horizon),
+        np.array([s.lidar_raster for s in samples]).reshape(n, raster_bins),
+    ])
 
     meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION,
             "num_samples": len(dataset.samples), "window_len": window_len,

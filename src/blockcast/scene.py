@@ -259,12 +259,15 @@ def _rect_edges(center, width, depth):
     ]
 
 
-def _cast_rays(origin, angles, segments, max_range):
-    """Min positive ray-segment hit distance per angle; NaN when no hit."""
+def _cast_rays(origin, angles, segments, max_range, steps):
+    """Min positive ray-segment hit distance per step and angle, (steps, rays);
+    inf when no hit within max_range. Segment ends are scalars (static
+    scenery) or (steps, 1) arrays (a moving box's edges); the segments are
+    visited in order, so ties go to the earlier one."""
     ox, oy = origin
     dirs_x = np.cos(angles)
     dirs_y = np.sin(angles)
-    best = np.full(angles.shape, np.inf)
+    best = np.full((steps, angles.size), np.inf)
     for x0, y0, x1, y1 in segments:
         ex, ey = x1 - x0, y1 - y0
         ax, ay = x0 - ox, y0 - oy
@@ -278,8 +281,9 @@ def _cast_rays(origin, angles, segments, max_range):
     return best
 
 
-def beam_gains(codebook: BeamCodebook, bearing: float) -> np.ndarray:
-    """Raised-cosine main-lobe amplitude of every beam toward a bearing."""
+def beam_gains(codebook: BeamCodebook, bearing) -> np.ndarray:
+    """Raised-cosine main-lobe amplitude of every beam toward a bearing; a
+    (n, 1) array of bearings gives (n, M) rows, one per bearing."""
     dirs = np.asarray(codebook.steering_dirs)
     delta = np.mod(bearing - dirs + math.pi, TWO_PI) - math.pi
     half = codebook.beam_width / 2.0
@@ -288,22 +292,31 @@ def beam_gains(codebook: BeamCodebook, bearing: float) -> np.ndarray:
     return gains
 
 
-def _advance(vehicles, bounce_x):
-    moved = []
-    for v in vehicles:
-        cx = v.center[0] + v.velocity[0]
-        cy = v.center[1] + v.velocity[1]
-        vx = v.velocity[0]
-        if bounce_x is not None:
-            lo, hi = bounce_x
-            if cx > hi:
-                cx = 2.0 * hi - cx
-                vx = -vx
-            elif cx < lo:
-                cx = 2.0 * lo - cx
-                vx = -vx
-        moved.append(Vehicle((cx, cy), v.width, v.depth, (vx, v.velocity[1])))
-    return moved
+def _vehicle_tracks(vehicles, steps: int, bounce_x) -> np.ndarray:
+    """(steps, V, 2) vehicle centres, each step's taken after that step's
+    move; with bounce_x, x reflects off the bounds and its velocity flips."""
+    tracks = np.empty((steps, len(vehicles), 2))
+    for j, v in enumerate(vehicles):
+        (cx, cy), (vx, vy) = v.center, v.velocity
+        xs, ys = [], []
+        for _ in range(steps):
+            cx, cy = cx + vx, cy + vy
+            if bounce_x is not None:
+                lo, hi = bounce_x
+                if cx > hi:
+                    cx, vx = 2.0 * hi - cx, -vx
+                elif cx < lo:
+                    cx, vx = 2.0 * lo - cx, -vx
+            xs.append(cx)
+            ys.append(cy)
+        tracks[:, j, 0], tracks[:, j, 1] = xs, ys
+    return tracks
+
+
+# Steps measured per block of arrays. A step's noise is 2*M*K normals (64 KB
+# on the standard 64-beam, 64-subcarrier channel), so each of a block's
+# arrays holds about 1 MB; larger blocks are no faster and raise peak RSS.
+CHUNK_STEPS = 16
 
 
 def simulate_scenario(
@@ -317,7 +330,12 @@ def simulate_scenario(
     """Run the scene forward; deterministic given identical arguments.
 
     Each step advances vehicles first, then measures: LoS occlusion, the
-    per-beam power vector, a LiDAR sweep, and the truth record.
+    per-beam power vector, a LiDAR sweep, and the truth record. The motion
+    and occlusion of all steps are computed up front; the rest runs in
+    blocks of CHUNK_STEPS steps. Each step reads, in this order, one normal
+    per vehicle (when scatter_fluctuation_db > 0), then M*K real and M*K
+    imaginary noise normals (when noise_variance > 0), so a block reads one
+    (steps, draws per step) array from the generator.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -332,60 +350,72 @@ def simulate_scenario(
     att_amp = 10.0 ** (-channel.blocked_attenuation_db / 20.0)
     amp0 = math.sqrt(channel.symbol_power)
     ray_angles = np.arange(lidar_rays) * (TWO_PI / lidar_rays)
-    num_k = channel.num_subcarriers
+    num_beams, num_k = codebook.num_beams, channel.num_subcarriers
     sigma = channel.noise_variance
+    fluctuation = channel.scatter_fluctuation_db
 
-    vehicles = list(world.vehicles)
+    vehicles = world.vehicles
+    tracks = _vehicle_tracks(vehicles, steps, world.bounce_x)
+    occluded = np.zeros(steps, dtype=bool)
+    for j, v in enumerate(vehicles):
+        occluded |= segment_intersects_rect(tx, rx, tracks[:, j], v.width, v.depth)
+    # Per vehicle and step: the scatter amplitude before its wobble, and the
+    # bearing from tx, in Python floats as the scalar model states them.
+    scatter, bearings = [], []
+    for j in range(len(vehicles)):
+        amps, angles = [], []
+        for cx, cy in tracks[:, j].tolist():
+            d_tx = math.hypot(cx - tx[0], cy - tx[1])
+            d_rx = math.hypot(cx - rx[0], cy - rx[1])
+            amps.append(channel.scatter_gain / ((1.0 + d_tx) * (1.0 + d_rx)))
+            angles.append(math.atan2(cy - tx[1], cx - tx[0]))
+        scatter.append(amps)
+        bearings.append(np.array(angles))
+
+    num_wobbles = len(vehicles) if fluctuation > 0.0 else 0
+    num_noise = 2 * num_beams * num_k if sigma > 0.0 else 0
     frames: list[RssiFrame] = []
     scans: list[LidarScan] = []
-    truth: list[GroundTruth] = []
-    labels: list[BlockageLabel] = []
-
-    for t in range(steps):
-        vehicles = _advance(vehicles, world.bounce_x)
-
-        occluded = any(
-            segment_intersects_rect(tx, rx, v.center, v.width, v.depth)
-            for v in vehicles
-        )
-
-        amps = los_gains * (amp0 * att_amp if occluded else amp0)
-        for v in vehicles:
-            d_tx = math.hypot(v.center[0] - tx[0], v.center[1] - tx[1])
-            d_rx = math.hypot(v.center[0] - rx[0], v.center[1] - rx[1])
-            bearing = math.atan2(v.center[1] - tx[1], v.center[0] - tx[0])
-            scatter_amp = channel.scatter_gain / ((1.0 + d_tx) * (1.0 + d_rx))
-            if channel.scatter_fluctuation_db > 0.0:
+    for lo in range(0, steps, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, steps)
+        draws = rng.standard_normal((hi - lo, num_wobbles + num_noise))
+        amps = np.where(occluded[lo:hi], amp0 * att_amp, amp0)[:, None] * los_gains
+        for j in range(len(vehicles)):
+            scatter_amp = scatter[j][lo:hi]
+            if num_wobbles:
                 # Per-step reflection strength wobble (log-normal), the
                 # main source of randomness in the power vectors.
-                scatter_amp *= 10.0 ** (
-                    channel.scatter_fluctuation_db * rng.standard_normal() / 20.0
-                )
-            amps = amps + beam_gains(codebook, bearing) * scatter_amp
+                scatter_amp = [a * 10.0 ** (fluctuation * z / 20.0)
+                               for a, z in zip(scatter_amp, draws[:, j].tolist())]
+            gains = beam_gains(codebook, bearings[j][lo:hi, None])
+            amps = amps + gains * np.array(scatter_amp)[:, None]
 
-        if sigma > 0.0:
+        if num_noise:
             noise_scale = math.sqrt(sigma / 2.0)
-            noise = noise_scale * (
-                rng.standard_normal((codebook.num_beams, num_k))
-                + 1j * rng.standard_normal((codebook.num_beams, num_k))
-            )
-            samples = amps[:, None] + noise
-            powers = np.sum(np.abs(samples) ** 2, axis=1)
+            parts = draws[:, num_wobbles:].reshape(hi - lo, 2, num_beams, num_k)
+            noise = noise_scale * (parts[:, 0] + 1j * parts[:, 1])
+            samples = amps[:, :, None] + noise
+            # The sum runs over the contiguous last axis, in the order of a
+            # single step's (M, K) sum.
+            powers = np.sum(np.abs(samples) ** 2, axis=-1)
         else:
             powers = num_k * amps**2
-        frames.append(RssiFrame(t, powers))
+        frames.extend(RssiFrame(t, p) for t, p in zip(range(lo, hi), powers))
 
         segments = list(world.static_obstacles)
-        for v in vehicles:
-            segments.extend(_rect_edges(v.center, v.width, v.depth))
-        dists = _cast_rays(tx, ray_angles, segments, world.lidar_max_range)
-        hit = np.isfinite(dists)
-        scans.append(LidarScan(t, np.column_stack([ray_angles[hit], dists[hit]])))
+        for j, v in enumerate(vehicles):
+            centre = (tracks[lo:hi, j, 0:1], tracks[lo:hi, j, 1:2])
+            segments.extend(_rect_edges(centre, v.width, v.depth))
+        dists = _cast_rays(tx, ray_angles, segments, world.lidar_max_range, hi - lo)
+        for t, row in zip(range(lo, hi), dists):
+            hit = np.isfinite(row)
+            scans.append(LidarScan(t, np.column_stack([ray_angles[hit], row[hit]])))
 
-        pos = tuple(map(float, vehicles[0].center)) if vehicles else None
-        truth.append(GroundTruth(t, pos, occluded))
-        labels.append(BlockageLabel(t, occluded))
-
+    flags = occluded.tolist()
+    first = tracks[:, 0].tolist() if vehicles else [None] * steps
+    truth = [GroundTruth(t, None if pos is None else tuple(pos), flag)
+             for t, (pos, flag) in enumerate(zip(first, flags))]
+    labels = [BlockageLabel(t, flag) for t, flag in enumerate(flags)]
     threshold = calibrate_power_threshold(frames, labels)
     return SimulationResult(frames, scans, truth, labels, threshold)
 

@@ -388,6 +388,50 @@ def test_a_link_endpoint_that_is_not_a_pair_names_the_file_and_key(
     assert not (out / "transfer.csv").exists()
 
 
+def _scene_with_meta(chain, tmp_path, key, value) -> Path:
+    """A copy of the chain's scene whose meta.json holds ``value`` at ``key``."""
+    scene = tmp_path / "scene"
+    shutil.copytree(chain / "scene", scene)
+    meta = json.loads((scene / "meta.json").read_text())
+    meta[key] = value
+    (scene / "meta.json").write_text(json.dumps(meta))
+    return scene
+
+
+BAD_THRESHOLDS = {"text": "x", "nan": math.nan, "negative": -1.0, "zero": 0.0,
+                  "flag": True}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_THRESHOLDS))
+@pytest.mark.parametrize("command", ["label", "transfer"])
+def test_a_bad_power_threshold_names_the_metadata_file_and_key(
+    chain, tmp_path, capsys, command, case
+):
+    scene = _scene_with_meta(chain, tmp_path, "power_threshold", BAD_THRESHOLDS[case])
+    out = tmp_path / "out"
+    args = (["label", "--scenario", str(scene)] if command == "label" else
+            ["transfer", "--scenario", str(scene), "--loc", str(chain / "loc" / "model.json"),
+             "--rx", "4,12"])
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    want = f"{(scene / 'meta.json').resolve()}: power_threshold must be a finite positive number"
+    assert want in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [("tx", [0.0]), ("rx", [1, 2, 3]), ("rx", "0,12")])
+def test_label_checks_the_link_in_the_metadata_before_writing(
+    chain, tmp_path, capsys, key, value
+):
+    scene = _scene_with_meta(chain, tmp_path, key, value)
+    out = tmp_path / "data"
+    assert run(["label", "--scenario", str(scene), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{(scene / 'meta.json').resolve()}: {key} must be a list of 2 numbers" in err
+    assert "Traceback" not in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "key, value, count",
     [("road_region", [-14.0, 4.0, 14.0], 4), ("tx", [0.0], 2), ("rx", [1, 2, 3], 2)],

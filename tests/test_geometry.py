@@ -231,6 +231,13 @@ def test_threshold_must_be_positive():
         blockage_labels_from_rssi([RssiFrame(0, np.array([1.0]))], 0.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_threshold_must_be_finite(threshold):
+    # A NaN threshold compares false against every power: all flags clear.
+    with pytest.raises(ValueError, match="finite positive"):
+        blockage_labels_from_rssi([RssiFrame(0, np.array([1.0]))], threshold)
+
+
 def test_geometric_and_threshold_labels_agree_on_the_standard_run(
     standard_bundle, standard_dataset
 ):

@@ -9,15 +9,20 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blockcast import cli
 from blockcast.errors import ParseError, SchemaError, TimeIndexGapError
 from blockcast.ingest import (
     DatasetFile,
     ScenarioBundle,
+    _distinct_frames,
+    _frames_header,
+    _samples_header,
     load_dataset,
     load_scenario,
     save_dataset,
     save_scenario,
     split_dataset,
+    write_csv,
 )
 from blockcast.geometry import blockage_labels_from_rssi
 from blockcast.preprocess import (
@@ -697,3 +702,161 @@ def test_a_file_cut_mid_line_is_a_parse_error(data):
         path.write_text(text[:cut])
         with pytest.raises(ParseError):
             _load(path)
+
+
+# ---------------------------------------------------------------------------
+# The columnar writer against the row-wise reference
+# ---------------------------------------------------------------------------
+
+def reference_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(int(value))
+
+
+def reference_write_csv(path, header: list[str], rows) -> None:
+    """The row-wise writer that ``write_csv`` replaced, cell by cell; a row
+    that is not one line of ``len(header)`` cells is a SchemaError."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            line = ",".join([repr(v) if type(v) is float else reference_cell(v) for v in row])
+            if line.count(",") != len(header) - 1 or "\n" in line or "\r" in line:
+                raise SchemaError(f"{path}: a row does not make one line of {len(header)} cells")
+            fh.write(line + "\n")
+
+
+def _rows(columns, num_rows: int) -> list[list]:
+    """The table's rows as the row-wise writer took them: Python scalars
+    from arrays, list and object cells as they are."""
+    rows = [[] for _ in range(num_rows)]
+    for block in columns:
+        for row, cells in zip(rows, block):
+            if isinstance(block, np.ndarray) and block.dtype != object:
+                cells = cells.tolist()
+            row.extend(cells if isinstance(cells, (list, np.ndarray)) else [cells])
+    return rows
+
+
+# repr switches to exponent form at 1e16 and below 1e-4.
+SWITCH_POINTS = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5, 1e15]
+float_cells = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+     float(np.uint64(0x7FF8000000000001).view(np.float64)),
+     *SWITCH_POINTS, *(-x for x in SWITCH_POINTS)]
+) | st.floats(allow_subnormal=True)
+int_cells = st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 1]) | st.integers(-(2**63), 2**63 - 1)
+plain_text = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
+                     max_size=4)
+mixed_cells = st.none() | plain_text | st.booleans() | int_cells | float_cells
+
+
+@st.composite
+def column_blocks(draw, num_rows: int):
+    """One column block of any kind write_csv takes, with repeated values."""
+    width = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(num_rows,), (num_rows, width)]))
+    kind = draw(st.sampled_from(["float64", "float32", "int64", "uint8", "bool", "list",
+                                 "object"]))
+    if kind in ("float64", "int64"):
+        pool = draw(st.lists(float_cells if kind == "float64" else int_cells,
+                             min_size=1, max_size=4))
+        return np.array(draw(arrays(np.dtype(kind), shape, elements=st.sampled_from(pool))))
+    if kind in ("float32", "uint8", "bool"):
+        return draw(arrays(np.dtype(kind), shape))
+    if kind == "list":
+        return draw(st.lists(mixed_cells, min_size=num_rows, max_size=num_rows))
+    cells = draw(st.lists(mixed_cells, min_size=num_rows * width, max_size=num_rows * width))
+    return np.array(cells, dtype=object).reshape(num_rows, width)
+
+
+@given(st.data())
+def test_the_columnar_writer_writes_the_bytes_of_the_row_wise_one(data):
+    num_rows = data.draw(st.integers(0, 6))
+    columns = data.draw(st.lists(column_blocks(num_rows), min_size=1, max_size=4))
+    width = sum(1 if np.ndim(b) == 1 else np.shape(b)[1] for b in columns)
+    header = [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(Path(tmp) / "a.csv", header, columns)
+        reference_write_csv(Path(tmp) / "b.csv", header, _rows(columns, num_rows))
+        assert (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
+
+
+def test_the_writer_formats_signed_zeros_and_nan_payloads_apart(tmp_path):
+    payload = np.uint64(0x7FF8000000000001).view(np.float64)
+    values = np.array([0.0, -0.0, np.nan, payload, 1e16, 1e-5, 0.0])
+    write_csv(tmp_path / "a.csv", ["x"], [values])
+    assert (tmp_path / "a.csv").read_text().split("\n")[1:-1] == [
+        "0.0", "-0.0", "nan", "nan", "1e+16", "1e-05", "0.0"]
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(3)],                                # 1 column for 2 names
+    [np.zeros((3, 2)), np.zeros(3)],              # 3 columns for 2 names
+    [np.zeros(3), np.zeros(2)],                   # unequal lengths
+    [["a", "b"], np.zeros((3, 1))],
+])
+def test_a_table_that_does_not_fit_its_header_is_a_schema_error(tmp_path, columns):
+    with pytest.raises(SchemaError):
+        write_csv(tmp_path / "a.csv", ["x", "y"], columns)
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", ",", "\r\n"])
+def test_a_str_cell_holding_a_separator_is_a_schema_error(tmp_path, cell):
+    for columns in ([["ok", cell], np.arange(2)],
+                    [np.array([["ok", 1], [cell, 2]], dtype=object)]):
+        with pytest.raises(SchemaError):
+            write_csv(tmp_path / "a.csv", ["name", "n"], columns)
+        assert not (tmp_path / "a.csv").exists()
+        with pytest.raises(SchemaError):
+            reference_write_csv(tmp_path / "b.csv", ["name", "n"], _rows(columns, 2))
+
+
+def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, standard_config):
+    """simulate and label write the bytes the row-wise reference writes for
+    the rows of the bundle and dataset they hold in memory."""
+    held = {}
+
+    def holding(save, key):
+        def wrapper(obj, out_dir):
+            held[key] = obj
+            return save(obj, out_dir)
+        return wrapper
+
+    monkeypatch.setattr(cli, "save_scenario", holding(save_scenario, "bundle"))
+    monkeypatch.setattr(cli, "save_dataset", holding(save_dataset, "dataset"))
+    cli.cmd_simulate(standard_config, {"scenario_id": "drive"}, tmp_path / "scene")
+    cli.cmd_label(standard_config, {"scenarios": [str(tmp_path / "scene")]}, tmp_path / "data")
+    bundle, ref = held["bundle"], tmp_path / "ref"
+    ref.mkdir()
+
+    num_beams = bundle.rssi[0].powers.shape[0]
+    reference_write_csv(ref / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
+                        ([frame.t] + frame.powers.tolist() for frame in bundle.rssi))
+    reference_write_csv(ref / "lidar.csv", ["t", "angle", "depth"],
+                        ([scan.t, a, d] for scan in bundle.lidar for a, d in scan.points.tolist()))
+    reference_write_csv(ref / "truth.csv", ["t", "x", "y", "blocked"],
+                        ([row.t, *(row.pos if row.pos is not None else (None, None)), row.blocked]
+                         for row in bundle.truth))
+    reference_write_csv(ref / "labels.csv", ["t", "blocked"],
+                        ([lab.t, lab.blocked] for lab in bundle.labels))
+    for name in ("rssi.csv", "lidar.csv", "truth.csv", "labels.csv"):
+        assert (ref / name).read_bytes() == (tmp_path / "scene" / name).read_bytes(), name
+
+    samples = held["dataset"].samples
+    window_len, num_beams = samples[0].window.shape
+    horizon, bins = samples[0].future.shape[0], samples[0].lidar_raster.shape[0]
+    frames, keys = _distinct_frames(np.array([s.window for s in samples]))
+    reference_write_csv(ref / "frames.csv", _frames_header(num_beams),
+                        ([i] + row for i, row in enumerate(frames.tolist())))
+    reference_write_csv(
+        ref / "samples.csv", _samples_header(window_len, horizon, bins),
+        ([s.scenario, s.t] + k + [s.label.x, s.label.y, s.label.valid]
+         + s.future.ravel().tolist() + s.future_blocked.tolist() + s.lidar_raster.tolist()
+         for s, k in zip(samples, keys.tolist())),
+    )
+    for name in ("frames.csv", "samples.csv"):
+        assert (ref / name).read_bytes() == (tmp_path / "data" / name).read_bytes(), name

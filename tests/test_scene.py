@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from blockcast.errors import NonFiniteError
 from blockcast.scene import (
+    CHUNK_STEPS,
     BeamCodebook,
     BlockageLabel,
     ChannelConfig,
+    GroundTruth,
     LidarScan,
     RssiFrame,
     Vehicle,
     WorldState,
+    _rect_edges,
     beam_gains,
     build_codebook,
     calibrate_power_threshold,
@@ -403,6 +406,137 @@ def test_scatter_fluctuation_varies_parked_vehicle_power():
     wobbly_totals = {total_power(f) for f in wobbly.frames}
     assert len(steady_totals) == 1
     assert len(wobbly_totals) == 6
+
+
+# ---------------------------------------------------------------------------
+# The array simulator against the per-step reference
+# ---------------------------------------------------------------------------
+
+def reference_advance(vehicles, bounce_x):
+    moved = []
+    for v in vehicles:
+        cx = v.center[0] + v.velocity[0]
+        cy = v.center[1] + v.velocity[1]
+        vx = v.velocity[0]
+        if bounce_x is not None:
+            lo, hi = bounce_x
+            if cx > hi:
+                cx = 2.0 * hi - cx
+                vx = -vx
+            elif cx < lo:
+                cx = 2.0 * lo - cx
+                vx = -vx
+        moved.append(Vehicle((cx, cy), v.width, v.depth, (vx, v.velocity[1])))
+    return moved
+
+
+def reference_cast_rays(origin, angles, segments, max_range):
+    ox, oy = origin
+    dirs_x = np.cos(angles)
+    dirs_y = np.sin(angles)
+    best = np.full(angles.shape, np.inf)
+    for x0, y0, x1, y1 in segments:
+        ex, ey = x1 - x0, y1 - y0
+        ax, ay = x0 - ox, y0 - oy
+        denom = dirs_x * ey - dirs_y * ex
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ray = (ax * ey - ay * ex) / denom
+            s_seg = (ax * dirs_y - ay * dirs_x) / denom
+        hit = (np.abs(denom) > 1e-15) & (t_ray > 1e-12) & (s_seg >= 0.0) & (s_seg <= 1.0)
+        best = np.where(hit & (t_ray < best), t_ray, best)
+    best[best > max_range] = np.inf
+    return best
+
+
+def reference_simulate(world, codebook, channel, steps, seed, lidar_rays):
+    """The per-step loop ``simulate_scenario`` replaced: one step at a time,
+    drawing each step's normals as it goes."""
+    rng = np.random.default_rng(seed)
+    tx = tuple(map(float, world.tx_pos))
+    rx = tuple(map(float, world.rx_pos))
+    los_gains = beam_gains(codebook, math.atan2(rx[1] - tx[1], rx[0] - tx[0]))
+    att_amp = 10.0 ** (-channel.blocked_attenuation_db / 20.0)
+    amp0 = math.sqrt(channel.symbol_power)
+    ray_angles = np.arange(lidar_rays) * (2.0 * math.pi / lidar_rays)
+    num_k, sigma = channel.num_subcarriers, channel.noise_variance
+    vehicles = list(world.vehicles)
+    frames, scans, truth, labels = [], [], [], []
+    for t in range(steps):
+        vehicles = reference_advance(vehicles, world.bounce_x)
+        occluded = any(segment_intersects_rect(tx, rx, v.center, v.width, v.depth)
+                       for v in vehicles)
+        amps = los_gains * (amp0 * att_amp if occluded else amp0)
+        for v in vehicles:
+            d_tx = math.hypot(v.center[0] - tx[0], v.center[1] - tx[1])
+            d_rx = math.hypot(v.center[0] - rx[0], v.center[1] - rx[1])
+            bearing = math.atan2(v.center[1] - tx[1], v.center[0] - tx[0])
+            scatter_amp = channel.scatter_gain / ((1.0 + d_tx) * (1.0 + d_rx))
+            if channel.scatter_fluctuation_db > 0.0:
+                scatter_amp *= 10.0 ** (
+                    channel.scatter_fluctuation_db * rng.standard_normal() / 20.0)
+            amps = amps + beam_gains(codebook, bearing) * scatter_amp
+        if sigma > 0.0:
+            noise = math.sqrt(sigma / 2.0) * (
+                rng.standard_normal((codebook.num_beams, num_k))
+                + 1j * rng.standard_normal((codebook.num_beams, num_k)))
+            powers = np.sum(np.abs(amps[:, None] + noise) ** 2, axis=1)
+        else:
+            powers = num_k * amps**2
+        frames.append(RssiFrame(t, powers))
+        segments = list(world.static_obstacles)
+        for v in vehicles:
+            segments.extend(_rect_edges(v.center, v.width, v.depth))
+        dists = reference_cast_rays(tx, ray_angles, segments, world.lidar_max_range)
+        hit = np.isfinite(dists)
+        scans.append(LidarScan(t, np.column_stack([ray_angles[hit], dists[hit]])))
+        pos = tuple(map(float, vehicles[0].center)) if vehicles else None
+        truth.append(GroundTruth(t, pos, occluded))
+        labels.append(BlockageLabel(t, occluded))
+    return frames, scans, truth, labels, calibrate_power_threshold(frames, labels)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+coordinate = st.floats(-14.0, 14.0)
+vehicles_st = st.lists(st.builds(
+    Vehicle, st.tuples(coordinate, st.floats(1.0, 11.0)), st.floats(0.5, 5.0),
+    st.floats(0.5, 3.0), st.tuples(st.floats(-1.5, 1.5), st.floats(-0.2, 0.2))), max_size=3)
+walls_st = st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate), max_size=2)
+# Hypothesis leans to the first choice, so the common case leads each list.
+step_counts = st.sampled_from([CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3, 1, CHUNK_STEPS - 1,
+                               CHUNK_STEPS, 2 * CHUNK_STEPS, 77])
+
+
+@settings(max_examples=60)
+@given(vehicles_st, walls_st, st.sampled_from([(-4.0, 4.0), None]),
+       st.sampled_from([1e-4, 0.0, 0.3]), st.sampled_from([4.0, 0.0]),
+       st.sampled_from([4, 1, 3, 5, 2]), st.sampled_from([3, 1, 4, 2]),
+       st.sampled_from([7, 1, 3, 9, 31, 45]), step_counts, st.integers(0, 2**32 - 1),
+       st.sampled_from([(0.0, 12.0), (7.5, 9.0), (-3.0, 0.0)]))
+def test_the_array_simulator_equals_the_per_step_loop(
+        vehicles, walls, bounce, noise, fluctuation, beams, subcarriers, rays, steps, seed, rx):
+    world = WorldState(TX, rx, tuple(vehicles), tuple(walls), lidar_max_range=15.0,
+                       bounce_x=bounce)
+    codebook = build_codebook(beams, math.pi / 16, math.pi)
+    channel = ChannelConfig(num_subcarriers=subcarriers, noise_variance=noise,
+                            scatter_fluctuation_db=fluctuation)
+    got = simulate_scenario(world, codebook, channel, steps, seed, rays)
+    frames, scans, truth, labels, threshold = reference_simulate(
+        world, codebook, channel, steps, seed, rays)
+    assert [f.t for f in got.frames] == [f.t for f in frames]
+    assert all(_bits(a.powers) == _bits(b.powers) for a, b in zip(got.frames, frames))
+    assert [s.t for s in got.scans] == [s.t for s in scans]
+    assert all(a.points.shape == b.points.shape and _bits(a.points) == _bits(b.points)
+               for a, b in zip(got.scans, scans))
+    assert [(g.t, g.blocked, g.pos is None) for g in got.truth] == [
+        (g.t, g.blocked, g.pos is None) for g in truth]
+    assert all(type(g.blocked) is bool for g in got.truth)
+    assert all(a.pos is None or _bits(a.pos) == _bits(b.pos) for a, b in zip(got.truth, truth))
+    assert got.labels == labels
+    assert (got.power_threshold is None) == (threshold is None)
+    assert threshold is None or _bits(got.power_threshold) == _bits(threshold)
 
 
 # ---------------------------------------------------------------------------
