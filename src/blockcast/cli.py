@@ -444,25 +444,21 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     return outputs
 
 
-def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
-    loc_model = _load_checked(inputs["loc"], "localization", cfg, "config")
-    baselines = [
-        (kind, _load_checked(ckpt, kind, cfg, "config"))
-        for kind, flag in (("rf", "rf"), ("rf+lidar", "lidar"))
-        for ckpt in inputs.get(flag) or []
-    ]
-    bundle = load_scenario(inputs["scenario"])
+def _transfer_windows(cfg: dict, scenario) -> tuple:
+    """The windows of ``scenario`` whose next horizon steps all have a true
+    position: (windows, rasters, (B, N, 2) world-frame positions, tx, rx,
+    vehicle width, vehicle depth). The scenario bundle and the labeled
+    samples live only in this call, so they are freed before the models run."""
+    bundle = load_scenario(scenario)
     meta = bundle.meta
     if bundle.truth is None:
-        raise SchemaError(f"{inputs['scenario']}: transfer needs truth.csv")
-    meta_path = Path(inputs["scenario"]) / "meta.json"
+        raise SchemaError(f"{scenario}: transfer needs truth.csv")
+    meta_path = Path(scenario) / "meta.json"
     tx, rx0 = (_meta_numbers(meta, key, 2, meta_path) for key in ("tx", "rx"))
     width = meta.get("vehicle_width")
     depth = meta.get("vehicle_depth")
     if width is None or depth is None:
-        raise SchemaError(
-            f"{inputs['scenario']}: scenario metadata lacks vehicle dimensions"
-        )
+        raise SchemaError(f"{scenario}: scenario metadata lacks vehicle dimensions")
 
     src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
     db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
@@ -492,7 +488,19 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
     windows = np.stack([s.window for s, _ in kept])
     rasters = np.stack([s.lidar_raster for s, _ in kept])
-    positions = np.stack([pos for _, pos in kept])  # (B, N, 2) world frame
+    positions = np.stack([pos for _, pos in kept])
+    return windows, rasters, positions, tx, rx0, width, depth
+
+
+def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
+    loc_model = _load_checked(inputs["loc"], "localization", cfg, "config")
+    baselines = [
+        (kind, _load_checked(ckpt, kind, cfg, "config"))
+        for kind, flag in (("rf", "rf"), ("rf+lidar", "lidar"))
+        for ckpt in inputs.get(flag) or []
+    ]
+    windows, rasters, positions, tx, rx0, width, depth = _transfer_windows(
+        cfg, inputs["scenario"])
 
     coords = predict_locations_batch(loc_model, windows)
     # The baselines cannot use the receiver position: their flags are fixed.

@@ -37,7 +37,7 @@ class LinkGeometry:
     power_threshold: float = 1.0
 
     def __post_init__(self):
-        for name in ("tx", "rx", "object_width"):
+        for name in ("tx", "rx", "object_width", "power_threshold"):
             ensure_finite(name, getattr(self, name))
         if self.object_width <= 0:
             raise ValueError("object_width must be positive")

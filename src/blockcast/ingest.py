@@ -31,6 +31,12 @@ each numeric block once per distinct value: one ``repr`` per float64 bit
 pattern, one ``str`` per integer or flag, then a gather. The scenario and
 dataset files repeat their values a lot (lidar angles and depths, the
 raster's max-range fill), so most cells cost an index, not a ``repr``.
+
+``CsvTable`` reads the other way: each loader names its columns' types
+(float, int, 0/1 flag, text, or float-or-blank), and the reader casts a
+chunk of about ``CHUNK_CELLS`` cells at a time into typed arrays and drops
+its strings. A load's memory is its output arrays plus one chunk of text,
+and its values and ParseErrors are those of casting the whole file at once.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -113,10 +120,10 @@ def _cell(value) -> str:
     return "" if value is None else str(int(value))
 
 
-# Cells formatted, joined and written per chunk of whole rows, so no file's
-# whole text, nor any block's strings, is held at once. Chunks of this size
-# (about 300 KB of text) write as fast as larger ones, and the short-lived
-# strings keep the heap, and the run's peak RSS, where it was.
+# Cells are formatted and written, or read and cast, per chunk of whole
+# rows, so no file's whole text, nor a string per cell of it, is held at
+# once. Chunks of this size (about 300 KB of text) write as fast as larger
+# ones, and the short-lived strings keep the run's peak RSS down.
 CHUNK_CELLS = 16384
 
 
@@ -187,68 +194,194 @@ def write_csv(path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, cells.tolist())) + "\n")
 
 
-class CsvTable:
-    """A CSV file's data cells in one object array, read once its header and
-    each row's cell count are checked; blank lines are skipped. ``floats`` /
-    ``ints`` / ``flags`` type adjacent columns in one cast, which calls
-    Python's ``float`` / ``int`` on each cell; the scalar parsers only name
-    the first cell the cast rejects."""
+# The array type of each CsvTable column type.
+_DTYPES = {"f": np.float64, "o": np.float64, "i": np.int64, "b": bool, "s": object}
 
-    def __init__(self, path: Path, header: list[str]):
+
+def _try_cast(kind: str, cells: np.ndarray) -> np.ndarray | None:
+    """Text cells of one column type as its array, or None when a cell is
+    rejected: no number for ``float`` / ``int``, outside int64, or not
+    finite. Blank cells of a float-or-blank column read as NaN."""
+    try:
+        if kind == "o":
+            values = np.full(cells.shape, np.nan)
+            filled = cells != ""
+            values[filled] = checked = cells[filled].astype(np.float64)
+        else:
+            values = checked = cells.astype(np.float64 if kind == "f" else np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return values if kind in "ib" or np.isfinite(checked).all() else None
+
+
+class CsvTable:
+    """A CSV file's data rows as typed arrays, one per column type.
+
+    ``types`` holds one letter per column: ``f`` a finite float, ``i`` an
+    int64, ``b`` a 0/1 flag, ``s`` text, ``o`` a finite float or a blank
+    cell (NaN in the array). The file is read a chunk of lines at a time,
+    about ``CHUNK_CELLS`` cells: blank lines are skipped, and the header
+    and each row's cell count are checked. Then the chunk's cells of each
+    type are cast in one call, which runs Python's ``float`` / ``int`` on
+    each cell, and its strings are dropped: memory is the output arrays
+    plus one chunk of text. When a cast rejects a cell, the scalar parsers
+    scan that chunk's columns to name the first bad cell of each; its
+    ParseError is raised by the accessor that reads its column. So a file
+    with several faults reports the one that the loader's order of checks
+    meets first, as if the whole file had been read before any cast.
+    """
+
+    def __init__(self, path: Path, header: list[str], types: str):
+        if len(types) != len(header):
+            raise ValueError(f"{len(types)} column types for a header of {len(header)}")
         if not path.exists():
             raise ParseError(str(path), 0, "file not found")
-        self.path, self.header, self.line_nos = path, header, []
-        expected, width, flat = ",".join(header), len(header), []
+        self.path, self.header, self.types = path, header, types
+        self._columns = {kind: [j for j, t in enumerate(types) if t == kind]
+                         for kind in dict.fromkeys(types)}
+        self._errors: dict[int, tuple[int, ParseError]] = {}  # column -> (row, first bad cell)
+        self._not_flags: dict[int, int] = {}  # flag column -> first row holding neither 0 nor 1
+        self._rows = 0
+        chunks = {kind: [np.empty((0, len(cols)), _DTYPES[kind])]
+                  for kind, cols in self._columns.items()}
+        line_nos = [np.empty(0, np.int64)]
+        step, first = max(1, CHUNK_CELLS // len(header)), 1  # first: number of the next line
         try:
             with path.open(encoding="utf-8") as fh:
-                for line_no, raw in enumerate(fh, start=1):
-                    line = raw.rstrip("\n")
-                    if not line:
-                        continue
-                    if line_no == 1:
-                        if line != expected:
-                            raise ParseError(path, 1, f"expected header {expected!r}, got {line!r}")
-                        continue
-                    cells = line.split(",")
-                    if len(cells) != width:
-                        raise ParseError(path, line_no, f"expected {width} cells, got {len(cells)}")
-                    self.line_nos.append(line_no)
-                    flat.extend(cells)
+                while lines := list(islice(fh, step)):
+                    flat, numbers = self._data_rows(lines, first)
+                    for kind, values in self._cast_chunk(flat, numbers).items():
+                        chunks[kind].append(values)
+                    line_nos.append(numbers)
+                    first += len(lines)
         except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-        self.cells = np.array(flat, dtype=object).reshape(len(self.line_nos), width)
+            raise self._decode_fault() from None
+        self.line_nos = np.concatenate(line_nos)
+        # One type at a time, so its chunks are freed before the next is joined.
+        self._arrays = {kind: np.concatenate(chunks.pop(kind)) for kind in self._columns}
 
-    def _cast(self, lo: int, hi: int, dtype, parse) -> np.ndarray:
-        block = self.cells[:, lo:hi]
+    def _data_rows(self, lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
+        """The cells and line numbers of the data rows among ``lines``, the
+        file's lines from number ``first`` on: a nonblank line 1 must be the
+        header and is dropped, blank lines are dropped, and a row of the wrong
+        cell count is a ParseError."""
+        numbers = np.arange(first, first + len(lines))
+        if first == 1 and lines[0] != "\n":
+            got, expected = lines[0].rstrip("\n"), ",".join(self.header)
+            if got != expected:
+                raise ParseError(self.path, 1, f"expected header {expected!r}, got {got!r}")
+            lines, numbers = lines[1:], numbers[1:]
+        if "\n" in lines:
+            keep = [i for i, line in enumerate(lines) if line != "\n"]
+            lines, numbers = [lines[i] for i in keep], numbers[keep]
+        width = len(self.header)
+        commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
+        if (commas != width - 1).any():
+            k = int((commas != width - 1).argmax())
+            raise ParseError(self.path, int(numbers[k]), f"expected {width} cells, got {commas[k] + 1}")
+        text = "".join(lines).removesuffix("\n")  # each line ends in one "\n", the last maybe not
+        return text.replace("\n", ",").split(",") if text else [], numbers
+
+    def _decode_fault(self) -> ParseError:
+        """The error of a file holding a byte that is not UTF-8: the first
+        fault of a line decoded before it, as a line-by-line read meets them,
+        or else the bad byte's line."""
         try:
-            values = block.astype(dtype)
-            if dtype is np.int64 or np.isfinite(values).all():
-                return values
-        except (ValueError, OverflowError):
+            with self.path.open(encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    self._data_rows([line], line_no)
+        except ParseError as exc:
+            return exc
+        except UnicodeDecodeError:
             pass
-        for line_no, row in zip(self.line_nos, block):
-            for column, cell in zip(self.header[lo:hi], row):
-                parse(self.path, line_no, cell, column)
-        raise AssertionError("the cast rejected a cell the scalar parsers accept")
+        return _not_utf8(self.path)
+
+    def _cast_chunk(self, flat: list[str], line_nos: np.ndarray) -> dict[str, np.ndarray]:
+        """The chunk's rows as one array per column type."""
+        cells = np.array(flat, dtype=object).reshape(len(line_nos), len(self.header))
+        typed = {}
+        for kind, cols in self._columns.items():
+            block = cells[:, cols]
+            values = block if kind == "s" else _try_cast(kind, block)
+            if values is None:
+                values = self._named_faults(kind, cols, block, line_nos)
+            if kind == "b":
+                faults = (values != 0) & (values != 1)
+                for c in np.flatnonzero(faults.any(axis=0)).tolist():
+                    self._not_flags.setdefault(cols[c], self._rows + int(faults[:, c].argmax()))
+                values = values.astype(bool)
+            typed[kind] = values
+        self._rows += len(line_nos)
+        return typed
+
+    def _named_faults(self, kind, cols, block, line_nos) -> np.ndarray:
+        """A chunk's block cast column by column; the first bad cell of each
+        column that has one is kept as a ParseError, and the column's cells
+        read 0 (blanks of a float-or-blank column stay NaN)."""
+        values = np.where(block == "", np.nan, 0.0) if kind == "o" else np.zeros(
+            block.shape, np.float64 if kind == "f" else np.int64)
+        parse = _parse_int if kind in "ib" else _parse_float
+        for c, col in enumerate(cols):
+            column = _try_cast(kind, block[:, c])
+            if column is not None:
+                values[:, c] = column
+                continue
+            for r, (line_no, cell) in enumerate(zip(line_nos.tolist(), block[:, c].tolist())):
+                if kind == "o" and cell == "":
+                    continue
+                try:
+                    parse(self.path, line_no, cell, self.header[col])
+                except ParseError as exc:
+                    self._errors.setdefault(col, (self._rows + r, exc))
+                    break
+            else:
+                raise AssertionError("the cast rejected a cell the scalar parsers accept")
+        return values
+
+    def _typed(self, lo: int, hi: int, kinds: str, checked: bool = True) -> np.ndarray:
+        """Columns lo..hi-1, all of one type in ``kinds``, as a slice of that
+        type's array; with ``checked``, the first bad cell among them in row
+        order raises its ParseError."""
+        kind = self.types[lo] if hi > lo else kinds[0]
+        if kind not in kinds or self.types[lo:hi] != kind * (hi - lo):
+            raise TypeError(f"{self.path}: columns {lo}..{hi - 1} are not all of type {kinds!r}")
+        if checked:
+            faults = [self._errors[col] for col in range(lo, hi) if col in self._errors]
+            if faults:
+                raise min(faults, key=lambda fault: fault[0])[1]
+        start = sum(t == kind for t in self.types[:lo])
+        values = self._arrays.get(kind, np.empty((self._rows, 0), _DTYPES[kind]))
+        return values[:, start:start + hi - lo]
 
     def floats(self, lo: int, hi: int) -> np.ndarray:
-        """Columns lo..hi-1, one row per data line, as finite float64."""
-        return self._cast(lo, hi, np.float64, _parse_float)
+        """Columns lo..hi-1, one row per data line, as finite float64 (NaN
+        for the blanks of float-or-blank columns)."""
+        return self._typed(lo, hi, "fo")
 
     def ints(self, lo: int, hi: int) -> np.ndarray:
-        return self._cast(lo, hi, np.int64, _parse_int)
+        return self._typed(lo, hi, "i")
 
     def flags(self, lo: int, hi: int) -> np.ndarray:
         """Columns lo..hi-1 as bool; a cell other than 0 or 1 is a ParseError."""
-        values = self.ints(lo, hi)
-        for column, cells in zip(self.header[lo:hi], values.T):
-            self.reject_rows((cells != 0) & (cells != 1), f"{column} must be 0 or 1")
-        return values.astype(bool)
+        values = self._typed(lo, hi, "b")
+        for col in range(lo, hi):
+            if col in self._not_flags:
+                raise ParseError(self.path, int(self.line_nos[self._not_flags[col]]),
+                                 f"{self.header[col]} must be 0 or 1")
+        return values
+
+    def texts(self, lo: int, hi: int) -> np.ndarray:
+        return self._typed(lo, hi, "s")
+
+    def blanks(self, lo: int, hi: int) -> np.ndarray:
+        """Where float-or-blank columns lo..hi-1 are blank; a bad cell among
+        them is not raised here but by ``floats``."""
+        return np.isnan(self._typed(lo, hi, "o", checked=False))
 
     def reject_rows(self, bad: np.ndarray, message: str) -> None:
         """A ParseError at the line of the first row where ``bad`` is set."""
         if bad.any():
-            raise ParseError(self.path, self.line_nos[int(bad.argmax())], message)
+            raise ParseError(self.path, int(self.line_nos[int(bad.argmax())]), message)
 
 
 def _not_utf8(path: Path) -> ParseError:
@@ -330,7 +463,8 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         raise SchemaError(f"{meta_path}: missing num_beams or scenario_id")
     num_beams = json_int(meta, "num_beams", meta_path)
 
-    table = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)])
+    table = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
+                     "i" + "f" * num_beams)
     powers = table.floats(1, num_beams + 1)
     table.reject_rows((powers < 0).any(axis=1), "negative power")
     # ScenarioBundle checks the times too, but names neither file nor line.
@@ -339,7 +473,7 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
                       "RSSI frames are not in time order: t must follow the row above by 1")
     frames = [RssiFrame(t, p) for t, p in zip(frame_times.tolist(), powers)]
 
-    table = CsvTable(root / "lidar.csv", ["t", "angle", "depth"])
+    table = CsvTable(root / "lidar.csv", ["t", "angle", "depth"], "iff")
     times = table.ints(0, 1)[:, 0]
     table.reject_rows(~np.isin(times, frame_times), "lidar scan has no matching RSSI frame")
     order = np.argsort(times, kind="stable")
@@ -353,10 +487,9 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     truth = None
     truth_path = root / "truth.csv"
     if truth_path.exists():
-        table = CsvTable(truth_path, ["t", "x", "y", "blocked"])
-        blank = table.cells[:, 1:3] == ""
+        table = CsvTable(truth_path, ["t", "x", "y", "blocked"], "ioob")
+        blank = table.blanks(1, 3)
         table.reject_rows(blank[:, 0] != blank[:, 1], "x and y must be blank together")
-        table.cells[:, 1:3][blank] = "0"  # placeholders, so unknown positions cast; dropped below
         times = table.ints(0, 1)[:, 0]
         table.reject_rows(~np.isin(times, frame_times), "truth row has no matching RSSI frame")
         rows = zip(times.tolist(), blank[:, 0].tolist(), table.floats(1, 3),
@@ -366,14 +499,14 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     labels = None
     labels_path = root / "labels.csv"
     if labels_path.exists():
-        table = CsvTable(labels_path, ["t", "blocked"])
+        table = CsvTable(labels_path, ["t", "blocked"], "ib")
         times = table.ints(0, 1)[:, 0]
         n = min(len(times), len(frame_times))
         misplaced = np.ones(len(times), dtype=bool)  # rows past the last frame, too
         misplaced[:n] = times[:n] != frame_times[:n]
         table.reject_rows(misplaced, "blockage labels do not align with RSSI frames")
         if len(times) < len(frame_times):
-            raise ParseError(labels_path, (table.line_nos or [1])[-1],
+            raise ParseError(labels_path, int(table.line_nos[-1]) if len(times) else 1,
                              f"{len(times)} blockage labels for {len(frame_times)} RSSI frames")
         labels = [BlockageLabel(t, flag) for t, flag in
                   zip(times.tolist(), table.flags(1, 2)[:, 0].tolist())]
@@ -527,13 +660,14 @@ def load_dataset(dataset_dir) -> DatasetFile:
         for key in ("window_len", "num_beams", "horizon", "raster_bins")
     )
 
-    table = CsvTable(root / "frames.csv", _frames_header(num_beams))
+    table = CsvTable(root / "frames.csv", _frames_header(num_beams), "i" + "f" * num_beams)
     table.reject_rows(table.ints(0, 1)[:, 0] != np.arange(len(table.line_nos)),
                       "frame must equal its 0-based row number")
     frames = table.floats(1, num_beams + 1)
 
     header = _samples_header(window_len, horizon, raster_bins)
-    table = CsvTable(root / "samples.csv", header)
+    table = CsvTable(root / "samples.csv", header, "s" + "i" * (1 + window_len) + "ffb"
+                     + "f" * (2 * horizon) + "b" * horizon + "f" * raster_bins)
     w = 2 + window_len  # end of the frame-row columns; label_x/y/valid follow
     f, b, r = w + 3, w + 3 + 2 * horizon, w + 3 + 3 * horizon
     keys = table.ints(2, w)
@@ -541,7 +675,7 @@ def load_dataset(dataset_dir) -> DatasetFile:
         table.reject_rows((k < 0) | (k >= len(frames)),
                           f"{column} must be a row of frames.csv (0 to {len(frames) - 1})")
     rows = zip(
-        table.cells[:, 0].tolist(), table.ints(1, 2)[:, 0].tolist(),
+        table.texts(0, 1)[:, 0].tolist(), table.ints(1, 2)[:, 0].tolist(),
         frames[keys], table.floats(w, w + 2).tolist(), table.flags(w + 2, f)[:, 0].tolist(),
         table.floats(f, b), table.flags(b, r), table.floats(r, len(header)),
     )

@@ -109,7 +109,10 @@ class NormStats:
 
 
 def power_to_db(powers: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.maximum(np.asarray(powers, dtype=np.float64), DB_FLOOR))
+    db = np.maximum(np.asarray(powers, dtype=np.float64), DB_FLOOR)
+    np.log10(db, out=db)
+    db *= 10.0
+    return db
 
 
 def compute_norm_stats(samples: list[LabeledSample], meta: dict) -> NormStats:
@@ -131,8 +134,12 @@ def compute_norm_stats(samples: list[LabeledSample], meta: dict) -> NormStats:
 
 
 def rssi_features(windows: np.ndarray, stats: NormStats) -> np.ndarray:
-    """(B, T0, M) raw powers -> standardized dB features, same shape."""
-    return (power_to_db(windows) - stats.rssi_mean) / stats.rssi_std
+    """(B, T0, M) raw powers -> standardized dB features, same shape, in
+    one buffer."""
+    feats = power_to_db(windows)
+    feats -= stats.rssi_mean
+    feats /= stats.rssi_std
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +251,13 @@ def forward(
 
     Given a ``caches`` dict, the LSTM layers run the buffered
     ``lstm_forward`` and every layer leaves in it what ``_backward`` needs.
-    Without one, they run the cache-free ``lstm_hidden``.
+    Without one, they run the cache-free ``lstm_hidden``, and each layer's
+    output is dropped once the next layer has read it. ReLU runs in place:
+    ``relu_backward`` reads only the sign of its cached input, which ReLU
+    keeps.
     """
     layers = model.layers
     buffered = caches is not None
-    caches = caches if buffered else {}  # conv and dense entries are only references
     seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
     for name in model.names(LstmParams):
         if buffered:
@@ -265,15 +274,19 @@ def forward(
         x = rasters[:, None, :]  # (B, 1, bins)
         for name in conv:
             z, cache = conv1d_forward(layers[name], x)
-            caches[name] = (z, cache)
-            x = relu(z)
-        pooled, caches["pool"] = global_avg_pool(x)
+            if buffered:
+                caches[name] = (z, cache)
+            x = relu(z, out=z)
+        pooled, length = global_avg_pool(x)
+        if buffered:
+            caches["pool"] = length
         feat = np.concatenate([feat, pooled], axis=1)
     regress = model.kind == "localization"
     for name in model.names(DenseParams):
         z, cache = dense_forward(layers[name], feat)
-        caches[name] = (z, cache)
-        feat = relu(z) if regress else z
+        if buffered:
+            caches[name] = (z, cache)
+        feat = relu(z, out=z) if regress else z
     return feat if regress else sigmoid(feat)
 
 

@@ -48,8 +48,8 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
 # Activations
 # ---------------------------------------------------------------------------
 
-def relu(x: Array) -> Array:
-    return np.maximum(x, 0.0)
+def relu(x: Array, out: Array | None = None) -> Array:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(d_out: Array, x: Array) -> Array:
@@ -209,7 +209,8 @@ def lstm_hidden(p: LstmParams, seq: Array) -> Array:
     i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
     h = c = np.zeros((batch, hid))
     hidden = np.empty((steps, batch, hid))
-    pre = seq @ p.w_in + p.bias
+    pre = seq @ p.w_in
+    pre += p.bias
     for t in range(steps):
         a = pre[t] + h @ p.w_rec
         gates = sigmoid(a)
@@ -301,7 +302,13 @@ def conv1d_forward(p: Conv1dParams, x: Array) -> tuple[Array, Array]:
     """x: (B, in_channels, length) -> (B, out_channels, out_length).
 
     Computed tap by tap: y = bias + sum_k W[:, :, k] @ x_k, with x_k a
-    strided view of x, so no (B, out_length, in_channels * kernel) copy.
+    strided view of x, so no (B, out_length, in_channels * kernel) copy;
+    each tap's product goes through one reused buffer. With one input
+    channel a tap is an outer product, taken as a broadcast multiply rather
+    than numpy's non-BLAS matmul loop on the strided view. The two give the
+    same bits unless a bias is -0.0: the matmul's single-term sum 0 + w*x
+    turns a -0.0 product into 0.0, which only a sum still at -0.0 tells
+    apart.
     """
     out_c, in_c, kernel = p.weight.shape
     if x.ndim != 3 or x.shape[1] != in_c:
@@ -309,9 +316,12 @@ def conv1d_forward(p: Conv1dParams, x: Array) -> tuple[Array, Array]:
     if x.shape[2] < kernel:
         raise ValueError("kernel is longer than the input signal")
     taps = _taps(x, kernel, p.stride, (x.shape[2] - kernel) // p.stride + 1)
-    y = p.bias[:, None] + p.weight[:, :, 0] @ taps[0]
+    product = np.multiply if in_c == 1 else np.matmul
+    y = product(p.weight[:, :, 0], taps[0])
+    y += p.bias[:, None]
+    buf = np.empty_like(y)
     for k in range(1, kernel):
-        y += p.weight[:, :, k] @ taps[k]
+        y += product(p.weight[:, :, k], taps[k], out=buf)
     _check_finite("conv output", y)
     return y, x
 

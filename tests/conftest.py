@@ -6,6 +6,8 @@ run the same standard configuration the CLI uses, so numbers measured
 here match what `blockcast simulate` / `label` / `train` produce.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -75,3 +77,16 @@ def trained_rf(standard_dataset):
 def trained_lidar(standard_dataset):
     model, _ = train_blockage(standard_dataset, TrainConfig(seed=0), "rf+lidar")
     return model
+
+
+@pytest.fixture
+def traced_peak_mib():
+    """Runs ``fn()`` under tracemalloc; returns the peak traced memory in MiB."""
+    def peak(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peak

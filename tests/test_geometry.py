@@ -123,7 +123,9 @@ def test_link_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("tx", (math.nan, 0.0)), ("rx", (0.0, math.inf)), ("object_width", math.nan)]
+    "field, value", [("tx", (math.nan, 0.0)), ("rx", (0.0, math.inf)), ("object_width", math.nan),
+                     ("power_threshold", math.nan), ("power_threshold", math.inf),
+                     ("power_threshold", -math.inf)]
 )
 def test_link_rejects_non_finite_values_naming_the_field(field, value):
     args = {"tx": (0.0, 0.0), "rx": (0.0, 12.0), "object_width": 4.0, field: value}

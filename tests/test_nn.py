@@ -353,6 +353,34 @@ def test_conv_matches_the_einsum_reference(case):
         assert_close(grads[name], want_grads[name])
 
 
+def ref_tapwise_conv1d_forward(p, x):
+    """The tap-wise matmul form: y = bias + sum_k W[:, :, k] @ x_k, a fresh
+    product array per tap, the matmul for every channel count."""
+    kernel = p.weight.shape[2]
+    span = p.stride * ((x.shape[2] - kernel) // p.stride) + 1
+    taps = [x[:, :, k : k + span : p.stride] for k in range(kernel)]
+    y = p.bias[:, None] + p.weight[:, :, 0] @ taps[0]
+    for k in range(1, kernel):
+        y += p.weight[:, :, k] @ taps[k]
+    return y
+
+
+@pytest.mark.parametrize("in_c", [1, 3, 8])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 2, 17, 40])
+def test_conv_forward_is_bit_equal_to_the_tapwise_matmul_form(batch, stride, in_c):
+    """One input channel takes the broadcast multiply, more take the matmul
+    into a reused buffer; both give the tap-wise matmul's bits. Exact zeros
+    in x make -0.0 products; nonzero biases are why they cannot show."""
+    rng = np.random.default_rng(100 * batch + 10 * stride + in_c)
+    p = conv1d_init(rng, in_c, 8, 5, stride=stride)
+    p.bias[:] = rng.normal(size=8)
+    x = rng.normal(size=(batch, in_c, 41))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    y, _ = conv1d_forward(p, x)
+    assert y.tobytes() == ref_tapwise_conv1d_forward(p, x).tobytes()
+
+
 def test_sigmoid_is_bit_equal_to_the_sign_split_form():
     tiny = np.finfo(np.float64).smallest_subnormal
     special = np.array([0.0, -0.0, 710.0, -710.0, 1e300, -1e300, np.inf, -np.inf,
