@@ -44,7 +44,7 @@ from .evaluation import (
     write_localization_csv,
     write_multi_seed_csv,
 )
-from .geometry import LinkGeometry, blockage_labels_from_rssi
+from .geometry import LinkGeometry, blockage_labels_from_rssi, transfer_link
 from .ingest import (
     ScenarioBundle,
     load_dataset,
@@ -67,6 +67,7 @@ from .models import (
 from .preprocess import (
     DbscanConfig,
     SrcConfig,
+    WindowSet,
     build_windows,
     scenario_centroids,
 )
@@ -159,16 +160,24 @@ def _power_threshold(meta: dict, path) -> float | None:
     raise SchemaError(f"{path}: power_threshold must be a finite positive number, got {value!r}")
 
 
-def _road_frame_link(meta: dict, path) -> LinkGeometry:
-    """Link endpoints shifted into the road frame used by centroids."""
-    tx, rx = (_meta_numbers(meta, key, 2, path) for key in ("tx", "rx"))
-    x0, y0, x1, y1 = _meta_numbers(meta, "road_region", 4, path)
-    ox, oy = min(x0, x1), min(y0, y1)
-    return LinkGeometry(
-        tx=(tx[0] - ox, tx[1] - oy),
-        rx=(rx[0] - ox, rx[1] - oy),
-        object_width=float(meta.get("object_width", DEFAULTS["object_width"])),
-    )
+def _road_frame_link(tx, rx, origin, object_width: float) -> LinkGeometry:
+    """The link shifted into the road frame (of centroids and predictions) at world ``origin``."""
+    return LinkGeometry(tx=tuple(np.subtract(tx, origin).tolist()),
+                        rx=tuple(np.subtract(rx, origin).tolist()),
+                        object_width=float(object_width))
+
+
+def _scenario_windows(cfg: dict, bundle: ScenarioBundle, threshold: float | None) -> WindowSet:
+    """The labeled windows of one scenario as the config cuts them; the
+    blockage flags come from ``threshold``, all False when it is None."""
+    flags = None
+    if threshold is not None:
+        flags = [lab.blocked for lab in blockage_labels_from_rssi(bundle.rssi, threshold)]
+    src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
+    db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
+    return build_windows(bundle, scenario_centroids(bundle, src_cfg, db_cfg),
+                         int(cfg["window_len"]), int(cfg["horizon"]), flags,
+                         int(cfg["raster_bins"]), float(cfg["lidar_max_range"]))
 
 
 def _window_steps(times, horizon: int) -> list[np.ndarray]:
@@ -283,9 +292,7 @@ def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
-    src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
-    db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
-    samples = []
+    per_scenario = []
     link_meta: dict = {}
     for sdir in inputs["scenarios"]:
         bundle = load_scenario(sdir)
@@ -296,26 +303,15 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         for key in ("tx", "rx"):  # copied into dataset.json, where evaluate reads them
             if bundle.meta.get(key) is not None:
                 _meta_numbers(bundle.meta, key, 2, meta_path)
-        flags = [lab.blocked for lab in blockage_labels_from_rssi(bundle.rssi, threshold)]
-        centroids = scenario_centroids(bundle, src_cfg, db_cfg)
-        samples.extend(
-            build_windows(
-                bundle,
-                centroids,
-                int(cfg["window_len"]),
-                int(cfg["horizon"]),
-                flags,
-                int(cfg["raster_bins"]),
-                float(cfg["lidar_max_range"]),
-            )
-        )
+        per_scenario.append(_scenario_windows(cfg, bundle, threshold))
         if not link_meta:
             link_meta = {
                 "tx": bundle.meta.get("tx"),
                 "rx": bundle.meta.get("rx"),
                 "power_threshold": threshold,
             }
-    if not samples:
+    labeled = WindowSet.concat(per_scenario)
+    if not labeled:
         raise ValueError("no valid windows were produced from the given scenarios")
     meta = {
         "road_region": list(map(float, cfg["road_region"])),
@@ -326,7 +322,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         "object_width": float(cfg["object_width"]),
         **link_meta,
     }
-    dataset = split_dataset(samples, tuple(cfg["ratios"]), meta=meta)
+    dataset = split_dataset(labeled, tuple(cfg["ratios"]), meta=meta)
     save_dataset(dataset, out_dir)
     return ["samples.csv", "frames.csv", "dataset.json"]
 
@@ -364,22 +360,23 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     dataset = load_dataset(inputs["dataset"])
     model = load_model(inputs["checkpoint"])
     _check_dims(inputs["checkpoint"], model, dataset.meta, "dataset")
-    windows, _, _, rasters, times = dataset.arrays(inputs["split"])
+    split = dataset.arrays(inputs["split"])
     if model.kind == "localization":
-        coords = predict_locations_batch(model, windows)
+        coords = predict_locations_batch(model, split.windows)
         write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "x", "y"],
-                  _window_steps(times, coords.shape[1]) + [coords.reshape(-1, 2)])
+                  _window_steps(split.t, coords.shape[1]) + [coords.reshape(-1, 2)])
     else:
-        probs = predict_blockage_probs(model, windows, rasters)
+        probs = predict_blockage_probs(model, split.windows, split.rasters)
         write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "probability", "blocked"],
-                  _window_steps(times, probs.shape[1]) + [probs.ravel(), probs.ravel() >= 0.5])
+                  _window_steps(split.t, probs.shape[1]) + [probs.ravel(), probs.ravel() >= 0.5])
     return ["predictions.csv"]
 
 
 def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     del cfg
     dataset = load_dataset(inputs["dataset"])
-    windows, futures, blocked, rasters, times = dataset.arrays(inputs["split"])
+    split = dataset.arrays(inputs["split"])
+    windows, futures, blocked, rasters = split.windows, split.futures, split.blocked, split.rasters
     groups = [
         ("localization", inputs.get("loc") or []),
         ("rf", inputs.get("rf") or []),
@@ -390,7 +387,11 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
     link = None
     if groups[0][1]:
-        link = _road_frame_link(dataset.meta, Path(inputs["dataset"]) / "dataset.json")
+        meta, path = dataset.meta, Path(inputs["dataset"]) / "dataset.json"
+        tx, rx = (_meta_numbers(meta, key, 2, path) for key in ("tx", "rx"))
+        x0, y0, x1, y1 = _meta_numbers(meta, "road_region", 4, path)
+        link = _road_frame_link(tx, rx, (min(x0, x1), min(y0, y1)),
+                                meta.get("object_width", DEFAULTS["object_width"]))
 
     blockage_reports: list[tuple[str, BlockageReport]] = []
     loc_reports = []
@@ -423,7 +424,7 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         out_dir / "predictions_raw.csv",
         ["method", "sample", "t", "step", "probability", "predicted", "actual"],
         [[label for label, _, _ in raw for _ in range(cells)],
-         *(np.tile(column, len(raw)) for column in _window_steps(times, blocked.shape[1])),
+         *(np.tile(column, len(raw)) for column in _window_steps(split.t, blocked.shape[1])),
          [p for _, _, probs in raw
           for p in ([None] * cells if probs is None else probs.tolist())],
          np.concatenate([flags for _, flags, _ in raw]),
@@ -447,8 +448,8 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 def _transfer_windows(cfg: dict, scenario) -> tuple:
     """The windows of ``scenario`` whose next horizon steps all have a true
     position: (windows, rasters, (B, N, 2) world-frame positions, tx, rx,
-    vehicle width, vehicle depth). The scenario bundle and the labeled
-    samples live only in this call, so they are freed before the models run."""
+    vehicle width, vehicle depth). The scenario bundle and the other
+    windows live only in this call, so they are freed before the models run."""
     bundle = load_scenario(scenario)
     meta = bundle.meta
     if bundle.truth is None:
@@ -460,36 +461,16 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
     if width is None or depth is None:
         raise SchemaError(f"{scenario}: scenario metadata lacks vehicle dimensions")
 
-    src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
-    db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
-    threshold = _power_threshold(meta, meta_path)
-    flags = None
-    if threshold is not None:
-        flags = [lab.blocked for lab in blockage_labels_from_rssi(bundle.rssi, threshold)]
-    centroids = scenario_centroids(bundle, src_cfg, db_cfg)
-    horizon_cfg = int(cfg["horizon"])
-    samples = build_windows(
-        bundle,
-        centroids,
-        int(cfg["window_len"]),
-        horizon_cfg,
-        flags,
-        int(cfg["raster_bins"]),
-        float(cfg["lidar_max_range"]),
-    )
-    truth_pos = {g.t: g.pos for g in bundle.truth}
-    kept = []
-    for s in samples:
-        future_pos = [truth_pos.get(s.t + k) for k in range(1, horizon_cfg + 1)]
-        if all(p is not None for p in future_pos):
-            kept.append((s, np.array(future_pos, dtype=np.float64)))
-    if not kept:
+    labeled = _scenario_windows(cfg, bundle, _power_threshold(meta, meta_path))
+    t0 = bundle.rssi[0].t
+    truth = np.full((len(bundle.rssi), 2), np.nan)  # NaN: no known position
+    for row in bundle.truth:
+        truth[row.t - t0] = np.nan if row.pos is None else row.pos
+    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, int(cfg["horizon"]) + 1)]
+    kept = ~np.isnan(ahead).any(axis=(1, 2))
+    if not kept.any():
         raise ValueError("no windows with complete ground truth positions")
-
-    windows = np.stack([s.window for s, _ in kept])
-    rasters = np.stack([s.lidar_raster for s, _ in kept])
-    positions = np.stack([pos for _, pos in kept])
-    return windows, rasters, positions, tx, rx0, width, depth
+    return labeled.windows[kept], labeled.rasters[kept], ahead[kept], tx, rx0, width, depth
 
 
 def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
@@ -508,21 +489,18 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         (name, predict_blockage_probs(m, windows, rasters) >= 0.5) for name, m in baselines
     ]
     # Predictions live in the road frame the model was trained in; shift
-    # the link into that frame rather than trusting the local config.
+    # the link into that frame rather than trusting the local config, then
+    # move only its receiver: the zero-shot step.
     origin = loc_model.stats.road_origin
-    object_width = float(cfg["object_width"])
+    link = _road_frame_link(tx, rx0, origin, cfg["object_width"])
     rx_positions = [rx0]
     rx_positions += [tuple(map(float, p)) for p in inputs["rx_positions"]]
 
     rows = []
     for pos_idx, rx in enumerate(rx_positions):
-        link = LinkGeometry(
-            tx=(tx[0] - origin[0], tx[1] - origin[1]),
-            rx=(rx[0] - origin[0], rx[1] - origin[1]),
-            object_width=object_width,
-        )
+        moved = transfer_link(link, np.subtract(rx, origin))
         truth_flags = segment_intersects_rect(tx, rx, positions, float(width), float(depth))
-        pred = segment_intersects_rect(link.tx, link.rx, coords, link.object_width, 0.0)
+        pred = segment_intersects_rect(moved.tx, moved.rx, coords, moved.object_width, 0.0)
         for name, predicted in [("localization", pred)] + baseline_flags:
             rows.append(
                 [name, pos_idx, rx[0], rx[1], pos_idx == 0, np.mean(predicted == truth_flags)]

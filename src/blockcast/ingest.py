@@ -24,7 +24,9 @@ A dataset of training windows (format 2) stores each power frame once:
 
 Frames are told apart by their exact float64 bytes, so -0.0 and 0.0 stay
 distinct. Floats are written with repr, so a load after save is
-bit-identical: every window comes back as frames[k].
+bit-identical: every window comes back as frames[k]. In memory a dataset
+is one ``preprocess.WindowSet`` (an array per samples.csv field group,
+windows as frames[keys]) plus the splits' row indices.
 
 ``write_csv`` takes a table as column blocks (arrays or lists) and formats
 each numeric block once per distinct value: one ``repr`` per float64 bit
@@ -47,12 +49,11 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, SchemaError, TimeIndexGapError
-from .preprocess import Centroid, LabeledSample
+from .preprocess import LabeledSample, WindowSet
 from .scene import TWO_PI, BlockageLabel, GroundTruth, LidarScan, RssiFrame
 
 SCENARIO_FORMAT_VERSION = 1
@@ -518,43 +519,36 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
 # Datasets of labeled windows
 # ---------------------------------------------------------------------------
 
-class SplitArrays(NamedTuple):
-    """One split's samples stacked along a leading batch axis."""
-
-    windows: np.ndarray  # (B, T0, M) raw powers
-    futures: np.ndarray  # (B, N, 2) road-frame centroids
-    blocked: np.ndarray  # (B, N) bool
-    rasters: np.ndarray  # (B, bins) lidar depths
-    times: list[int]
-
-
 @dataclass
 class DatasetFile:
-    samples: list[LabeledSample]
-    splits: dict[str, list[int]]  # split name -> sample indices
+    labeled: WindowSet
+    splits: dict[str, list[int]]  # split name -> window indices
     meta: dict
 
-    def subset(self, split: str) -> list[LabeledSample]:
+    def _split(self, split: str) -> WindowSet:
         if split not in self.splits:
             raise KeyError(f"unknown split {split!r}; have {sorted(self.splits)}")
-        return [self.samples[i] for i in self.splits[split]]
+        return self.labeled.take(np.array(self.splits[split], dtype=np.int64))
 
-    def arrays(self, split: str) -> SplitArrays:
-        """The split's samples stacked into arrays; an empty split is an error."""
-        samples = self.subset(split)
-        if not samples:
+    @property
+    def samples(self) -> list[LabeledSample]:
+        """Every window as a row view."""
+        return self.labeled.rows()
+
+    def subset(self, split: str) -> list[LabeledSample]:
+        """The split's windows as row views."""
+        return self._split(split).rows()
+
+    def arrays(self, split: str) -> WindowSet:
+        """The split's windows; an empty split is an error."""
+        windows = self._split(split)
+        if not windows:
             raise ValueError(f"split {split!r} is empty")
-        return SplitArrays(
-            np.stack([s.window for s in samples]),
-            np.stack([s.future for s in samples]),
-            np.stack([s.future_blocked for s in samples]),
-            np.stack([s.lidar_raster for s in samples]),
-            [s.t for s in samples],
-        )
+        return windows
 
 
 def split_dataset(
-    samples: list[LabeledSample],
+    labeled: WindowSet,
     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
     meta: dict | None = None,
 ) -> DatasetFile:
@@ -567,19 +561,16 @@ def split_dataset(
         raise ValueError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    by_scenario: dict[str, list[int]] = {}
-    for idx, sample in enumerate(samples):
-        by_scenario.setdefault(sample.scenario, []).append(idx)
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    for scenario in sorted(by_scenario):
-        idxs = by_scenario[scenario]
+    for scenario in sorted(set(labeled.scenario.tolist())):
+        idxs = np.flatnonzero(labeled.scenario == scenario).tolist()
         n = len(idxs)
         n_train = int(n * ratios[0] + 1e-9)
         n_val = int(n * ratios[1] + 1e-9)
         splits["train"].extend(idxs[:n_train])
         splits["val"].extend(idxs[n_train : n_train + n_val])
         splits["test"].extend(idxs[n_train + n_val :])
-    return DatasetFile(samples=samples, splits=splits, meta=dict(meta or {}))
+    return DatasetFile(labeled=labeled, splits=splits, meta=dict(meta or {}))
 
 
 def _samples_header(window_len: int, horizon: int, raster_bins: int) -> list[str]:
@@ -610,36 +601,19 @@ def _distinct_frames(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def save_dataset(dataset: DatasetFile, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if dataset.samples:
-        first = dataset.samples[0]
-        window_len, num_beams = first.window.shape
-        horizon = first.future.shape[0]
-        raster_bins = first.lidar_raster.shape[0]
-    else:
-        window_len = num_beams = horizon = raster_bins = 0
-    for s in dataset.samples:
-        if (s.window.shape != (window_len, num_beams) or s.future.shape != (horizon, 2)
-                or s.future_blocked.shape != (horizon,)
-                or s.lidar_raster.shape != (raster_bins,)):
-            raise SchemaError("dataset samples have inconsistent shapes")
+    labeled, n = dataset.labeled, len(dataset.labeled)
+    _, window_len, num_beams = labeled.windows.shape
+    horizon, raster_bins = labeled.blocked.shape[1], labeled.rasters.shape[1]
 
-    samples, n = dataset.samples, len(dataset.samples)
-    windows = np.array([s.window for s in samples], dtype=np.float64)
-    frames, keys = _distinct_frames(windows.reshape(n, window_len, num_beams))
+    frames, keys = _distinct_frames(labeled.windows)
     write_csv(out / "frames.csv", _frames_header(num_beams), [np.arange(len(frames)), frames])
     write_csv(out / "samples.csv", _samples_header(window_len, horizon, raster_bins), [
-        [s.scenario for s in samples],
-        np.array([s.t for s in samples]),
-        keys,
-        np.array([[s.label.x, s.label.y] for s in samples]).reshape(n, 2),
-        np.array([s.label.valid for s in samples]),
-        np.array([s.future.ravel() for s in samples]).reshape(n, 2 * horizon),
-        np.array([s.future_blocked for s in samples]).reshape(n, horizon),
-        np.array([s.lidar_raster for s in samples]).reshape(n, raster_bins),
+        labeled.scenario, labeled.t, keys, labeled.label, labeled.label_valid,
+        labeled.futures.reshape(n, 2 * horizon), labeled.blocked, labeled.rasters,
     ])
 
     meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION,
-            "num_samples": len(dataset.samples), "window_len": window_len,
+            "num_samples": n, "window_len": window_len,
             "num_beams": num_beams, "horizon": horizon, "raster_bins": raster_bins}
     payload = json.dumps({"meta": meta, "splits": dataset.splits}, sort_keys=True, indent=2)
     (out / "dataset.json").write_text(payload, encoding="utf-8")
@@ -674,23 +648,22 @@ def load_dataset(dataset_dir) -> DatasetFile:
     for column, k in zip(header[2:w], keys.T):
         table.reject_rows((k < 0) | (k >= len(frames)),
                           f"{column} must be a row of frames.csv (0 to {len(frames) - 1})")
-    rows = zip(
-        table.texts(0, 1)[:, 0].tolist(), table.ints(1, 2)[:, 0].tolist(),
-        frames[keys], table.floats(w, w + 2).tolist(), table.flags(w + 2, f)[:, 0].tolist(),
-        table.floats(f, b), table.flags(b, r), table.floats(r, len(header)),
+    labeled = WindowSet(
+        scenario=table.texts(0, 1)[:, 0], t=table.ints(1, 2)[:, 0], windows=frames[keys],
+        label=table.floats(w, w + 2), label_valid=table.flags(w + 2, f)[:, 0],
+        futures=table.floats(f, b).reshape(len(keys), horizon, 2), blocked=table.flags(b, r),
+        rasters=table.floats(r, len(header)),
     )
-    samples = [
-        LabeledSample(scenario, t, window, Centroid(t, lx, ly, valid),
-                      future.reshape(horizon, 2), blocked, raster)
-        for scenario, t, window, (lx, ly), valid, future, blocked, raster in rows
-    ]
 
-    try:
-        splits = {name: list(map(int, idxs)) for name, idxs in payload.get("splits", {}).items()}
-    except (AttributeError, TypeError, ValueError):
-        raise SchemaError(f"{json_path}: splits must map names to lists of indices") from None
+    splits = payload.get("splits", {})
+    if not isinstance(splits, dict):
+        raise SchemaError(f"{json_path}: splits must map names to lists of indices")
     for name, idxs in splits.items():
-        for i in idxs:
-            if not 0 <= i < len(samples):
-                raise SchemaError(f"{json_path}: split {name!r} references sample {i}")
-    return DatasetFile(samples=samples, splits=splits, meta=meta)
+        # bool is an int subclass, and a JSON true is no index.
+        if not isinstance(idxs, list) or any(type(i) is not int for i in idxs):
+            raise SchemaError(f"{json_path}: split {name!r} must be a list of integer indices")
+        idx = np.array(idxs, dtype=object)  # JSON integers of any size
+        outside = (idx < 0) | (idx >= len(labeled))
+        if outside.any():
+            raise SchemaError(f"{json_path}: split {name!r} references sample {idx[outside][0]}")
+    return DatasetFile(labeled=labeled, splits=splits, meta=meta)

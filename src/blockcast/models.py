@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigMismatchError, SchemaError
-from .ingest import DatasetFile, SplitArrays, json_int
+from .ingest import DatasetFile, json_int
 from .nn import (
     Conv1dParams,
     DenseParams,
@@ -56,7 +56,7 @@ from .nn import (
     save_params,
     sigmoid,
 )
-from .preprocess import Centroid, LabeledSample
+from .preprocess import Centroid, WindowSet
 
 DB_FLOOR = 1e-12
 STD_FLOOR = 1e-6
@@ -115,11 +115,11 @@ def power_to_db(powers: np.ndarray) -> np.ndarray:
     return db
 
 
-def compute_norm_stats(samples: list[LabeledSample], meta: dict) -> NormStats:
-    if not samples:
+def compute_norm_stats(windows: np.ndarray, meta: dict) -> NormStats:
+    """Per-beam dB statistics of (B, T0, M) raw windows; the road frame of ``meta``."""
+    if not len(windows):
         raise ValueError("cannot compute normalization stats from an empty split")
-    frames = np.concatenate([s.window for s in samples], axis=0)  # (n*T0, M)
-    db = power_to_db(frames)
+    db = power_to_db(windows.reshape(-1, windows.shape[-1]))  # (B*T0, M)
     region = meta.get("road_region")
     if region is None or len(region) != 4:
         raise SchemaError("dataset meta is missing road_region")
@@ -366,7 +366,7 @@ def _norm_rasters(rasters: np.ndarray, stats: NormStats) -> np.ndarray:
     return rasters / stats.lidar_max_range
 
 
-def _inputs(model: Model, arrays: SplitArrays):
+def _inputs(model: Model, arrays: WindowSet):
     """(features, targets, rasters) for one split; rasters is None unless
     the model reads them."""
     feats = rssi_features(arrays.windows, model.stats)
@@ -390,7 +390,7 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str, model: Model | Non
             )
 
     if model is None:
-        stats = compute_norm_stats(dataset.subset("train"), dataset.meta)
+        stats = compute_norm_stats(train.windows, dataset.meta)
         model = build_model(kind, num_beams, window_len, horizon, stats, raster_bins, cfg.seed)
     want = (kind, window_len, num_beams, horizon, raster_bins)
     have = (model.kind, model.window_len, model.num_beams, model.horizon, model.raster_bins)

@@ -14,7 +14,7 @@ clamping output activation cannot cut off legitimate targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -77,15 +77,12 @@ class Centroid:
     y: float
     valid: bool = True
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=np.float64)
-
 
 @dataclass
 class LabeledSample:
-    """One training sample: a power window ending at step t, the centroid
-    at t, the next `horizon` centroids, matching blockage flags, and the
-    rasterized sweep at t for the multimodal baseline."""
+    """One row of a ``WindowSet``: a power window ending at step t, the
+    centroid at t, the next `horizon` centroids, matching blockage flags,
+    and the rasterized sweep at t for the multimodal baseline."""
 
     scenario: str
     t: int
@@ -94,6 +91,48 @@ class LabeledSample:
     future: np.ndarray          # (horizon, 2) road-frame meters
     future_blocked: np.ndarray  # (horizon,) bool
     lidar_raster: np.ndarray    # (raster_bins,) depths, max-range filled
+
+
+@dataclass(frozen=True)
+class WindowSet:
+    """Labeled windows as one array per field, window i in row i of each.
+
+    ``build_windows`` makes one per scenario; a dataset holds one, and its
+    splits are ``take`` of row indices."""
+
+    scenario: np.ndarray     # (B,) str (object array)
+    t: np.ndarray            # (B,) int64, step of the window's last frame
+    windows: np.ndarray      # (B, T0, M) linear powers
+    label: np.ndarray        # (B, 2) road-frame centroid at t
+    label_valid: np.ndarray  # (B,) bool
+    futures: np.ndarray      # (B, N, 2) the next N centroids
+    blocked: np.ndarray      # (B, N) bool
+    rasters: np.ndarray      # (B, bins) depths, max-range filled
+
+    def __post_init__(self):
+        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
+            raise ValueError("window set fields hold different window counts")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, idx) -> "WindowSet":
+        """The windows at row indices ``idx``, in that order."""
+        return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    @staticmethod
+    def concat(sets: Sequence["WindowSet"]) -> "WindowSet":
+        """The windows of ``sets`` one after the other."""
+        return WindowSet(*(np.concatenate([getattr(s, f.name) for s in sets])
+                           for f in fields(WindowSet)))
+
+    def rows(self) -> list[LabeledSample]:
+        """Each window as a LabeledSample whose arrays are views into this set."""
+        heads = zip(self.scenario.tolist(), self.t.tolist(), self.label.tolist(),
+                    self.label_valid.tolist())
+        return [LabeledSample(scenario, t, self.windows[i], Centroid(t, x, y, valid),
+                              self.futures[i], self.blocked[i], self.rasters[i])
+                for i, (scenario, t, (x, y), valid) in enumerate(heads)]
 
 
 def src_filter(scan: LidarScan, cfg: SrcConfig) -> np.ndarray:
@@ -186,17 +225,23 @@ def scenario_centroids(
     return out
 
 
-def rasterize_scan(scan: LidarScan, bins: int, max_range: float) -> np.ndarray:
-    """Fixed-length polar depth vector; empty bins hold max_range, bins
-    with several returns keep the nearest."""
+def _rasterize(points: np.ndarray, rows: np.ndarray, count: int, bins: int,
+               max_range: float) -> np.ndarray:
+    """(count, bins) polar depth rasters, (angle, depth) point i drawn into
+    row rows[i]; empty bins hold max_range, bins with several returns keep
+    the nearest."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    out = np.full(bins, float(max_range))
-    pts = scan.points
-    if pts.shape[0]:
-        idx = (pts[:, 0] * (bins / (2.0 * math.pi))).astype(np.int64) % bins
-        np.minimum.at(out, idx, pts[:, 1])
+    out = np.full((count, bins), float(max_range))
+    if points.shape[0]:
+        idx = (points[:, 0] * (bins / (2.0 * math.pi))).astype(np.int64) % bins
+        np.minimum.at(out.reshape(-1), rows * bins + idx, points[:, 1])
     return out
+
+
+def rasterize_scan(scan: LidarScan, bins: int, max_range: float) -> np.ndarray:
+    """Fixed-length polar depth vector of one scan (see ``_rasterize``)."""
+    return _rasterize(scan.points, np.zeros(scan.points.shape[0], np.int64), 1, bins, max_range)[0]
 
 
 def build_windows(
@@ -207,47 +252,48 @@ def build_windows(
     blocked: Sequence[bool] | None = None,
     raster_bins: int = 360,
     max_range: float = 16.0,
-) -> list[LabeledSample]:
+) -> WindowSet:
     """Stride-1 sliding windows over one scenario.
 
     A window ends at step index `end` when window_len frames exist up to
     and including `end` and the centroids at end..end+horizon are all
     valid; windows touching an invalid detection are dropped, not imputed.
+    The per-step powers, centroids and flags are sliced at the kept ends,
+    and only the scans at those ends are rasterized.
     """
     if window_len < 1 or horizon < 1:
         raise ValueError("window_len and horizon must be >= 1")
     frames = bundle.rssi
-    scan_at = {scan.t: scan for scan in bundle.lidar}
-    empty = LidarScan(0, np.empty((0, 2)))
-    if len(centroids) != len(frames):
+    n = len(frames)
+    if len(centroids) != n:
         raise ValueError("centroids must align one-to-one with frames")
-    if blocked is not None and len(blocked) != len(frames):
+    if blocked is not None and len(blocked) != n:
         raise ValueError("blocked flags must align one-to-one with frames")
 
-    samples: list[LabeledSample] = []
-    n = len(frames)
-    for end in range(window_len - 1, n - horizon):
-        span = centroids[end : end + horizon + 1]
-        if not all(c.valid for c in span):
-            continue
-        window = np.stack([frames[i].powers for i in range(end - window_len + 1, end + 1)])
-        future = np.stack([c.as_array() for c in span[1:]])
-        flags = (
-            np.array([bool(blocked[i]) for i in range(end + 1, end + horizon + 1)])
-            if blocked is not None
-            else np.zeros(horizon, dtype=bool)
-        )
-        samples.append(
-            LabeledSample(
-                scenario=bundle.scenario_id,
-                t=frames[end].t,
-                window=window,
-                label=span[0],
-                future=future,
-                future_blocked=flags,
-                lidar_raster=rasterize_scan(
-                    scan_at.get(frames[end].t, empty), raster_bins, max_range
-                ),
-            )
-        )
-    return samples
+    xy = np.array([(c.x, c.y) for c in centroids], dtype=np.float64).reshape(n, 2)
+    invalid = np.cumsum([0] + [not c.valid for c in centroids])  # invalid ones before each step
+    ends = np.arange(window_len - 1, max(window_len - 1, n - horizon))
+    ends = ends[invalid[ends + horizon + 1] == invalid[ends]]
+    ahead = ends[:, None] + np.arange(1, horizon + 1)
+    powers = np.array([frame.powers for frame in frames], dtype=np.float64)
+    flags = np.zeros(n, dtype=bool) if blocked is None else np.array(blocked, dtype=bool)
+
+    # Every scan's points with the window row of its step, -1 where no
+    # window ends; the last scan of a step wins.
+    t0 = frames[0].t
+    scans = {scan.t - t0: scan.points for scan in bundle.lidar}
+    row_at = np.full(n, -1)
+    row_at[ends] = np.arange(len(ends))
+    rows = np.repeat(row_at[list(scans)], [len(points) for points in scans.values()])
+    points = np.concatenate([*scans.values(), np.empty((0, 2))])
+
+    return WindowSet(
+        scenario=np.full(len(ends), bundle.scenario_id, dtype=object),
+        t=t0 + ends,  # frame times are consecutive
+        windows=powers[ends[:, None] + np.arange(1 - window_len, 1)],
+        label=xy[ends],
+        label_valid=np.ones(len(ends), dtype=bool),
+        futures=xy[ahead],
+        blocked=flags[ahead],
+        rasters=_rasterize(points[rows >= 0], rows[rows >= 0], len(ends), raster_bins, max_range),
+    )

@@ -6,12 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockcast
+from blockcast import cli
 from blockcast.cli import replay_manifest, run
 from blockcast.config import DEFAULTS, dump_config, parse_config_file, resolve_config
 from blockcast.errors import ParseError
+from blockcast.ingest import load_dataset
+from blockcast.models import load_model, predict_locations_batch
+from blockcast.scene import segment_intersects_rect
 
 
 def read_manifest(out_dir):
@@ -175,6 +180,47 @@ def test_transfer_sweeps_receiver_positions(chain, tmp_path):
     assert all(float(r[2]) == 0.0 and float(r[3]) == 12.0 for r in originals)
     assert all(0.0 <= float(r[5]) <= 1.0 for r in rows)
     assert {r[0] for r in rows} == {"localization", "rf"}
+
+
+def test_transfer_drops_exactly_the_windows_whose_horizon_lacks_a_true_position(
+        chain, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(chain / "scene", scene)
+    lines = (scene / "truth.csv").read_text().splitlines()
+    assert all(line.split(",")[1] for line in lines[1:])  # every position known
+    t_blank, _, _, flag = lines[101].split(",")
+    lines[101] = ",".join([t_blank, "", "", flag])
+    (scene / "truth.csv").write_text("\n".join(lines) + "\n")
+    truth = {int(t): (float(x), float(y)) for t, x, y, _ in
+             (line.split(",") for line in lines[1:]) if x}
+
+    cfg = resolve_config()
+    horizon = cfg["horizon"]
+    every = load_dataset(chain / "data").labeled  # every window of the drive, all splits
+    touching = (every.t < int(t_blank)) & (every.t + horizon >= int(t_blank))
+    assert touching.sum() == horizon  # the windows ending at t_blank - 5 .. t_blank - 1
+    kept = every.take(np.flatnonzero(~touching))
+    windows, rasters, positions, tx, rx, _, _ = cli._transfer_windows(cfg, scene)
+    np.testing.assert_array_equal(windows, kept.windows)
+    np.testing.assert_array_equal(rasters, kept.rasters)
+    np.testing.assert_array_equal(
+        positions, [[truth[t + k] for k in range(1, horizon + 1)] for t in kept.t.tolist()])
+
+    loc = chain / "loc" / "model.json"
+    out = tmp_path / "sweep"
+    assert run(["transfer", "--scenario", str(scene), "--loc", str(loc),
+                "--rx", "4,12", "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "transfer.csv")
+    model = load_model(loc)
+    coords = predict_locations_batch(model, kept.windows)
+    meta = json.loads((scene / "meta.json").read_text())
+    origin = model.stats.road_origin
+    for row, receiver in zip(rows, [rx, (4.0, 12.0)]):
+        actual = segment_intersects_rect(tx, receiver, positions, meta["vehicle_width"],
+                                         meta["vehicle_depth"])
+        predicted = segment_intersects_rect(np.subtract(tx, origin), np.subtract(receiver, origin),
+                                            coords, cfg["object_width"], 0.0)
+        assert float(row[5]) == np.mean(predicted == actual)
 
 
 # ---------------------------------------------------------------------------

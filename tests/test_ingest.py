@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -31,10 +32,9 @@ from blockcast.ingest import (
 )
 from blockcast.geometry import blockage_labels_from_rssi
 from blockcast.preprocess import (
-    Centroid,
     DbscanConfig,
-    LabeledSample,
     SrcConfig,
+    WindowSet,
     build_windows,
     scenario_centroids,
 )
@@ -69,21 +69,24 @@ def small_bundle(seed=0, steps=15):
     )
 
 
-def random_samples(n, rng, scenario="a", window_len=4, beams=3, horizon=2, bins=5):
-    out = []
-    for i in range(n):
-        out.append(
-            LabeledSample(
-                scenario=scenario,
-                t=i + window_len - 1,
-                window=rng.uniform(0.0, 3.0, size=(window_len, beams)),
-                label=Centroid(i + window_len - 1, rng.uniform(0, 28), rng.uniform(0, 4)),
-                future=rng.normal(size=(horizon, 2)),
-                future_blocked=rng.integers(0, 2, size=horizon).astype(bool),
-                lidar_raster=rng.uniform(0.1, 16.0, size=bins),
-            )
-        )
-    return out
+def random_windows(n, rng, scenario="a", window_len=4, beams=3, horizon=2, bins=5):
+    return WindowSet(
+        scenario=np.full(n, scenario, dtype=object),
+        t=np.arange(n) + window_len - 1,
+        windows=rng.uniform(0.0, 3.0, size=(n, window_len, beams)),
+        label=rng.uniform(0.0, [28.0, 4.0], size=(n, 2)),
+        label_valid=np.ones(n, dtype=bool),
+        futures=rng.normal(size=(n, horizon, 2)),
+        blocked=rng.integers(0, 2, size=(n, horizon)).astype(bool),
+        rasters=rng.uniform(0.1, 16.0, size=(n, bins)),
+    )
+
+
+def _same_windows(a: WindowSet, b: WindowSet) -> bool:
+    """Equal scenario names, and every other field equal in its bits."""
+    return a.scenario.tolist() == b.scenario.tolist() and all(
+        _same_bits(getattr(a, f.name), getattr(b, f.name))
+        for f in fields(WindowSet) if f.name != "scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -314,32 +317,28 @@ def test_hand_computed_power_sums(tmp_path):
 
 def test_dataset_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(17)
-    samples = random_samples(60, rng, "a") + random_samples(40, rng, "b")
-    dataset = split_dataset(samples, meta={"road_region": [0, 0, 28, 4], "note": 1})
+    labeled = WindowSet.concat([random_windows(60, rng, "a"), random_windows(40, rng, "b")])
+    dataset = split_dataset(labeled, meta={"road_region": [0, 0, 28, 4], "note": 1})
     save_dataset(dataset, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
-    assert len(loaded.samples) == 100
+    assert len(loaded.labeled) == 100
     assert loaded.splits == dataset.splits
     assert loaded.meta["note"] == 1
-    for a, b in zip(loaded.samples, dataset.samples):
-        assert (a.scenario, a.t) == (b.scenario, b.t)
-        np.testing.assert_array_equal(a.window, b.window)
-        np.testing.assert_array_equal(a.future, b.future)
-        np.testing.assert_array_equal(a.future_blocked, b.future_blocked)
-        np.testing.assert_array_equal(a.lidar_raster, b.lidar_raster)
-        assert (a.label.x, a.label.y, a.label.valid) == (b.label.x, b.label.y, b.label.valid)
+    assert _same_windows(loaded.labeled, dataset.labeled)
 
 
 def test_empty_dataset_round_trips(tmp_path):
-    dataset = DatasetFile([], {"train": [], "val": [], "test": []}, {"k": "v"})
+    dataset = DatasetFile(random_windows(0, np.random.default_rng(0)),
+                          {"train": [], "val": [], "test": []}, {"k": "v"})
     save_dataset(dataset, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
-    assert loaded.samples == []
+    assert loaded.samples == [] and len(loaded.labeled) == 0
     assert loaded.splits == dataset.splits
+    assert _same_windows(loaded.labeled, dataset.labeled)
 
 
 def test_dataset_version_mismatch(tmp_path):
-    dataset = split_dataset(random_samples(10, np.random.default_rng(0)))
+    dataset = split_dataset(random_windows(10, np.random.default_rng(0)))
     save_dataset(dataset, tmp_path / "d")
     path = tmp_path / "d" / "dataset.json"
     payload = json.loads(path.read_text())
@@ -350,7 +349,7 @@ def test_dataset_version_mismatch(tmp_path):
 
 
 def test_split_indices_validated(tmp_path):
-    dataset = split_dataset(random_samples(10, np.random.default_rng(0)))
+    dataset = split_dataset(random_windows(10, np.random.default_rng(0)))
     save_dataset(dataset, tmp_path / "d")
     path = tmp_path / "d" / "dataset.json"
     payload = json.loads(path.read_text())
@@ -360,28 +359,69 @@ def test_split_indices_validated(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+# Found on a copy of the quick-start dataset: each split index went through
+# int(), so 1.5, 2.9, "3" and true loaded as 1, 2, 3 and 1, and the string
+# "12" as the split [1, 2].
+@pytest.mark.parametrize("split, message", [
+    ([0, 1.5], "must be a list of integer indices"),
+    ([2.9], "must be a list of integer indices"),
+    (["3"], "must be a list of integer indices"),
+    ([True], "must be a list of integer indices"),
+    ([1.0], "must be a list of integer indices"),
+    (None, "must be a list of integer indices"),
+    ("12", "must be a list of integer indices"),
+    ({"0": 1}, "must be a list of integer indices"),
+    ([0, -1], "references sample -1"),
+    ([3, 10], "references sample 10"),
+    ([2**64], f"references sample {2**64}"),
+])
+def test_a_split_index_that_is_not_a_sample_number_is_refused(tmp_path, split, message):
+    save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), tmp_path / "d")
+    path = tmp_path / "d" / "dataset.json"
+    payload = json.loads(path.read_text())
+    payload["splits"]["val"] = split
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as err:
+        load_dataset(tmp_path / "d")
+    assert "dataset.json" in str(err.value) and "'val'" in str(err.value)
+    assert message in str(err.value)
+
+
+def test_split_indices_load_as_ints_in_their_order(tmp_path):
+    save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), tmp_path / "d")
+    path = tmp_path / "d" / "dataset.json"
+    payload = json.loads(path.read_text())
+    payload["splits"] = {"train": [9, 0, 0], "val": [], "test": [3]}
+    path.write_text(json.dumps(payload))
+    loaded = load_dataset(tmp_path / "d")
+    assert loaded.splits == {"train": [9, 0, 0], "val": [], "test": [3]}
+    assert loaded.arrays("train").t.tolist() == [12, 3, 3]
+    with pytest.raises(ValueError, match="empty"):
+        loaded.arrays("val")
+
+
 # ---------------------------------------------------------------------------
 # Splits
 # ---------------------------------------------------------------------------
 
 def test_split_ten_samples():
-    ds = split_dataset(random_samples(10, np.random.default_rng(1)), (0.8, 0.1, 0.1))
+    ds = split_dataset(random_windows(10, np.random.default_rng(1)), (0.8, 0.1, 0.1))
     assert [len(ds.splits[s]) for s in ("train", "val", "test")] == [8, 1, 1]
 
 
 def test_split_three_samples_evenly():
-    ds = split_dataset(random_samples(3, np.random.default_rng(1)),
+    ds = split_dataset(random_windows(3, np.random.default_rng(1)),
                        (1 / 3, 1 / 3, 1 / 3))
     assert [len(ds.splits[s]) for s in ("train", "val", "test")] == [1, 1, 1]
 
 
 def test_split_default_ratios():
-    ds = split_dataset(random_samples(100, np.random.default_rng(1)))
+    ds = split_dataset(random_windows(100, np.random.default_rng(1)))
     assert [len(ds.splits[s]) for s in ("train", "val", "test")] == [70, 15, 15]
 
 
 def test_split_rejects_bad_ratios():
-    samples = random_samples(6, np.random.default_rng(1))
+    samples = random_windows(6, np.random.default_rng(1))
     with pytest.raises(ValueError):
         split_dataset(samples, (0.5, 0.4, 0.2))
     with pytest.raises(ValueError):
@@ -392,14 +432,14 @@ def test_split_rejects_bad_ratios():
 
 def test_split_keeps_scenarios_in_contiguous_time_blocks():
     rng = np.random.default_rng(2)
-    samples = random_samples(40, rng, "a") + random_samples(30, rng, "b")
-    ds = split_dataset(samples, (0.7, 0.15, 0.15))
+    labeled = WindowSet.concat([random_windows(40, rng, "a"), random_windows(30, rng, "b")])
+    ds = split_dataset(labeled, (0.7, 0.15, 0.15))
     assert sorted(i for idxs in ds.splits.values() for i in idxs) == list(range(70))
     for scenario in ("a", "b"):
         ranges = {}
         for name in ("train", "val", "test"):
-            ts = [ds.samples[i].t for i in ds.splits[name]
-                  if ds.samples[i].scenario == scenario]
+            split = ds.arrays(name)
+            ts = split.t[split.scenario == scenario].tolist()
             assert ts == sorted(ts)
             assert ts == list(range(ts[0], ts[-1] + 1))  # contiguous block
             ranges[name] = (ts[0], ts[-1])
@@ -407,14 +447,14 @@ def test_split_keeps_scenarios_in_contiguous_time_blocks():
 
 
 def test_subset_unknown_split():
-    ds = split_dataset(random_samples(10, np.random.default_rng(1)))
+    ds = split_dataset(random_windows(10, np.random.default_rng(1)))
     with pytest.raises(KeyError):
         ds.subset("holdout")
     assert len(ds.subset("train")) == 7
 
 
 def test_dataset_flag_other_than_zero_or_one_names_its_line_and_column(tmp_path):
-    save_dataset(split_dataset(random_samples(10, np.random.default_rng(0))), tmp_path / "d")
+    save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), tmp_path / "d")
     path = tmp_path / "d" / "samples.csv"
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -440,10 +480,11 @@ def test_each_window_row_is_stored_once_in_frames_csv(tmp_path):
     frames = np.random.default_rng(0).uniform(0.0, 3.0, size=(6, 2))
     frames[4] = [-0.0, 1.0]
     frames[5] = [0.0, 1.0]  # equal to frames[4] as a number, not in its bytes
-    samples = [LabeledSample("a", end, frames[end - 2 : end + 1], Centroid(end, 1.0, 1.0),
-                             np.zeros((1, 2)), np.zeros(1, dtype=bool), np.ones(3))
-               for end in range(2, 6)]
-    save_dataset(split_dataset(samples), tmp_path / "d")
+    ends = np.arange(2, 6)
+    labeled = WindowSet(np.full(4, "a", dtype=object), ends, frames[ends[:, None] + [-2, -1, 0]],
+                        np.ones((4, 2)), np.ones(4, dtype=bool), np.zeros((4, 1, 2)),
+                        np.zeros((4, 1), dtype=bool), np.ones((4, 3)))
+    save_dataset(split_dataset(labeled), tmp_path / "d")
     lines = (tmp_path / "d" / "frames.csv").read_text().splitlines()
     assert lines[0] == "frame,p0,p1" and lines[1:] == [
         ",".join([str(i)] + [repr(v) for v in row]) for i, row in enumerate(frames.tolist())]
@@ -451,14 +492,13 @@ def test_each_window_row_is_stored_once_in_frames_csv(tmp_path):
     assert header.startswith("scenario,t,k0,k1,k2,label_x,")
     assert [row.split(",")[2:5] for row in rows] == [
         [str(k) for k in range(end - 2, end + 1)] for end in range(2, 6)]
-    loaded = load_dataset(tmp_path / "d")
-    assert all(_same_bits(a.window, b.window) for a, b in zip(loaded.samples, samples))
+    assert _same_windows(load_dataset(tmp_path / "d").labeled, labeled)
 
 
 @pytest.mark.parametrize("value, message", [("-1", "k1 must be a row"), ("12", "k1 must be a row"),
                                             ("1.5", "bad integer"), ("x", "bad integer")])
 def test_a_frame_row_that_does_not_exist_names_its_line_and_column(tmp_path, value, message):
-    samples = random_samples(3, np.random.default_rng(0), window_len=4)  # 12 distinct frames
+    samples = random_windows(3, np.random.default_rng(0), window_len=4)  # 12 distinct frames
     save_dataset(split_dataset(samples), tmp_path / "d")
     _set_cell(tmp_path / "d" / "samples.csv", 3, "k1", value)
     with pytest.raises(ParseError) as err:
@@ -469,7 +509,7 @@ def test_a_frame_row_that_does_not_exist_names_its_line_and_column(tmp_path, val
 
 @pytest.mark.parametrize("value", ["3", "0", "x"])
 def test_a_frame_number_other_than_its_row_names_its_line(tmp_path, value):
-    save_dataset(split_dataset(random_samples(3, np.random.default_rng(0))), tmp_path / "d")
+    save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
     _set_cell(tmp_path / "d" / "frames.csv", 3, "frame", value)
     with pytest.raises(ParseError) as err:
         load_dataset(tmp_path / "d")
@@ -477,14 +517,14 @@ def test_a_frame_number_other_than_its_row_names_its_line(tmp_path, value):
 
 
 def test_a_missing_frames_csv_is_a_parse_error_naming_it(tmp_path):
-    save_dataset(split_dataset(random_samples(3, np.random.default_rng(0))), tmp_path / "d")
+    save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
     (tmp_path / "d" / "frames.csv").unlink()
     with pytest.raises(ParseError, match="frames.csv"):
         load_dataset(tmp_path / "d")
 
 
 def test_a_format_1_dataset_is_refused_naming_the_file_and_version(tmp_path):
-    save_dataset(split_dataset(random_samples(3, np.random.default_rng(0))), tmp_path / "d")
+    save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
     path = tmp_path / "d" / "dataset.json"
     payload = json.loads(path.read_text())
     payload["meta"]["format_version"] = 1
@@ -504,12 +544,12 @@ def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_window
         DbscanConfig(cfg["eps"], cfg["min_pts"]))
     built = build_windows(standard_bundle, centroids, cfg["window_len"], cfg["horizon"], flags,
                           cfg["raster_bins"], cfg["lidar_max_range"])
-    assert len(standard_dataset.samples) == len(built)
-    assert all(_same_bits(a.window, b.window) for a, b in zip(standard_dataset.samples, built))
+    assert _same_windows(standard_dataset.labeled, built)
 
     window_len = cfg["window_len"]
     first_t = standard_bundle.rssi[0].t
-    covered = {i for s in built for i in range(s.t - first_t - window_len + 1, s.t - first_t + 1)}
+    covered = {i for t in built.t.tolist()
+               for i in range(t - first_t - window_len + 1, t - first_t + 1)}
     want = {standard_bundle.rssi[i].powers.tobytes() for i in covered}
     lines = (dataset_dir / "frames.csv").read_text().splitlines()[1:]
     got = [np.array([float(c) for c in line.split(",")[1:]]).tobytes() for line in lines]
@@ -520,9 +560,9 @@ def test_a_scenario_name_holding_a_separator_is_refused_on_save(tmp_path):
     # Found by the dataset round-trip property with separators allowed in
     # names: "a,b" was written as two cells, and the file did not load.
     for name in ("a,b", "a\nb"):
-        samples = random_samples(3, np.random.default_rng(0), scenario=name)
+        labeled = random_windows(3, np.random.default_rng(0), scenario=name)
         with pytest.raises(SchemaError):
-            save_dataset(split_dataset(samples), tmp_path / "d")
+            save_dataset(split_dataset(labeled), tmp_path / "d")
 
 
 # ---------------------------------------------------------------------------
@@ -571,19 +611,18 @@ def bundles(draw):
 @st.composite
 def datasets(draw, min_samples=0):
     window_len, beams, horizon, bins = (draw(st.integers(1, 3)) for _ in range(4))
-    samples = []
-    for _ in range(draw(st.integers(min_samples, 5))):
-        t = draw(st.integers(-3, 50))
-        samples.append(LabeledSample(
-            scenario=draw(names),
-            t=t,
-            window=draw(arrays(np.float64, (window_len, beams), elements=finite)),
-            label=Centroid(t, draw(finite), draw(finite), draw(st.booleans())),
-            future=draw(arrays(np.float64, (horizon, 2), elements=finite)),
-            future_blocked=draw(arrays(np.bool_, horizon)),
-            lidar_raster=draw(arrays(np.float64, bins, elements=finite)),
-        ))
-    return split_dataset(samples, meta={"note": draw(finite)})
+    n = draw(st.integers(min_samples, 5))
+    labeled = WindowSet(
+        scenario=np.array([draw(names) for _ in range(n)], dtype=object),
+        t=draw(arrays(np.int64, n, elements=st.integers(-3, 50))),
+        windows=draw(arrays(np.float64, (n, window_len, beams), elements=finite)),
+        label=draw(arrays(np.float64, (n, 2), elements=finite)),
+        label_valid=draw(arrays(np.bool_, n)),
+        futures=draw(arrays(np.float64, (n, horizon, 2), elements=finite)),
+        blocked=draw(arrays(np.bool_, (n, horizon))),
+        rasters=draw(arrays(np.float64, (n, bins), elements=finite)),
+    )
+    return split_dataset(labeled, meta={"note": draw(finite)})
 
 
 def _same_bits(a, b) -> bool:
@@ -628,13 +667,7 @@ def test_random_datasets_round_trip_bit_exactly_and_resave_identically(dataset):
         save_dataset(loaded, Path(tmp) / "b")
         assert _files(Path(tmp) / "a") == _files(Path(tmp) / "b")
     assert loaded.splits == dataset.splits and loaded.meta["note"] == dataset.meta["note"]
-    assert len(loaded.samples) == len(dataset.samples)
-    for a, b in zip(loaded.samples, dataset.samples):
-        assert (a.scenario, a.t, a.label.t) == (b.scenario, b.t, b.label.t)
-        assert a.label.valid == b.label.valid
-        assert _same_bits([a.label.x, a.label.y], [b.label.x, b.label.y])
-        for field in ("window", "future", "future_blocked", "lidar_raster"):
-            assert _same_bits(getattr(a, field), getattr(b, field)), field
+    assert _same_windows(loaded.labeled, dataset.labeled)
 
 
 def _saved(data, tmp: str) -> Path:

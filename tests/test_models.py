@@ -25,7 +25,7 @@ from blockcast.models import (
     train_localization,
 )
 from blockcast.nn import bce_loss, huber_loss
-from blockcast.preprocess import Centroid, LabeledSample
+from blockcast.preprocess import WindowSet
 
 ROAD = [-14.0, 4.0, 14.0, 8.0]
 
@@ -43,28 +43,25 @@ def toy_stats(beams):
 def synth_dataset(n=40, window_len=4, beams=3, horizon=2, bins=13, seed=0,
                   constant_future=None, all_clear=False):
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
+    windows, futures, blocked, rasters = [], [], [], []
+    for _ in range(n):
         if constant_future is not None:
             future = np.tile(np.asarray(constant_future, dtype=np.float64), (horizon, 1))
         else:
             future = rng.uniform(0.0, 1.0, size=(horizon, 2)) * [28.0, 4.0]
-        flags = (
+        futures.append(future)
+        blocked.append(
             np.zeros(horizon, dtype=bool)
             if all_clear
             else rng.integers(0, 2, size=horizon).astype(bool)
         )
-        samples.append(
-            LabeledSample(
-                scenario="s",
-                t=i + window_len - 1,
-                window=rng.uniform(1e-6, 2.0, size=(window_len, beams)),
-                label=Centroid(i + window_len - 1, future[0, 0], future[0, 1]),
-                future=future,
-                future_blocked=flags,
-                lidar_raster=rng.uniform(0.1, 16.0, size=bins),
-            )
-        )
+        windows.append(rng.uniform(1e-6, 2.0, size=(window_len, beams)))
+        rasters.append(rng.uniform(0.1, 16.0, size=bins))
+    futures = np.array(futures)
+    labeled = WindowSet(
+        np.full(n, "s", dtype=object), np.arange(n) + window_len - 1, np.array(windows),
+        futures[:, 0], np.ones(n, dtype=bool), futures, np.array(blocked), np.array(rasters),
+    )
     cut1, cut2 = int(n * 0.7), int(n * 0.85)
     splits = {
         "train": list(range(cut1)),
@@ -72,7 +69,7 @@ def synth_dataset(n=40, window_len=4, beams=3, horizon=2, bins=13, seed=0,
         "test": list(range(cut2, n)),
     }
     meta = {"road_region": ROAD, "lidar_max_range": 16.0}
-    return DatasetFile(samples, splits, meta)
+    return DatasetFile(labeled, splits, meta)
 
 
 def fd_grad(fn, arr, h=1e-5):
@@ -162,8 +159,8 @@ def test_power_to_db_floors_at_minus_120():
 
 def test_norm_stats_standardize_the_training_windows():
     ds = synth_dataset(30)
-    stats = compute_norm_stats(ds.subset("train"), ds.meta)
-    windows = np.stack([s.window for s in ds.subset("train")])
+    windows = ds.arrays("train").windows
+    stats = compute_norm_stats(windows, ds.meta)
     feats = rssi_features(windows, stats)
     flat = feats.reshape(-1, feats.shape[-1])
     np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-9)
@@ -172,9 +169,8 @@ def test_norm_stats_standardize_the_training_windows():
 
 def test_norm_stats_std_is_floored_for_constant_beams():
     ds = synth_dataset(10)
-    for s in ds.samples:
-        s.window[:, 1] = 0.5
-    stats = compute_norm_stats(ds.subset("train"), ds.meta)
+    ds.labeled.windows[:, :, 1] = 0.5
+    stats = compute_norm_stats(ds.arrays("train").windows, ds.meta)
     assert stats.rssi_std[1] == STD_FLOOR
     assert stats.rssi_std[0] > STD_FLOOR
 
@@ -182,9 +178,9 @@ def test_norm_stats_std_is_floored_for_constant_beams():
 def test_norm_stats_validation():
     ds = synth_dataset(10)
     with pytest.raises(ValueError):
-        compute_norm_stats([], ds.meta)
+        compute_norm_stats(np.empty((0, 4, 3)), ds.meta)
     with pytest.raises(SchemaError):
-        compute_norm_stats(ds.subset("train"), {"lidar_max_range": 16.0})
+        compute_norm_stats(ds.arrays("train").windows, {"lidar_max_range": 16.0})
 
 
 def test_train_config_validation():
@@ -241,32 +237,29 @@ def test_first_episode_loss_trend_is_downward(localization_training):
 def test_all_clear_dataset_drives_probabilities_down():
     ds = synth_dataset(50, all_clear=True, seed=6)
     model, _ = train_blockage(ds, TrainConfig(episodes=4, iterations=100, seed=0), "rf")
-    windows = np.stack([s.window for s in ds.subset("test")])
-    probs = predict_blockage_probs(model, windows)
+    probs = predict_blockage_probs(model, ds.arrays("test").windows)
     assert float(probs.max()) < 0.1
 
 
 def test_rf_model_fits_its_training_split(trained_rf, standard_dataset):
-    samples = standard_dataset.subset("train")
-    windows = np.stack([s.window for s in samples])
-    truth = np.stack([s.future_blocked for s in samples])
-    probs = predict_blockage_probs(trained_rf, windows)
+    train = standard_dataset.arrays("train")
+    probs = predict_blockage_probs(trained_rf, train.windows)
+    truth = train.blocked
     acc = float(((probs >= 0.5) == truth).mean())
     assert acc >= 0.9
 
 
 def test_near_horizon_location_error_is_small(trained_localization, standard_dataset):
-    samples = standard_dataset.subset("test")
-    windows = np.stack([s.window for s in samples])
-    truth = np.stack([s.future for s in samples])
-    pred = predict_locations_batch(trained_localization, windows)
+    test = standard_dataset.arrays("test")
+    pred = predict_locations_batch(trained_localization, test.windows)
+    truth = test.futures
     step1 = float(np.linalg.norm(pred[:, 0] - truth[:, 0], axis=1).mean())
     assert step1 <= 1.0
 
 
 def test_training_validates_inputs():
     ds = synth_dataset(20)
-    empty = DatasetFile(ds.samples, {"train": [], "val": [], "test": []}, ds.meta)
+    empty = DatasetFile(ds.labeled, {"train": [], "val": [], "test": []}, ds.meta)
     with pytest.raises(ValueError):
         train_localization(empty)
     with pytest.raises(ValueError):
@@ -276,7 +269,7 @@ def test_training_validates_inputs():
     with pytest.raises(ConfigMismatchError):
         train_localization(ds, TrainConfig(episodes=1, iterations=1), model=wrong)
 
-    tagged = DatasetFile(ds.samples, ds.splits, dict(ds.meta, horizon=99))
+    tagged = DatasetFile(ds.labeled, ds.splits, dict(ds.meta, horizon=99))
     with pytest.raises(ConfigMismatchError):
         train_localization(tagged, TrainConfig(episodes=1, iterations=1))
 
@@ -500,6 +493,5 @@ def test_batch_forward_over_the_whole_drive_keeps_no_dead_intermediates(
     MiB when conv and dense outputs stayed in a throwaway dict and ReLU and
     the conv taps allocated). 40% headroom would admit that, so the bound
     is 15% above the measured peak: array sizes fix the peak exactly."""
-    windows = np.stack([s.window for s in standard_dataset.samples])
-    rasters = np.stack([s.lidar_raster for s in standard_dataset.samples])
+    windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
     assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 70.0

@@ -1,16 +1,20 @@
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockcast.ingest import ScenarioBundle
 from blockcast.preprocess import (
     Centroid,
     DbscanConfig,
+    LabeledSample,
     SrcConfig,
+    WindowSet,
     build_windows,
     dbscan,
     extract_centroid,
@@ -429,30 +433,33 @@ def all_valid_centroids(n):
 
 def test_no_window_fits_when_run_is_too_short():
     bundle = toy_bundle(12)
-    assert build_windows(bundle, all_valid_centroids(12), 8, 5) == []
+    windows = build_windows(bundle, all_valid_centroids(12), 8, 5)
+    assert len(windows) == 0 and not windows
+    assert windows.windows.shape == (0, 8, 3) and windows.futures.shape == (0, 5, 2)
+    assert windows.rasters.shape == (0, 360) and windows.rows() == []
 
 
 def test_exactly_one_window_and_its_contents():
     bundle = toy_bundle(13)
     centroids = all_valid_centroids(13)
     blocked = [t >= 9 for t in range(13)]
-    samples = build_windows(bundle, centroids, 8, 5, blocked=blocked, raster_bins=12)
-    assert len(samples) == 1
-    s = samples[0]
-    assert s.scenario == "toy" and s.t == 7
-    assert s.window.shape == (8, 3)
+    windows = build_windows(bundle, centroids, 8, 5, blocked=blocked, raster_bins=12)
+    assert len(windows) == 1
+    assert windows.scenario.tolist() == ["toy"] and windows.t.tolist() == [7]
+    assert windows.windows.shape == (1, 8, 3)
     np.testing.assert_array_equal(
-        s.window, np.stack([f.powers for f in bundle.rssi[:8]])
+        windows.windows[0], np.stack([f.powers for f in bundle.rssi[:8]])
     )
-    assert (s.label.x, s.label.y) == (centroids[7].x, centroids[7].y)
+    assert windows.label.tolist() == [[centroids[7].x, centroids[7].y]]
+    assert windows.label_valid.tolist() == [True]
     np.testing.assert_allclose(
-        s.future, [[14.0 + 0.25 * t, 2.0] for t in range(8, 13)], rtol=1e-12
+        windows.futures[0], [[14.0 + 0.25 * t, 2.0] for t in range(8, 13)], rtol=1e-12
     )
     np.testing.assert_array_equal(
-        s.future_blocked, [False, True, True, True, True]
+        windows.blocked[0], [False, True, True, True, True]
     )
     np.testing.assert_array_equal(
-        s.lidar_raster, rasterize_scan(bundle.lidar[7], 12, 16.0)
+        windows.rasters[0], rasterize_scan(bundle.lidar[7], 12, 16.0)
     )
 
 
@@ -461,19 +468,18 @@ def test_windows_skip_spans_touching_an_invalid_centroid():
     bundle = toy_bundle(n)
     centroids = all_valid_centroids(n)
     centroids[50] = Centroid(50, math.nan, math.nan, valid=False)
-    samples = build_windows(bundle, centroids, 8, 5)
-    got = {s.t for s in samples}
+    windows = build_windows(bundle, centroids, 8, 5)
+    got = set(windows.t.tolist())
     want = {end for end in range(7, n - 5) if not 45 <= end <= 50}
     assert got == want
-    assert len(samples) == 82
+    assert len(windows) == 82
 
 
 def test_windows_default_flags_are_all_false():
     bundle = toy_bundle(14)
-    samples = build_windows(bundle, all_valid_centroids(14), 8, 5)
-    assert len(samples) == 2
-    for s in samples:
-        assert not s.future_blocked.any()
+    windows = build_windows(bundle, all_valid_centroids(14), 8, 5)
+    assert len(windows) == 2
+    assert windows.blocked.shape == (2, 5) and not windows.blocked.any()
 
 
 def test_build_windows_argument_validation():
@@ -487,3 +493,108 @@ def test_build_windows_argument_validation():
         build_windows(bundle, cs[:-1], 8, 5)
     with pytest.raises(ValueError):
         build_windows(bundle, cs, 8, 5, blocked=[False] * 12)
+
+
+def test_window_set_take_concat_and_row_views():
+    windows = build_windows(toy_bundle(20), all_valid_centroids(20), 4, 2, raster_bins=6)
+    assert len(windows) == 15
+    part = windows.take(np.array([3, 0]))
+    assert part.t.tolist() == [6, 3]
+    assert np.array_equal(part.rasters, windows.rasters[[3, 0]])
+    both = WindowSet.concat([part, windows])
+    assert len(both) == 17 and both.t[:3].tolist() == [6, 3, 3]
+    row = windows.rows()[2]
+    assert (row.scenario, row.t, row.label) == ("toy", 5, Centroid(5, 15.25, 2.0, True))
+    row.window[0, 0] = -1.0  # a view: writes land in the set
+    assert windows.windows[2, 0, 0] == -1.0
+    with pytest.raises(ValueError, match="window counts"):
+        replace(windows, t=windows.t[:3])
+
+
+# ---------------------------------------------------------------------------
+# The array build_windows against the per-window loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_rasterize_scan(scan, bins, max_range):
+    out = np.full(bins, float(max_range))
+    pts = scan.points
+    if pts.shape[0]:
+        idx = (pts[:, 0] * (bins / (2.0 * math.pi))).astype(np.int64) % bins
+        np.minimum.at(out, idx, pts[:, 1])
+    return out
+
+
+def reference_build_windows(bundle, centroids, window_len, horizon, blocked=None,
+                            raster_bins=360, max_range=16.0):
+    """One LabeledSample per window, built by a loop over the window ends."""
+    frames = bundle.rssi
+    scan_at = {scan.t: scan for scan in bundle.lidar}
+    empty = LidarScan(0, np.empty((0, 2)))
+    samples = []
+    for end in range(window_len - 1, len(frames) - horizon):
+        span = centroids[end : end + horizon + 1]
+        if not all(c.valid for c in span):
+            continue
+        window = np.stack([frames[i].powers for i in range(end - window_len + 1, end + 1)])
+        future = np.array([[c.x, c.y] for c in span[1:]], dtype=np.float64)
+        flags = (
+            np.array([bool(blocked[i]) for i in range(end + 1, end + horizon + 1)])
+            if blocked is not None
+            else np.zeros(horizon, dtype=bool)
+        )
+        raster = reference_rasterize_scan(scan_at.get(frames[end].t, empty), raster_bins, max_range)
+        samples.append(LabeledSample(bundle.scenario_id, frames[end].t, window, span[0], future,
+                                     flags, raster))
+    return samples
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@st.composite
+def window_inputs(draw):
+    n, beams = draw(st.integers(1, 16)), draw(st.integers(1, 3))
+    t0 = draw(st.integers(-5, 5))
+    power = st.floats(0.0, 1e3) | st.just(-0.0)
+    frames = [RssiFrame(t0 + i, draw(arrays(np.float64, beams, elements=power)))
+              for i in range(n)]
+    point = st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True),
+                      st.floats(0.01, 20.0))
+    scanned = sorted(draw(st.sets(st.integers(0, n - 1))))  # the other frames have no scan
+    scans = [LidarScan(t0 + i, np.array(draw(st.lists(point, max_size=4))).reshape(-1, 2))
+             for i in scanned]
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for where in draw(st.sets(st.sampled_from([0, n // 2, n - 1]))):  # start, middle, end
+        valid[where] = False
+    coord = st.floats(-50.0, 50.0)
+    centroids = [Centroid(t0 + i, draw(coord), draw(coord)) if ok
+                 else Centroid(t0 + i, math.nan, math.nan, valid=False)
+                 for i, ok in enumerate(valid)]
+    blocked = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    return (ScenarioBundle("drive", frames, scans), centroids, draw(st.integers(1, 6)),
+            draw(st.integers(1, 6)), blocked, draw(st.integers(1, 12)),
+            draw(st.floats(0.5, 30.0)))
+
+
+@settings(max_examples=200)
+@given(window_inputs())
+def test_build_windows_equals_the_per_window_loop_bit_for_bit(inputs):
+    bundle, centroids, window_len, horizon, blocked, bins, max_range = inputs
+    got = build_windows(*inputs)
+    want = reference_build_windows(*inputs)
+    assert len(got) == len(want)
+    if len(bundle.rssi) < window_len + horizon:
+        assert len(got) == 0
+    assert got.scenario.tolist() == [s.scenario for s in want]
+    assert got.t.tolist() == [s.t for s in want]
+    assert got.label_valid.all()
+    labels = np.array([[s.label.x, s.label.y] for s in want]).reshape(-1, 2)
+    assert _bits(got.label) == _bits(labels)
+    beams = bundle.rssi[0].powers.shape[0]
+    assert got.windows.shape[1:] == (window_len, beams) and got.futures.shape[1:] == (horizon, 2)
+    assert got.blocked.shape[1:] == (horizon,) and got.rasters.shape[1:] == (bins,)
+    for name, field in (("windows", "window"), ("futures", "future"),
+                        ("blocked", "future_blocked"), ("rasters", "lidar_raster")):
+        assert [_bits(v) for v in getattr(got, name)] == [_bits(getattr(s, field)) for s in want]
