@@ -47,6 +47,7 @@ from .evaluation import (
 from .geometry import LinkGeometry, blockage_labels_from_rssi, transfer_link
 from .ingest import (
     ScenarioBundle,
+    Truth,
     load_dataset,
     load_scenario,
     save_dataset,
@@ -148,16 +149,16 @@ def _meta_numbers(meta: dict, key: str, count: int, path) -> tuple[float, ...]:
     raise SchemaError(f"{path}: {key} must be a list of {count} numbers, got {value!r}")
 
 
-def _power_threshold(meta: dict, path) -> float | None:
-    """``meta["power_threshold"]``, None when absent or null; anything but a
-    finite positive number is a SchemaError naming the file and the key."""
-    value = meta.get("power_threshold")
+def _meta_positive(meta: dict, key: str, path) -> float | None:
+    """``meta[key]``, None when absent or null; anything but a finite
+    positive number is a SchemaError naming the file and the key."""
+    value = meta.get(key)
     if value is None:
         return None
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value) and value > 0):
         return float(value)
-    raise SchemaError(f"{path}: power_threshold must be a finite positive number, got {value!r}")
+    raise SchemaError(f"{path}: {key} must be a finite positive number, got {value!r}")
 
 
 def _road_frame_link(tx, rx, origin, object_width: float) -> LinkGeometry:
@@ -170,9 +171,7 @@ def _road_frame_link(tx, rx, origin, object_width: float) -> LinkGeometry:
 def _scenario_windows(cfg: dict, bundle: ScenarioBundle, threshold: float | None) -> WindowSet:
     """The labeled windows of one scenario as the config cuts them; the
     blockage flags come from ``threshold``, all False when it is None."""
-    flags = None
-    if threshold is not None:
-        flags = [lab.blocked for lab in blockage_labels_from_rssi(bundle.rssi, threshold)]
+    flags = None if threshold is None else blockage_labels_from_rssi(bundle.rssi, threshold)
     src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
     db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
     return build_windows(bundle, scenario_centroids(bundle, src_cfg, db_cfg),
@@ -251,44 +250,28 @@ def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     result = simulate_scenario(
         world, codebook, channel, int(cfg["steps"]), int(cfg["seed"]), int(cfg["lidar_rays"])
     )
-    labels = None
-    if result.power_threshold is not None:
-        labels = blockage_labels_from_rssi(result.frames, result.power_threshold)
-    meta = {
-        "tx": list(map(float, cfg["tx"])),
-        "rx": list(map(float, cfg["rx"])),
-        "road_region": list(map(float, cfg["road_region"])),
-        "vehicle_width": float(cfg["vehicle_width"]),
-        "vehicle_depth": float(cfg["vehicle_depth"]),
-        "theta_offset": float(cfg["theta_offset"]),
-        "fov": float(cfg["fov"]),
-        "num_subcarriers": int(cfg["num_subcarriers"]),
-        "noise_variance": float(cfg["noise_variance"]),
-        "blocked_attenuation_db": float(cfg["blocked_attenuation_db"]),
-        "scatter_gain": float(cfg["scatter_gain"]),
-        "scatter_fluctuation_db": float(cfg["scatter_fluctuation_db"]),
-        "symbol_power": float(cfg["symbol_power"]),
-        "steps": int(cfg["steps"]),
-        "seed": int(cfg["seed"]),
-        "lidar_max_range": float(cfg["lidar_max_range"]),
-        "lidar_rays": int(cfg["lidar_rays"]),
-        "power_threshold": (
-            None if result.power_threshold is None else float(result.power_threshold)
-        ),
-    }
+    threshold = result.power_threshold
+    labels = None if threshold is None else blockage_labels_from_rssi(result.frames, threshold)
+    meta = {key: list(map(float, cfg[key])) for key in ("tx", "rx", "road_region")}
+    meta.update((key, float(cfg[key])) for key in (
+        "vehicle_width", "vehicle_depth", "theta_offset", "fov", "noise_variance",
+        "blocked_attenuation_db", "scatter_gain", "scatter_fluctuation_db", "symbol_power",
+        "lidar_max_range"))
+    meta.update((key, int(cfg[key])) for key in ("num_subcarriers", "steps", "seed", "lidar_rays"))
+    meta["power_threshold"] = threshold
+    steps = np.arange(len(result.frames))
     bundle = ScenarioBundle(
         scenario_id=str(inputs.get("scenario_id") or out_dir.name),
+        t=steps,
         rssi=result.frames,
         lidar=result.scans,
-        truth=result.truth,
+        truth=Truth(steps, result.positions, result.occluded),
         labels=labels,
         meta=meta,
     )
     save_scenario(bundle, out_dir)
-    outputs = ["rssi.csv", "lidar.csv", "truth.csv", "meta.json"]
-    if labels is not None:
-        outputs.append("labels.csv")
-    return outputs
+    return ["rssi.csv", "lidar.csv", "truth.csv", "meta.json"] + (
+        [] if labels is None else ["labels.csv"])
 
 
 def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
@@ -297,7 +280,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     for sdir in inputs["scenarios"]:
         bundle = load_scenario(sdir)
         meta_path = Path(sdir) / "meta.json"
-        threshold = _power_threshold(bundle.meta, meta_path)
+        threshold = _meta_positive(bundle.meta, "power_threshold", meta_path)
         if threshold is None:
             raise SchemaError(f"{meta_path}: no power_threshold; blockage flags cannot be derived")
         for key in ("tx", "rx"):  # copied into dataset.json, where evaluate reads them
@@ -456,16 +439,16 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
         raise SchemaError(f"{scenario}: transfer needs truth.csv")
     meta_path = Path(scenario) / "meta.json"
     tx, rx0 = (_meta_numbers(meta, key, 2, meta_path) for key in ("tx", "rx"))
-    width = meta.get("vehicle_width")
-    depth = meta.get("vehicle_depth")
+    width, depth = (_meta_positive(meta, key, meta_path)
+                    for key in ("vehicle_width", "vehicle_depth"))
     if width is None or depth is None:
-        raise SchemaError(f"{scenario}: scenario metadata lacks vehicle dimensions")
+        raise SchemaError(f"{meta_path}: transfer needs vehicle_width and vehicle_depth")
+    _meta_positive(meta, "power_threshold", meta_path)  # checked, but transfer needs no flags
 
-    labeled = _scenario_windows(cfg, bundle, _power_threshold(meta, meta_path))
-    t0 = bundle.rssi[0].t
-    truth = np.full((len(bundle.rssi), 2), np.nan)  # NaN: no known position
-    for row in bundle.truth:
-        truth[row.t - t0] = np.nan if row.pos is None else row.pos
+    labeled = _scenario_windows(cfg, bundle, None)
+    t0 = bundle.t[0]
+    truth = np.full((len(bundle.t), 2), np.nan)  # NaN: no known position
+    truth[bundle.truth.t - t0] = bundle.truth.pos
     ahead = truth[labeled.t[:, None] - t0 + np.arange(1, int(cfg["horizon"]) + 1)]
     kept = ~np.isnan(ahead).any(axis=(1, 2))
     if not kept.any():
@@ -499,7 +482,7 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     rows = []
     for pos_idx, rx in enumerate(rx_positions):
         moved = transfer_link(link, np.subtract(rx, origin))
-        truth_flags = segment_intersects_rect(tx, rx, positions, float(width), float(depth))
+        truth_flags = segment_intersects_rect(tx, rx, positions, width, depth)
         pred = segment_intersects_rect(moved.tx, moved.rx, coords, moved.object_width, 0.0)
         for name, predicted in [("localization", pred)] + baseline_flags:
             rows.append(
@@ -638,20 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _gather(args: argparse.Namespace) -> tuple[dict, dict]:
     overrides = dict(args.overrides)
-    flag_map = {
-        "seed": "seed",
-        "steps": "steps",
-        "window_len": "window_len",
-        "horizon": "horizon",
-        "lr": "lr",
-        "batch_size": "batch_size",
-        "episodes": "episodes",
-        "iterations": "iterations",
-        "train_seed": "train_seed",
-        "delta": "delta",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    # Dedicated flags, each named as the config key it sets.
+    for key in ("seed", "steps", "window_len", "horizon", "lr", "batch_size", "episodes",
+                "iterations", "train_seed", "delta"):
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
 

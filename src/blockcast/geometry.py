@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+
+import numpy as np
 
 from .errors import DegenerateLinkError
 from .preprocess import Centroid
-from .scene import (
-    BlockageLabel,
-    RssiFrame,
-    ensure_finite,
-    segment_intersects_rect,
-    total_power,
-)
+from .scene import ensure_finite, segment_intersects_rect
 
 
 @dataclass(frozen=True)
@@ -56,14 +51,13 @@ def blockage_from_location(loc: Centroid, link: LinkGeometry) -> bool:
     )
 
 
-def blockage_labels_from_rssi(
-    frames: Sequence[RssiFrame], power_threshold: float
-) -> list[BlockageLabel]:
-    """Blocked iff total power drops strictly below the threshold."""
+def blockage_labels_from_rssi(powers: np.ndarray, power_threshold: float) -> np.ndarray:
+    """(T,) flags of (T, M) per-beam powers: blocked iff a step's total power
+    drops strictly below the threshold."""
     if not (math.isfinite(power_threshold) and power_threshold > 0):
         raise ValueError(
             f"power_threshold must be a finite positive number, got {power_threshold!r}")
-    return [BlockageLabel(f.t, total_power(f) < power_threshold) for f in frames]
+    return np.asarray(powers, dtype=np.float64).sum(axis=1) < power_threshold
 
 
 def transfer_link(link: LinkGeometry, new_rx: tuple[float, float]) -> LinkGeometry:

@@ -11,6 +11,11 @@ lives in its own directory (the import format for real captures too):
   labels.csv  t,blocked         optional; one row per frame
   meta.json                     codebook, channel, link, region, threshold
 
+In memory a scenario is one ``ScenarioBundle`` of columns, with no per-row
+object: ``t`` (T,) and ``rssi`` (T, M), ``labels`` (T,), ``truth`` a
+``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
+flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame.
+
 A dataset of training windows (format 2) stores each power frame once:
 
   frames.csv    frame,p0,...,p{M-1}     each distinct window row once, in
@@ -49,47 +54,69 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, SchemaError, TimeIndexGapError
 from .preprocess import LabeledSample, WindowSet
-from .scene import TWO_PI, BlockageLabel, GroundTruth, LidarScan, RssiFrame
+from .scene import TWO_PI, LidarScan, ensure_finite
 
 SCENARIO_FORMAT_VERSION = 1
 DATASET_FORMAT_VERSION = 2
 
 
+class Truth(NamedTuple):
+    """Ground-truth rows as columns, row i of each for one step."""
+
+    t: np.ndarray        # (R,) int64 frame times
+    pos: np.ndarray      # (R, 2) object centre, world frame; NaN where unknown
+    blocked: np.ndarray  # (R,) bool
+
+
 @dataclass
 class ScenarioBundle:
-    """One recorded drive: RSSI frames, lidar scans, optional ground truth."""
+    """One recorded drive as columns: row i of ``rssi`` (and of ``labels``)
+    is the frame at time ``t[i]``; lidar scans and truth rows name their
+    frame by its time."""
 
     scenario_id: str
-    rssi: list[RssiFrame]
+    t: np.ndarray                     # (T,) int64, consecutive
+    rssi: np.ndarray                  # (T, M) per-beam power, linear units
     lidar: list[LidarScan]
-    truth: list[GroundTruth] | None = None
-    labels: list[BlockageLabel] | None = None
+    truth: Truth | None = None
+    labels: np.ndarray | None = None  # (T,) bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.rssi:
+        if len(self.rssi) == 0:
             raise SchemaError("scenario has no RSSI frames")
-        times = [f.t for f in self.rssi]
-        missing = sorted(set(range(times[0], times[-1] + 1)) - set(times))
-        if missing:
-            raise TimeIndexGapError(missing)
-        if any(a >= b for a, b in zip(times, times[1:])):
+        self.rssi = ensure_finite("powers", self.rssi)
+        self.t = np.asarray(self.t, dtype=np.int64)
+        if self.rssi.ndim != 2 or self.t.shape != self.rssi.shape[:1]:
+            raise ValueError("powers must be a (T, M) array with one time t per row")
+        if (self.rssi < 0).any():
+            raise ValueError("powers must be nonnegative")
+        missing = np.setdiff1d(np.arange(self.t[0], self.t[-1] + 1), self.t)
+        if missing.size:
+            raise TimeIndexGapError(missing.tolist())
+        if (np.diff(self.t) <= 0).any():
             raise SchemaError("RSSI frames are not in time order")
-        frame_times = set(times)
-        for scan in self.lidar:
-            if scan.t not in frame_times:
-                raise SchemaError(f"lidar scan at t={scan.t} has no matching RSSI frame")
+        stray = {"lidar scan": np.array([scan.t for scan in self.lidar], dtype=np.int64)}
         if self.truth is not None:
-            for row in self.truth:
-                if row.t not in frame_times:
-                    raise SchemaError(f"truth row at t={row.t} has no matching RSSI frame")
+            t, pos, blocked = self.truth
+            self.truth = Truth(np.asarray(t, dtype=np.int64), np.asarray(pos, dtype=np.float64),
+                               np.asarray(blocked, dtype=bool))
+            if self.truth.pos.shape != (len(t), 2) or self.truth.blocked.shape != (len(t),):
+                raise ValueError("truth must hold (R,) times, (R, 2) positions and (R,) flags")
+            stray["truth row"] = self.truth.t
+        for what, times in stray.items():
+            outside = ~np.isin(times, self.t)
+            if outside.any():
+                raise SchemaError(f"{what} at t={times[outside][0]} has no matching RSSI frame")
         if self.labels is not None:
-            if [lab.t for lab in self.labels] != times:
+            self.labels = np.asarray(self.labels, dtype=bool)
+            if self.labels.shape != self.t.shape:
                 raise SchemaError("blockage labels do not align with RSSI frames")
 
 
@@ -427,26 +454,21 @@ def json_int(obj: dict, key: str, path) -> int:
 def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    num_beams = bundle.rssi[0].powers.shape[0]
-    if any(frame.powers.shape != (num_beams,) for frame in bundle.rssi):
-        raise SchemaError(f"{out / 'rssi.csv'}: RSSI frames hold different beam counts")
+    num_beams = bundle.rssi.shape[1]
 
     write_csv(out / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
-              [np.array([frame.t for frame in bundle.rssi]),
-               np.array([frame.powers for frame in bundle.rssi])])
+              [bundle.t, bundle.rssi])
     counts = [scan.points.shape[0] for scan in bundle.lidar]
     write_csv(out / "lidar.csv", ["t", "angle", "depth"],
               [np.repeat(np.array([scan.t for scan in bundle.lidar], dtype=np.int64), counts),
                np.concatenate([scan.points for scan in bundle.lidar] + [np.empty((0, 2))])])
     if bundle.truth is not None:
-        pos = [row.pos if row.pos is not None else (None, None) for row in bundle.truth]
-        write_csv(out / "truth.csv", ["t", "x", "y", "blocked"],
-                  [np.array([row.t for row in bundle.truth]), [p[0] for p in pos],
-                   [p[1] for p in pos], np.array([row.blocked for row in bundle.truth])])
+        times, pos, blocked = bundle.truth
+        cells = pos.astype(object)
+        cells[np.isnan(pos)] = None  # blank x,y where the position is unknown
+        write_csv(out / "truth.csv", ["t", "x", "y", "blocked"], [times, cells, blocked])
     if bundle.labels is not None:
-        write_csv(out / "labels.csv", ["t", "blocked"],
-                  [np.array([lab.t for lab in bundle.labels]),
-                   np.array([lab.blocked for lab in bundle.labels])])
+        write_csv(out / "labels.csv", ["t", "blocked"], [bundle.t, bundle.labels])
 
     meta = {**bundle.meta, "format_version": SCENARIO_FORMAT_VERSION,
             "scenario_id": bundle.scenario_id, "num_beams": num_beams}
@@ -472,7 +494,6 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     frame_times = table.ints(0, 1)[:, 0]
     table.reject_rows(np.diff(frame_times, prepend=frame_times[:1] - 1) != 1,
                       "RSSI frames are not in time order: t must follow the row above by 1")
-    frames = [RssiFrame(t, p) for t, p in zip(frame_times.tolist(), powers)]
 
     table = CsvTable(root / "lidar.csv", ["t", "angle", "depth"], "iff")
     times = table.ints(0, 1)[:, 0]
@@ -493,9 +514,7 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         table.reject_rows(blank[:, 0] != blank[:, 1], "x and y must be blank together")
         times = table.ints(0, 1)[:, 0]
         table.reject_rows(~np.isin(times, frame_times), "truth row has no matching RSSI frame")
-        rows = zip(times.tolist(), blank[:, 0].tolist(), table.floats(1, 3),
-                   table.flags(3, 4)[:, 0].tolist())
-        truth = [GroundTruth(t, None if unknown else pos, flag) for t, unknown, pos, flag in rows]
+        truth = Truth(times, table.floats(1, 3), table.flags(3, 4)[:, 0])
 
     labels = None
     labels_path = root / "labels.csv"
@@ -509,10 +528,9 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         if len(times) < len(frame_times):
             raise ParseError(labels_path, int(table.line_nos[-1]) if len(times) else 1,
                              f"{len(times)} blockage labels for {len(frame_times)} RSSI frames")
-        labels = [BlockageLabel(t, flag) for t, flag in
-                  zip(times.tolist(), table.flags(1, 2)[:, 0].tolist())]
+        labels = table.flags(1, 2)[:, 0]
 
-    return ScenarioBundle(str(meta["scenario_id"]), frames, scans, truth, labels, meta)
+    return ScenarioBundle(str(meta["scenario_id"]), frame_times, powers, scans, truth, labels, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -98,14 +98,29 @@ class NormStats:
         }
 
     @classmethod
-    def from_json(cls, d: dict) -> "NormStats":
-        return cls(
-            rssi_mean=np.array(d["rssi_mean"], dtype=np.float64),
-            rssi_std=np.array(d["rssi_std"], dtype=np.float64),
-            road_origin=np.array(d["road_origin"], dtype=np.float64),
-            road_size=np.array(d["road_size"], dtype=np.float64),
-            lidar_max_range=float(d["lidar_max_range"]),
-        )
+    def from_json(cls, d: dict, num_beams: int, path) -> "NormStats":
+        """The stats of a checkpoint's ``norm`` object for M = ``num_beams``. A
+        field that is missing, not of its shape ((M,) for ``rssi_*``, (2,) for
+        ``road_*``, a number for ``lidar_max_range``) or not finite, or a scale
+        that is not positive, is a SchemaError naming ``path`` and ``norm.<key>``."""
+        if not isinstance(d, dict):
+            raise SchemaError(f"{path}: norm must be a JSON object")
+        shapes = {"rssi_mean": (num_beams,), "rssi_std": (num_beams,), "road_origin": (2,),
+                  "road_size": (2,), "lidar_max_range": ()}
+        values = {}
+        for key, shape in shapes.items():
+            try:
+                value = np.asarray(d.get(key))  # numbers only: no str, bool or null
+            except ValueError:  # a ragged list
+                value = np.asarray(None)
+            scale = key in ("rssi_std", "road_size", "lidar_max_range")
+            if (value.dtype.kind not in "if" or value.shape != shape
+                    or not np.isfinite(value).all() or (scale and not (value > 0).all())):
+                number = "finite positive number" if scale else "finite number"
+                what = f"a {number}" if shape == () else f"a list of {shape[0]} {number}s"
+                raise SchemaError(f"{path}: norm.{key} must be {what}, got {d.get(key)!r}")
+            values[key] = value.astype(np.float64)
+        return cls(**{**values, "lidar_max_range": float(values["lidar_max_range"])})
 
 
 def power_to_db(powers: np.ndarray) -> np.ndarray:
@@ -513,7 +528,7 @@ def load_model(path) -> Model:
     dims = [json_int(descriptor, key, path) for key in ("num_beams", "window_len", "horizon")]
     raster_bins = json_int(descriptor, "raster_bins", path) if kind == "rf+lidar" else None
     try:
-        stats = NormStats.from_json(descriptor["norm"])
+        stats = NormStats.from_json(descriptor.get("norm"), dims[0], path)
         model = build_model(kind, *dims, stats, raster_bins)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad descriptor: {exc!r}") from None

@@ -210,18 +210,15 @@ def extract_centroid(scan: LidarScan, src: SrcConfig, db: DbscanConfig) -> Centr
     return Centroid(scan.t, float(mean[0] - ox), float(mean[1] - oy), valid=True)
 
 
-def scenario_centroids(
-    bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfig
-) -> list[Centroid]:
-    """One centroid per RSSI frame; frames without a scan come out invalid."""
-    by_time = {scan.t: scan for scan in bundle.lidar}
-    out = []
-    for frame in bundle.rssi:
-        scan = by_time.get(frame.t)
-        if scan is None:
-            out.append(Centroid(frame.t, math.nan, math.nan, valid=False))
-        else:
-            out.append(extract_centroid(scan, src, db))
+def scenario_centroids(bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfig) -> np.ndarray:
+    """(T, 2) road-frame centroids, row i for frame i; NaN rows where a frame
+    has no scan or its scan no cluster. Of several scans at one time, the
+    last counts."""
+    out = np.full((len(bundle.t), 2), np.nan)
+    t0 = int(bundle.t[0])
+    for scan in {scan.t: scan for scan in bundle.lidar}.values():
+        c = extract_centroid(scan, src, db)
+        out[scan.t - t0] = c.x, c.y  # an invalid centroid is NaN, NaN
     return out
 
 
@@ -246,41 +243,42 @@ def rasterize_scan(scan: LidarScan, bins: int, max_range: float) -> np.ndarray:
 
 def build_windows(
     bundle: "ScenarioBundle",
-    centroids: Sequence[Centroid],
+    centroids: np.ndarray,
     window_len: int,
     horizon: int,
-    blocked: Sequence[bool] | None = None,
+    blocked: np.ndarray | None = None,
     raster_bins: int = 360,
     max_range: float = 16.0,
 ) -> WindowSet:
     """Stride-1 sliding windows over one scenario.
 
-    A window ends at step index `end` when window_len frames exist up to
-    and including `end` and the centroids at end..end+horizon are all
-    valid; windows touching an invalid detection are dropped, not imputed.
-    The per-step powers, centroids and flags are sliced at the kept ends,
-    and only the scans at those ends are rasterized.
+    ``centroids`` is (T, 2), a NaN in a row marking an invalid detection,
+    and ``blocked`` (T,) flags, all False when None. A window ends at step
+    index `end` when window_len frames exist up to and including `end` and
+    the centroids at end..end+horizon are all valid; windows touching an
+    invalid detection are dropped, not imputed. The per-step powers,
+    centroids and flags are sliced at the kept ends, and only the scans at
+    those ends are rasterized.
     """
     if window_len < 1 or horizon < 1:
         raise ValueError("window_len and horizon must be >= 1")
-    frames = bundle.rssi
-    n = len(frames)
-    if len(centroids) != n:
+    powers = bundle.rssi
+    n = len(powers)
+    xy = np.asarray(centroids, dtype=np.float64)
+    if xy.shape != (n, 2):
         raise ValueError("centroids must align one-to-one with frames")
-    if blocked is not None and len(blocked) != n:
+    flags = np.zeros(n, dtype=bool) if blocked is None else np.asarray(blocked, dtype=bool)
+    if flags.shape != (n,):
         raise ValueError("blocked flags must align one-to-one with frames")
 
-    xy = np.array([(c.x, c.y) for c in centroids], dtype=np.float64).reshape(n, 2)
-    invalid = np.cumsum([0] + [not c.valid for c in centroids])  # invalid ones before each step
+    invalid = np.concatenate([[0], np.cumsum(np.isnan(xy).any(axis=1))])  # before each step
     ends = np.arange(window_len - 1, max(window_len - 1, n - horizon))
     ends = ends[invalid[ends + horizon + 1] == invalid[ends]]
     ahead = ends[:, None] + np.arange(1, horizon + 1)
-    powers = np.array([frame.powers for frame in frames], dtype=np.float64)
-    flags = np.zeros(n, dtype=bool) if blocked is None else np.array(blocked, dtype=bool)
 
     # Every scan's points with the window row of its step, -1 where no
     # window ends; the last scan of a step wins.
-    t0 = frames[0].t
+    t0 = bundle.t[0]
     scans = {scan.t - t0: scan.points for scan in bundle.lidar}
     row_at = np.full(n, -1)
     row_at[ends] = np.arange(len(ends))

@@ -103,27 +103,6 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
-class RssiFrame:
-    """Per-beam received power (linear units) at one time step."""
-
-    t: int
-    powers: np.ndarray
-
-    def __post_init__(self):
-        arr = ensure_finite("powers", self.powers)
-        if arr.ndim != 1:
-            raise ValueError("powers must be a 1-D vector")
-        if np.any(arr < 0):
-            raise ValueError("powers must be nonnegative")
-        object.__setattr__(self, "powers", arr)
-
-
-def total_power(frame: RssiFrame) -> float:
-    """Total received power across all beams; drives the blockage flag."""
-    return float(np.sum(frame.powers))
-
-
-@dataclass(frozen=True)
 class LidarScan:
     """Polar point set at one time step: rows of (angle [rad], depth [m])."""
 
@@ -184,27 +163,14 @@ class WorldState:
             raise ValueError("bounce_x must be an increasing (min, max) pair")
 
 
-@dataclass(frozen=True)
-class BlockageLabel:
-    t: int
-    blocked: bool
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Simulator-only truth: dominant object center (world frame) or None."""
-
-    t: int
-    pos: tuple[float, float] | None
-    blocked: bool
-
-
 @dataclass
 class SimulationResult:
-    frames: list[RssiFrame]
+    """One simulated drive, row t of each array for step t."""
+
+    frames: np.ndarray     # (T, M) per-beam received power, linear units
     scans: list[LidarScan]
-    truth: list[GroundTruth]
-    labels: list[BlockageLabel]
+    positions: np.ndarray  # (T, 2) first vehicle's centre (world frame); NaN without one
+    occluded: np.ndarray   # (T,) bool, the line of sight is blocked
     power_threshold: float | None
 
 
@@ -330,7 +296,7 @@ def simulate_scenario(
     """Run the scene forward; deterministic given identical arguments.
 
     Each step advances vehicles first, then measures: LoS occlusion, the
-    per-beam power vector, a LiDAR sweep, and the truth record. The motion
+    per-beam power vector, a LiDAR sweep, and the true position. The motion
     and occlusion of all steps are computed up front; the rest runs in
     blocks of CHUNK_STEPS steps. Each step reads, in this order, one normal
     per vehicle (when scatter_fluctuation_db > 0), then M*K real and M*K
@@ -374,7 +340,7 @@ def simulate_scenario(
 
     num_wobbles = len(vehicles) if fluctuation > 0.0 else 0
     num_noise = 2 * num_beams * num_k if sigma > 0.0 else 0
-    frames: list[RssiFrame] = []
+    frames: list[np.ndarray] = []  # per block, (steps, M)
     scans: list[LidarScan] = []
     for lo in range(0, steps, CHUNK_STEPS):
         hi = min(lo + CHUNK_STEPS, steps)
@@ -400,7 +366,7 @@ def simulate_scenario(
             powers = np.sum(np.abs(samples) ** 2, axis=-1)
         else:
             powers = num_k * amps**2
-        frames.extend(RssiFrame(t, p) for t, p in zip(range(lo, hi), powers))
+        frames.append(powers)
 
         segments = list(world.static_obstacles)
         for j, v in enumerate(vehicles):
@@ -411,22 +377,19 @@ def simulate_scenario(
             hit = np.isfinite(row)
             scans.append(LidarScan(t, np.column_stack([ray_angles[hit], row[hit]])))
 
-    flags = occluded.tolist()
-    first = tracks[:, 0].tolist() if vehicles else [None] * steps
-    truth = [GroundTruth(t, None if pos is None else tuple(pos), flag)
-             for t, (pos, flag) in enumerate(zip(first, flags))]
-    labels = [BlockageLabel(t, flag) for t, flag in enumerate(flags)]
-    threshold = calibrate_power_threshold(frames, labels)
-    return SimulationResult(frames, scans, truth, labels, threshold)
+    powers = np.concatenate(frames)
+    positions = tracks[:, 0] if vehicles else np.full((steps, 2), np.nan)
+    threshold = calibrate_power_threshold(powers.sum(axis=1), occluded)
+    return SimulationResult(powers, scans, positions, occluded, threshold)
 
 
-def calibrate_power_threshold(frames, labels) -> float | None:
-    """dB midpoint between mean blocked and mean unblocked total power.
+def calibrate_power_threshold(totals: np.ndarray, blocked: np.ndarray) -> float | None:
+    """dB midpoint between mean blocked and mean unblocked total power,
+    given each step's total power and blockage flag.
 
     Returns None when the run contains only one class.
     """
-    totals = np.array([total_power(f) for f in frames])
-    blocked = np.array([lab.blocked for lab in labels], dtype=bool)
+    blocked = np.asarray(blocked, dtype=bool)
     if not blocked.any() or blocked.all():
         return None
     db = 10.0 * np.log10(np.maximum(totals, 1e-300))

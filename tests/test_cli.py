@@ -232,6 +232,24 @@ def test_simulate_replays_byte_identical(chain, tmp_path):
     assert matches and all(matches.values()), matches
 
 
+# sha256 of a 60-step drive of the standard config, taken when the drive
+# was still carried as per-step objects; the columnar one must write the
+# same bytes. (float64 text via repr, numpy 2.4 on x86-64.)
+SHORT_DRIVE_SHA256 = {
+    "rssi.csv": "50683d45da7198d638f809e303d053b43caaa3f9b75ee30ca8cb90739614d841",
+    "lidar.csv": "97ee726284e25376d98e3930bfa138b25c7cc8e8033c27013af2e142446e6abf",
+    "truth.csv": "5e974ade20c1e7aa2c4f912743a453afb0b64f9b9fabde39223fb6bfa9275bfa",
+    "labels.csv": "86bc8e263c14e0ff78c8231699013a7fc7144c78681b0435d789761d8bf43fe4",
+    "meta.json": "0bd8bff482681c4fa2049860de6689fca25ed0509aea359e1375f372c413487f",
+}
+
+
+def test_simulate_writes_the_pinned_bytes_of_a_short_drive(tmp_path):
+    out = tmp_path / "short"
+    assert run(["simulate", "--steps", "60", "--scenario-id", "short", "--out", str(out)]) == 0
+    assert read_manifest(out)["outputs"] == SHORT_DRIVE_SHA256
+
+
 def test_label_replays_byte_identical(chain, tmp_path):
     matches = replay_manifest(chain / "data" / "manifest.json", tmp_path / "again")
     assert matches and all(matches.values()), matches
@@ -462,6 +480,45 @@ def test_a_bad_power_threshold_names_the_metadata_file_and_key(
     err = capsys.readouterr().err
     want = f"{(scene / 'meta.json').resolve()}: power_threshold must be a finite positive number"
     assert want in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("value", [math.nan, -4.0, 0, [1, 2], "abc", True, None])
+@pytest.mark.parametrize("key", ["vehicle_width", "vehicle_depth"])
+def test_a_bad_vehicle_size_names_the_metadata_file_and_key(chain, tmp_path, capsys, key, value):
+    # A NaN or negative size used to run, with every truth step clear; a
+    # list raised a raw TypeError, and a string named no file.
+    scene = _scene_with_meta(chain, tmp_path, key, value)
+    out = tmp_path / "out"
+    assert run(["transfer", "--scenario", str(scene), "--loc", str(chain / "loc" / "model.json"),
+                "--rx", "4,12", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    meta_path = (scene / "meta.json").resolve()
+    want = (f"{meta_path}: transfer needs vehicle_width and vehicle_depth" if value is None
+            else f"{meta_path}: {key} must be a finite positive number")
+    assert want in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+BAD_NORMS = {"road_size": [0, 4], "road_origin": [1.0], "rssi_std": [-1.0] * 64,
+             "lidar_max_range": math.nan, "rssi_mean": [0.0, 0.0, 0.0],
+             "road_size-text": ["28", "4"]}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NORMS))
+def test_a_bad_norm_field_in_a_checkpoint_names_the_file_and_key(chain, tmp_path, capsys, case):
+    # Before checks, a 3-entry rssi_mean failed with a bare numpy broadcast
+    # message and the others evaluated to a wrong report or a right one.
+    key = case.split("-")[0]
+    payload = json.loads((chain / "loc" / "model.json").read_text())
+    payload["descriptor"]["norm"][key] = BAD_NORMS[case]
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "report"
+    assert run(["evaluate", "--dataset", str(chain / "data"), "--loc", str(ckpt),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{ckpt.resolve()}: norm.{key} must be" in err and "Traceback" not in err
     assert not list(out.iterdir())
 
 

@@ -13,7 +13,7 @@ from blockcast.geometry import (
 )
 from blockcast.models import predict_locations_batch
 from blockcast.preprocess import Centroid
-from blockcast.scene import RssiFrame, segment_intersects_rect
+from blockcast.scene import segment_intersects_rect
 
 VERTICAL = LinkGeometry((0.0, 0.0), (0.0, 12.0), object_width=4.0)
 
@@ -219,25 +219,25 @@ def test_wider_objects_block_at_least_as_often():
 # ---------------------------------------------------------------------------
 
 def test_threshold_comparison_is_strict():
-    frames = [
-        RssiFrame(0, np.array([0.5, 0.5])),        # exactly the threshold
-        RssiFrame(1, np.array([0.5, 0.49999])),    # just under
-        RssiFrame(2, np.array([0.7, 0.4])),        # above
-    ]
-    labels = blockage_labels_from_rssi(frames, 1.0)
-    assert [(l.t, l.blocked) for l in labels] == [(0, False), (1, True), (2, False)]
+    powers = np.array([
+        [0.5, 0.5],        # exactly the threshold
+        [0.5, 0.49999],    # just under
+        [0.7, 0.4],        # above
+    ])
+    labels = blockage_labels_from_rssi(powers, 1.0)
+    assert labels.dtype == bool and labels.tolist() == [False, True, False]
 
 
 def test_threshold_must_be_positive():
     with pytest.raises(ValueError):
-        blockage_labels_from_rssi([RssiFrame(0, np.array([1.0]))], 0.0)
+        blockage_labels_from_rssi(np.array([[1.0]]), 0.0)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
 def test_threshold_must_be_finite(threshold):
     # A NaN threshold compares false against every power: all flags clear.
     with pytest.raises(ValueError, match="finite positive"):
-        blockage_labels_from_rssi([RssiFrame(0, np.array([1.0]))], threshold)
+        blockage_labels_from_rssi(np.array([[1.0]]), threshold)
 
 
 def test_geometric_and_threshold_labels_agree_on_the_standard_run(
@@ -248,7 +248,7 @@ def test_geometric_and_threshold_labels_agree_on_the_standard_run(
         object_width=4.0,
         power_threshold=standard_bundle.meta["power_threshold"],
     )
-    by_t = {l.t: l.blocked for l in standard_bundle.labels}
+    by_t = dict(zip(standard_bundle.t.tolist(), standard_bundle.labels.tolist()))
     hits = total = 0
     for s in standard_dataset.samples:
         total += 1

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockcast import cli, ingest
-from blockcast.errors import ParseError, SchemaError, TimeIndexGapError
+from blockcast.errors import NonFiniteError, ParseError, SchemaError, TimeIndexGapError
 from blockcast.ingest import (
     CsvTable,
     DatasetFile,
     ScenarioBundle,
+    Truth,
     _distinct_frames,
     _frames_header,
     _not_utf8,
@@ -39,16 +40,12 @@ from blockcast.preprocess import (
     scenario_centroids,
 )
 from blockcast.scene import (
-    BlockageLabel,
     ChannelConfig,
-    GroundTruth,
     LidarScan,
-    RssiFrame,
     Vehicle,
     WorldState,
     build_codebook,
     simulate_scenario,
-    total_power,
 )
 
 
@@ -61,10 +58,11 @@ def small_bundle(seed=0, steps=15):
     res = simulate_scenario(world, cb, channel, steps=steps, seed=seed)
     return ScenarioBundle(
         scenario_id=f"run{seed}",
+        t=np.arange(steps),
         rssi=res.frames,
         lidar=res.scans,
-        truth=res.truth,
-        labels=res.labels,
+        truth=Truth(np.arange(steps), res.positions, res.occluded),
+        labels=res.occluded,
         meta={"note": "fixture"},
     )
 
@@ -98,19 +96,14 @@ def test_scenario_round_trip_is_bit_exact(tmp_path):
     save_scenario(bundle, tmp_path / "s")
     loaded = load_scenario(tmp_path / "s")
     assert loaded.scenario_id == "run0"
-    assert len(loaded.rssi) == len(bundle.rssi)
-    for a, b in zip(loaded.rssi, bundle.rssi):
-        assert a.t == b.t
-        np.testing.assert_array_equal(a.powers, b.powers)
+    np.testing.assert_array_equal(loaded.t, bundle.t)
+    np.testing.assert_array_equal(loaded.rssi, bundle.rssi)
     for a, b in zip(loaded.lidar, bundle.lidar):
         assert a.t == b.t
         np.testing.assert_array_equal(a.points, b.points)
     for a, b in zip(loaded.truth, bundle.truth):
-        assert a.t == b.t and a.blocked == b.blocked
-        np.testing.assert_array_equal(a.pos, b.pos)
-    assert [(l.t, l.blocked) for l in loaded.labels] == [
-        (l.t, l.blocked) for l in bundle.labels
-    ]
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(loaded.labels, bundle.labels)
     assert loaded.meta["note"] == "fixture"
 
 
@@ -136,10 +129,13 @@ def test_truth_positions_can_be_blank(tmp_path):
     world = WorldState((0.0, 0.0), (0.0, 12.0), vehicles=())
     res = simulate_scenario(world, build_codebook(4, 0.0, math.pi),
                             ChannelConfig(noise_variance=0.0), steps=3, seed=0)
-    bundle = ScenarioBundle("empty", res.frames, res.scans, truth=res.truth)
+    bundle = ScenarioBundle("empty", np.arange(3), res.frames, res.scans,
+                            truth=Truth(np.arange(3), res.positions, res.occluded))
     save_scenario(bundle, tmp_path / "s")
+    assert (tmp_path / "s" / "truth.csv").read_text().splitlines()[1:] == ["0,,,0", "1,,,0",
+                                                                            "2,,,0"]
     loaded = load_scenario(tmp_path / "s")
-    assert all(g.pos is None for g in loaded.truth)
+    assert np.isnan(loaded.truth.pos).all()
     assert loaded.labels is None
 
 
@@ -248,9 +244,8 @@ def test_a_time_that_does_not_match_the_rssi_frames_names_its_line(
 
 
 def test_a_bundle_with_a_repeated_frame_time_is_out_of_order():
-    frames = [RssiFrame(t, np.array([1.0])) for t in (0, 1, 1, 2)]
     with pytest.raises(SchemaError, match="time order"):
-        ScenarioBundle("x", frames, [])
+        ScenarioBundle("x", [0, 1, 1, 2], np.ones((4, 1)), [])
 
 
 @pytest.mark.parametrize("name", ["rssi.csv", "lidar.csv", "meta.json"])
@@ -276,23 +271,36 @@ def test_unknown_meta_version_rejected(tmp_path):
 
 
 def test_time_gap_lists_missing_indices():
-    frames = [RssiFrame(t, np.array([1.0])) for t in (0, 1, 4)]
     with pytest.raises(TimeIndexGapError) as err:
-        ScenarioBundle("gap", frames, [])
+        ScenarioBundle("gap", [0, 1, 4], np.ones((3, 1)), [])
     assert err.value.missing == [2, 3]
     assert "2, 3" in str(err.value)
 
 
 def test_misaligned_streams_rejected():
-    frames = [RssiFrame(t, np.array([1.0])) for t in range(3)]
+    times, powers = np.arange(3), np.ones((3, 1))
+    with pytest.raises(SchemaError, match="lidar scan at t=7"):
+        ScenarioBundle("x", times, powers, [LidarScan(7, np.empty((0, 2)))])
+    with pytest.raises(SchemaError, match="truth row at t=9"):
+        ScenarioBundle("x", times, powers, [],
+                       truth=Truth([0, 9], np.full((2, 2), np.nan), [False, False]))
+    with pytest.raises(SchemaError, match="align"):
+        ScenarioBundle("x", times, powers, [], labels=[False])
     with pytest.raises(SchemaError):
-        ScenarioBundle("x", frames, [LidarScan(7, np.empty((0, 2)))])
-    with pytest.raises(SchemaError):
-        ScenarioBundle("x", frames, [], truth=[GroundTruth(9, None, False)])
-    with pytest.raises(SchemaError):
-        ScenarioBundle("x", frames, [], labels=[BlockageLabel(0, False)])
-    with pytest.raises(SchemaError):
-        ScenarioBundle("x", [], [])
+        ScenarioBundle("x", [], np.empty((0, 1)), [])
+
+
+def test_bundle_powers_must_be_a_finite_nonnegative_matrix():
+    with pytest.raises(ValueError):
+        ScenarioBundle("x", [0, 1], np.array([[1.0], [-2.0]]), [])
+    with pytest.raises(NonFiniteError):
+        ScenarioBundle("x", [0, 1], np.array([[1.0], [math.nan]]), [])
+    with pytest.raises(ValueError):
+        ScenarioBundle("x", [0, 1], np.array([1.0, 2.0]), [])       # not (T, M)
+    with pytest.raises(ValueError):
+        ScenarioBundle("x", [0, 1, 2], np.ones((2, 1)), [])          # a time per row
+    with pytest.raises(ValueError):
+        ScenarioBundle("x", [0], np.ones((1, 1)), [], truth=Truth([0], [1.0, 2.0], [False]))
 
 
 def test_hand_computed_power_sums(tmp_path):
@@ -308,7 +316,7 @@ def test_hand_computed_power_sums(tmp_path):
         json.dumps({"format_version": 1, "scenario_id": "hand", "num_beams": 2})
     )
     bundle = load_scenario(root)
-    assert [total_power(f) for f in bundle.rssi] == [4.0, 1.0, 7.25]
+    assert bundle.rssi.sum(axis=1).tolist() == [4.0, 1.0, 7.25]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +545,8 @@ def test_a_format_1_dataset_is_refused_naming_the_file_and_version(tmp_path):
 def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_windows(
         standard_config, standard_bundle, dataset_dir, standard_dataset):
     cfg = standard_config
-    flags = [lab.blocked for lab in blockage_labels_from_rssi(
-        standard_bundle.rssi, standard_bundle.meta["power_threshold"])]
+    flags = blockage_labels_from_rssi(standard_bundle.rssi,
+                                      standard_bundle.meta["power_threshold"])
     centroids = scenario_centroids(
         standard_bundle, SrcConfig(cfg["proximity_radius"], tuple(cfg["road_region"])),
         DbscanConfig(cfg["eps"], cfg["min_pts"]))
@@ -547,10 +555,10 @@ def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_window
     assert _same_windows(standard_dataset.labeled, built)
 
     window_len = cfg["window_len"]
-    first_t = standard_bundle.rssi[0].t
+    first_t = int(standard_bundle.t[0])
     covered = {i for t in built.t.tolist()
                for i in range(t - first_t - window_len + 1, t - first_t + 1)}
-    want = {standard_bundle.rssi[i].powers.tobytes() for i in covered}
+    want = {standard_bundle.rssi[i].tobytes() for i in covered}
     lines = (dataset_dir / "frames.csv").read_text().splitlines()[1:]
     got = [np.array([float(c) for c in line.split(",")[1:]]).tobytes() for line in lines]
     assert len(got) == len(set(got)) == len(want) and set(got) == want
@@ -594,18 +602,19 @@ def bundles(draw):
     beams, t0, n = draw(st.integers(1, 4)), draw(st.integers(-5, 5)), draw(st.integers(1, 6))
     times = list(range(t0, t0 + n))
     power = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
-    rssi = [RssiFrame(t, draw(arrays(np.float64, beams, elements=power))) for t in times]
+    rssi = draw(arrays(np.float64, (n, beams), elements=power))
     point = st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True),
                       st.floats(0.0, exclude_min=True, allow_infinity=False))
     lidar = [LidarScan(t, np.array(draw(st.lists(point, min_size=1, max_size=3))))
              for t in sorted(draw(st.sets(st.sampled_from(times))))]
     truth = labels = None
     if draw(st.booleans()):
-        position = st.none() | arrays(np.float64, 2, elements=finite)
-        truth = [GroundTruth(t, draw(position), draw(st.booleans())) for t in times]
+        unknown = st.just((math.nan, math.nan))  # a blank position
+        positions = draw(st.lists(unknown | st.tuples(finite, finite), min_size=n, max_size=n))
+        truth = Truth(times, positions, draw(arrays(np.bool_, n)))
     if draw(st.booleans()):
-        labels = [BlockageLabel(t, draw(st.booleans())) for t in times]
-    return ScenarioBundle(draw(names), rssi, lidar, truth, labels, {"note": draw(finite)})
+        labels = draw(arrays(np.bool_, n))
+    return ScenarioBundle(draw(names), times, rssi, lidar, truth, labels, {"note": draw(finite)})
 
 
 @st.composite
@@ -642,21 +651,17 @@ def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(bundle):
         save_scenario(loaded, Path(tmp) / "b")
         assert _files(Path(tmp) / "a") == _files(Path(tmp) / "b")
     assert (loaded.scenario_id, loaded.meta["note"]) == (bundle.scenario_id, bundle.meta["note"])
-    assert [f.t for f in loaded.rssi] == [f.t for f in bundle.rssi]
-    assert all(_same_bits(a.powers, b.powers) for a, b in zip(loaded.rssi, bundle.rssi))
+    assert _same_bits(loaded.t, bundle.t)
+    assert _same_bits(loaded.rssi, bundle.rssi)
     assert [s.t for s in loaded.lidar] == [s.t for s in bundle.lidar]
     assert all(_same_bits(a.points, b.points) for a, b in zip(loaded.lidar, bundle.lidar))
     if bundle.truth is None:
         assert loaded.truth is None
-    else:
-        assert [(g.t, g.blocked, g.pos is None) for g in loaded.truth] == [
-            (g.t, g.blocked, g.pos is None) for g in bundle.truth
-        ]
-        assert all(a.pos is None or _same_bits(a.pos, b.pos)
-                   for a, b in zip(loaded.truth, bundle.truth))
+    else:  # an unknown position is NaN, NaN on both sides
+        assert all(_same_bits(a, b) for a, b in zip(loaded.truth, bundle.truth))
     assert (loaded.labels is None) == (bundle.labels is None)
     if bundle.labels is not None:
-        assert loaded.labels == bundle.labels
+        assert _same_bits(loaded.labels, bundle.labels)
 
 
 @given(datasets())
@@ -871,16 +876,17 @@ def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, s
     bundle, ref = held["bundle"], tmp_path / "ref"
     ref.mkdir()
 
-    num_beams = bundle.rssi[0].powers.shape[0]
+    num_beams = bundle.rssi.shape[1]
     reference_write_csv(ref / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
-                        ([frame.t] + frame.powers.tolist() for frame in bundle.rssi))
+                        ([t] + row for t, row in zip(bundle.t.tolist(), bundle.rssi.tolist())))
     reference_write_csv(ref / "lidar.csv", ["t", "angle", "depth"],
                         ([scan.t, a, d] for scan in bundle.lidar for a, d in scan.points.tolist()))
+    truth_rows = zip(*(column.tolist() for column in bundle.truth))
     reference_write_csv(ref / "truth.csv", ["t", "x", "y", "blocked"],
-                        ([row.t, *(row.pos if row.pos is not None else (None, None)), row.blocked]
-                         for row in bundle.truth))
+                        ([t, *(None if math.isnan(v) else v for v in pos), blocked]
+                         for t, pos, blocked in truth_rows))
     reference_write_csv(ref / "labels.csv", ["t", "blocked"],
-                        ([lab.t, lab.blocked] for lab in bundle.labels))
+                        zip(bundle.t.tolist(), bundle.labels.tolist()))
     for name in ("rssi.csv", "lidar.csv", "truth.csv", "labels.csv"):
         assert (ref / name).read_bytes() == (tmp_path / "scene" / name).read_bytes(), name
 

@@ -22,7 +22,7 @@ from blockcast.preprocess import (
     scenario_centroids,
     src_filter,
 )
-from blockcast.scene import LidarScan, RssiFrame
+from blockcast.scene import LidarScan
 
 
 def polar_scan(t, xy):
@@ -159,12 +159,12 @@ def test_src_filter_keeps_vehicle_returns_only(standard_bundle, standard_config)
     # every surviving return must lie on its (inflated) outline.
     cfg = SrcConfig(road_region=tuple(standard_config["road_region"]))
     hits = 0
-    for scan, truth in zip(standard_bundle.lidar[:200], standard_bundle.truth[:200]):
+    assert standard_bundle.truth.t.tolist() == [scan.t for scan in standard_bundle.lidar]
+    for scan, (cx, cy) in zip(standard_bundle.lidar[:200], standard_bundle.truth.pos.tolist()):
         pts = src_filter(scan, cfg)
         hits += pts.shape[0]
         if pts.shape[0] == 0:
             continue
-        cx, cy = truth.pos
         assert np.all(np.abs(pts[:, 0] - cx) <= 2.0 + 1e-9)
         assert np.all(np.abs(pts[:, 1] - cy) <= 0.9 + 1e-9)
     assert hits > 0
@@ -356,25 +356,27 @@ def test_centroid_tracks_vehicle_within_half_depth(standard_bundle):
     # off the true center; the offset stays under half the vehicle depth
     # on each axis when averaged over the whole run.
     centroids = scenario_centroids(standard_bundle, SrcConfig(), DbscanConfig())
-    dx, dy = [], []
-    for c, g in zip(centroids, standard_bundle.truth):
-        if not c.valid or g.pos is None:
-            continue
-        dx.append(abs(c.x - 14.0 - g.pos[0]))
-        dy.append(abs(c.y + 4.0 - g.pos[1]))
-    assert len(dx) >= 0.99 * len(standard_bundle.truth)
+    truth = standard_bundle.truth
+    assert truth.t.tolist() == standard_bundle.t.tolist()
+    known = ~np.isnan(centroids).any(axis=1) & ~np.isnan(truth.pos).any(axis=1)
+    dx = np.abs(centroids[known, 0] - 14.0 - truth.pos[known, 0])
+    dy = np.abs(centroids[known, 1] + 4.0 - truth.pos[known, 1])
+    assert len(dx) >= 0.99 * len(truth.t)
     assert np.mean(dx) <= 0.9
     assert np.mean(dy) <= 0.9
 
 
 def test_scenario_centroids_mark_missing_scans_invalid():
-    frames = [RssiFrame(t, np.array([1.0, 2.0])) for t in range(3)]
     cluster = [(0.2 + 0.1 * i, 6.0) for i in range(5)]
-    scans = [polar_scan(0, cluster), polar_scan(2, cluster)]
-    bundle = ScenarioBundle("x", frames, scans)
+    scans = [polar_scan(5, cluster), polar_scan(7, cluster), polar_scan(8, [(0.2, 6.0)])]
+    bundle = ScenarioBundle("x", np.arange(5, 9), np.ones((4, 2)), scans)
     cs = scenario_centroids(bundle, SrcConfig(), DbscanConfig())
-    assert [c.t for c in cs] == [0, 1, 2]
-    assert [c.valid for c in cs] == [True, False, True]
+    assert cs.shape == (4, 2)
+    # Frame 6 has no scan, and frame 8's one point makes no cluster.
+    assert np.isnan(cs).any(axis=1).tolist() == [False, True, False, True]
+    assert np.isnan(cs[[1, 3]]).all()
+    c = extract_centroid(scans[0], SrcConfig(), DbscanConfig())
+    assert c.valid and cs[0].tolist() == cs[2].tolist() == [c.x, c.y]
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +423,14 @@ def test_rasterize_rejects_bad_bins():
 
 def toy_bundle(n, num_beams=3, seed=0):
     rng = np.random.default_rng(seed)
-    frames = [RssiFrame(t, rng.uniform(0.1, 2.0, size=num_beams)) for t in range(n)]
+    powers = rng.uniform(0.1, 2.0, size=(n, num_beams))
     cluster = [(0.1 * i, 6.0) for i in range(5)]
     scans = [polar_scan(t, cluster) for t in range(n)]
-    return ScenarioBundle("toy", frames, scans)
+    return ScenarioBundle("toy", np.arange(n), powers, scans)
 
 
 def all_valid_centroids(n):
-    return [Centroid(t, 14.0 + 0.25 * t, 2.0) for t in range(n)]
+    return np.column_stack([14.0 + 0.25 * np.arange(n), np.full(n, 2.0)])
 
 
 def test_no_window_fits_when_run_is_too_short():
@@ -447,10 +449,8 @@ def test_exactly_one_window_and_its_contents():
     assert len(windows) == 1
     assert windows.scenario.tolist() == ["toy"] and windows.t.tolist() == [7]
     assert windows.windows.shape == (1, 8, 3)
-    np.testing.assert_array_equal(
-        windows.windows[0], np.stack([f.powers for f in bundle.rssi[:8]])
-    )
-    assert windows.label.tolist() == [[centroids[7].x, centroids[7].y]]
+    np.testing.assert_array_equal(windows.windows[0], bundle.rssi[:8])
+    assert windows.label.tolist() == [centroids[7].tolist()]
     assert windows.label_valid.tolist() == [True]
     np.testing.assert_allclose(
         windows.futures[0], [[14.0 + 0.25 * t, 2.0] for t in range(8, 13)], rtol=1e-12
@@ -467,7 +467,7 @@ def test_windows_skip_spans_touching_an_invalid_centroid():
     n = 100
     bundle = toy_bundle(n)
     centroids = all_valid_centroids(n)
-    centroids[50] = Centroid(50, math.nan, math.nan, valid=False)
+    centroids[50] = math.nan, math.nan
     windows = build_windows(bundle, centroids, 8, 5)
     got = set(windows.t.tolist())
     want = {end for end in range(7, n - 5) if not 45 <= end <= 50}
@@ -526,24 +526,26 @@ def reference_rasterize_scan(scan, bins, max_range):
 
 def reference_build_windows(bundle, centroids, window_len, horizon, blocked=None,
                             raster_bins=360, max_range=16.0):
-    """One LabeledSample per window, built by a loop over the window ends."""
-    frames = bundle.rssi
+    """One LabeledSample per window, built by a loop over the window ends;
+    a centroid row holding a NaN is invalid."""
+    times = bundle.t.tolist()
     scan_at = {scan.t: scan for scan in bundle.lidar}
     empty = LidarScan(0, np.empty((0, 2)))
     samples = []
-    for end in range(window_len - 1, len(frames) - horizon):
-        span = centroids[end : end + horizon + 1]
+    for end in range(window_len - 1, len(times) - horizon):
+        span = [Centroid(times[i], x, y, not (math.isnan(x) or math.isnan(y)))
+                for i, (x, y) in enumerate(centroids[end : end + horizon + 1].tolist(), end)]
         if not all(c.valid for c in span):
             continue
-        window = np.stack([frames[i].powers for i in range(end - window_len + 1, end + 1)])
+        window = np.stack([bundle.rssi[i] for i in range(end - window_len + 1, end + 1)])
         future = np.array([[c.x, c.y] for c in span[1:]], dtype=np.float64)
         flags = (
             np.array([bool(blocked[i]) for i in range(end + 1, end + horizon + 1)])
             if blocked is not None
             else np.zeros(horizon, dtype=bool)
         )
-        raster = reference_rasterize_scan(scan_at.get(frames[end].t, empty), raster_bins, max_range)
-        samples.append(LabeledSample(bundle.scenario_id, frames[end].t, window, span[0], future,
+        raster = reference_rasterize_scan(scan_at.get(times[end], empty), raster_bins, max_range)
+        samples.append(LabeledSample(bundle.scenario_id, times[end], window, span[0], future,
                                      flags, raster))
     return samples
 
@@ -558,8 +560,7 @@ def window_inputs(draw):
     n, beams = draw(st.integers(1, 16)), draw(st.integers(1, 3))
     t0 = draw(st.integers(-5, 5))
     power = st.floats(0.0, 1e3) | st.just(-0.0)
-    frames = [RssiFrame(t0 + i, draw(arrays(np.float64, beams, elements=power)))
-              for i in range(n)]
+    powers = draw(arrays(np.float64, (n, beams), elements=power))
     point = st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True),
                       st.floats(0.01, 20.0))
     scanned = sorted(draw(st.sets(st.integers(0, n - 1))))  # the other frames have no scan
@@ -569,11 +570,11 @@ def window_inputs(draw):
     for where in draw(st.sets(st.sampled_from([0, n // 2, n - 1]))):  # start, middle, end
         valid[where] = False
     coord = st.floats(-50.0, 50.0)
-    centroids = [Centroid(t0 + i, draw(coord), draw(coord)) if ok
-                 else Centroid(t0 + i, math.nan, math.nan, valid=False)
-                 for i, ok in enumerate(valid)]
+    centroids = np.array([(draw(coord), draw(coord)) if ok else (math.nan, math.nan)
+                          for ok in valid]).reshape(n, 2)
     blocked = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
-    return (ScenarioBundle("drive", frames, scans), centroids, draw(st.integers(1, 6)),
+    return (ScenarioBundle("drive", t0 + np.arange(n), powers, scans), centroids,
+            draw(st.integers(1, 6)),
             draw(st.integers(1, 6)), blocked, draw(st.integers(1, 12)),
             draw(st.floats(0.5, 30.0)))
 
@@ -592,7 +593,7 @@ def test_build_windows_equals_the_per_window_loop_bit_for_bit(inputs):
     assert got.label_valid.all()
     labels = np.array([[s.label.x, s.label.y] for s in want]).reshape(-1, 2)
     assert _bits(got.label) == _bits(labels)
-    beams = bundle.rssi[0].powers.shape[0]
+    beams = bundle.rssi.shape[1]
     assert got.windows.shape[1:] == (window_len, beams) and got.futures.shape[1:] == (horizon, 2)
     assert got.blocked.shape[1:] == (horizon,) and got.rasters.shape[1:] == (bins,)
     for name, field in (("windows", "window"), ("futures", "future"),

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blockcast.errors import NonFiniteError
 from blockcast.scene import (
     CHUNK_STEPS,
     BeamCodebook,
-    BlockageLabel,
     ChannelConfig,
-    GroundTruth,
     LidarScan,
-    RssiFrame,
     Vehicle,
     WorldState,
     _rect_edges,
@@ -22,7 +18,6 @@ from blockcast.scene import (
     calibrate_power_threshold,
     segment_intersects_rect,
     simulate_scenario,
-    total_power,
 )
 
 TX = (0.0, 0.0)
@@ -260,11 +255,9 @@ def test_empty_world_never_blocks_and_is_static():
     world = WorldState(TX, RX, vehicles=(), static_obstacles=(WALL,))
     cb = build_codebook(64, math.pi / 128, math.pi)
     res = simulate_scenario(world, cb, quiet_channel(), steps=6, seed=3)
-    assert not any(lab.blocked for lab in res.labels)
-    assert all(g.pos is None for g in res.truth)
-    first = res.frames[0].powers
-    for frame in res.frames[1:]:
-        np.testing.assert_array_equal(frame.powers, first)
+    assert not res.occluded.any()
+    assert np.isnan(res.positions).all()
+    np.testing.assert_array_equal(res.frames, np.broadcast_to(res.frames[0], res.frames.shape))
     # only the wall is visible, so every return lies on it
     for scan in res.scans:
         x = scan.points[:, 1] * np.cos(scan.points[:, 0])
@@ -283,10 +276,9 @@ def test_parked_blocker_attenuates_power_exactly():
     )
     res_free = simulate_scenario(free, cb, channel, steps=4, seed=0)
     res_blk = simulate_scenario(blocked, cb, channel, steps=4, seed=0)
-    assert all(lab.blocked for lab in res_blk.labels)
-    p_free = total_power(res_free.frames[0])
-    for frame in res_blk.frames:
-        assert total_power(frame) == pytest.approx(p_free * 1e-3, rel=1e-12)
+    assert res_blk.occluded.all()
+    p_free = res_free.frames[0].sum()
+    np.testing.assert_allclose(res_blk.frames.sum(axis=1), p_free * 1e-3, rtol=1e-12)
 
 
 def test_crossing_interval_matches_kinematics():
@@ -296,7 +288,7 @@ def test_crossing_interval_matches_kinematics():
     world = WorldState(TX, RX, vehicles=(vehicle,))
     cb = build_codebook(16, math.pi / 32, math.pi)
     res = simulate_scenario(world, cb, quiet_channel(), steps=25, seed=1)
-    flags = [lab.blocked for lab in res.labels]
+    flags = res.occluded.tolist()
     expected = [abs(-5.0 + 0.5 * (t + 1)) <= 2.0 for t in range(25)]
     assert flags == expected
     assert flags[4] is False and flags[5] is True
@@ -310,13 +302,12 @@ def test_truth_flags_match_dense_sampling_oracle():
     res = simulate_scenario(world, cb, quiet_channel(), steps=150, seed=2)
     ts = np.linspace(0.0, 1.0, 1000)
     seg = np.array(TX) + ts[:, None] * (np.array(RX) - np.array(TX))
-    for g, lab in zip(res.truth, res.labels):
-        cx, cy = g.pos
+    for (cx, cy), blocked in zip(res.positions.tolist(), res.occluded.tolist()):
         inside = (
             (seg[:, 0] >= cx - 2.0) & (seg[:, 0] <= cx + 2.0)
             & (seg[:, 1] >= cy - 0.9) & (seg[:, 1] <= cy + 0.9)
         )
-        assert bool(inside.any()) == lab.blocked
+        assert bool(inside.any()) == blocked
 
 
 def test_bounce_reflects_the_vehicle():
@@ -324,7 +315,7 @@ def test_bounce_reflects_the_vehicle():
     world = WorldState(TX, RX, vehicles=(vehicle,), bounce_x=(-13.0, 13.0))
     cb = build_codebook(8, 0.0, math.pi)
     res = simulate_scenario(world, cb, quiet_channel(), steps=12, seed=0)
-    xs = [g.pos[0] for g in res.truth]
+    xs = res.positions[:, 0].tolist()
     assert max(xs) <= 13.0
     assert xs[0] < xs[1]        # initially moving right
     assert xs[-2] > xs[-1]      # moving left after the bounce
@@ -342,8 +333,7 @@ def test_lidar_points_lie_on_obstacle_boundaries():
         t = min(1.0, max(0.0, t))
         return math.hypot(px - (x0 + t * ex), py - (y0 + t * ey))
 
-    for scan, g in zip(res.scans, res.truth):
-        cx, cy = g.pos
+    for scan, (cx, cy) in zip(res.scans, res.positions.tolist()):
         segments = [WALL]
         x0, y0, x1, y1 = cx - 2.0, cy - 0.9, cx + 2.0, cy + 0.9
         segments += [
@@ -373,12 +363,11 @@ def test_simulation_is_deterministic():
     channel = ChannelConfig(noise_variance=1e-4, scatter_fluctuation_db=4.0)
     a = simulate_scenario(world, cb, channel, steps=20, seed=11)
     b = simulate_scenario(world, cb, channel, steps=20, seed=11)
-    for fa, fb in zip(a.frames, b.frames):
-        np.testing.assert_array_equal(fa.powers, fb.powers)
+    np.testing.assert_array_equal(a.frames, b.frames)
     for sa, sb in zip(a.scans, b.scans):
         np.testing.assert_array_equal(sa.points, sb.points)
-    assert a.truth == b.truth
-    assert a.labels == b.labels
+    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.occluded, b.occluded)
     assert a.power_threshold == b.power_threshold
 
 
@@ -388,7 +377,7 @@ def test_seed_changes_noise():
     channel = ChannelConfig(noise_variance=1e-2)
     a = simulate_scenario(world, cb, channel, steps=3, seed=1)
     b = simulate_scenario(world, cb, channel, steps=3, seed=2)
-    assert not np.array_equal(a.frames[0].powers, b.frames[0].powers)
+    assert not np.array_equal(a.frames[0], b.frames[0])
 
 
 def test_scatter_fluctuation_varies_parked_vehicle_power():
@@ -402,8 +391,8 @@ def test_scatter_fluctuation_varies_parked_vehicle_power():
         quiet_channel(scatter_gain=10.0, scatter_fluctuation_db=4.0),
         steps=6, seed=4,
     )
-    steady_totals = {total_power(f) for f in steady.frames}
-    wobbly_totals = {total_power(f) for f in wobbly.frames}
+    steady_totals = set(steady.frames.sum(axis=1).tolist())
+    wobbly_totals = set(wobbly.frames.sum(axis=1).tolist())
     assert len(steady_totals) == 1
     assert len(wobbly_totals) == 6
 
@@ -450,7 +439,9 @@ def reference_cast_rays(origin, angles, segments, max_range):
 
 def reference_simulate(world, codebook, channel, steps, seed, lidar_rays):
     """The per-step loop ``simulate_scenario`` replaced: one step at a time,
-    drawing each step's normals as it goes."""
+    drawing each step's normals as it goes, and each frame's total power
+    summed on its own. Returns (T, M) powers, the scans, (T, 2) positions
+    (NaN without a vehicle), (T,) occlusion flags and the threshold."""
     rng = np.random.default_rng(seed)
     tx = tuple(map(float, world.tx_pos))
     rx = tuple(map(float, world.rx_pos))
@@ -460,7 +451,7 @@ def reference_simulate(world, codebook, channel, steps, seed, lidar_rays):
     ray_angles = np.arange(lidar_rays) * (2.0 * math.pi / lidar_rays)
     num_k, sigma = channel.num_subcarriers, channel.noise_variance
     vehicles = list(world.vehicles)
-    frames, scans, truth, labels = [], [], [], []
+    frames, scans, positions, flags = [], [], [], []
     for t in range(steps):
         vehicles = reference_advance(vehicles, world.bounce_x)
         occluded = any(segment_intersects_rect(tx, rx, v.center, v.width, v.depth)
@@ -482,17 +473,18 @@ def reference_simulate(world, codebook, channel, steps, seed, lidar_rays):
             powers = np.sum(np.abs(amps[:, None] + noise) ** 2, axis=1)
         else:
             powers = num_k * amps**2
-        frames.append(RssiFrame(t, powers))
+        frames.append(powers)
         segments = list(world.static_obstacles)
         for v in vehicles:
             segments.extend(_rect_edges(v.center, v.width, v.depth))
         dists = reference_cast_rays(tx, ray_angles, segments, world.lidar_max_range)
         hit = np.isfinite(dists)
         scans.append(LidarScan(t, np.column_stack([ray_angles[hit], dists[hit]])))
-        pos = tuple(map(float, vehicles[0].center)) if vehicles else None
-        truth.append(GroundTruth(t, pos, occluded))
-        labels.append(BlockageLabel(t, occluded))
-    return frames, scans, truth, labels, calibrate_power_threshold(frames, labels)
+        positions.append(tuple(map(float, vehicles[0].center)) if vehicles else (math.nan,) * 2)
+        flags.append(occluded)
+    totals = np.array([np.sum(powers) for powers in frames])
+    return (np.array(frames), scans, np.array(positions), np.array(flags, dtype=bool),
+            calibrate_power_threshold(totals, flags))
 
 
 def _bits(values) -> bytes:
@@ -523,18 +515,15 @@ def test_the_array_simulator_equals_the_per_step_loop(
     channel = ChannelConfig(num_subcarriers=subcarriers, noise_variance=noise,
                             scatter_fluctuation_db=fluctuation)
     got = simulate_scenario(world, codebook, channel, steps, seed, rays)
-    frames, scans, truth, labels, threshold = reference_simulate(
+    frames, scans, positions, occluded, threshold = reference_simulate(
         world, codebook, channel, steps, seed, rays)
-    assert [f.t for f in got.frames] == [f.t for f in frames]
-    assert all(_bits(a.powers) == _bits(b.powers) for a, b in zip(got.frames, frames))
+    assert got.frames.shape == frames.shape == (steps, beams)
+    assert got.frames.dtype == np.float64 and _bits(got.frames) == _bits(frames)
     assert [s.t for s in got.scans] == [s.t for s in scans]
     assert all(a.points.shape == b.points.shape and _bits(a.points) == _bits(b.points)
                for a, b in zip(got.scans, scans))
-    assert [(g.t, g.blocked, g.pos is None) for g in got.truth] == [
-        (g.t, g.blocked, g.pos is None) for g in truth]
-    assert all(type(g.blocked) is bool for g in got.truth)
-    assert all(a.pos is None or _bits(a.pos) == _bits(b.pos) for a, b in zip(got.truth, truth))
-    assert got.labels == labels
+    assert got.positions.shape == (steps, 2) and _bits(got.positions) == _bits(positions)
+    assert got.occluded.dtype == bool and got.occluded.tolist() == occluded.tolist()
     assert (got.power_threshold is None) == (threshold is None)
     assert threshold is None or _bits(got.power_threshold) == _bits(threshold)
 
@@ -543,22 +532,17 @@ def test_the_array_simulator_equals_the_per_step_loop(
 # Frames, calibration, validation
 # ---------------------------------------------------------------------------
 
-def test_total_power_examples():
-    assert total_power(RssiFrame(0, np.array([0.0, 0.0, 0.0]))) == 0.0
-    assert total_power(RssiFrame(0, np.array([1.0, 2.0, 3.0]))) == 6.0
+def test_row_totals_equal_each_frames_own_sum():
+    # Labels and the threshold read (T, M) row sums; they must be the bits
+    # of summing each frame on its own.
+    powers = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert powers.sum(axis=1).tolist() == [0.0, 6.0]
     rng = np.random.default_rng(9)
-    powers = rng.uniform(0.0, 5.0, size=64)
-    got = total_power(RssiFrame(0, powers))
-    assert got == pytest.approx(math.fsum(powers), rel=1e-12)
-
-
-def test_rssi_frame_validation():
-    with pytest.raises(ValueError):
-        RssiFrame(0, np.array([1.0, -2.0]))
-    with pytest.raises(NonFiniteError):
-        RssiFrame(0, np.array([1.0, math.nan]))
-    with pytest.raises(ValueError):
-        RssiFrame(0, np.ones((2, 2)))
+    for beams in (1, 7, 64, 200):
+        powers = rng.uniform(0.0, 5.0, size=(50, beams))
+        assert _bits(powers.sum(axis=1)) == _bits([np.sum(row) for row in powers])
+    np.testing.assert_allclose(powers.sum(axis=1), [math.fsum(row) for row in powers],
+                               rtol=1e-12)
 
 
 def test_lidar_scan_validation():
@@ -571,17 +555,14 @@ def test_lidar_scan_validation():
 
 
 def test_calibrated_threshold_is_db_midpoint():
-    frames = [RssiFrame(t, np.array([p])) for t, p in enumerate([1.0, 1.0, 1e-3, 1e-3])]
-    labels = [BlockageLabel(0, False), BlockageLabel(1, False),
-              BlockageLabel(2, True), BlockageLabel(3, True)]
-    thr = calibrate_power_threshold(frames, labels)
+    thr = calibrate_power_threshold(np.array([1.0, 1.0, 1e-3, 1e-3]),
+                                    np.array([False, False, True, True]))
     assert thr == pytest.approx(10.0 ** (-1.5), rel=1e-12)
 
 
 def test_calibration_needs_both_classes():
-    frames = [RssiFrame(0, np.array([1.0])), RssiFrame(1, np.array([2.0]))]
-    labels = [BlockageLabel(0, False), BlockageLabel(1, False)]
-    assert calibrate_power_threshold(frames, labels) is None
+    assert calibrate_power_threshold(np.array([1.0, 2.0]), np.array([False, False])) is None
+    assert calibrate_power_threshold(np.array([1.0, 2.0]), np.array([True, True])) is None
 
 
 def test_world_and_vehicle_validation():
