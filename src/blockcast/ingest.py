@@ -514,6 +514,9 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         table.reject_rows(blank[:, 0] != blank[:, 1], "x and y must be blank together")
         times = table.ints(0, 1)[:, 0]
         table.reject_rows(~np.isin(times, frame_times), "truth row has no matching RSSI frame")
+        repeated = np.ones(len(times), dtype=bool)
+        repeated[np.unique(times, return_index=True)[1]] = False  # each time's first row
+        table.reject_rows(repeated, "truth time repeats an earlier row's t")
         truth = Truth(times, table.floats(1, 3), table.flags(3, 4)[:, 0])
 
     labels = None

@@ -20,6 +20,13 @@ RSSI windows enter every model as per-beam standardized dB values; the
 statistics come from the training split only and ride along in the
 checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
+
+Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
+cache-free forward over blocks of ``SCORE_BLOCK`` = 256 windows that start
+at each multiple of 256, writing into one preallocated output; a lone
+trailing window joins the block before it. Peak memory therefore does not
+grow with the number of windows, and the result equals one forward pass
+over all of them bit for bit.
 """
 
 from __future__ import annotations
@@ -56,10 +63,11 @@ from .nn import (
     save_params,
     sigmoid,
 )
-from .preprocess import Centroid, WindowSet
+from .preprocess import WindowSet
 
 DB_FLOOR = 1e-12
 STD_FLOOR = 1e-6
+SCORE_BLOCK = 256  # windows per forward pass when scoring
 
 
 @dataclass(frozen=True)
@@ -472,33 +480,48 @@ def _checked_windows(model: Model, windows, kinds: tuple[str, ...]) -> np.ndarra
     return windows
 
 
+def _score(model: Model, windows: np.ndarray, rasters: np.ndarray | None, width: int):
+    """The (B, width) ``forward`` output of (B, T0, M) raw windows (and raw
+    rasters), one block at a time (see the module docstring). A lone trailing
+    window joins the block before it because numpy multiplies a single row
+    by another kernel, whose last bits differ from a batch's."""
+    n = len(windows)
+    out = np.empty((n, width))
+    starts = list(range(0, n, SCORE_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        feats = rssi_features(windows[lo:hi], model.stats)
+        norm = None if rasters is None else _norm_rasters(rasters[lo:hi], model.stats)
+        out[lo:hi] = forward(model, feats, norm)
+    return out
+
+
 def predict_locations_batch(model: Model, windows: np.ndarray) -> np.ndarray:
     """(B, T0, M) raw powers -> (B, N, 2) road-frame meters."""
     windows = _checked_windows(model, windows, ("localization",))
-    out = forward(model, rssi_features(windows, model.stats))
+    out = _score(model, windows, None, 2 * model.horizon)
     return out.reshape(-1, model.horizon, 2) * model.stats.road_size
-
-
-def predict_locations(model: Model, window: np.ndarray, start_t: int = 0) -> list[Centroid]:
-    """Single (T0, M) raw window -> N future centroids in the road frame."""
-    coords = predict_locations_batch(model, np.asarray(window)[None])[0]
-    return [
-        Centroid(start_t + k + 1, float(x), float(y), True)
-        for k, (x, y) in enumerate(coords)
-    ]
 
 
 def predict_blockage_probs(
     model: Model, windows: np.ndarray, rasters: np.ndarray | None = None
 ) -> np.ndarray:
-    """(B, T0, M) raw powers (+ raw rasters for the lidar model) -> (B, N)."""
+    """(B, T0, M) raw powers (+ (B, raster_bins) raw rasters for the lidar
+    model) -> (B, N)."""
     windows = _checked_windows(model, windows, ("rf", "rf+lidar"))
-    feats = rssi_features(windows, model.stats)
     if model.kind == "rf+lidar":
         if rasters is None:
             raise ValueError("the rf+lidar model needs lidar rasters")
-        rasters = _norm_rasters(np.asarray(rasters, dtype=np.float64), model.stats)
-    return forward(model, feats, rasters)
+        rasters = np.asarray(rasters, dtype=np.float64)
+        if rasters.shape != (len(windows), model.raster_bins):
+            raise ConfigMismatchError(
+                f"raster shape {rasters.shape} does not match {len(windows)} windows "
+                f"and model bins {model.raster_bins}"
+            )
+    else:
+        rasters = None
+    return _score(model, windows, rasters, model.horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ Array = np.ndarray
 
 
 def _check_finite(name: str, arr: Array) -> Array:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
 

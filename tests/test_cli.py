@@ -662,6 +662,24 @@ def test_a_lidar_time_without_an_rssi_frame_names_the_file_and_line(chain, tmp_p
     assert f"{(scene / 'lidar.csv').resolve()}:{lines}:" in err and "RSSI frame" in err
 
 
+def test_a_repeated_truth_time_names_the_file_and_line(chain, tmp_path, capsys):
+    # It used to load, and transfer scored against whichever of the two rows
+    # numpy's scatter happened to keep.
+    scene = tmp_path / "scene"
+    shutil.copytree(chain / "scene", scene)
+    lines = (scene / "truth.csv").read_text().splitlines()
+    assert lines[1].startswith("0,")
+    lines.insert(2, "0,5.0,6.0,1")
+    (scene / "truth.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(["transfer", "--scenario", str(scene), "--loc", str(chain / "loc" / "model.json"),
+                "--rx", "4,12", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{(scene / 'truth.csv').resolve()}:3:" in err and "truth time repeats" in err
+    assert "Traceback" not in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("module", ["blockcast", "blockcast.cli"])
 def test_module_entry_points_run_without_runtime_warnings(module):
     src = str(Path(blockcast.__file__).resolve().parents[1])

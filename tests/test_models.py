@@ -7,6 +7,7 @@ import pytest
 from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
 from blockcast.models import (
+    SCORE_BLOCK,
     STD_FLOOR,
     NormStats,
     TrainConfig,
@@ -17,7 +18,6 @@ from blockcast.models import (
     loss_and_grads,
     power_to_db,
     predict_blockage_probs,
-    predict_locations,
     predict_locations_batch,
     rssi_features,
     save_model,
@@ -286,11 +286,9 @@ def test_zeroed_model_predicts_the_road_origin_corner():
     model = build_model("localization", 3, 4, 2, toy_stats(3))
     for arr in model.named_params().values():
         arr[...] = 0.0
-    out = predict_locations_batch(model, np.full((1, 4, 3), 0.5))
-    np.testing.assert_array_equal(out, np.zeros((1, 2, 2)))
-    cs = predict_locations(model, np.full((4, 3), 0.5), start_t=10)
-    assert [c.t for c in cs] == [11, 12]
-    assert all(c.valid and c.x == 0.0 and c.y == 0.0 for c in cs)
+    for batch in (1, 3):  # N=2 centroids per window, each at (0, 0) in the road frame
+        out = predict_locations_batch(model, np.full((batch, 4, 3), 0.5))
+        np.testing.assert_array_equal(out, np.zeros((batch, 2, 2)))
 
 
 def test_zeroed_blockage_model_is_maximally_unsure():
@@ -330,6 +328,9 @@ def test_prediction_input_validation():
         predict_blockage_probs(lidar, np.zeros((1, 4, 3)))
     with pytest.raises(ConfigMismatchError):
         predict_blockage_probs(lidar, np.zeros((1, 4, 3)), np.zeros((1, 12)))
+    for rows in (1, 3):  # one raster per window; a numpy ValueError before blocks
+        with pytest.raises(ConfigMismatchError, match="does not match 2 windows"):
+            predict_blockage_probs(lidar, np.full((2, 4, 3), 0.5), np.full((rows, 13), 4.0))
 
 
 KINDS = ["localization", "rf", "rf+lidar"]
@@ -347,11 +348,12 @@ def predictor(kind, beams=6, window_len=5, horizon=3, bins=40, seed=7):
     return model, lambda w, r: predict_blockage_probs(model, w, r)
 
 
-def buffered_prediction(model, windows, rasters):
-    """The prediction through the training forward, which fills the caches."""
+def whole_batch_prediction(model, windows, rasters, caches=None):
+    """The prediction through one ``forward`` over every window; given
+    ``caches``, through the training forward, which fills them."""
     out = forward(
         model, rssi_features(windows, model.stats),
-        rasters / model.stats.lidar_max_range, caches={},
+        rasters / model.stats.lidar_max_range, caches=caches,
     )
     if model.kind == "localization":
         return out.reshape(-1, model.horizon, 2) * model.stats.road_size
@@ -365,14 +367,42 @@ def test_single_window_forecasts_match_the_batch_and_the_buffered_forward(kind):
     windows = rng.uniform(1e-6, 2.0, size=(9, 5, 6))
     rasters = rng.uniform(0.1, 16.0, size=(9, 40))
     batch = predict(windows, rasters)
-    assert batch.tobytes() == buffered_prediction(model, windows, rasters).tobytes()
+    assert batch.tobytes() == whole_batch_prediction(model, windows, rasters, {}).tobytes()
     for i in range(len(windows)):
         w, r = windows[i : i + 1], rasters[i : i + 1]
         one = predict(w, r)
-        assert one.tobytes() == buffered_prediction(model, w, r).tobytes()
+        assert one.tobytes() == whole_batch_prediction(model, w, r, {}).tobytes()
         # BLAS picks its kernel by row count, so a window's result may differ
         # from its row of the batch in the last bits, as the buffered path does.
         np.testing.assert_allclose(one[0], batch[i], rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
+                               2 * SCORE_BLOCK + 1, 3 * SCORE_BLOCK + 5])
+@pytest.mark.parametrize("shape", [(6, 5, 3, 40), (64, 8, 5, 360)])  # (M, T0, N, bins)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scoring_in_blocks_equals_one_forward_over_every_window(kind, shape, n):
+    beams, window_len, horizon, bins = shape
+    model, predict = predictor(kind, beams, window_len, horizon, bins)
+    rng = np.random.default_rng(n)
+    windows = rng.uniform(1e-6, 2.0, size=(n, window_len, beams))
+    rasters = rng.uniform(0.1, 16.0, size=(n, bins))
+    got = predict(windows, rasters)
+    assert got.tobytes() == whole_batch_prediction(model, windows, rasters).tobytes()
+
+
+def test_rf_lidar_scoring_memory_does_not_grow_with_the_drive(traced_peak_mib):
+    """Scoring the 1488 windows of the standard drive peaked at 61.1 MiB
+    above its inputs when every window went through one forward pass, and
+    4x the windows at 4x that. In blocks, only the (B, N) output grows."""
+    model, predict = predictor("rf+lidar", beams=64, window_len=8, horizon=5, bins=360)
+    rng = np.random.default_rng(4)
+    windows = rng.uniform(1e-6, 2.0, size=(1488, 8, 64))
+    rasters = rng.uniform(0.1, 16.0, size=(1488, 360))
+    one = traced_peak_mib(lambda: predict(windows, rasters))
+    windows, rasters = np.tile(windows, (4, 1, 1)), np.tile(rasters, (4, 1))
+    four = traced_peak_mib(lambda: predict(windows, rasters))
+    assert four <= 1.1 * one
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -489,9 +519,10 @@ def test_save_model_rejects_unknown_objects(tmp_path):
 def test_batch_forward_over_the_whole_drive_keeps_no_dead_intermediates(
     trained_lidar, standard_dataset, traced_peak_mib
 ):
-    """rf+lidar on all 1488 windows peaked at 61.1 MiB under tracemalloc (76.1
-    MiB when conv and dense outputs stayed in a throwaway dict and ReLU and
-    the conv taps allocated). 40% headroom would admit that, so the bound
-    is 15% above the measured peak: array sizes fix the peak exactly."""
+    """rf+lidar on all 1488 windows peaked at 10.6 MiB under tracemalloc in
+    blocks of SCORE_BLOCK windows (61.1 MiB in one pass; 76.1 MiB when conv
+    and dense outputs stayed in a throwaway dict and ReLU and the conv taps
+    allocated). The bound is 15% above the measured peak: array sizes fix
+    the peak exactly."""
     windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
-    assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 70.0
+    assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 12.2
