@@ -274,26 +274,25 @@ def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         [] if labels is None else ["labels.csv"])
 
 
+def _labeled_drive(cfg: dict, scenario_dir) -> tuple[WindowSet, dict]:
+    """One scenario's labeled windows, and the link fields of its meta.json
+    that dataset.json copies; the drive itself is dropped on return."""
+    bundle = load_scenario(scenario_dir)
+    meta_path = Path(scenario_dir) / "meta.json"
+    threshold = _meta_positive(bundle.meta, "power_threshold", meta_path)
+    if threshold is None:
+        raise SchemaError(f"{meta_path}: no power_threshold; blockage flags cannot be derived")
+    for key in ("tx", "rx"):  # copied into dataset.json, where evaluate reads them
+        if bundle.meta.get(key) is not None:
+            _meta_numbers(bundle.meta, key, 2, meta_path)
+    link = {"tx": bundle.meta.get("tx"), "rx": bundle.meta.get("rx"), "power_threshold": threshold}
+    return _scenario_windows(cfg, bundle, threshold), link
+
+
 def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
-    per_scenario = []
-    link_meta: dict = {}
-    for sdir in inputs["scenarios"]:
-        bundle = load_scenario(sdir)
-        meta_path = Path(sdir) / "meta.json"
-        threshold = _meta_positive(bundle.meta, "power_threshold", meta_path)
-        if threshold is None:
-            raise SchemaError(f"{meta_path}: no power_threshold; blockage flags cannot be derived")
-        for key in ("tx", "rx"):  # copied into dataset.json, where evaluate reads them
-            if bundle.meta.get(key) is not None:
-                _meta_numbers(bundle.meta, key, 2, meta_path)
-        per_scenario.append(_scenario_windows(cfg, bundle, threshold))
-        if not link_meta:
-            link_meta = {
-                "tx": bundle.meta.get("tx"),
-                "rx": bundle.meta.get("rx"),
-                "power_threshold": threshold,
-            }
+    per_scenario, links = zip(*[_labeled_drive(cfg, sdir) for sdir in inputs["scenarios"]])
     labeled = WindowSet.concat(per_scenario)
+    del per_scenario  # while the dataset is written, only the joined windows are held
     if not labeled:
         raise ValueError("no valid windows were produced from the given scenarios")
     meta = {
@@ -303,7 +302,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         "min_pts": int(cfg["min_pts"]),
         "proximity_radius": float(cfg["proximity_radius"]),
         "object_width": float(cfg["object_width"]),
-        **link_meta,
+        **links[0],
     }
     dataset = split_dataset(labeled, tuple(cfg["ratios"]), meta=meta)
     save_dataset(dataset, out_dir)

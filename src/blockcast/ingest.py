@@ -44,6 +44,10 @@ raster's max-range fill), so most cells cost an index, not a ``repr``.
 chunk of about ``CHUNK_CELLS`` cells at a time into typed arrays and drops
 its strings. A load's memory is its output arrays plus one chunk of text,
 and its values and ParseErrors are those of casting the whole file at once.
+Like the writer, it handles a repeated value once: when a chunk's distinct
+strings of one column type are at most half of its cells, each is parsed
+once and the values are gathered (``lidar.csv`` and the rasters of
+``samples.csv``); other chunks are cast cell by cell.
 """
 
 from __future__ import annotations
@@ -226,10 +230,10 @@ def write_csv(path, header: list[str], columns) -> None:
 _DTYPES = {"f": np.float64, "o": np.float64, "i": np.int64, "b": bool, "s": object}
 
 
-def _try_cast(kind: str, cells: np.ndarray) -> np.ndarray | None:
-    """Text cells of one column type as its array, or None when a cell is
-    rejected: no number for ``float`` / ``int``, outside int64, or not
-    finite. Blank cells of a float-or-blank column read as NaN."""
+def _cast(kind: str, cells: np.ndarray) -> np.ndarray | None:
+    """Text cells of one column type as its array, cast one by one, or None
+    when a cell is rejected: no number for ``float`` / ``int``, outside
+    int64, or not finite. Blank cells of a float-or-blank column read as NaN."""
     try:
         if kind == "o":
             values = np.full(cells.shape, np.nan)
@@ -242,6 +246,20 @@ def _try_cast(kind: str, cells: np.ndarray) -> np.ndarray | None:
     return values if kind in "ib" or np.isfinite(checked).all() else None
 
 
+def _try_cast(kind: str, cells: np.ndarray) -> np.ndarray | None:
+    """``_cast`` of the cells, parsing each distinct string once when they
+    are at most half of the cells, then gathering the values."""
+    flat = cells.ravel().tolist()
+    distinct = list(set(flat))
+    if 2 * len(distinct) > len(flat):
+        return _cast(kind, cells)
+    values = _cast(kind, np.array(distinct, dtype=object))
+    if values is None:
+        return None
+    parsed = dict(zip(distinct, values.tolist()))
+    return np.fromiter(map(parsed.__getitem__, flat), values.dtype, len(flat)).reshape(cells.shape)
+
+
 class CsvTable:
     """A CSV file's data rows as typed arrays, one per column type.
 
@@ -251,7 +269,8 @@ class CsvTable:
     about ``CHUNK_CELLS`` cells: blank lines are skipped, and the header
     and each row's cell count are checked. Then the chunk's cells of each
     type are cast in one call, which runs Python's ``float`` / ``int`` on
-    each cell, and its strings are dropped: memory is the output arrays
+    each cell, or on each distinct string when those are at most half of
+    the cells, and its strings are dropped: memory is the output arrays
     plus one chunk of text. When a cast rejects a cell, the scalar parsers
     scan that chunk's columns to name the first bad cell of each; its
     ParseError is raised by the accessor that reads its column. So a file

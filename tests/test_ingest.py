@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1030,33 +1030,45 @@ flag_text = st.sampled_from(["0", "1", " 1", "+1", "-0", "0_0", "01", "1 "])
 text_cells = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
                      max_size=4)
 CELLS = {"f": float_text, "o": float_text, "i": int_text, "b": flag_text, "s": text_cells}
-# One fault per kind that a cell of that column type can hold.
-FAULTS = {"f": ["nan", "inf", "-inf", "x", "2**63", ""], "o": ["nan", "inf", "x", " "],
-          "i": ["x", "2**63", "1.0", "9223372036854775808"],
-          "b": ["2", "-1", "x", "2**63", "1.0"], "s": []}
+# One fault per kind that a cell of that column type can hold. A blank in a
+# float-or-blank column is a fault only beside a filled one.
+FAULTS = {"f": ["nan", "inf", "-inf", "x", "2**63", ""], "o": ["nan", "inf", "x", " ", ""],
+          "i": ["x", "2**63", "1.0", "9223372036854775808", "-9223372036854775809"],
+          "b": ["2", "-1", "x", "2**63", "1.0", "9223372036854775808"], "s": []}
 
 
 @st.composite
 def typed_csv(draw):
     """(types, header, file text, whether a fault was made): rows of typed
     cells with blank lines and mixed line ends, and maybe one bad cell or
-    one short row in a line that is not blank."""
+    one short row in a line that is not blank. Runs of rows repeat one or two
+    pooled rows, so some chunks repeat their cells (the reader parses each
+    distinct string once) and others do not."""
     types = "".join(draw(st.lists(st.sampled_from("fibso"), min_size=1, max_size=5)))
     header = [f"c{j}" for j in range(len(types))]
-    rows = []
-    for _ in range(draw(st.integers(0, 14))):
+
+    def fresh_row():
         unknown = draw(st.booleans())  # the float-or-blank cells of a row are blank together
-        rows.append(["" if kind == "o" and unknown else draw(CELLS[kind]) for kind in types])
+        return ["" if kind == "o" and unknown else draw(CELLS[kind]) for kind in types]
+
+    pool = [fresh_row() for _ in range(draw(st.integers(1, 2)))]
+    rows = []
+    for pooled in (True, False, True):  # runs of repeated rows around fresh ones
+        rows += [list(draw(st.sampled_from(pool))) if pooled else fresh_row()
+                 for _ in range(draw(st.integers(0, 8)))]
     faulty = False
     if rows and draw(st.booleans()):
         row = draw(st.integers(0, len(rows) - 1))
         columns = [j for j, kind in enumerate(types) if FAULTS[kind]]
         if draw(st.booleans()) or not columns:
             del rows[row][draw(st.integers(0, len(types) - 1))]
+            faulty = ",".join(rows[row]) != ""  # a blank line is skipped, fault and all
         else:
             col = draw(st.sampled_from(columns))
             rows[row][col] = draw(st.sampled_from(FAULTS[types[col]]))
-        faulty = ",".join(rows[row]) != ""  # a blank line is skipped, fault and all
+            blank_o = types[col] == "o" and rows[row][col] == ""
+            faulty = any(rows[row][j] for j, kind in enumerate(types) if kind == "o") if blank_o \
+                else ",".join(rows[row]) != ""
     lines = [",".join(header)]
     for row in rows:
         lines += [""] * draw(st.integers(0, 2)) * draw(st.booleans()) + [",".join(row)]
@@ -1066,12 +1078,28 @@ def typed_csv(draw):
     return types, header, "".join(map(str.__add__, lines, ends)), faulty
 
 
+def repeating_csv(types: str, row: str, odd: str, faulty: bool) -> tuple:
+    """A typed_csv case of ten copies of ``row`` with ``odd`` as line 5:
+    every chunk of two or more rows repeats its cells."""
+    header = [f"c{j}" for j in range(len(types))]
+    lines = [",".join(header)] + [row] * 3 + [odd] + [row] * 6
+    return types, header, "\n".join(lines) + "\n", faulty
+
+
 @settings(max_examples=300)
-@given(typed_csv(), st.integers(1, 10))
+@given(typed_csv(), st.integers(1, 40))
+@example(repeating_csv("if", "1,2.5", "1,x", True), 1000)           # a bad float
+@example(repeating_csv("if", "1,2.5", "1,inf", True), 8)            # a non-finite value
+@example(repeating_csv("fi", "2.5,7", "2.5,9223372036854775808", True), 12)  # int64 overflow
+@example(repeating_csv("oo", "1.5,2.5", ",2.5", True), 1000)        # a blank beside a filled cell
+@example(repeating_csv("ib", "3,1", "3,2", True), 6)                # a flag other than 0/1
+@example(repeating_csv("ffo", "-0.0,5e-324,", "0.0,-5e-324,1e-310", False), 9)
 def test_the_chunked_reader_reads_what_the_object_table_reads(case, chunk_cells):
-    """Rows cross chunk boundaries (CHUNK_CELLS of 1-10 cells): the typed
-    arrays and line numbers equal the object table's bit for bit, and a
-    file with a fault raises the object table's ParseError text."""
+    """Rows cross chunk boundaries (CHUNK_CELLS of 1-40 cells), and chunks
+    of repeated rows, faults among them, take the parse-once path: the
+    typed arrays and line numbers equal the object table's bit for bit
+    (-0.0 and subnormals too), and a file with a fault raises the object
+    table's ParseError, with its file, line and text."""
     types, header, text, faulty = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"

@@ -1,6 +1,7 @@
 import math
 from collections import deque
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blockcast import preprocess
 from blockcast.ingest import ScenarioBundle
 from blockcast.preprocess import (
     Centroid,
@@ -17,7 +19,6 @@ from blockcast.preprocess import (
     WindowSet,
     build_windows,
     dbscan,
-    extract_centroid,
     rasterize_scan,
     scenario_centroids,
     src_filter,
@@ -315,40 +316,89 @@ def test_dbscan_config_validation():
 # Centroid extraction
 # ---------------------------------------------------------------------------
 
-def test_extract_centroid_invalid_when_nothing_clusters():
-    scan = polar_scan(3, [(-5.0, 6.0), (5.0, 6.0), (0.0, 7.0)])
-    c = extract_centroid(scan, SrcConfig(), DbscanConfig())
-    assert not c.valid and c.t == 3
-    assert math.isnan(c.x) and math.isnan(c.y)
+def reference_centroid(scan, src, db):
+    """The per-scan labeler that ``scenario_centroids`` replaced, clustering
+    with ``bfs_dbscan``: the road-frame mean of the largest cluster; ties go
+    to the smaller mean distance to the road centre, then to the earliest
+    cluster. (NaN, NaN) when the scan has no cluster."""
+    cart = src_filter(scan, src)
+    clusters, _ = bfs_dbscan(cart, db.eps, db.min_pts)
+    if not clusters:
+        return math.nan, math.nan
+    center = np.asarray(src.road_center)
+
+    def rank(item):
+        _, members = item
+        spread = float(np.mean(np.linalg.norm(cart[members] - center, axis=1)))
+        return (-len(members), spread, item[0])
+
+    _, best = min(enumerate(clusters), key=rank)
+    mean = cart[best].mean(axis=0)
+    ox, oy = src.road_origin
+    return float(mean[0] - ox), float(mean[1] - oy)
 
 
-def test_extract_centroid_largest_cluster_wins():
+def reference_scenario_centroids(bundle, src, db):
+    out = np.full((len(bundle.t), 2), np.nan)
+    for scan in {scan.t: scan for scan in bundle.lidar}.values():
+        out[scan.t - bundle.t[0]] = reference_centroid(scan, src, db)
+    return out
+
+
+def drive(scans, t0=0, steps=None):
+    """A bundle of ``steps`` frames from ``t0`` holding ``scans``."""
+    steps = steps or max([scan.t - t0 + 1 for scan in scans] + [1])
+    return ScenarioBundle("x", np.arange(t0, t0 + steps), np.ones((steps, 2)), scans)
+
+
+def scan_centroid(xy):
+    """The road-frame centroid of one scan of Cartesian points."""
+    return scenario_centroids(drive([polar_scan(0, xy)]), SrcConfig(), DbscanConfig())[0]
+
+
+def test_a_scan_with_no_cluster_has_a_nan_centroid():
+    assert np.isnan(scan_centroid([(-5.0, 6.0), (5.0, 6.0), (0.0, 7.0)])).all()
+
+
+def test_the_largest_cluster_wins():
     big = [(-5.0 + 0.1 * i, 6.0) for i in range(6)]
     small = [(5.0 + 0.1 * i, 7.0) for i in range(4)]
-    c = extract_centroid(polar_scan(0, big + small), SrcConfig(), DbscanConfig())
+    x, y = scan_centroid(big + small)
     mean = np.mean(big, axis=0)
-    assert c.valid
-    assert c.x == pytest.approx(mean[0] + 14.0, abs=1e-9)
-    assert c.y == pytest.approx(mean[1] - 4.0, abs=1e-9)
+    assert x == pytest.approx(mean[0] + 14.0, abs=1e-9)
+    assert y == pytest.approx(mean[1] - 4.0, abs=1e-9)
 
 
-def test_extract_centroid_size_tie_prefers_road_center():
+def test_a_size_tie_prefers_the_cluster_nearer_the_road_center():
     far = [(-6.0 + 0.1 * i, 6.0) for i in range(4)]
     near = [(2.0 + 0.1 * i, 6.0) for i in range(4)]
-    c = extract_centroid(polar_scan(0, far + near), SrcConfig(), DbscanConfig())
-    assert c.x == pytest.approx(np.mean(near, axis=0)[0] + 14.0, abs=1e-9)
+    assert scan_centroid(far + near)[0] == pytest.approx(np.mean(near, axis=0)[0] + 14.0, abs=1e-9)
 
 
-def test_extract_centroid_full_tie_prefers_first_cluster():
-    # Mirror-image clusters: same size and the same multiset of distances
-    # to the road center, so the earliest-discovered cluster is chosen.
-    a = [(-3.9, 5.9), (-3.9, 6.1), (-4.1, 5.9), (-4.1, 6.1)]
-    b = [(3.9, 5.9), (3.9, 6.1), (4.1, 5.9), (4.1, 6.1)]
-    c = extract_centroid(polar_scan(0, a + b), SrcConfig(), DbscanConfig())
-    assert c.x == pytest.approx(10.0, abs=1e-9)
-    assert c.y == pytest.approx(2.0, abs=1e-9)
-    c2 = extract_centroid(polar_scan(0, b + a), SrcConfig(), DbscanConfig())
-    assert c2.x == pytest.approx(18.0, abs=1e-9)
+# Angles a in (0.45, pi/2) whose mirror pi - a has exactly the negated
+# cosine and the same sine, so a scan and its mirror image about the road
+# centre's x = 0 filter to exactly mirrored points.
+_GRID = np.linspace(0.45, math.pi / 2 - 0.02, 4000)
+MIRROR_ANGLES = _GRID[(np.cos(math.pi - _GRID) == -np.cos(_GRID))
+                      & (np.sin(math.pi - _GRID) == np.sin(_GRID))]
+DEPTHS = np.linspace(4.5, 9.0, 19)
+
+
+def test_a_full_tie_goes_to_the_earlier_cluster():
+    # Mirror-image clusters: the same size and the same distances to the
+    # road centre, in the same order, so only the cluster order decides.
+    a = LidarScan(0, np.column_stack([MIRROR_ANGLES[-8:-4], np.full(4, 6.0)]))
+    b = LidarScan(0, np.column_stack([math.pi - MIRROR_ANGLES[-8:-4], np.full(4, 6.0)]))
+    src, db = SrcConfig(), DbscanConfig()
+    left, right = src_filter(a, src), src_filter(b, src)
+    assert right.tolist() == (left * [-1.0, 1.0]).tolist()
+    for first, second in ((a, b), (b, a)):
+        scan = LidarScan(0, np.concatenate([first.points, second.points]))
+        assert len(dbscan(src_filter(scan, src), db)[0]) == 2
+        got = scenario_centroids(drive([scan]), src, db)[0]
+        assert got.tobytes() == np.array(reference_centroid(scan, src, db)).tobytes()
+        mean = src_filter(first, src).mean(axis=0)
+        assert got.tolist() == [mean[0] + 14.0, mean[1] - 4.0]
 
 
 def test_centroid_tracks_vehicle_within_half_depth(standard_bundle):
@@ -366,17 +416,106 @@ def test_centroid_tracks_vehicle_within_half_depth(standard_bundle):
     assert np.mean(dy) <= 0.9
 
 
+def test_the_standard_drive_labels_equal_the_per_scan_labeler(standard_bundle):
+    src, db = SrcConfig(), DbscanConfig()
+    got = scenario_centroids(standard_bundle, src, db)
+    assert got.tobytes() == reference_scenario_centroids(standard_bundle, src, db).tobytes()
+
+
 def test_scenario_centroids_mark_missing_scans_invalid():
     cluster = [(0.2 + 0.1 * i, 6.0) for i in range(5)]
     scans = [polar_scan(5, cluster), polar_scan(7, cluster), polar_scan(8, [(0.2, 6.0)])]
-    bundle = ScenarioBundle("x", np.arange(5, 9), np.ones((4, 2)), scans)
-    cs = scenario_centroids(bundle, SrcConfig(), DbscanConfig())
+    cs = scenario_centroids(drive(scans, t0=5), SrcConfig(), DbscanConfig())
     assert cs.shape == (4, 2)
     # Frame 6 has no scan, and frame 8's one point makes no cluster.
     assert np.isnan(cs).any(axis=1).tolist() == [False, True, False, True]
     assert np.isnan(cs[[1, 3]]).all()
-    c = extract_centroid(scans[0], SrcConfig(), DbscanConfig())
-    assert c.valid and cs[0].tolist() == cs[2].tolist() == [c.x, c.y]
+    assert cs[0].tolist() == cs[2].tolist() == list(reference_centroid(scans[0], SrcConfig(),
+                                                                          DbscanConfig()))
+
+
+@st.composite
+def lidar_scans(draw, t):
+    """One scan at time ``t``: empty, off the road (nothing kept), sparse
+    (all noise at small eps), or blobs of pooled angles and depths near a
+    few centres, some points repeated, maybe followed by its mirror image
+    (full ties), maybe with off-road points mixed in."""
+    kind = draw(st.sampled_from(["empty", "off road", "blobs", "blobs", "blobs"]))
+    if kind == "empty":
+        return LidarScan(t, np.empty((0, 2)))
+    if kind == "off road":  # near the sensor or beyond the far edge
+        depth = draw(st.sampled_from([0.5, 20.0]))
+        angles = draw(st.lists(st.sampled_from(MIRROR_ANGLES.tolist()), min_size=1, max_size=6))
+        return LidarScan(t, np.column_stack([angles, np.full(len(angles), depth)]))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, d = draw(st.integers(0, len(MIRROR_ANGLES) - 1)), draw(st.integers(0, len(DEPTHS) - 1))
+        spread = draw(st.sampled_from([0, 3, 40]))
+        for _ in range(draw(st.integers(1, 9))):
+            i = min(max(a + draw(st.integers(-spread, spread)), 0), len(MIRROR_ANGLES) - 1)
+            j = min(max(d + draw(st.integers(-2, 2)), 0), len(DEPTHS) - 1)
+            points.append((MIRROR_ANGLES[i], DEPTHS[j]))
+    points = np.array(points)
+    if draw(st.booleans()):
+        points = np.concatenate([points, np.column_stack([math.pi - points[:, 0], points[:, 1]])])
+    if draw(st.booleans()):
+        points = np.concatenate([points, [[MIRROR_ANGLES[0], 0.5], [MIRROR_ANGLES[-1], 20.0]]])
+    return LidarScan(t, points[draw(st.permutations(range(len(points))))]
+                     if draw(st.booleans()) else points)
+
+
+@st.composite
+def lidar_drives(draw):
+    """(bundle, eps, min_pts, pair budget): up to 12 frames from a random t0,
+    scans at random frame times (some repeated, some frames without one)."""
+    t0, steps = draw(st.integers(0, 5)), draw(st.integers(1, 12))
+    times = draw(st.lists(st.integers(t0, t0 + steps - 1), max_size=14))
+    scans = [draw(lidar_scans(t)) for t in times]
+    eps = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
+    budget = draw(st.sampled_from([1, 9, 64, 400, preprocess.PAIR_BUDGET]))
+    return drive(scans, t0, steps), eps, draw(st.integers(1, 5)), budget
+
+
+@settings(max_examples=150)
+@given(lidar_drives())
+def test_blocked_centroids_equal_the_per_scan_labeler_bit_for_bit(case):
+    """Blocks of one to all scans (pair budgets of 1 pair to the default, so a
+    scan can be over the budget), with empty scans, scans with no kept
+    point, all-noise scans, size and full ties, repeated times and point
+    counts that vary within a block."""
+    bundle, eps, min_pts, budget = case
+    src, db = SrcConfig(), DbscanConfig(eps=eps, min_pts=min_pts)
+    with mock.patch.object(preprocess, "PAIR_BUDGET", budget):
+        got = scenario_centroids(bundle, src, db)
+    assert got.tobytes() == reference_scenario_centroids(bundle, src, db).tobytes()
+
+
+def test_blocks_keep_to_the_pair_budget_and_a_large_set_runs_alone():
+    counts = np.array([3, 0, 30, 5, 700, 30, 1, 0, 29])
+    blocks = preprocess._blocks(counts)
+    assert sorted(np.concatenate(blocks).tolist()) == [0, 2, 3, 4, 5, 6, 8]
+    assert [4] in [b.tolist() for b in blocks]
+    for block in blocks:
+        assert len(block) == 1 or len(block) * counts[block].max() ** 2 <= preprocess.PAIR_BUDGET
+
+
+def test_a_large_scan_among_small_ones_needs_its_own_matrix_plus_one_block(traced_peak_mib):
+    """600 scans of 30 kept points fill several blocks; an 800-point scan is
+    over the pair budget and runs alone. The drive peaks at no more than
+    the large scan alone plus the small ones alone."""
+    rng = np.random.default_rng(5)
+
+    def scan(t, n):
+        return polar_scan(t, np.column_stack([rng.uniform(-13, 13, n), rng.uniform(4.5, 7.5, n)]))
+
+    small = [scan(t, 30) for t in range(600)]
+    large = scan(600, 800)
+    src, db = SrcConfig(), DbscanConfig()
+    assert 30**2 * 600 > preprocess.PAIR_BUDGET and 800**2 > preprocess.PAIR_BUDGET
+    alone = traced_peak_mib(lambda: scenario_centroids(drive([large], 600), src, db))
+    blocks = traced_peak_mib(lambda: scenario_centroids(drive(small), src, db))
+    both = traced_peak_mib(lambda: scenario_centroids(drive(small + [large]), src, db))
+    assert both <= alone + blocks
 
 
 # ---------------------------------------------------------------------------
