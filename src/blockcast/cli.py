@@ -138,15 +138,16 @@ def replay_manifest(manifest_path, out_dir) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def _meta_numbers(meta: dict, key: str, count: int, path) -> tuple[float, ...]:
-    """``meta[key]`` as ``count`` floats, or a SchemaError naming the file and the key."""
+    """``meta[key]`` as ``count`` finite floats, or a SchemaError naming the file and the key."""
     value = meta.get(key)
     if (
         isinstance(value, (list, tuple))
         and len(value) == count
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in value)
     ):
         return tuple(float(v) for v in value)
-    raise SchemaError(f"{path}: {key} must be a list of {count} numbers, got {value!r}")
+    raise SchemaError(f"{path}: {key} must be a list of {count} numbers, all finite, got {value!r}")
 
 
 def _meta_positive(meta: dict, key: str, path) -> float | None:
@@ -372,8 +373,9 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         meta, path = dataset.meta, Path(inputs["dataset"]) / "dataset.json"
         tx, rx = (_meta_numbers(meta, key, 2, path) for key in ("tx", "rx"))
         x0, y0, x1, y1 = _meta_numbers(meta, "road_region", 4, path)
+        width = _meta_positive(meta, "object_width", path)
         link = _road_frame_link(tx, rx, (min(x0, x1), min(y0, y1)),
-                                meta.get("object_width", DEFAULTS["object_width"]))
+                                DEFAULTS["object_width"] if width is None else width)
 
     blockage_reports: list[tuple[str, BlockageReport]] = []
     loc_reports = []

@@ -3,6 +3,8 @@
 A ``Model`` is an ordered dict of named layers; ``build_model`` lays them
 out per kind, drawing initial weights from one RNG in layer order, and
 parameters are named ``<layer>.<array>`` (``lstm0.w_in``, ``head.bias``).
+The layer arrays are views of one float64 vector, ``Model.params``, in name
+order; training flattens the gradients alike, so Adam is one vector update.
 
 * ``localization``: ``lstm`` (hidden 32) over the RSSI window, ``dense1``
   32->20 with ReLU and ``dense2`` 20->2N with a final ReLU. Huber loss
@@ -199,6 +201,15 @@ class Model:
     horizon: int
     stats: NormStats
     raster_bins: int | None = None  # length of the lidar raster; rf+lidar only
+    params: np.ndarray = field(init=False, repr=False)  # every parameter, in name order
+
+    def __post_init__(self):
+        live = self.named_params()
+        self.params = np.concatenate([arr.ravel() for arr in live.values()])
+        views = np.split(self.params, np.cumsum([arr.size for arr in live.values()])[:-1])
+        for (name, arr), view in zip(live.items(), views):
+            layer, key = name.split(".")
+            setattr(self.layers[layer], key, view.reshape(arr.shape))
 
     @property
     def num_beams(self) -> int:
@@ -338,7 +349,7 @@ def _backward(model: Model, d_out: np.ndarray, caches: dict) -> dict[str, np.nda
             z, cache = caches[name]
             dx, g = conv1d_backward(layers[name], relu_backward(dx, z), cache)
             keep(name, g)
-    d_hidden = np.zeros_like(caches[lstm[-1]].hidden)
+    d_hidden = np.zeros_like(caches[lstm[-1]].hidden[1:])
     d_hidden[-1] = d
     for name in reversed(lstm):
         d_hidden, g = lstm_backward(layers[name], d_hidden, caches[name])
@@ -425,8 +436,8 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str, model: Model | Non
     feats, targets, rasters = _inputs(model, train)
     val = _inputs(model, dataset.arrays("val")) if dataset.splits.get("val") else None
 
-    params = model.named_params()
-    opt = adam_init(params, lr=cfg.lr)
+    names = list(model.named_params())
+    opt = adam_init(model.params, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     curves = LossCurves()
     for _ in range(cfg.episodes):
@@ -436,7 +447,7 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str, model: Model | Non
                 model, feats[idx], targets[idx],
                 None if rasters is None else rasters[idx], cfg.delta,
             )
-            adam_step(opt, params, grads)
+            adam_step(opt, model.params, np.concatenate([grads[k].ravel() for k in names]))
             curves.train.append(loss)
         if val is not None:
             val_feats, val_targets, val_rasters = val

@@ -2,25 +2,26 @@
 
 Everything runs in float64 on plain numpy arrays. The conv is computed tap
 by tap with BLAS matmuls over strided views, and the LSTM backward pass
-keeps only the recurrent matmul inside its time loop. The LSTM has two
-forwards with the same bits: training runs ``lstm_forward``, which buffers
-the gates and cell states of every step for ``lstm_backward``; prediction
-runs ``lstm_hidden``, a cache-free recurrence with one ``sigmoid`` over all
-four gates per step. Each layer ships a hand-derived backward pass
-returning gradients in the same shapes as its parameters; finite-difference
-tests lock every one of them. There is no autodiff graph: the architecture
-set is small and fixed, and explicit backward code keeps the arithmetic
-auditable.
+keeps only the recurrent matmul inside its time loop. The LSTM starts from
+zero state and has two forwards with the same bits: training runs
+``lstm_forward``, which buffers the gates and cell states of every step for
+``lstm_backward``; prediction runs ``lstm_hidden``, a cache-free recurrence
+with one ``sigmoid`` over all four gates per step. Each layer ships a
+hand-derived backward pass returning gradients in the same shapes as its
+parameters; finite-difference tests lock every one of them. There is no
+autodiff graph: the architecture set is small and fixed, and explicit
+backward code keeps the arithmetic auditable.
 
 Parameter initialization is fully seeded: weights are uniform in
 [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases start at zero except the LSTM
-forget gate, which starts at one.
+forget gate, which starts at one. Adam updates one parameter vector (a
+model's arrays are views of ``models.Model.params``) in one elementwise pass.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -142,11 +143,9 @@ def lstm_init(rng: np.random.Generator, input_size: int, hidden_size: int) -> Ls
 class LstmCache:
     inputs: Array
     gates: Array      # (T, B, 4H) post-nonlinearity, gate order i,f,g,o
-    cells: Array      # (T, B, H)
+    cells: Array      # (T + 1, B, H); row 0 is the zero initial state
     cell_tanh: Array  # (T, B, H)
-    hidden: Array     # (T, B, H)
-    h0: Array
-    c0: Array
+    hidden: Array     # (T + 1, B, H); row 0 is the zero initial state
 
 
 def _checked_seq(p: LstmParams, seq) -> Array:
@@ -159,10 +158,8 @@ def _checked_seq(p: LstmParams, seq) -> Array:
     return _check_finite("lstm input", seq)
 
 
-def lstm_forward(
-    p: LstmParams, seq: Array, h0: Array | None = None, c0: Array | None = None
-) -> tuple[Array, Array, LstmCache]:
-    """Run the recurrence over seq of shape (T, B, input_size).
+def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
+    """Run the recurrence from zero state over seq of shape (T, B, input_size).
 
     Returns the full hidden sequence (T, B, H), the final hidden state,
     and the cache needed for an exact backward pass.
@@ -170,16 +167,11 @@ def lstm_forward(
     seq = _checked_seq(p, seq)
     steps, batch, _ = seq.shape
     hid = p.hidden_size
-    h0 = np.zeros((batch, hid)) if h0 is None else np.array(h0, dtype=np.float64)
-    c0 = np.zeros((batch, hid)) if c0 is None else np.array(c0, dtype=np.float64)
-    if h0.shape != (batch, hid) or c0.shape != (batch, hid):
-        raise ValueError("h0/c0 must have shape (batch, hidden_size)")
-    h, c = h0, c0  # the loop writes each step's states into the buffers below
-
     gates = np.empty((steps, batch, 4 * hid))
-    cells = np.empty((steps, batch, hid))
+    cells = np.zeros((steps + 1, batch, hid))
     cell_tanh = np.empty((steps, batch, hid))
-    hidden = np.empty((steps, batch, hid))
+    hidden = np.zeros((steps + 1, batch, hid))
+    h, c = hidden[0], cells[0]  # the loop writes step t's states into row t + 1
     pre = seq @ p.w_in + p.bias  # recurrent term added per step
     for t in range(steps):
         a = np.add(pre[t], h @ p.w_rec, out=gates[t])  # each gate activated in place
@@ -188,17 +180,16 @@ def lstm_forward(
         f[:] = sigmoid(f)
         np.tanh(g, out=g)
         o[:] = sigmoid(o)
-        c = np.multiply(f, c, out=cells[t])
+        c = np.multiply(f, c, out=cells[t + 1])
         c += i * g
-        h = np.multiply(o, np.tanh(c, out=cell_tanh[t]), out=hidden[t])
+        h = np.multiply(o, np.tanh(c, out=cell_tanh[t]), out=hidden[t + 1])
     _check_finite("lstm hidden", hidden)
-    cache = LstmCache(seq, gates, cells, cell_tanh, hidden, h0, c0)
-    return hidden, hidden[-1], cache
+    return hidden[1:], hidden[-1], LstmCache(seq, gates, cells, cell_tanh, hidden)
 
 
 def lstm_hidden(p: LstmParams, seq: Array) -> Array:
-    """The hidden sequence (T, B, H) of ``lstm_forward`` from zero state,
-    bit for bit, without its backward buffers.
+    """The hidden sequence (T, B, H) of ``lstm_forward``, bit for bit,
+    without its backward buffers.
 
     Each step activates all 4H gate columns with one ``sigmoid`` and then
     overwrites the candidate slice with ``tanh`` of its pre-activation.
@@ -230,7 +221,7 @@ def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
     Only the recurrent term dh_next is a matmul per step; the parameter and
     input gradients are one matmul each over all T*B rows of d_pre.
     """
-    steps, batch, hid = cache.hidden.shape
+    steps, batch, hid = cache.cell_tanh.shape
     if d_hidden.shape != (steps, batch, hid):
         raise ValueError("d_hidden must match the hidden sequence shape")
     # Each gate's pre-activation gradient is dc (dh for the output gate) times
@@ -238,7 +229,7 @@ def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
     # steps at once; the loop scales them by the recurrent dc and dh.
     i, f, g, o = (cache.gates[:, :, k * hid : (k + 1) * hid] for k in range(4))
     ct = cache.cell_tanh
-    c_prev = np.concatenate([cache.c0[None], cache.cells[:-1]])
+    c_prev = cache.cells[:-1]
     d_pre = np.concatenate(
         [g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2), ct * o * (1.0 - o)], axis=2
     ).reshape(steps, batch, 4, hid)
@@ -254,7 +245,7 @@ def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
         dc_next = dc * f[t]
 
     rows = d_pre.reshape(steps * batch, 4 * hid)
-    h_prev = np.concatenate([cache.h0[None], cache.hidden[:-1]]).reshape(steps * batch, hid)
+    h_prev = cache.hidden[:-1].reshape(steps * batch, hid)
     grads = {
         "w_in": cache.inputs.reshape(steps * batch, -1).T @ rows,
         "w_rec": h_prev.T @ rows,
@@ -394,46 +385,36 @@ def bce_loss(probs: Array, targets: Array) -> tuple[float, Array]:
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 @dataclass
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    m: Array  # first moment of every parameter, shaped like the parameter vector
+    v: Array  # second moment
     step: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, Array], lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, arr in params.items():
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
+def adam_init(params: Array, lr: float = 1e-3) -> AdamState:
+    return AdamState(lr, np.zeros_like(params), np.zeros_like(params))
 
 
-def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array]) -> AdamState:
-    """Bias-corrected Adam update, applied to the parameter arrays in place."""
-    if set(params) != set(grads):
-        raise ValueError("params and grads must have identical keys")
+def adam_step(state: AdamState, params: Array, grad: Array) -> AdamState:
+    """Bias-corrected Adam update of the parameter vector, in place; being
+    elementwise, it equals one update per parameter array bit for bit."""
+    if grad.shape != params.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
+    _check_finite("grad", grad)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    correction1 = 1.0 - b1**state.step
-    correction2 = 1.0 - b2**state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for '{name}'")
-        _check_finite(f"grad[{name}]", g)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+    correction1 = 1.0 - ADAM_BETA1**state.step
+    correction2 = 1.0 - ADAM_BETA2**state.step
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad**2
+    params -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
     return state
 
 

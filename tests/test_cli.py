@@ -428,7 +428,8 @@ def test_a_non_finite_link_endpoint_in_the_metadata_is_a_domain_error(
          "--rx", "4,12", "--out", str(out)]
     ) == 1
     err = capsys.readouterr().err
-    assert f"{field} contains non-finite values" in err and "Traceback" not in err
+    want = f"{(scene / 'meta.json').resolve()}: {field} must be a list of 2 numbers, all finite"
+    assert want in err and "Traceback" not in err
     assert not (out / "transfer.csv").exists()
 
 
@@ -564,6 +565,71 @@ def test_a_bad_link_or_road_in_the_dataset_names_the_file_and_key(
         err = capsys.readouterr().err
         assert f"{(data / 'dataset.json').resolve()}: road_region must be a list of 4" in err
         assert not (out / "model.json").exists()
+
+
+NON_FINITE_META = {  # case -> (command, input dir, file, key, value)
+    "label-tx": ("label", "scene", "meta.json", "tx", [math.nan, 0.0]),
+    "label-rx": ("label", "scene", "meta.json", "rx", [4.0, math.inf]),
+    "train-rf": ("train", "data", "dataset.json", "road_region", [math.nan, 4.0, 14.0, 8.0]),
+    "train-localization": ("train", "data", "dataset.json", "road_region",
+                           [-14.0, 4.0, math.inf, 8.0]),
+    "evaluate-tx": ("evaluate", "data", "dataset.json", "tx", [math.nan, 0.0]),
+    "evaluate-road_region": ("evaluate", "data", "dataset.json", "road_region",
+                             [-14.0, -math.inf, 14.0, 8.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_META))
+def test_a_non_finite_number_in_the_metadata_names_the_file_and_key(chain, tmp_path, capsys, case):
+    # json reads NaN and Infinity. A NaN road corner used to train an rf model
+    # with exit 0 and a NaN norm.road_origin, or to fail localization training
+    # on its gradient; a NaN tx failed evaluate on the link. None named the file.
+    command, stage, name, key, value = NON_FINITE_META[case]
+    src = tmp_path / stage
+    shutil.copytree(chain / stage, src)
+    payload = json.loads((src / name).read_text())
+    (payload["meta"] if name == "dataset.json" else payload)[key] = value
+    (src / name).write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    args = {
+        "label": ["label", "--scenario", str(src)],
+        "train": ["train", "--dataset", str(src), "--variant", case.split("-")[1],
+                  "--episodes", "1", "--iterations", "1"],
+        "evaluate": ["evaluate", "--dataset", str(src), "--loc", str(chain / "loc" / "model.json")],
+    }[command]
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    want = f"{(src / name).resolve()}: {key} must be a list of {len(value)} numbers, all finite"
+    assert want in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("value", ["wide", -1.0, math.nan, None])
+def test_evaluate_reads_the_object_width_of_the_dataset(chain, tmp_path, capsys, value):
+    # "wide" used to fail with a bare float() message and -1.0 without the
+    # file's name; an absent width falls back to the default, which the chain
+    # wrote, so the report is the chain's own.
+    data = tmp_path / "data"
+    shutil.copytree(chain / "data", data)
+    payload = json.loads((data / "dataset.json").read_text())
+    assert payload["meta"].pop("object_width") == DEFAULTS["object_width"]
+    if value is not None:
+        payload["meta"]["object_width"] = value
+    (data / "dataset.json").write_text(json.dumps(payload))
+    loc = ["--loc", str(chain / "loc" / "model.json")]
+    out = tmp_path / "report"
+    code = run(["evaluate", "--dataset", str(data), *loc, "--out", str(out)])
+    if value is None:
+        ref = tmp_path / "ref"
+        assert code == 0
+        assert run(["evaluate", "--dataset", str(chain / "data"), *loc, "--out", str(ref)]) == 0
+        assert (out / "report.txt").read_bytes() == (ref / "report.txt").read_bytes()
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    want = f"{(data / 'dataset.json').resolve()}: object_width must be a finite positive number"
+    assert want in err and "Traceback" not in err
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -209,6 +210,23 @@ def test_training_is_bit_reproducible():
     rb, _ = train_blockage(synth_dataset(20), cfg, "rf")
     for name, arr in ra.named_params().items():
         np.testing.assert_array_equal(arr, rb.named_params()[name])
+
+
+# sha256 of the model.json that `blockcast train` writes for each variant on
+# the standard config; the session fixtures train the same models in process.
+# (float64 text via repr, numpy 2.4 on x86-64.)
+STANDARD_MODEL_SHA256 = {
+    "trained_localization": "0e9ce22ff4b7d054d0ea7da4f8bcfcc6f439b719a8dcb1285d84fa06688d275a",
+    "trained_rf": "c36db49cfe80a89a9fd4a0247421d4b983089d6205bc60c07b15c5cfb14354a0",
+    "trained_lidar": "5ffb5dbdbe3e1a0226b1a8565cb87d2659b230834269268ec36330f549fe42b5",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(STANDARD_MODEL_SHA256))
+def test_standard_training_writes_the_pinned_checkpoint(request, tmp_path, fixture):
+    path = tmp_path / "model.json"
+    save_model(request.getfixturevalue(fixture), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STANDARD_MODEL_SHA256[fixture]
 
 
 def test_curve_lengths_match_schedule():
@@ -457,6 +475,24 @@ def test_model_checkpoint_round_trip_is_bitwise(tmp_path, kind):
             predict_blockage_probs(loaded, windows),
             predict_blockage_probs(model, windows),
         )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_parameter_is_a_view_of_the_model_vector(tmp_path, kind):
+    model = build_model(kind, 3, 4, 2, toy_stats(3), 13, seed=5)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    for m in (model, load_model(path)):
+        live = m.named_params()
+        assert m.params.dtype == np.float64 and m.params.ndim == 1
+        assert m.params.size == sum(arr.size for arr in live.values())
+        for name, arr in live.items():
+            assert np.shares_memory(arr, m.params), name
+        # the views tile the vector in named_params() order
+        assert m.params.tobytes() == np.concatenate([a.ravel() for a in live.values()]).tobytes()
+    np.testing.assert_array_equal(m.params, model.params)
+    m.params[:] = 0.0  # a write through the vector reaches every layer
+    assert not any(arr.any() for arr in m.named_params().values())
 
 
 @pytest.mark.parametrize(

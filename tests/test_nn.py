@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from blockcast.errors import NonFiniteError, VersionError
 from blockcast.nn import (
-    AdamState,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Conv1dParams,
     DenseParams,
     LstmParams,
@@ -212,9 +214,8 @@ def test_lstm_single_step_matches_manual_cell():
     rng = np.random.default_rng(6)
     p = lstm_init(rng, 3, 2)
     x = rng.normal(size=(1, 1, 3))
-    h0 = rng.normal(size=(1, 2))
-    c0 = rng.normal(size=(1, 2))
-    _, last, _ = lstm_forward(p, x, h0=h0, c0=c0)
+    h0 = c0 = np.zeros((1, 2))  # the LSTM always starts from zero state
+    _, last, _ = lstm_forward(p, x)
 
     a = (x[0] @ p.w_in + h0 @ p.w_rec + p.bias)[0]
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -230,10 +231,6 @@ def test_lstm_input_validation():
         lstm_forward(p, np.zeros((2, 3)))  # not 3-D
     with pytest.raises(ValueError):
         lstm_forward(p, np.zeros((2, 1, 5)))  # wrong width
-    with pytest.raises(ValueError):
-        lstm_forward(p, np.zeros((2, 1, 3)), h0=np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        lstm_forward(p, np.zeros((2, 1, 3)), c0=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         LstmParams(3, 4, np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(15))
     hidden, _, cache = lstm_forward(p, np.zeros((2, 1, 3)))
@@ -295,15 +292,15 @@ def ref_conv1d_backward(p, d_out, x):
 
 
 def ref_lstm_backward(p, d_hidden, cache):
-    steps, batch, hid = cache.hidden.shape
+    steps, batch, hid = cache.cell_tanh.shape
     d_w_in, d_w_rec, d_bias = np.zeros_like(p.w_in), np.zeros_like(p.w_rec), np.zeros_like(p.bias)
     d_seq = np.empty_like(cache.inputs)
     dh_next, dc_next = np.zeros((batch, hid)), np.zeros((batch, hid))
     for t in range(steps - 1, -1, -1):
         i, f, g, o = np.split(cache.gates[t], 4, axis=1)
         ct = cache.cell_tanh[t]
-        c_prev = cache.cells[t - 1] if t > 0 else cache.c0
-        h_prev = cache.hidden[t - 1] if t > 0 else cache.h0
+        c_prev = cache.cells[t]  # row t holds the state before step t; row 0 is zero
+        h_prev = cache.hidden[t]
         dh = d_hidden[t] + dh_next
         dc = dc_next + dh * o * (1.0 - ct**2)
         d_a = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
@@ -400,8 +397,7 @@ def test_lstm_backward_matches_the_per_step_reference(steps, batch, width, hid):
     p = lstm_init(rng, width, hid)
     p.bias[:] = rng.normal(size=4 * hid)
     seq = rng.normal(size=(steps, batch, width))
-    h0, c0 = rng.normal(size=(batch, hid)), rng.normal(size=(batch, hid))
-    _, _, cache = lstm_forward(p, seq, h0=h0, c0=c0)
+    _, _, cache = lstm_forward(p, seq)
     d_hidden = rng.normal(size=(steps, batch, hid))
     d_seq, grads = lstm_backward(p, d_hidden, cache)
     want_d_seq, want_grads = ref_lstm_backward(p, d_hidden, cache)
@@ -423,9 +419,10 @@ def test_lstm_forward_is_bit_equal_to_the_concatenating_reference():
         c = f * c + i * g
         h = o * np.tanh(c)
         assert cache.gates[t].tobytes() == np.concatenate([i, f, g, o], axis=1).tobytes()
-        assert cache.cells[t].tobytes() == c.tobytes()
-        assert hidden[t].tobytes() == h.tobytes()
+        assert cache.cells[t + 1].tobytes() == c.tobytes()
+        assert hidden[t].tobytes() == cache.hidden[t + 1].tobytes() == h.tobytes()
     assert last.tobytes() == h.tobytes()
+    assert not cache.cells[0].any() and not cache.hidden[0].any()
 
 
 @settings(max_examples=200)
@@ -525,44 +522,86 @@ def test_loss_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradient_leaves_parameters_untouched():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    before = params["w"].copy()
+    params = np.array([1.0, -2.0, 3.0])
+    before = params.copy()
     state = adam_init(params, lr=0.1)
-    adam_step(state, params, {"w": np.zeros(3)})
-    np.testing.assert_array_equal(params["w"], before)
+    adam_step(state, params, np.zeros(3))
+    np.testing.assert_array_equal(params, before)
 
 
 def test_adam_first_step_size_is_about_lr():
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = adam_init(params, lr=0.01)
-    adam_step(state, params, {"w": np.array([5.0])})
-    assert params["w"][0] == pytest.approx(-0.01, rel=1e-6)
+    adam_step(state, params, np.array([5.0]))
+    assert params[0] == pytest.approx(-0.01, rel=1e-6)
 
 
 def test_adam_descends_a_quadratic_bowl():
     # Minimizing 0.5*||w||^2 from (1, 1): the gradient is w itself.
-    params = {"w": np.array([1.0, 1.0])}
+    params = np.array([1.0, 1.0])
     state = adam_init(params, lr=0.05)
     for _ in range(100):
-        adam_step(state, params, {"w": params["w"].copy()})
-    assert float(np.linalg.norm(params["w"])) < 0.1
+        adam_step(state, params, params.copy())
+    assert float(np.linalg.norm(params)) < 0.1
     assert state.step == 100
 
 
-def test_adam_validates_keys_shapes_and_finiteness():
-    params = {"w": np.zeros(2)}
+def test_adam_validates_shape_and_finiteness():
+    params = np.zeros(2)
     state = adam_init(params)
-    with pytest.raises(ValueError):
-        adam_step(state, params, {"v": np.zeros(2)})
-    with pytest.raises(ValueError):
-        adam_step(state, params, {"w": np.zeros(3)})
-    with pytest.raises(NonFiniteError):
-        adam_step(state, params, {"w": np.array([0.0, math.nan])})
+    with pytest.raises(ValueError, match="gradient shape"):
+        adam_step(state, params, np.zeros(1))  # would broadcast
+    with pytest.raises(NonFiniteError, match="grad contains non-finite values"):
+        adam_step(state, params, np.array([0.0, math.nan]))
+    assert state.step == 0 and not params.any()
 
 
 def test_adam_state_defaults():
-    s = AdamState()
-    assert (s.lr, s.beta1, s.beta2, s.eps, s.step) == (1e-3, 0.9, 0.999, 1e-8, 0)
+    s = adam_init(np.ones(3))
+    assert (s.lr, s.step) == (1e-3, 0)
+    assert s.m.shape == s.v.shape == (3,) and not s.m.any() and not s.v.any()
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+
+
+def ref_adam_step(state, params, grads, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-array update the flat one replaced: ``state`` holds ``lr``,
+    ``step`` and dicts ``m`` and ``v`` of one moment array per name."""
+    state["step"] += 1
+    correction1 = 1.0 - b1 ** state["step"]
+    correction2 = 1.0 - b2 ** state["step"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g**2
+        p -= state["lr"] * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3), min_size=1, max_size=6),
+    st.integers(1, 12), st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 0.1, 2.0]), st.sampled_from([1e-9, 1.0, 1e4]),
+)
+def test_flat_adam_is_bit_equal_to_the_per_array_reference(shapes, steps, seed, lr, scale):
+    # The drawn shapes set the split points of the vector into named arrays.
+    rng = np.random.default_rng(seed)
+    ref = {f"a{k}": rng.normal(size=shape) for k, shape in enumerate(shapes)}
+    flat = np.concatenate([arr.ravel() for arr in ref.values()])
+    ref_state = {"lr": lr, "step": 0, "m": {k: np.zeros_like(a) for k, a in ref.items()},
+                 "v": {k: np.zeros_like(a) for k, a in ref.items()}}
+    state = adam_init(flat, lr=lr)
+    for _ in range(steps):
+        grads = {k: rng.normal(scale=scale, size=a.shape) for k, a in ref.items()}
+        grads["a0"].ravel()[0] = 0.0  # a zero gradient entry keeps its moments at zero
+        ref_adam_step(ref_state, ref, grads)
+        adam_step(state, flat, np.concatenate([g.ravel() for g in grads.values()]))
+    assert state.step == ref_state["step"] == steps
+    for got, want in ((flat, ref), (state.m, ref_state["m"]), (state.v, ref_state["v"])):
+        assert got.tobytes() == np.concatenate([a.ravel() for a in want.values()]).tobytes()
 
 
 # ---------------------------------------------------------------------------
