@@ -251,15 +251,13 @@ def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     result = simulate_scenario(
         world, codebook, channel, int(cfg["steps"]), int(cfg["seed"]), int(cfg["lidar_rays"])
     )
-    threshold = result.power_threshold
-    labels = None if threshold is None else blockage_labels_from_rssi(result.frames, threshold)
     meta = {key: list(map(float, cfg[key])) for key in ("tx", "rx", "road_region")}
     meta.update((key, float(cfg[key])) for key in (
         "vehicle_width", "vehicle_depth", "theta_offset", "fov", "noise_variance",
         "blocked_attenuation_db", "scatter_gain", "scatter_fluctuation_db", "symbol_power",
         "lidar_max_range"))
     meta.update((key, int(cfg[key])) for key in ("num_subcarriers", "steps", "seed", "lidar_rays"))
-    meta["power_threshold"] = threshold
+    meta["power_threshold"] = result.power_threshold
     steps = np.arange(len(result.frames))
     bundle = ScenarioBundle(
         scenario_id=str(inputs.get("scenario_id") or out_dir.name),
@@ -267,12 +265,10 @@ def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         rssi=result.frames,
         lidar=result.scans,
         truth=Truth(steps, result.positions, result.occluded),
-        labels=labels,
         meta=meta,
     )
     save_scenario(bundle, out_dir)
-    return ["rssi.csv", "lidar.csv", "truth.csv", "meta.json"] + (
-        [] if labels is None else ["labels.csv"])
+    return ["rssi.csv", "lidar.csv", "truth.csv", "meta.json"]
 
 
 def _labeled_drive(cfg: dict, scenario_dir) -> tuple[WindowSet, dict]:
@@ -312,7 +308,9 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     dataset = load_dataset(inputs["dataset"])
-    _meta_numbers(dataset.meta, "road_region", 4, Path(inputs["dataset"]) / "dataset.json")
+    path = Path(inputs["dataset"]) / "dataset.json"
+    _meta_numbers(dataset.meta, "road_region", 4, path)
+    _meta_positive(dataset.meta, "lidar_max_range", path)  # absent or null: the default range
     tcfg = TrainConfig(
         lr=float(cfg["lr"]),
         batch_size=int(cfg["batch_size"]),

@@ -8,13 +8,14 @@ lives in its own directory (the import format for real captures too):
   rssi.csv    t,p0,...,p{M-1}   one row per frame, consecutive t
   lidar.csv   t,angle,depth     zero or more points per frame
   truth.csv   t,x,y,blocked     optional; x,y blank when unknown
-  labels.csv  t,blocked         optional; one row per frame
   meta.json                     codebook, channel, link, region, threshold
 
-In memory a scenario is one ``ScenarioBundle`` of columns, with no per-row
-object: ``t`` (T,) and ``rssi`` (T, M), ``labels`` (T,), ``truth`` a
-``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
-flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame.
+Blockage flags are not stored: ``label`` derives them from meta.json's
+power threshold. In memory a scenario is one ``ScenarioBundle`` of
+columns, with no per-row object: ``t`` (T,) and ``rssi`` (T, M), ``truth``
+a ``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
+flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame, whose
+points the bundle checks in one pass over the drive.
 
 A dataset of training windows (format 2) stores each power frame once:
 
@@ -80,16 +81,16 @@ class Truth(NamedTuple):
 
 @dataclass
 class ScenarioBundle:
-    """One recorded drive as columns: row i of ``rssi`` (and of ``labels``)
-    is the frame at time ``t[i]``; lidar scans and truth rows name their
-    frame by its time."""
+    """One recorded drive as columns: row i of ``rssi`` is the frame at time
+    ``t[i]``; lidar scans and truth rows name their frame by its time. Every
+    scan's points must be an (n, 2) array of finite angles in [0, 2*pi) and
+    depths > 0; they are checked at once, over the drive's concatenation."""
 
     scenario_id: str
-    t: np.ndarray                     # (T,) int64, consecutive
-    rssi: np.ndarray                  # (T, M) per-beam power, linear units
+    t: np.ndarray     # (T,) int64, consecutive
+    rssi: np.ndarray  # (T, M) per-beam power, linear units
     lidar: list[LidarScan]
     truth: Truth | None = None
-    labels: np.ndarray | None = None  # (T,) bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -106,6 +107,14 @@ class ScenarioBundle:
             raise TimeIndexGapError(missing.tolist())
         if (np.diff(self.t) <= 0).any():
             raise SchemaError("RSSI frames are not in time order")
+        points = [scan.points for scan in self.lidar]
+        if not all(isinstance(p, np.ndarray) and p.ndim == 2 and p.shape[1] == 2 for p in points):
+            raise ValueError("points must have shape (n, 2)")
+        points = ensure_finite("points", np.concatenate(points + [np.empty((0, 2))]))
+        if ((points[:, 0] < 0) | (points[:, 0] >= TWO_PI)).any():
+            raise ValueError("angles must lie in [0, 2*pi)")
+        if (points[:, 1] <= 0).any():
+            raise ValueError("depths must be positive")
         stray = {"lidar scan": np.array([scan.t for scan in self.lidar], dtype=np.int64)}
         if self.truth is not None:
             t, pos, blocked = self.truth
@@ -118,10 +127,6 @@ class ScenarioBundle:
             outside = ~np.isin(times, self.t)
             if outside.any():
                 raise SchemaError(f"{what} at t={times[outside][0]} has no matching RSSI frame")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=bool)
-            if self.labels.shape != self.t.shape:
-                raise SchemaError("blockage labels do not align with RSSI frames")
 
 
 def _parse_float(path: Path, line_no: int, cell: str, column: str) -> float:
@@ -486,8 +491,6 @@ def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
         cells = pos.astype(object)
         cells[np.isnan(pos)] = None  # blank x,y where the position is unknown
         write_csv(out / "truth.csv", ["t", "x", "y", "blocked"], [times, cells, blocked])
-    if bundle.labels is not None:
-        write_csv(out / "labels.csv", ["t", "blocked"], [bundle.t, bundle.labels])
 
     meta = {**bundle.meta, "format_version": SCENARIO_FORMAT_VERSION,
             "scenario_id": bundle.scenario_id, "num_beams": num_beams}
@@ -538,21 +541,7 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         table.reject_rows(repeated, "truth time repeats an earlier row's t")
         truth = Truth(times, table.floats(1, 3), table.flags(3, 4)[:, 0])
 
-    labels = None
-    labels_path = root / "labels.csv"
-    if labels_path.exists():
-        table = CsvTable(labels_path, ["t", "blocked"], "ib")
-        times = table.ints(0, 1)[:, 0]
-        n = min(len(times), len(frame_times))
-        misplaced = np.ones(len(times), dtype=bool)  # rows past the last frame, too
-        misplaced[:n] = times[:n] != frame_times[:n]
-        table.reject_rows(misplaced, "blockage labels do not align with RSSI frames")
-        if len(times) < len(frame_times):
-            raise ParseError(labels_path, int(table.line_nos[-1]) if len(times) else 1,
-                             f"{len(times)} blockage labels for {len(frame_times)} RSSI frames")
-        labels = table.flags(1, 2)[:, 0]
-
-    return ScenarioBundle(str(meta["scenario_id"]), frame_times, powers, scans, truth, labels, meta)
+    return ScenarioBundle(str(meta["scenario_id"]), frame_times, powers, scans, truth, meta)
 
 
 # ---------------------------------------------------------------------------

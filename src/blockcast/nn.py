@@ -26,18 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteError, SchemaError, VersionError
+from .errors import SchemaError, VersionError
 from .ingest import read_json_object
+from .scene import ensure_finite
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 Array = np.ndarray
-
-
-def _check_finite(name: str, arr: Array) -> Array:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains non-finite values")
-    return arr
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
@@ -88,7 +83,7 @@ def dense_forward(p: DenseParams, x: Array) -> tuple[Array, Array]:
             f"dense input width {x.shape[-1]} != weight rows {p.weight.shape[0]}"
         )
     y = x @ p.weight + p.bias
-    _check_finite("dense output", y)
+    ensure_finite("dense output", y)
     return y, x
 
 
@@ -155,7 +150,7 @@ def _checked_seq(p: LstmParams, seq) -> Array:
         raise ValueError("seq must be (T, B, input_size) with T >= 1")
     if seq.shape[2] != p.input_size:
         raise ValueError(f"seq width {seq.shape[2]} != input_size {p.input_size}")
-    return _check_finite("lstm input", seq)
+    return ensure_finite("lstm input", seq)
 
 
 def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
@@ -183,7 +178,7 @@ def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
         c = np.multiply(f, c, out=cells[t + 1])
         c += i * g
         h = np.multiply(o, np.tanh(c, out=cell_tanh[t]), out=hidden[t + 1])
-    _check_finite("lstm hidden", hidden)
+    ensure_finite("lstm hidden", hidden)
     return hidden[1:], hidden[-1], LstmCache(seq, gates, cells, cell_tanh, hidden)
 
 
@@ -209,7 +204,7 @@ def lstm_hidden(p: LstmParams, seq: Array) -> Array:
         c = gates[:, f] * c
         c += gates[:, i] * cand
         h = np.multiply(gates[:, o], np.tanh(c), out=hidden[t])
-    return _check_finite("lstm hidden", hidden)
+    return ensure_finite("lstm hidden", hidden)
 
 
 def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
@@ -313,7 +308,7 @@ def conv1d_forward(p: Conv1dParams, x: Array) -> tuple[Array, Array]:
     buf = np.empty_like(y)
     for k in range(1, kernel):
         y += product(p.weight[:, :, k], taps[k], out=buf)
-    _check_finite("conv output", y)
+    ensure_finite("conv output", y)
     return y, x
 
 
@@ -405,7 +400,7 @@ def adam_step(state: AdamState, params: Array, grad: Array) -> AdamState:
     elementwise, it equals one update per parameter array bit for bit."""
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
-    _check_finite("grad", grad)
+    ensure_finite("grad", grad)
     state.step += 1
     correction1 = 1.0 - ADAM_BETA1**state.step
     correction2 = 1.0 - ADAM_BETA2**state.step

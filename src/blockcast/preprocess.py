@@ -53,11 +53,6 @@ class SrcConfig:
         return (self.road_region[0], self.road_region[1])
 
     @property
-    def road_size(self) -> tuple[float, float]:
-        x0, y0, x1, y1 = self.road_region
-        return (x1 - x0, y1 - y0)
-
-    @property
     def road_center(self) -> tuple[float, float]:
         x0, y0, x1, y1 = self.road_region
         return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)

@@ -33,7 +33,7 @@ BOUNDARY_TOL = 1e-9
 def ensure_finite(name: str, values) -> np.ndarray:
     """Return values as a float array, raising NonFiniteError on NaN/Inf."""
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
 
@@ -104,23 +104,11 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class LidarScan:
-    """Polar point set at one time step: rows of (angle [rad], depth [m])."""
+    """Polar point set at one time step: (n, 2) rows of (angle [rad], depth
+    [m]). A drive's scans are checked together, by ``ingest.ScenarioBundle``."""
 
     t: int
     points: np.ndarray
-
-    def __post_init__(self):
-        arr = ensure_finite("points", self.points)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("points must have shape (n, 2)")
-        if arr.shape[0]:
-            if np.any(arr[:, 0] < 0) or np.any(arr[:, 0] >= TWO_PI):
-                raise ValueError("angles must lie in [0, 2*pi)")
-            if np.any(arr[:, 1] <= 0):
-                raise ValueError("depths must be positive")
-        object.__setattr__(self, "points", arr)
 
 
 @dataclass(frozen=True)

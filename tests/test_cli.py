@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blockcast
-from blockcast import cli
+from blockcast import cli, scene
 from blockcast.cli import replay_manifest, run
 from blockcast.config import DEFAULTS, dump_config, parse_config_file, resolve_config
 from blockcast.errors import ParseError
@@ -60,7 +60,7 @@ def chain(tmp_path_factory):
 
 def test_each_stage_writes_exactly_its_artifacts(chain):
     expect = {
-        "scene": {"rssi.csv", "lidar.csv", "truth.csv", "labels.csv", "meta.json"},
+        "scene": {"rssi.csv", "lidar.csv", "truth.csv", "meta.json"},
         "data": {"samples.csv", "frames.csv", "dataset.json"},
         "loc": {"model.json", "curves.csv"},
         "rf": {"model.json", "curves.csv"},
@@ -239,12 +239,15 @@ SHORT_DRIVE_SHA256 = {
     "rssi.csv": "50683d45da7198d638f809e303d053b43caaa3f9b75ee30ca8cb90739614d841",
     "lidar.csv": "97ee726284e25376d98e3930bfa138b25c7cc8e8033c27013af2e142446e6abf",
     "truth.csv": "5e974ade20c1e7aa2c4f912743a453afb0b64f9b9fabde39223fb6bfa9275bfa",
-    "labels.csv": "86bc8e263c14e0ff78c8231699013a7fc7144c78681b0435d789761d8bf43fe4",
     "meta.json": "0bd8bff482681c4fa2049860de6689fca25ed0509aea359e1375f372c413487f",
 }
 
 
-def test_simulate_writes_the_pinned_bytes_of_a_short_drive(tmp_path):
+# The simulator measures in blocks of scene.CHUNK_STEPS steps; the bytes
+# must not depend on the cut, down to blocks of one step and past the drive.
+@pytest.mark.parametrize("chunk_steps", [16, 1, 7, 61])
+def test_simulate_writes_the_pinned_bytes_of_a_short_drive(tmp_path, monkeypatch, chunk_steps):
+    monkeypatch.setattr(scene, "CHUNK_STEPS", chunk_steps)
     out = tmp_path / "short"
     assert run(["simulate", "--steps", "60", "--scenario-id", "short", "--out", str(out)]) == 0
     assert read_manifest(out)["outputs"] == SHORT_DRIVE_SHA256
@@ -628,6 +631,35 @@ def test_evaluate_reads_the_object_width_of_the_dataset(chain, tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     want = f"{(data / 'dataset.json').resolve()}: object_width must be a finite positive number"
+    assert want in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0, "x", True, None, "absent"])
+@pytest.mark.parametrize("variant, sub, iterations", [("rf", "rf", "15"),
+                                                      ("rf+lidar", "lidar", "10")])
+def test_train_reads_the_lidar_range_of_the_dataset(
+        chain, tmp_path, capsys, variant, sub, iterations, value):
+    # NaN and -1.0 used to train with exit 0, "x" to fail with a bare float()
+    # message; absent or null, the range is the default 16.0, which the chain
+    # wrote, so the checkpoint is the chain's own.
+    data = tmp_path / "data"
+    shutil.copytree(chain / "data", data)
+    payload = json.loads((data / "dataset.json").read_text())
+    assert payload["meta"].pop("lidar_max_range") == 16.0
+    if value != "absent":
+        payload["meta"]["lidar_max_range"] = value
+    (data / "dataset.json").write_text(json.dumps(payload))
+    out = tmp_path / "model"
+    code = run(["train", "--dataset", str(data), "--variant", variant, "--episodes", "1",
+                "--iterations", iterations, "--out", str(out)])
+    if value in (None, "absent"):
+        assert code == 0
+        assert (out / "model.json").read_bytes() == (chain / sub / "model.json").read_bytes()
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    want = f"{(data / 'dataset.json').resolve()}: lidar_max_range must be a finite positive number"
     assert want in err and "Traceback" not in err
     assert not list(out.iterdir())
 

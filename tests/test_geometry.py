@@ -248,7 +248,8 @@ def test_geometric_and_threshold_labels_agree_on_the_standard_run(
         object_width=4.0,
         power_threshold=standard_bundle.meta["power_threshold"],
     )
-    by_t = dict(zip(standard_bundle.t.tolist(), standard_bundle.labels.tolist()))
+    flags = blockage_labels_from_rssi(standard_bundle.rssi, link.power_threshold)
+    by_t = dict(zip(standard_bundle.t.tolist(), flags.tolist()))
     hits = total = 0
     for s in standard_dataset.samples:
         total += 1

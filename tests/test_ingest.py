@@ -62,7 +62,6 @@ def small_bundle(seed=0, steps=15):
         rssi=res.frames,
         lidar=res.scans,
         truth=Truth(np.arange(steps), res.positions, res.occluded),
-        labels=res.occluded,
         meta={"note": "fixture"},
     )
 
@@ -103,7 +102,6 @@ def test_scenario_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(a.points, b.points)
     for a, b in zip(loaded.truth, bundle.truth):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(loaded.labels, bundle.labels)
     assert loaded.meta["note"] == "fixture"
 
 
@@ -111,7 +109,7 @@ def test_second_save_produces_identical_files(tmp_path):
     bundle = small_bundle(seed=3)
     save_scenario(bundle, tmp_path / "a")
     save_scenario(load_scenario(tmp_path / "a"), tmp_path / "b")
-    for name in ("rssi.csv", "lidar.csv", "truth.csv", "labels.csv"):
+    for name in ("rssi.csv", "lidar.csv", "truth.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -136,7 +134,6 @@ def test_truth_positions_can_be_blank(tmp_path):
                                                                             "2,,,0"]
     loaded = load_scenario(tmp_path / "s")
     assert np.isnan(loaded.truth.pos).all()
-    assert loaded.labels is None
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +201,8 @@ def test_negative_power_rejected_on_load(tmp_path):
 @pytest.mark.parametrize("row, message", [("0,7.0,1.0", "angle"), ("0,-0.5,1.0", "angle"),
                                           ("0,1.0,0.0", "depth"), ("0,1.0,-2.0", "depth")])
 def test_lidar_point_out_of_range_names_its_line(tmp_path, row, message):
-    # LidarScan checks the same ranges, but its error names neither the file
-    # nor the line.
+    # ScenarioBundle checks the same ranges, but its error names neither the
+    # file nor the line.
     save_scenario(small_bundle(), tmp_path / "s")
     path = tmp_path / "s" / "lidar.csv"
     lines = path.read_text().splitlines()
@@ -228,9 +225,6 @@ def _edit_lines(path: Path, edit) -> None:
     ("rssi.csv", lambda lines: lines.insert(2, lines.pop(3)), 3, "time order"),
     ("rssi.csv", lambda lines: lines.insert(3, lines[2]), 4, "time order"),
     ("rssi.csv", lambda lines: lines.pop(3), 4, "time order"),
-    ("labels.csv", lambda lines: lines.__setitem__(5, "40,0"), 6, "align"),
-    ("labels.csv", lambda lines: lines.append("15,0"), 17, "align"),
-    ("labels.csv", lambda lines: lines.pop(), 15, "14 blockage labels for 15 RSSI frames"),
 ])
 def test_a_time_that_does_not_match_the_rssi_frames_names_its_line(
         tmp_path, name, edit, line, message):
@@ -284,8 +278,6 @@ def test_misaligned_streams_rejected():
     with pytest.raises(SchemaError, match="truth row at t=9"):
         ScenarioBundle("x", times, powers, [],
                        truth=Truth([0, 9], np.full((2, 2), np.nan), [False, False]))
-    with pytest.raises(SchemaError, match="align"):
-        ScenarioBundle("x", times, powers, [], labels=[False])
     with pytest.raises(SchemaError):
         ScenarioBundle("x", [], np.empty((0, 1)), [])
 
@@ -301,6 +293,36 @@ def test_bundle_powers_must_be_a_finite_nonnegative_matrix():
         ScenarioBundle("x", [0, 1, 2], np.ones((2, 1)), [])          # a time per row
     with pytest.raises(ValueError):
         ScenarioBundle("x", [0], np.ones((1, 1)), [], truth=Truth([0], [1.0, 2.0], [False]))
+
+
+@pytest.mark.parametrize("points, error, message", [
+    ([[7.0, 1.0]], ValueError, "angles"),
+    ([[-0.5, 1.0]], ValueError, "angles"),
+    ([[1.0, 0.0]], ValueError, "depths"),
+    ([[1.0, -2.0]], ValueError, "depths"),
+    ([[math.nan, 1.0]], NonFiniteError, "points contains non-finite values"),
+    ([[1.0, math.inf]], NonFiniteError, "points contains non-finite values"),
+    ([[1.0, 2.0, 3.0]], ValueError, r"shape \(n, 2\)"),
+    ([1.0, 2.0], ValueError, r"shape \(n, 2\)"),
+])
+def test_a_bundle_refuses_a_bad_scan_among_good_ones(points, error, message):
+    good = [LidarScan(0, np.array([[0.0, 1.0], [6.28, 15.0]])), LidarScan(2, np.empty((0, 2)))]
+    bad = LidarScan(1, np.array(points))
+    for lidar in ([bad], good[:1] + [bad] + good[1:]):
+        with pytest.raises(error, match=message):
+            ScenarioBundle("x", [0, 1, 2], np.ones((3, 1)), lidar)
+    assert ScenarioBundle("x", [0, 1, 2], np.ones((3, 1)), good).lidar == good
+
+
+def test_a_stray_labels_file_is_not_read(tmp_path):
+    # Blockage flags come from meta.json's power threshold; a labels.csv
+    # left by an older simulate is neither written nor parsed.
+    bundle = small_bundle()
+    save_scenario(bundle, tmp_path / "s")
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+        "lidar.csv", "meta.json", "rssi.csv", "truth.csv"]
+    (tmp_path / "s" / "labels.csv").write_text("t,blocked\nnot,a label\n")
+    np.testing.assert_array_equal(load_scenario(tmp_path / "s").rssi, bundle.rssi)
 
 
 def test_hand_computed_power_sums(tmp_path):
@@ -607,14 +629,12 @@ def bundles(draw):
                       st.floats(0.0, exclude_min=True, allow_infinity=False))
     lidar = [LidarScan(t, np.array(draw(st.lists(point, min_size=1, max_size=3))))
              for t in sorted(draw(st.sets(st.sampled_from(times))))]
-    truth = labels = None
+    truth = None
     if draw(st.booleans()):
         unknown = st.just((math.nan, math.nan))  # a blank position
         positions = draw(st.lists(unknown | st.tuples(finite, finite), min_size=n, max_size=n))
         truth = Truth(times, positions, draw(arrays(np.bool_, n)))
-    if draw(st.booleans()):
-        labels = draw(arrays(np.bool_, n))
-    return ScenarioBundle(draw(names), times, rssi, lidar, truth, labels, {"note": draw(finite)})
+    return ScenarioBundle(draw(names), times, rssi, lidar, truth, {"note": draw(finite)})
 
 
 @st.composite
@@ -659,9 +679,6 @@ def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(bundle):
         assert loaded.truth is None
     else:  # an unknown position is NaN, NaN on both sides
         assert all(_same_bits(a, b) for a, b in zip(loaded.truth, bundle.truth))
-    assert (loaded.labels is None) == (bundle.labels is None)
-    if bundle.labels is not None:
-        assert _same_bits(loaded.labels, bundle.labels)
 
 
 @given(datasets())
@@ -885,9 +902,7 @@ def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, s
     reference_write_csv(ref / "truth.csv", ["t", "x", "y", "blocked"],
                         ([t, *(None if math.isnan(v) else v for v in pos), blocked]
                          for t, pos, blocked in truth_rows))
-    reference_write_csv(ref / "labels.csv", ["t", "blocked"],
-                        zip(bundle.t.tolist(), bundle.labels.tolist()))
-    for name in ("rssi.csv", "lidar.csv", "truth.csv", "labels.csv"):
+    for name in ("rssi.csv", "lidar.csv", "truth.csv"):
         assert (ref / name).read_bytes() == (tmp_path / "scene" / name).read_bytes(), name
 
     samples = held["dataset"].samples

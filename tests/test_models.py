@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blockcast import models
 from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
 from blockcast.models import (
@@ -283,17 +284,9 @@ def test_training_validates_inputs():
     with pytest.raises(ValueError):
         train_blockage(ds, variant="fusion")
 
-    wrong = build_model("localization", 3, 4, 5, toy_stats(3))  # horizon differs
-    with pytest.raises(ConfigMismatchError):
-        train_localization(ds, TrainConfig(episodes=1, iterations=1), model=wrong)
-
     tagged = DatasetFile(ds.labeled, ds.splits, dict(ds.meta, horizon=99))
     with pytest.raises(ConfigMismatchError):
         train_localization(tagged, TrainConfig(episodes=1, iterations=1))
-
-    rf_model = build_model("rf", 3, 4, 2, toy_stats(3))
-    with pytest.raises(ConfigMismatchError):
-        train_blockage(ds, TrainConfig(episodes=1, iterations=1), "rf+lidar", model=rf_model)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +400,27 @@ def test_scoring_in_blocks_equals_one_forward_over_every_window(kind, shape, n):
     rasters = rng.uniform(0.1, 16.0, size=(n, bins))
     got = predict(windows, rasters)
     assert got.tobytes() == whole_batch_prediction(model, windows, rasters).tobytes()
+
+
+@pytest.fixture(scope="module")
+def score_standard(trained_localization, trained_rf, trained_lidar, standard_dataset):
+    """Scores every standard window with the three session-trained models."""
+    windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
+    assert len(windows) == 1488
+    return lambda: [predict_locations_batch(trained_localization, windows).tobytes(),
+                    predict_blockage_probs(trained_rf, windows).tobytes(),
+                    predict_blockage_probs(trained_lidar, windows, rasters).tobytes()]
+
+
+@pytest.mark.parametrize("block", [4, 8, 100, 1000, 100000])
+def test_scoring_the_standard_windows_keeps_its_bits_at_other_block_sizes(
+        monkeypatch, score_standard, block):
+    # Blocks that start on multiples of 4 keep every bit; at 3, 7 and 255
+    # the localization outputs moved (see the models docstring).
+    assert SCORE_BLOCK == 256
+    want = score_standard()
+    monkeypatch.setattr(models, "SCORE_BLOCK", block)
+    assert score_standard() == want
 
 
 def test_rf_lidar_scoring_memory_does_not_grow_with_the_drive(traced_peak_mib):

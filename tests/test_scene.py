@@ -545,15 +545,6 @@ def test_row_totals_equal_each_frames_own_sum():
                                rtol=1e-12)
 
 
-def test_lidar_scan_validation():
-    with pytest.raises(ValueError):
-        LidarScan(0, np.array([[0.0, 0.0]]))       # zero depth
-    with pytest.raises(ValueError):
-        LidarScan(0, np.array([[7.0, 1.0]]))       # angle out of range
-    empty = LidarScan(0, np.empty((0, 2)))
-    assert empty.points.shape == (0, 2)
-
-
 def test_calibrated_threshold_is_db_midpoint():
     thr = calibrate_power_threshold(np.array([1.0, 1.0, 1e-3, 1e-3]),
                                     np.array([False, False, True, True]))
