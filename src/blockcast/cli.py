@@ -10,8 +10,12 @@ One binary, one subcommand per pipeline stage::
     blockcast transfer --scenario runs/scene --loc runs/loc/model.json \
                        --rx 4,12 --rx -6,12 --out runs/sweep
 
+A flag named as a config key (``--steps``) overrides that key; every
+other flag is a stage input. ``ingest.json_field`` checks the JSON fields
+a stage reads, and ``config.check_value`` each ``--set`` value.
+
 Every run writes a ``manifest.json`` next to its outputs holding the
-subcommand, the fully resolved config, the input paths, and a sha256
+subcommand, the fully resolved config, the stage inputs, and a sha256
 checksum per output file. ``replay_manifest`` re-executes a manifest into
 a fresh directory and verifies the outputs byte for byte; nothing is
 written outside the chosen output directory.
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, resolve_config
+from .config import DEFAULTS, check_value, resolve_config
 from .errors import ConfigMismatchError, PipelineError, SchemaError
 from .evaluation import (
     BlockageReport,
@@ -48,6 +52,7 @@ from .geometry import LinkGeometry, blockage_labels_from_rssi, transfer_link
 from .ingest import (
     ScenarioBundle,
     Truth,
+    json_field,
     load_dataset,
     load_scenario,
     save_dataset,
@@ -137,31 +142,6 @@ def replay_manifest(manifest_path, out_dir) -> dict[str, bool]:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _meta_numbers(meta: dict, key: str, count: int, path) -> tuple[float, ...]:
-    """``meta[key]`` as ``count`` finite floats, or a SchemaError naming the file and the key."""
-    value = meta.get(key)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == count
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) for v in value)
-    ):
-        return tuple(float(v) for v in value)
-    raise SchemaError(f"{path}: {key} must be a list of {count} numbers, all finite, got {value!r}")
-
-
-def _meta_positive(meta: dict, key: str, path) -> float | None:
-    """``meta[key]``, None when absent or null; anything but a finite
-    positive number is a SchemaError naming the file and the key."""
-    value = meta.get(key)
-    if value is None:
-        return None
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
-        return float(value)
-    raise SchemaError(f"{path}: {key} must be a finite positive number, got {value!r}")
-
-
 def _road_frame_link(tx, rx, origin, object_width: float) -> LinkGeometry:
     """The link shifted into the road frame (of centroids and predictions) at world ``origin``."""
     return LinkGeometry(tx=tuple(np.subtract(tx, origin).tolist()),
@@ -187,7 +167,7 @@ def _window_steps(times, horizon: int) -> list[np.ndarray]:
             np.tile(np.arange(1, horizon + 1), len(times))]
 
 
-_CHECKPOINT_FLAGS = {"localization": "--loc", "rf": "--rf", "rf+lidar": "--lidar"}
+_CHECKPOINT_FLAGS = {"localization": "loc", "rf": "rf", "rf+lidar": "lidar"}  # kind -> flag
 
 
 def _check_dims(path, model: Model, dims: dict, source: str) -> None:
@@ -208,7 +188,7 @@ def _load_checked(path, kind: str, dims: dict, source: str) -> Model:
     model = load_model(path)
     if model.kind != kind:
         raise SchemaError(
-            f"{path}: {_CHECKPOINT_FLAGS[kind]} expects a {kind} checkpoint, "
+            f"{path}: --{_CHECKPOINT_FLAGS[kind]} expects a {kind} checkpoint, "
             f"got a {model.kind} one"
         )
     _check_dims(path, model, dims, source)
@@ -276,12 +256,11 @@ def _labeled_drive(cfg: dict, scenario_dir) -> tuple[WindowSet, dict]:
     that dataset.json copies; the drive itself is dropped on return."""
     bundle = load_scenario(scenario_dir)
     meta_path = Path(scenario_dir) / "meta.json"
-    threshold = _meta_positive(bundle.meta, "power_threshold", meta_path)
+    threshold = json_field(bundle.meta, "power_threshold", meta_path, positive=True, optional=True)
     if threshold is None:
         raise SchemaError(f"{meta_path}: no power_threshold; blockage flags cannot be derived")
     for key in ("tx", "rx"):  # copied into dataset.json, where evaluate reads them
-        if bundle.meta.get(key) is not None:
-            _meta_numbers(bundle.meta, key, 2, meta_path)
+        json_field(bundle.meta, key, meta_path, (2,), optional=True)
     link = {"tx": bundle.meta.get("tx"), "rx": bundle.meta.get("rx"), "power_threshold": threshold}
     return _scenario_windows(cfg, bundle, threshold), link
 
@@ -309,8 +288,8 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     dataset = load_dataset(inputs["dataset"])
     path = Path(inputs["dataset"]) / "dataset.json"
-    _meta_numbers(dataset.meta, "road_region", 4, path)
-    _meta_positive(dataset.meta, "lidar_max_range", path)  # absent or null: the default range
+    json_field(dataset.meta, "road_region", path, (4,))
+    json_field(dataset.meta, "lidar_max_range", path, positive=True, optional=True)  # or 16.0
     tcfg = TrainConfig(
         lr=float(cfg["lr"]),
         batch_size=int(cfg["batch_size"]),
@@ -358,20 +337,16 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     dataset = load_dataset(inputs["dataset"])
     split = dataset.arrays(inputs["split"])
     windows, futures, blocked, rasters = split.windows, split.futures, split.blocked, split.rasters
-    groups = [
-        ("localization", inputs.get("loc") or []),
-        ("rf", inputs.get("rf") or []),
-        ("rf+lidar", inputs.get("lidar") or []),
-    ]
+    groups = [(kind, inputs.get(flag) or []) for kind, flag in _CHECKPOINT_FLAGS.items()]
     if not any(paths for _, paths in groups):
         raise ValueError("no checkpoints given; pass --loc/--rf/--lidar")
 
     link = None
     if groups[0][1]:
         meta, path = dataset.meta, Path(inputs["dataset"]) / "dataset.json"
-        tx, rx = (_meta_numbers(meta, key, 2, path) for key in ("tx", "rx"))
-        x0, y0, x1, y1 = _meta_numbers(meta, "road_region", 4, path)
-        width = _meta_positive(meta, "object_width", path)
+        tx, rx = (json_field(meta, key, path, (2,)) for key in ("tx", "rx"))
+        x0, y0, x1, y1 = json_field(meta, "road_region", path, (4,))
+        width = json_field(meta, "object_width", path, positive=True, optional=True)
         link = _road_frame_link(tx, rx, (min(x0, x1), min(y0, y1)),
                                 DEFAULTS["object_width"] if width is None else width)
 
@@ -437,12 +412,12 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
     if bundle.truth is None:
         raise SchemaError(f"{scenario}: transfer needs truth.csv")
     meta_path = Path(scenario) / "meta.json"
-    tx, rx0 = (_meta_numbers(meta, key, 2, meta_path) for key in ("tx", "rx"))
-    width, depth = (_meta_positive(meta, key, meta_path)
+    tx, rx0 = (json_field(meta, key, meta_path, (2,)) for key in ("tx", "rx"))
+    width, depth = (json_field(meta, key, meta_path, positive=True, optional=True)
                     for key in ("vehicle_width", "vehicle_depth"))
     if width is None or depth is None:
         raise SchemaError(f"{meta_path}: transfer needs vehicle_width and vehicle_depth")
-    _meta_positive(meta, "power_threshold", meta_path)  # checked, but transfer needs no flags
+    json_field(meta, "power_threshold", meta_path, positive=True, optional=True)  # not read
 
     labeled = _scenario_windows(cfg, bundle, None)
     t0 = bundle.t[0]
@@ -459,8 +434,7 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     loc_model = _load_checked(inputs["loc"], "localization", cfg, "config")
     baselines = [
         (kind, _load_checked(ckpt, kind, cfg, "config"))
-        for kind, flag in (("rf", "rf"), ("rf+lidar", "lidar"))
-        for ckpt in inputs.get(flag) or []
+        for kind in ("rf", "rf+lidar") for ckpt in inputs.get(_CHECKPOINT_FLAGS[kind]) or []
     ]
     windows, rasters, positions, tx, rx0, width, depth = _transfer_windows(
         cfg, inputs["scenario"])
@@ -515,11 +489,19 @@ def _set_pair(text: str):
     if key not in DEFAULTS:
         raise argparse.ArgumentTypeError(f"unknown config key {key!r}")
     try:
-        return key, json.loads(value.strip())
+        parsed = json.loads(value.strip())
+        check_value(key, parsed)
     except json.JSONDecodeError:
         raise argparse.ArgumentTypeError(
             f"value for {key!r} is not valid JSON: {value!r}"
         ) from None
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return key, parsed
+
+
+def _path(text: str) -> str:
+    return str(Path(text).resolve())
 
 
 def _rx_pair(text: str):
@@ -565,15 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="derive labels and build a windowed dataset")
     _add_common(p)
     p.add_argument(
-        "--scenario", action="append", required=True, metavar="DIR",
-        help="scenario directory; repeatable",
+        "--scenario", dest="scenarios", type=_path, action="append", required=True,
+        metavar="DIR", help="scenario directory; repeatable",
     )
     p.add_argument("--window-len", type=int, help="observation window length")
     p.add_argument("--horizon", type=int, help="prediction horizon")
 
     p = sub.add_parser("train", help="train one model on a dataset")
     _add_common(p)
-    p.add_argument("--dataset", required=True, help="dataset directory")
+    p.add_argument("--dataset", type=_path, required=True, help="dataset directory")
     p.add_argument(
         "--variant", required=True, choices=["localization", "rf", "rf+lidar"],
         help="which model to train",
@@ -587,19 +569,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="dump raw model predictions for a split")
     _add_common(p)
-    p.add_argument("--checkpoint", required=True, help="model.json path")
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--checkpoint", type=_path, required=True, help="model.json path")
+    p.add_argument("--dataset", type=_path, required=True)
     p.add_argument("--split", default="test", help="dataset split (default: test)")
 
     p = sub.add_parser("evaluate", help="score checkpoints against a split")
     _add_common(p)
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", type=_path, required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--loc", action="append", default=[], metavar="CKPT",
+    p.add_argument("--loc", type=_path, action="append", default=[], metavar="CKPT",
                    help="localization checkpoint; repeatable")
-    p.add_argument("--rf", action="append", default=[], metavar="CKPT",
+    p.add_argument("--rf", type=_path, action="append", default=[], metavar="CKPT",
                    help="rssi-only blockage checkpoint; repeatable")
-    p.add_argument("--lidar", action="append", default=[], metavar="CKPT",
+    p.add_argument("--lidar", type=_path, action="append", default=[], metavar="CKPT",
                    help="rssi+lidar blockage checkpoint; repeatable")
 
     p = sub.add_parser(
@@ -607,10 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep receiver positions, reusing a trained location model",
     )
     _add_common(p)
-    p.add_argument("--scenario", required=True, help="scenario directory with truth.csv")
-    p.add_argument("--loc", required=True, help="localization checkpoint")
-    p.add_argument("--rf", action="append", default=[], metavar="CKPT")
-    p.add_argument("--lidar", action="append", default=[], metavar="CKPT")
+    p.add_argument("--scenario", type=_path, required=True,
+                   help="scenario directory with truth.csv")
+    p.add_argument("--loc", type=_path, required=True, help="localization checkpoint")
+    p.add_argument("--rf", type=_path, action="append", default=[], metavar="CKPT")
+    p.add_argument("--lidar", type=_path, action="append", default=[], metavar="CKPT")
     p.add_argument(
         "--rx", dest="rx_positions", type=_rx_pair, action="append", required=True,
         metavar="X,Y", help="receiver position to sweep; repeatable",
@@ -619,38 +602,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gather(args: argparse.Namespace) -> tuple[dict, dict]:
-    overrides = dict(args.overrides)
-    # Dedicated flags, each named as the config key it sets.
-    for key in ("seed", "steps", "window_len", "horizon", "lr", "batch_size", "episodes",
-                "iterations", "train_seed", "delta"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-
-    inputs: dict = {}
+    """The config overrides and the stage inputs of a parsed command line. A
+    flag named as a config key overrides it, after ``--set``, when given;
+    every other flag of the subcommand is a stage input."""
+    overrides, inputs = dict(args.overrides), {}
+    for name, value in vars(args).items():
+        if name in ("command", "out", "config", "overrides"):
+            continue
+        if name not in DEFAULTS:
+            inputs[name] = value
+        elif value is not None:
+            overrides[name] = value
     if args.command == "simulate":
-        inputs["scenario_id"] = args.scenario_id or Path(args.out).name
-    elif args.command == "label":
-        inputs["scenarios"] = [str(Path(p).resolve()) for p in args.scenario]
-    elif args.command == "train":
-        inputs["dataset"] = str(Path(args.dataset).resolve())
-        inputs["variant"] = args.variant
-    elif args.command == "predict":
-        inputs["dataset"] = str(Path(args.dataset).resolve())
-        inputs["checkpoint"] = str(Path(args.checkpoint).resolve())
-        inputs["split"] = args.split
-    elif args.command == "evaluate":
-        inputs["dataset"] = str(Path(args.dataset).resolve())
-        inputs["split"] = args.split
-        inputs["loc"] = [str(Path(p).resolve()) for p in args.loc]
-        inputs["rf"] = [str(Path(p).resolve()) for p in args.rf]
-        inputs["lidar"] = [str(Path(p).resolve()) for p in args.lidar]
-    elif args.command == "transfer":
-        inputs["scenario"] = str(Path(args.scenario).resolve())
-        inputs["loc"] = str(Path(args.loc).resolve())
-        inputs["rf"] = [str(Path(p).resolve()) for p in args.rf]
-        inputs["lidar"] = [str(Path(p).resolve()) for p in args.lidar]
-        inputs["rx_positions"] = args.rx_positions
+        inputs["scenario_id"] = inputs["scenario_id"] or Path(args.out).name
     return overrides, inputs
 
 

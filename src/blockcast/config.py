@@ -1,8 +1,10 @@
 """Shared configuration: built-in defaults, config file, flag overrides.
 
 The config file is plain ``key = value`` lines; values are parsed as JSON
-(so lists like ``[0.7, 0.15, 0.15]`` and ``null`` work), ``#`` starts a
-comment, blank lines are ignored. Resolution order, highest priority
+(so lists like ``[0.7, 0.15, 0.15]`` work) and must have the form of the
+key's default (``check_value``; ``walls`` and ``bounce_x`` may be
+``null``), ``#`` starts a comment, blank lines are ignored. ``--set``
+values are checked alike. Resolution order, highest priority
 first: command-line flag, config file, built-in default. The environment
 variable BLOCKCAST_CONFIG names a config file to load when --config is
 not given.
@@ -19,7 +21,8 @@ import math
 import os
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, SchemaError
+from .ingest import json_field
 
 ENV_CONFIG_VAR = "BLOCKCAST_CONFIG"
 
@@ -70,8 +73,19 @@ DEFAULTS: dict = {
 }
 
 
+def check_value(key: str, value) -> None:
+    """Raise a SchemaError naming ``key`` unless ``value`` has the form of the
+    key's default: an integer where that is an int, else a finite number or a
+    list of as many finite numbers. ``walls`` and ``bounce_x`` go unchecked."""
+    default = DEFAULTS[key]
+    if key not in ("walls", "bounce_x"):
+        shape = (len(default),) if isinstance(default, list) else ()
+        json_field({key: value}, key, None, shape, integer=type(default) is int)
+
+
 def parse_config_file(path) -> dict:
-    """Read one key = value file; keys must be known, values valid JSON."""
+    """Read one key = value file; keys must be known, values valid JSON of
+    the form ``check_value`` asks for."""
     path = Path(path)
     if not path.exists():
         raise ParseError(str(path), 0, "config file not found")
@@ -89,10 +103,13 @@ def parse_config_file(path) -> dict:
                 raise ParseError(str(path), line_no, f"unknown config key {key!r}")
             try:
                 out[key] = json.loads(value.strip())
+                check_value(key, out[key])
             except json.JSONDecodeError:
                 raise ParseError(
                     str(path), line_no, f"value for {key!r} is not valid JSON"
                 ) from None
+            except SchemaError as exc:
+                raise ParseError(str(path), line_no, str(exc)) from None
     return out
 
 

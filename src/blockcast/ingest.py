@@ -2,8 +2,10 @@
 
 This module owns every CSV and JSON format blockcast reads or writes, and
 the errors for bad input: ``write_csv`` is the one CSV writer, ``CsvTable``
-the one CSV reader and ``read_json_object`` the one JSON reader. A scenario
-lives in its own directory (the import format for real captures too):
+the one CSV reader, ``read_json_object`` the one JSON reader and
+``json_field`` the one checker of a JSON field that holds numbers (the
+metadata, checkpoint descriptors and config values). A scenario lives in
+its own directory (the import format for real captures too):
 
   rssi.csv    t,p0,...,p{M-1}   one row per frame, consecutive t
   lidar.csv   t,angle,depth     zero or more points per frame
@@ -465,14 +467,37 @@ def read_json_object(path) -> dict:
     return payload
 
 
-def json_int(obj: dict, key: str, path) -> int:
-    """``obj[key]`` as an int, or a SchemaError naming the file and the key."""
-    try:
-        return int(obj[key])
-    except KeyError:
-        raise SchemaError(f"{path}: missing {key}") from None
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: {key} must be an integer, got {obj[key]!r}") from None
+def json_field(obj: dict, key: str, path, shape: tuple = (), *, integer: bool = False,
+               positive: bool = False, optional: bool = False, name: str | None = None):
+    """``obj[key]`` checked against one JSON form: an integer within int64
+    (``integer``, returned as an int), or a finite number or nested lists of
+    them of ``shape`` (returned as a float or nested lists of floats); with
+    ``positive``, every number is > 0. A bool, a string or an integer beyond
+    int64 is no number, at any depth. Absent or null is None where
+    ``optional``. Anything else is a SchemaError naming ``path`` and the key,
+    as ``name`` when given; with ``path`` None it names only the key."""
+    value = obj.get(key)
+    if value is None and optional:
+        return None
+    cells = np.array(value, dtype=object)  # ragged lists stay lists, and fail the shape
+    numbers = [v for v in cells.flat
+               if type(v) is float or (type(v) is int and -2**63 <= v < 2**63)]
+    floats = np.array(numbers, dtype=np.float64)
+    ok = (cells.shape == (() if integer else shape) and len(numbers) == cells.size
+          and np.isfinite(floats).all() and (not positive or (floats > 0).all())
+          and (not integer or type(value) is int))
+    if ok:
+        return value if integer else floats.reshape(shape).tolist()
+    if integer:
+        what = ("a positive" if positive else "an") + " integer within int64"
+    elif shape:
+        what = f"a list of {' by '.join(map(str, shape))} numbers, all finite"
+        what += " and positive" if positive else ""
+    else:
+        what = "a finite positive number" if positive else "a finite number"
+    where = "" if path is None else f"{path}: "
+    got = repr(value) if key in obj else "nothing"
+    raise SchemaError(f"{where}{name or key} must be {what}, got {got}")
 
 
 def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
@@ -506,7 +531,7 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         raise SchemaError(f"{meta_path}: unsupported format_version {meta.get('format_version')!r}")
     if "num_beams" not in meta or "scenario_id" not in meta:
         raise SchemaError(f"{meta_path}: missing num_beams or scenario_id")
-    num_beams = json_int(meta, "num_beams", meta_path)
+    num_beams = json_field(meta, "num_beams", meta_path, integer=True, positive=True)
 
     table = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
                      "i" + "f" * num_beams)
@@ -659,7 +684,7 @@ def load_dataset(dataset_dir) -> DatasetFile:
     if meta.get("format_version") != DATASET_FORMAT_VERSION:
         raise SchemaError(f"{json_path}: unsupported format_version {meta.get('format_version')!r}")
     window_len, num_beams, horizon, raster_bins = (
-        json_int(meta, key, json_path)
+        json_field(meta, key, json_path, integer=True, positive=True)
         for key in ("window_len", "num_beams", "horizon", "raster_bins")
     )
 

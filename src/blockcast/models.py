@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigMismatchError, SchemaError
-from .ingest import DatasetFile, json_int
+from .ingest import DatasetFile, json_field
 from .nn import (
     Conv1dParams,
     DenseParams,
@@ -116,25 +116,17 @@ class NormStats:
         """The stats of a checkpoint's ``norm`` object for M = ``num_beams``. A
         field that is missing, not of its shape ((M,) for ``rssi_*``, (2,) for
         ``road_*``, a number for ``lidar_max_range``) or not finite, or a scale
-        that is not positive, is a SchemaError naming ``path`` and ``norm.<key>``."""
+        that is not positive, is a SchemaError naming ``path`` and ``norm.<key>``
+        (``ingest.json_field``)."""
         if not isinstance(d, dict):
             raise SchemaError(f"{path}: norm must be a JSON object")
         shapes = {"rssi_mean": (num_beams,), "rssi_std": (num_beams,), "road_origin": (2,),
                   "road_size": (2,), "lidar_max_range": ()}
-        values = {}
-        for key, shape in shapes.items():
-            try:
-                value = np.asarray(d.get(key))  # numbers only: no str, bool or null
-            except ValueError:  # a ragged list
-                value = np.asarray(None)
-            scale = key in ("rssi_std", "road_size", "lidar_max_range")
-            if (value.dtype.kind not in "if" or value.shape != shape
-                    or not np.isfinite(value).all() or (scale and not (value > 0).all())):
-                number = "finite positive number" if scale else "finite number"
-                what = f"a {number}" if shape == () else f"a list of {shape[0]} {number}s"
-                raise SchemaError(f"{path}: norm.{key} must be {what}, got {d.get(key)!r}")
-            values[key] = value.astype(np.float64)
-        return cls(**{**values, "lidar_max_range": float(values["lidar_max_range"])})
+        values = {key: json_field(d, key, path, shape, name=f"norm.{key}",
+                                  positive=key in ("rssi_std", "road_size", "lidar_max_range"))
+                  for key, shape in shapes.items()}
+        return cls(**{key: value if key == "lidar_max_range" else np.array(value)
+                      for key, value in values.items()})
 
 
 def power_to_db(powers: np.ndarray) -> np.ndarray:
@@ -149,10 +141,7 @@ def compute_norm_stats(windows: np.ndarray, meta: dict) -> NormStats:
     if not len(windows):
         raise ValueError("cannot compute normalization stats from an empty split")
     db = power_to_db(windows.reshape(-1, windows.shape[-1]))  # (B*T0, M)
-    region = meta.get("road_region")
-    if region is None or len(region) != 4:
-        raise SchemaError("dataset meta is missing road_region")
-    x0, y0, x1, y1 = (float(v) for v in region)
+    x0, y0, x1, y1 = json_field(meta, "road_region", "dataset meta", (4,))
     max_range = meta.get("lidar_max_range")
     return NormStats(
         rssi_mean=db.mean(axis=0),
@@ -549,8 +538,10 @@ def load_model(path) -> Model:
     kind = {v: k for k, v in CHECKPOINT_KINDS.items()}.get(descriptor.get("kind"))
     if kind is None:
         raise SchemaError(f"{path}: unknown model kind {descriptor.get('kind')!r}")
-    dims = [json_int(descriptor, key, path) for key in ("num_beams", "window_len", "horizon")]
-    raster_bins = json_int(descriptor, "raster_bins", path) if kind == "rf+lidar" else None
+    dims = [json_field(descriptor, key, path, integer=True, positive=True)
+            for key in ("num_beams", "window_len", "horizon")]
+    raster_bins = (json_field(descriptor, "raster_bins", path, integer=True, positive=True)
+                   if kind == "rf+lidar" else None)
     try:
         stats = NormStats.from_json(descriptor.get("norm"), dims[0], path)
         model = build_model(kind, *dims, stats, raster_bins)

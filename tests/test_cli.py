@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockcast
 from blockcast import cli, scene
@@ -302,9 +307,10 @@ def test_config_file_parsing_rules(tmp_path):
         "steps = 42\n"
         "ratios = [0.5, 0.25, 0.25]\n"
         "bounce_x = null\n"
+        "walls = null\n"
     )
     values = parse_config_file(path)
-    assert values == {"steps": 42, "ratios": [0.5, 0.25, 0.25], "bounce_x": None}
+    assert values == {"steps": 42, "ratios": [0.5, 0.25, 0.25], "bounce_x": None, "walls": None}
 
     path.write_text("mystery = 1\n")
     with pytest.raises(ParseError) as err:
@@ -341,6 +347,51 @@ def test_unknown_key_in_config_file_fails_the_run(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("bogus = 1\n")
     assert run(["simulate", "--out", str(tmp_path / "x"), "--config", str(cfg_file)]) == 1
+
+
+BAD_CONFIG = {  # case -> (subcommand, key, JSON text of its value)
+    "window_len-fraction": ("label", "window_len", "8.5"),
+    "raster_bins-flag": ("label", "raster_bins", "true"),
+    "steps-fraction": ("simulate", "steps", "60.9"),
+    "num_beams-text": ("simulate", "num_beams", '"64"'),
+    "noise_variance-nan": ("simulate", "noise_variance", "NaN"),
+    "road_region-short": ("simulate", "road_region", "[0, 0, 1]"),
+    "eps-text": ("label", "eps", '"x"'),
+    "tx-short": ("simulate", "tx", "[0]"),
+}
+
+
+def _config_stage(chain, command) -> list[str]:
+    if command == "label":
+        return ["label", "--scenario", str(chain / "scene")]
+    return ["simulate", "--set", "steps=60"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG))
+def test_a_bad_set_value_is_a_usage_error_naming_the_key(chain, tmp_path, capsys, case):
+    # Each used to run: 8.5 windows as 8, true as 1 raster bin, a NaN noise
+    # as none; "x" failed with a bare float() message and [0] with an
+    # IndexError traceback.
+    command, key, text = BAD_CONFIG[case]
+    out = tmp_path / "out"
+    assert run(_config_stage(chain, command) + ["--set", f"{key}={text}", "--out", str(out)]) == 2
+    assert f"argument --set: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG))
+def test_a_bad_config_file_value_names_the_file_and_line(chain, tmp_path, capsys, case):
+    command, key, text = BAD_CONFIG[case]
+    cfg_file = tmp_path / "site.cfg"
+    cfg_file.write_text(f"# site settings\n{key} = {text}\n")
+    with pytest.raises(ParseError) as err:
+        parse_config_file(cfg_file)
+    assert str(err.value).startswith(f"{cfg_file}:2: {key} must be")
+    out = tmp_path / "out"
+    assert run(_config_stage(chain, command) + ["--config", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg_file}:2: {key} must be" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +788,149 @@ def test_a_bad_json_file_is_a_domain_error_naming_it(chain, tmp_path, capsys, ca
     err = capsys.readouterr().err
     assert str(path.resolve()) in err
     assert "Traceback" not in err
+
+
+def _json_holder(payload: dict, name: str) -> dict:
+    """The object of a parsed model.json, dataset.json or meta.json whose
+    keys the stages read."""
+    return {"model.json": payload.get("descriptor"), "dataset.json": payload.get("meta"),
+            "meta.json": payload}[name]
+
+
+def _stage_argv(command: str, chain, **copies) -> list[str]:
+    """The argv of one stage that reads the chain's directories, or the
+    copies given for some of them (scene, data, loc, lidar)."""
+    dirs = {sub: str(copies.get(sub, chain / sub)) for sub in ("scene", "data", "loc", "lidar")}
+    loc, lidar = (f"{dirs[sub]}/model.json" for sub in ("loc", "lidar"))
+    return {
+        "label": ["label", "--scenario", dirs["scene"]],
+        "transfer": ["transfer", "--scenario", dirs["scene"], "--loc", loc, "--rx", "4,12"],
+        "train": ["train", "--dataset", dirs["data"], "--variant", "rf+lidar", "--episodes", "1",
+                  "--iterations", "1"],
+        "predict": ["predict", "--checkpoint", lidar, "--dataset", dirs["data"]],
+        "evaluate": ["evaluate", "--dataset", dirs["data"], "--loc", loc, "--lidar", lidar],
+    }[command]
+
+
+NOT_AN_INTEGER = {  # case -> (chain directory, file, key, value, stage)
+    "model-window_len-fraction": ("loc", "model.json", "window_len", 8.7, "evaluate"),
+    "model-window_len-text": ("loc", "model.json", "window_len", "8", "evaluate"),
+    "model-window_len-float": ("loc", "model.json", "window_len", 8.0, "evaluate"),
+    "model-horizon-float": ("loc", "model.json", "horizon", 5.0, "evaluate"),
+    "dataset-horizon-fraction": ("data", "dataset.json", "horizon", 5.5, "train"),
+    "dataset-raster_bins-text": ("data", "dataset.json", "raster_bins", "360", "train"),
+    "meta-num_beams-float": ("scene", "meta.json", "num_beams", 64.0, "label"),
+    "meta-num_beams-text": ("scene", "meta.json", "num_beams", "64", "label"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_AN_INTEGER))
+def test_an_integer_field_that_is_no_json_integer_names_the_file_and_key(
+    chain, tmp_path, capsys, case
+):
+    # int() used to read each of these, truncating 8.7 to 8 and 5.5 to 5.
+    sub, name, key, value, command = NOT_AN_INTEGER[case]
+    copy = tmp_path / sub
+    shutil.copytree(chain / sub, copy)
+    path = copy / name
+    payload = json.loads(path.read_text())
+    _json_holder(payload, name)[key] = value
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert run(_stage_argv(command, chain, **{sub: copy}) + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path.resolve()}: {key} must be a positive integer" in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+# The JSON keys each stage reads: (file, chain directory) -> (stages that read
+# it, keys); "norm.<key>" is a key of the checkpoint's norm object.
+NORM_KEYS = ["norm.rssi_mean", "norm.rssi_std", "norm.road_origin", "norm.road_size",
+             "norm.lidar_max_range"]
+JSON_KEYS = {
+    ("meta.json", "scene"): (["label", "transfer"], ["tx", "rx", "power_threshold",
+                                                     "vehicle_width", "vehicle_depth",
+                                                     "num_beams"]),
+    ("dataset.json", "data"): (["train", "predict", "evaluate"],
+                               ["window_len", "num_beams", "horizon", "raster_bins",
+                                "road_region", "lidar_max_range", "object_width", "tx", "rx"]),
+    ("model.json", "loc"): (["evaluate"], ["num_beams", "window_len", "horizon"] + NORM_KEYS),
+    ("model.json", "lidar"): (["evaluate"], ["num_beams", "window_len", "horizon",
+                                             "raster_bins"] + NORM_KEYS),
+}
+JSON_CASES = [(name, sub, command, key) for (name, sub), (commands, keys) in JSON_KEYS.items()
+              for command in commands for key in keys]
+MISSING = object()
+
+
+def _mutated(value, mutation: str):
+    """``value`` after one mutation. A bool, string, NaN, inf, an int beyond
+    int64 or a float for an int replaces the first entry of a list."""
+    if mutation == "missing":
+        return MISSING
+    whole = {"null": None, "negative": -1, "zero": 0,
+             "wrong-length": value + value[:1] if isinstance(value, list) else [value, value]}
+    if mutation in whole:
+        return whole[mutation]
+    first = value[0] if isinstance(value, list) else value
+    entry = {"bool": True, "string": str(first), "nan": math.nan, "inf": math.inf,
+             "beyond-int64": 2**63, "float-for-int": float(first)}[mutation]
+    return [entry] + value[1:] if isinstance(value, list) else entry
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def unmutated(chain, tmp_path_factory):
+    """The directory of each JSON_KEYS stage's outputs, run on the chain itself."""
+    root = tmp_path_factory.mktemp("unmutated")
+    for command in {command for _, _, command, _ in JSON_CASES}:
+        assert run(_stage_argv(command, chain) + ["--out", str(root / command)]) == 0
+    return root
+
+
+@settings(max_examples=150)  # about 7 s; 616 cases in all
+@given(case=st.sampled_from(JSON_CASES),
+       mutation=st.sampled_from(["missing", "null", "bool", "string", "nan", "inf", "negative",
+                                 "zero", "wrong-length", "float-for-int", "beyond-int64"]))
+def test_one_bad_json_key_is_refused_naming_its_file_or_changes_nothing(
+    chain, unmutated, tmp_path_factory, case, mutation
+):
+    name, sub, command, key = case
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        copy = Path(tmp) / sub
+        shutil.copytree(chain / sub, copy)
+        path = copy / name
+        payload = json.loads(path.read_text())
+        holder = _json_holder(payload, name)
+        if key.startswith("norm."):
+            holder = holder["norm"]
+        field = key.split(".")[-1]
+        value = _mutated(holder[field], mutation)
+        holder.pop(field, None)
+        if value is not MISSING:
+            holder[field] = value
+        path.write_text(json.dumps(payload))
+
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(_stage_argv(command, chain, **{sub: copy}) + ["--out", str(out)])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 1:
+            assert str(path.resolve()) in err and field in err, err
+            return
+        assert code == 0, err
+        expect = _outputs(unmutated / command)
+        if command == "label" and key in ("tx", "rx") and (value is MISSING or value is None):
+            # label copies the link into dataset.json, an absent one as null
+            dataset = json.loads(expect["dataset.json"])
+            dataset["meta"][key] = None
+            expect["dataset.json"] = json.dumps(dataset, sort_keys=True, indent=2).encode()
+        assert _outputs(out) == expect
 
 
 def test_a_capture_that_is_not_utf8_is_a_domain_error_naming_it(chain, tmp_path, capsys):
