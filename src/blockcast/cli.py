@@ -39,14 +39,15 @@ import numpy as np
 from .config import DEFAULTS, check_value, resolve_config
 from .errors import ConfigMismatchError, PipelineError, SchemaError
 from .evaluation import (
-    BlockageReport,
+    BLOCKAGE_CSV_HEADER,
+    LOCALIZATION_CSV_HEADER,
+    MULTI_SEED_CSV_HEADER,
+    blockage_rows,
     blockage_table,
     evaluate_blockage,
     evaluate_localization,
-    multi_seed_report,
-    write_blockage_csv,
-    write_localization_csv,
-    write_multi_seed_csv,
+    localization_rows,
+    multi_seed_rows,
 )
 from .geometry import LinkGeometry, blockage_labels_from_rssi, transfer_link
 from .ingest import (
@@ -350,10 +351,9 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         link = _road_frame_link(tx, rx, (min(x0, x1), min(y0, y1)),
                                 DEFAULTS["object_width"] if width is None else width)
 
-    blockage_reports: list[tuple[str, BlockageReport]] = []
-    loc_reports = []
+    blockage, localization = [], []  # CSV rows
+    accuracies: dict[str, list[list[float]]] = {}  # method -> per-step accuracies per checkpoint
     raw: list[tuple[str, np.ndarray, np.ndarray | None]] = []  # per checkpoint
-    per_method_step_acc: dict[str, list[list[float]]] = {}
     for method, paths in groups:
         for run_idx, ckpt in enumerate(paths):
             model = _load_checked(ckpt, method, dataset.meta, "dataset")
@@ -363,19 +363,17 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
                 # The width-only object is the box of depth 0.
                 flags = segment_intersects_rect(link.tx, link.rx, coords, link.object_width, 0.0)
                 probs = None
-                loc_reports.append((label, evaluate_localization(coords, futures)))
+                localization += localization_rows(label, evaluate_localization(coords, futures))
             else:
                 probs = predict_blockage_probs(model, windows, rasters)
                 flags = probs >= 0.5
-            report = evaluate_blockage(flags, blocked)
-            blockage_reports.append((label, report))
-            per_method_step_acc.setdefault(method, []).append(
-                [c.accuracy for c in report.per_step]
-            )
+            rows = blockage_rows(label, evaluate_blockage(flags, blocked))
+            blockage += rows
+            accuracies.setdefault(method, []).append([acc for *_, acc, _ in rows[:-1]])
             raw.append((label, flags.ravel(), None if probs is None else probs.ravel()))
 
     outputs = ["blockage.csv", "predictions_raw.csv", "report.txt"]
-    write_blockage_csv(out_dir / "blockage.csv", blockage_reports)
+    write_csv(out_dir / "blockage.csv", BLOCKAGE_CSV_HEADER, [blockage])
     cells = blocked.size
     write_csv(
         out_dir / "predictions_raw.csv",
@@ -387,17 +385,14 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
          np.concatenate([flags for _, flags, _ in raw]),
          np.tile(blocked.ravel(), len(raw))],
     )
-    (out_dir / "report.txt").write_text(blockage_table(blockage_reports), encoding="utf-8")
-    if loc_reports:
-        write_localization_csv(out_dir / "localization.csv", loc_reports)
+    (out_dir / "report.txt").write_text(blockage_table(blockage), encoding="utf-8")
+    if localization:
+        write_csv(out_dir / "localization.csv", LOCALIZATION_CSV_HEADER, [localization])
         outputs.append("localization.csv")
-    multi = [
-        (method, multi_seed_report(acc))
-        for method, acc in sorted(per_method_step_acc.items())
-        if len(acc) >= 2
-    ]
-    if multi:
-        write_multi_seed_csv(out_dir / "summary.csv", multi)
+    summary = [row for method, acc in sorted(accuracies.items()) if len(acc) >= 2
+               for row in multi_seed_rows(method, acc)]
+    if summary:
+        write_csv(out_dir / "summary.csv", MULTI_SEED_CSV_HEADER, [summary])
         outputs.append("summary.csv")
     return outputs
 
@@ -461,9 +456,8 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             rows.append(
                 [name, pos_idx, rx[0], rx[1], pos_idx == 0, np.mean(predicted == truth_flags)]
             )
-    header = ["method", "position", "rx_x", "rx_y", "is_original", "accuracy"]
-    write_csv(out_dir / "transfer.csv", header,
-              [np.array(rows, dtype=object).reshape(len(rows), len(header))])
+    write_csv(out_dir / "transfer.csv",
+              ["method", "position", "rx_x", "rx_y", "is_original", "accuracy"], [rows])
     return ["transfer.csv"]
 
 

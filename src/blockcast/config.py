@@ -116,8 +116,8 @@ def parse_config_file(path) -> dict:
 def resolve_config(cli_values: dict | None = None, config_path=None) -> dict:
     """Merge defaults, config file, and CLI overrides into one dict.
 
-    cli_values entries equal to None mean "flag not given" and are
-    skipped. When config_path is None, BLOCKCAST_CONFIG is consulted.
+    Every cli_values entry overrides, None too (``bounce_x`` and ``walls``
+    may be null). When config_path is None, BLOCKCAST_CONFIG is consulted.
     """
     resolved = {k: v for k, v in DEFAULTS.items()}
     if config_path is None:
@@ -125,8 +125,6 @@ def resolve_config(cli_values: dict | None = None, config_path=None) -> dict:
     if config_path is not None:
         resolved.update(parse_config_file(config_path))
     for key, value in (cli_values or {}).items():
-        if value is None:
-            continue
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key {key!r}")
         resolved[key] = value

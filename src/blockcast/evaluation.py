@@ -1,77 +1,29 @@
-"""Metrics and report emission.
+"""Metrics and report rows.
 
-Blockage predictions are scored with exact confusion accounting, both
-aggregate and per horizon step; location predictions with Euclidean error
-statistics per horizon step. Reports serialize to CSV (plot-ready) and to
-an aligned plain-text table. Precision is reported as absent (empty CSV
-cell, "-" in tables) when no positive was predicted, never as 0 or 1.
+Blockage predictions are scored with exact confusion accounting, per
+horizon step and over all steps: ``evaluate_blockage`` returns a table of
+tp, fp, tn, fn counts. Location predictions get Euclidean error statistics
+per horizon step: ``evaluate_localization`` returns a table of mean,
+median and p90. The row helpers turn these tables into CSV rows, which
+``ingest.write_csv`` writes as they are and ``blockage_table`` lays out as
+an aligned plain-text table. Precision is reported as absent (None: an
+empty CSV cell, "-" in tables) when no positive was predicted, never as 0
+or 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ingest import write_csv
+BLOCKAGE_CSV_HEADER = ["method", "step", "tp", "fp", "tn", "fn", "accuracy", "precision"]
+LOCALIZATION_CSV_HEADER = ["method", "step", "mean", "median", "p90"]
+MULTI_SEED_CSV_HEADER = ["method", "step", "mean_accuracy", "stddev", "num_seeds"]
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def accuracy(self) -> float:
-        if self.total == 0:
-            raise ValueError("no samples counted")
-        return (self.tp + self.tn) / self.total
-
-    @property
-    def precision(self) -> float | None:
-        if self.tp + self.fp == 0:
-            return None
-        return self.tp / (self.tp + self.fp)
-
-    @property
-    def recall(self) -> float | None:
-        if self.tp + self.fn == 0:
-            return None
-        return self.tp / (self.tp + self.fn)
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
-        )
-
-
-@dataclass
-class BlockageReport:
-    aggregate: ConfusionCounts
-    per_step: list[ConfusionCounts]
-
-
-def _count(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
-    return ConfusionCounts(
-        tp=int(np.sum(pred & truth)),
-        fp=int(np.sum(pred & ~truth)),
-        tn=int(np.sum(~pred & ~truth)),
-        fn=int(np.sum(~pred & truth)),
-    )
-
-
-def evaluate_blockage(predictions, truth) -> BlockageReport:
-    """Score per-step boolean predictions (n, N) against truth (n, N)."""
+def evaluate_blockage(predictions, truth) -> np.ndarray:
+    """The (N+1, 4) int table of tp, fp, tn, fn of per-step boolean
+    predictions (n, N) against truth (n, N): a row per horizon step, then
+    the row of all steps. 1-D inputs are one step."""
     pred = np.asarray(predictions, dtype=bool)
     true = np.asarray(truth, dtype=bool)
     if pred.ndim == 1:
@@ -82,32 +34,15 @@ def evaluate_blockage(predictions, truth) -> BlockageReport:
         raise ValueError(f"prediction shape {pred.shape} != truth shape {true.shape}")
     if pred.size == 0:
         raise ValueError("nothing to evaluate")
-    per_step = [_count(pred[:, k], true[:, k]) for k in range(pred.shape[1])]
-    aggregate = ConfusionCounts()
-    for c in per_step:
-        aggregate = aggregate + c
-    return BlockageReport(aggregate=aggregate, per_step=per_step)
+    per_step = np.stack([(pred & true).sum(axis=0), (pred & ~true).sum(axis=0),
+                         (~pred & ~true).sum(axis=0), (~pred & true).sum(axis=0)], axis=1)
+    return np.vstack([per_step, per_step.sum(axis=0)])
 
 
-@dataclass(frozen=True)
-class ErrorStats:
-    mean: float
-    median: float
-    p90: float
-
-
-@dataclass
-class LocalizationReport:
-    per_step: list[ErrorStats]
-    errors: np.ndarray  # (n, N) raw Euclidean errors, for recounting
-
-    @property
-    def overall_mean(self) -> float:
-        return float(self.errors.mean())
-
-
-def evaluate_localization(pred, truth) -> LocalizationReport:
-    """Euclidean error stats from (n, N, 2) predicted vs true positions."""
+def evaluate_localization(pred, truth) -> np.ndarray:
+    """The (N, 3) table of mean, median and p90 Euclidean error per horizon
+    step of (n, N, 2) predicted vs true positions; (N, 2) inputs are one
+    window. Each step's stats are 1-D reductions of its error column."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.ndim == 2:
@@ -119,45 +54,41 @@ def evaluate_localization(pred, truth) -> LocalizationReport:
     if pred.ndim != 3 or pred.shape[2] != 2 or pred.size == 0:
         raise ValueError("positions must have shape (n, N, 2), nonempty")
     errors = np.linalg.norm(pred - truth, axis=2)
-    per_step = [
-        ErrorStats(
-            mean=float(errors[:, k].mean()),
-            median=float(np.median(errors[:, k])),
-            p90=float(np.quantile(errors[:, k], 0.9)),
-        )
-        for k in range(errors.shape[1])
-    ]
-    return LocalizationReport(per_step=per_step, errors=errors)
+    # errors.mean(axis=0) sums in another order, and its bits differ.
+    return np.array([[e.mean(), np.median(e), np.quantile(e, 0.9)] for e in errors.T])
 
 
-@dataclass
-class MultiSeedReport:
-    per_step_mean: np.ndarray    # (N,)
-    per_step_stddev: np.ndarray  # (N,) sample stddev (ddof=1)
-    num_seeds: int
+# ---------------------------------------------------------------------------
+# Rows: CSV rows of the tables, and the aligned text table
+# ---------------------------------------------------------------------------
+
+def blockage_rows(label: str, counts: np.ndarray) -> list[list]:
+    """The CSV rows of a count table: one per horizon step, then the "all"
+    row; accuracy and precision are divisions of Python ints, and precision
+    is None when no positive was predicted."""
+    steps = [*range(1, len(counts)), "all"]
+    return [[label, step, tp, fp, tn, fn, (tp + tn) / (tp + fp + tn + fn),
+             tp / (tp + fp) if tp + fp else None]
+            for step, (tp, fp, tn, fn) in zip(steps, counts.tolist())]
 
 
-def multi_seed_report(per_seed_accuracies) -> MultiSeedReport:
-    """Mean and sample stddev of per-horizon accuracy across seeds.
+def localization_rows(label: str, stats: np.ndarray) -> list[list]:
+    """The CSV rows of an error-stats table, one per horizon step."""
+    return [[label, k, *row] for k, row in enumerate(stats.tolist(), start=1)]
 
-    per_seed_accuracies: sequence over seeds of per-horizon accuracy
-    sequences, all the same length; needs at least two seeds.
-    """
+
+def multi_seed_rows(label: str, per_seed_accuracies) -> list[list]:
+    """Mean and sample stddev (ddof=1) of per-step accuracy across seeds, a
+    CSV row per step. ``per_seed_accuracies`` holds one equal-length row of
+    per-step accuracies per seed, at least two."""
     acc = np.asarray(per_seed_accuracies, dtype=np.float64)
     if acc.ndim != 2:
         raise ValueError("expected one accuracy row per seed")
     if acc.shape[0] < 2:
         raise ValueError(f"need at least 2 seeds, got {acc.shape[0]}")
-    return MultiSeedReport(
-        per_step_mean=acc.mean(axis=0),
-        per_step_stddev=acc.std(axis=0, ddof=1),
-        num_seeds=acc.shape[0],
-    )
+    spread = zip(acc.mean(axis=0).tolist(), acc.std(axis=0, ddof=1).tolist())
+    return [[label, k, mean, std, len(acc)] for k, (mean, std) in enumerate(spread, start=1)]
 
-
-# ---------------------------------------------------------------------------
-# Emission: CSV plus aligned text table
-# ---------------------------------------------------------------------------
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
@@ -171,47 +102,10 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def blockage_report_rows(label: str, report: BlockageReport) -> list[list]:
-    """One row per horizon step plus an "all" row; precision None when absent."""
-    steps = list(enumerate(report.per_step, start=1)) + [("all", report.aggregate)]
-    return [[label, step, c.tp, c.fp, c.tn, c.fn, c.accuracy, c.precision] for step, c in steps]
-
-
-BLOCKAGE_CSV_HEADER = ["method", "step", "tp", "fp", "tn", "fn", "accuracy", "precision"]
-
-
-def write_blockage_csv(path, labeled_reports: list[tuple[str, BlockageReport]]) -> None:
-    rows = [row for label, report in labeled_reports for row in blockage_report_rows(label, report)]
-    cells = np.array(rows, dtype=object).reshape(len(rows), len(BLOCKAGE_CSV_HEADER))
-    write_csv(path, BLOCKAGE_CSV_HEADER, [cells])
-
-
-LOCALIZATION_CSV_HEADER = ["method", "step", "mean", "median", "p90"]
-
-
-def write_localization_csv(path, labeled_reports: list[tuple[str, LocalizationReport]]) -> None:
-    rows = [[label, k, stats.mean, stats.median, stats.p90]
-            for label, report in labeled_reports
-            for k, stats in enumerate(report.per_step, start=1)]
-    cells = np.array(rows, dtype=object).reshape(len(rows), len(LOCALIZATION_CSV_HEADER))
-    write_csv(path, LOCALIZATION_CSV_HEADER, [cells])
-
-
-MULTI_SEED_CSV_HEADER = ["method", "step", "mean_accuracy", "stddev", "num_seeds"]
-
-
-def write_multi_seed_csv(path, labeled_reports: list[tuple[str, MultiSeedReport]]) -> None:
-    rows = [[label, k + 1, report.per_step_mean[k], report.per_step_stddev[k], report.num_seeds]
-            for label, report in labeled_reports
-            for k in range(report.per_step_mean.shape[0])]
-    cells = np.array(rows, dtype=object).reshape(len(rows), len(MULTI_SEED_CSV_HEADER))
-    write_csv(path, MULTI_SEED_CSV_HEADER, [cells])
-
-
-def blockage_table(labeled_reports: list[tuple[str, BlockageReport]]) -> str:
-    rows = []
-    for label, report in labeled_reports:
-        for *cells, accuracy, precision in blockage_report_rows(label, report):
-            pretty = "-" if precision is None else f"{precision:.4f}"
-            rows.append([str(c) for c in cells] + [f"{accuracy:.4f}", pretty])
-    return format_table(BLOCKAGE_CSV_HEADER, rows)
+def blockage_table(rows: list[list]) -> str:
+    """``blockage_rows`` rows as a text table: accuracy and precision to 4
+    places, "-" for an absent precision."""
+    cells = [[*map(str, cells), f"{accuracy:.4f}",
+              "-" if precision is None else f"{precision:.4f}"]
+             for *cells, accuracy, precision in rows]
+    return format_table(BLOCKAGE_CSV_HEADER, cells)

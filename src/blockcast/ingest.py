@@ -438,6 +438,21 @@ class CsvTable:
             raise ParseError(self.path, int(self.line_nos[int(bad.argmax())]), message)
 
 
+def _check_width(path: Path, width: int) -> None:
+    """A ParseError unless the first nonblank line of ``path`` (the header,
+    or the first row of a file without one) holds ``width`` cells. Loaders
+    run this before they build a header of ``width`` names from a dimension
+    read from JSON, so a huge dimension costs no more than the file does; a
+    missing file is left to ``CsvTable`` to report."""
+    if not path.exists():
+        return
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        line_no, line = next(((i, line) for i, line in enumerate(fh, start=1) if line != "\n"),
+                             (0, None))
+    if line is not None and line.count(",") + 1 != width:
+        raise ParseError(path, line_no, f"expected {width} cells, got {line.count(',') + 1}")
+
+
 def _not_utf8(path: Path) -> ParseError:
     """A ParseError at the first line of ``path`` holding a byte that is not UTF-8."""
     # surrogateescape turns each such byte into a lone surrogate, which valid
@@ -475,7 +490,8 @@ def json_field(obj: dict, key: str, path, shape: tuple = (), *, integer: bool = 
     ``positive``, every number is > 0. A bool, a string or an integer beyond
     int64 is no number, at any depth. Absent or null is None where
     ``optional``. Anything else is a SchemaError naming ``path`` and the key,
-    as ``name`` when given; with ``path`` None it names only the key."""
+    as ``name`` when given (with ``path`` None, only the key), and quoting
+    at most 200 characters of the value."""
     value = obj.get(key)
     if value is None and optional:
         return None
@@ -497,6 +513,7 @@ def json_field(obj: dict, key: str, path, shape: tuple = (), *, integer: bool = 
         what = "a finite positive number" if positive else "a finite number"
     where = "" if path is None else f"{path}: "
     got = repr(value) if key in obj else "nothing"
+    got = got if len(got) <= 200 else got[:200] + "..."
     raise SchemaError(f"{where}{name or key} must be {what}, got {got}")
 
 
@@ -533,6 +550,7 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         raise SchemaError(f"{meta_path}: missing num_beams or scenario_id")
     num_beams = json_field(meta, "num_beams", meta_path, integer=True, positive=True)
 
+    _check_width(root / "rssi.csv", 1 + num_beams)
     table = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
                      "i" + "f" * num_beams)
     powers = table.floats(1, num_beams + 1)
@@ -688,11 +706,13 @@ def load_dataset(dataset_dir) -> DatasetFile:
         for key in ("window_len", "num_beams", "horizon", "raster_bins")
     )
 
+    _check_width(root / "frames.csv", 1 + num_beams)
     table = CsvTable(root / "frames.csv", _frames_header(num_beams), "i" + "f" * num_beams)
     table.reject_rows(table.ints(0, 1)[:, 0] != np.arange(len(table.line_nos)),
                       "frame must equal its 0-based row number")
     frames = table.floats(1, num_beams + 1)
 
+    _check_width(root / "samples.csv", 5 + window_len + 3 * horizon + raster_bins)
     header = _samples_header(window_len, horizon, raster_bins)
     table = CsvTable(root / "samples.csv", header, "s" + "i" * (1 + window_len) + "ffb"
                      + "f" * (2 * horizon) + "b" * horizon + "f" * raster_bins)

@@ -21,13 +21,14 @@ model's arrays are views of ``models.Model.params``) in one elementwise pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError, VersionError
-from .ingest import read_json_object
+from .ingest import json_field, read_json_object
 from .scene import ensure_finite
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -439,8 +440,10 @@ def load_params(path) -> tuple[dict, dict[str, Array]]:
             raise SchemaError(f"{path}: {key} must be a JSON object")
     params = {}
     for name, entry in payload["params"].items():
-        try:
-            params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"{path}: params.{name} is not a shape and its data") from None
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+            raise SchemaError(f"{path}: params.{name}.shape must be a list of "
+                              "non-negative integers")
+        data = json_field(entry, "data", path, (math.prod(shape),), name=f"params.{name}.data")
+        params[name] = np.array(data, dtype=np.float64).reshape(shape)
     return payload["descriptor"], params

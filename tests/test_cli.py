@@ -335,12 +335,26 @@ def test_resolve_config_and_dump_round_trip(tmp_path):
     assert cfg["num_beams"] == DEFAULTS["num_beams"]
     with pytest.raises(KeyError):
         resolve_config({"not_a_key": 1})
-    # None-valued overrides mean "flag not given".
-    assert resolve_config({"steps": None})["steps"] == DEFAULTS["steps"]
 
     path = tmp_path / "dumped.cfg"
     path.write_text(dump_config(cfg))
     assert parse_config_file(path) == cfg
+
+
+def test_bounce_x_null_from_set_or_config_file_simulates_the_same_drive(tmp_path):
+    # resolve_config used to skip a None override, so --set bounce_x=null
+    # left the default bounce in place while the config file's null did not.
+    cfg_file = tmp_path / "site.cfg"
+    cfg_file.write_text("bounce_x = null\n")
+    runs = {"set": ["--set", "bounce_x=null"], "file": ["--config", str(cfg_file)]}
+    for name, args in runs.items():
+        assert run(["simulate", "--set", "steps=120", "--scenario-id", "drive", *args,
+                    "--out", str(tmp_path / name)]) == 0
+        assert read_manifest(tmp_path / name)["config"]["bounce_x"] is None
+    assert _outputs(tmp_path / "set") == _outputs(tmp_path / "file")
+    # The vehicle reaches the default bounce point, x = 13, at step 104.
+    assert run(["simulate", "--set", "steps=120", "--out", str(tmp_path / "bounce")]) == 0
+    assert _outputs(tmp_path / "bounce")["truth.csv"] != _outputs(tmp_path / "set")["truth.csv"]
 
 
 def test_unknown_key_in_config_file_fails_the_run(tmp_path):
@@ -841,6 +855,29 @@ def test_an_integer_field_that_is_no_json_integer_names_the_file_and_key(
     err = capsys.readouterr().err
     assert f"{path.resolve()}: {key} must be a positive integer" in err and "Traceback" not in err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("sub, name, key, command, table", [
+    ("scene", "meta.json", "num_beams", "label", "rssi.csv"),
+    ("data", "dataset.json", "raster_bins", "train", "samples.csv"),
+])
+def test_a_huge_dimension_is_refused_by_the_file_header_width(
+    chain, tmp_path, capsys, sub, name, key, command, table
+):
+    # The loaders used to build the expected header from the dimension before
+    # reading the file's: num_beams 2,000,000 cost label over 1 s and 300 MiB, and
+    # the error spelled out all 2,000,001 expected names.
+    copy = tmp_path / sub
+    shutil.copytree(chain / sub, copy)
+    path = copy / name
+    payload = json.loads(path.read_text())
+    _json_holder(payload, name)[key] = 2_000_000
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(_stage_argv(command, chain, **{sub: copy}) + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{(copy / table).resolve()}:1: expected " in err and "Traceback" not in err
+    assert len(err.encode()) < 1000
 
 
 # The JSON keys each stage reads: (file, chain directory) -> (stages that read

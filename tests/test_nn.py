@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcast.errors import NonFiniteError, VersionError
+from blockcast.errors import NonFiniteError, SchemaError, VersionError
 from blockcast.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -651,6 +651,51 @@ def test_checkpoint_version_is_enforced(tmp_path):
     (tmp_path / "ck.json").write_text(json.dumps(payload))
     with pytest.raises(VersionError):
         load_params(tmp_path / "ck.json")
+
+
+BAD_PARAM_DATA = {  # case -> rewrite of params.w's data, cells [0.5, 1.5, 2.5]
+    "string": lambda data: ["0.5"] + data[1:],
+    "bool": lambda data: [True] + data[1:],
+    "nan": lambda data: [math.nan] + data[1:],
+    "wrong-length": lambda data: data[:2],
+    "nested": lambda data: [data],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAM_DATA))
+def test_checkpoint_data_that_is_no_list_of_shape_many_numbers_names_the_entry(tmp_path, case):
+    # np.array(data, dtype=np.float64) used to read "0.5" and true as numbers.
+    path = tmp_path / "ck.json"
+    save_params(path, {}, {"w": np.array([0.5, 1.5, 2.5]), "v": np.zeros((2, 2))})
+    payload = json.loads(path.read_text())
+    payload["params"]["w"]["data"] = BAD_PARAM_DATA[case](payload["params"]["w"]["data"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as err:
+        load_params(path)
+    assert str(err.value).startswith(f"{path}: params.w.data must be a list of 3 numbers")
+
+
+@pytest.mark.parametrize("shape", [[-3], [3.0], [True, 3], "3", None])
+def test_checkpoint_shape_must_be_a_list_of_non_negative_integers(tmp_path, shape):
+    path = tmp_path / "ck.json"
+    save_params(path, {}, {"w": np.array([0.5, 1.5, 2.5])})
+    payload = json.loads(path.read_text())
+    payload["params"]["w"]["shape"] = shape
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as err:
+        load_params(path)
+    assert str(err.value).startswith(f"{path}: params.w.shape must be a list")
+
+
+def test_a_long_bad_checkpoint_entry_is_quoted_in_short(tmp_path):
+    path = tmp_path / "ck.json"
+    save_params(path, {}, {"w": np.zeros((100, 100))})
+    payload = json.loads(path.read_text())
+    payload["params"]["w"]["data"][-1] = "x"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as err:
+        load_params(path)
+    assert len(str(err.value)) < 400
 
 
 def test_dense_params_shape_validation():
