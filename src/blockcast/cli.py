@@ -173,10 +173,13 @@ _CHECKPOINT_FLAGS = {"localization": "loc", "rf": "rf", "rf+lidar": "lidar"}  # 
 
 def _check_dims(path, model: Model, dims: dict, source: str) -> None:
     """Raise ConfigMismatchError, naming ``path`` and the key, unless the
-    model's window_len, horizon and (rf+lidar) raster_bins match ``dims``,
-    the ``source`` (dataset meta or resolved config) its inputs are cut by."""
-    for key in ("window_len", "horizon") + (("raster_bins",) if model.kind == "rf+lidar" else ()):
-        if getattr(model, key) != int(dims[key]):
+    model's num_beams, window_len, horizon and (rf+lidar) raster_bins match
+    those that ``dims`` holds, read from ``source`` (the dataset meta, the
+    resolved config or the scenario) its inputs are cut by."""
+    keys = ("num_beams", "window_len", "horizon") + (
+        ("raster_bins",) if model.kind == "rf+lidar" else ())
+    for key in keys:
+        if key in dims and getattr(model, key) != int(dims[key]):
             raise ConfigMismatchError(
                 f"{path}: checkpoint {key}={getattr(model, key)} does not match "
                 f"the {source} {key}={dims[key]}"
@@ -267,11 +270,9 @@ def _labeled_drive(cfg: dict, scenario_dir) -> tuple[WindowSet, dict]:
 
 
 def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
-    per_scenario, links = zip(*[_labeled_drive(cfg, sdir) for sdir in inputs["scenarios"]])
-    labeled = WindowSet.concat(per_scenario)
-    del per_scenario  # while the dataset is written, only the joined windows are held
+    labeled, link = _labeled_drive(cfg, inputs["scenario"])
     if not labeled:
-        raise ValueError("no valid windows were produced from the given scenarios")
+        raise ValueError("no valid windows were produced from the scenario")
     meta = {
         "road_region": list(map(float, cfg["road_region"])),
         "lidar_max_range": float(cfg["lidar_max_range"]),
@@ -279,7 +280,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         "min_pts": int(cfg["min_pts"]),
         "proximity_radius": float(cfg["proximity_radius"]),
         "object_width": float(cfg["object_width"]),
-        **links[0],
+        **link,
     }
     dataset = split_dataset(labeled, tuple(cfg["ratios"]), meta=meta)
     save_dataset(dataset, out_dir)
@@ -426,18 +427,21 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
 
 
 def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
-    loc_model = _load_checked(inputs["loc"], "localization", cfg, "config")
-    baselines = [
-        (kind, _load_checked(ckpt, kind, cfg, "config"))
-        for kind in ("rf", "rf+lidar") for ckpt in inputs.get(_CHECKPOINT_FLAGS[kind]) or []
-    ]
+    # The windows are cut as the config says, from the scenario's beams.
+    dims = {key: cfg[key] for key in ("window_len", "horizon", "raster_bins")}
+    checked = [(ckpt, _load_checked(ckpt, kind, dims, "config")) for kind, ckpts in (
+        ("localization", [inputs["loc"]]), ("rf", inputs.get("rf") or []),
+        ("rf+lidar", inputs.get("lidar") or [])) for ckpt in ckpts]
     windows, rasters, positions, tx, rx0, width, depth = _transfer_windows(
         cfg, inputs["scenario"])
+    for ckpt, model in checked:
+        _check_dims(ckpt, model, {"num_beams": windows.shape[2]}, "scenario")
+    loc_model = checked[0][1]
 
     coords = predict_locations_batch(loc_model, windows)
     # The baselines cannot use the receiver position: their flags are fixed.
     baseline_flags = [
-        (name, predict_blockage_probs(m, windows, rasters) >= 0.5) for name, m in baselines
+        (m.kind, predict_blockage_probs(m, windows, rasters) >= 0.5) for _, m in checked[1:]
     ]
     # Predictions live in the road frame the model was trained in; shift
     # the link into that frame rather than trusting the local config, then
@@ -511,6 +515,15 @@ def _rx_pair(text: str):
     return pair
 
 
+class _Once(argparse.Action):
+    """Store the option's value; giving the option again is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output directory for artifacts + manifest")
     sub.add_argument("--config", help="key = value config file (default: $BLOCKCAST_CONFIG)")
@@ -540,10 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="derive labels and build a windowed dataset")
     _add_common(p)
-    p.add_argument(
-        "--scenario", dest="scenarios", type=_path, action="append", required=True,
-        metavar="DIR", help="scenario directory; repeatable",
-    )
+    p.add_argument("--scenario", type=_path, action=_Once, required=True, metavar="DIR",
+                   help="scenario directory: one drive")
     p.add_argument("--window-len", type=int, help="observation window length")
     p.add_argument("--horizon", type=int, help="prediction horizon")
 

@@ -19,16 +19,20 @@ a ``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
 flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame, whose
 points the bundle checks in one pass over the drive.
 
-A dataset of training windows (format 2) stores each power frame once:
+A dataset holds the training windows of one drive (format 3) and stores
+each power frame once:
 
   frames.csv    frame,p0,...,p{M-1}     each distinct window row once, in
                                         order of first use; frame is its
                                         0-based row number
-  samples.csv   scenario,t,k0,...,k{T0-1},label_x,label_y,label_valid,
-                f0,...,f{2N-1},b0,...,b{N-1},r0,...,r{bins-1}
-                                        one row per window; k0..k{T0-1} are
-                                        the frames.csv rows of its T0 steps
-  dataset.json                          preprocessing settings and splits
+  samples.csv   t,k0,...,k{T0-1},f0,...,f{2N-1},b0,...,b{N-1},r0,...,r{bins-1}
+                                        one row per window, in time order;
+                                        k0..k{T0-1} are the frames.csv rows
+                                        of its T0 steps, f the next N
+                                        centroids (x, y), b their blockage
+                                        flags, r the raster at t
+  dataset.json                          preprocessing settings, the drive's
+                                        link and splits
 
 Frames are told apart by their exact float64 bytes, so -0.0 and 0.0 stay
 distinct. Floats are written with repr, so a load after save is
@@ -43,7 +47,7 @@ dataset files repeat their values a lot (lidar angles and depths, the
 raster's max-range fill), so most cells cost an index, not a ``repr``.
 
 ``CsvTable`` reads the other way: each loader names its columns' types
-(float, int, 0/1 flag, text, or float-or-blank), and the reader casts a
+(float, int, 0/1 flag, or float-or-blank), and the reader casts a
 chunk of about ``CHUNK_CELLS`` cells at a time into typed arrays and drops
 its strings. A load's memory is its output arrays plus one chunk of text,
 and its values and ParseErrors are those of casting the whole file at once.
@@ -70,7 +74,7 @@ from .preprocess import LabeledSample, WindowSet
 from .scene import TWO_PI, LidarScan, ensure_finite
 
 SCENARIO_FORMAT_VERSION = 1
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
 
 
 class Truth(NamedTuple):
@@ -234,7 +238,7 @@ def write_csv(path, header: list[str], columns) -> None:
 
 
 # The array type of each CsvTable column type.
-_DTYPES = {"f": np.float64, "o": np.float64, "i": np.int64, "b": bool, "s": object}
+_DTYPES = {"f": np.float64, "o": np.float64, "i": np.int64, "b": bool}
 
 
 def _cast(kind: str, cells: np.ndarray) -> np.ndarray | None:
@@ -271,8 +275,8 @@ class CsvTable:
     """A CSV file's data rows as typed arrays, one per column type.
 
     ``types`` holds one letter per column: ``f`` a finite float, ``i`` an
-    int64, ``b`` a 0/1 flag, ``s`` text, ``o`` a finite float or a blank
-    cell (NaN in the array). The file is read a chunk of lines at a time,
+    int64, ``b`` a 0/1 flag, ``o`` a finite float or a blank cell (NaN in
+    the array). The file is read a chunk of lines at a time,
     about ``CHUNK_CELLS`` cells: blank lines are skipped, and the header
     and each row's cell count are checked. Then the chunk's cells of each
     type are cast in one call, which runs Python's ``float`` / ``int`` on
@@ -356,7 +360,7 @@ class CsvTable:
         typed = {}
         for kind, cols in self._columns.items():
             block = cells[:, cols]
-            values = block if kind == "s" else _try_cast(kind, block)
+            values = _try_cast(kind, block)
             if values is None:
                 values = self._named_faults(kind, cols, block, line_nos)
             if kind == "b":
@@ -423,9 +427,6 @@ class CsvTable:
                 raise ParseError(self.path, int(self.line_nos[self._not_flags[col]]),
                                  f"{self.header[col]} must be 0 or 1")
         return values
-
-    def texts(self, lo: int, hi: int) -> np.ndarray:
-        return self._typed(lo, hi, "s")
 
     def blanks(self, lo: int, hi: int) -> np.ndarray:
         """Where float-or-blank columns lo..hi-1 are blank; a bad cell among
@@ -624,7 +625,8 @@ def split_dataset(
     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
     meta: dict | None = None,
 ) -> DatasetFile:
-    """Assign contiguous per-scenario blocks to train/val/test.
+    """Cut one drive's windows, in time order, into contiguous
+    train/val/test blocks.
 
     Windows overlap in time, so shuffling would leak nearly identical
     samples across splits; contiguous blocks keep evaluation honest.
@@ -633,21 +635,16 @@ def split_dataset(
         raise ValueError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    for scenario in sorted(set(labeled.scenario.tolist())):
-        idxs = np.flatnonzero(labeled.scenario == scenario).tolist()
-        n = len(idxs)
-        n_train = int(n * ratios[0] + 1e-9)
-        n_val = int(n * ratios[1] + 1e-9)
-        splits["train"].extend(idxs[:n_train])
-        splits["val"].extend(idxs[n_train : n_train + n_val])
-        splits["test"].extend(idxs[n_train + n_val :])
+    n = len(labeled)
+    n_train = int(n * ratios[0] + 1e-9)
+    cuts = [0, n_train, n_train + int(n * ratios[1] + 1e-9), n]
+    splits = {name: list(range(lo, hi))
+              for name, lo, hi in zip(("train", "val", "test"), cuts, cuts[1:])}
     return DatasetFile(labeled=labeled, splits=splits, meta=dict(meta or {}))
 
 
 def _samples_header(window_len: int, horizon: int, raster_bins: int) -> list[str]:
-    return (["scenario", "t"] + [f"k{i}" for i in range(window_len)]
-            + ["label_x", "label_y", "label_valid"] + [f"f{i}" for i in range(horizon * 2)]
+    return (["t"] + [f"k{i}" for i in range(window_len)] + [f"f{i}" for i in range(horizon * 2)]
             + [f"b{i}" for i in range(horizon)] + [f"r{i}" for i in range(raster_bins)])
 
 
@@ -680,8 +677,7 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
     frames, keys = _distinct_frames(labeled.windows)
     write_csv(out / "frames.csv", _frames_header(num_beams), [np.arange(len(frames)), frames])
     write_csv(out / "samples.csv", _samples_header(window_len, horizon, raster_bins), [
-        labeled.scenario, labeled.t, keys, labeled.label, labeled.label_valid,
-        labeled.futures.reshape(n, 2 * horizon), labeled.blocked, labeled.rasters,
+        labeled.t, keys, labeled.futures.reshape(n, 2 * horizon), labeled.blocked, labeled.rasters,
     ])
 
     meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION,
@@ -712,19 +708,18 @@ def load_dataset(dataset_dir) -> DatasetFile:
                       "frame must equal its 0-based row number")
     frames = table.floats(1, num_beams + 1)
 
-    _check_width(root / "samples.csv", 5 + window_len + 3 * horizon + raster_bins)
+    _check_width(root / "samples.csv", 1 + window_len + 3 * horizon + raster_bins)
     header = _samples_header(window_len, horizon, raster_bins)
-    table = CsvTable(root / "samples.csv", header, "s" + "i" * (1 + window_len) + "ffb"
+    table = CsvTable(root / "samples.csv", header, "i" * (1 + window_len)
                      + "f" * (2 * horizon) + "b" * horizon + "f" * raster_bins)
-    w = 2 + window_len  # end of the frame-row columns; label_x/y/valid follow
-    f, b, r = w + 3, w + 3 + 2 * horizon, w + 3 + 3 * horizon
-    keys = table.ints(2, w)
-    for column, k in zip(header[2:w], keys.T):
+    f = 1 + window_len  # end of the frame-row columns; the futures follow
+    b, r = f + 2 * horizon, f + 3 * horizon
+    keys = table.ints(1, f)
+    for column, k in zip(header[1:f], keys.T):
         table.reject_rows((k < 0) | (k >= len(frames)),
                           f"{column} must be a row of frames.csv (0 to {len(frames) - 1})")
     labeled = WindowSet(
-        scenario=table.texts(0, 1)[:, 0], t=table.ints(1, 2)[:, 0], windows=frames[keys],
-        label=table.floats(w, w + 2), label_valid=table.flags(w + 2, f)[:, 0],
+        t=table.ints(0, 1)[:, 0], windows=frames[keys],
         futures=table.floats(f, b).reshape(len(keys), horizon, 2), blocked=table.flags(b, r),
         rasters=table.floats(r, len(header)),
     )

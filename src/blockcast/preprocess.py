@@ -1,10 +1,11 @@
 """Self-supervised labeling of LiDAR sweeps and sliding-window assembly.
 
 A raw polar scan is filtered down to on-road returns, clustered with
-DBSCAN, and reduced to the dominant cluster's centroid, which serves as
-the location label for the power window ending at the same step. Windows
-pair an observation span of received-power vectors with the next `horizon`
-centroids and, optionally, blockage flags.
+DBSCAN, and reduced to the dominant cluster's centroid, the object's
+location at that step. Windows pair an observation span of received-power
+vectors with the next `horizon` centroids as location labels, matching
+blockage flags, and the rasterized sweep at the span's last step. A
+window's own centroid must be valid but is not kept.
 
 Centroid coordinates are stored in the road frame: meters, origin at the
 road region's minimum corner, so every valid label is nonnegative and a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -84,13 +85,11 @@ class Centroid:
 @dataclass
 class LabeledSample:
     """One row of a ``WindowSet``: a power window ending at step t, the
-    centroid at t, the next `horizon` centroids, matching blockage flags,
-    and the rasterized sweep at t for the multimodal baseline."""
+    next `horizon` centroids, matching blockage flags, and the rasterized
+    sweep at t for the multimodal baseline."""
 
-    scenario: str
     t: int
     window: np.ndarray          # (window_len, num_beams) linear powers
-    label: Centroid
     future: np.ndarray          # (horizon, 2) road-frame meters
     future_blocked: np.ndarray  # (horizon,) bool
     lidar_raster: np.ndarray    # (raster_bins,) depths, max-range filled
@@ -98,19 +97,15 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Labeled windows as one array per field, window i in row i of each.
+    """Labeled windows of one drive as one array per field, window i in row
+    i of each, in time order. A dataset holds one, and its splits are
+    ``take`` of row indices."""
 
-    ``build_windows`` makes one per scenario; a dataset holds one, and its
-    splits are ``take`` of row indices."""
-
-    scenario: np.ndarray     # (B,) str (object array)
-    t: np.ndarray            # (B,) int64, step of the window's last frame
-    windows: np.ndarray      # (B, T0, M) linear powers
-    label: np.ndarray        # (B, 2) road-frame centroid at t
-    label_valid: np.ndarray  # (B,) bool
-    futures: np.ndarray      # (B, N, 2) the next N centroids
-    blocked: np.ndarray      # (B, N) bool
-    rasters: np.ndarray      # (B, bins) depths, max-range filled
+    t: np.ndarray        # (B,) int64, step of the window's last frame
+    windows: np.ndarray  # (B, T0, M) linear powers
+    futures: np.ndarray  # (B, N, 2) the next N centroids
+    blocked: np.ndarray  # (B, N) bool
+    rasters: np.ndarray  # (B, bins) depths, max-range filled
 
     def __post_init__(self):
         if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
@@ -123,19 +118,10 @@ class WindowSet:
         """The windows at row indices ``idx``, in that order."""
         return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
 
-    @staticmethod
-    def concat(sets: Sequence["WindowSet"]) -> "WindowSet":
-        """The windows of ``sets`` one after the other."""
-        return WindowSet(*(np.concatenate([getattr(s, f.name) for s in sets])
-                           for f in fields(WindowSet)))
-
     def rows(self) -> list[LabeledSample]:
         """Each window as a LabeledSample whose arrays are views into this set."""
-        heads = zip(self.scenario.tolist(), self.t.tolist(), self.label.tolist(),
-                    self.label_valid.tolist())
-        return [LabeledSample(scenario, t, self.windows[i], Centroid(t, x, y, valid),
-                              self.futures[i], self.blocked[i], self.rasters[i])
-                for i, (scenario, t, (x, y), valid) in enumerate(heads)]
+        return [LabeledSample(t, self.windows[i], self.futures[i], self.blocked[i], self.rasters[i])
+                for i, t in enumerate(self.t.tolist())]
 
 
 def src_filter(scan: LidarScan, cfg: SrcConfig) -> np.ndarray:
@@ -298,7 +284,7 @@ def build_windows(
     raster_bins: int = 360,
     max_range: float = 16.0,
 ) -> WindowSet:
-    """Stride-1 sliding windows over one scenario.
+    """Stride-1 sliding windows over one drive, in time order.
 
     ``centroids`` is (T, 2), a NaN in a row marking an invalid detection,
     and ``blocked`` (T,) flags, all False when None. A window ends at step
@@ -334,11 +320,8 @@ def build_windows(
     points = np.concatenate([*scans.values(), np.empty((0, 2))])
 
     return WindowSet(
-        scenario=np.full(len(ends), bundle.scenario_id, dtype=object),
         t=t0 + ends,  # frame times are consecutive
         windows=powers[ends[:, None] + np.arange(1 - window_len, 1)],
-        label=xy[ends],
-        label_valid=np.ones(len(ends), dtype=bool),
         futures=xy[ahead],
         blocked=flags[ahead],
         rasters=_rasterize(points[rows >= 0], rows[rows >= 0], len(ends), raster_bins, max_range),

@@ -26,9 +26,6 @@ from .errors import NonFiniteError
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance for "point lies on an obstacle boundary" checks.
-BOUNDARY_TOL = 1e-9
-
 
 def ensure_finite(name: str, values) -> np.ndarray:
     """Return values as a float array, raising NonFiniteError on NaN/Inf."""

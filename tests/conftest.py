@@ -48,7 +48,7 @@ def standard_bundle(scenario_dir):
 @pytest.fixture(scope="session")
 def dataset_dir(tmp_path_factory, standard_config, scenario_dir):
     out = tmp_path_factory.mktemp("dataset") / "data"
-    cli.cmd_label(standard_config, {"scenarios": [str(scenario_dir)]}, out)
+    cli.cmd_label(standard_config, {"scenario": str(scenario_dir)}, out)
     return out
 
 

@@ -34,7 +34,7 @@ def test_the_benchmark_counts_frames_points_and_windows_of_a_short_drive(tmp_pat
     recorder.install()
     try:
         cli.cmd_simulate(cfg, {"scenario_id": "short"}, tmp_path / "scene")
-        cli.cmd_label(cfg, {"scenarios": [str(tmp_path / "scene")]}, tmp_path / "data")
+        cli.cmd_label(cfg, {"scenario": str(tmp_path / "scene")}, tmp_path / "data")
     finally:
         recorder.restore()
     assert tracer.wrappers_left() == []

@@ -87,7 +87,7 @@ def test_manifest_records_resolved_config_and_inputs(chain):
     assert manifest["wall_clock_seconds"] >= 0.0
 
     label_manifest = read_manifest(chain / "data")
-    assert label_manifest["inputs"]["scenarios"] == [str((chain / "scene").resolve())]
+    assert label_manifest["inputs"]["scenario"] == str((chain / "scene").resolve())
 
 
 def test_training_curves_csv_layout(chain):
@@ -421,6 +421,19 @@ def test_usage_errors_exit_two(tmp_path):
     assert run(
         ["transfer", "--scenario", "s", "--loc", "l", "--rx", "1;2", "--out", "o"]
     ) == 2
+
+
+@pytest.mark.parametrize("second", ["same", "other"])
+def test_label_takes_one_scenario(chain, tmp_path, capsys, second):
+    # A dataset is one drive: a second --scenario used to be joined into it,
+    # keeping the first drive's link and letting a repeated drive's test
+    # windows into train.
+    scene = str(chain / "scene")
+    other = scene if second == "same" else str(tmp_path / "other")
+    out = tmp_path / "data"
+    assert run(["label", "--scenario", scene, "--scenario", other, "--out", str(out)]) == 2
+    assert "--scenario" in capsys.readouterr().err
+    assert not (out / "dataset.json").exists()
 
 
 def test_domain_errors_exit_one(chain, tmp_path):
@@ -765,6 +778,51 @@ def test_predict_names_the_checkpoint_cut_for_other_windows(
     err = capsys.readouterr().err
     assert key in err and str(ckpt.resolve()) in err
     assert not (out / "predictions.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def narrow(tmp_path_factory):
+    """A 32-beam drive and its dataset; the chain's checkpoints have 64 beams."""
+    root = tmp_path_factory.mktemp("narrow")
+    assert run(["simulate", "--out", str(root / "scene"), "--set", "steps=200",
+                "--set", "num_beams=32"]) == 0
+    assert run(["label", "--scenario", str(root / "scene"), "--out", str(root / "data")]) == 0
+    return root
+
+
+def _names_num_beams(err: str, ckpt: Path) -> bool:
+    return (str(ckpt.resolve()) in err and "num_beams=64" in err and "num_beams=32" in err
+            and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("flag, sub", [("--loc", "loc"), ("--rf", "rf"), ("--lidar", "lidar")])
+def test_evaluate_names_the_checkpoint_of_other_beams(chain, narrow, tmp_path, capsys, flag, sub):
+    ckpt = chain / sub / "model.json"
+    assert run(["evaluate", "--dataset", str(narrow / "data"), flag, str(ckpt),
+                "--out", str(tmp_path / "r")]) == 1
+    assert _names_num_beams(capsys.readouterr().err, ckpt)
+    assert not (tmp_path / "r" / "report.txt").exists()
+
+
+def test_predict_names_the_checkpoint_of_other_beams(chain, narrow, tmp_path, capsys):
+    ckpt = chain / "loc" / "model.json"
+    out = tmp_path / "pred"
+    assert run(["predict", "--checkpoint", str(ckpt), "--dataset", str(narrow / "data"),
+                "--out", str(out)]) == 1
+    assert _names_num_beams(capsys.readouterr().err, ckpt)
+    assert not (out / "predictions.csv").exists()
+
+
+def test_transfer_checks_the_beams_of_the_scenario_not_the_config(chain, narrow, tmp_path, capsys):
+    loc = chain / "loc" / "model.json"
+    out = tmp_path / "sweep"
+    assert run(["transfer", "--scenario", str(narrow / "scene"), "--loc", str(loc),
+                "--rx", "4,12", "--out", str(out)]) == 1
+    assert _names_num_beams(capsys.readouterr().err, loc)
+    assert not (out / "transfer.csv").exists()
+    # The config's num_beams plays no part: the 64-beam drive transfers.
+    assert run(["transfer", "--scenario", str(chain / "scene"), "--loc", str(loc),
+                "--set", "num_beams=32", "--rx", "4,12", "--out", str(out)]) == 0
 
 
 def _without_window_len(payload):

@@ -12,7 +12,7 @@ from blockcast.geometry import (
     transfer_link,
 )
 from blockcast.models import predict_locations_batch
-from blockcast.preprocess import Centroid
+from blockcast.preprocess import Centroid, DbscanConfig, SrcConfig, scenario_centroids
 from blockcast.scene import segment_intersects_rect
 
 VERTICAL = LinkGeometry((0.0, 0.0), (0.0, 12.0), object_width=4.0)
@@ -241,7 +241,7 @@ def test_threshold_must_be_finite(threshold):
 
 
 def test_geometric_and_threshold_labels_agree_on_the_standard_run(
-    standard_bundle, standard_dataset
+    standard_config, standard_bundle, standard_dataset
 ):
     link = LinkGeometry(
         (14.0, -4.0), (14.0, 8.0),
@@ -250,10 +250,15 @@ def test_geometric_and_threshold_labels_agree_on_the_standard_run(
     )
     flags = blockage_labels_from_rssi(standard_bundle.rssi, link.power_threshold)
     by_t = dict(zip(standard_bundle.t.tolist(), flags.tolist()))
+    cfg = standard_config
+    centroids = scenario_centroids(
+        standard_bundle, SrcConfig(cfg["proximity_radius"], tuple(cfg["road_region"])),
+        DbscanConfig(cfg["eps"], cfg["min_pts"]))
+    at = dict(zip(standard_bundle.t.tolist(), centroids.tolist()))  # road frame, per step
     hits = total = 0
     for s in standard_dataset.samples:
         total += 1
-        hits += blockage_from_location(s.label, link) == by_t[s.t]
+        hits += blockage_from_location(Centroid(s.t, *at[s.t]), link) == by_t[s.t]
     assert total > 1000
     assert hits / total >= 0.99
 

@@ -1,12 +1,14 @@
-"""Unused imports and dead private helpers in the package source, found
-with the stdlib ``ast``.
+"""Unused imports, dead private helpers and unread constants in the
+package source, found with the stdlib ``ast``.
 
 No linter is a dependency, so this test stands in for one. A name an
 import binds is used when the module reads it anywhere, annotations
 included. ``__init__.py`` imports are re-exports, and imports under
 ``if TYPE_CHECKING:`` serve string annotations, so both are exempt. A
 module-level ``_private`` function, class or constant is private to its
-module, so it is dead unless that module reads it.
+module, so it is dead unless that module reads it. A public UPPER_CASE
+module constant is dead unless some file of the package, its tests or the
+benchmark reads it, by name or as a module attribute.
 """
 
 import ast
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "blockcast"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "blockcast"
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -64,6 +67,29 @@ def unused_privates(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def unread_constants(modules: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public UPPER_CASE name that a
+    module-level assignment in ``modules`` (name -> source) binds and that
+    no source in ``readers`` loads, as a name or as an attribute."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [(module, node.lineno, name.id) for target in targets
+                       for name in ast.walk(target)
+                       if isinstance(name, ast.Name) and name.id.isupper()
+                       and not name.id.startswith("_") and name.id not in read]
+    return sorted(unread)
+
+
 SOURCES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -75,6 +101,13 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_private_helpers(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_public_constant_is_read_by_the_package_its_tests_or_the_benchmark():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py")]
+    assert unread_constants(modules, readers) == []
 
 
 def test_the_check_finds_unused_names_and_exempts_type_checking_imports():
@@ -109,3 +142,24 @@ def test_the_check_finds_private_names_the_module_never_reads():
         "    return _helper()\n"
     )
     assert unused_privates(source) == [(2, "_TABLE"), (3, "_a"), (7, "_dead"), (10, "_Gone")]
+
+
+def test_the_check_finds_public_constants_no_file_reads():
+    module = (
+        "LIMIT = 3\n"
+        "TABLE: dict = {}\n"
+        "A, (B, c) = 1, (2, 3)\n"
+        "_HIDDEN = 4\n"
+        "TOL = 1e-9\n"
+        "def f(x=LIMIT):\n"
+        "    UNUSED_LOCAL = 5\n"
+        "    return x\n"
+    )
+    reader = (
+        "from pkg import mod\n"
+        "mod.TABLE['k'] = 1\n"
+        "mod.TOL = 0.0\n"
+        "print('B')\n"
+    )
+    assert unread_constants({"mod.py": module}, [module, reader]) == [
+        ("mod.py", 3, "A"), ("mod.py", 3, "B"), ("mod.py", 5, "TOL")]

@@ -66,13 +66,10 @@ def small_bundle(seed=0, steps=15):
     )
 
 
-def random_windows(n, rng, scenario="a", window_len=4, beams=3, horizon=2, bins=5):
+def random_windows(n, rng, window_len=4, beams=3, horizon=2, bins=5):
     return WindowSet(
-        scenario=np.full(n, scenario, dtype=object),
         t=np.arange(n) + window_len - 1,
         windows=rng.uniform(0.0, 3.0, size=(n, window_len, beams)),
-        label=rng.uniform(0.0, [28.0, 4.0], size=(n, 2)),
-        label_valid=np.ones(n, dtype=bool),
         futures=rng.normal(size=(n, horizon, 2)),
         blocked=rng.integers(0, 2, size=(n, horizon)).astype(bool),
         rasters=rng.uniform(0.1, 16.0, size=(n, bins)),
@@ -80,10 +77,8 @@ def random_windows(n, rng, scenario="a", window_len=4, beams=3, horizon=2, bins=
 
 
 def _same_windows(a: WindowSet, b: WindowSet) -> bool:
-    """Equal scenario names, and every other field equal in its bits."""
-    return a.scenario.tolist() == b.scenario.tolist() and all(
-        _same_bits(getattr(a, f.name), getattr(b, f.name))
-        for f in fields(WindowSet) if f.name != "scenario")
+    """Every field equal in its bits."""
+    return all(_same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(WindowSet))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +342,7 @@ def test_hand_computed_power_sums(tmp_path):
 
 def test_dataset_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(17)
-    labeled = WindowSet.concat([random_windows(60, rng, "a"), random_windows(40, rng, "b")])
+    labeled = random_windows(100, rng)
     dataset = split_dataset(labeled, meta={"road_region": [0, 0, 28, 4], "note": 1})
     save_dataset(dataset, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
@@ -461,19 +456,16 @@ def test_split_rejects_bad_ratios():
 
 
 def test_split_keeps_scenarios_in_contiguous_time_blocks():
-    rng = np.random.default_rng(2)
-    labeled = WindowSet.concat([random_windows(40, rng, "a"), random_windows(30, rng, "b")])
+    # A dataset is one drive: its windows, in time order, are cut in three.
+    labeled = random_windows(70, np.random.default_rng(2))
     ds = split_dataset(labeled, (0.7, 0.15, 0.15))
     assert sorted(i for idxs in ds.splits.values() for i in idxs) == list(range(70))
-    for scenario in ("a", "b"):
-        ranges = {}
-        for name in ("train", "val", "test"):
-            split = ds.arrays(name)
-            ts = split.t[split.scenario == scenario].tolist()
-            assert ts == sorted(ts)
-            assert ts == list(range(ts[0], ts[-1] + 1))  # contiguous block
-            ranges[name] = (ts[0], ts[-1])
-        assert ranges["train"][1] < ranges["val"][0] < ranges["test"][0]
+    ranges = {}
+    for name in ("train", "val", "test"):
+        ts = ds.arrays(name).t.tolist()
+        assert ts == list(range(ts[0], ts[-1] + 1))  # a contiguous block, in time order
+        ranges[name] = (ts[0], ts[-1])
+    assert ranges["train"][1] < ranges["val"][0] < ranges["test"][0]
 
 
 def test_subset_unknown_split():
@@ -488,7 +480,7 @@ def test_dataset_flag_other_than_zero_or_one_names_its_line_and_column(tmp_path)
     path = tmp_path / "d" / "samples.csv"
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
-    for column, value in (("b0", "7"), ("label_valid", "2")):
+    for column, value in (("b0", "7"), ("b1", "2")):
         cells = lines[3].split(",")
         cells[header.index(column)] = value
         path.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
@@ -511,16 +503,15 @@ def test_each_window_row_is_stored_once_in_frames_csv(tmp_path):
     frames[4] = [-0.0, 1.0]
     frames[5] = [0.0, 1.0]  # equal to frames[4] as a number, not in its bytes
     ends = np.arange(2, 6)
-    labeled = WindowSet(np.full(4, "a", dtype=object), ends, frames[ends[:, None] + [-2, -1, 0]],
-                        np.ones((4, 2)), np.ones(4, dtype=bool), np.zeros((4, 1, 2)),
+    labeled = WindowSet(ends, frames[ends[:, None] + [-2, -1, 0]], np.zeros((4, 1, 2)),
                         np.zeros((4, 1), dtype=bool), np.ones((4, 3)))
     save_dataset(split_dataset(labeled), tmp_path / "d")
     lines = (tmp_path / "d" / "frames.csv").read_text().splitlines()
     assert lines[0] == "frame,p0,p1" and lines[1:] == [
         ",".join([str(i)] + [repr(v) for v in row]) for i, row in enumerate(frames.tolist())]
     header, *rows = (tmp_path / "d" / "samples.csv").read_text().splitlines()
-    assert header.startswith("scenario,t,k0,k1,k2,label_x,")
-    assert [row.split(",")[2:5] for row in rows] == [
+    assert header.startswith("t,k0,k1,k2,f0,")
+    assert [row.split(",")[1:4] for row in rows] == [
         [str(k) for k in range(end - 2, end + 1)] for end in range(2, 6)]
     assert _same_windows(load_dataset(tmp_path / "d").labeled, labeled)
 
@@ -554,14 +545,16 @@ def test_a_missing_frames_csv_is_a_parse_error_naming_it(tmp_path):
 
 
 def test_a_format_1_dataset_is_refused_naming_the_file_and_version(tmp_path):
+    # Format 2 held a scenario, label and label_valid column in samples.csv.
     save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
     path = tmp_path / "d" / "dataset.json"
     payload = json.loads(path.read_text())
-    payload["meta"]["format_version"] = 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaError) as err:
-        load_dataset(tmp_path / "d")
-    assert "dataset.json" in str(err.value) and "format_version 1" in str(err.value)
+    for version in (1, 2):
+        payload["meta"]["format_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as err:
+            load_dataset(tmp_path / "d")
+        assert "dataset.json" in str(err.value) and f"format_version {version}" in str(err.value)
 
 
 def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_windows(
@@ -586,23 +579,13 @@ def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_window
     assert len(got) == len(set(got)) == len(want) and set(got) == want
 
 
-def test_a_scenario_name_holding_a_separator_is_refused_on_save(tmp_path):
-    # Found by the dataset round-trip property with separators allowed in
-    # names: "a,b" was written as two cells, and the file did not load.
-    for name in ("a,b", "a\nb"):
-        labeled = random_windows(3, np.random.default_rng(0), scenario=name)
-        with pytest.raises(SchemaError):
-            save_dataset(split_dataset(labeled), tmp_path / "d")
-
-
 # ---------------------------------------------------------------------------
 # Property tests: random scenarios and datasets, and corrupted copies
 # ---------------------------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# Text with no CSV separator; scenario names land in samples.csv as they are.
-names = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
-                max_size=5)
+# Scenario names land only in meta.json, as JSON strings.
+names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
 
 
 def _rejected(cell: str) -> bool:
@@ -642,11 +625,8 @@ def datasets(draw, min_samples=0):
     window_len, beams, horizon, bins = (draw(st.integers(1, 3)) for _ in range(4))
     n = draw(st.integers(min_samples, 5))
     labeled = WindowSet(
-        scenario=np.array([draw(names) for _ in range(n)], dtype=object),
         t=draw(arrays(np.int64, n, elements=st.integers(-3, 50))),
         windows=draw(arrays(np.float64, (n, window_len, beams), elements=finite)),
-        label=draw(arrays(np.float64, (n, 2), elements=finite)),
-        label_valid=draw(arrays(np.bool_, n)),
         futures=draw(arrays(np.float64, (n, horizon, 2), elements=finite)),
         blocked=draw(arrays(np.bool_, (n, horizon))),
         rasters=draw(arrays(np.float64, (n, bins), elements=finite)),
@@ -722,8 +702,7 @@ def test_one_bad_cell_is_a_parse_or_schema_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path, lines, row = _csv_with_rows(data, _saved(data, tmp))
         cells = lines[row].split(",")
-        first = 1 if path.name == "samples.csv" else 0  # the scenario column is free text
-        col = data.draw(st.integers(first, len(cells) - 1))
+        col = data.draw(st.integers(0, len(cells) - 1))
         cells[col] = data.draw(st.sampled_from(["nan", "inf", "-inf", ""]) | garbage)
         assume(",".join(cells) != lines[row])
         lines[row] = ",".join(cells)
@@ -889,7 +868,7 @@ def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, s
     monkeypatch.setattr(cli, "save_scenario", holding(save_scenario, "bundle"))
     monkeypatch.setattr(cli, "save_dataset", holding(save_dataset, "dataset"))
     cli.cmd_simulate(standard_config, {"scenario_id": "drive"}, tmp_path / "scene")
-    cli.cmd_label(standard_config, {"scenarios": [str(tmp_path / "scene")]}, tmp_path / "data")
+    cli.cmd_label(standard_config, {"scenario": str(tmp_path / "scene")}, tmp_path / "data")
     bundle, ref = held["bundle"], tmp_path / "ref"
     ref.mkdir()
 
@@ -913,8 +892,7 @@ def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, s
                         ([i] + row for i, row in enumerate(frames.tolist())))
     reference_write_csv(
         ref / "samples.csv", _samples_header(window_len, horizon, bins),
-        ([s.scenario, s.t] + k + [s.label.x, s.label.y, s.label.valid]
-         + s.future.ravel().tolist() + s.future_blocked.tolist() + s.lidar_raster.tolist()
+        ([s.t] + k + s.future.ravel().tolist() + s.future_blocked.tolist() + s.lidar_raster.tolist()
          for s, k in zip(samples, keys.tolist())),
     )
     for name in ("frames.csv", "samples.csv"):
@@ -1002,8 +980,7 @@ def _typed_read(table: CsvTable, types: str) -> list[np.ndarray]:
         if kind == "o":
             blank = table.blanks(lo, hi)
             table.reject_rows(blank.any(axis=1) & ~blank.all(axis=1), "blank together")
-        read = {"f": table.floats, "o": table.floats, "i": table.ints, "b": table.flags,
-                "s": table.texts}[kind]
+        read = {"f": table.floats, "o": table.floats, "i": table.ints, "b": table.flags}[kind]
         out.append(read(lo, hi))
     return out
 
@@ -1019,8 +996,6 @@ def _reference_read(table: _ObjectTable, types: str) -> list[np.ndarray]:
             table.reject_rows(blank.any(axis=1) & ~blank.all(axis=1), "blank together")
             table.cells[:, lo:hi][blank] = "0"
             out.append(np.where(blank, np.nan, table.floats(lo, hi)))
-        elif kind == "s":
-            out.append(table.cells[:, lo:hi])
         else:
             out.append({"f": table.floats, "i": table.ints, "b": table.flags}[kind](lo, hi))
     return out
@@ -1042,14 +1017,12 @@ int_text = st.sampled_from(
     [" 7", "+3", "-0", "1_000", "007", "9223372036854775807", "-9223372036854775808", "\t-12 "]
 ) | st.integers(-(2**63), 2**63 - 1).map(str)
 flag_text = st.sampled_from(["0", "1", " 1", "+1", "-0", "0_0", "01", "1 "])
-text_cells = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
-                     max_size=4)
-CELLS = {"f": float_text, "o": float_text, "i": int_text, "b": flag_text, "s": text_cells}
+CELLS = {"f": float_text, "o": float_text, "i": int_text, "b": flag_text}
 # One fault per kind that a cell of that column type can hold. A blank in a
 # float-or-blank column is a fault only beside a filled one.
 FAULTS = {"f": ["nan", "inf", "-inf", "x", "2**63", ""], "o": ["nan", "inf", "x", " ", ""],
           "i": ["x", "2**63", "1.0", "9223372036854775808", "-9223372036854775809"],
-          "b": ["2", "-1", "x", "2**63", "1.0", "9223372036854775808"], "s": []}
+          "b": ["2", "-1", "x", "2**63", "1.0", "9223372036854775808"]}
 
 
 @st.composite
@@ -1059,7 +1032,7 @@ def typed_csv(draw):
     one short row in a line that is not blank. Runs of rows repeat one or two
     pooled rows, so some chunks repeat their cells (the reader parses each
     distinct string once) and others do not."""
-    types = "".join(draw(st.lists(st.sampled_from("fibso"), min_size=1, max_size=5)))
+    types = "".join(draw(st.lists(st.sampled_from("fibo"), min_size=1, max_size=5)))
     header = [f"c{j}" for j in range(len(types))]
 
     def fresh_row():
@@ -1074,12 +1047,11 @@ def typed_csv(draw):
     faulty = False
     if rows and draw(st.booleans()):
         row = draw(st.integers(0, len(rows) - 1))
-        columns = [j for j, kind in enumerate(types) if FAULTS[kind]]
-        if draw(st.booleans()) or not columns:
+        if draw(st.booleans()):
             del rows[row][draw(st.integers(0, len(types) - 1))]
             faulty = ",".join(rows[row]) != ""  # a blank line is skipped, fault and all
         else:
-            col = draw(st.sampled_from(columns))
+            col = draw(st.integers(0, len(types) - 1))
             rows[row][col] = draw(st.sampled_from(FAULTS[types[col]]))
             blank_o = types[col] == "o" and rows[row][col] == ""
             faulty = any(rows[row][j] for j, kind in enumerate(types) if kind == "o") if blank_o \
@@ -1129,11 +1101,8 @@ def test_the_chunked_reader_reads_what_the_object_table_reads(case, chunk_cells)
         assert got == want
         return
     assert _same_bits(got[1], want[1])
-    for a, b, (lo, _) in zip(got[0], want[0], _runs(types)):
-        if types[lo] == "s":
-            assert a.tolist() == b.tolist()
-        else:
-            assert _same_bits(a, b), types
+    for a, b in zip(got[0], want[0]):
+        assert _same_bits(a, b), types
 
 
 @pytest.mark.parametrize("bad_line, want", [(900, "t.csv:3: expected 3 cells, got 2"),

@@ -60,10 +60,8 @@ def synth_dataset(n=40, window_len=4, beams=3, horizon=2, bins=13, seed=0,
         windows.append(rng.uniform(1e-6, 2.0, size=(window_len, beams)))
         rasters.append(rng.uniform(0.1, 16.0, size=bins))
     futures = np.array(futures)
-    labeled = WindowSet(
-        np.full(n, "s", dtype=object), np.arange(n) + window_len - 1, np.array(windows),
-        futures[:, 0], np.ones(n, dtype=bool), futures, np.array(blocked), np.array(rasters),
-    )
+    labeled = WindowSet(np.arange(n) + window_len - 1, np.array(windows), futures,
+                        np.array(blocked), np.array(rasters))
     cut1, cut2 = int(n * 0.7), int(n * 0.85)
     splits = {
         "train": list(range(cut1)),

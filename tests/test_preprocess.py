@@ -16,7 +16,6 @@ from blockcast.preprocess import (
     DbscanConfig,
     LabeledSample,
     SrcConfig,
-    WindowSet,
     build_windows,
     dbscan,
     rasterize_scan,
@@ -586,11 +585,9 @@ def test_exactly_one_window_and_its_contents():
     blocked = [t >= 9 for t in range(13)]
     windows = build_windows(bundle, centroids, 8, 5, blocked=blocked, raster_bins=12)
     assert len(windows) == 1
-    assert windows.scenario.tolist() == ["toy"] and windows.t.tolist() == [7]
+    assert windows.t.tolist() == [7]
     assert windows.windows.shape == (1, 8, 3)
     np.testing.assert_array_equal(windows.windows[0], bundle.rssi[:8])
-    assert windows.label.tolist() == [centroids[7].tolist()]
-    assert windows.label_valid.tolist() == [True]
     np.testing.assert_allclose(
         windows.futures[0], [[14.0 + 0.25 * t, 2.0] for t in range(8, 13)], rtol=1e-12
     )
@@ -634,16 +631,14 @@ def test_build_windows_argument_validation():
         build_windows(bundle, cs, 8, 5, blocked=[False] * 12)
 
 
-def test_window_set_take_concat_and_row_views():
+def test_window_set_take_and_row_views():
     windows = build_windows(toy_bundle(20), all_valid_centroids(20), 4, 2, raster_bins=6)
     assert len(windows) == 15
     part = windows.take(np.array([3, 0]))
     assert part.t.tolist() == [6, 3]
     assert np.array_equal(part.rasters, windows.rasters[[3, 0]])
-    both = WindowSet.concat([part, windows])
-    assert len(both) == 17 and both.t[:3].tolist() == [6, 3, 3]
     row = windows.rows()[2]
-    assert (row.scenario, row.t, row.label) == ("toy", 5, Centroid(5, 15.25, 2.0, True))
+    assert (row.t, row.future.tolist()) == (5, [[15.5, 2.0], [15.75, 2.0]])
     row.window[0, 0] = -1.0  # a view: writes land in the set
     assert windows.windows[2, 0, 0] == -1.0
     with pytest.raises(ValueError, match="window counts"):
@@ -684,8 +679,7 @@ def reference_build_windows(bundle, centroids, window_len, horizon, blocked=None
             else np.zeros(horizon, dtype=bool)
         )
         raster = reference_rasterize_scan(scan_at.get(times[end], empty), raster_bins, max_range)
-        samples.append(LabeledSample(bundle.scenario_id, times[end], window, span[0], future,
-                                     flags, raster))
+        samples.append(LabeledSample(times[end], window, future, flags, raster))
     return samples
 
 
@@ -727,11 +721,7 @@ def test_build_windows_equals_the_per_window_loop_bit_for_bit(inputs):
     assert len(got) == len(want)
     if len(bundle.rssi) < window_len + horizon:
         assert len(got) == 0
-    assert got.scenario.tolist() == [s.scenario for s in want]
     assert got.t.tolist() == [s.t for s in want]
-    assert got.label_valid.all()
-    labels = np.array([[s.label.x, s.label.y] for s in want]).reshape(-1, 2)
-    assert _bits(got.label) == _bits(labels)
     beams = bundle.rssi.shape[1]
     assert got.windows.shape[1:] == (window_len, beams) and got.futures.shape[1:] == (horizon, 2)
     assert got.blocked.shape[1:] == (horizon,) and got.rasters.shape[1:] == (bins,)
