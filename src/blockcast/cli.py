@@ -56,6 +56,7 @@ from .ingest import (
     json_field,
     load_dataset,
     load_scenario,
+    read_json_object,
     save_dataset,
     save_scenario,
     split_dataset,
@@ -118,21 +119,48 @@ def write_manifest(out_dir: Path, subcommand: str, cfg: dict, inputs: dict,
     return path
 
 
+class _ManifestInputs(dict):
+    """A manifest's stage inputs: an input that the stage reads and the
+    manifest lacks is a SchemaError naming the manifest and the input."""
+
+    def __init__(self, path, inputs: dict):
+        super().__init__(inputs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise SchemaError(f"{self.path}: inputs has no {key!r}")
+
+
 def replay_manifest(manifest_path, out_dir) -> dict[str, bool]:
     """Re-execute a recorded run into out_dir; map output name -> checksum
-    match. Input files referenced by the manifest must still exist."""
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    match. Input files referenced by the manifest must still exist. A
+    manifest of another layout (a top-level key missing or of another JSON
+    type, a config key missing or not of its default's form, an input that
+    the stage reads missing) is a SchemaError naming the manifest."""
+    manifest = read_json_object(manifest_path)
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise SchemaError(
             f"{manifest_path}: unsupported manifest version "
             f"{manifest.get('format_version')!r}"
         )
+    for key, kind in (("subcommand", str), ("config", dict), ("inputs", dict), ("outputs", dict)):
+        if not isinstance(manifest.get(key), kind):
+            raise SchemaError(f"{manifest_path}: {key} is missing or not a JSON "
+                              + ("string" if kind is str else "object"))
     subcommand = manifest["subcommand"]
     if subcommand not in _COMMANDS:
         raise SchemaError(f"{manifest_path}: unknown subcommand {subcommand!r}")
+    for key in DEFAULTS:
+        if key not in manifest["config"]:
+            raise SchemaError(f"{manifest_path}: config has no {key!r}")
+        try:
+            check_value(key, manifest["config"][key])
+        except SchemaError as exc:
+            raise SchemaError(f"{manifest_path}: config {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _COMMANDS[subcommand](manifest["config"], manifest["inputs"], out)
+    _COMMANDS[subcommand](manifest["config"], _ManifestInputs(manifest_path, manifest["inputs"]),
+                          out)
     return {
         name: (out / name).exists() and _sha256(out / name) == checksum
         for name, checksum in manifest["outputs"].items()

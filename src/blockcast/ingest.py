@@ -680,8 +680,7 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
         labeled.t, keys, labeled.futures.reshape(n, 2 * horizon), labeled.blocked, labeled.rasters,
     ])
 
-    meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION,
-            "num_samples": n, "window_len": window_len,
+    meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION, "window_len": window_len,
             "num_beams": num_beams, "horizon": horizon, "raster_bins": raster_bins}
     payload = json.dumps({"meta": meta, "splits": dataset.splits}, sort_keys=True, indent=2)
     (out / "dataset.json").write_text(payload, encoding="utf-8")

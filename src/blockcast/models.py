@@ -23,6 +23,11 @@ statistics come from the training split only and ride along in the
 checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
 
+Training runs the buffered forward that its backward pass reads;
+prediction and the validation loss run the cache-free one, whose LSTM
+layers are one ``nn.lstm_stack_hidden`` call: a single-window forecast runs
+them as one wavefront, a scoring block one layer at a time.
+
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
 cache-free forward over blocks of ``SCORE_BLOCK`` = 256 windows that start
 at each multiple of 256, writing into one preallocated output; a lone
@@ -62,8 +67,8 @@ from .nn import (
     load_params,
     lstm_backward,
     lstm_forward,
-    lstm_hidden,
     lstm_init,
+    lstm_stack_hidden,
     relu,
     relu_backward,
     save_params,
@@ -277,22 +282,23 @@ def forward(
     (B, 2N) nonnegative road-unit locations (ReLU after every dense
     layer), or (B, N) sigmoid probabilities.
 
-    Given a ``caches`` dict, the LSTM layers run the buffered
-    ``lstm_forward`` and every layer leaves in it what ``_backward`` needs.
-    Without one, they run the cache-free ``lstm_hidden``, and each layer's
-    output is dropped once the next layer has read it. ReLU runs in place:
-    ``relu_backward`` reads only the sign of its cached input, which ReLU
-    keeps.
+    The two forwards give the same bits. Given a ``caches`` dict, the LSTM
+    layers run the buffered ``lstm_forward`` one at a time, and every layer
+    leaves in it what ``_backward`` needs. Without one, the LSTM stack is
+    one cache-free ``lstm_stack_hidden`` call, which checks its input once
+    and runs the layers as one wavefront on small batches. ReLU runs in
+    place: ``relu_backward`` reads only the sign of its cached input, which
+    ReLU keeps.
     """
     layers = model.layers
     buffered = caches is not None
     seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
-    for name in model.names(LstmParams):
-        if buffered:
+    lstm = model.names(LstmParams)
+    if buffered:
+        for name in lstm:
             seq, feat, caches[name] = lstm_forward(layers[name], seq)
-        else:
-            seq = lstm_hidden(layers[name], seq)
-            feat = seq[-1]
+    else:
+        feat = lstm_stack_hidden([layers[name] for name in lstm], seq)[-1]
     conv = model.names(Conv1dParams)
     if conv:
         if rasters.ndim != 2 or rasters.shape[1] != model.raster_bins:

@@ -4,9 +4,11 @@ Everything runs in float64 on plain numpy arrays. The conv is computed tap
 by tap with BLAS matmuls over strided views, and the LSTM backward pass
 keeps only the recurrent matmul inside its time loop. The LSTM starts from
 zero state and has two forwards with the same bits: training runs
-``lstm_forward``, which buffers the gates and cell states of every step for
-``lstm_backward``; prediction runs ``lstm_hidden``, a cache-free recurrence
-with one ``sigmoid`` over all four gates per step. Each layer ships a
+``lstm_forward`` layer by layer, which buffers the gates and cell states of
+every step for ``lstm_backward``; prediction runs ``lstm_stack_hidden``
+over a model's stacked layers, a cache-free recurrence with one ``sigmoid``
+over all four gates per step, which runs the layers of a small batch as
+one wavefront. Each layer ships a
 hand-derived backward pass returning gradients in the same shapes as its
 parameters; finite-difference tests lock every one of them. There is no
 autodiff graph: the architecture set is small and fixed, and explicit
@@ -15,14 +17,15 @@ backward code keeps the arithmetic auditable.
 Parameter initialization is fully seeded: weights are uniform in
 [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases start at zero except the LSTM
 forget gate, which starts at one. Adam updates one parameter vector (a
-model's arrays are views of ``models.Model.params``) in one elementwise pass.
+model's arrays are views of ``models.Model.params``) in one elementwise pass
+whose intermediates go through two scratch vectors of its state.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -183,14 +186,50 @@ def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
     return hidden[1:], hidden[-1], LstmCache(seq, gates, cells, cell_tanh, hidden)
 
 
+# Batches of up to this many windows run a stack of LSTM layers as one
+# wavefront (``lstm_stack_hidden``); larger ones run the layers one at a time.
+# Both give the same bits, so the cut-off only moves time: below it Python's
+# per-call overhead dominates, above it arithmetic and cache traffic do. At
+# the blockage models' shapes the wavefront won up to 64 rows, broke even at
+# 96-128 and lost at 256 (BENCH_21.json).
+WAVEFRONT_MAX_BATCH = 64
+
+
 def lstm_hidden(p: LstmParams, seq: Array) -> Array:
     """The hidden sequence (T, B, H) of ``lstm_forward``, bit for bit,
-    without its backward buffers.
+    without its backward buffers."""
+    return lstm_stack_hidden([p], seq)
 
-    Each step activates all 4H gate columns with one ``sigmoid`` and then
-    overwrites the candidate slice with ``tanh`` of its pre-activation.
+
+def lstm_stack_hidden(layers: list[LstmParams], seq: Array) -> Array:
+    """The top layer's hidden sequence (T, B, H) of stacked LSTM ``layers``
+    over seq (T, B, input_size), each layer reading the hidden sequence of
+    the one below; bit for bit the chained ``lstm_hidden`` calls.
+
+    A batch of at most ``WAVEFRONT_MAX_BATCH`` rows through layers of one
+    hidden size runs as a wavefront (Appleyard, Kocisky and Blunsom,
+    arXiv:1604.01946): layer l's step t needs only (l, t - 1) and
+    (l - 1, t), so every layer on a diagonal l + t runs together, in
+    T + L - 1 steps instead of T * L. Other stacks run layer by layer.
     """
-    seq = _checked_seq(p, seq)
+    seq = _checked_seq(layers[0], seq)
+    for below, p in zip(layers, layers[1:]):
+        if p.input_size != below.hidden_size:
+            raise ValueError(f"lstm input_size {p.input_size} != hidden_size "
+                             f"{below.hidden_size} of the layer below")
+    if (len(layers) > 1 and seq.shape[1] <= WAVEFRONT_MAX_BATCH
+            and len({p.hidden_size for p in layers}) == 1):
+        seq = _wavefront(layers, seq)
+    else:
+        for p in layers:
+            seq = _recurrence(p, seq)
+    return ensure_finite("lstm hidden", seq)
+
+
+def _recurrence(p: LstmParams, seq: Array) -> Array:
+    """One layer's hidden sequence. Each step activates all 4H gate columns
+    with one ``sigmoid`` and then overwrites the candidate slice with
+    ``tanh`` of its pre-activation."""
     steps, batch, _ = seq.shape
     hid = p.hidden_size
     i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
@@ -205,7 +244,45 @@ def lstm_hidden(p: LstmParams, seq: Array) -> Array:
         c = gates[:, f] * c
         c += gates[:, i] * cand
         h = np.multiply(gates[:, o], np.tanh(c), out=hidden[t])
-    return ensure_finite("lstm hidden", hidden)
+    return hidden
+
+
+def _wavefront(layers: list[LstmParams], seq: Array) -> Array:
+    """``_recurrence`` chained over ``layers``, one diagonal l + t at a time.
+
+    ``hs[l, t + l + 1]`` holds layer l's hidden state after step t, and
+    ``hs[l, l]`` its zero initial state, so diagonal d reads column d of
+    layers lo:hi (their own last state, and the input from the layer below)
+    and writes column d + 1. ``pre[d, l]`` holds layer l's input term at
+    diagonal d, summed as in ``_recurrence``: (x @ w_in + bias) + h @ w_rec.
+    """
+    steps, batch, _ = seq.shape
+    depth, hid = len(layers), layers[0].hidden_size
+    i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
+    w_in = np.stack([p.w_in for p in layers[1:]])  # (L - 1, H, 4H)
+    w_rec = np.stack([p.w_rec for p in layers])    # (L, H, 4H)
+    pre = np.empty((steps + depth - 1, depth, batch, 4 * hid))
+    np.matmul(seq, layers[0].w_in, out=pre[:steps, 0])
+    pre[:steps, 0] += layers[0].bias
+    for l, p in enumerate(layers[1:], 1):
+        pre[:, l] = p.bias  # the input matmul is added on its diagonal
+    hs = np.zeros((depth, steps + depth, batch, hid))
+    cs = np.zeros((depth, batch, hid))
+    for d in range(steps + depth - 1):
+        lo, hi = max(0, d - steps + 1), min(depth, d + 1)
+        up = max(lo, 1)  # the first active layer that reads the one below
+        if up < hi:
+            x = pre[d, up:hi]
+            x += hs[up - 1 : hi - 1, d] @ w_in[up - 1 : hi - 1]
+        a = pre[d, lo:hi]
+        a += hs[lo:hi, d] @ w_rec[lo:hi]
+        gates = sigmoid(a)
+        cand = np.tanh(a[..., g], out=gates[..., g])
+        c = cs[lo:hi]
+        c *= gates[..., f]
+        c += gates[..., i] * cand
+        np.multiply(gates[..., o], np.tanh(c), out=hs[lo:hi, d + 1])
+    return hs[-1, depth:]
 
 
 def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
@@ -390,6 +467,12 @@ class AdamState:
     m: Array  # first moment of every parameter, shaped like the parameter vector
     v: Array  # second moment
     step: int = 0
+    # Two vectors for the update's intermediates: without them each step
+    # allocates and frees several parameter-sized temporaries.
+    scratch: Array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + self.m.shape)
 
 
 def adam_init(params: Array, lr: float = 1e-3) -> AdamState:
@@ -398,19 +481,29 @@ def adam_init(params: Array, lr: float = 1e-3) -> AdamState:
 
 def adam_step(state: AdamState, params: Array, grad: Array) -> AdamState:
     """Bias-corrected Adam update of the parameter vector, in place; being
-    elementwise, it equals one update per parameter array bit for bit."""
+    elementwise, it equals one update per parameter array bit for bit.
+
+    The intermediates go through ``state.scratch``; each operation is that of
+    ``params -= lr * (m / c1) / (sqrt(v / c2) + eps)``, in its order.
+    """
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
     ensure_finite("grad", grad)
     state.step += 1
     correction1 = 1.0 - ADAM_BETA1**state.step
     correction2 = 1.0 - ADAM_BETA2**state.step
-    m, v = state.m, state.v
+    m, v, (num, denom) = state.m, state.v, state.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=num)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad**2
-    params -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+    np.square(grad, out=num)
+    v += np.multiply(num, 1.0 - ADAM_BETA2, out=num)
+    np.divide(m, correction1, out=num)
+    num *= state.lr
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    params -= np.divide(num, denom, out=num)
     return state
 
 

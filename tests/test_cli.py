@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import blockcast
 from blockcast import cli, scene
 from blockcast.cli import replay_manifest, run
 from blockcast.config import DEFAULTS, dump_config, parse_config_file, resolve_config
-from blockcast.errors import ParseError
+from blockcast.errors import ParseError, SchemaError
 from blockcast.ingest import load_dataset
 from blockcast.models import load_model, predict_locations_batch
 from blockcast.scene import segment_intersects_rect
@@ -271,6 +272,47 @@ def test_replay_rejects_unknown_versions(chain, tmp_path):
     with pytest.raises(Exception) as err:
         replay_manifest(bad, tmp_path / "out")
     assert "version" in str(err.value)
+
+
+def test_replaying_a_label_manifest_of_the_old_layout_names_the_missing_input(chain, tmp_path):
+    # Before a dataset was one drive, `label` recorded a list `scenarios`.
+    manifest = read_manifest(chain / "data")
+    manifest["inputs"]["scenarios"] = [manifest["inputs"].pop("scenario")]
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match=f"{re.escape(str(old))}: inputs has no 'scenario'"):
+        replay_manifest(old, tmp_path / "out")
+
+
+@pytest.mark.parametrize("key", ["subcommand", "config", "inputs", "outputs"])
+@pytest.mark.parametrize("value", [None, ["train"]], ids=["absent", "a-list"])
+def test_replaying_a_manifest_without_a_top_level_key_names_it(chain, tmp_path, key, value):
+    manifest = read_manifest(chain / "scene")
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match=f"{re.escape(str(bad))}: {key} is missing or not"):
+        replay_manifest(bad, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, message", [(None, "config has no 'eps'"),
+                                            ("x", "config eps must be a finite number")])
+def test_replaying_a_manifest_with_a_bad_config_value_names_the_key(chain, tmp_path, value,
+                                                                   message):
+    manifest = read_manifest(chain / "data")
+    if value is None:
+        del manifest["config"]["eps"]
+    else:
+        manifest["config"]["eps"] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match=f"{re.escape(str(bad))}: {message}"):
+        replay_manifest(bad, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blockcast import models
+from blockcast import models, nn
 from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
 from blockcast.models import (
@@ -418,6 +418,15 @@ def test_scoring_the_standard_windows_keeps_its_bits_at_other_block_sizes(
     assert SCORE_BLOCK == 256
     want = score_standard()
     monkeypatch.setattr(models, "SCORE_BLOCK", block)
+    assert score_standard() == want
+
+
+@pytest.mark.parametrize("max_batch", [0, 10**9])
+def test_scoring_the_standard_windows_keeps_its_bits_with_every_stack_schedule(
+        monkeypatch, score_standard, max_batch):
+    # 0 runs every LSTM stack layer by layer, 10**9 every one as a wavefront.
+    want = score_standard()
+    monkeypatch.setattr(nn, "WAVEFRONT_MAX_BATCH", max_batch)
     assert score_standard() == want
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockcast import nn
 from blockcast.errors import NonFiniteError, SchemaError, VersionError
 from blockcast.nn import (
     ADAM_BETA1,
@@ -31,6 +32,7 @@ from blockcast.nn import (
     lstm_forward,
     lstm_hidden,
     lstm_init,
+    lstm_stack_hidden,
     relu,
     relu_backward,
     save_params,
@@ -442,6 +444,69 @@ def test_cache_free_lstm_is_bit_equal_to_the_buffered_one(steps, batch, width, h
     assert hidden.tobytes() == lstm_forward(p, seq)[0].tobytes()
 
 
+def lstm_stack(rng, width, hids, scale):
+    """LSTM layers of hidden sizes ``hids`` over ``width`` inputs, their
+    biases drawn at ``scale``."""
+    layers = []
+    for hid in hids:
+        layers.append(lstm_init(rng, width, hid))
+        layers[-1].bias[:] = rng.normal(scale=scale, size=4 * hid)
+        width = hid
+    return layers
+
+
+def chained(run, layers, seq):
+    for p in layers:
+        seq = run(p, seq)
+    return seq
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.integers(1, 6),
+    st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+)
+def test_the_stack_wavefront_is_bit_equal_to_chained_layers(depth, steps, batch, width, hid,
+                                                            seed, scale):
+    # Batches of at most 9 windows run as a wavefront (WAVEFRONT_MAX_BATCH).
+    rng = np.random.default_rng(seed)
+    layers = lstm_stack(rng, width, [hid] * depth, scale)
+    seq = rng.normal(scale=scale, size=(steps, batch, width))
+    hidden = lstm_stack_hidden(layers, seq)
+    assert hidden.shape == (steps, batch, hid)
+    assert hidden.tobytes() == chained(lstm_hidden, layers, seq).tobytes()
+    assert hidden.tobytes() == chained(lambda p, s: lstm_forward(p, s)[0], layers, seq).tobytes()
+
+
+# (L, M, H) of the three models (localization, rf+lidar, rf) and an odd one, over T0 = 8.
+@pytest.mark.parametrize("shape", [(1, 64, 32), (2, 64, 16), (4, 64, 16), (3, 5, 7)])
+@pytest.mark.parametrize("batch", [1, 8, 208, 256])
+@pytest.mark.parametrize("max_batch", [0, 10**9])
+def test_the_stack_kernel_keeps_its_bits_on_either_side_of_the_cut_off(
+        monkeypatch, shape, batch, max_batch):
+    depth, width, hid = shape
+    rng = np.random.default_rng(batch)
+    layers = lstm_stack(rng, width, [hid] * depth, 1.0)
+    seq = rng.normal(size=(8, batch, width))
+    want = chained(lambda p, s: lstm_forward(p, s)[0], layers, seq)
+    monkeypatch.setattr(nn, "WAVEFRONT_MAX_BATCH", max_batch)
+    assert lstm_stack_hidden(layers, seq).tobytes() == want.tobytes()
+
+
+def test_a_stack_of_other_hidden_sizes_runs_layer_by_layer():
+    rng = np.random.default_rng(3)
+    layers = lstm_stack(rng, 4, [3, 6, 2], 1.0)
+    seq = rng.normal(size=(5, 2, 4))
+    assert lstm_stack_hidden(layers, seq).tobytes() == chained(lstm_hidden, layers, seq).tobytes()
+
+
+def test_a_stack_whose_widths_do_not_chain_is_refused():
+    rng = np.random.default_rng(3)
+    layers = [lstm_init(rng, 4, 3), lstm_init(rng, 5, 3)]
+    with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
+        lstm_stack_hidden(layers, np.zeros((2, 1, 4)))
+
+
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
@@ -602,6 +667,18 @@ def test_flat_adam_is_bit_equal_to_the_per_array_reference(shapes, steps, seed, 
     assert state.step == ref_state["step"] == steps
     for got, want in ((flat, ref), (state.m, ref_state["m"]), (state.v, ref_state["v"])):
         assert got.tobytes() == np.concatenate([a.ravel() for a in want.values()]).tobytes()
+
+
+def test_an_adam_step_allocates_less_than_the_parameter_vector(traced_peak_mib):
+    # 13,286 values: the localization model's parameters. The update's
+    # intermediates go through the state's two scratch vectors, so a step
+    # makes no parameter-sized temporary.
+    rng = np.random.default_rng(0)
+    params = rng.normal(size=13_286)
+    state = adam_init(params)
+    grad = rng.normal(size=params.shape)
+    adam_step(state, params, grad)
+    assert traced_peak_mib(lambda: adam_step(state, params, grad)) * 2**20 < params.nbytes
 
 
 # ---------------------------------------------------------------------------
