@@ -24,9 +24,11 @@ checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
 
 Training runs the buffered forward that its backward pass reads;
-prediction and the validation loss run the cache-free one, whose LSTM
-layers are one ``nn.lstm_stack_hidden`` call: a single-window forecast runs
-them as one wavefront, a scoring block one layer at a time.
+prediction and the validation loss run the cache-free one. Either runs a
+stack of LSTM layers of up to ``nn.WAVEFRONT_MAX_BATCH`` windows as one
+wavefront (``nn.lstm_stack_forward``, ``nn.lstm_stack_hidden``): a training
+step of rf or rf+lidar and a single-window forecast do, the one-layer
+localization model and a scoring block run one layer at a time.
 
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
 cache-free forward over blocks of ``SCORE_BLOCK`` = 256 windows that start
@@ -68,9 +70,11 @@ from .nn import (
     lstm_backward,
     lstm_forward,
     lstm_init,
+    lstm_stack_forward,
     lstm_stack_hidden,
     relu,
     relu_backward,
+    runs_as_wavefront,
     save_params,
     sigmoid,
 )
@@ -282,25 +286,32 @@ def forward(
     (B, 2N) nonnegative road-unit locations (ReLU after every dense
     layer), or (B, N) sigmoid probabilities.
 
-    The two forwards give the same bits. Given a ``caches`` dict, the LSTM
-    layers run the buffered ``lstm_forward`` one at a time, and every layer
-    leaves in it what ``_backward`` needs. Without one, the LSTM stack is
-    one cache-free ``lstm_stack_hidden`` call, which checks its input once
-    and runs the layers as one wavefront on small batches. ReLU runs in
-    place: ``relu_backward`` reads only the sign of its cached input, which
-    ReLU keeps.
+    The two forwards give the same bits. Given a ``caches`` dict, every
+    layer leaves in it what ``_backward`` needs: the LSTM stack runs as one
+    buffered ``lstm_stack_forward`` wavefront where ``runs_as_wavefront``
+    allows, else the buffered ``lstm_forward`` one layer at a time. Without
+    one, the LSTM stack is one cache-free ``lstm_stack_hidden`` call. Either
+    stack call checks its input once. ReLU runs in place: ``relu_backward``
+    reads only the sign of its cached input, which ReLU keeps.
     """
     layers = model.layers
     buffered = caches is not None
     seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
     lstm = model.names(LstmParams)
-    if buffered:
+    stack = [layers[name] for name in lstm]
+    if not buffered:
+        feat = lstm_stack_hidden(stack, seq)[-1]
+    elif runs_as_wavefront(stack, seq.shape[1]):
+        seq, stack_caches = lstm_stack_forward(stack, seq)
+        caches.update(zip(lstm, stack_caches))
+        feat = seq[-1]
+    else:
         for name in lstm:
             seq, feat, caches[name] = lstm_forward(layers[name], seq)
-    else:
-        feat = lstm_stack_hidden([layers[name] for name in lstm], seq)[-1]
     conv = model.names(Conv1dParams)
     if conv:
+        if rasters is None:
+            raise ValueError("the rf+lidar model needs lidar rasters")
         if rasters.ndim != 2 or rasters.shape[1] != model.raster_bins:
             raise ConfigMismatchError(
                 f"raster shape {rasters.shape} does not match model bins {model.raster_bins}"
@@ -347,12 +358,14 @@ def _backward(model: Model, d_out: np.ndarray, caches: dict) -> dict[str, np.nda
         dx = global_avg_pool_backward(d_pool, caches["pool"])
         for name in reversed(conv):
             z, cache = caches[name]
-            dx, g = conv1d_backward(layers[name], relu_backward(dx, z), cache)
+            dx, g = conv1d_backward(layers[name], relu_backward(dx, z), cache,
+                                    input_grad=name != conv[0])
             keep(name, g)
     d_hidden = np.zeros_like(caches[lstm[-1]].hidden[1:])
     d_hidden[-1] = d
     for name in reversed(lstm):
-        d_hidden, g = lstm_backward(layers[name], d_hidden, caches[name])
+        d_hidden, g = lstm_backward(layers[name], d_hidden, caches[name],
+                                    input_grad=name != lstm[0])
         keep(name, g)
     return grads
 

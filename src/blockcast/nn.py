@@ -3,16 +3,17 @@
 Everything runs in float64 on plain numpy arrays. The conv is computed tap
 by tap with BLAS matmuls over strided views, and the LSTM backward pass
 keeps only the recurrent matmul inside its time loop. The LSTM starts from
-zero state and has two forwards with the same bits: training runs
-``lstm_forward`` layer by layer, which buffers the gates and cell states of
-every step for ``lstm_backward``; prediction runs ``lstm_stack_hidden``
-over a model's stacked layers, a cache-free recurrence with one ``sigmoid``
-over all four gates per step, which runs the layers of a small batch as
-one wavefront. Each layer ships a
-hand-derived backward pass returning gradients in the same shapes as its
-parameters; finite-difference tests lock every one of them. There is no
-autodiff graph: the architecture set is small and fixed, and explicit
-backward code keeps the arithmetic auditable.
+zero state and has two forwards with the same bits. Training buffers the
+gates and cell states of every step for ``lstm_backward``: it runs a
+model's stacked layers of a small batch as one wavefront,
+``lstm_stack_forward``, and other stacks through ``lstm_forward`` layer by
+layer. Prediction runs ``lstm_stack_hidden``, a cache-free recurrence with
+the same wavefront, whose steps keep only the hidden and cell state.
+Either wavefront activates all four gates with one ``sigmoid`` per step.
+Each layer ships a hand-derived backward pass returning gradients in the
+same shapes as its parameters; finite-difference tests lock every one of
+them. There is no autodiff graph: the architecture set is small and fixed,
+and explicit backward code keeps the arithmetic auditable.
 
 Parameter initialization is fully seeded: weights are uniform in
 [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases start at zero except the LSTM
@@ -187,7 +188,7 @@ def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
 
 
 # Batches of up to this many windows run a stack of LSTM layers as one
-# wavefront (``lstm_stack_hidden``); larger ones run the layers one at a time.
+# wavefront (``runs_as_wavefront``); larger ones run the layers one at a time.
 # Both give the same bits, so the cut-off only moves time: below it Python's
 # per-call overhead dominates, above it arithmetic and cache traffic do. At
 # the blockage models' shapes the wavefront won up to 64 rows, broke even at
@@ -201,6 +202,25 @@ def lstm_hidden(p: LstmParams, seq: Array) -> Array:
     return lstm_stack_hidden([p], seq)
 
 
+def runs_as_wavefront(layers: list[LstmParams], batch: int) -> bool:
+    """Whether stacked LSTM ``layers`` over ``batch`` rows run as one
+    wavefront: more than one layer, one hidden size, and at most
+    ``WAVEFRONT_MAX_BATCH`` rows."""
+    return (len(layers) > 1 and batch <= WAVEFRONT_MAX_BATCH
+            and len({p.hidden_size for p in layers}) == 1)
+
+
+def _checked_stack(layers: list[LstmParams], seq) -> Array:
+    """``_checked_seq`` for the first of stacked ``layers``, each of which
+    must read the hidden size of the one below."""
+    seq = _checked_seq(layers[0], seq)
+    for below, p in zip(layers, layers[1:]):
+        if p.input_size != below.hidden_size:
+            raise ValueError(f"lstm input_size {p.input_size} != hidden_size "
+                             f"{below.hidden_size} of the layer below")
+    return seq
+
+
 def lstm_stack_hidden(layers: list[LstmParams], seq: Array) -> Array:
     """The top layer's hidden sequence (T, B, H) of stacked LSTM ``layers``
     over seq (T, B, input_size), each layer reading the hidden sequence of
@@ -212,13 +232,8 @@ def lstm_stack_hidden(layers: list[LstmParams], seq: Array) -> Array:
     (l - 1, t), so every layer on a diagonal l + t runs together, in
     T + L - 1 steps instead of T * L. Other stacks run layer by layer.
     """
-    seq = _checked_seq(layers[0], seq)
-    for below, p in zip(layers, layers[1:]):
-        if p.input_size != below.hidden_size:
-            raise ValueError(f"lstm input_size {p.input_size} != hidden_size "
-                             f"{below.hidden_size} of the layer below")
-    if (len(layers) > 1 and seq.shape[1] <= WAVEFRONT_MAX_BATCH
-            and len({p.hidden_size for p in layers}) == 1):
+    seq = _checked_stack(layers, seq)
+    if runs_as_wavefront(layers, seq.shape[1]):
         seq = _wavefront(layers, seq)
     else:
         for p in layers:
@@ -285,14 +300,72 @@ def _wavefront(layers: list[LstmParams], seq: Array) -> Array:
     return hs[-1, depth:]
 
 
-def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
+def lstm_stack_forward(layers: list[LstmParams], seq: Array) -> tuple[Array, list[LstmCache]]:
+    """``lstm_forward`` chained over stacked ``layers`` of one hidden size,
+    run as the wavefront of ``_wavefront`` with its order of operations, plus
+    a copy of each diagonal's activated gates: the top layer's hidden sequence
+    (T, B, H) and one ``LstmCache`` per layer for ``lstm_backward``, every
+    array bit for bit that of the chained calls.
+
+    Diagonal d = l + t keeps layer l's step t in diagonal-major buffers:
+    its gates in ``gates[d, l]`` (T + L - 1, L, B, 4H) and ``cell_tanh[d, l]``
+    alike, its states in ``cells[d + 1, l]`` and ``hidden[d + 1, l]``
+    (T + L, L, B, H), whose never-written ``[l, l]`` is the zero initial
+    state. Layer l's cache arrays are views such as ``gates[l : l + T, l]``
+    and ``hidden[l : l + T + 1, l]``, and its inputs are
+    ``hidden[l : l + T, l - 1]``. A gate row holds the pre-activation,
+    summed as in ``lstm_forward``, until its diagonal activates it.
+    """
+    seq = _checked_stack(layers, seq)
+    if len({p.hidden_size for p in layers}) != 1:
+        raise ValueError("a stack runs as a wavefront only with one hidden size")
+    steps, batch, _ = seq.shape
+    depth, hid = len(layers), layers[0].hidden_size
+    i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
+    w_in = np.array([p.w_in for p in layers[1:]]).reshape(depth - 1, hid, 4 * hid)  # empty at L=1
+    w_rec = np.stack([p.w_rec for p in layers])  # (L, H, 4H)
+    gates = np.empty((steps + depth - 1, depth, batch, 4 * hid))
+    cell_tanh = np.empty((steps + depth - 1, depth, batch, hid))
+    cells = np.zeros((steps + depth, depth, batch, hid))
+    hidden = np.zeros((steps + depth, depth, batch, hid))
+    np.matmul(seq, layers[0].w_in, out=gates[:steps, 0])
+    gates[:steps, 0] += layers[0].bias
+    for l, p in enumerate(layers[1:], 1):
+        gates[l : l + steps, l] = p.bias  # the input matmul is added on its diagonal
+    for d in range(steps + depth - 1):
+        lo, hi = max(0, d - steps + 1), min(depth, d + 1)
+        up = max(lo, 1)  # the first active layer that reads the one below
+        if up < hi:
+            x = gates[d, up:hi]
+            x += hidden[d, up - 1 : hi - 1] @ w_in[up - 1 : hi - 1]
+        a = gates[d, lo:hi]
+        a += hidden[d, lo:hi] @ w_rec[lo:hi]
+        act = sigmoid(a)
+        np.tanh(a[..., g], out=act[..., g])
+        a[...] = act
+        c = np.multiply(act[..., f], cells[d, lo:hi], out=cells[d + 1, lo:hi])
+        c += act[..., i] * act[..., g]
+        np.multiply(act[..., o], np.tanh(c, out=cell_tanh[d, lo:hi]), out=hidden[d + 1, lo:hi])
+    ensure_finite("lstm hidden", hidden)
+    caches = [
+        LstmCache(seq if l == 0 else hidden[l : l + steps, l - 1], gates[l : l + steps, l],
+                  cells[l : l + steps + 1, l], cell_tanh[l : l + steps, l],
+                  hidden[l : l + steps + 1, l])
+        for l in range(depth)
+    ]
+    return hidden[depth:, -1], caches
+
+
+def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache, *, input_grad: bool = True):
     """Backpropagation through time.
 
     d_hidden holds the loss gradient w.r.t. every hidden output (T, B, H);
     callers that only use the final state pass zeros elsewhere. Returns
     the gradient w.r.t. the input sequence and a parameter-gradient dict.
     Only the recurrent term dh_next is a matmul per step; the parameter and
-    input gradients are one matmul each over all T*B rows of d_pre.
+    input gradients are one matmul each over all T*B rows of d_pre. With
+    ``input_grad=False`` the input gradient, which nothing reads below a
+    stack's first layer, is skipped and returned as None.
     """
     steps, batch, hid = cache.cell_tanh.shape
     if d_hidden.shape != (steps, batch, hid):
@@ -317,15 +390,18 @@ def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache):
         dh_next = d_pre[t].reshape(batch, 4 * hid) @ p.w_rec.T
         dc_next = dc * f[t]
 
+    # The caches of ``lstm_stack_forward`` are strided views; made contiguous,
+    # they reach the matmuls as those of ``lstm_forward`` do, with their bits.
     rows = d_pre.reshape(steps * batch, 4 * hid)
-    h_prev = cache.hidden[:-1].reshape(steps * batch, hid)
+    h_prev = np.ascontiguousarray(cache.hidden[:-1]).reshape(steps * batch, hid)
     grads = {
-        "w_in": cache.inputs.reshape(steps * batch, -1).T @ rows,
+        "w_in": np.ascontiguousarray(cache.inputs).reshape(steps * batch, -1).T @ rows,
         "w_rec": h_prev.T @ rows,
         "bias": rows.sum(axis=0),
     }
-    d_seq = (rows @ p.w_in.T).reshape(cache.inputs.shape)
-    return d_seq, grads
+    if not input_grad:
+        return None, grads
+    return (rows @ p.w_in.T).reshape(cache.inputs.shape), grads
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +466,22 @@ def conv1d_forward(p: Conv1dParams, x: Array) -> tuple[Array, Array]:
     return y, x
 
 
-def conv1d_backward(p: Conv1dParams, d_out: Array, cache: Array):
+def conv1d_backward(p: Conv1dParams, d_out: Array, cache: Array, *, input_grad: bool = True):
+    """(d_x, grads) of ``conv1d_forward``; with ``input_grad=False`` the
+    input gradient, which nothing reads below a network's first layer, is
+    skipped and d_x is None."""
     x = cache
     kernel = p.weight.shape[2]
     d_w = np.empty_like(p.weight)
-    d_x = np.zeros_like(x)
-    d_x_taps = _taps(d_x, kernel, p.stride, d_out.shape[2])
     for k, x_k in enumerate(_taps(x, kernel, p.stride, d_out.shape[2])):
         d_w[:, :, k] = np.tensordot(d_out, x_k, ([0, 2], [0, 2]))
-        d_x_taps[k] += p.weight[:, :, k].T @ d_out
-    return d_x, {"weight": d_w, "bias": d_out.sum(axis=(0, 2))}
+    grads = {"weight": d_w, "bias": d_out.sum(axis=(0, 2))}
+    if not input_grad:
+        return None, grads
+    d_x = np.zeros_like(x)
+    for k, d_x_k in enumerate(_taps(d_x, kernel, p.stride, d_out.shape[2])):
+        d_x_k += p.weight[:, :, k].T @ d_out
+    return d_x, grads
 
 
 def global_avg_pool(x: Array) -> tuple[Array, int]:

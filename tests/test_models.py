@@ -342,6 +342,20 @@ def test_prediction_input_validation():
             predict_blockage_probs(lidar, np.full((2, 4, 3), 0.5), np.full((rows, 13), 4.0))
 
 
+def test_the_lidar_model_without_rasters_is_refused_by_every_forward():
+    lidar = build_model("rf+lidar", 3, 4, 2, toy_stats(3), 13)
+    feats = np.zeros((2, 4, 3))
+    needs = "the rf\\+lidar model needs lidar rasters"
+    with pytest.raises(ValueError, match=needs):
+        predict_blockage_probs(lidar, feats)
+    with pytest.raises(ValueError, match=needs):
+        forward(lidar, feats)
+    with pytest.raises(ValueError, match=needs):
+        forward(lidar, feats, caches={})
+    with pytest.raises(ValueError, match=needs):
+        loss_and_grads(lidar, feats, np.zeros((2, 2)))
+
+
 KINDS = ["localization", "rf", "rf+lidar"]
 
 
@@ -384,6 +398,24 @@ def test_single_window_forecasts_match_the_batch_and_the_buffered_forward(kind):
         # BLAS picks its kernel by row count, so a window's result may differ
         # from its row of the batch in the last bits, as the buffered path does.
         np.testing.assert_allclose(one[0], batch[i], rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("batch", [1, 8, 64, 65])
+@pytest.mark.parametrize("kind", ["rf", "rf+lidar"])
+def test_the_training_forward_leaves_the_caches_of_chained_lstm_layers(kind, batch):
+    # Up to WAVEFRONT_MAX_BATCH = 64 windows the stack runs as one buffered
+    # wavefront, whose caches are views into its diagonal-major buffers.
+    model, _ = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
+    rng = np.random.default_rng(batch)
+    feats = rng.normal(size=(batch, 8, 64))
+    caches = {}
+    forward(model, feats, rng.uniform(0.0, 1.0, size=(batch, 360)), caches=caches)
+    seq = np.ascontiguousarray(np.transpose(feats, (1, 0, 2)))
+    for name in model.names(nn.LstmParams):
+        seq, _, want = nn.lstm_forward(model.layers[name], seq)
+        for array in ("inputs", "gates", "cells", "cell_tanh", "hidden"):
+            got = np.ascontiguousarray(getattr(caches[name], array))
+            assert got.tobytes() == getattr(want, array).tobytes(), (name, array)
 
 
 @pytest.mark.parametrize("n", [1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,

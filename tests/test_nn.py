@@ -32,6 +32,7 @@ from blockcast.nn import (
     lstm_forward,
     lstm_hidden,
     lstm_init,
+    lstm_stack_forward,
     lstm_stack_hidden,
     relu,
     relu_backward,
@@ -242,6 +243,14 @@ def test_lstm_input_validation():
 
 @pytest.mark.parametrize("run", [lambda p, seq: lstm_forward(p, seq), lstm_hidden])
 def test_both_lstm_paths_reject_the_same_inputs(run):
+    assert_bad_lstm_inputs_are_rejected(run)
+
+
+def test_the_buffered_wavefront_rejects_the_same_inputs():
+    assert_bad_lstm_inputs_are_rejected(lambda p, seq: lstm_stack_forward([p], seq))
+
+
+def assert_bad_lstm_inputs_are_rejected(run):
     p = lstm_init(np.random.default_rng(0), 3, 4)
     with pytest.raises(ValueError, match="must be"):
         run(p, np.zeros((2, 3)))  # not 3-D
@@ -505,6 +514,86 @@ def test_a_stack_whose_widths_do_not_chain_is_refused():
     layers = [lstm_init(rng, 4, 3), lstm_init(rng, 5, 3)]
     with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
         lstm_stack_hidden(layers, np.zeros((2, 1, 4)))
+
+
+def test_the_buffered_wavefront_refuses_a_stack_it_cannot_run():
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
+        lstm_stack_forward([lstm_init(rng, 4, 3), lstm_init(rng, 5, 3)], np.zeros((2, 1, 4)))
+    with pytest.raises(ValueError, match="one hidden size"):
+        lstm_stack_forward(lstm_stack(rng, 4, [3, 6], 1.0), np.zeros((2, 1, 4)))
+
+
+CACHE_ARRAYS = ("inputs", "gates", "cells", "cell_tanh", "hidden")
+
+
+def assert_buffered_stack_is_chained(layers, seq, d_top):
+    """``lstm_stack_forward`` over ``layers`` returns the hidden sequence and
+    the cache arrays of chained ``lstm_forward`` calls, and ``lstm_backward``
+    on its caches the chained gradients, all bit for bit."""
+    top, caches = lstm_stack_forward(layers, seq)
+    want, want_caches = seq, []
+    for p in layers:
+        want, _, cache = lstm_forward(p, want)
+        want_caches.append(cache)
+    assert top.shape == want.shape and top.tobytes() == want.tobytes()
+    for cache, want_cache in zip(caches, want_caches):
+        for name in CACHE_ARRAYS:
+            got, ref = getattr(cache, name), getattr(want_cache, name)
+            assert got.shape == ref.shape, name
+            assert np.ascontiguousarray(got).tobytes() == ref.tobytes(), name
+    d, want_d = d_top, d_top
+    for depth in range(len(layers) - 1, -1, -1):
+        p = layers[depth]
+        d, grads = lstm_backward(p, d, caches[depth])
+        want_d, want_grads = lstm_backward(p, want_d, want_caches[depth])
+        assert d.tobytes() == want_d.tobytes()
+        for name in ("w_in", "w_rec", "bias"):
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.integers(1, 6),
+    st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+)
+def test_the_buffered_wavefront_is_bit_equal_to_chained_layers(depth, steps, batch, width, hid,
+                                                               seed, scale):
+    rng = np.random.default_rng(seed)
+    layers = lstm_stack(rng, width, [hid] * depth, scale)
+    seq = rng.normal(scale=scale, size=(steps, batch, width))
+    assert_buffered_stack_is_chained(layers, seq, rng.normal(size=(steps, batch, hid)))
+
+
+# (L, M, H) of the three models (localization, rf+lidar, rf) over T0 = 8, on
+# either side of WAVEFRONT_MAX_BATCH; training runs B = 8.
+@pytest.mark.parametrize("shape", [(1, 64, 32), (2, 64, 16), (4, 64, 16)])
+@pytest.mark.parametrize("batch", [1, 8, 64, 65])
+def test_the_buffered_wavefront_keeps_its_bits_at_the_model_shapes(shape, batch):
+    assert nn.WAVEFRONT_MAX_BATCH == 64
+    depth, width, hid = shape
+    rng = np.random.default_rng(batch + depth)
+    layers = lstm_stack(rng, width, [hid] * depth, 1.0)
+    seq = rng.normal(size=(8, batch, width))
+    assert_buffered_stack_is_chained(layers, seq, rng.normal(size=(8, batch, hid)))
+
+
+def test_the_input_gradients_can_be_skipped_with_the_same_weight_gradients():
+    rng = np.random.default_rng(5)
+    p = lstm_init(rng, 6, 4)
+    _, _, cache = lstm_forward(p, rng.normal(size=(5, 3, 6)))
+    d_hidden = rng.normal(size=(5, 3, 4))
+    conv = conv1d_init(rng, 2, 3, 5, 2)
+    x = rng.normal(size=(3, 2, 21))
+    d_out = rng.normal(size=conv1d_forward(conv, x)[0].shape)
+    for backward, args in ((lstm_backward, (p, d_hidden, cache)),
+                           (conv1d_backward, (conv, d_out, x))):
+        d_in, grads = backward(*args)
+        skipped, same = backward(*args, input_grad=False)
+        assert d_in is not None and skipped is None
+        assert grads.keys() == same.keys()
+        for name in grads:
+            assert grads[name].tobytes() == same[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
