@@ -312,7 +312,7 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     }
     dataset = split_dataset(labeled, tuple(cfg["ratios"]), meta=meta)
     save_dataset(dataset, out_dir)
-    return ["samples.csv", "frames.csv", "dataset.json"]
+    return ["samples.csv", "frames.npy", "rasters.npy", "dataset.json"]
 
 
 def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:

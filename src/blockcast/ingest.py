@@ -19,26 +19,30 @@ a ``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
 flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame, whose
 points the bundle checks in one pass over the drive.
 
-A dataset holds the training windows of one drive (format 3) and stores
-each power frame once:
+A dataset holds the training windows of one drive (format 4). Its two
+bulk float64 blocks are ``.npy`` arrays, written with ``np.save`` and read
+with ``np.load``, both with ``allow_pickle=False``; the scenario stays CSV.
+Each power frame is stored once:
 
-  frames.csv    frame,p0,...,p{M-1}     each distinct window row once, in
-                                        order of first use; frame is its
-                                        0-based row number
-  samples.csv   t,k0,...,k{T0-1},f0,...,f{2N-1},b0,...,b{N-1},r0,...,r{bins-1}
-                                        one row per window, in time order;
-                                        k0..k{T0-1} are the frames.csv rows
-                                        of its T0 steps, f the next N
-                                        centroids (x, y), b their blockage
-                                        flags, r the raster at t
-  dataset.json                          preprocessing settings, the drive's
-                                        link and splits
+  frames.npy    (F, M)         each distinct window row once, in order of
+                               first use
+  rasters.npy   (n, bins)      the LiDAR raster at each window's t, one row
+                               per samples.csv row
+  samples.csv   t,k0,...,k{T0-1},f0,...,f{2N-1},b0,...,b{N-1}
+                               one row per window, in time order;
+                               k0..k{T0-1} are the frames.npy rows of its T0
+                               steps, f the next N centroids (x, y), b their
+                               blockage flags
+  dataset.json                 preprocessing settings, the drive's link and
+                               splits
 
 Frames are told apart by their exact float64 bytes, so -0.0 and 0.0 stay
-distinct. Floats are written with repr, so a load after save is
-bit-identical: every window comes back as frames[k]. In memory a dataset
-is one ``preprocess.WindowSet`` (an array per samples.csv field group,
-windows as frames[keys]) plus the splits' row indices.
+distinct. The arrays keep their bits, and the CSV floats are written with
+repr, so a load after save is bit-identical: every window comes back as
+frames[k]. An array's header is checked before its data is read: dtype
+float64, the shape that dataset.json and samples.csv give, and then finite
+values. In memory a dataset is one ``preprocess.WindowSet`` (an array per
+field group, windows as frames[keys]) plus the splits' row indices.
 
 ``write_csv`` takes a table as column blocks (arrays or lists) and formats
 each numeric block once per distinct value: one ``repr`` per float64 bit
@@ -53,8 +57,8 @@ its strings. A load's memory is its output arrays plus one chunk of text,
 and its values and ParseErrors are those of casting the whole file at once.
 Like the writer, it handles a repeated value once: when a chunk's distinct
 strings of one column type are at most half of its cells, each is parsed
-once and the values are gathered (``lidar.csv`` and the rasters of
-``samples.csv``); other chunks are cast cell by cell.
+once and the values are gathered (``lidar.csv``); other chunks are cast
+cell by cell.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from .preprocess import LabeledSample, WindowSet
 from .scene import TWO_PI, LidarScan, ensure_finite
 
 SCENARIO_FORMAT_VERSION = 1
-DATASET_FORMAT_VERSION = 3
+DATASET_FORMAT_VERSION = 4
 
 
 class Truth(NamedTuple):
@@ -643,28 +647,66 @@ def split_dataset(
     return DatasetFile(labeled=labeled, splits=splits, meta=dict(meta or {}))
 
 
-def _samples_header(window_len: int, horizon: int, raster_bins: int) -> list[str]:
+def _samples_header(window_len: int, horizon: int) -> list[str]:
     return (["t"] + [f"k{i}" for i in range(window_len)] + [f"f{i}" for i in range(horizon * 2)]
-            + [f"b{i}" for i in range(horizon)] + [f"r{i}" for i in range(raster_bins)])
+            + [f"b{i}" for i in range(horizon)])
 
 
-def _frames_header(num_beams: int) -> list[str]:
-    return ["frame"] + [f"p{m}" for m in range(num_beams)]
+def _save_array(path: Path, values: np.ndarray) -> None:
+    with path.open("wb") as fh:
+        np.save(fh, np.asarray(values, dtype=np.float64), allow_pickle=False)
+
+
+def _load_array(path: Path, shape: tuple) -> np.ndarray:
+    """The finite float64 array of ``shape`` (None: any length) in the
+    ``.npy`` file ``path``. The header is checked before any data is read,
+    so a bogus dimension allocates nothing. Bytes that are no ``.npy`` file,
+    or data longer or shorter than the header's shape, are a ParseError;
+    another dtype (an object array too: nothing is unpickled), another shape
+    or a non-finite value is a SchemaError. Each error names the file."""
+    if not path.exists():
+        raise ParseError(path, 0, "file not found")
+    with path.open("rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):  # what np.save writes for any 2-D float64 array
+                raise ValueError(f"format version {version}, expected (1, 0)")
+            got, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ParseError(path, 0, f"not a .npy array: {exc}") from None
+        if dtype != np.float64:
+            raise SchemaError(f"{path}: dtype {dtype}, expected float64")
+        if len(got) != len(shape) or any(w not in (None, g) for g, w in zip(got, shape)):
+            want = ", ".join("any" if w is None else str(w) for w in shape)
+            raise SchemaError(f"{path}: shape {got}, expected ({want})")
+        size, want = path.stat().st_size - fh.tell(), math.prod(got) * dtype.itemsize
+        if size != want:
+            raise ParseError(path, 0, f"{size} bytes of array data, expected {want} "
+                                      f"for shape {got}")
+        fh.seek(0)
+        values = np.ascontiguousarray(np.load(fh, allow_pickle=False))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, col = np.argwhere(bad)[0].tolist()
+        raise SchemaError(f"{path}: non-finite value at row {row}, column {col}")
+    return values
 
 
 def _distinct_frames(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of (B, T0, M) windows by their float64 bytes, in order
-    of first appearance, and the (B, T0) row numbers that rebuild the windows."""
+    of first appearance, and the (B, T0) row numbers that rebuild the windows.
+    A dict of the rows' bytes numbers them: one hash per row, where sorting
+    the rows compared up to M*8 bytes per step (about half the time of a
+    standard-drive ``save_dataset``)."""
     batch, window_len, num_beams = windows.shape
     rows = windows.reshape(batch * window_len, num_beams)
     if rows.size == 0:  # no rows, or rows of no beams: at most one (empty) frame
         return rows[:1], np.zeros((batch, window_len), dtype=np.int64)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * num_beams)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rows[first[order]], rank[inverse].reshape(batch, window_len)
+    raw, size = rows.tobytes(), rows.itemsize * num_beams
+    rank: dict[bytes, int] = {}  # a distinct row's bytes -> its frame number
+    keys = [rank.setdefault(raw[i:i + size], len(rank)) for i in range(0, len(raw), size)]
+    frames = np.frombuffer(b"".join(rank), rows.dtype).reshape(len(rank), num_beams)
+    return frames, np.array(keys, dtype=np.int64).reshape(batch, window_len)
 
 
 def save_dataset(dataset: DatasetFile, out_dir) -> Path:
@@ -675,9 +717,10 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
     horizon, raster_bins = labeled.blocked.shape[1], labeled.rasters.shape[1]
 
     frames, keys = _distinct_frames(labeled.windows)
-    write_csv(out / "frames.csv", _frames_header(num_beams), [np.arange(len(frames)), frames])
-    write_csv(out / "samples.csv", _samples_header(window_len, horizon, raster_bins), [
-        labeled.t, keys, labeled.futures.reshape(n, 2 * horizon), labeled.blocked, labeled.rasters,
+    _save_array(out / "frames.npy", frames)
+    _save_array(out / "rasters.npy", labeled.rasters)
+    write_csv(out / "samples.csv", _samples_header(window_len, horizon), [
+        labeled.t, keys, labeled.futures.reshape(n, 2 * horizon), labeled.blocked,
     ])
 
     meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION, "window_len": window_len,
@@ -701,26 +744,22 @@ def load_dataset(dataset_dir) -> DatasetFile:
         for key in ("window_len", "num_beams", "horizon", "raster_bins")
     )
 
-    _check_width(root / "frames.csv", 1 + num_beams)
-    table = CsvTable(root / "frames.csv", _frames_header(num_beams), "i" + "f" * num_beams)
-    table.reject_rows(table.ints(0, 1)[:, 0] != np.arange(len(table.line_nos)),
-                      "frame must equal its 0-based row number")
-    frames = table.floats(1, num_beams + 1)
-
-    _check_width(root / "samples.csv", 1 + window_len + 3 * horizon + raster_bins)
-    header = _samples_header(window_len, horizon, raster_bins)
-    table = CsvTable(root / "samples.csv", header, "i" * (1 + window_len)
-                     + "f" * (2 * horizon) + "b" * horizon + "f" * raster_bins)
+    _check_width(root / "samples.csv", 1 + window_len + 3 * horizon)
+    header = _samples_header(window_len, horizon)
+    table = CsvTable(root / "samples.csv", header,
+                     "i" * (1 + window_len) + "f" * (2 * horizon) + "b" * horizon)
     f = 1 + window_len  # end of the frame-row columns; the futures follow
-    b, r = f + 2 * horizon, f + 3 * horizon
+    b = f + 2 * horizon
+    frames = _load_array(root / "frames.npy", (None, num_beams))
     keys = table.ints(1, f)
     for column, k in zip(header[1:f], keys.T):
         table.reject_rows((k < 0) | (k >= len(frames)),
-                          f"{column} must be a row of frames.csv (0 to {len(frames) - 1})")
+                          f"{column} must be a row of frames.npy (0 to {len(frames) - 1})")
     labeled = WindowSet(
         t=table.ints(0, 1)[:, 0], windows=frames[keys],
-        futures=table.floats(f, b).reshape(len(keys), horizon, 2), blocked=table.flags(b, r),
-        rasters=table.floats(r, len(header)),
+        futures=table.floats(f, b).reshape(len(keys), horizon, 2),
+        blocked=table.flags(b, len(header)),
+        rasters=_load_array(root / "rasters.npy", (len(keys), raster_bins)),
     )
 
     splits = payload.get("splits", {})

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SchemaError, VersionError
 from .ingest import json_field, read_json_object
@@ -469,17 +470,29 @@ def conv1d_forward(p: Conv1dParams, x: Array) -> tuple[Array, Array]:
 def conv1d_backward(p: Conv1dParams, d_out: Array, cache: Array, *, input_grad: bool = True):
     """(d_x, grads) of ``conv1d_forward``; with ``input_grad=False`` the
     input gradient, which nothing reads below a network's first layer, is
-    skipped and d_x is None."""
+    skipped and d_x is None.
+
+    The weight gradient of tap k is (O, B*L') @ (B*L', I): ``d_out``
+    transposed once, and all K taps of the input copied once into one
+    contiguous (K, B*L', I) array. These are the operands, in the same
+    layout, that ``np.tensordot(d_out, x_k, ([0, 2], [0, 2]))`` builds
+    afresh for every tap, so the bits are the same."""
     x = cache
-    kernel = p.weight.shape[2]
+    batch, _, out_len = d_out.shape
+    out_c, in_c, kernel = p.weight.shape
+    d_t = d_out.transpose(1, 0, 2).reshape(out_c, batch * out_len)
+    span = p.stride * (out_len - 1) + 1
+    windows = sliding_window_view(x, kernel, axis=2)[:, :, :span:p.stride]  # (B, I, L', K)
+    taps = np.ascontiguousarray(windows.transpose(3, 0, 2, 1))  # (K, B, L', I)
+    taps = taps.reshape(kernel, batch * out_len, in_c)
     d_w = np.empty_like(p.weight)
-    for k, x_k in enumerate(_taps(x, kernel, p.stride, d_out.shape[2])):
-        d_w[:, :, k] = np.tensordot(d_out, x_k, ([0, 2], [0, 2]))
+    for k in range(kernel):
+        d_w[:, :, k] = np.dot(d_t, taps[k])
     grads = {"weight": d_w, "bias": d_out.sum(axis=(0, 2))}
     if not input_grad:
         return None, grads
     d_x = np.zeros_like(x)
-    for k, d_x_k in enumerate(_taps(d_x, kernel, p.stride, d_out.shape[2])):
+    for k, d_x_k in enumerate(_taps(d_x, kernel, p.stride, out_len)):
         d_x_k += p.weight[:, :, k].T @ d_out
     return d_x, grads
 

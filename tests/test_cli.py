@@ -67,7 +67,7 @@ def chain(tmp_path_factory):
 def test_each_stage_writes_exactly_its_artifacts(chain):
     expect = {
         "scene": {"rssi.csv", "lidar.csv", "truth.csv", "meta.json"},
-        "data": {"samples.csv", "frames.csv", "dataset.json"},
+        "data": {"samples.csv", "frames.npy", "rasters.npy", "dataset.json"},
         "loc": {"model.json", "curves.csv"},
         "rf": {"model.json", "curves.csv"},
     }
@@ -957,16 +957,17 @@ def test_an_integer_field_that_is_no_json_integer_names_the_file_and_key(
     assert not list(out.iterdir())
 
 
-@pytest.mark.parametrize("sub, name, key, command, table", [
-    ("scene", "meta.json", "num_beams", "label", "rssi.csv"),
-    ("data", "dataset.json", "raster_bins", "train", "samples.csv"),
+@pytest.mark.parametrize("sub, name, key, command, table, want", [
+    ("scene", "meta.json", "num_beams", "label", "rssi.csv", ":1: expected "),
+    ("data", "dataset.json", "raster_bins", "train", "rasters.npy", ": shape "),
 ])
 def test_a_huge_dimension_is_refused_by_the_file_header_width(
-    chain, tmp_path, capsys, sub, name, key, command, table
+    chain, tmp_path, capsys, sub, name, key, command, table, want
 ):
     # The loaders used to build the expected header from the dimension before
     # reading the file's: num_beams 2,000,000 cost label over 1 s and 300 MiB, and
-    # the error spelled out all 2,000,001 expected names.
+    # the error spelled out all 2,000,001 expected names. A dataset's rasters
+    # are refused by the shape in the .npy header, before any data is read.
     copy = tmp_path / sub
     shutil.copytree(chain / sub, copy)
     path = copy / name
@@ -976,8 +977,69 @@ def test_a_huge_dimension_is_refused_by_the_file_header_width(
     capsys.readouterr()
     assert run(_stage_argv(command, chain, **{sub: copy}) + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert f"{(copy / table).resolve()}:1: expected " in err and "Traceback" not in err
+    assert f"{(copy / table).resolve()}{want}" in err and "Traceback" not in err
     assert len(err.encode()) < 1000
+
+
+def _saved_as(dtype, allow_pickle=False):
+    def fault(path):
+        values = np.load(path)
+        with path.open("wb") as fh:
+            np.save(fh, values.astype(dtype), allow_pickle=allow_pickle)
+    return fault
+
+
+def _resaved(edit):
+    def fault(path):
+        values = np.load(path)
+        with path.open("wb") as fh:
+            np.save(fh, edit(values))
+    return fault
+
+
+def _with_value(value):
+    def edit(values):
+        values[len(values) // 2, 1] = value
+        return values
+    return edit
+
+
+ARRAY_FAULTS = {  # fault -> (how it is made, what the error says)
+    "missing": (Path.unlink, "file not found"),
+    "truncated": (lambda p: p.write_bytes(p.read_bytes()[:-100]), "bytes of array data"),
+    "header-cut": (lambda p: p.write_bytes(p.read_bytes()[:40]), "not a .npy array"),
+    "not-npy": (lambda p: p.write_text("t,p0\n0,1.5\n"), "not a .npy array"),
+    "float32": (_saved_as(np.float32), "dtype float32"),
+    "int64": (_saved_as(np.int64), "dtype int64"),
+    "object": (_saved_as(object, allow_pickle=True), "dtype object"),
+    "one-row-short": (_resaved(lambda v: v[:-1]), None),
+    "extra-column": (_resaved(lambda v: np.hstack([v, v[:, :1]])), "shape "),
+    "nan": (_resaved(_with_value(math.nan)), "non-finite value at row"),
+    "inf": (_resaved(_with_value(-math.inf)), "non-finite value at row"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARRAY_FAULTS))
+@pytest.mark.parametrize("name", ["frames.npy", "rasters.npy"])
+def test_a_bad_dataset_array_is_refused_naming_it(chain, tmp_path, capsys, name, fault):
+    copy = tmp_path / "data"
+    shutil.copytree(chain / "data", copy)
+    make, want = ARRAY_FAULTS[fault]
+    make(copy / name)
+    named = copy / name
+    if want is None:  # frames.npy may hold any number of rows; samples.csv names the lost one
+        named, want = ((copy / "samples.csv", "must be a row of frames.npy")
+                       if name == "frames.npy" else (named, "shape "))
+    with pytest.raises((ParseError, SchemaError)) as err:
+        load_dataset(copy)
+    assert str(named) in str(err.value) and want in str(err.value)
+    for command in ("train", "evaluate"):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert run(_stage_argv(command, chain, data=copy) + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(named.resolve()) in err and want in err and "Traceback" not in err
+        assert not list(out.iterdir())
 
 
 # The JSON keys each stage reads: (file, chain directory) -> (stages that read

@@ -19,7 +19,6 @@ from blockcast.ingest import (
     ScenarioBundle,
     Truth,
     _distinct_frames,
-    _frames_header,
     _not_utf8,
     _parse_float,
     _parse_int,
@@ -497,7 +496,7 @@ def _set_cell(path: Path, line: int, column: str, value: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_each_window_row_is_stored_once_in_frames_csv(tmp_path):
+def test_each_window_row_is_stored_once_in_frames_npy(tmp_path):
     # Stride-1 windows of one drive share all but one row with the next one.
     frames = np.random.default_rng(0).uniform(0.0, 3.0, size=(6, 2))
     frames[4] = [-0.0, 1.0]
@@ -506,11 +505,9 @@ def test_each_window_row_is_stored_once_in_frames_csv(tmp_path):
     labeled = WindowSet(ends, frames[ends[:, None] + [-2, -1, 0]], np.zeros((4, 1, 2)),
                         np.zeros((4, 1), dtype=bool), np.ones((4, 3)))
     save_dataset(split_dataset(labeled), tmp_path / "d")
-    lines = (tmp_path / "d" / "frames.csv").read_text().splitlines()
-    assert lines[0] == "frame,p0,p1" and lines[1:] == [
-        ",".join([str(i)] + [repr(v) for v in row]) for i, row in enumerate(frames.tolist())]
+    assert _same_bits(np.load(tmp_path / "d" / "frames.npy", allow_pickle=False), frames)
     header, *rows = (tmp_path / "d" / "samples.csv").read_text().splitlines()
-    assert header.startswith("t,k0,k1,k2,f0,")
+    assert header == "t,k0,k1,k2,f0,f1,b0"
     assert [row.split(",")[1:4] for row in rows] == [
         [str(k) for k in range(end - 2, end + 1)] for end in range(2, 6)]
     assert _same_windows(load_dataset(tmp_path / "d").labeled, labeled)
@@ -528,28 +525,13 @@ def test_a_frame_row_that_does_not_exist_names_its_line_and_column(tmp_path, val
     assert message in str(err.value)
 
 
-@pytest.mark.parametrize("value", ["3", "0", "x"])
-def test_a_frame_number_other_than_its_row_names_its_line(tmp_path, value):
-    save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
-    _set_cell(tmp_path / "d" / "frames.csv", 3, "frame", value)
-    with pytest.raises(ParseError) as err:
-        load_dataset(tmp_path / "d")
-    assert "frames.csv:3:" in str(err.value) and "frame" in str(err.value)
-
-
-def test_a_missing_frames_csv_is_a_parse_error_naming_it(tmp_path):
-    save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
-    (tmp_path / "d" / "frames.csv").unlink()
-    with pytest.raises(ParseError, match="frames.csv"):
-        load_dataset(tmp_path / "d")
-
-
 def test_a_format_1_dataset_is_refused_naming_the_file_and_version(tmp_path):
-    # Format 2 held a scenario, label and label_valid column in samples.csv.
+    # Format 2 held a scenario, label and label_valid column in samples.csv,
+    # and format 3 held frames.csv and the rasters as samples.csv columns.
     save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
     path = tmp_path / "d" / "dataset.json"
     payload = json.loads(path.read_text())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         payload["meta"]["format_version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as err:
@@ -574,8 +556,7 @@ def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_window
     covered = {i for t in built.t.tolist()
                for i in range(t - first_t - window_len + 1, t - first_t + 1)}
     want = {standard_bundle.rssi[i].tobytes() for i in covered}
-    lines = (dataset_dir / "frames.csv").read_text().splitlines()[1:]
-    got = [np.array([float(c) for c in line.split(",")[1:]]).tobytes() for line in lines]
+    got = [row.tobytes() for row in np.load(dataset_dir / "frames.npy", allow_pickle=False)]
     assert len(got) == len(set(got)) == len(want) and set(got) == want
 
 
@@ -672,6 +653,56 @@ def test_random_datasets_round_trip_bit_exactly_and_resave_identically(dataset):
     assert _same_windows(loaded.labeled, dataset.labeled)
 
 
+# Floats a text or binary format could lose: both zeros, subnormals and the
+# largest magnitudes.
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                               -1e308, 1.7976931348623157e308, -1.7976931348623157e308]) | finite
+
+
+@given(st.data())
+def test_a_saved_dataset_loads_every_field_bit_for_bit_with_the_same_frame_keys(data):
+    window_len, beams, horizon, bins = (data.draw(st.integers(1, 3)) for _ in range(4))
+    n = data.draw(st.integers(1, 4))
+    pool_size = data.draw(st.integers(2, 6))
+    pool = data.draw(arrays(np.float64, (pool_size, beams), elements=edge_floats))
+    pool[0], pool[1] = 0.0, -0.0  # equal as numbers, two frames by their bytes
+    picks = data.draw(arrays(np.int64, (n, window_len), elements=st.integers(0, len(pool) - 1)))
+    labeled = WindowSet(
+        t=data.draw(arrays(np.int64, n, elements=st.integers(-3, 50))), windows=pool[picks],
+        futures=data.draw(arrays(np.float64, (n, horizon, 2), elements=edge_floats)),
+        blocked=data.draw(arrays(np.bool_, (n, horizon))),
+        rasters=data.draw(arrays(np.float64, (n, bins), elements=edge_floats)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(split_dataset(labeled), Path(tmp))
+        loaded = load_dataset(Path(tmp)).labeled
+        stored = np.load(Path(tmp) / "frames.npy", allow_pickle=False)
+        rows = _lines(Path(tmp) / "samples.csv")[1:]
+    assert _same_windows(loaded, labeled)
+    # Frame k is the k-th distinct row by its bytes, in order of first use.
+    first = {}
+    for row in labeled.windows.reshape(-1, beams):
+        first.setdefault(row.tobytes(), row)
+    assert _same_bits(stored, np.array(list(first.values())).reshape(-1, beams))
+    numbers = {key: k for k, key in enumerate(first)}
+    assert [[int(k) for k in row.split(",")[1:1 + window_len]] for row in rows] == [
+        [numbers[step.tobytes()] for step in window] for window in labeled.windows]
+
+
+@pytest.mark.parametrize("key, name", [("num_beams", "frames.npy"), ("raster_bins", "rasters.npy")])
+def test_a_huge_dimension_is_refused_by_the_array_header(tmp_path, traced_peak_mib, key, name):
+    save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), tmp_path)
+    path = tmp_path / "dataset.json"
+    payload = json.loads(path.read_text())
+    payload["meta"][key] = 2**40  # 8 TiB of float64 per row
+    path.write_text(json.dumps(payload))
+
+    def refused():
+        with pytest.raises(SchemaError, match=f"{name}: shape "):
+            load_dataset(tmp_path)
+    assert traced_peak_mib(refused) < 0.5
+
+
 def _saved(data, tmp: str) -> Path:
     """A random scenario and a random nonempty dataset saved under tmp."""
     root = Path(tmp)
@@ -726,19 +757,19 @@ def test_a_dropped_cell_is_a_parse_error(data):
 @given(st.data())
 def test_a_file_cut_mid_line_is_a_parse_error(data):
     """CSV files are cut inside a line, before its last comma, so at least
-    one separator is lost; JSON files are cut anywhere."""
+    one separator is lost; JSON and .npy files are cut anywhere."""
     with tempfile.TemporaryDirectory() as tmp:
         root = _saved(data, tmp)
         path = data.draw(st.sampled_from(sorted(root.glob("*/*"))))
-        text = path.read_text()
-        if path.suffix == ".json":
-            cut = data.draw(st.integers(0, len(text) - 1))
+        raw = path.read_bytes()
+        if path.suffix in (".json", ".npy"):
+            cut = data.draw(st.integers(0, len(raw) - 1))
         else:
             lines = _lines(path)
             row = data.draw(st.integers(0, len(lines) - 1))
             start = sum(len(line) + 1 for line in lines[:row])
             cut = start + data.draw(st.integers(1, lines[row].rindex(",")))
-        path.write_text(text[:cut])
+        path.write_bytes(raw[:cut])
         with pytest.raises(ParseError):
             _load(path)
 
@@ -885,18 +916,17 @@ def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, s
         assert (ref / name).read_bytes() == (tmp_path / "scene" / name).read_bytes(), name
 
     samples = held["dataset"].samples
-    window_len, num_beams = samples[0].window.shape
-    horizon, bins = samples[0].future.shape[0], samples[0].lidar_raster.shape[0]
+    window_len, horizon = samples[0].window.shape[0], samples[0].future.shape[0]
     frames, keys = _distinct_frames(np.array([s.window for s in samples]))
-    reference_write_csv(ref / "frames.csv", _frames_header(num_beams),
-                        ([i] + row for i, row in enumerate(frames.tolist())))
     reference_write_csv(
-        ref / "samples.csv", _samples_header(window_len, horizon, bins),
-        ([s.t] + k + s.future.ravel().tolist() + s.future_blocked.tolist() + s.lidar_raster.tolist()
+        ref / "samples.csv", _samples_header(window_len, horizon),
+        ([s.t] + k + s.future.ravel().tolist() + s.future_blocked.tolist()
          for s, k in zip(samples, keys.tolist())),
     )
-    for name in ("frames.csv", "samples.csv"):
-        assert (ref / name).read_bytes() == (tmp_path / "data" / name).read_bytes(), name
+    assert (ref / "samples.csv").read_bytes() == (tmp_path / "data" / "samples.csv").read_bytes()
+    rasters = np.array([s.lidar_raster for s in samples])
+    for name, want in (("frames.npy", frames), ("rasters.npy", rasters)):
+        assert _same_bits(np.load(tmp_path / "data" / name, allow_pickle=False), want), name
 
 
 # ---------------------------------------------------------------------------
@@ -1127,8 +1157,8 @@ def test_a_short_row_and_a_later_bad_byte_raise_what_a_line_by_line_read_meets(
 
 
 # Peaks of the standard drive under tracemalloc, measured at 13.4 MiB for
-# load_scenario and 12.4 MiB for load_dataset (the output arrays plus one
-# chunk of text), bounded with about 40% headroom. The object-table reader
+# load_scenario and 11.4 MiB for load_dataset (the output arrays plus one
+# chunk of text), bounded with at least 40% headroom. The object-table reader
 # peaked at 53.1 and 48.4 MiB.
 def test_load_scenario_keeps_only_its_arrays_and_one_chunk(scenario_dir, traced_peak_mib):
     assert traced_peak_mib(lambda: load_scenario(scenario_dir)) < 19.0

@@ -389,6 +389,35 @@ def test_conv_forward_is_bit_equal_to_the_tapwise_matmul_form(batch, stride, in_
     assert y.tobytes() == ref_tapwise_conv1d_forward(p, x).tobytes()
 
 
+def ref_tapwise_conv1d_backward(p, d_out, x):
+    """The per-tap backward: the weight gradient from one ``np.tensordot``
+    per tap, each copying both operands afresh, and the input gradient
+    scattered tap by tap."""
+    kernel, out_len = p.weight.shape[2], d_out.shape[2]
+    span = p.stride * (out_len - 1) + 1
+    d_w, d_x = np.empty_like(p.weight), np.zeros_like(x)
+    for k in range(kernel):
+        d_w[:, :, k] = np.tensordot(d_out, x[:, :, k : k + span : p.stride], ([0, 2], [0, 2]))
+        d_x[:, :, k : k + span : p.stride] += p.weight[:, :, k].T @ d_out
+    return d_x, d_w
+
+
+@pytest.mark.parametrize("batch", [1, 8, 64, 1488])
+@pytest.mark.parametrize("in_c, out_c, length", [(1, 8, 360), (8, 16, 178)], ids=["conv1", "conv2"])
+def test_conv_backward_is_bit_equal_to_the_per_tap_tensordot(in_c, out_c, length, batch):
+    """The rf+lidar model's two conv layers (kernel 5, stride 2) at the
+    training batch, the transfer-sized one and two others."""
+    rng = np.random.default_rng(batch + in_c)
+    p = conv1d_init(rng, in_c, out_c, 5, stride=2)
+    x = rng.normal(size=(batch, in_c, length))
+    y, cache = conv1d_forward(p, x)
+    d_out = rng.normal(size=y.shape)
+    d_x, grads = conv1d_backward(p, d_out, cache)
+    want_d_x, want_d_w = ref_tapwise_conv1d_backward(p, d_out, x)
+    assert grads["weight"].tobytes() == want_d_w.tobytes()
+    assert d_x.tobytes() == want_d_x.tobytes()
+
+
 def test_sigmoid_is_bit_equal_to_the_sign_split_form():
     tiny = np.finfo(np.float64).smallest_subnormal
     special = np.array([0.0, -0.0, 710.0, -710.0, 1e300, -1e300, np.inf, -np.inf,
