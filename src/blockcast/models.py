@@ -24,22 +24,24 @@ checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
 
 Training runs the buffered forward that its backward pass reads;
-prediction and the validation loss run the cache-free one. Either runs a
-stack of LSTM layers of up to ``nn.WAVEFRONT_MAX_BATCH`` windows as one
-wavefront (``nn.lstm_stack_forward``, ``nn.lstm_stack_hidden``): a training
-step of rf or rf+lidar and a single-window forecast do, the one-layer
-localization model and a scoring block run one layer at a time.
+prediction and the validation loss run the cache-free one. The schedule
+depends on the architecture alone: the one-layer localization model runs
+one recurrence (``nn.lstm_forward``, or ``nn.lstm_stack_hidden`` of one
+layer), and the stacks of rf and rf+lidar run as one wavefront
+(``nn.lstm_stack_forward``, ``nn.lstm_stack_hidden``) at every batch size.
 
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
-cache-free forward over blocks of ``SCORE_BLOCK`` = 256 windows that start
-at each multiple of 256, writing into one preallocated output; a lone
+cache-free forward over blocks of ``SCORE_BLOCK`` = 64 windows that start
+at each multiple of 64, writing into one preallocated output; a lone
 trailing window joins the block before it. Peak memory therefore does not
 grow with the number of windows, and the result equals one forward pass
 over all of them bit for bit. That holds for a ``SCORE_BLOCK`` that is a
-multiple of 4, so that every block starts on a multiple of the BLAS
-kernel's 4-row unroll: with blocks of 3, 7 or 255 windows the localization
-outputs of the standard drive moved in their last bits (rf and rf+lidar
-did not), and with 4, 8, 100, 1,000 or 100,000 no output moved.
+positive multiple of 4, which ``_score`` enforces, so that every block
+starts on a multiple of the BLAS kernel's 4-row unroll: with blocks of 3,
+7 or 255 windows the localization outputs of the standard drive moved in
+their last bits (rf and rf+lidar did not), and with 4, 8, 100, 256, 1,000
+or 100,000 no output moved. Each model scored the standard drive faster
+in blocks of 64 than in blocks of 256 (BENCH_24.json).
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .nn import (
     lstm_stack_hidden,
     relu,
     relu_backward,
-    runs_as_wavefront,
     save_params,
     sigmoid,
 )
@@ -82,7 +83,7 @@ from .preprocess import WindowSet
 
 DB_FLOOR = 1e-12
 STD_FLOOR = 1e-6
-SCORE_BLOCK = 256  # windows per forward pass when scoring
+SCORE_BLOCK = 64  # windows per forward pass when scoring; a positive multiple of 4
 
 
 @dataclass(frozen=True)
@@ -287,12 +288,12 @@ def forward(
     layer), or (B, N) sigmoid probabilities.
 
     The two forwards give the same bits. Given a ``caches`` dict, every
-    layer leaves in it what ``_backward`` needs: the LSTM stack runs as one
-    buffered ``lstm_stack_forward`` wavefront where ``runs_as_wavefront``
-    allows, else the buffered ``lstm_forward`` one layer at a time. Without
-    one, the LSTM stack is one cache-free ``lstm_stack_hidden`` call. Either
-    stack call checks its input once. ReLU runs in place: ``relu_backward``
-    reads only the sign of its cached input, which ReLU keeps.
+    layer leaves in it what ``_backward`` needs: one LSTM layer runs the
+    buffered ``lstm_forward``, a stack one buffered ``lstm_stack_forward``
+    wavefront. Without one, the LSTM layers are one cache-free
+    ``lstm_stack_hidden`` call. Each call checks its input once. ReLU runs
+    in place: ``relu_backward`` reads only the sign of its cached input,
+    which ReLU keeps.
     """
     layers = model.layers
     buffered = caches is not None
@@ -301,13 +302,12 @@ def forward(
     stack = [layers[name] for name in lstm]
     if not buffered:
         feat = lstm_stack_hidden(stack, seq)[-1]
-    elif runs_as_wavefront(stack, seq.shape[1]):
+    elif len(stack) == 1:
+        _, feat, caches[lstm[0]] = lstm_forward(stack[0], seq)
+    else:
         seq, stack_caches = lstm_stack_forward(stack, seq)
         caches.update(zip(lstm, stack_caches))
         feat = seq[-1]
-    else:
-        for name in lstm:
-            seq, feat, caches[name] = lstm_forward(layers[name], seq)
     conv = model.names(Conv1dParams)
     if conv:
         if rasters is None:
@@ -494,6 +494,8 @@ def _score(model: Model, windows: np.ndarray, rasters: np.ndarray | None, width:
     rasters), one block at a time (see the module docstring). A lone trailing
     window joins the block before it because numpy multiplies a single row
     by another kernel, whose last bits differ from a batch's."""
+    if SCORE_BLOCK < 1 or SCORE_BLOCK % 4:
+        raise ValueError(f"SCORE_BLOCK must be a positive multiple of 4, not {SCORE_BLOCK}")
     n = len(windows)
     out = np.empty((n, width))
     starts = list(range(0, n, SCORE_BLOCK))

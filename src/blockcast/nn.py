@@ -4,11 +4,11 @@ Everything runs in float64 on plain numpy arrays. The conv is computed tap
 by tap with BLAS matmuls over strided views, and the LSTM backward pass
 keeps only the recurrent matmul inside its time loop. The LSTM starts from
 zero state and has two forwards with the same bits. Training buffers the
-gates and cell states of every step for ``lstm_backward``: it runs a
-model's stacked layers of a small batch as one wavefront,
-``lstm_stack_forward``, and other stacks through ``lstm_forward`` layer by
-layer. Prediction runs ``lstm_stack_hidden``, a cache-free recurrence with
-the same wavefront, whose steps keep only the hidden and cell state.
+gates and cell states of every step for ``lstm_backward``: ``lstm_forward``
+runs one layer, and ``lstm_stack_forward`` runs stacked layers as one
+wavefront. Prediction runs ``lstm_stack_hidden``, a cache-free recurrence
+with the same wavefront, whose steps keep only the hidden and cell state.
+The schedule depends on the number of layers alone, never on the batch.
 Either wavefront activates all four gates with one ``sigmoid`` per step.
 Each layer ships a hand-derived backward pass returning gradients in the
 same shapes as its parameters; finite-difference tests lock every one of
@@ -101,7 +101,7 @@ def dense_backward(p: DenseParams, d_out: Array, cache: Array):
 
 
 # ---------------------------------------------------------------------------
-# LSTM layer (single layer; stack layers by feeding hidden sequences)
+# LSTM layer, and stacks of layers of one hidden size
 # ---------------------------------------------------------------------------
 # Gate order inside the fused weight matrices: input, forget, candidate,
 # output. The cell recurrence is the standard one:
@@ -188,57 +188,32 @@ def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
     return hidden[1:], hidden[-1], LstmCache(seq, gates, cells, cell_tanh, hidden)
 
 
-# Batches of up to this many windows run a stack of LSTM layers as one
-# wavefront (``runs_as_wavefront``); larger ones run the layers one at a time.
-# Both give the same bits, so the cut-off only moves time: below it Python's
-# per-call overhead dominates, above it arithmetic and cache traffic do. At
-# the blockage models' shapes the wavefront won up to 64 rows, broke even at
-# 96-128 and lost at 256 (BENCH_21.json).
-WAVEFRONT_MAX_BATCH = 64
-
-
-def lstm_hidden(p: LstmParams, seq: Array) -> Array:
-    """The hidden sequence (T, B, H) of ``lstm_forward``, bit for bit,
-    without its backward buffers."""
-    return lstm_stack_hidden([p], seq)
-
-
-def runs_as_wavefront(layers: list[LstmParams], batch: int) -> bool:
-    """Whether stacked LSTM ``layers`` over ``batch`` rows run as one
-    wavefront: more than one layer, one hidden size, and at most
-    ``WAVEFRONT_MAX_BATCH`` rows."""
-    return (len(layers) > 1 and batch <= WAVEFRONT_MAX_BATCH
-            and len({p.hidden_size for p in layers}) == 1)
-
-
 def _checked_stack(layers: list[LstmParams], seq) -> Array:
     """``_checked_seq`` for the first of stacked ``layers``, each of which
-    must read the hidden size of the one below."""
+    must read the hidden size of the one below and share its hidden size."""
     seq = _checked_seq(layers[0], seq)
     for below, p in zip(layers, layers[1:]):
         if p.input_size != below.hidden_size:
             raise ValueError(f"lstm input_size {p.input_size} != hidden_size "
                              f"{below.hidden_size} of the layer below")
+    if len({p.hidden_size for p in layers}) != 1:
+        raise ValueError("a stack runs as a wavefront only with one hidden size")
     return seq
 
 
 def lstm_stack_hidden(layers: list[LstmParams], seq: Array) -> Array:
     """The top layer's hidden sequence (T, B, H) of stacked LSTM ``layers``
-    over seq (T, B, input_size), each layer reading the hidden sequence of
-    the one below; bit for bit the chained ``lstm_hidden`` calls.
+    of one hidden size over seq (T, B, input_size), each layer reading the
+    hidden sequence of the one below; bit for bit the chained
+    ``lstm_forward`` calls, without their backward buffers.
 
-    A batch of at most ``WAVEFRONT_MAX_BATCH`` rows through layers of one
-    hidden size runs as a wavefront (Appleyard, Kocisky and Blunsom,
-    arXiv:1604.01946): layer l's step t needs only (l, t - 1) and
-    (l - 1, t), so every layer on a diagonal l + t runs together, in
-    T + L - 1 steps instead of T * L. Other stacks run layer by layer.
+    One layer runs its own recurrence. A stack runs as a wavefront
+    (Appleyard, Kocisky and Blunsom, arXiv:1604.01946) at any batch size:
+    layer l's step t needs only (l, t - 1) and (l - 1, t), so every layer on
+    a diagonal l + t runs together, in T + L - 1 steps instead of T * L.
     """
     seq = _checked_stack(layers, seq)
-    if runs_as_wavefront(layers, seq.shape[1]):
-        seq = _wavefront(layers, seq)
-    else:
-        for p in layers:
-            seq = _recurrence(p, seq)
+    seq = _recurrence(layers[0], seq) if len(layers) == 1 else _wavefront(layers, seq)
     return ensure_finite("lstm hidden", seq)
 
 
@@ -318,8 +293,6 @@ def lstm_stack_forward(layers: list[LstmParams], seq: Array) -> tuple[Array, lis
     summed as in ``lstm_forward``, until its diagonal activates it.
     """
     seq = _checked_stack(layers, seq)
-    if len({p.hidden_size for p in layers}) != 1:
-        raise ValueError("a stack runs as a wavefront only with one hidden size")
     steps, batch, _ = seq.shape
     depth, hid = len(layers), layers[0].hidden_size
     i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))

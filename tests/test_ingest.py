@@ -525,6 +525,56 @@ def test_a_frame_row_that_does_not_exist_names_its_line_and_column(tmp_path, val
     assert message in str(err.value)
 
 
+def _swap_frames(dataset_dir: Path, a: int, b: int) -> None:
+    """Swaps frames.npy rows a and b and renumbers their uses in samples.csv,
+    so every window keeps its values."""
+    path = dataset_dir / "frames.npy"
+    frames = np.load(path, allow_pickle=False)
+    frames[[a, b]] = frames[[b, a]]
+    np.save(path, frames)
+    header, *rows = (dataset_dir / "samples.csv").read_text().splitlines()
+    ks = [i for i, name in enumerate(header.split(",")) if name.startswith("k")]
+    swap = {str(a): str(b), str(b): str(a)}
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        for i in ks:
+            row[i] = swap.get(row[i], row[i])
+    (dataset_dir / "samples.csv").write_text(
+        "\n".join([header] + [",".join(row) for row in cells]) + "\n")
+
+
+def test_a_frame_row_that_no_window_uses_is_refused(tmp_path):
+    save_dataset(split_dataset(random_windows(3, np.random.default_rng(0), window_len=4)),
+                 tmp_path / "d")  # 12 distinct frames
+    path = tmp_path / "d" / "frames.npy"
+    frames = np.load(path, allow_pickle=False)
+    np.save(path, np.vstack([frames, np.full(frames.shape[1], 0.5)]))
+    with pytest.raises(SchemaError) as err:
+        load_dataset(tmp_path / "d")
+    assert str(err.value) == f"{tmp_path / 'd' / 'frames.npy'}: 13 rows, but the windows use 12"
+
+
+@pytest.mark.parametrize("a, b", [(4, 9), (0, 11)])
+def test_frame_rows_out_of_order_of_first_use_are_refused(tmp_path, a, b):
+    samples = random_windows(3, np.random.default_rng(0), window_len=4)  # 12 distinct frames
+    save_dataset(split_dataset(samples), tmp_path / "d")
+    _swap_frames(tmp_path / "d", a, b)
+    keys = np.loadtxt(tmp_path / "d" / "samples.csv", delimiter=",", skiprows=1,
+                      usecols=range(1, 5), dtype=np.int64)
+    assert _same_bits(np.load(tmp_path / "d" / "frames.npy")[keys], samples.windows)
+    with pytest.raises(SchemaError) as err:
+        load_dataset(tmp_path / "d")
+    assert str(err.value) == (f"{tmp_path / 'd' / 'frames.npy'}: row {b} is used before row "
+                              f"{a}; rows must be numbered in order of first use")
+
+
+def test_a_standard_dataset_saves_as_it_loads_byte_for_byte(tmp_path, dataset_dir,
+                                                           standard_dataset):
+    save_dataset(standard_dataset, tmp_path / "d")
+    for name in ("frames.npy", "rasters.npy", "samples.csv", "dataset.json"):
+        assert (tmp_path / "d" / name).read_bytes() == (dataset_dir / name).read_bytes(), name
+
+
 def test_a_format_1_dataset_is_refused_naming_the_file_and_version(tmp_path):
     # Format 2 held a scenario, label and label_valid column in samples.csv,
     # and format 3 held frames.csv and the rasters as samples.csv columns.

@@ -403,8 +403,8 @@ def test_single_window_forecasts_match_the_batch_and_the_buffered_forward(kind):
 @pytest.mark.parametrize("batch", [1, 8, 64, 65])
 @pytest.mark.parametrize("kind", ["rf", "rf+lidar"])
 def test_the_training_forward_leaves_the_caches_of_chained_lstm_layers(kind, batch):
-    # Up to WAVEFRONT_MAX_BATCH = 64 windows the stack runs as one buffered
-    # wavefront, whose caches are views into its diagonal-major buffers.
+    # A stack runs as one buffered wavefront at every batch size, whose
+    # caches are views into its diagonal-major buffers.
     model, _ = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
     rng = np.random.default_rng(batch)
     feats = rng.normal(size=(batch, 8, 64))
@@ -442,24 +442,28 @@ def score_standard(trained_localization, trained_rf, trained_lidar, standard_dat
                     predict_blockage_probs(trained_lidar, windows, rasters).tobytes()]
 
 
-@pytest.mark.parametrize("block", [4, 8, 100, 1000, 100000])
+@pytest.mark.parametrize("block", [4, 8, 100, 256, 1000, 100000])
 def test_scoring_the_standard_windows_keeps_its_bits_at_other_block_sizes(
         monkeypatch, score_standard, block):
     # Blocks that start on multiples of 4 keep every bit; at 3, 7 and 255
     # the localization outputs moved (see the models docstring).
-    assert SCORE_BLOCK == 256
+    assert SCORE_BLOCK == 64
     want = score_standard()
     monkeypatch.setattr(models, "SCORE_BLOCK", block)
     assert score_standard() == want
 
 
-@pytest.mark.parametrize("max_batch", [0, 10**9])
-def test_scoring_the_standard_windows_keeps_its_bits_with_every_stack_schedule(
-        monkeypatch, score_standard, max_batch):
-    # 0 runs every LSTM stack layer by layer, 10**9 every one as a wavefront.
-    want = score_standard()
-    monkeypatch.setattr(nn, "WAVEFRONT_MAX_BATCH", max_batch)
-    assert score_standard() == want
+@pytest.mark.parametrize("block", [6, 0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_score_block_outside_its_domain_is_refused(monkeypatch, kind, block):
+    _, predict = predictor(kind)
+    rng = np.random.default_rng(0)
+    windows = rng.uniform(1e-6, 2.0, size=(9, 5, 6))
+    rasters = rng.uniform(0.1, 16.0, size=(9, 40))
+    monkeypatch.setattr(models, "SCORE_BLOCK", block)
+    with pytest.raises(ValueError, match=f"SCORE_BLOCK must be a positive multiple of 4, "
+                                         f"not {block}$"):
+        predict(windows, rasters)
 
 
 def test_rf_lidar_scoring_memory_does_not_grow_with_the_drive(traced_peak_mib):
@@ -608,10 +612,11 @@ def test_save_model_rejects_unknown_objects(tmp_path):
 def test_batch_forward_over_the_whole_drive_keeps_no_dead_intermediates(
     trained_lidar, standard_dataset, traced_peak_mib
 ):
-    """rf+lidar on all 1488 windows peaked at 10.6 MiB under tracemalloc in
-    blocks of SCORE_BLOCK windows (61.1 MiB in one pass; 76.1 MiB when conv
-    and dense outputs stayed in a throwaway dict and ReLU and the conv taps
-    allocated). The bound is 15% above the measured peak: array sizes fix
-    the peak exactly."""
+    """rf+lidar on all 1488 windows peaked at 3.03 MiB under tracemalloc in
+    blocks of SCORE_BLOCK = 64 windows (11.9 MiB in blocks of 256 windows,
+    10.6 MiB there when no block ran as a wavefront, 61.1 MiB in one pass;
+    76.1 MiB when conv and dense outputs stayed in a throwaway dict and
+    ReLU and the conv taps allocated). The bound is 15% above the measured
+    peak: array sizes fix the peak exactly."""
     windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
-    assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 12.2
+    assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 3.5

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcast import nn
 from blockcast.errors import NonFiniteError, SchemaError, VersionError
 from blockcast.nn import (
     ADAM_BETA1,
@@ -30,7 +29,6 @@ from blockcast.nn import (
     load_params,
     lstm_backward,
     lstm_forward,
-    lstm_hidden,
     lstm_init,
     lstm_stack_forward,
     lstm_stack_hidden,
@@ -241,7 +239,8 @@ def test_lstm_input_validation():
         lstm_backward(p, np.zeros((2, 1, 5)), cache)
 
 
-@pytest.mark.parametrize("run", [lambda p, seq: lstm_forward(p, seq), lstm_hidden])
+@pytest.mark.parametrize("run", [lambda p, seq: lstm_forward(p, seq),
+                                 lambda p, seq: lstm_stack_hidden([p], seq)])
 def test_both_lstm_paths_reject_the_same_inputs(run):
     assert_bad_lstm_inputs_are_rejected(run)
 
@@ -477,7 +476,7 @@ def test_cache_free_lstm_is_bit_equal_to_the_buffered_one(steps, batch, width, h
     p = lstm_init(rng, width, hid)
     p.bias[:] = rng.normal(scale=scale, size=4 * hid)
     seq = rng.normal(scale=scale, size=(steps, batch, width))
-    hidden = lstm_hidden(p, seq)
+    hidden = lstm_stack_hidden([p], seq)
     assert hidden.shape == (steps, batch, hid)
     assert hidden.tobytes() == lstm_forward(p, seq)[0].tobytes()
 
@@ -506,51 +505,29 @@ def chained(run, layers, seq):
 )
 def test_the_stack_wavefront_is_bit_equal_to_chained_layers(depth, steps, batch, width, hid,
                                                             seed, scale):
-    # Batches of at most 9 windows run as a wavefront (WAVEFRONT_MAX_BATCH).
     rng = np.random.default_rng(seed)
     layers = lstm_stack(rng, width, [hid] * depth, scale)
     seq = rng.normal(scale=scale, size=(steps, batch, width))
     hidden = lstm_stack_hidden(layers, seq)
     assert hidden.shape == (steps, batch, hid)
-    assert hidden.tobytes() == chained(lstm_hidden, layers, seq).tobytes()
+    one_layer = chained(lambda p, s: lstm_stack_hidden([p], s), layers, seq)
+    assert hidden.tobytes() == one_layer.tobytes()
     assert hidden.tobytes() == chained(lambda p, s: lstm_forward(p, s)[0], layers, seq).tobytes()
-
-
-# (L, M, H) of the three models (localization, rf+lidar, rf) and an odd one, over T0 = 8.
-@pytest.mark.parametrize("shape", [(1, 64, 32), (2, 64, 16), (4, 64, 16), (3, 5, 7)])
-@pytest.mark.parametrize("batch", [1, 8, 208, 256])
-@pytest.mark.parametrize("max_batch", [0, 10**9])
-def test_the_stack_kernel_keeps_its_bits_on_either_side_of_the_cut_off(
-        monkeypatch, shape, batch, max_batch):
-    depth, width, hid = shape
-    rng = np.random.default_rng(batch)
-    layers = lstm_stack(rng, width, [hid] * depth, 1.0)
-    seq = rng.normal(size=(8, batch, width))
-    want = chained(lambda p, s: lstm_forward(p, s)[0], layers, seq)
-    monkeypatch.setattr(nn, "WAVEFRONT_MAX_BATCH", max_batch)
-    assert lstm_stack_hidden(layers, seq).tobytes() == want.tobytes()
-
-
-def test_a_stack_of_other_hidden_sizes_runs_layer_by_layer():
-    rng = np.random.default_rng(3)
-    layers = lstm_stack(rng, 4, [3, 6, 2], 1.0)
-    seq = rng.normal(size=(5, 2, 4))
-    assert lstm_stack_hidden(layers, seq).tobytes() == chained(lstm_hidden, layers, seq).tobytes()
 
 
 def test_a_stack_whose_widths_do_not_chain_is_refused():
     rng = np.random.default_rng(3)
     layers = [lstm_init(rng, 4, 3), lstm_init(rng, 5, 3)]
-    with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
-        lstm_stack_hidden(layers, np.zeros((2, 1, 4)))
+    for stack_kernel in (lstm_stack_hidden, lstm_stack_forward):
+        with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
+            stack_kernel(layers, np.zeros((2, 1, 4)))
 
 
-def test_the_buffered_wavefront_refuses_a_stack_it_cannot_run():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
-        lstm_stack_forward([lstm_init(rng, 4, 3), lstm_init(rng, 5, 3)], np.zeros((2, 1, 4)))
-    with pytest.raises(ValueError, match="one hidden size"):
-        lstm_stack_forward(lstm_stack(rng, 4, [3, 6], 1.0), np.zeros((2, 1, 4)))
+def test_a_stack_of_other_hidden_sizes_is_refused_by_both_stack_kernels():
+    layers = lstm_stack(np.random.default_rng(3), 4, [3, 6, 2], 1.0)
+    for stack_kernel in (lstm_stack_hidden, lstm_stack_forward):
+        with pytest.raises(ValueError, match="one hidden size"):
+            stack_kernel(layers, np.zeros((5, 2, 4)))
 
 
 CACHE_ARRAYS = ("inputs", "gates", "cells", "cell_tanh", "hidden")
@@ -594,17 +571,22 @@ def test_the_buffered_wavefront_is_bit_equal_to_chained_layers(depth, steps, bat
     assert_buffered_stack_is_chained(layers, seq, rng.normal(size=(steps, batch, hid)))
 
 
-# (L, M, H) of the three models (localization, rf+lidar, rf) over T0 = 8, on
-# either side of WAVEFRONT_MAX_BATCH; training runs B = 8.
-@pytest.mark.parametrize("shape", [(1, 64, 32), (2, 64, 16), (4, 64, 16)])
-@pytest.mark.parametrize("batch", [1, 8, 64, 65])
-def test_the_buffered_wavefront_keeps_its_bits_at_the_model_shapes(shape, batch):
-    assert nn.WAVEFRONT_MAX_BATCH == 64
+# (L, M, H) of the three models (localization, rf+lidar, rf) and an odd one,
+# over T0 = 8. Training runs B = 8, forecasts B = 1 and scoring blocks of 64
+# (65 with a lone trailing window); 208 and 256 are larger blocks.
+@pytest.mark.parametrize("shape", [(1, 64, 32), (2, 64, 16), (4, 64, 16), (3, 5, 7)])
+@pytest.mark.parametrize("batch", [1, 8, 64, 65, 208, 256])
+@pytest.mark.parametrize("kernel", ["cache-free", "buffered"])
+def test_the_stack_kernels_keep_their_bits_at_the_model_shapes(kernel, shape, batch):
     depth, width, hid = shape
     rng = np.random.default_rng(batch + depth)
     layers = lstm_stack(rng, width, [hid] * depth, 1.0)
     seq = rng.normal(size=(8, batch, width))
-    assert_buffered_stack_is_chained(layers, seq, rng.normal(size=(8, batch, hid)))
+    if kernel == "buffered":
+        assert_buffered_stack_is_chained(layers, seq, rng.normal(size=(8, batch, hid)))
+    else:
+        want = chained(lambda p, s: lstm_forward(p, s)[0], layers, seq)
+        assert lstm_stack_hidden(layers, seq).tobytes() == want.tobytes()
 
 
 def test_the_input_gradients_can_be_skipped_with_the_same_weight_gradients():
