@@ -19,31 +19,34 @@ a ``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
 flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame, whose
 points the bundle checks in one pass over the drive.
 
-A dataset holds the training windows of one drive (format 4). Its two
+A dataset holds the training windows of one drive (format 5). Its two
 bulk float64 blocks are ``.npy`` arrays, written with ``np.save`` and read
 with ``np.load``, both with ``allow_pickle=False``; the scenario stays CSV.
-Each power frame is stored once:
+The window ending at step t covers steps t-T0+1 .. t, so each power frame
+is stored once and a window finds its frames by its time:
 
-  frames.npy    (F, M)         each distinct window row once, in order of
-                               first use
+  frames.npy    (F, M)         the frame of every step that some window
+                               covers, once each, in step order
   rasters.npy   (n, bins)      the LiDAR raster at each window's t, one row
                                per samples.csv row
-  samples.csv   t,k0,...,k{T0-1},f0,...,f{2N-1},b0,...,b{N-1}
-                               one row per window, in time order;
-                               k0..k{T0-1} are the frames.npy rows of its T0
-                               steps, f the next N centroids (x, y), b their
+  samples.csv   t,f0,...,f{2N-1},b0,...,b{N-1}
+                               one row per window, t rising row by row; f
+                               the next N centroids (x, y), b their
                                blockage flags
   dataset.json                 preprocessing settings, the drive's link and
                                splits
 
-Frames are told apart by their exact float64 bytes, so -0.0 and 0.0 stay
-distinct. The arrays keep their bits, and the CSV floats are written with
-repr, so a load after save is bit-identical: every window comes back as
-frames[k]. A load refuses a frames.npy with a row that no window uses or
-rows out of order of first use, which a save never writes. An array's
-header is checked before its data is read: dtype float64, the shape that
-dataset.json and samples.csv give, and then finite values. In memory a dataset is one ``preprocess.WindowSet`` (an array per
-field group, windows as frames[keys]) plus the splits' row indices.
+Window i is frames.npy rows start_i .. start_i+T0-1, where start_i counts
+the covered steps before its first one. A save refuses windows whose
+times do not rise, or two windows with other float64 bytes (-0.0 and 0.0
+differ) for a step they share, so every file set it writes is the only
+one for its windows: the arrays keep their bits, the CSV floats are
+written with repr, and a load after save is bit-identical, as is a save
+after load. A load refuses a t that does not rise, naming its line. An
+array's header is checked before its data is read: dtype float64, the
+shape that dataset.json and samples.csv give, and then finite values. In
+memory a dataset is one ``preprocess.WindowSet`` (an array per field
+group) plus the splits' row indices.
 
 ``write_csv`` takes a table as column blocks (arrays or lists) and formats
 each numeric block once per distinct value: one ``repr`` per float64 bit
@@ -79,7 +82,7 @@ from .preprocess import LabeledSample, WindowSet
 from .scene import TWO_PI, LidarScan, ensure_finite
 
 SCENARIO_FORMAT_VERSION = 1
-DATASET_FORMAT_VERSION = 4
+DATASET_FORMAT_VERSION = 5
 
 
 class Truth(NamedTuple):
@@ -648,9 +651,8 @@ def split_dataset(
     return DatasetFile(labeled=labeled, splits=splits, meta=dict(meta or {}))
 
 
-def _samples_header(window_len: int, horizon: int) -> list[str]:
-    return (["t"] + [f"k{i}" for i in range(window_len)] + [f"f{i}" for i in range(horizon * 2)]
-            + [f"b{i}" for i in range(horizon)])
+def _samples_header(horizon: int) -> list[str]:
+    return ["t"] + [f"f{i}" for i in range(horizon * 2)] + [f"b{i}" for i in range(horizon)]
 
 
 def _save_array(path: Path, values: np.ndarray) -> None:
@@ -659,12 +661,12 @@ def _save_array(path: Path, values: np.ndarray) -> None:
 
 
 def _load_array(path: Path, shape: tuple) -> np.ndarray:
-    """The finite float64 array of ``shape`` (None: any length) in the
-    ``.npy`` file ``path``. The header is checked before any data is read,
-    so a bogus dimension allocates nothing. Bytes that are no ``.npy`` file,
-    or data longer or shorter than the header's shape, are a ParseError;
-    another dtype (an object array too: nothing is unpickled), another shape
-    or a non-finite value is a SchemaError. Each error names the file."""
+    """The finite float64 array of ``shape`` in the ``.npy`` file ``path``.
+    The header is checked before any data is read, so a bogus dimension
+    allocates nothing. Bytes that are no ``.npy`` file, or data longer or
+    shorter than the header's shape, are a ParseError; another dtype (an
+    object array too: nothing is unpickled), another shape or a non-finite
+    value is a SchemaError. Each error names the file."""
     if not path.exists():
         raise ParseError(path, 0, "file not found")
     with path.open("rb") as fh:
@@ -677,9 +679,8 @@ def _load_array(path: Path, shape: tuple) -> np.ndarray:
             raise ParseError(path, 0, f"not a .npy array: {exc}") from None
         if dtype != np.float64:
             raise SchemaError(f"{path}: dtype {dtype}, expected float64")
-        if len(got) != len(shape) or any(w not in (None, g) for g, w in zip(got, shape)):
-            want = ", ".join("any" if w is None else str(w) for w in shape)
-            raise SchemaError(f"{path}: shape {got}, expected ({want})")
+        if got != shape:
+            raise SchemaError(f"{path}: shape {got}, expected {shape}")
         size, want = path.stat().st_size - fh.tell(), math.prod(got) * dtype.itemsize
         if size != want:
             raise ParseError(path, 0, f"{size} bytes of array data, expected {want} "
@@ -693,51 +694,45 @@ def _load_array(path: Path, shape: tuple) -> np.ndarray:
     return values
 
 
-def _distinct_frames(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of (B, T0, M) windows by their float64 bytes, in order
-    of first appearance, and the (B, T0) row numbers that rebuild the windows.
-    A dict of the rows' bytes numbers them: one hash per row, where sorting
-    the rows compared up to M*8 bytes per step (about half the time of a
-    standard-drive ``save_dataset``)."""
-    batch, window_len, num_beams = windows.shape
-    rows = windows.reshape(batch * window_len, num_beams)
-    if rows.size == 0:  # no rows, or rows of no beams: at most one (empty) frame
-        return rows[:1], np.zeros((batch, window_len), dtype=np.int64)
-    raw, size = rows.tobytes(), rows.itemsize * num_beams
-    rank: dict[bytes, int] = {}  # a distinct row's bytes -> its frame number
-    keys = [rank.setdefault(raw[i:i + size], len(rank)) for i in range(0, len(raw), size)]
-    frames = np.frombuffer(b"".join(rank), rows.dtype).reshape(len(rank), num_beams)
-    return frames, np.array(keys, dtype=np.int64).reshape(batch, window_len)
-
-
-def _check_canonical_frames(path: Path, frames: np.ndarray, keys: np.ndarray) -> None:
-    """A SchemaError naming ``path`` unless the frame rows ``keys`` use
-    every row of ``frames``, numbered in order of first use, as
-    ``_distinct_frames`` writes them. Rows are not checked for being
-    distinct: hashing every row added 1-2 ms to a 10 ms standard load."""
-    flat = keys.ravel()
-    seen = np.maximum.accumulate(np.concatenate([[-1], flat]))  # seen[j]: the top row before j
-    early = flat > seen[:-1] + 1
-    if early.any():
-        j = int(early.argmax())
-        raise SchemaError(f"{path}: row {flat[j]} is used before row {seen[j] + 1}; "
-                          "rows must be numbered in order of first use")
-    if seen[-1] + 1 != len(frames):
-        raise SchemaError(f"{path}: {len(frames)} rows, but the windows use {seen[-1] + 1}")
+def _fresh_steps(t: np.ndarray, window_len: int) -> np.ndarray:
+    """How many steps each window of rising times ``t`` covers that no
+    window before it does: all ``window_len`` for the first, then
+    min(gap, window_len). The gaps are taken modulo 2**64, so a rise beyond
+    the int64 range still counts right."""
+    return np.minimum(np.diff(t, prepend=t[:1] - window_len).astype(np.uint64), window_len)
 
 
 def save_dataset(dataset: DatasetFile, out_dir) -> Path:
+    """Write ``dataset`` to ``out_dir``. Windows whose times do not rise, or
+    two windows with other bytes for a step they share, are a ValueError,
+    raised before any file is written."""
+    labeled, n = dataset.labeled, len(dataset.labeled)
+    t, windows = labeled.t, np.ascontiguousarray(labeled.windows, dtype=np.float64)
+    _, window_len, num_beams = windows.shape
+    horizon, raster_bins = labeled.blocked.shape[1], labeled.rasters.shape[1]
+    falls = np.flatnonzero(t[1:] <= t[:-1])
+    if falls.size:
+        raise ValueError(f"window times must rise, but window {falls[0] + 1} ends at "
+                         f"t={t[falls[0] + 1]}, not after t={t[falls[0]]}")
+
+    fresh = _fresh_steps(t, window_len)
+    # Each step's frame from the first window that covers it, in step order.
+    frames = windows[np.arange(window_len) >= window_len - fresh[:, None]]
+    starts = (np.cumsum(fresh) - window_len).astype(np.int64)
+    moved = (frames[starts[:, None] + np.arange(window_len)].view(np.uint64)
+             != windows.view(np.uint64)).any(axis=2)
+    if moved.any():
+        i, k = np.argwhere(moved)[0].tolist()
+        step = int(t[i]) - window_len + 1 + k
+        raise ValueError(f"windows {int(np.searchsorted(t, step))} and {i} hold other "
+                         f"frames for step {step}")
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labeled, n = dataset.labeled, len(dataset.labeled)
-    _, window_len, num_beams = labeled.windows.shape
-    horizon, raster_bins = labeled.blocked.shape[1], labeled.rasters.shape[1]
-
-    frames, keys = _distinct_frames(labeled.windows)
     _save_array(out / "frames.npy", frames)
     _save_array(out / "rasters.npy", labeled.rasters)
-    write_csv(out / "samples.csv", _samples_header(window_len, horizon), [
-        labeled.t, keys, labeled.futures.reshape(n, 2 * horizon), labeled.blocked,
+    write_csv(out / "samples.csv", _samples_header(horizon), [
+        t, labeled.futures.reshape(n, 2 * horizon), labeled.blocked,
     ])
 
     meta = {**dataset.meta, "format_version": DATASET_FORMAT_VERSION, "window_len": window_len,
@@ -761,23 +756,24 @@ def load_dataset(dataset_dir) -> DatasetFile:
         for key in ("window_len", "num_beams", "horizon", "raster_bins")
     )
 
-    _check_width(root / "samples.csv", 1 + window_len + 3 * horizon)
-    header = _samples_header(window_len, horizon)
-    table = CsvTable(root / "samples.csv", header,
-                     "i" * (1 + window_len) + "f" * (2 * horizon) + "b" * horizon)
-    f = 1 + window_len  # end of the frame-row columns; the futures follow
-    b = f + 2 * horizon
-    frames = _load_array(root / "frames.npy", (None, num_beams))
-    keys = table.ints(1, f)
-    for column, k in zip(header[1:f], keys.T):
-        table.reject_rows((k < 0) | (k >= len(frames)),
-                          f"{column} must be a row of frames.npy (0 to {len(frames) - 1})")
-    _check_canonical_frames(root / "frames.npy", frames, keys)
+    _check_width(root / "samples.csv", 1 + 3 * horizon)
+    header = _samples_header(horizon)
+    table = CsvTable(root / "samples.csv", header, "i" + "f" * (2 * horizon) + "b" * horizon)
+    t = table.ints(0, 1)[:, 0]
+    table.reject_rows(np.concatenate([[False], t[1:] <= t[:-1]]),
+                      "t must rise row by row: windows are stored in time order")
+    fresh = _fresh_steps(t, window_len)
+    # The header is checked against the count of covered steps before any
+    # (n, window_len) array is built, so a bogus window_len allocates nothing.
+    frames = _load_array(root / "frames.npy", (sum(fresh.tolist()), num_beams))
+    starts = (np.cumsum(fresh) - window_len).astype(np.int64)
+    steps = np.arange(window_len if len(t) else 0)  # no window, no frame to bound window_len
+    b = 1 + 2 * horizon  # end of the futures; the flags follow
     labeled = WindowSet(
-        t=table.ints(0, 1)[:, 0], windows=frames[keys],
-        futures=table.floats(f, b).reshape(len(keys), horizon, 2),
+        t=t, windows=frames[starts[:, None] + steps].reshape(len(t), window_len, num_beams),
+        futures=table.floats(1, b).reshape(len(t), horizon, 2),
         blocked=table.flags(b, len(header)),
-        rasters=_load_array(root / "rasters.npy", (len(keys), raster_bins)),
+        rasters=_load_array(root / "rasters.npy", (len(t), raster_bins)),
     )
 
     splits = payload.get("splits", {})

@@ -24,10 +24,10 @@ checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
 
 Training runs the buffered forward that its backward pass reads;
-prediction and the validation loss run the cache-free one. The schedule
-depends on the architecture alone: the one-layer localization model runs
-one recurrence (``nn.lstm_forward``, or ``nn.lstm_stack_hidden`` of one
-layer), and the stacks of rf and rf+lidar run as one wavefront
+prediction and the validation loss score with the cache-free one. The
+schedule depends on the architecture alone: the one-layer localization
+model runs one recurrence (``nn.lstm_forward``, or ``nn.lstm_stack_hidden``
+of one layer), and the stacks of rf and rf+lidar run as one wavefront
 (``nn.lstm_stack_forward``, ``nn.lstm_stack_hidden``) at every batch size.
 
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
@@ -40,7 +40,9 @@ positive multiple of 4, which ``_score`` enforces, so that every block
 starts on a multiple of the BLAS kernel's 4-row unroll: with blocks of 3,
 7 or 255 windows the localization outputs of the standard drive moved in
 their last bits (rf and rf+lidar did not), and with 4, 8, 100, 256, 1,000
-or 100,000 no output moved. Each model scored the standard drive faster
+or 100,000 no output moved. That holds for OpenBLAS's SkylakeX kernel;
+on Haswell at 2 threads, trailing blocks of 65 and 69 windows moved
+localization and rf outputs. Each model scored the standard drive faster
 in blocks of 64 than in blocks of 256 (BENCH_24.json).
 """
 
@@ -413,16 +415,11 @@ def _norm_rasters(rasters: np.ndarray, stats: NormStats) -> np.ndarray:
     return rasters / stats.lidar_max_range
 
 
-def _inputs(model: Model, arrays: WindowSet):
-    """(features, targets, rasters) for one split; rasters is None unless
-    the model reads them."""
-    feats = rssi_features(arrays.windows, model.stats)
+def _targets(model: Model, arrays: WindowSet) -> np.ndarray:
+    """The targets of one split in the form of ``forward``'s output."""
     if model.kind == "localization":  # (B, N, 2) road-frame meters -> (B, 2N) road units
-        targets = (arrays.futures / model.stats.road_size).reshape(len(arrays.futures), -1)
-    else:
-        targets = arrays.blocked.astype(np.float64)
-    rasters = _norm_rasters(arrays.rasters, model.stats) if model.kind == "rf+lidar" else None
-    return feats, targets, rasters
+        return (arrays.futures / model.stats.road_size).reshape(len(arrays.futures), -1)
+    return arrays.blocked.astype(np.float64)
 
 
 def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
@@ -438,8 +435,9 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
 
     stats = compute_norm_stats(train.windows, dataset.meta)
     model = build_model(kind, num_beams, window_len, horizon, stats, raster_bins, cfg.seed)
-    feats, targets, rasters = _inputs(model, train)
-    val = _inputs(model, dataset.arrays("val")) if dataset.splits.get("val") else None
+    feats, targets = rssi_features(train.windows, model.stats), _targets(model, train)
+    rasters = _norm_rasters(train.rasters, model.stats) if kind == "rf+lidar" else None
+    val = dataset.arrays("val") if dataset.splits.get("val") else None
 
     names = list(model.named_params())
     opt = adam_init(model.params, lr=cfg.lr)
@@ -454,10 +452,9 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
             )
             adam_step(opt, model.params, np.concatenate([grads[k].ravel() for k in names]))
             curves.train.append(loss)
-        if val is not None:
-            val_feats, val_targets, val_rasters = val
-            out = forward(model, val_feats, val_rasters)
-            curves.val.append(_loss(model, out, val_targets, cfg.delta)[0])
+        if val is not None:  # scored in blocks, with the bits of one forward
+            out = _score(model, val.windows, val.rasters if kind == "rf+lidar" else None)
+            curves.val.append(_loss(model, out, _targets(model, val), cfg.delta)[0])
     return model, curves
 
 
@@ -489,15 +486,15 @@ def _checked_windows(model: Model, windows, kinds: tuple[str, ...]) -> np.ndarra
     return windows
 
 
-def _score(model: Model, windows: np.ndarray, rasters: np.ndarray | None, width: int):
-    """The (B, width) ``forward`` output of (B, T0, M) raw windows (and raw
-    rasters), one block at a time (see the module docstring). A lone trailing
-    window joins the block before it because numpy multiplies a single row
-    by another kernel, whose last bits differ from a batch's."""
+def _score(model: Model, windows: np.ndarray, rasters: np.ndarray | None):
+    """The ``forward`` output of (B, T0, M) raw windows (and raw rasters),
+    one block at a time (see the module docstring). A lone trailing window
+    joins the block before it because numpy multiplies a single row by
+    another kernel, whose last bits differ from a batch's."""
     if SCORE_BLOCK < 1 or SCORE_BLOCK % 4:
         raise ValueError(f"SCORE_BLOCK must be a positive multiple of 4, not {SCORE_BLOCK}")
     n = len(windows)
-    out = np.empty((n, width))
+    out = np.empty((n, model.horizon * (2 if model.kind == "localization" else 1)))
     starts = list(range(0, n, SCORE_BLOCK))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -511,7 +508,7 @@ def _score(model: Model, windows: np.ndarray, rasters: np.ndarray | None, width:
 def predict_locations_batch(model: Model, windows: np.ndarray) -> np.ndarray:
     """(B, T0, M) raw powers -> (B, N, 2) road-frame meters."""
     windows = _checked_windows(model, windows, ("localization",))
-    out = _score(model, windows, None, 2 * model.horizon)
+    out = _score(model, windows, None)
     return out.reshape(-1, model.horizon, 2) * model.stats.road_size
 
 
@@ -532,7 +529,7 @@ def predict_blockage_probs(
             )
     else:
         rasters = None
-    return _score(model, windows, rasters, model.horizon)
+    return _score(model, windows, rasters)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from blockcast.ingest import (
     DatasetFile,
     ScenarioBundle,
     Truth,
-    _distinct_frames,
     _not_utf8,
     _parse_float,
     _parse_int,
@@ -66,9 +65,11 @@ def small_bundle(seed=0, steps=15):
 
 
 def random_windows(n, rng, window_len=4, beams=3, horizon=2, bins=5):
+    """The n stride-1 windows of one random drive of n + window_len - 1 steps."""
+    drive = rng.uniform(0.0, 3.0, size=(n + window_len - 1, beams))
     return WindowSet(
         t=np.arange(n) + window_len - 1,
-        windows=rng.uniform(0.0, 3.0, size=(n, window_len, beams)),
+        windows=drive[np.arange(n)[:, None] + np.arange(window_len)],
         futures=rng.normal(size=(n, horizon, 2)),
         blocked=rng.integers(0, 2, size=(n, horizon)).astype(bool),
         rasters=rng.uniform(0.1, 16.0, size=(n, bins)),
@@ -507,65 +508,57 @@ def test_each_window_row_is_stored_once_in_frames_npy(tmp_path):
     save_dataset(split_dataset(labeled), tmp_path / "d")
     assert _same_bits(np.load(tmp_path / "d" / "frames.npy", allow_pickle=False), frames)
     header, *rows = (tmp_path / "d" / "samples.csv").read_text().splitlines()
-    assert header == "t,k0,k1,k2,f0,f1,b0"
-    assert [row.split(",")[1:4] for row in rows] == [
-        [str(k) for k in range(end - 2, end + 1)] for end in range(2, 6)]
+    assert header == "t,f0,f1,b0"
+    assert [row.split(",")[0] for row in rows] == ["2", "3", "4", "5"]
     assert _same_windows(load_dataset(tmp_path / "d").labeled, labeled)
 
 
-@pytest.mark.parametrize("value, message", [("-1", "k1 must be a row"), ("12", "k1 must be a row"),
-                                            ("1.5", "bad integer"), ("x", "bad integer")])
-def test_a_frame_row_that_does_not_exist_names_its_line_and_column(tmp_path, value, message):
-    samples = random_windows(3, np.random.default_rng(0), window_len=4)  # 12 distinct frames
-    save_dataset(split_dataset(samples), tmp_path / "d")
-    _set_cell(tmp_path / "d" / "samples.csv", 3, "k1", value)
+@pytest.mark.parametrize("step, value", [(3, 0.5), (4, -0.0)])
+def test_windows_that_hold_other_frames_for_a_shared_step_are_refused(tmp_path, step, value):
+    # Windows ending at 2..5 over frames 0..5; window 3 (steps 3..5) gets
+    # another frame for one step it shares with windows 1 and 2, and the
+    # first window that covers the step is named with it.
+    frames = np.zeros((6, 2))
+    ends = np.arange(2, 6)
+    windows = frames[ends[:, None] + [-2, -1, 0]]
+    windows[3, step - 3, 1] = value  # by its bytes, -0.0 is another frame than 0.0
+    labeled = WindowSet(ends, windows, np.zeros((4, 1, 2)), np.zeros((4, 1), dtype=bool),
+                        np.ones((4, 3)))
+    (tmp_path / "d").mkdir()
+    with pytest.raises(ValueError) as err:
+        save_dataset(split_dataset(labeled), tmp_path / "d")
+    assert str(err.value) == f"windows {step - 2} and 3 hold other frames for step {step}"
+    assert not list((tmp_path / "d").iterdir())
+
+
+@pytest.mark.parametrize("line, value, bad_line", [(4, "4", 4), (4, "-7", 4), (2, "9", 3),
+                                                   (11, "11", 11)])
+def test_a_window_time_that_falls_or_repeats_names_its_line(tmp_path, line, value, bad_line):
+    save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), tmp_path / "d")
+    path = tmp_path / "d" / "samples.csv"  # t is 3..12 on lines 2..11
+    _set_cell(path, line, "t", value)
     with pytest.raises(ParseError) as err:
         load_dataset(tmp_path / "d")
-    assert "samples.csv:3:" in str(err.value) and "k1" in str(err.value)
-    assert message in str(err.value)
-
-
-def _swap_frames(dataset_dir: Path, a: int, b: int) -> None:
-    """Swaps frames.npy rows a and b and renumbers their uses in samples.csv,
-    so every window keeps its values."""
-    path = dataset_dir / "frames.npy"
-    frames = np.load(path, allow_pickle=False)
-    frames[[a, b]] = frames[[b, a]]
-    np.save(path, frames)
-    header, *rows = (dataset_dir / "samples.csv").read_text().splitlines()
-    ks = [i for i, name in enumerate(header.split(",")) if name.startswith("k")]
-    swap = {str(a): str(b), str(b): str(a)}
-    cells = [row.split(",") for row in rows]
-    for row in cells:
-        for i in ks:
-            row[i] = swap.get(row[i], row[i])
-    (dataset_dir / "samples.csv").write_text(
-        "\n".join([header] + [",".join(row) for row in cells]) + "\n")
+    assert str(err.value) == (f"{path}:{bad_line}: t must rise row by row: windows are stored "
+                              "in time order")
 
 
 def test_a_frame_row_that_no_window_uses_is_refused(tmp_path):
     save_dataset(split_dataset(random_windows(3, np.random.default_rng(0), window_len=4)),
-                 tmp_path / "d")  # 12 distinct frames
+                 tmp_path / "d")  # windows ending at 3, 4 and 5 cover steps 0..5
     path = tmp_path / "d" / "frames.npy"
     frames = np.load(path, allow_pickle=False)
     np.save(path, np.vstack([frames, np.full(frames.shape[1], 0.5)]))
     with pytest.raises(SchemaError) as err:
         load_dataset(tmp_path / "d")
-    assert str(err.value) == f"{tmp_path / 'd' / 'frames.npy'}: 13 rows, but the windows use 12"
+    assert str(err.value) == f"{path}: shape (7, 3), expected (6, 3)"
 
 
-@pytest.mark.parametrize("a, b", [(4, 9), (0, 11)])
-def test_frame_rows_out_of_order_of_first_use_are_refused(tmp_path, a, b):
-    samples = random_windows(3, np.random.default_rng(0), window_len=4)  # 12 distinct frames
-    save_dataset(split_dataset(samples), tmp_path / "d")
-    _swap_frames(tmp_path / "d", a, b)
-    keys = np.loadtxt(tmp_path / "d" / "samples.csv", delimiter=",", skiprows=1,
-                      usecols=range(1, 5), dtype=np.int64)
-    assert _same_bits(np.load(tmp_path / "d" / "frames.npy")[keys], samples.windows)
-    with pytest.raises(SchemaError) as err:
-        load_dataset(tmp_path / "d")
-    assert str(err.value) == (f"{tmp_path / 'd' / 'frames.npy'}: row {b} is used before row "
-                              f"{a}; rows must be numbered in order of first use")
+def test_a_save_refuses_windows_out_of_time_order(tmp_path):
+    labeled = random_windows(5, np.random.default_rng(0)).take([0, 1, 3, 2, 4])
+    with pytest.raises(ValueError, match="window 3 ends at t=5, not after t=6$"):
+        save_dataset(split_dataset(labeled), tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_a_standard_dataset_saves_as_it_loads_byte_for_byte(tmp_path, dataset_dir,
@@ -577,11 +570,12 @@ def test_a_standard_dataset_saves_as_it_loads_byte_for_byte(tmp_path, dataset_di
 
 def test_a_format_1_dataset_is_refused_naming_the_file_and_version(tmp_path):
     # Format 2 held a scenario, label and label_valid column in samples.csv,
-    # and format 3 held frames.csv and the rasters as samples.csv columns.
+    # format 3 held frames.csv and the rasters as samples.csv columns, and
+    # format 4 numbered each window's frame rows in T0 columns of samples.csv.
     save_dataset(split_dataset(random_windows(3, np.random.default_rng(0))), tmp_path / "d")
     path = tmp_path / "d" / "dataset.json"
     payload = json.loads(path.read_text())
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         payload["meta"]["format_version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as err:
@@ -603,11 +597,11 @@ def test_standard_dataset_stores_the_covered_frames_once_and_rebuilds_the_window
 
     window_len = cfg["window_len"]
     first_t = int(standard_bundle.t[0])
-    covered = {i for t in built.t.tolist()
-               for i in range(t - first_t - window_len + 1, t - first_t + 1)}
-    want = {standard_bundle.rssi[i].tobytes() for i in covered}
-    got = [row.tobytes() for row in np.load(dataset_dir / "frames.npy", allow_pickle=False)]
-    assert len(got) == len(set(got)) == len(want) and set(got) == want
+    covered = sorted({i for t in built.t.tolist()
+                      for i in range(t - first_t - window_len + 1, t - first_t + 1)})
+    assert len(covered) < len(built) * window_len
+    assert _same_bits(np.load(dataset_dir / "frames.npy", allow_pickle=False),
+                      standard_bundle.rssi[covered])
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +645,31 @@ def bundles(draw):
     return ScenarioBundle(draw(names), times, rssi, lidar, truth, {"note": draw(finite)})
 
 
+def drive_steps(draw, n: int, window_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The end times t of n windows of one drawn drive, and the (n,
+    window_len) drive rows each covers. The times rise by gaps of 1 to
+    2 * window_len + 1 steps, so neighbours may share frames or leave steps
+    between them (windows dropped mid-drive)."""
+    gaps = draw(st.lists(st.integers(1, 2 * window_len + 1), min_size=max(n - 1, 0),
+                         max_size=max(n - 1, 0)))
+    t = (draw(st.integers(-3, 50)) + np.cumsum([0] + gaps))[:n].astype(np.int64)
+    return t, (t - t[:1])[:, None] + np.arange(window_len)
+
+
+# Floats a text or binary format could lose: both zeros, subnormals and the
+# largest magnitudes.
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                               -1e308, 1.7976931348623157e308, -1.7976931348623157e308]) | finite
+
+
 @st.composite
 def datasets(draw, min_samples=0):
     window_len, beams, horizon, bins = (draw(st.integers(1, 3)) for _ in range(4))
     n = draw(st.integers(min_samples, 5))
+    t, rows = drive_steps(draw, n, window_len)
+    drive = draw(arrays(np.float64, (int(rows.max(initial=-1)) + 1, beams), elements=edge_floats))
     labeled = WindowSet(
-        t=draw(arrays(np.int64, n, elements=st.integers(-3, 50))),
-        windows=draw(arrays(np.float64, (n, window_len, beams), elements=finite)),
+        t=t, windows=drive[rows],
         futures=draw(arrays(np.float64, (n, horizon, 2), elements=finite)),
         blocked=draw(arrays(np.bool_, (n, horizon))),
         rasters=draw(arrays(np.float64, (n, bins), elements=finite)),
@@ -703,12 +715,6 @@ def test_random_datasets_round_trip_bit_exactly_and_resave_identically(dataset):
     assert _same_windows(loaded.labeled, dataset.labeled)
 
 
-# Floats a text or binary format could lose: both zeros, subnormals and the
-# largest magnitudes.
-edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
-                               -1e308, 1.7976931348623157e308, -1.7976931348623157e308]) | finite
-
-
 @given(st.data())
 def test_a_saved_dataset_loads_every_field_bit_for_bit_with_the_same_frame_keys(data):
     window_len, beams, horizon, bins = (data.draw(st.integers(1, 3)) for _ in range(4))
@@ -716,9 +722,12 @@ def test_a_saved_dataset_loads_every_field_bit_for_bit_with_the_same_frame_keys(
     pool_size = data.draw(st.integers(2, 6))
     pool = data.draw(arrays(np.float64, (pool_size, beams), elements=edge_floats))
     pool[0], pool[1] = 0.0, -0.0  # equal as numbers, two frames by their bytes
-    picks = data.draw(arrays(np.int64, (n, window_len), elements=st.integers(0, len(pool) - 1)))
+    t, rows = drive_steps(data.draw, n, window_len)
+    picks = data.draw(arrays(np.int64, int(rows.max()) + 1,
+                             elements=st.integers(0, pool_size - 1)))
+    windows = pool[picks][rows]  # the drive repeats frames
     labeled = WindowSet(
-        t=data.draw(arrays(np.int64, n, elements=st.integers(-3, 50))), windows=pool[picks],
+        t=t, windows=windows,
         futures=data.draw(arrays(np.float64, (n, horizon, 2), elements=edge_floats)),
         blocked=data.draw(arrays(np.bool_, (n, horizon))),
         rasters=data.draw(arrays(np.float64, (n, bins), elements=edge_floats)),
@@ -727,30 +736,44 @@ def test_a_saved_dataset_loads_every_field_bit_for_bit_with_the_same_frame_keys(
         save_dataset(split_dataset(labeled), Path(tmp))
         loaded = load_dataset(Path(tmp)).labeled
         stored = np.load(Path(tmp) / "frames.npy", allow_pickle=False)
-        rows = _lines(Path(tmp) / "samples.csv")[1:]
     assert _same_windows(loaded, labeled)
-    # Frame k is the k-th distinct row by its bytes, in order of first use.
-    first = {}
-    for row in labeled.windows.reshape(-1, beams):
-        first.setdefault(row.tobytes(), row)
-    assert _same_bits(stored, np.array(list(first.values())).reshape(-1, beams))
-    numbers = {key: k for k, key in enumerate(first)}
-    assert [[int(k) for k in row.split(",")[1:1 + window_len]] for row in rows] == [
-        [numbers[step.tobytes()] for step in window] for window in labeled.windows]
+    # Row k is the frame of the k-th step that some window covers, in step
+    # order, equal frames stored once per step.
+    steps = {}
+    for end, window in zip(t.tolist(), windows):
+        steps.update(zip(range(end - window_len + 1, end + 1), window))
+    keys = {step: k for k, step in enumerate(sorted(steps))}
+    assert _same_bits(stored, np.array([steps[step] for step in sorted(steps)]))
+    assert all(_same_bits(stored[[keys[step] for step in range(end - window_len + 1, end + 1)]],
+                          window) for end, window in zip(t.tolist(), windows))
 
 
-@pytest.mark.parametrize("key, name", [("num_beams", "frames.npy"), ("raster_bins", "rasters.npy")])
+@pytest.mark.parametrize("key, name", [("num_beams", "frames.npy"), ("window_len", "frames.npy"),
+                                       ("raster_bins", "rasters.npy")])
 def test_a_huge_dimension_is_refused_by_the_array_header(tmp_path, traced_peak_mib, key, name):
     save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), tmp_path)
     path = tmp_path / "dataset.json"
     payload = json.loads(path.read_text())
-    payload["meta"][key] = 2**40  # 8 TiB of float64 per row
+    payload["meta"][key] = 2**40  # 8 TiB of float64 per row, or of int64 frame rows per window
     path.write_text(json.dumps(payload))
 
     def refused():
         with pytest.raises(SchemaError, match=f"{name}: shape "):
             load_dataset(tmp_path)
     assert traced_peak_mib(refused) < 0.5
+
+
+def test_a_dataset_of_no_window_loads_any_window_len_without_allocating(tmp_path,
+                                                                        traced_peak_mib):
+    # With no window, no frames.npy row bounds window_len.
+    save_dataset(split_dataset(random_windows(0, np.random.default_rng(0))), tmp_path)
+    path = tmp_path / "dataset.json"
+    payload = json.loads(path.read_text())
+    payload["meta"]["window_len"] = 2**40
+    path.write_text(json.dumps(payload))
+    loaded = []
+    assert traced_peak_mib(lambda: loaded.append(load_dataset(tmp_path))) < 0.5
+    assert loaded[0].labeled.windows.shape == (0, 2**40, 3)
 
 
 def _saved(data, tmp: str) -> Path:
@@ -967,12 +990,15 @@ def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, s
 
     samples = held["dataset"].samples
     window_len, horizon = samples[0].window.shape[0], samples[0].future.shape[0]
-    frames, keys = _distinct_frames(np.array([s.window for s in samples]))
     reference_write_csv(
-        ref / "samples.csv", _samples_header(window_len, horizon),
-        ([s.t] + k + s.future.ravel().tolist() + s.future_blocked.tolist()
-         for s, k in zip(samples, keys.tolist())),
+        ref / "samples.csv", _samples_header(horizon),
+        ([s.t] + s.future.ravel().tolist() + s.future_blocked.tolist() for s in samples),
     )
+    steps = {}  # each covered step's frame, from the first window that covers it
+    for s in samples:
+        for step, row in zip(range(s.t - window_len + 1, s.t + 1), s.window):
+            steps.setdefault(step, row)
+    frames = np.array([steps[step] for step in sorted(steps)])
     assert (ref / "samples.csv").read_bytes() == (tmp_path / "data" / "samples.csv").read_bytes()
     rasters = np.array([s.lidar_raster for s in samples])
     for name, want in (("frames.npy", frames), ("rasters.npy", rasters)):

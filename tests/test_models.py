@@ -432,6 +432,23 @@ def test_scoring_in_blocks_equals_one_forward_over_every_window(kind, shape, n):
     assert got.tobytes() == whole_batch_prediction(model, windows, rasters).tobytes()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_validation_loss_is_that_of_one_forward_over_the_split(standard_dataset, kind):
+    # Training scores the validation split in blocks; one episode's loss comes
+    # from the final weights.
+    cfg = TrainConfig(episodes=1, iterations=5, seed=0)
+    if kind == "localization":
+        model, curves = train_localization(standard_dataset, cfg)
+    else:
+        model, curves = train_blockage(standard_dataset, cfg, kind)
+    val = standard_dataset.arrays("val")
+    assert len(val) > 3 * SCORE_BLOCK + 1
+    out = forward(model, rssi_features(val.windows, model.stats),
+                  val.rasters / model.stats.lidar_max_range)
+    want = models._loss(model, out, models._targets(model, val), cfg.delta)[0]
+    assert np.array(curves.val).tobytes() == np.array([want]).tobytes()
+
+
 @pytest.fixture(scope="module")
 def score_standard(trained_localization, trained_rf, trained_lidar, standard_dataset):
     """Scores every standard window with the three session-trained models."""
