@@ -3,8 +3,11 @@
 A ``Model`` is an ordered dict of named layers; ``build_model`` lays them
 out per kind, drawing initial weights from one RNG in layer order, and
 parameters are named ``<layer>.<array>`` (``lstm0.w_in``, ``head.bias``).
-The layer arrays are views of one float64 vector, ``Model.params``, in name
-order; training flattens the gradients alike, so Adam is one vector update.
+The layer arrays are views of one float64 vector, ``Model.params``. It
+starts with the LSTM layers' arrays stacked by array, every ``w_in``, then
+every ``w_rec``, then every ``bias``, which ``Model.lstm`` views as one
+``nn.LstmStack``; the other layers' arrays follow, layer by layer. A
+checkpoint stores the arrays by name, so the layout does not reach it.
 
 * ``localization``: ``lstm`` (hidden 32) over the RSSI window, ``dense1``
   32->20 with ReLU and ``dense2`` 20->2N with a final ReLU. Huber loss
@@ -29,6 +32,9 @@ schedule depends on the architecture alone: the one-layer localization
 model runs one recurrence (``nn.lstm_forward``, or ``nn.lstm_stack_hidden``
 of one layer), and the stacks of rf and rf+lidar run as one wavefront
 (``nn.lstm_stack_forward``, ``nn.lstm_stack_hidden``) at every batch size.
+A training step's backward runs one ``nn.lstm_stack_backward`` over the
+forward's buffers at any depth and writes every gradient into views of one
+vector laid out as ``Model.params``, which ``nn.adam_step`` takes whole.
 
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
 cache-free forward over blocks of ``SCORE_BLOCK`` = 64 windows that start
@@ -42,7 +48,8 @@ starts on a multiple of the BLAS kernel's 4-row unroll: with blocks of 3,
 their last bits (rf and rf+lidar did not), and with 4, 8, 100, 256, 1,000
 or 100,000 no output moved. That holds for OpenBLAS's SkylakeX kernel;
 on Haswell at 2 threads, trailing blocks of 65 and 69 windows moved
-localization and rf outputs. Each model scored the standard drive faster
+localization and rf outputs, so importing ``blockcast`` runs OpenBLAS on one
+thread unless ``OPENBLAS_NUM_THREADS`` says otherwise. Each model scored the standard drive faster
 in blocks of 64 than in blocks of 256 (BENCH_24.json).
 """
 
@@ -58,6 +65,7 @@ from .nn import (
     Conv1dParams,
     DenseParams,
     LstmParams,
+    LstmStack,
     adam_init,
     adam_step,
     bce_loss,
@@ -71,9 +79,9 @@ from .nn import (
     global_avg_pool_backward,
     huber_loss,
     load_params,
-    lstm_backward,
     lstm_forward,
     lstm_init,
+    lstm_stack_backward,
     lstm_stack_forward,
     lstm_stack_hidden,
     relu,
@@ -207,28 +215,45 @@ class Model:
     horizon: int
     stats: NormStats
     raster_bins: int | None = None  # length of the lidar raster; rf+lidar only
-    params: np.ndarray = field(init=False, repr=False)  # every parameter, in name order
+    params: np.ndarray = field(init=False, repr=False)  # every parameter, in named_params() order
+    lstm: LstmStack = field(init=False, repr=False)  # the LSTM layers' weights: views of params
 
     def __post_init__(self):
         live = self.named_params()
         self.params = np.concatenate([arr.ravel() for arr in live.values()])
-        views = np.split(self.params, np.cumsum([arr.size for arr in live.values()])[:-1])
-        for (name, arr), view in zip(live.items(), views):
+        named, self.lstm = self.views(self.params)
+        for name, view in named.items():
             layer, key = name.split(".")
-            setattr(self.layers[layer], key, view.reshape(arr.shape))
+            setattr(self.layers[layer], key, view)
 
     @property
     def num_beams(self) -> int:
-        return next(iter(self.layers.values())).input_size  # layers start with an LSTM
+        return self.lstm.input_size
 
     def named_params(self) -> dict[str, np.ndarray]:
-        """The live parameter arrays, keyed ``<layer>.<array>``."""
-        return {
+        """The live parameter arrays, keyed ``<layer>.<array>``, in the order
+        of ``params``: every LSTM layer's ``w_in``, then every ``w_rec``, then
+        every ``bias``, so that each array of the stack is one block; then the
+        other layers' arrays, layer by layer."""
+        lstm = self.names(LstmParams)
+        named = {f"{name}.{key}": getattr(self.layers[name], key)
+                 for key in ("w_in", "w_rec", "bias") for name in lstm}
+        named.update({
             f"{name}.{key}": value
-            for name, layer in self.layers.items()
+            for name, layer in self.layers.items() if name not in lstm
             for key, value in vars(layer).items()
             if isinstance(value, np.ndarray)
-        }
+        })
+        return named
+
+    def views(self, vector: np.ndarray) -> tuple[dict[str, np.ndarray], LstmStack]:
+        """Views of a vector laid out as ``params``: one per named parameter,
+        and the LSTM stack's, whose blocks lead the vector."""
+        live = self.named_params()
+        pieces = np.split(vector, np.cumsum([arr.size for arr in live.values()])[:-1])
+        named = {name: piece.reshape(arr.shape) for (name, arr), piece in zip(live.items(), pieces)}
+        lstm = [self.layers[name] for name in self.names(LstmParams)]
+        return named, LstmStack.view(vector, len(lstm), lstm[0].input_size, lstm[0].hidden_size)
 
     def names(self, layer_type: type) -> list[str]:
         """Names of the layers of one type, in order."""
@@ -290,25 +315,22 @@ def forward(
     layer), or (B, N) sigmoid probabilities.
 
     The two forwards give the same bits. Given a ``caches`` dict, every
-    layer leaves in it what ``_backward`` needs: one LSTM layer runs the
-    buffered ``lstm_forward``, a stack one buffered ``lstm_stack_forward``
-    wavefront. Without one, the LSTM layers are one cache-free
-    ``lstm_stack_hidden`` call. Each call checks its input once. ReLU runs
-    in place: ``relu_backward`` reads only the sign of its cached input,
-    which ReLU keeps.
+    layer leaves in it what ``_backward`` needs, the LSTM layers under
+    ``"lstm"``: one layer runs the buffered ``lstm_forward``, a stack one
+    buffered ``lstm_stack_forward`` wavefront. Without one, the LSTM layers
+    are one cache-free ``lstm_stack_hidden`` call. Each call checks its input
+    once. ReLU runs in place: ``relu_backward`` reads only the sign of its
+    cached input, which ReLU keeps.
     """
     layers = model.layers
     buffered = caches is not None
     seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
-    lstm = model.names(LstmParams)
-    stack = [layers[name] for name in lstm]
     if not buffered:
-        feat = lstm_stack_hidden(stack, seq)[-1]
-    elif len(stack) == 1:
-        _, feat, caches[lstm[0]] = lstm_forward(stack[0], seq)
+        feat = lstm_stack_hidden(model.lstm, seq)[-1]
+    elif model.lstm.depth == 1:
+        _, feat, caches["lstm"] = lstm_forward(layers[model.names(LstmParams)[0]], seq)
     else:
-        seq, stack_caches = lstm_stack_forward(stack, seq)
-        caches.update(zip(lstm, stack_caches))
+        seq, caches["lstm"] = lstm_stack_forward(model.lstm, seq)
         feat = seq[-1]
     conv = model.names(Conv1dParams)
     if conv:
@@ -337,39 +359,34 @@ def forward(
     return feat if regress else sigmoid(feat)
 
 
-def _backward(model: Model, d_out: np.ndarray, caches: dict) -> dict[str, np.ndarray]:
-    """Gradient of every named parameter from the loss gradient w.r.t. the
-    output (w.r.t. the logits for the classifiers)."""
-    layers, grads = model.layers, {}
-
-    def keep(name, g):
-        grads.update({f"{name}.{key}": value for key, value in g.items()})
-
+def _backward(model: Model, d_out: np.ndarray, caches: dict, grads: dict[str, np.ndarray],
+              lstm_grads: LstmStack) -> None:
+    """Writes the gradient of every named parameter, from the loss gradient
+    w.r.t. the output (w.r.t. the logits for the classifiers), into
+    ``Model.views`` of one vector: ``grads`` by name, ``lstm_grads`` the
+    stack's. The LSTM stack runs one ``lstm_stack_backward`` at any depth."""
+    layers = model.layers
     d = d_out
     for name in reversed(model.names(DenseParams)):
         z, cache = caches[name]
         if model.kind == "localization":
             d = relu_backward(d, z)
         d, g = dense_backward(layers[name], d, cache)
-        keep(name, g)
-    lstm = model.names(LstmParams)
+        grads[f"{name}.weight"][...], grads[f"{name}.bias"][...] = g["weight"], g["bias"]
     conv = model.names(Conv1dParams)
     if conv:
-        hidden = layers[lstm[-1]].hidden_size
+        hidden = model.lstm.hidden_size
         d, d_pool = d[:, :hidden], d[:, hidden:]
         dx = global_avg_pool_backward(d_pool, caches["pool"])
         for name in reversed(conv):
             z, cache = caches[name]
             dx, g = conv1d_backward(layers[name], relu_backward(dx, z), cache,
                                     input_grad=name != conv[0])
-            keep(name, g)
-    d_hidden = np.zeros_like(caches[lstm[-1]].hidden[1:])
+            grads[f"{name}.weight"][...], grads[f"{name}.bias"][...] = g["weight"], g["bias"]
+    cache = caches["lstm"]
+    d_hidden = np.zeros(cache.inputs.shape[:2] + (model.lstm.hidden_size,))
     d_hidden[-1] = d
-    for name in reversed(lstm):
-        d_hidden, g = lstm_backward(layers[name], d_hidden, caches[name],
-                                    input_grad=name != lstm[0])
-        keep(name, g)
-    return grads
+    lstm_stack_backward(model.lstm, d_hidden, cache, lstm_grads, input_grad=False)
 
 
 def _loss(model: Model, out: np.ndarray, targets: np.ndarray, delta: float):
@@ -385,12 +402,18 @@ def loss_and_grads(
     targets: np.ndarray,
     rasters: np.ndarray | None = None,
     delta: float = 1.0,
+    *,
+    views: tuple[dict[str, np.ndarray], LstmStack] | None = None,
 ):
-    """Mean loss of one batch and the gradient of every named parameter.
+    """Mean loss of one batch and the gradient of every named parameter, as
+    views keyed ``<layer>.<array>`` of one vector laid out as ``Model.params``.
 
     targets are normalized (B, 2N) locations or (B, N) binary flags;
     ``delta`` is the Huber transition point, used by localization only.
+    The gradient goes into ``views``, the ``Model.views`` of a vector that
+    the caller keeps, or else into a new vector.
     """
+    grads, lstm_grads = model.views(np.empty_like(model.params)) if views is None else views
     caches = {}
     out = forward(model, features, rasters, caches=caches)
     if targets.shape != out.shape:
@@ -398,7 +421,8 @@ def loss_and_grads(
             f"target shape {targets.shape} does not match model output {out.shape}"
         )
     loss, d_out = _loss(model, out, targets, delta)
-    return loss, _backward(model, d_out, caches)
+    _backward(model, d_out, caches, grads, lstm_grads)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +463,19 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
     rasters = _norm_rasters(train.rasters, model.stats) if kind == "rf+lidar" else None
     val = dataset.arrays("val") if dataset.splits.get("val") else None
 
-    names = list(model.named_params())
     opt = adam_init(model.params, lr=cfg.lr)
+    grad = np.empty_like(model.params)  # every step's gradient, laid out as model.params
+    views = model.views(grad)
     rng = np.random.default_rng(cfg.seed)
     curves = LossCurves()
     for _ in range(cfg.episodes):
         for _ in range(cfg.iterations):
             idx = rng.integers(0, n, size=cfg.batch_size)
-            loss, grads = loss_and_grads(
+            loss, _ = loss_and_grads(
                 model, feats[idx], targets[idx],
-                None if rasters is None else rasters[idx], cfg.delta,
+                None if rasters is None else rasters[idx], cfg.delta, views=views,
             )
-            adam_step(opt, model.params, np.concatenate([grads[k].ravel() for k in names]))
+            adam_step(opt, model.params, grad)
             curves.train.append(loss)
         if val is not None:  # scored in blocks, with the bits of one forward
             out = _score(model, val.windows, val.rasters if kind == "rf+lidar" else None)

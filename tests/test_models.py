@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,18 +407,23 @@ def test_single_window_forecasts_match_the_batch_and_the_buffered_forward(kind):
 @pytest.mark.parametrize("batch", [1, 8, 64, 65])
 @pytest.mark.parametrize("kind", ["rf", "rf+lidar"])
 def test_the_training_forward_leaves_the_caches_of_chained_lstm_layers(kind, batch):
-    # A stack runs as one buffered wavefront at every batch size, whose
-    # caches are views into its diagonal-major buffers.
+    # A stack runs as one buffered wavefront at every batch size, which keeps
+    # layer l's step t on diagonal l + t of its buffers.
     model, _ = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
     rng = np.random.default_rng(batch)
     feats = rng.normal(size=(batch, 8, 64))
     caches = {}
     forward(model, feats, rng.uniform(0.0, 1.0, size=(batch, 360)), caches=caches)
     seq = np.ascontiguousarray(np.transpose(feats, (1, 0, 2)))
-    for name in model.names(nn.LstmParams):
+    buffers = caches["lstm"]
+    assert buffers.inputs.tobytes() == seq.tobytes()
+    for l, name in enumerate(model.names(nn.LstmParams)):
+        inputs = seq
         seq, _, want = nn.lstm_forward(model.layers[name], seq)
-        for array in ("inputs", "gates", "cells", "cell_tanh", "hidden"):
-            got = np.ascontiguousarray(getattr(caches[name], array))
+        if l:
+            assert buffers.hidden[l : l + 8, l - 1].tobytes() == inputs.tobytes(), name
+        for array, steps in (("gates", 8), ("cells", 9), ("cell_tanh", 8), ("hidden", 9)):
+            got = np.ascontiguousarray(getattr(buffers, array)[l : l + steps, l])
             assert got.tobytes() == getattr(want, array).tobytes(), (name, array)
 
 
@@ -468,6 +477,44 @@ def test_scoring_the_standard_windows_keeps_its_bits_at_other_block_sizes(
     want = score_standard()
     monkeypatch.setattr(models, "SCORE_BLOCK", block)
     assert score_standard() == want
+
+
+def run_without_a_thread_count(args, **env):
+    """``python args`` in a fresh process whose environment sets no
+    ``OPENBLAS_NUM_THREADS`` and adds ``env``."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, *args], env=dict(environ, **env), capture_output=True,
+                          text=True, timeout=300, cwd=Path(__file__).resolve().parent.parent)
+
+
+def test_block_scoring_keeps_its_bits_on_the_haswell_kernel_at_the_default_thread_count():
+    # At OpenBLAS's default two threads, its Haswell kernel moved the last bits
+    # of trailing blocks of 65 and 69 windows; importing blockcast pins one.
+    run = run_without_a_thread_count(
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "scoring_in_blocks"],
+        OPENBLAS_CORETYPE="Haswell")
+    assert run.returncode == 0 and "42 passed" in run.stdout, run.stdout[-3000:]
+
+
+THREADS_AFTER_IMPORT = """
+import ctypes, pathlib, numpy
+libs = (pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+get = ctypes.CDLL(str(next(libs))).scipy_openblas_get_num_threads64_
+before = get()
+import blockcast
+print(before, get())
+"""
+
+
+@pytest.mark.parametrize("setting, want", [(None, 1), ("2", 2), ("1", 1)])
+def test_importing_blockcast_runs_one_blas_thread_unless_the_environment_says(setting, want):
+    if not any((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
+        pytest.skip("numpy ships no scipy-openblas here")
+    env = {} if setting is None else {"OPENBLAS_NUM_THREADS": setting}
+    run = run_without_a_thread_count(["-c", THREADS_AFTER_IMPORT], **env)
+    assert run.returncode == 0, run.stderr
+    before, after = map(int, run.stdout.split())
+    assert after == want and (setting is None or before == want)
 
 
 @pytest.mark.parametrize("block", [6, 0])
@@ -567,6 +614,54 @@ def test_every_parameter_is_a_view_of_the_model_vector(tmp_path, kind):
     np.testing.assert_array_equal(m.params, model.params)
     m.params[:] = 0.0  # a write through the vector reaches every layer
     assert not any(arr.any() for arr in m.named_params().values())
+
+
+def offset(arr, vector):
+    """Where ``arr`` starts in ``vector``, in elements."""
+    return (arr.__array_interface__["data"][0] - vector.__array_interface__["data"][0]) // 8
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_model_owns_its_lstm_weights_stacked(tmp_path, kind):
+    model = build_model(kind, 3, 4, 2, toy_stats(3), 13, seed=5)
+    model.params[:] = np.random.default_rng(0).normal(size=model.params.size)
+    stack, lstm = model.lstm, [model.layers[n] for n in model.names(nn.LstmParams)]
+    depth, hid = len(lstm), 16 if kind != "localization" else 32
+    assert (stack.depth, stack.input_size, stack.hidden_size) == (depth, 3, hid)
+    # w_in0, then w_in (L - 1, H, 4H), w_rec (L, H, 4H) and bias (L, 4H): each
+    # one contiguous block of the vector, whose rows are the layers' arrays
+    blocks = [stack.w_in0, stack.w_in, stack.w_rec, stack.bias]
+    start = 0
+    for block in blocks:
+        assert block.flags.c_contiguous
+        if block.size:  # one layer has no w_in block
+            assert np.shares_memory(block, model.params) and offset(block, model.params) == start
+        start += block.size
+    for l, p in enumerate(lstm):
+        for arr, row in ((p.w_in, stack.w_in0 if l == 0 else stack.w_in[l - 1]),
+                         (p.w_rec, stack.w_rec[l]), (p.bias, stack.bias[l])):
+            assert np.shares_memory(arr, model.params)
+            assert arr.shape == row.shape and offset(arr, model.params) == offset(row, model.params)
+    # a checkpoint loads into the same layout and saves back byte for byte
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    loaded = load_model(first)
+    assert loaded.params.tobytes() == model.params.tobytes()
+    save_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    # one Adam step over the vector is one update per named array
+    rng = np.random.default_rng(1)
+    grad = rng.normal(size=model.params.size)
+    want = {}
+    for name, arr in model.named_params().items():
+        g = model.views(grad)[0][name]
+        m, v = (1.0 - nn.ADAM_BETA1) * g, (1.0 - nn.ADAM_BETA2) * g**2
+        step = 1e-3 * (m / (1.0 - nn.ADAM_BETA1)) / (np.sqrt(v / (1.0 - nn.ADAM_BETA2))
+                                                     + nn.ADAM_EPS)
+        want[name] = arr - step
+    nn.adam_step(nn.adam_init(model.params), model.params, grad)
+    for name, arr in model.named_params().items():
+        assert arr.tobytes() == want[name].tobytes(), name
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from blockcast.nn import (
     Conv1dParams,
     DenseParams,
     LstmParams,
+    LstmStack,
     adam_init,
     adam_step,
     bce_loss,
@@ -30,6 +31,7 @@ from blockcast.nn import (
     lstm_backward,
     lstm_forward,
     lstm_init,
+    lstm_stack_backward,
     lstm_stack_forward,
     lstm_stack_hidden,
     relu,
@@ -240,13 +242,13 @@ def test_lstm_input_validation():
 
 
 @pytest.mark.parametrize("run", [lambda p, seq: lstm_forward(p, seq),
-                                 lambda p, seq: lstm_stack_hidden([p], seq)])
+                                 lambda p, seq: lstm_stack_hidden(LstmStack.of([p]), seq)])
 def test_both_lstm_paths_reject_the_same_inputs(run):
     assert_bad_lstm_inputs_are_rejected(run)
 
 
 def test_the_buffered_wavefront_rejects_the_same_inputs():
-    assert_bad_lstm_inputs_are_rejected(lambda p, seq: lstm_stack_forward([p], seq))
+    assert_bad_lstm_inputs_are_rejected(lambda p, seq: lstm_stack_forward(LstmStack.of([p]), seq))
 
 
 def assert_bad_lstm_inputs_are_rejected(run):
@@ -476,7 +478,7 @@ def test_cache_free_lstm_is_bit_equal_to_the_buffered_one(steps, batch, width, h
     p = lstm_init(rng, width, hid)
     p.bias[:] = rng.normal(scale=scale, size=4 * hid)
     seq = rng.normal(scale=scale, size=(steps, batch, width))
-    hidden = lstm_stack_hidden([p], seq)
+    hidden = lstm_stack_hidden(LstmStack.of([p]), seq)
     assert hidden.shape == (steps, batch, hid)
     assert hidden.tobytes() == lstm_forward(p, seq)[0].tobytes()
 
@@ -508,54 +510,92 @@ def test_the_stack_wavefront_is_bit_equal_to_chained_layers(depth, steps, batch,
     rng = np.random.default_rng(seed)
     layers = lstm_stack(rng, width, [hid] * depth, scale)
     seq = rng.normal(scale=scale, size=(steps, batch, width))
-    hidden = lstm_stack_hidden(layers, seq)
+    hidden = lstm_stack_hidden(LstmStack.of(layers), seq)
     assert hidden.shape == (steps, batch, hid)
-    one_layer = chained(lambda p, s: lstm_stack_hidden([p], s), layers, seq)
+    one_layer = chained(lambda p, s: lstm_stack_hidden(LstmStack.of([p]), s), layers, seq)
     assert hidden.tobytes() == one_layer.tobytes()
     assert hidden.tobytes() == chained(lambda p, s: lstm_forward(p, s)[0], layers, seq).tobytes()
 
 
 def test_a_stack_whose_widths_do_not_chain_is_refused():
     rng = np.random.default_rng(3)
-    layers = [lstm_init(rng, 4, 3), lstm_init(rng, 5, 3)]
-    for stack_kernel in (lstm_stack_hidden, lstm_stack_forward):
-        with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
-            stack_kernel(layers, np.zeros((2, 1, 4)))
+    with pytest.raises(ValueError, match="input_size 5 != hidden_size 3"):
+        LstmStack.of([lstm_init(rng, 4, 3), lstm_init(rng, 5, 3)])
 
 
-def test_a_stack_of_other_hidden_sizes_is_refused_by_both_stack_kernels():
-    layers = lstm_stack(np.random.default_rng(3), 4, [3, 6, 2], 1.0)
-    for stack_kernel in (lstm_stack_hidden, lstm_stack_forward):
-        with pytest.raises(ValueError, match="one hidden size"):
-            stack_kernel(layers, np.zeros((5, 2, 4)))
+def test_a_stack_of_other_hidden_sizes_is_refused():
+    with pytest.raises(ValueError, match="one hidden size"):
+        LstmStack.of(lstm_stack(np.random.default_rng(3), 4, [3, 6, 2], 1.0))
 
 
-CACHE_ARRAYS = ("inputs", "gates", "cells", "cell_tanh", "hidden")
+def test_a_stack_of_inconsistent_shapes_is_refused():
+    stack = LstmStack.of(lstm_stack(np.random.default_rng(3), 4, [3, 3], 1.0))
+    for field_name, bad in (("w_in0", np.zeros((4, 11))), ("w_in", np.zeros((2, 3, 12))),
+                            ("w_rec", np.zeros((2, 3, 11))), ("bias", np.zeros((1, 12)))):
+        arrays = dict(vars(stack), **{field_name: bad})
+        with pytest.raises(ValueError, match="shapes are inconsistent"):
+            LstmStack(**arrays)
 
 
-def assert_buffered_stack_is_chained(layers, seq, d_top):
-    """``lstm_stack_forward`` over ``layers`` returns the hidden sequence and
-    the cache arrays of chained ``lstm_forward`` calls, and ``lstm_backward``
-    on its caches the chained gradients, all bit for bit."""
-    top, caches = lstm_stack_forward(layers, seq)
-    want, want_caches = seq, []
+def chained_forward(layers, seq):
+    """The top hidden sequence and every layer's cache of chained ``lstm_forward`` calls."""
+    caches = []
     for p in layers:
-        want, _, cache = lstm_forward(p, want)
-        want_caches.append(cache)
+        seq, _, cache = lstm_forward(p, seq)
+        caches.append(cache)
+    return seq, caches
+
+
+def layer_arrays(buffers, l, steps):
+    """Layer l's ``lstm_forward`` cache arrays in ``lstm_stack_forward``'s
+    diagonal-major buffers."""
+    return {"inputs": buffers.inputs if l == 0 else buffers.hidden[l : l + steps, l - 1],
+            "gates": buffers.gates[l : l + steps, l], "cells": buffers.cells[l : l + steps + 1, l],
+            "cell_tanh": buffers.cell_tanh[l : l + steps, l],
+            "hidden": buffers.hidden[l : l + steps + 1, l]}
+
+
+def assert_buffered_stack_is_chained(layers, seq):
+    """``lstm_stack_forward`` over ``layers`` returns the hidden sequence of
+    chained ``lstm_forward`` calls, and holds each layer's cache arrays in its
+    buffers, all bit for bit."""
+    top, buffers = lstm_stack_forward(LstmStack.of(layers), seq)
+    want, want_caches = chained_forward(layers, seq)
     assert top.shape == want.shape and top.tobytes() == want.tobytes()
-    for cache, want_cache in zip(caches, want_caches):
-        for name in CACHE_ARRAYS:
-            got, ref = getattr(cache, name), getattr(want_cache, name)
+    for l, want_cache in enumerate(want_caches):
+        for name, got in layer_arrays(buffers, l, len(seq)).items():
+            ref = getattr(want_cache, name)
             assert got.shape == ref.shape, name
             assert np.ascontiguousarray(got).tobytes() == ref.tobytes(), name
-    d, want_d = d_top, d_top
-    for depth in range(len(layers) - 1, -1, -1):
-        p = layers[depth]
-        d, grads = lstm_backward(p, d, caches[depth])
-        want_d, want_grads = lstm_backward(p, want_d, want_caches[depth])
-        assert d.tobytes() == want_d.tobytes()
-        for name in ("w_in", "w_rec", "bias"):
-            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def assert_stack_backward_is_chained(layers, seq, d_top):
+    """``lstm_stack_backward`` over ``lstm_stack_forward``'s buffers against
+    chained ``lstm_backward`` over chained ``lstm_forward`` caches. At B = 8
+    every weight gradient has the chained bits, and at one layer the input
+    gradient too; otherwise they agree within ``assert_close``, as all agree
+    with the per-step reference, whose code they do not share."""
+    stack = LstmStack.of(layers)
+    with np.errstate(invalid="raise"):  # the factor passes also read rows no diagonal reaches
+        _, buffers = lstm_stack_forward(stack, seq)
+        grads = LstmStack(*(np.full_like(a, np.nan) for a in vars(stack).values()))
+        d_seq = lstm_stack_backward(stack, d_top, buffers, grads)
+    _, caches = chained_forward(layers, seq)
+    want_d, ref_d, pairs = d_top, d_top, []
+    for l in range(len(layers) - 1, -1, -1):
+        want_d, want = lstm_backward(layers[l], want_d, caches[l])
+        ref_d, ref = ref_lstm_backward(layers[l], ref_d, caches[l])
+        got = {"w_in": grads.w_in0 if l == 0 else grads.w_in[l - 1],
+               "w_rec": grads.w_rec[l], "bias": grads.bias[l]}
+        pairs += [(got[name], want[name], seq.shape[1] == 8) for name in want]
+        pairs += [(got[name], ref[name], False) for name in ref]
+    pairs += [(d_seq, want_d, len(layers) == 1), (d_seq, ref_d, False)]
+    for got, want, exact in pairs:
+        assert got.shape == want.shape
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert_close(got, want)
 
 
 @settings(max_examples=200)
@@ -567,26 +607,42 @@ def test_the_buffered_wavefront_is_bit_equal_to_chained_layers(depth, steps, bat
                                                                seed, scale):
     rng = np.random.default_rng(seed)
     layers = lstm_stack(rng, width, [hid] * depth, scale)
+    assert_buffered_stack_is_chained(layers, rng.normal(scale=scale, size=(steps, batch, width)))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 4), st.integers(1, 9), st.sampled_from([1, 3, 8, 64, 65]), st.integers(1, 6),
+    st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+)
+def test_the_reverse_wavefront_has_the_gradients_of_chained_layers(depth, steps, batch, width,
+                                                                   hid, seed, scale):
+    rng = np.random.default_rng(seed)
+    layers = lstm_stack(rng, width, [hid] * depth, scale)
     seq = rng.normal(scale=scale, size=(steps, batch, width))
-    assert_buffered_stack_is_chained(layers, seq, rng.normal(size=(steps, batch, hid)))
+    assert_stack_backward_is_chained(layers, seq, rng.normal(size=(steps, batch, hid)))
 
 
 # (L, M, H) of the three models (localization, rf+lidar, rf) and an odd one,
 # over T0 = 8. Training runs B = 8, forecasts B = 1 and scoring blocks of 64
-# (65 with a lone trailing window); 208 and 256 are larger blocks.
+# (65 with a lone trailing window); 208 and 256 are larger blocks. Where the
+# backward does not keep the chained bits, its weight gradients moved by at
+# most 2.2e-15 of the largest one at these shapes.
 @pytest.mark.parametrize("shape", [(1, 64, 32), (2, 64, 16), (4, 64, 16), (3, 5, 7)])
 @pytest.mark.parametrize("batch", [1, 8, 64, 65, 208, 256])
-@pytest.mark.parametrize("kernel", ["cache-free", "buffered"])
+@pytest.mark.parametrize("kernel", ["cache-free", "buffered", "backward"])
 def test_the_stack_kernels_keep_their_bits_at_the_model_shapes(kernel, shape, batch):
     depth, width, hid = shape
     rng = np.random.default_rng(batch + depth)
     layers = lstm_stack(rng, width, [hid] * depth, 1.0)
     seq = rng.normal(size=(8, batch, width))
     if kernel == "buffered":
-        assert_buffered_stack_is_chained(layers, seq, rng.normal(size=(8, batch, hid)))
+        assert_buffered_stack_is_chained(layers, seq)
+    elif kernel == "backward":
+        assert_stack_backward_is_chained(layers, seq, rng.normal(size=(8, batch, hid)))
     else:
         want = chained(lambda p, s: lstm_forward(p, s)[0], layers, seq)
-        assert lstm_stack_hidden(layers, seq).tobytes() == want.tobytes()
+        assert lstm_stack_hidden(LstmStack.of(layers), seq).tobytes() == want.tobytes()
 
 
 def test_the_input_gradients_can_be_skipped_with_the_same_weight_gradients():
