@@ -68,6 +68,7 @@ from .models import (
     load_model,
     predict_blockage_probs,
     predict_locations_batch,
+    road_frame,
     save_model,
     train_blockage,
     train_localization,
@@ -199,11 +200,13 @@ def _window_steps(times, horizon: int) -> list[np.ndarray]:
 _CHECKPOINT_FLAGS = {"localization": "loc", "rf": "rf", "rf+lidar": "lidar"}  # kind -> flag
 
 
-def _check_dims(path, model: Model, dims: dict, source: str) -> None:
+def _check_dims(path, model: Model, dims: dict, source) -> None:
     """Raise ConfigMismatchError, naming ``path`` and the key, unless the
     model's num_beams, window_len, horizon and (rf+lidar) raster_bins match
-    those that ``dims`` holds, read from ``source`` (the dataset meta, the
-    resolved config or the scenario) its inputs are cut by."""
+    those that ``dims`` holds, read from ``source`` (the dataset.json, the
+    resolved config or the scenario) its inputs are cut by, and a localization
+    model's road frame that of a ``road_region`` in ``dims``, in which its
+    predictions are scored and crossed with the link."""
     keys = ("num_beams", "window_len", "horizon") + (
         ("raster_bins",) if model.kind == "rf+lidar" else ())
     for key in keys:
@@ -212,9 +215,14 @@ def _check_dims(path, model: Model, dims: dict, source: str) -> None:
                 f"{path}: checkpoint {key}={getattr(model, key)} does not match "
                 f"the {source} {key}={dims[key]}"
             )
+    frame = [model.stats.road_origin.tolist(), model.stats.road_size.tolist()]
+    if model.kind == "localization" and "road_region" in dims and not all(
+            map(np.array_equal, frame, road_frame(dims, source))):
+        raise ConfigMismatchError(f"{path}: checkpoint road origin and size {frame} do not "
+                                  f"match the {source} road_region={dims['road_region']}")
 
 
-def _load_checked(path, kind: str, dims: dict, source: str) -> Model:
+def _load_checked(path, kind: str, dims: dict, source) -> Model:
     """Load a checkpoint given under the flag for ``kind`` and check its
     dimensions against ``dims``."""
     model = load_model(path)
@@ -349,7 +357,8 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     del cfg
     dataset = load_dataset(inputs["dataset"])
     model = load_model(inputs["checkpoint"])
-    _check_dims(inputs["checkpoint"], model, dataset.meta, "dataset")
+    _check_dims(inputs["checkpoint"], model, dataset.meta,
+                Path(inputs["dataset"]) / "dataset.json")
     split = dataset.arrays(inputs["split"])
     if model.kind == "localization":
         coords = predict_locations_batch(model, split.windows)
@@ -371,13 +380,13 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     if not any(paths for _, paths in groups):
         raise ValueError("no checkpoints given; pass --loc/--rf/--lidar")
 
+    meta, path = dataset.meta, Path(inputs["dataset"]) / "dataset.json"
     link = None
     if groups[0][1]:
-        meta, path = dataset.meta, Path(inputs["dataset"]) / "dataset.json"
         tx, rx = (json_field(meta, key, path, (2,)) for key in ("tx", "rx"))
-        x0, y0, x1, y1 = json_field(meta, "road_region", path, (4,))
+        origin = road_frame(meta, path)[0]
         width = json_field(meta, "object_width", path, positive=True, optional=True)
-        link = _road_frame_link(tx, rx, (min(x0, x1), min(y0, y1)),
+        link = _road_frame_link(tx, rx, origin,
                                 DEFAULTS["object_width"] if width is None else width)
 
     blockage, localization = [], []  # CSV rows
@@ -385,7 +394,7 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     raw: list[tuple[str, np.ndarray, np.ndarray | None]] = []  # per checkpoint
     for method, paths in groups:
         for run_idx, ckpt in enumerate(paths):
-            model = _load_checked(ckpt, method, dataset.meta, "dataset")
+            model = _load_checked(ckpt, method, meta, path)
             label = f"{method}#{run_idx}"
             if method == "localization":
                 coords = predict_locations_batch(model, windows)

@@ -1,9 +1,11 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and ``ensure_finite``.
 
 ValueError is used for plain precondition violations (bad shapes, bad
 arguments); the classes below mark failures callers may want to handle
 separately.
 """
+
+import numpy as np
 
 
 class PipelineError(Exception):
@@ -47,3 +49,11 @@ class DegenerateLinkError(PipelineError):
 
 class NonFiniteError(PipelineError):
     """A NaN or infinity appeared where only finite values are allowed."""
+
+
+def ensure_finite(name: str, values) -> np.ndarray:
+    """Return values as a float array, raising NonFiniteError on NaN/Inf."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} contains non-finite values")
+    return arr

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateLinkError
+from .errors import DegenerateLinkError, ensure_finite
 from .preprocess import Centroid
-from .scene import ensure_finite, segment_intersects_rect
+from .scene import segment_intersects_rect
 
 
 @dataclass(frozen=True)

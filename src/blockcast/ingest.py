@@ -1,9 +1,10 @@
 """Scenario and dataset serialization.
 
-This module owns every CSV and JSON format blockcast reads or writes, and
-the errors for bad input: ``write_csv`` is the one CSV writer, ``CsvTable``
-the one CSV reader, ``read_json_object`` the one JSON reader and
-``json_field`` the one checker of a JSON field that holds numbers (the
+This module owns the scenario and dataset formats and the errors for bad
+input (``model.json`` belongs to ``models``, ``manifest.json`` to ``cli``
+and config files to ``config``): ``write_csv`` is the one CSV writer,
+``CsvTable`` the one CSV reader, ``read_json_object`` the one JSON reader
+and ``json_field`` the one checker of a JSON field that holds numbers (the
 metadata, checkpoint descriptors and config values). A scenario lives in
 its own directory (the import format for real captures too):
 
@@ -77,9 +78,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, TimeIndexGapError
+from .errors import ParseError, SchemaError, TimeIndexGapError, ensure_finite
 from .preprocess import LabeledSample, WindowSet
-from .scene import TWO_PI, LidarScan, ensure_finite
+from .scene import TWO_PI, LidarScan
 
 SCENARIO_FORMAT_VERSION = 1
 DATASET_FORMAT_VERSION = 5

@@ -6,8 +6,10 @@ parameters are named ``<layer>.<array>`` (``lstm0.w_in``, ``head.bias``).
 The layer arrays are views of one float64 vector, ``Model.params``. It
 starts with the LSTM layers' arrays stacked by array, every ``w_in``, then
 every ``w_rec``, then every ``bias``, which ``Model.lstm`` views as one
-``nn.LstmStack``; the other layers' arrays follow, layer by layer. A
-checkpoint stores the arrays by name, so the layout does not reach it.
+``nn.LstmStack``; the other layers' arrays follow, layer by layer. This
+module owns ``model.json``: the ``format_version``, a ``descriptor`` (kind,
+dimensions, ``NormStats``) and each array by name (not by vector offset) as
+its ``shape`` and C-order ``data``, in repr floats that load bit for bit.
 
 * ``localization``: ``lstm`` (hidden 32) over the RSSI window, ``dense1``
   32->20 with ReLU and ``dense2`` 20->2N with a final ReLU. Huber loss
@@ -55,12 +57,14 @@ in blocks of 64 than in blocks of 256 (BENCH_24.json).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigMismatchError, SchemaError
-from .ingest import DatasetFile, json_field
+from .errors import ConfigMismatchError, SchemaError, VersionError
+from .ingest import DatasetFile, json_field, read_json_object
 from .nn import (
     Conv1dParams,
     DenseParams,
@@ -78,7 +82,6 @@ from .nn import (
     global_avg_pool,
     global_avg_pool_backward,
     huber_loss,
-    load_params,
     lstm_forward,
     lstm_init,
     lstm_stack_backward,
@@ -86,11 +89,11 @@ from .nn import (
     lstm_stack_hidden,
     relu,
     relu_backward,
-    save_params,
     sigmoid,
 )
 from .preprocess import WindowSet
 
+CHECKPOINT_FORMAT_VERSION = 1
 DB_FLOOR = 1e-12
 STD_FLOOR = 1e-6
 SCORE_BLOCK = 64  # windows per forward pass when scoring; a positive multiple of 4
@@ -156,18 +159,25 @@ def power_to_db(powers: np.ndarray) -> np.ndarray:
     return db
 
 
+def road_frame(meta: dict, path) -> tuple[np.ndarray, np.ndarray]:
+    """The road frame of a dataset's ``meta``: the min corner of its
+    ``road_region`` (the frame's world origin) and its extent, both (2,)."""
+    x0, y0, x1, y1 = json_field(meta, "road_region", path, (4,))
+    return np.array([min(x0, x1), min(y0, y1)]), np.array([abs(x1 - x0), abs(y1 - y0)])
+
+
 def compute_norm_stats(windows: np.ndarray, meta: dict) -> NormStats:
     """Per-beam dB statistics of (B, T0, M) raw windows; the road frame of ``meta``."""
     if not len(windows):
         raise ValueError("cannot compute normalization stats from an empty split")
     db = power_to_db(windows.reshape(-1, windows.shape[-1]))  # (B*T0, M)
-    x0, y0, x1, y1 = json_field(meta, "road_region", "dataset meta", (4,))
+    road_origin, road_size = road_frame(meta, "dataset meta")
     max_range = meta.get("lidar_max_range")
     return NormStats(
         rssi_mean=db.mean(axis=0),
         rssi_std=np.maximum(db.std(axis=0), STD_FLOOR),
-        road_origin=np.array([min(x0, x1), min(y0, y1)]),
-        road_size=np.array([abs(x1 - x0), abs(y1 - y0)]),
+        road_origin=road_origin,
+        road_size=road_size,
         lidar_max_range=16.0 if max_range is None else float(max_range),
     )
 
@@ -562,6 +572,7 @@ def predict_blockage_probs(
 # ---------------------------------------------------------------------------
 
 def save_model(model: Model, path) -> None:
+    """Write ``model`` to ``path`` as ``model.json`` (see the module docstring)."""
     if not isinstance(model, Model):
         raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
     descriptor = {
@@ -573,11 +584,23 @@ def save_model(model: Model, path) -> None:
     }
     if model.raster_bins is not None:
         descriptor["raster_bins"] = model.raster_bins
-    save_params(path, descriptor, model.named_params())
+    payload = {"format_version": CHECKPOINT_FORMAT_VERSION, "descriptor": descriptor,
+               "params": {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                          for name, arr in model.named_params().items()}}
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
 def load_model(path) -> Model:
-    descriptor, params = load_params(path)
+    """The model in ``path``; each array is read once, against the shape its
+    descriptor's architecture gives. Bad content is a SchemaError naming it."""
+    payload = read_json_object(path)
+    version = payload.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise VersionError(f"{path}: unsupported checkpoint format version: {version!r}")
+    for key in ("descriptor", "params"):
+        if not isinstance(payload.get(key), dict):
+            raise SchemaError(f"{path}: {key} must be a JSON object")
+    descriptor, params = payload["descriptor"], payload["params"]
     kind = {v: k for k, v in CHECKPOINT_KINDS.items()}.get(descriptor.get("kind"))
     if kind is None:
         raise SchemaError(f"{path}: unknown model kind {descriptor.get('kind')!r}")
@@ -593,8 +616,11 @@ def load_model(path) -> Model:
     live = model.named_params()
     if set(live) != set(params):
         raise SchemaError(f"{path}: checkpoint parameters do not match architecture")
-    for name, arr in params.items():
-        if live[name].shape != arr.shape:
-            raise SchemaError(f"{path}: parameter {name!r} has shape {arr.shape}")
-        live[name][...] = arr
+    for name, arr in live.items():
+        entry = params[name] if isinstance(params[name], dict) else {}
+        shape = entry.get("shape")
+        if shape != list(arr.shape) or any(type(n) is not int for n in shape):
+            raise SchemaError(f"{path}: params.{name}.shape must be {list(arr.shape)}, "
+                              f"got {shape!r:.200}")
+        arr.flat = json_field(entry, "data", path, (arr.size,), name=f"params.{name}.data")
     return model

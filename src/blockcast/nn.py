@@ -1,5 +1,8 @@
 """Minimal neural kernel: dense, LSTM, 1-D conv, pooling, losses, Adam.
 
+These are numpy kernels only, with no file IO: a model's checkpoint,
+``model.json``, belongs to ``models``.
+
 Everything runs in float64 on plain numpy arrays. The conv is computed tap
 by tap with BLAS matmuls over strided views. The LSTM starts from zero state
 and has two forwards with the same bits. Stacked layers of one hidden size
@@ -28,19 +31,13 @@ whose intermediates go through two scratch vectors of its state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SchemaError, VersionError
-from .ingest import json_field, read_json_object
-from .scene import ensure_finite
-
-CHECKPOINT_FORMAT_VERSION = 1
+from .errors import ensure_finite
 
 Array = np.ndarray
 
@@ -672,38 +669,3 @@ def adam_step(state: AdamState, params: Array, grad: Array) -> AdamState:
     denom += ADAM_EPS
     params -= np.divide(num, denom, out=num)
     return state
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint IO: versioned JSON, bit-exact float round trip via repr
-# ---------------------------------------------------------------------------
-
-def save_params(path, descriptor: dict, params: dict[str, Array]) -> None:
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "descriptor": descriptor,
-        "params": {
-            name: {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
-            for name, arr in params.items()
-        },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_params(path) -> tuple[dict, dict[str, Array]]:
-    payload = read_json_object(path)
-    version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise VersionError(f"{path}: unsupported checkpoint format version: {version!r}")
-    for key in ("descriptor", "params"):
-        if not isinstance(payload.get(key), dict):
-            raise SchemaError(f"{path}: {key} must be a JSON object")
-    params = {}
-    for name, entry in payload["params"].items():
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
-            raise SchemaError(f"{path}: params.{name}.shape must be a list of "
-                              "non-negative integers")
-        data = json_field(entry, "data", path, (math.prod(shape),), name=f"params.{name}.data")
-        params[name] = np.array(data, dtype=np.float64).reshape(shape)
-    return payload["descriptor"], params

@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .scene import LidarScan, ensure_finite
+from .errors import ensure_finite
+from .scene import LidarScan
 
 if TYPE_CHECKING:
     from .ingest import ScenarioBundle

@@ -22,17 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
-
 TWO_PI = 2.0 * math.pi
-
-
-def ensure_finite(name: str, values) -> np.ndarray:
-    """Return values as a float array, raising NonFiniteError on NaN/Inf."""
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains non-finite values")
-    return arr
 
 
 @dataclass(frozen=True)

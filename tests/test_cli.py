@@ -822,6 +822,28 @@ def test_predict_names_the_checkpoint_cut_for_other_windows(
     assert not (out / "predictions.csv").exists()
 
 
+def test_a_localization_checkpoint_of_another_road_frame_is_refused(chain, tmp_path, capsys):
+    # The predictions are in the checkpoint's road frame; the futures and the
+    # link of a dataset labeled with another road_region are in its own.
+    data = tmp_path / "data"
+    assert run(["label", "--scenario", str(chain / "scene"),
+                "--set", "road_region=[-14.0,3.0,14.0,8.0]", "--out", str(data)]) == 0
+    ckpt = chain / "loc" / "model.json"
+    for argv, written in (
+        (["evaluate", "--dataset", str(data), "--loc", str(ckpt)], "report.txt"),
+        (["predict", "--checkpoint", str(ckpt), "--dataset", str(data)], "predictions.csv"),
+    ):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt.resolve()) in err and "road_region" in err
+        assert str((data / "dataset.json").resolve()) in err
+        assert not (out / written).exists()
+    # the blockage checkpoints predict no location, so any road frame serves
+    assert run(["evaluate", "--dataset", str(data), "--rf", str(chain / "rf" / "model.json"),
+                "--out", str(tmp_path / "rf")]) == 0
+
+
 @pytest.fixture(scope="module")
 def narrow(tmp_path_factory):
     """A 32-beam drive and its dataset; the chain's checkpoints have 64 beams."""

@@ -163,3 +163,16 @@ def test_the_check_finds_public_constants_no_file_reads():
     )
     assert unread_constants({"mod.py": module}, [module, reader]) == [
         ("mod.py", 3, "A"), ("mod.py", 3, "B"), ("mod.py", 5, "TOL")]
+
+
+def test_nn_imports_only_the_errors_of_the_package_and_no_file_io():
+    """``nn`` holds numpy kernels only: of the package it imports ``errors``
+    alone, and it reads and writes no file (no ``json``, no ``pathlib``)."""
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "nn.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert {name for name in imported if name.startswith((".", "blockcast"))} == {".errors"}
+    assert not {name.split(".")[0] for name in imported} & {"json", "pathlib"}

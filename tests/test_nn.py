@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcast.errors import NonFiniteError, SchemaError, VersionError
+from blockcast.models import NormStats, build_model, load_model, save_model
 from blockcast.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -27,7 +28,6 @@ from blockcast.nn import (
     global_avg_pool,
     global_avg_pool_backward,
     huber_loss,
-    load_params,
     lstm_backward,
     lstm_forward,
     lstm_init,
@@ -36,7 +36,6 @@ from blockcast.nn import (
     lstm_stack_hidden,
     relu,
     relu_backward,
-    save_params,
     sigmoid,
     uniform_init,
 )
@@ -838,7 +837,7 @@ def test_an_adam_step_allocates_less_than_the_parameter_vector(traced_peak_mib):
 
 
 # ---------------------------------------------------------------------------
-# Init and checkpoint IO
+# Init
 # ---------------------------------------------------------------------------
 
 def test_uniform_init_bounds_and_determinism():
@@ -861,36 +860,46 @@ def test_layer_inits_zero_their_biases():
     np.testing.assert_array_equal(p.bias[6:], np.zeros(6))
 
 
+# ---------------------------------------------------------------------------
+# The checkpoint format, which models.save_model / load_model own
+# ---------------------------------------------------------------------------
+
+def small_checkpoint(path) -> dict:
+    """Save a one-beam localization model to ``path`` (``lstm.w_in`` is
+    (1, 128), ``lstm.w_rec`` (32, 128), ``dense2.bias`` (4,)); return its JSON."""
+    stats = NormStats(np.zeros(1), np.ones(1), np.array([-14.0, 4.0]), np.array([28.0, 4.0]), 16.0)
+    save_model(build_model("localization", 1, 4, 2, stats), path)
+    return json.loads(path.read_text())
+
+
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     rng = np.random.default_rng(12)
-    params = {
-        "a.weight": rng.normal(size=(7, 5)) * math.pi,
-        "a.bias": rng.normal(size=5),
-        "deep.w_in": rng.normal(size=(3, 8)) / 3.0,
-    }
-    desc = {"kind": "demo", "hidden": 5}
-    save_params(tmp_path / "ck.json", desc, params)
-    desc2, loaded = load_params(tmp_path / "ck.json")
-    assert desc2 == desc
-    assert set(loaded) == set(params)
-    for name in params:
-        np.testing.assert_array_equal(loaded[name], params[name])
+    stats = NormStats(rng.normal(size=3) * math.pi, rng.uniform(0.5, 2.0, size=3) / 3.0,
+                      np.array([-14.0, 4.0]), np.array([28.0, 4.0]), 16.0)
+    model = build_model("rf+lidar", 3, 4, 2, stats, 13)
+    model.params[:] = rng.normal(size=model.params.size) * math.pi
+    save_model(model, tmp_path / "ck.json")
+    loaded = load_model(tmp_path / "ck.json")
+    assert (loaded.kind, loaded.window_len, loaded.horizon, loaded.raster_bins) == (
+        "rf+lidar", 4, 2, 13)
+    assert loaded.params.tobytes() == model.params.tobytes()
+    for key in ("rssi_mean", "rssi_std", "road_origin", "road_size"):
+        assert getattr(loaded.stats, key).tobytes() == getattr(stats, key).tobytes()
 
 
 def test_checkpoint_version_is_enforced(tmp_path):
-    save_params(tmp_path / "ck.json", {}, {"w": np.zeros(2)})
-    payload = json.loads((tmp_path / "ck.json").read_text())
+    payload = small_checkpoint(tmp_path / "ck.json")
     payload["format_version"] = 42
     (tmp_path / "ck.json").write_text(json.dumps(payload))
     with pytest.raises(VersionError):
-        load_params(tmp_path / "ck.json")
+        load_model(tmp_path / "ck.json")
 
 
-BAD_PARAM_DATA = {  # case -> rewrite of params.w's data, cells [0.5, 1.5, 2.5]
+BAD_PARAM_DATA = {  # case -> rewrite of params.dense2.bias's data, 4 cells
     "string": lambda data: ["0.5"] + data[1:],
     "bool": lambda data: [True] + data[1:],
     "nan": lambda data: [math.nan] + data[1:],
-    "wrong-length": lambda data: data[:2],
+    "wrong-length": lambda data: data[:3],
     "nested": lambda data: [data],
 }
 
@@ -899,36 +908,42 @@ BAD_PARAM_DATA = {  # case -> rewrite of params.w's data, cells [0.5, 1.5, 2.5]
 def test_checkpoint_data_that_is_no_list_of_shape_many_numbers_names_the_entry(tmp_path, case):
     # np.array(data, dtype=np.float64) used to read "0.5" and true as numbers.
     path = tmp_path / "ck.json"
-    save_params(path, {}, {"w": np.array([0.5, 1.5, 2.5]), "v": np.zeros((2, 2))})
-    payload = json.loads(path.read_text())
-    payload["params"]["w"]["data"] = BAD_PARAM_DATA[case](payload["params"]["w"]["data"])
+    payload = small_checkpoint(path)
+    entry = payload["params"]["dense2.bias"]
+    entry["data"] = BAD_PARAM_DATA[case](entry["data"])
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaError) as err:
-        load_params(path)
-    assert str(err.value).startswith(f"{path}: params.w.data must be a list of 3 numbers")
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: params.dense2.bias.data must be a list of 4 numbers")
 
 
-@pytest.mark.parametrize("shape", [[-3], [3.0], [True, 3], "3", None])
+# lstm.w_in is (1, 128): a float or a bool equals its int, and [64, 128] is
+# the shape of another architecture (64 beams)
+@pytest.mark.parametrize("shape", [[-1, 128], [1.0, 128], [True, 128], "3", None, [64, 128]])
 def test_checkpoint_shape_must_be_a_list_of_non_negative_integers(tmp_path, shape):
     path = tmp_path / "ck.json"
-    save_params(path, {}, {"w": np.array([0.5, 1.5, 2.5])})
-    payload = json.loads(path.read_text())
-    payload["params"]["w"]["shape"] = shape
+    payload = small_checkpoint(path)
+    payload["params"]["lstm.w_in"]["shape"] = shape
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaError) as err:
-        load_params(path)
-    assert str(err.value).startswith(f"{path}: params.w.shape must be a list")
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: params.lstm.w_in.shape must be [1, 128]")
 
 
 def test_a_long_bad_checkpoint_entry_is_quoted_in_short(tmp_path):
     path = tmp_path / "ck.json"
-    save_params(path, {}, {"w": np.zeros((100, 100))})
-    payload = json.loads(path.read_text())
-    payload["params"]["w"]["data"][-1] = "x"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaError) as err:
-        load_params(path)
-    assert len(str(err.value)) < 400
+    for key in ("data", "shape"):
+        payload = small_checkpoint(path)
+        entry = payload["params"]["lstm.w_rec"]  # (32, 128)
+        if key == "data":
+            entry["data"][-1] = "x"
+        else:
+            entry["shape"] = list(range(4096))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as err:
+            load_model(path)
+        assert f"params.lstm.w_rec.{key} must be" in str(err.value)
+        assert len(str(err.value)) < 400
 
 
 def test_dense_params_shape_validation():
