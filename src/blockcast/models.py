@@ -22,6 +22,10 @@ its ``shape`` and C-order ``data``, in repr floats that load bit for bit.
   the polar depth raster of the latest scan (``conv1``, ``conv2``: 8 then
   16 channels, kernel 5, stride 2, ReLU, global average pooling); both
   feature vectors are concatenated and mapped by ``head`` to N logits.
+  A conv layer's forward is one product per window over its input
+  unrolled into windows of 5 samples (``nn.conv1d_forward``), and returns
+  channels-last memory, which ``conv2`` and the pooling read without a
+  copy.
 
 RSSI windows enter every model as per-beam standardized dB values; the
 statistics come from the training split only and ride along in the
@@ -614,8 +618,11 @@ def load_model(path) -> Model:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad descriptor: {exc!r}") from None
     live = model.named_params()
-    if set(live) != set(params):
-        raise SchemaError(f"{path}: checkpoint parameters do not match architecture")
+    missing, extra = sorted(set(live) - set(params)), sorted(set(params) - set(live))
+    if missing or extra:
+        raise SchemaError(f"{path}: checkpoint parameters do not match architecture: "
+                          f"missing {', '.join(missing) or 'none'}; "
+                          f"extra {', '.join(extra) or 'none':.200}")
     for name, arr in live.items():
         entry = params[name] if isinstance(params[name], dict) else {}
         shape = entry.get("shape")

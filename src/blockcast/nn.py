@@ -3,8 +3,11 @@
 These are numpy kernels only, with no file IO: a model's checkpoint,
 ``model.json``, belongs to ``models``.
 
-Everything runs in float64 on plain numpy arrays. The conv is computed tap
-by tap with BLAS matmuls over strided views. The LSTM starts from zero state
+Everything runs in float64 on plain numpy arrays. A conv layer reads its
+input channels-last and unrolls it into windows of its K taps, a few
+inputs at a time, for one BLAS product per window; it returns the
+(B, C, L) view of a (B, L, C) buffer, which the next conv layer and the
+pooling read in place. The LSTM starts from zero state
 and has two forwards with the same bits. Stacked layers of one hidden size
 are an ``LstmStack``, their weights stacked by array, which the stack
 kernels read without a copy. Training buffers the gates and cell states of
@@ -35,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ensure_finite
 
@@ -502,36 +504,61 @@ def conv1d_init(
     )
 
 
-def _taps(x: Array, kernel: int, stride: int, out_len: int) -> list[Array]:
-    """Strided views x[:, :, k::stride] of out_len samples, one per kernel tap."""
-    span = stride * (out_len - 1) + 1
-    return [x[:, :, k : k + span : stride] for k in range(kernel)]
+# Windows per unrolled copy in the conv forward. A window's output is one GEMM
+# whatever the chunk, so the chunk bounds the copy (222 KB at ``conv2`` of the
+# rf+lidar model) without moving any bit. Scoring the standard drive, 8 was
+# within 4% of the fastest chunk from 2 to 32 and peaked 0.2 MiB below it.
+CONV_CHUNK = 8
+
+
+def _channels_last(x: Array) -> Array:
+    """(B, C, L) -> C-contiguous (B, L, C): a view of channels-last memory,
+    such as a conv layer's output, and a copy of anything else."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
+
+
+def _unrolled(samples: Array, kernel: int, stride: int, out_len: int) -> Array:
+    """(B, L', K*C) copy of (B, L, C) C-contiguous samples: row j of a window
+    holds its samples S*j .. S*j + K - 1, each with its C channels, which
+    are K*C consecutive values of the input. The rows overlap when S < K,
+    so the view over them, built by the ``ndarray`` constructor, is copied
+    for BLAS."""
+    batch, length, chans = samples.shape
+    item = samples.itemsize
+    view = np.ndarray((batch, out_len, kernel * chans), samples.dtype, samples, 0,
+                      (length * chans * item, stride * chans * item, item))
+    return np.ascontiguousarray(view)
+
+
+def _weight_rows(weight: Array) -> Array:
+    """(O, C, K) -> (K*C, O): row k*C + c holds tap k of input channel c,
+    the order of ``_unrolled``'s columns."""
+    return weight.T.reshape(-1, weight.shape[0])
 
 
 def conv1d_forward(p: Conv1dParams, x: Array) -> tuple[Array, Array]:
     """x: (B, in_channels, length) -> (B, out_channels, out_length).
 
-    Computed tap by tap: y = bias + sum_k W[:, :, k] @ x_k, with x_k a
-    strided view of x, so no (B, out_length, in_channels * kernel) copy;
-    each tap's product goes through one reused buffer. With one input
-    channel a tap is an outer product, taken as a broadcast multiply rather
-    than numpy's non-BLAS matmul loop on the strided view. The two give the
-    same bits unless a bias is -0.0: the matmul's single-term sum 0 + w*x
-    turns a -0.0 product into 0.0, which only a sum still at -0.0 tells
-    apart.
+    The input channels-last, unrolled into windows (``_unrolled``) of
+    ``CONV_CHUNK`` inputs at a time, times the (K*C, O) weight: one
+    (L', K*C) @ (K*C, O) GEMM per window, so a window's output has the same
+    bits in any batch and chunk. The products go straight into a (B, L', O)
+    array, and the output is its (B, O, L') transposed view, which the next
+    conv layer and the pooling read without a copy.
     """
     out_c, in_c, kernel = p.weight.shape
     if x.ndim != 3 or x.shape[1] != in_c:
         raise ValueError("conv input must be (batch, in_channels, length)")
     if x.shape[2] < kernel:
         raise ValueError("kernel is longer than the input signal")
-    taps = _taps(x, kernel, p.stride, (x.shape[2] - kernel) // p.stride + 1)
-    product = np.multiply if in_c == 1 else np.matmul
-    y = product(p.weight[:, :, 0], taps[0])
-    y += p.bias[:, None]
-    buf = np.empty_like(y)
-    for k in range(1, kernel):
-        y += product(p.weight[:, :, k], taps[k], out=buf)
+    out_len = (x.shape[2] - kernel) // p.stride + 1
+    samples, weight = _channels_last(x), _weight_rows(p.weight)
+    y = np.empty((len(x), out_len, out_c))
+    for lo in range(0, len(x), CONV_CHUNK):
+        chunk = slice(lo, lo + CONV_CHUNK)
+        np.matmul(_unrolled(samples[chunk], kernel, p.stride, out_len), weight, out=y[chunk])
+    y += p.bias
+    y = y.transpose(0, 2, 1)
     ensure_finite("conv output", y)
     return y, x
 
@@ -541,38 +568,51 @@ def conv1d_backward(p: Conv1dParams, d_out: Array, cache: Array, *, input_grad: 
     input gradient, which nothing reads below a network's first layer, is
     skipped and d_x is None.
 
-    The weight gradient of tap k is (O, B*L') @ (B*L', I): ``d_out``
-    transposed once, and all K taps of the input copied once into one
-    contiguous (K, B*L', I) array. These are the operands, in the same
-    layout, that ``np.tensordot(d_out, x_k, ([0, 2], [0, 2]))`` builds
-    afresh for every tap, so the bits are the same."""
+    Over every window at once, the output gradient channels-last as (B*L',
+    O) rows. The weight gradient is one matmul, the unrolled input
+    transposed by those rows, (K*C, B*L') @ (B*L', O). The input gradient
+    is one matmul in polyphase form: sample S*r + s is the sum over m of
+    output gradient row r - m times tap S*m + s, so the output gradient,
+    zero-padded and unrolled M = ceil(K/S) rows at a time, times the taps
+    grouped S at a time (zero past the kernel), (B*R, M*O) @ (M*O, S*C),
+    gives the input gradient as R = ceil(L/S) rows of S samples. It is
+    returned as the (B, C, L) view of that channels-last memory, like the
+    forward's output."""
     x = cache
-    batch, _, out_len = d_out.shape
+    batch, _, length = x.shape
     out_c, in_c, kernel = p.weight.shape
-    d_t = d_out.transpose(1, 0, 2).reshape(out_c, batch * out_len)
-    span = p.stride * (out_len - 1) + 1
-    windows = sliding_window_view(x, kernel, axis=2)[:, :, :span:p.stride]  # (B, I, L', K)
-    taps = np.ascontiguousarray(windows.transpose(3, 0, 2, 1))  # (K, B, L', I)
-    taps = taps.reshape(kernel, batch * out_len, in_c)
-    d_w = np.empty_like(p.weight)
-    for k in range(kernel):
-        d_w[:, :, k] = np.dot(d_t, taps[k])
-    grads = {"weight": d_w, "bias": d_out.sum(axis=(0, 2))}
+    out_len = d_out.shape[2]
+    cols = _unrolled(_channels_last(x), kernel, p.stride, out_len).reshape(-1, kernel * in_c)
+    d_y = _channels_last(d_out)
+    flat = d_y.reshape(-1, out_c)
+    d_w = np.matmul(cols.T, flat).reshape(kernel, in_c, out_c)
+    grads = {"weight": np.ascontiguousarray(d_w.T), "bias": np.matmul(np.ones(len(flat)), flat)}
     if not input_grad:
         return None, grads
-    d_x = np.zeros_like(x)
-    for k, d_x_k in enumerate(_taps(d_x, kernel, p.stride, out_len)):
-        d_x_k += p.weight[:, :, k].T @ d_out
-    return d_x, grads
+    taps, rows = -(-kernel // p.stride), -(-length // p.stride)
+    padded = np.zeros((batch, taps - 1 + rows, out_c))
+    padded[:, taps - 1 : taps - 1 + out_len] = d_y
+    # Column block i of an unrolled row r holds output gradient row r - m,
+    # m = M - 1 - i, so it meets taps S*m .. S*m + S - 1.
+    weight = np.zeros((taps * p.stride, in_c, out_c))
+    weight[:kernel] = p.weight.T
+    weight = weight.reshape(taps, p.stride, in_c, out_c)[::-1].transpose(0, 3, 1, 2)
+    d_rows = np.matmul(_unrolled(padded, taps, 1, rows).reshape(batch * rows, -1),
+                       weight.reshape(taps * out_c, p.stride * in_c))
+    d_x = d_rows.reshape(batch, rows * p.stride, in_c)[:, :length]
+    return d_x.transpose(0, 2, 1), grads
 
 
 def global_avg_pool(x: Array) -> tuple[Array, int]:
-    """(B, C, L) -> (B, C): mean over the length axis."""
-    return x.mean(axis=2), x.shape[2]
+    """(B, C, L) -> (B, C): mean over the length axis, as one matrix-vector
+    product per window, which reads the channels-last conv output in place."""
+    return np.matmul(x, np.ones(x.shape[2])) / x.shape[2], x.shape[2]
 
 
 def global_avg_pool_backward(d_out: Array, length: int) -> Array:
-    return np.repeat(d_out[:, :, None], length, axis=2) / length
+    """The (B, C, length) gradient, a broadcast view of channels-last layout."""
+    spread = (d_out / length)[:, None, :]
+    return np.broadcast_to(spread, (len(d_out), length, d_out.shape[1])).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

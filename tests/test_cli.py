@@ -646,6 +646,29 @@ def test_a_bad_norm_field_in_a_checkpoint_names_the_file_and_key(chain, tmp_path
     assert not list(out.iterdir())
 
 
+def _with_extra_entry(params):
+    params["head.extra"] = {"shape": [1], "data": [0.0]}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_with_extra_entry, "missing none; extra head.extra"),
+    (lambda params: params.pop("head.bias"), "missing head.bias; extra none"),
+], ids=["extra", "missing"])
+def test_a_checkpoint_of_other_parameter_names_names_the_entry(chain, tmp_path, capsys, edit,
+                                                              named):
+    # Both said only "checkpoint parameters do not match architecture".
+    payload = json.loads((chain / "rf" / "model.json").read_text())
+    edit(payload["params"])
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "report"
+    assert run(["evaluate", "--dataset", str(chain / "data"), "--rf", str(ckpt),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{ckpt.resolve()}: checkpoint parameters do not match architecture: {named}" in err
+    assert "Traceback" not in err and not list(out.iterdir())
+
+
 @pytest.mark.parametrize("key, value", [("tx", [0.0]), ("rx", [1, 2, 3]), ("rx", "0,12")])
 def test_label_checks_the_link_in_the_metadata_before_writing(
     chain, tmp_path, capsys, key, value

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockcast import models, nn
+from blockcast import models, nn, numeric_environment
 from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
 from blockcast.models import (
@@ -217,19 +217,22 @@ def test_training_is_bit_reproducible():
 
 # sha256 of the model.json that `blockcast train` writes for each variant on
 # the standard config; the session fixtures train the same models in process.
-# (float64 text via repr, numpy 2.4 on x86-64.)
+# (float64 text via repr, numpy 2.4 on x86-64, in the numeric environment of
+# the README: OpenBLAS's SkylakeX kernel on one thread, numpy's AVX-512 loops.)
 STANDARD_MODEL_SHA256 = {
     "trained_localization": "0e9ce22ff4b7d054d0ea7da4f8bcfcc6f439b719a8dcb1285d84fa06688d275a",
     "trained_rf": "c36db49cfe80a89a9fd4a0247421d4b983089d6205bc60c07b15c5cfb14354a0",
-    "trained_lidar": "5ffb5dbdbe3e1a0226b1a8565cb87d2659b230834269268ec36330f549fe42b5",
+    "trained_lidar": "9036a891a17b9c7b868b0fc144e1a411d0f14b2ab2b068c98420756acda12ebf",
 }
 
 
 @pytest.mark.parametrize("fixture", sorted(STANDARD_MODEL_SHA256))
 def test_standard_training_writes_the_pinned_checkpoint(request, tmp_path, fixture):
+    # A failure names the numeric environment it ran in.
     path = tmp_path / "model.json"
     save_model(request.getfixturevalue(fixture), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == STANDARD_MODEL_SHA256[fixture]
+    assert (hashlib.sha256(path.read_bytes()).hexdigest() == STANDARD_MODEL_SHA256[fixture]
+            ), numeric_environment()
 
 
 def test_curve_lengths_match_schedule():
@@ -490,10 +493,13 @@ def run_without_a_thread_count(args, **env):
 def test_block_scoring_keeps_its_bits_on_the_haswell_kernel_at_the_default_thread_count():
     # At OpenBLAS's default two threads, its Haswell kernel moved the last bits
     # of trailing blocks of 65 and 69 windows; importing blockcast pins one.
+    # The conv property runs there too, at batches of 64 and 65 windows.
     run = run_without_a_thread_count(
-        ["-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "scoring_in_blocks"],
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         str(Path(__file__).with_name("test_nn.py")),
+         "-k", "scoring_in_blocks or unrolled_conv_matches"],
         OPENBLAS_CORETYPE="Haswell")
-    assert run.returncode == 0 and "42 passed" in run.stdout, run.stdout[-3000:]
+    assert run.returncode == 0 and "43 passed" in run.stdout, run.stdout[-3000:]
 
 
 THREADS_AFTER_IMPORT = """
@@ -515,6 +521,26 @@ def test_importing_blockcast_runs_one_blas_thread_unless_the_environment_says(se
     assert run.returncode == 0, run.stderr
     before, after = map(int, run.stdout.split())
     assert after == want and (setting is None or before == want)
+
+
+ENVIRONMENT_AFTER_IMPORT = """
+import json, blockcast
+print(json.dumps(blockcast.numeric_environment()))
+"""
+
+
+def test_the_numeric_environment_names_the_blas_kernel_in_use():
+    if not any((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
+        pytest.skip("numpy ships no scipy-openblas here")
+    here = numeric_environment()
+    assert here["blas_threads"] >= 1 and here["blas_core"] and here["blas_config"]
+    assert here["simd"] and all(isinstance(name, str) for name in here["simd"])
+    run = run_without_a_thread_count(["-c", ENVIRONMENT_AFTER_IMPORT],
+                                     OPENBLAS_CORETYPE="Haswell")
+    assert run.returncode == 0, run.stderr
+    forced = json.loads(run.stdout)
+    assert forced["blas_core"] == "Haswell" and forced["blas_threads"] == 1
+    assert forced["simd"] == here["simd"]
 
 
 @pytest.mark.parametrize("block", [6, 0])
@@ -728,7 +754,9 @@ def test_batch_forward_over_the_whole_drive_keeps_no_dead_intermediates(
     blocks of SCORE_BLOCK = 64 windows (11.9 MiB in blocks of 256 windows,
     10.6 MiB there when no block ran as a wavefront, 61.1 MiB in one pass;
     76.1 MiB when conv and dense outputs stayed in a throwaway dict and
-    ReLU and the conv taps allocated). The bound is 15% above the measured
-    peak: array sizes fix the peak exactly."""
+    ReLU and the conv taps allocated). The bound is 15% above that peak:
+    array sizes fix the peak exactly. Since the conv forward unrolls 8
+    windows at a time, the peak is 2.48 MiB; unrolling all 64 at once
+    went above the bound."""
     windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
     assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 3.5

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockcast import nn
 from blockcast.errors import NonFiniteError, SchemaError, VersionError
 from blockcast.models import NormStats, build_model, load_model, save_model
 from blockcast.nn import (
@@ -362,8 +363,8 @@ def test_conv_matches_the_einsum_reference(case):
 
 
 def ref_tapwise_conv1d_forward(p, x):
-    """The tap-wise matmul form: y = bias + sum_k W[:, :, k] @ x_k, a fresh
-    product array per tap, the matmul for every channel count."""
+    """The tap-wise matmul form that ``conv1d_forward`` had before the
+    unrolled one: y = bias + sum_k W[:, :, k] @ x_k, x_k a strided view."""
     kernel = p.weight.shape[2]
     span = p.stride * ((x.shape[2] - kernel) // p.stride) + 1
     taps = [x[:, :, k : k + span : p.stride] for k in range(kernel)]
@@ -373,25 +374,9 @@ def ref_tapwise_conv1d_forward(p, x):
     return y
 
 
-@pytest.mark.parametrize("in_c", [1, 3, 8])
-@pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("batch", [1, 2, 17, 40])
-def test_conv_forward_is_bit_equal_to_the_tapwise_matmul_form(batch, stride, in_c):
-    """One input channel takes the broadcast multiply, more take the matmul
-    into a reused buffer; both give the tap-wise matmul's bits. Exact zeros
-    in x make -0.0 products; nonzero biases are why they cannot show."""
-    rng = np.random.default_rng(100 * batch + 10 * stride + in_c)
-    p = conv1d_init(rng, in_c, 8, 5, stride=stride)
-    p.bias[:] = rng.normal(size=8)
-    x = rng.normal(size=(batch, in_c, 41))
-    x[rng.random(x.shape) < 0.2] = 0.0
-    y, _ = conv1d_forward(p, x)
-    assert y.tobytes() == ref_tapwise_conv1d_forward(p, x).tobytes()
-
-
 def ref_tapwise_conv1d_backward(p, d_out, x):
-    """The per-tap backward: the weight gradient from one ``np.tensordot``
-    per tap, each copying both operands afresh, and the input gradient
+    """The per-tap backward that ``conv1d_backward`` had before: the weight
+    gradient from one ``np.tensordot`` per tap, and the input gradient
     scattered tap by tap."""
     kernel, out_len = p.weight.shape[2], d_out.shape[2]
     span = p.stride * (out_len - 1) + 1
@@ -402,20 +387,148 @@ def ref_tapwise_conv1d_backward(p, d_out, x):
     return d_x, d_w
 
 
+def unrolled_operands(p, x, out_len):
+    """The unrolled form's operands, built tap by tap: (B, L', K*C) windows,
+    columns k*C .. k*C + C - 1 of window row j holding the C channels of
+    sample S*j + k, and the (K*C, O) weight, row k*C + c holding tap k of
+    input channel c."""
+    out_c, in_c, kernel = p.weight.shape
+    span = p.stride * (out_len - 1) + 1
+    cols = np.empty((len(x), out_len, kernel * in_c))
+    weight = np.empty((kernel * in_c, out_c))
+    for k in range(kernel):
+        cols[:, :, k * in_c : (k + 1) * in_c] = x[:, :, k : k + span : p.stride].transpose(0, 2, 1)
+        weight[k * in_c : (k + 1) * in_c] = p.weight[:, :, k].T
+    return cols, weight
+
+
+def ref_unrolled_conv1d_forward(p, x):
+    """The unrolled order: each window's (L', K*C) rows times the weight,
+    one matmul per window, and then the bias."""
+    cols, weight = unrolled_operands(p, x, (x.shape[2] - p.weight.shape[2]) // p.stride + 1)
+    return np.transpose(np.matmul(cols, weight) + p.bias, (0, 2, 1))
+
+
+@pytest.mark.parametrize("in_c", [1, 3, 8])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 2, 17, 40])
+def test_conv_forward_is_bit_equal_to_the_tapwise_matmul_form(batch, stride, in_c):
+    """The name dates from the tap-wise form that this test pinned before;
+    the order it pins now is the unrolled one, a matmul per window over all
+    its taps, whichever ``CONV_CHUNK`` of windows the window falls in.
+    Exact zeros in x make -0.0 products; nonzero biases are why they cannot
+    show."""
+    rng = np.random.default_rng(100 * batch + 10 * stride + in_c)
+    p = conv1d_init(rng, in_c, 8, 5, stride=stride)
+    p.bias[:] = rng.normal(size=8)
+    x = rng.normal(size=(batch, in_c, 41))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    y, _ = conv1d_forward(p, x)
+    assert y.tobytes() == ref_unrolled_conv1d_forward(p, x).tobytes()
+
+
+def ref_unrolled_conv1d_backward(p, d_out, x):
+    """The unrolled backward over every window at once, with the output
+    gradient channels-last as (B*L', O) rows. The weight gradient is the
+    windows' rows transposed by it. The input gradient, as rows of S
+    samples, is one matmul: row r holds the output gradient's rows r - m
+    for m = M - 1 down to 0 (zero outside the window), and the weight the
+    taps S*m .. S*m + S - 1 in the same blocks, zero past the kernel."""
+    out_c, in_c, kernel = p.weight.shape
+    batch, _, length = x.shape
+    s, out_len = p.stride, d_out.shape[2]
+    cols, _ = unrolled_operands(p, x, out_len)
+    d_y = np.ascontiguousarray(d_out.transpose(0, 2, 1))
+    d_rows = np.matmul(cols.reshape(-1, kernel * in_c).T, d_y.reshape(-1, out_c))
+    d_w = np.empty_like(p.weight)
+    for k in range(kernel):
+        d_w[:, :, k] = d_rows[k * in_c : (k + 1) * in_c].T
+    n_taps, n_rows = -(-kernel // s), -(-length // s)
+    shifted = np.zeros((batch, n_rows, n_taps, out_c))
+    grouped = np.zeros((n_taps, out_c, s, in_c))
+    for m in range(n_taps):
+        shifted[:, m : m + out_len, n_taps - 1 - m] = d_y
+    for k in range(kernel):
+        grouped[n_taps - 1 - k // s, :, k % s] = p.weight[:, :, k]
+    d_x = np.matmul(shifted.reshape(batch * n_rows, -1), grouped.reshape(-1, s * in_c))
+    d_x = d_x.reshape(batch, n_rows * s, in_c)[:, :length].transpose(0, 2, 1)
+    return d_x, d_w
+
+
 @pytest.mark.parametrize("batch", [1, 8, 64, 1488])
 @pytest.mark.parametrize("in_c, out_c, length", [(1, 8, 360), (8, 16, 178)], ids=["conv1", "conv2"])
 def test_conv_backward_is_bit_equal_to_the_per_tap_tensordot(in_c, out_c, length, batch):
     """The rf+lidar model's two conv layers (kernel 5, stride 2) at the
-    training batch, the transfer-sized one and two others."""
+    training batch, the transfer-sized one and two others. The name dates
+    from the per-tap ``np.tensordot`` backward that this test pinned before;
+    the order it pins now is the unrolled one, a matmul over all windows and
+    taps."""
     rng = np.random.default_rng(batch + in_c)
     p = conv1d_init(rng, in_c, out_c, 5, stride=2)
     x = rng.normal(size=(batch, in_c, length))
     y, cache = conv1d_forward(p, x)
     d_out = rng.normal(size=y.shape)
     d_x, grads = conv1d_backward(p, d_out, cache)
-    want_d_x, want_d_w = ref_tapwise_conv1d_backward(p, d_out, x)
+    want_d_x, want_d_w = ref_unrolled_conv1d_backward(p, d_out, x)
     assert grads["weight"].tobytes() == want_d_w.tobytes()
     assert d_x.tobytes() == want_d_x.tobytes()
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from([1, 3, 8, 64, 65]), st.integers(1, 8), st.integers(1, 6),
+    st.integers(1, 6), st.integers(1, 3), st.integers(0, 12), st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_unrolled_conv_matches_the_einsum_reference(batch, in_c, out_c, kernel, stride,
+                                                       extra, channels_last, seed):
+    """Every length from the kernel's to 12 samples beyond, most of which the
+    stride does not divide, and inputs in (B, C, L) memory or channels-last,
+    which the layers read without a copy; batches of 64 and 65 windows span
+    more than one ``CONV_CHUNK``. Under ``invalid="raise"``, no product over
+    an unfilled buffer may make a NaN."""
+    rng = np.random.default_rng(seed)
+    p = conv1d_init(rng, in_c, out_c, kernel, stride=stride)
+    p.bias[:] = rng.normal(size=out_c)
+    x = rng.normal(size=(batch, in_c, kernel + extra))
+    if channels_last:
+        x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    with np.errstate(invalid="raise"):
+        y, cache = conv1d_forward(p, x)
+        assert_close(y, ref_conv1d_forward(p, x))
+        d_out = rng.normal(size=y.shape)
+        d_x, grads = conv1d_backward(p, d_out, cache)
+    want_d_x, want_grads = ref_conv1d_backward(p, d_out, x)
+    assert d_x.shape == x.shape
+    assert_close(d_x, want_d_x)
+    for name in ("weight", "bias"):
+        assert grads[name].shape == want_grads[name].shape
+        assert_close(grads[name], want_grads[name])
+    # The tap-wise form it replaced sums in another order, to the same values.
+    tapwise_d_x, tapwise_d_w = ref_tapwise_conv1d_backward(p, d_out, x)
+    assert_close(y, ref_tapwise_conv1d_forward(p, x))
+    assert_close(d_x, tapwise_d_x)
+    assert_close(grads["weight"], tapwise_d_w)
+
+
+def test_a_conv_layer_reads_the_output_of_the_one_before_without_a_copy():
+    """The rf+lidar shapes: conv1's output and conv2's input gradient are
+    (B, C, L) views of channels-last memory, and conv2 and the pooling read
+    conv1's and conv2's outputs in place."""
+    rng = np.random.default_rng(6)
+    conv1, conv2 = conv1d_init(rng, 1, 8, 5, 2), conv1d_init(rng, 8, 16, 5, 2)
+    x = rng.uniform(size=(8, 360))[:, None, :]
+    y1, _ = conv1d_forward(conv1, x)
+    y2, _ = conv1d_forward(conv2, relu(y1, out=y1))
+    for y in (y1, y2):
+        assert y.transpose(0, 2, 1).flags.c_contiguous
+    assert np.shares_memory(nn._channels_last(y1), y1)
+    d_x, _ = conv1d_backward(conv2, rng.normal(size=y2.shape), y1)
+    assert d_x.transpose(0, 2, 1).flags.c_contiguous
+    pooled, length = global_avg_pool(y2)
+    np.testing.assert_allclose(pooled, y2.mean(axis=2), rtol=1e-13)
+    d_pool = global_avg_pool_backward(pooled, length)
+    assert (d_pool * (y2 > 0)).transpose(0, 2, 1).flags.c_contiguous
 
 
 def test_sigmoid_is_bit_equal_to_the_sign_split_form():
