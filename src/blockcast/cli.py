@@ -11,8 +11,9 @@ One binary, one subcommand per pipeline stage::
                        --rx 4,12 --rx -6,12 --out runs/sweep
 
 A flag named as a config key (``--steps``) overrides that key; every
-other flag is a stage input. ``ingest.json_field`` checks the JSON fields
-a stage reads, and ``config.check_value`` each ``--set`` value.
+other flag is a stage input. ``config.check_value`` checks every config
+value, whatever its source, and the stages read them as given;
+``ingest.json_field`` checks the JSON fields a stage reads.
 
 Every run writes a ``manifest.json`` next to its outputs holding the
 subcommand, the fully resolved config, the stage inputs, and a sha256
@@ -32,11 +33,13 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, check_value, resolve_config
+from .config import DEFAULTS, check_value, parse_value, resolve_config
 from .errors import ConfigMismatchError, PipelineError, SchemaError
 from .evaluation import (
     BLOCKAGE_CSV_HEADER,
@@ -151,17 +154,17 @@ def replay_manifest(manifest_path, out_dir) -> dict[str, bool]:
     subcommand = manifest["subcommand"]
     if subcommand not in _COMMANDS:
         raise SchemaError(f"{manifest_path}: unknown subcommand {subcommand!r}")
+    cfg = {}
     for key in DEFAULTS:
         if key not in manifest["config"]:
             raise SchemaError(f"{manifest_path}: config has no {key!r}")
         try:
-            check_value(key, manifest["config"][key])
+            cfg[key] = check_value(key, manifest["config"][key])
         except SchemaError as exc:
             raise SchemaError(f"{manifest_path}: config {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _COMMANDS[subcommand](manifest["config"], _ManifestInputs(manifest_path, manifest["inputs"]),
-                          out)
+    _COMMANDS[subcommand](cfg, _ManifestInputs(manifest_path, manifest["inputs"]), out)
     return {
         name: (out / name).exists() and _sha256(out / name) == checksum
         for name, checksum in manifest["outputs"].items()
@@ -176,18 +179,17 @@ def _road_frame_link(tx, rx, origin, object_width: float) -> LinkGeometry:
     """The link shifted into the road frame (of centroids and predictions) at world ``origin``."""
     return LinkGeometry(tx=tuple(np.subtract(tx, origin).tolist()),
                         rx=tuple(np.subtract(rx, origin).tolist()),
-                        object_width=float(object_width))
+                        object_width=object_width)
 
 
 def _scenario_windows(cfg: dict, bundle: ScenarioBundle, threshold: float | None) -> WindowSet:
     """The labeled windows of one scenario as the config cuts them; the
     blockage flags come from ``threshold``, all False when it is None."""
     flags = None if threshold is None else blockage_labels_from_rssi(bundle.rssi, threshold)
-    src_cfg = SrcConfig(float(cfg["proximity_radius"]), tuple(map(float, cfg["road_region"])))
-    db_cfg = DbscanConfig(float(cfg["eps"]), int(cfg["min_pts"]))
-    return build_windows(bundle, scenario_centroids(bundle, src_cfg, db_cfg),
-                         int(cfg["window_len"]), int(cfg["horizon"]), flags,
-                         int(cfg["raster_bins"]), float(cfg["lidar_max_range"]))
+    src_cfg = SrcConfig(cfg["proximity_radius"], cfg["road_region"])
+    db_cfg = DbscanConfig(cfg["eps"], cfg["min_pts"])
+    return build_windows(bundle, scenario_centroids(bundle, src_cfg, db_cfg), cfg["window_len"],
+                         cfg["horizon"], flags, cfg["raster_bins"], cfg["lidar_max_range"])
 
 
 def _window_steps(times, horizon: int) -> list[np.ndarray]:
@@ -243,40 +245,18 @@ def _load_checked(path, kind: str, dims: dict, source) -> Model:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
-    codebook = build_codebook(int(cfg["num_beams"]), float(cfg["theta_offset"]), float(cfg["fov"]))
-    channel = ChannelConfig(
-        num_subcarriers=int(cfg["num_subcarriers"]),
-        noise_variance=float(cfg["noise_variance"]),
-        blocked_attenuation_db=float(cfg["blocked_attenuation_db"]),
-        scatter_gain=float(cfg["scatter_gain"]),
-        scatter_fluctuation_db=float(cfg["scatter_fluctuation_db"]),
-        symbol_power=float(cfg["symbol_power"]),
-    )
-    vehicle = Vehicle(
-        center=tuple(map(float, cfg["vehicle_center"])),
-        width=float(cfg["vehicle_width"]),
-        depth=float(cfg["vehicle_depth"]),
-        velocity=tuple(map(float, cfg["vehicle_velocity"])),
-    )
-    walls = tuple(tuple(map(float, wall)) for wall in (cfg["walls"] or []))
-    bounce = tuple(map(float, cfg["bounce_x"])) if cfg["bounce_x"] else None
-    world = WorldState(
-        tx_pos=tuple(map(float, cfg["tx"])),
-        rx_pos=tuple(map(float, cfg["rx"])),
-        vehicles=(vehicle,),
-        static_obstacles=walls,
-        lidar_max_range=float(cfg["lidar_max_range"]),
-        bounce_x=bounce,
-    )
-    result = simulate_scenario(
-        world, codebook, channel, int(cfg["steps"]), int(cfg["seed"]), int(cfg["lidar_rays"])
-    )
-    meta = {key: list(map(float, cfg[key])) for key in ("tx", "rx", "road_region")}
-    meta.update((key, float(cfg[key])) for key in (
-        "vehicle_width", "vehicle_depth", "theta_offset", "fov", "noise_variance",
-        "blocked_attenuation_db", "scatter_gain", "scatter_fluctuation_db", "symbol_power",
-        "lidar_max_range"))
-    meta.update((key, int(cfg[key])) for key in ("num_subcarriers", "steps", "seed", "lidar_rays"))
+    codebook = build_codebook(cfg["num_beams"], cfg["theta_offset"], cfg["fov"])
+    channel = ChannelConfig(**{field.name: cfg[field.name] for field in fields(ChannelConfig)})
+    vehicle = Vehicle(cfg["vehicle_center"], cfg["vehicle_width"], cfg["vehicle_depth"],
+                      cfg["vehicle_velocity"])
+    world = WorldState(cfg["tx"], cfg["rx"], (vehicle,), cfg["walls"] or (),
+                       cfg["lidar_max_range"], cfg["bounce_x"])
+    result = simulate_scenario(world, codebook, channel, cfg["steps"], cfg["seed"],
+                               cfg["lidar_rays"])
+    meta = {key: cfg[key] for key in (
+        "tx", "rx", "road_region", "vehicle_width", "vehicle_depth", "theta_offset", "fov",
+        "noise_variance", "blocked_attenuation_db", "scatter_gain", "scatter_fluctuation_db",
+        "symbol_power", "lidar_max_range", "num_subcarriers", "steps", "seed", "lidar_rays")}
     meta["power_threshold"] = result.power_threshold
     steps = np.arange(len(result.frames))
     bundle = ScenarioBundle(
@@ -309,16 +289,9 @@ def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     labeled, link = _labeled_drive(cfg, inputs["scenario"])
     if not labeled:
         raise ValueError("no valid windows were produced from the scenario")
-    meta = {
-        "road_region": list(map(float, cfg["road_region"])),
-        "lidar_max_range": float(cfg["lidar_max_range"]),
-        "eps": float(cfg["eps"]),
-        "min_pts": int(cfg["min_pts"]),
-        "proximity_radius": float(cfg["proximity_radius"]),
-        "object_width": float(cfg["object_width"]),
-        **link,
-    }
-    dataset = split_dataset(labeled, tuple(cfg["ratios"]), meta=meta)
+    meta = {key: cfg[key] for key in (
+        "road_region", "lidar_max_range", "eps", "min_pts", "proximity_radius", "object_width")}
+    dataset = split_dataset(labeled, cfg["ratios"], meta={**meta, **link})
     save_dataset(dataset, out_dir)
     return ["samples.csv", "frames.npy", "rasters.npy", "dataset.json"]
 
@@ -328,14 +301,8 @@ def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     path = Path(inputs["dataset"]) / "dataset.json"
     json_field(dataset.meta, "road_region", path, (4,))
     json_field(dataset.meta, "lidar_max_range", path, positive=True, optional=True)  # or 16.0
-    tcfg = TrainConfig(
-        lr=float(cfg["lr"]),
-        batch_size=int(cfg["batch_size"]),
-        episodes=int(cfg["episodes"]),
-        iterations=int(cfg["iterations"]),
-        seed=int(cfg["train_seed"]),
-        delta=float(cfg["delta"]),
-    )
+    tcfg = TrainConfig(cfg["lr"], cfg["batch_size"], cfg["episodes"], cfg["iterations"],
+                       cfg["train_seed"], cfg["delta"])
     variant = inputs["variant"]
     if variant == "localization":
         model, curves = train_localization(dataset, tcfg)
@@ -456,7 +423,7 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
     t0 = bundle.t[0]
     truth = np.full((len(bundle.t), 2), np.nan)  # NaN: no known position
     truth[bundle.truth.t - t0] = bundle.truth.pos
-    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, int(cfg["horizon"]) + 1)]
+    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
     kept = ~np.isnan(ahead).any(axis=(1, 2))
     if not kept.any():
         raise ValueError("no windows with complete ground truth positions")
@@ -518,21 +485,31 @@ _COMMANDS = {
 
 def _set_pair(text: str):
     key, sep, value = text.partition("=")
-    key = key.strip()
     if not sep:
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
-    if key not in DEFAULTS:
-        raise argparse.ArgumentTypeError(f"unknown config key {key!r}")
     try:
-        parsed = json.loads(value.strip())
-        check_value(key, parsed)
-    except json.JSONDecodeError:
-        raise argparse.ArgumentTypeError(
-            f"value for {key!r} is not valid JSON: {value!r}"
-        ) from None
+        return key.strip(), parse_value(key.strip(), value.strip())
     except SchemaError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return key, parsed
+
+
+def _flag_value(key: str, text: str):
+    """The text of the flag named as config ``key`` as a number of the
+    default's type, checked as a ``--set`` value is."""
+    try:
+        value = (int if type(DEFAULTS[key]) is int else float)(text)
+    except ValueError:
+        value = text  # no number: refused below, quoted
+    try:
+        return check_value(key, value)
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _config_flags(sub: argparse.ArgumentParser, **helps) -> None:
+    """A flag per config key in ``helps``: ``--window-len`` sets ``window_len``."""
+    for key, text in helps.items():
+        sub.add_argument("--" + key.replace("_", "-"), type=partial(_flag_value, key), help=text)
 
 
 def _path(text: str) -> str:
@@ -584,16 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario directory")
     _add_common(p)
-    p.add_argument("--seed", type=int, help="simulation seed")
-    p.add_argument("--steps", type=int, help="number of time steps")
+    _config_flags(p, seed="simulation seed", steps="number of time steps")
     p.add_argument("--scenario-id", help="identifier stored in meta.json (default: out dir name)")
 
     p = sub.add_parser("label", help="derive labels and build a windowed dataset")
     _add_common(p)
     p.add_argument("--scenario", type=_path, action=_Once, required=True, metavar="DIR",
                    help="scenario directory: one drive")
-    p.add_argument("--window-len", type=int, help="observation window length")
-    p.add_argument("--horizon", type=int, help="prediction horizon")
+    _config_flags(p, window_len="observation window length", horizon="prediction horizon")
 
     p = sub.add_parser("train", help="train one model on a dataset")
     _add_common(p)
@@ -602,12 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", required=True, choices=["localization", "rf", "rf+lidar"],
         help="which model to train",
     )
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--iterations", type=int, help="minibatches per episode")
-    p.add_argument("--train-seed", type=int, help="init + batch sampling seed")
-    p.add_argument("--delta", type=float, help="robust-loss transition point")
+    _config_flags(p, lr="learning rate", batch_size=None, episodes=None,
+                  iterations="minibatches per episode", train_seed="init + batch sampling seed",
+                  delta="robust-loss transition point")
 
     p = sub.add_parser("predict", help="dump raw model predictions for a split")
     _add_common(p)

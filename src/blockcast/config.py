@@ -1,13 +1,12 @@
 """Shared configuration: built-in defaults, config file, flag overrides.
 
 The config file is plain ``key = value`` lines; values are parsed as JSON
-(so lists like ``[0.7, 0.15, 0.15]`` work) and must have the form of the
-key's default (``check_value``; ``walls`` and ``bounce_x`` may be
-``null``), ``#`` starts a comment, blank lines are ignored. ``--set``
-values are checked alike. Resolution order, highest priority
-first: command-line flag, config file, built-in default. The environment
-variable BLOCKCAST_CONFIG names a config file to load when --config is
-not given.
+(so lists like ``[0.7, 0.15, 0.15]`` work), ``#`` starts a comment, blank
+lines are ignored. Resolution order, highest priority first: command-line
+flag, config file, built-in default. The environment variable
+BLOCKCAST_CONFIG names a config file to load when --config is not given.
+Every value, whatever its source, passes ``check_value``, which gives it
+the form of the key's default.
 
 The defaults describe the bundled reference scenario: a fixed link at the
 roadside, one vehicle shuttling along the road between bounce points, and
@@ -20,6 +19,8 @@ import json
 import math
 import os
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError, SchemaError
 from .ingest import json_field
@@ -73,19 +74,39 @@ DEFAULTS: dict = {
 }
 
 
-def check_value(key: str, value) -> None:
-    """Raise a SchemaError naming ``key`` unless ``value`` has the form of the
-    key's default: an integer where that is an int, else a finite number or a
-    list of as many finite numbers. ``walls`` and ``bounce_x`` go unchecked."""
-    default = DEFAULTS[key]
-    if key not in ("walls", "bounce_x"):
-        shape = (len(default),) if isinstance(default, list) else ()
-        json_field({key: value}, key, None, shape, integer=type(default) is int)
+def check_value(key: str, value):
+    """``value`` in the form of the key's default, as ``ingest.json_field``
+    gives it: an int where the default is one, else a float or a list of as
+    many floats. ``walls`` is null or a list of ``[x0, y0, x1, y1]`` rows
+    (none too), ``bounce_x`` null or a pair; ``symbol_power`` is positive
+    and the seeds are not negative. Anything else is a SchemaError naming
+    ``key``."""
+    rows = key == "walls" and isinstance(value, list)  # as many as given
+    if rows and not value:
+        return value
+    shape = (len(value), 4) if rows else np.shape(DEFAULTS[key])
+    value = json_field({key: value}, key, None, shape, integer=type(DEFAULTS[key]) is int,
+                       positive=key == "symbol_power", optional=key in ("walls", "bounce_x"))
+    if key in ("seed", "train_seed") and value < 0:
+        raise SchemaError(f"{key} must be a non-negative integer, got {value}")
+    return value
+
+
+def parse_value(key: str, text: str):
+    """The checked value of ``key`` given as JSON text; an unknown key, text
+    that is no JSON or a value ``check_value`` refuses is a SchemaError
+    naming the key."""
+    if key not in DEFAULTS:
+        raise SchemaError(f"unknown config key {key!r}")
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        raise SchemaError(f"value for {key!r} is not valid JSON: {text!r}") from None
+    return check_value(key, value)
 
 
 def parse_config_file(path) -> dict:
-    """Read one key = value file; keys must be known, values valid JSON of
-    the form ``check_value`` asks for."""
+    """Read one key = value file (``parse_value``); errors name the file and line."""
     path = Path(path)
     if not path.exists():
         raise ParseError(str(path), 0, "config file not found")
@@ -98,28 +119,23 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ParseError(str(path), line_no, "expected 'key = value'")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ParseError(str(path), line_no, f"unknown config key {key!r}")
             try:
-                out[key] = json.loads(value.strip())
-                check_value(key, out[key])
-            except json.JSONDecodeError:
-                raise ParseError(
-                    str(path), line_no, f"value for {key!r} is not valid JSON"
-                ) from None
+                out[key.strip()] = parse_value(key.strip(), value.strip())
             except SchemaError as exc:
                 raise ParseError(str(path), line_no, str(exc)) from None
     return out
 
 
 def resolve_config(cli_values: dict | None = None, config_path=None) -> dict:
-    """Merge defaults, config file, and CLI overrides into one dict.
+    """Merge defaults, config file, and CLI overrides into one dict of
+    values checked by ``check_value``; a bad one is a SchemaError naming
+    its key.
 
     Every cli_values entry overrides, None too (``bounce_x`` and ``walls``
-    may be null). When config_path is None, BLOCKCAST_CONFIG is consulted.
+    may be null); an unknown key is a KeyError. When config_path is None,
+    BLOCKCAST_CONFIG is consulted.
     """
-    resolved = {k: v for k, v in DEFAULTS.items()}
+    resolved = dict(DEFAULTS)
     if config_path is None:
         config_path = os.environ.get(ENV_CONFIG_VAR) or None
     if config_path is not None:
@@ -128,7 +144,7 @@ def resolve_config(cli_values: dict | None = None, config_path=None) -> dict:
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key {key!r}")
         resolved[key] = value
-    return resolved
+    return {key: check_value(key, value) for key, value in resolved.items()}
 
 
 def dump_config(cfg: dict) -> str:

@@ -87,6 +87,8 @@ class ChannelConfig:
             raise ValueError("scatter_gain must be >= 0")
         if self.scatter_fluctuation_db < 0:
             raise ValueError("scatter_fluctuation_db must be >= 0")
+        if self.symbol_power <= 0:
+            raise ValueError("symbol_power must be > 0")
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,8 @@ def simulate_scenario(
 
     vehicles = world.vehicles
     tracks = _vehicle_tracks(vehicles, steps, world.bounce_x)
+    if not np.isfinite(tracks).all():
+        raise ValueError("vehicle track is not finite: vehicle_center or vehicle_velocity too large")
     occluded = np.zeros(steps, dtype=bool)
     for j, v in enumerate(vehicles):
         occluded |= segment_intersects_rect(tx, rx, tracks[:, j], v.width, v.depth)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -406,6 +407,12 @@ def test_unknown_key_in_config_file_fails_the_run(tmp_path):
 
 
 BAD_CONFIG = {  # case -> (subcommand, key, JSON text of its value)
+    "bounce_x-short": ("simulate", "bounce_x", "[5]"),
+    "seed-negative": ("simulate", "seed", "-1"),
+    "symbol_power-negative": ("simulate", "symbol_power", "-1"),
+    "train_seed-negative": ("simulate", "train_seed", "-1"),
+    "walls-number": ("simulate", "walls", "5"),
+    "walls-short-row": ("simulate", "walls", "[[1, 2, 3]]"),
     "window_len-fraction": ("label", "window_len", "8.5"),
     "raster_bins-flag": ("label", "raster_bins", "true"),
     "steps-fraction": ("simulate", "steps", "60.9"),
@@ -426,8 +433,10 @@ def _config_stage(chain, command) -> list[str]:
 @pytest.mark.parametrize("case", sorted(BAD_CONFIG))
 def test_a_bad_set_value_is_a_usage_error_naming_the_key(chain, tmp_path, capsys, case):
     # Each used to run: 8.5 windows as 8, true as 1 raster bin, a NaN noise
-    # as none; "x" failed with a bare float() message and [0] with an
-    # IndexError traceback.
+    # as none; "x" failed with a bare float() message, [0] and a bounce_x
+    # of [5] with an IndexError traceback, walls=5 with a TypeError one, a
+    # row of three numbers with an unpacking message, a symbol_power of -1
+    # with "math domain error" and a seed of -1 with numpy's message.
     command, key, text = BAD_CONFIG[case]
     out = tmp_path / "out"
     assert run(_config_stage(chain, command) + ["--set", f"{key}={text}", "--out", str(out)]) == 2
@@ -448,6 +457,85 @@ def test_a_bad_config_file_value_names_the_file_and_line(chain, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"{cfg_file}:2: {key} must be" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_every_config_value_reaches_the_stages_in_the_form_of_its_default(tmp_path):
+    cfg_file = tmp_path / "site.cfg"
+    cfg_file.write_text("lr = 1\nwalls = [[0, 9, 1, 9]]\n")
+    cfg = resolve_config({"delta": 2, "bounce_x": [-5, 5], "steps": 60}, cfg_file)
+    assert cfg == {**DEFAULTS, "lr": 1.0, "walls": [[0.0, 9.0, 1.0, 9.0]], "delta": 2.0,
+                   "bounce_x": [-5.0, 5.0], "steps": 60}
+    for key, value in cfg.items():
+        rows = value if isinstance(value, list) else [value]
+        cells = [cell for row in rows for cell in (row if isinstance(row, list) else [row])]
+        want = int if type(DEFAULTS[key]) is int else float
+        assert all(type(cell) is want for cell in cells), key
+    assert resolve_config({"walls": [], "bounce_x": None})["walls"] == []
+    with pytest.raises(SchemaError, match="^delta must be a finite number, got nan"):
+        resolve_config({"delta": math.nan})
+
+
+def _dedicated_flags():
+    """(subcommand, flag, config key) of every flag named as a config key."""
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    return sorted((command, action.option_strings[0], action.dest)
+                  for command, sub in subcommands.items()
+                  for action in sub._actions if action.dest in DEFAULTS)
+
+
+BAD_FLAG_TEXT = {int: ["9223372036854775808"], float: ["nan", "inf", "1e999"]}
+STAGE_ARGS = {"simulate": [], "label": ["--scenario", "scene"],
+              "train": ["--dataset", "data", "--variant", "rf"]}
+
+
+@pytest.mark.parametrize("command, flag, key, text", [
+    (command, flag, key, text) for command, flag, key in _dedicated_flags()
+    for text in BAD_FLAG_TEXT[type(DEFAULTS[key])]])
+def test_a_bad_dedicated_flag_value_is_a_usage_error_naming_the_key(
+        tmp_path, capsys, command, flag, key, text):
+    # --delta nan used to run and write NaN into manifest.json, which its
+    # replay then refused; --lr nan failed in training naming no key.
+    out = tmp_path / "out"
+    assert run([command, *STAGE_ARGS[command], flag, text, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {key} must be" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_the_chain_manifests_are_strict_json(chain):
+    def refuse(constant):
+        raise ValueError(f"{constant} is no JSON")
+    manifests = sorted(chain.glob("*/manifest.json"))
+    assert len(manifests) == 6
+    for path in manifests:
+        manifest = json.loads(path.read_text(), parse_constant=refuse)
+        assert manifest["config"].keys() == DEFAULTS.keys()
+
+
+def test_a_train_run_given_every_flag_replays_byte_for_byte(chain, tmp_path):
+    out = tmp_path / "loc"
+    assert run(["train", "--dataset", str(chain / "data"), "--variant", "localization",
+                "--lr", "2e-3", "--batch-size", "4", "--episodes", "2", "--iterations", "5",
+                "--train-seed", "3", "--delta", "1", "--out", str(out)]) == 0
+    config = read_manifest(out)["config"]
+    assert [config[key] for key in ("lr", "batch_size", "episodes", "iterations", "train_seed",
+                                    "delta")] == [2e-3, 4, 2, 5, 3, 1.0]
+    assert type(config["delta"]) is float
+    matches = replay_manifest(out / "manifest.json", tmp_path / "again")
+    assert matches and all(matches.values()), matches
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_vehicle_track_that_overflows_is_refused_before_anything_is_written(tmp_path, capsys):
+    # It used to leak RuntimeWarnings and write a truth.csv of inf
+    # positions, which label then refused.
+    out = tmp_path / "scene"
+    assert run(["simulate", "--set", "steps=60", "--set", "vehicle_velocity=[1e308,0]",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "vehicle_velocity" in err and "vehicle_center" in err and "Traceback" not in err
+    assert not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -569,6 +569,9 @@ def test_world_and_vehicle_validation():
         ChannelConfig(noise_variance=-1.0)
     with pytest.raises(ValueError):
         ChannelConfig(blocked_attenuation_db=0.0)
+    for power in (0.0, -1.0):  # its square root scales the direct path
+        with pytest.raises(ValueError, match="symbol_power"):
+            ChannelConfig(symbol_power=power)
     with pytest.raises(ValueError):
         simulate_scenario(WorldState(TX, RX), build_codebook(2, 0, 1.0),
                           ChannelConfig(), steps=0, seed=0)
