@@ -25,16 +25,6 @@ class SchemaError(PipelineError):
     """File content does not match the documented schema."""
 
 
-class TimeIndexGapError(PipelineError):
-    """Time indices are not consecutive; lists the missing indices."""
-
-    def __init__(self, missing):
-        self.missing = sorted(missing)
-        shown = ", ".join(str(t) for t in self.missing[:10])
-        more = "" if len(self.missing) <= 10 else f" (+{len(self.missing) - 10} more)"
-        super().__init__(f"missing time indices: {shown}{more}")
-
-
 class VersionError(PipelineError):
     """Unknown format version in a persisted artifact."""
 

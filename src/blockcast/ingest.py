@@ -17,8 +17,8 @@ Blockage flags are not stored: ``label`` derives them from meta.json's
 power threshold. In memory a scenario is one ``ScenarioBundle`` of
 columns, with no per-row object: ``t`` (T,) and ``rssi`` (T, M), ``truth``
 a ``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
-flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame, whose
-points the bundle checks in one pass over the drive.
+flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame, in time
+order, whose points the bundle checks in one pass over the drive.
 
 A dataset holds the training windows of one drive (format 5). Its two
 bulk float64 blocks are ``.npy`` arrays, written with ``np.save`` and read
@@ -78,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, TimeIndexGapError, ensure_finite
+from .errors import ParseError, SchemaError, ensure_finite
 from .preprocess import LabeledSample, WindowSet
 from .scene import TWO_PI, LidarScan
 
@@ -97,9 +97,13 @@ class Truth(NamedTuple):
 @dataclass
 class ScenarioBundle:
     """One recorded drive as columns: row i of ``rssi`` is the frame at time
-    ``t[i]``; lidar scans and truth rows name their frame by its time. Every
-    scan's points must be an (n, 2) array of finite angles in [0, 2*pi) and
-    depths > 0; they are checked at once, over the drive's concatenation."""
+    ``t[i]``; lidar scans and truth rows name their frame by its time. It
+    refuses what ``load_scenario`` refuses, so it saves and loads back bit
+    for bit (bar its scans of no points, which lidar.csv has no row for):
+    frame times rise by 1, scan times rise, truth times are unique, a truth
+    x, y is finite or NaN in both, and every scan's points are an (n, 2)
+    array of finite angles in [0, 2*pi) and depths > 0, checked at once
+    over the drive's concatenation."""
 
     scenario_id: str
     t: np.ndarray     # (T,) int64, consecutive
@@ -109,19 +113,14 @@ class ScenarioBundle:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.rssi) == 0:
-            raise SchemaError("scenario has no RSSI frames")
+        if 0 in np.shape(self.rssi):
+            raise SchemaError(f"scenario has no RSSI frames or no beams: {np.shape(self.rssi)}")
         self.rssi = ensure_finite("powers", self.rssi)
         self.t = np.asarray(self.t, dtype=np.int64)
         if self.rssi.ndim != 2 or self.t.shape != self.rssi.shape[:1]:
             raise ValueError("powers must be a (T, M) array with one time t per row")
         if (self.rssi < 0).any():
             raise ValueError("powers must be nonnegative")
-        missing = np.setdiff1d(np.arange(self.t[0], self.t[-1] + 1), self.t)
-        if missing.size:
-            raise TimeIndexGapError(missing.tolist())
-        if (np.diff(self.t) <= 0).any():
-            raise SchemaError("RSSI frames are not in time order")
         points = [scan.points for scan in self.lidar]
         if not all(isinstance(p, np.ndarray) and p.ndim == 2 and p.shape[1] == 2 for p in points):
             raise ValueError("points must have shape (n, 2)")
@@ -130,18 +129,29 @@ class ScenarioBundle:
             raise ValueError("angles must lie in [0, 2*pi)")
         if (points[:, 1] <= 0).any():
             raise ValueError("depths must be positive")
-        stray = {"lidar scan": np.array([scan.t for scan in self.lidar], dtype=np.int64)}
+        scan_t = np.array([scan.t for scan in self.lidar], dtype=np.int64)
+        rules = [  # (broken where, at times, message)
+            (np.diff(self.t) != 1, self.t[1:],
+             "RSSI frames are not in time order: t={} must follow the row above by 1"),
+            (~np.isin(scan_t, self.t), scan_t, "lidar scan at t={} has no matching RSSI frame"),
+            (np.diff(scan_t) <= 0, scan_t[1:],
+             "lidar scans are not in time order: t={} must rise above the scan before"),
+        ]
         if self.truth is not None:
+            self.truth = Truth(*map(np.asarray, self.truth, (np.int64, np.float64, bool)))
             t, pos, blocked = self.truth
-            self.truth = Truth(np.asarray(t, dtype=np.int64), np.asarray(pos, dtype=np.float64),
-                               np.asarray(blocked, dtype=bool))
-            if self.truth.pos.shape != (len(t), 2) or self.truth.blocked.shape != (len(t),):
+            if pos.shape != (len(t), 2) or blocked.shape != (len(t),):
                 raise ValueError("truth must hold (R,) times, (R, 2) positions and (R,) flags")
-            stray["truth row"] = self.truth.t
-        for what, times in stray.items():
-            outside = ~np.isin(times, self.t)
-            if outside.any():
-                raise SchemaError(f"{what} at t={times[outside][0]} has no matching RSSI frame")
+            ordered = np.sort(t)
+            rules += [
+                (~np.isin(t, self.t), t, "truth row at t={} has no matching RSSI frame"),
+                (np.diff(ordered) == 0, ordered[1:], "truth time repeats an earlier row's t: t={}"),
+                (~(np.isfinite(pos).all(axis=1) | np.isnan(pos).all(axis=1)), t,
+                 "truth row at t={}: x and y must be finite, or blank (NaN) together"),
+            ]
+        for broken, times, message in rules:
+            if broken.any():
+                raise SchemaError(message.format(times[broken][0]))
 
 
 def _parse_float(path: Path, line_no: int, cell: str, column: str) -> float:

@@ -348,13 +348,7 @@ def forward(
         feat = seq[-1]
     conv = model.names(Conv1dParams)
     if conv:
-        if rasters is None:
-            raise ValueError("the rf+lidar model needs lidar rasters")
-        if rasters.ndim != 2 or rasters.shape[1] != model.raster_bins:
-            raise ConfigMismatchError(
-                f"raster shape {rasters.shape} does not match model bins {model.raster_bins}"
-            )
-        x = rasters[:, None, :]  # (B, 1, bins)
+        x = _checked_rasters(model, rasters, len(features))[:, None, :]  # (B, 1, bins)
         for name in conv:
             z, cache = conv1d_forward(layers[name], x)
             if buffered:
@@ -525,6 +519,17 @@ def _checked_windows(model: Model, windows, kinds: tuple[str, ...]) -> np.ndarra
     return windows
 
 
+def _checked_rasters(model: Model, rasters, count: int) -> np.ndarray:
+    """An rf+lidar model's rasters as a float64 array, one row per window."""
+    if rasters is None:
+        raise ValueError("the rf+lidar model needs lidar rasters")
+    rasters = np.asarray(rasters, dtype=np.float64)
+    if rasters.shape != (count, model.raster_bins):
+        raise ConfigMismatchError(f"raster shape {rasters.shape} does not match {count} "
+                                  f"windows and model bins {model.raster_bins}")
+    return rasters
+
+
 def _score(model: Model, windows: np.ndarray, rasters: np.ndarray | None):
     """The ``forward`` output of (B, T0, M) raw windows (and raw rasters),
     one block at a time (see the module docstring). A lone trailing window
@@ -557,17 +562,7 @@ def predict_blockage_probs(
     """(B, T0, M) raw powers (+ (B, raster_bins) raw rasters for the lidar
     model) -> (B, N)."""
     windows = _checked_windows(model, windows, ("rf", "rf+lidar"))
-    if model.kind == "rf+lidar":
-        if rasters is None:
-            raise ValueError("the rf+lidar model needs lidar rasters")
-        rasters = np.asarray(rasters, dtype=np.float64)
-        if rasters.shape != (len(windows), model.raster_bins):
-            raise ConfigMismatchError(
-                f"raster shape {rasters.shape} does not match {len(windows)} windows "
-                f"and model bins {model.raster_bins}"
-            )
-    else:
-        rasters = None
+    rasters = _checked_rasters(model, rasters, len(windows)) if model.kind == "rf+lidar" else None
     return _score(model, windows, rasters)
 
 

@@ -238,11 +238,9 @@ def _blocks(counts: np.ndarray) -> list[np.ndarray]:
 
 def scenario_centroids(bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfig) -> np.ndarray:
     """(T, 2) road-frame centroids, row i for frame i; NaN rows where a frame
-    has no scan or its scan no cluster. Of several scans at one time, the
-    last counts. Each scan is filtered alone; the kept point sets are
-    clustered in blocks (``_blocks``)."""
-    scans = {scan.t: scan for scan in bundle.lidar}
-    kept = [src_filter(scan, src) for scan in scans.values()]
+    has no scan or its scan no cluster. Each scan is filtered alone; the
+    kept point sets are clustered in blocks (``_blocks``)."""
+    kept = [src_filter(scan, src) for scan in bundle.lidar]
     counts = np.array([len(pts) for pts in kept], dtype=np.int64)
     centroids = np.full((len(kept), 2), np.nan)
     for idx in _blocks(counts):
@@ -253,7 +251,7 @@ def scenario_centroids(bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfi
         roots = _cluster_roots(points, valid, db)
         centroids[idx] = _dominant_centroids(points, roots, np.asarray(src.road_center))
     out = np.full((len(bundle.t), 2), np.nan)
-    out[np.fromiter(scans, np.int64, len(scans)) - bundle.t[0]] = centroids - src.road_origin
+    out[[scan.t - bundle.t[0] for scan in bundle.lidar]] = centroids - src.road_origin
     return out
 
 
@@ -311,14 +309,13 @@ def build_windows(
     ends = ends[invalid[ends + horizon + 1] == invalid[ends]]
     ahead = ends[:, None] + np.arange(1, horizon + 1)
 
-    # Every scan's points with the window row of its step, -1 where no
-    # window ends; the last scan of a step wins.
+    # Every scan's points with the window row of its step (-1: no window ends).
     t0 = bundle.t[0]
-    scans = {scan.t - t0: scan.points for scan in bundle.lidar}
     row_at = np.full(n, -1)
     row_at[ends] = np.arange(len(ends))
-    rows = np.repeat(row_at[list(scans)], [len(points) for points in scans.values()])
-    points = np.concatenate([*scans.values(), np.empty((0, 2))])
+    rows = np.repeat(row_at[[scan.t - t0 for scan in bundle.lidar]],
+                     [len(scan.points) for scan in bundle.lidar])
+    points = np.concatenate([scan.points for scan in bundle.lidar] + [np.empty((0, 2))])
 
     return WindowSet(
         t=t0 + ends,  # frame times are consecutive

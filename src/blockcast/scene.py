@@ -215,7 +215,7 @@ def _cast_rays(origin, angles, segments, max_range, steps):
         ex, ey = x1 - x0, y1 - y0
         ax, ay = x0 - ox, y0 - oy
         denom = dirs_x * ey - dirs_y * ex
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t_ray = (ax * ey - ay * ex) / denom
             s_seg = (ax * dirs_y - ay * dirs_x) / denom
         hit = (np.abs(denom) > 1e-15) & (t_ray > 1e-12) & (s_seg >= 0.0) & (s_seg <= 1.0)
@@ -324,27 +324,33 @@ def simulate_scenario(
     for lo in range(0, steps, CHUNK_STEPS):
         hi = min(lo + CHUNK_STEPS, steps)
         draws = rng.standard_normal((hi - lo, num_wobbles + num_noise))
-        amps = np.where(occluded[lo:hi], amp0 * att_amp, amp0)[:, None] * los_gains
-        for j in range(len(vehicles)):
-            scatter_amp = scatter[j][lo:hi]
-            if num_wobbles:
-                # Per-step reflection strength wobble (log-normal), the
-                # main source of randomness in the power vectors.
-                scatter_amp = [a * 10.0 ** (fluctuation * z / 20.0)
-                               for a, z in zip(scatter_amp, draws[:, j].tolist())]
-            gains = beam_gains(codebook, bearings[j][lo:hi, None])
-            amps = amps + gains * np.array(scatter_amp)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by its keys
+            amps = np.where(occluded[lo:hi], amp0 * att_amp, amp0)[:, None] * los_gains
+            for j in range(len(vehicles)):
+                scatter_amp = scatter[j][lo:hi]
+                if num_wobbles:
+                    # Per-step log-normal reflection wobble, the main source of randomness.
+                    try:
+                        scatter_amp = [a * 10.0 ** (fluctuation * z / 20.0)
+                                       for a, z in zip(scatter_amp, draws[:, j].tolist())]
+                    except OverflowError:
+                        raise ValueError("scatter_fluctuation_db overflows the wobble") from None
+                gains = beam_gains(codebook, bearings[j][lo:hi, None])
+                amps = amps + gains * np.array(scatter_amp)[:, None]
 
-        if num_noise:
-            noise_scale = math.sqrt(sigma / 2.0)
-            parts = draws[:, num_wobbles:].reshape(hi - lo, 2, num_beams, num_k)
-            noise = noise_scale * (parts[:, 0] + 1j * parts[:, 1])
-            samples = amps[:, :, None] + noise
-            # The sum runs over the contiguous last axis, in the order of a
-            # single step's (M, K) sum.
-            powers = np.sum(np.abs(samples) ** 2, axis=-1)
-        else:
-            powers = num_k * amps**2
+            if num_noise:
+                noise_scale = math.sqrt(sigma / 2.0)
+                parts = draws[:, num_wobbles:].reshape(hi - lo, 2, num_beams, num_k)
+                noise = noise_scale * (parts[:, 0] + 1j * parts[:, 1])
+                samples = amps[:, :, None] + noise
+                # The sum runs over the contiguous last axis, in the order of a
+                # single step's (M, K) sum.
+                powers = np.sum(np.abs(samples) ** 2, axis=-1)
+            else:
+                powers = num_k * amps**2
+            if not np.isfinite(powers.sum(axis=1)).all():  # as the threshold and labels sum it
+                raise ValueError("received power is not finite: symbol_power, scatter_gain, "
+                                 "scatter_fluctuation_db or noise_variance is too large")
         frames.append(powers)
 
         segments = list(world.static_obstacles)

@@ -538,6 +538,33 @@ def test_a_vehicle_track_that_overflows_is_refused_before_anything_is_written(tm
     assert not any(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", [
+    "scatter_fluctuation_db",  # an OverflowError traceback from the wobble 10 ** (db * z / 20)
+    # Overflow RuntimeWarnings from the power sum, then a message naming no key.
+    "noise_variance", "scatter_gain", "symbol_power",
+])
+def test_a_received_power_that_overflows_is_refused_naming_its_key(tmp_path, capsys, key):
+    out = tmp_path / "scene"
+    assert run(["simulate", "--set", "steps=40", "--set", f"{key}=1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err, err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["tx=[1e308,0]", "vehicle_width=1e308"])
+def test_a_huge_sensor_offset_or_vehicle_casts_rays_without_a_warning(tmp_path, capsys, value):
+    # The ray casts used to leak "overflow encountered in divide". Such a
+    # drive is one class only (never or always blocked), so it has no power
+    # threshold, and label refuses it naming meta.json.
+    scene_dir = tmp_path / "scene"
+    assert run(["simulate", "--set", "steps=40", "--set", value, "--out", str(scene_dir)]) == 0
+    assert run(["label", "--scenario", str(scene_dir), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert "meta.json" in err and "no power_threshold" in err and "Traceback" not in err, err
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockcast import cli, ingest
-from blockcast.errors import NonFiniteError, ParseError, SchemaError, TimeIndexGapError
+from blockcast.errors import NonFiniteError, ParseError, SchemaError
 from blockcast.ingest import (
     CsvTable,
     DatasetFile,
@@ -259,11 +260,9 @@ def test_unknown_meta_version_rejected(tmp_path):
         load_scenario(tmp_path / "s")
 
 
-def test_time_gap_lists_missing_indices():
-    with pytest.raises(TimeIndexGapError) as err:
+def test_a_time_gap_is_refused_naming_the_t():
+    with pytest.raises(SchemaError, match="RSSI frames are not in time order: t=4 must follow"):
         ScenarioBundle("gap", [0, 1, 4], np.ones((3, 1)), [])
-    assert err.value.missing == [2, 3]
-    assert "2, 3" in str(err.value)
 
 
 def test_misaligned_streams_rejected():
@@ -627,22 +626,66 @@ garbage = st.text(st.characters(blacklist_characters="\n\r", blacklist_categorie
                   min_size=1, max_size=5).filter(_rejected)
 
 
+# The rules of a drive, each by the words of its refusal. Each drawn fault
+# breaks one of them.
+DRIVE_RULES = {
+    "frame times": "RSSI frames are not in time order",
+    "scan times": "lidar scans are not in time order",
+    "truth times": "truth time repeats",
+    "truth position": "x and y must be finite, or blank (NaN) together",
+    "beams": "scenario has no RSSI frames or no beams",
+}
+
+
 @st.composite
-def bundles(draw):
-    beams, t0, n = draw(st.integers(1, 4)), draw(st.integers(-5, 5)), draw(st.integers(1, 6))
-    times = list(range(t0, t0 + n))
+def drives(draw, faults=True):
+    """The ScenarioBundle arguments of one drawn drive, and its expected
+    refusal: None when it keeps every rule, else the words of the rule
+    that its one drawn fault breaks and the t named (None for no t)."""
+    fault = draw(st.none() | st.sampled_from(sorted(DRIVE_RULES))) if faults else None
+    beams = 0 if fault == "beams" else draw(st.integers(1, 4))
+    t0, n = draw(st.integers(-5, 5)), draw(st.integers(2 if fault == "frame times" else 1, 6))
+    times, stray = list(range(t0, t0 + n)), None
+    if fault == "frame times":  # a repeated or falling t, or a gap
+        k, shift = draw(st.integers(1, n - 1)), draw(st.sampled_from([-3, -2, -1, 1, 2]))
+        times[k:] = [t + shift for t in times[k:]]
+        stray = times[k]
     power = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
     rssi = draw(arrays(np.float64, (n, beams), elements=power))
+    scan_times = sorted(draw(st.sets(st.sampled_from(times))))
+    if fault == "scan times":  # two scans at one step, or a scan before the one above
+        scan_times = draw(st.lists(st.sampled_from(times), min_size=2, max_size=4).filter(
+            lambda ts: any(b <= a for a, b in zip(ts, ts[1:]))))
+        stray = next(b for a, b in zip(scan_times, scan_times[1:]) if b <= a)
     point = st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True),
                       st.floats(0.0, exclude_min=True, allow_infinity=False))
-    lidar = [LidarScan(t, np.array(draw(st.lists(point, min_size=1, max_size=3))))
-             for t in sorted(draw(st.sets(st.sampled_from(times))))]
+    lidar = [LidarScan(t, np.array(draw(st.lists(point, max_size=3))).reshape(-1, 2))
+             for t in scan_times]
     truth = None
-    if draw(st.booleans()):
-        unknown = st.just((math.nan, math.nan))  # a blank position
-        positions = draw(st.lists(unknown | st.tuples(finite, finite), min_size=n, max_size=n))
-        truth = Truth(times, positions, draw(arrays(np.bool_, n)))
-    return ScenarioBundle(draw(names), times, rssi, lidar, truth, {"note": draw(finite)})
+    if fault in ("truth times", "truth position") or draw(st.booleans()):
+        # Unique truth times, in any order; an unknown position is blank.
+        truth_t = draw(st.permutations(times))[:draw(st.integers(1, n))]
+        position = st.just((math.nan, math.nan)) | st.tuples(finite, finite)
+        positions = draw(st.lists(position, min_size=len(truth_t), max_size=len(truth_t)))
+        k = draw(st.integers(0, len(truth_t) - 1))
+        if fault == "truth times":
+            truth_t.append(truth_t[k])
+            positions.append(draw(position))
+            stray = truth_t[k]
+        if fault == "truth position":  # known in one coordinate only, or infinite
+            coordinate = finite | st.sampled_from([math.nan, math.inf, -math.inf])
+            positions[k] = draw(st.tuples(coordinate, coordinate).filter(
+                lambda xy: not (np.isfinite(xy).all() or np.isnan(xy).all())))
+            stray = truth_t[k]
+        truth = Truth(truth_t, positions, draw(arrays(np.bool_, len(truth_t))))
+    parts = dict(scenario_id=draw(names), t=times, rssi=rssi, lidar=lidar, truth=truth,
+                 meta={"note": draw(finite)})
+    return parts, None if fault is None else (DRIVE_RULES[fault], stray)
+
+
+def bundles():
+    """Drawn drives that keep every rule."""
+    return drives(faults=False).map(lambda drive: ScenarioBundle(**drive[0]))
 
 
 def drive_steps(draw, n: int, window_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -686,8 +729,22 @@ def _files(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
-@given(bundles())
-def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(bundle):
+@settings(max_examples=150)
+@given(drives())
+@example((dict(scenario_id="two scans at t=1", t=[0, 1, 2], rssi=np.ones((3, 1)),
+               lidar=[LidarScan(1, np.array([[0.5, 9.0]])), LidarScan(1, np.array([[2.5, 9.0]]))],
+               meta={}), (DRIVE_RULES["scan times"], 1)))
+def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(drive):
+    # A bundle refuses what load_scenario refuses, so each one built saves
+    # and loads back bit for bit.
+    parts, refusal = drive
+    if refusal is not None:
+        rule, t = refusal
+        with pytest.raises(SchemaError) as err:
+            ScenarioBundle(**parts)
+        assert rule in str(err.value) and (t is None or re.search(rf"t={t}\b", str(err.value)))
+        return
+    bundle = ScenarioBundle(**parts)
     with tempfile.TemporaryDirectory() as tmp:
         save_scenario(bundle, Path(tmp) / "a")
         loaded = load_scenario(Path(tmp) / "a")
@@ -696,8 +753,9 @@ def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(bundle):
     assert (loaded.scenario_id, loaded.meta["note"]) == (bundle.scenario_id, bundle.meta["note"])
     assert _same_bits(loaded.t, bundle.t)
     assert _same_bits(loaded.rssi, bundle.rssi)
-    assert [s.t for s in loaded.lidar] == [s.t for s in bundle.lidar]
-    assert all(_same_bits(a.points, b.points) for a, b in zip(loaded.lidar, bundle.lidar))
+    scanned = [s for s in bundle.lidar if len(s.points)]  # lidar.csv has no row for an empty scan
+    assert [s.t for s in loaded.lidar] == [s.t for s in scanned]
+    assert all(_same_bits(a.points, b.points) for a, b in zip(loaded.lidar, scanned))
     if bundle.truth is None:
         assert loaded.truth is None
     else:  # an unknown position is NaN, NaN on both sides

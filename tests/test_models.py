@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockcast import models, nn, numeric_environment
+from blockcast import cli, models, nn, numeric_environment
 from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
 from blockcast.models import (
@@ -235,6 +235,32 @@ def test_standard_training_writes_the_pinned_checkpoint(request, tmp_path, fixtu
             ), numeric_environment()
 
 
+# sha256 of what `blockcast evaluate` and the README's 3-rx `blockcast
+# transfer` write from those checkpoints, in the same environment.
+STANDARD_OUTPUT_SHA256 = {
+    "report.txt": "ec0c68dd8db542f78fd214b49c80647f9b48ebd60929c145f5276b1dfe160282",
+    "predictions_raw.csv": "eb8f42036c5cae6d4eca50ba3e7e57880817159b6ed700666b85343a803a8e18",
+    "transfer.csv": "3fbbaafd916ca17c1626770fe0a64aed046a2f076605385549f62a92cea9d2a4",
+}
+
+
+def test_the_standard_checkpoints_evaluate_and_transfer_to_the_pinned_outputs(
+        tmp_path, standard_config, dataset_dir, scenario_dir, trained_localization,
+        trained_rf, trained_lidar):
+    checkpoints = {}
+    for flag, model in (("loc", trained_localization), ("rf", trained_rf),
+                        ("lidar", trained_lidar)):
+        checkpoints[flag] = [str(tmp_path / f"{flag}.json")]
+        save_model(model, checkpoints[flag][0])
+    cli.cmd_evaluate(dict(standard_config),
+                     {"dataset": str(dataset_dir), "split": "test", **checkpoints}, tmp_path)
+    cli.cmd_transfer(dict(standard_config),
+                     {**checkpoints, "scenario": str(scenario_dir), "loc": checkpoints["loc"][0],
+                      "rx_positions": [(4.0, 12.0), (-6.0, 12.0), (8.0, 12.0)]}, tmp_path)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in STANDARD_OUTPUT_SHA256} == STANDARD_OUTPUT_SHA256, numeric_environment()
+
+
 def test_curve_lengths_match_schedule():
     cfg = TrainConfig(episodes=3, iterations=7, seed=0)
     _, curves = train_localization(synth_dataset(20), cfg)
@@ -361,6 +387,18 @@ def test_the_lidar_model_without_rasters_is_refused_by_every_forward():
         forward(lidar, feats, caches={})
     with pytest.raises(ValueError, match=needs):
         loss_and_grads(lidar, feats, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_raster_block_of_other_rows_is_refused_by_every_forward(rows):
+    # A training step used to end in np.concatenate's ValueError.
+    lidar = build_model("rf+lidar", 3, 4, 2, toy_stats(3), 13)
+    feats, rasters = np.zeros((2, 4, 3)), np.full((rows, 13), 0.25)
+    mismatch = rf"raster shape \({rows}, 13\) does not match 2 windows and model bins 13"
+    with pytest.raises(ConfigMismatchError, match=mismatch):
+        forward(lidar, feats, rasters)
+    with pytest.raises(ConfigMismatchError, match=mismatch):
+        loss_and_grads(lidar, feats, np.zeros((2, 2)), rasters)
 
 
 KINDS = ["localization", "rf", "rf+lidar"]

