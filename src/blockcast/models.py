@@ -67,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigMismatchError, SchemaError, VersionError
+from .errors import ConfigMismatchError, NonFiniteError, SchemaError, VersionError
 from .ingest import DatasetFile, json_field, read_json_object
 from .nn import (
     Conv1dParams,
@@ -476,18 +476,25 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
     views = model.views(grad)
     rng = np.random.default_rng(cfg.seed)
     curves = LossCurves()
-    for _ in range(cfg.episodes):
-        for _ in range(cfg.iterations):
-            idx = rng.integers(0, n, size=cfg.batch_size)
-            loss, _ = loss_and_grads(
-                model, feats[idx], targets[idx],
-                None if rasters is None else rasters[idx], cfg.delta, views=views,
-            )
-            adam_step(opt, model.params, grad)
-            curves.train.append(loss)
-        if val is not None:  # scored in blocks, with the bits of one forward
-            out = _score(model, val.windows, val.rasters if kind == "rf+lidar" else None)
-            curves.val.append(_loss(model, out, _targets(model, val), cfg.delta)[0])
+    for episode in range(1, cfg.episodes + 1):
+        # The first overflow or non-finite value marks a divergence, which is
+        # refused naming lr and the episode, with no RuntimeWarning leaked.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for _ in range(cfg.iterations):
+                    idx = rng.integers(0, n, size=cfg.batch_size)
+                    loss, _ = loss_and_grads(
+                        model, feats[idx], targets[idx],
+                        None if rasters is None else rasters[idx], cfg.delta, views=views,
+                    )
+                    adam_step(opt, model.params, grad)
+                    curves.train.append(loss)
+                if val is not None:  # scored in blocks, with the bits of one forward
+                    out = _score(model, val.windows, val.rasters if kind == "rf+lidar" else None)
+                    curves.val.append(_loss(model, out, _targets(model, val), cfg.delta)[0])
+        except (FloatingPointError, NonFiniteError) as exc:
+            raise NonFiniteError(f"training diverged in episode {episode} of {cfg.episodes} "
+                                 f"({exc}); try an lr below {cfg.lr!r}") from None
     return model, curves
 
 

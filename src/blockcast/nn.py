@@ -16,7 +16,8 @@ every step for the backward: ``lstm_forward`` runs one layer, and
 buffers. Prediction runs ``lstm_stack_hidden``, a cache-free recurrence with
 the same wavefront, whose steps keep only the hidden and cell state. The
 schedule depends on the number of layers alone, never on the batch. Either
-wavefront activates all four gates with one ``sigmoid`` per step. There is
+wavefront activates all four gates with one ``sigmoid`` per step, then
+overwrites the candidate columns with their ``tanh``. There is
 one backward loop, ``lstm_stack_backward``: the wavefront in reverse over
 those buffers, with only the recurrent and layer-to-layer matmuls inside it;
 ``lstm_backward`` is its one-layer case. Each layer ships a hand-derived
@@ -62,10 +63,15 @@ def relu_backward(d_out: Array, x: Array) -> Array:
 
 
 def sigmoid(x: Array) -> Array:
-    # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below are the
-    # two halves of the sign split, without boolean-mask gathers.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # 0.5 * tanh(0.5 * x) + 0.5, written through one buffer: four ufunc
+    # calls, and tanh saturates at any input without overflow. Below about
+    # x = -20 it keeps only absolute precision (error near 1e-16), which the
+    # gates and the clamped ``bce_loss`` do not need to exceed.
+    y = np.multiply(x, 0.5)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,9 @@ class DbscanConfig:
     min_pts: int = 4
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        # DBSCAN compares squared distances with eps**2, which must be finite.
+        if not (self.eps > 0 and math.isfinite(self.eps * self.eps)):
+            raise ValueError(f"eps must be positive, with a finite square; got {self.eps!r}")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 

@@ -565,6 +565,31 @@ def test_a_huge_sensor_offset_or_vehicle_casts_rays_without_a_warning(tmp_path, 
     assert "meta.json" in err and "no power_threshold" in err and "Traceback" not in err, err
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_eps_whose_square_overflows_is_refused_before_anything_is_written(
+        chain, tmp_path, capsys):
+    # It used to end in an OverflowError traceback from the squared radius.
+    out = tmp_path / "data"
+    assert run(["label", "--scenario", str(chain / "scene"), "--set", "eps=1e308",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "eps must be positive, with a finite square" in err and "Traceback" not in err, err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["localization", "rf"])
+def test_a_diverging_lr_is_refused_naming_lr_and_the_episode(chain, tmp_path, capsys, variant):
+    # It used to leak "overflow encountered in matmul", then exit 1 with
+    # "dense output contains non-finite values", which named no key.
+    out = tmp_path / "model"
+    assert run(["train", "--dataset", str(chain / "data"), "--variant", variant, "--lr", "1e300",
+                "--episodes", "2", "--iterations", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "diverged in episode 1 of 2" in err and "lr below 1e+300" in err, err
+    assert not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------

@@ -220,9 +220,9 @@ def test_training_is_bit_reproducible():
 # (float64 text via repr, numpy 2.4 on x86-64, in the numeric environment of
 # the README: OpenBLAS's SkylakeX kernel on one thread, numpy's AVX-512 loops.)
 STANDARD_MODEL_SHA256 = {
-    "trained_localization": "0e9ce22ff4b7d054d0ea7da4f8bcfcc6f439b719a8dcb1285d84fa06688d275a",
-    "trained_rf": "c36db49cfe80a89a9fd4a0247421d4b983089d6205bc60c07b15c5cfb14354a0",
-    "trained_lidar": "9036a891a17b9c7b868b0fc144e1a411d0f14b2ab2b068c98420756acda12ebf",
+    "trained_localization": "c5c9091bf5d98d69d491fc57f8c27e481a5f21f3e7031d3a458f8e0b6476d7c3",
+    "trained_rf": "389e9c29e5ac4726f921023d66287c135963894473fafc9111fc2b032b1d4e8e",
+    "trained_lidar": "50c82319ab260322f9fb1c5d78d39304c27072fb4819523e2d3b1fe2c31e0bb9",
 }
 
 
@@ -239,7 +239,7 @@ def test_standard_training_writes_the_pinned_checkpoint(request, tmp_path, fixtu
 # transfer` write from those checkpoints, in the same environment.
 STANDARD_OUTPUT_SHA256 = {
     "report.txt": "ec0c68dd8db542f78fd214b49c80647f9b48ebd60929c145f5276b1dfe160282",
-    "predictions_raw.csv": "eb8f42036c5cae6d4eca50ba3e7e57880817159b6ed700666b85343a803a8e18",
+    "predictions_raw.csv": "76cf6671bfe45a51f686275e6fb46916321c21cc29874e991367d2e1788ebfb1",
     "transfer.csv": "3fbbaafd916ca17c1626770fe0a64aed046a2f076605385549f62a92cea9d2a4",
 }
 

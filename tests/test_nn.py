@@ -272,10 +272,16 @@ def assert_bad_lstm_inputs_are_rejected(run):
 # Kernels against their reference forms
 # ---------------------------------------------------------------------------
 # The references are the straightforward forms the kernels replaced: the conv
-# as einsums over sliding windows with a per-window scatter, the sigmoid split
-# by sign with boolean masks, and BPTT with every gradient accumulated per step.
+# as einsums over sliding windows with a per-window scatter, the sigmoid as
+# one expression of its tanh form, and BPTT with every gradient accumulated
+# per step. The exp form split by sign, which the sigmoid once was, stays as
+# a precision reference.
 
 def ref_sigmoid(x):
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
+def exp_sigmoid(x):
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -531,17 +537,58 @@ def test_a_conv_layer_reads_the_output_of_the_one_before_without_a_copy():
     assert (d_pool * (y2 > 0)).transpose(0, 2, 1).flags.c_contiguous
 
 
-def test_sigmoid_is_bit_equal_to_the_sign_split_form():
-    tiny = np.finfo(np.float64).smallest_subnormal
-    special = np.array([0.0, -0.0, 710.0, -710.0, 1e300, -1e300, np.inf, -np.inf,
-                        tiny, -tiny, 1e3 * tiny, -1e3 * tiny, 2.2e-308, -2.2e-308])
-    grid = np.concatenate([special, np.linspace(-40.0, 40.0, 1601),
-                           np.random.default_rng(0).normal(scale=10.0, size=4000)])
+TINY = np.finfo(np.float64).smallest_subnormal
+SIGMOID_SPECIAL = np.array([0.0, -0.0, 710.0, -710.0, 1e300, -1e300, np.inf, -np.inf,
+                            TINY, -TINY, 1e3 * TINY, -1e3 * TINY, 2.2e-308, -2.2e-308])
+SIGMOID_GRID = np.concatenate([SIGMOID_SPECIAL, np.linspace(-40.0, 40.0, 1601),
+                               np.random.default_rng(0).normal(scale=10.0, size=4000),
+                               np.linspace(-700.0, 700.0, 2801)])
+
+
+def test_sigmoid_is_bit_equal_to_the_tanh_form():
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got, want = sigmoid(grid), ref_sigmoid(grid)
-        assert got.tobytes() == want.tobytes()
-        block = grid[:1200].reshape(8, 150)  # gate-shaped input
+        assert sigmoid(SIGMOID_GRID).tobytes() == ref_sigmoid(SIGMOID_GRID).tobytes()
+        block = SIGMOID_GRID[:1200].reshape(8, 150)  # gate-shaped input
         assert sigmoid(block).tobytes() == ref_sigmoid(block).tobytes()
+
+
+def test_sigmoid_is_within_two_ulp_of_one_of_the_exp_form():
+    # Two ulp at 1.0 bounds the tanh form's error against the exp form split
+    # by sign, over +-40 and out to +-700, where the exp form's e**-|x| is
+    # still a normal float.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got, want = sigmoid(SIGMOID_GRID), exp_sigmoid(SIGMOID_GRID)
+    assert np.max(np.abs(got - want)) <= 2 * np.finfo(np.float64).eps
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    np.testing.assert_array_equal(got[2:8], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+
+
+def test_every_forward_activates_extreme_gate_inputs_as_sigmoid_and_tanh():
+    # Pre-activations beyond the Hypothesis properties' scale (at most 1e3):
+    # subnormals, and values where exp overflows or tanh saturates. With zero
+    # weights, a gate's pre-activation is its bias.
+    edges = [0.0, 1e-310, -1e-310, 710.0, -710.0, 1e300, -1e300, np.inf, -np.inf]
+    hid, steps = len(edges), 3
+    rng = np.random.default_rng(5)
+    layers = lstm_stack(rng, hid, [hid, hid], 1.0)
+    for p in layers:
+        p.w_in[:] = p.w_rec[:] = 0.0
+        p.bias[:] = rng.permutation(np.tile(edges, 4))
+    seq = np.ones((steps, 2, hid))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        hidden, _, cache = lstm_forward(layers[0], seq)
+        top, buffers = lstm_stack_forward(LstmStack.of(layers), seq)
+        cache_free = lstm_stack_hidden(LstmStack.of(layers), seq)
+        want = []
+        for p in layers:
+            i, f, g, o = np.split(np.broadcast_to(p.bias, (2, 4 * hid)), 4, axis=1)
+            want.append(np.concatenate([sigmoid(i), sigmoid(f), np.tanh(g), sigmoid(o)], axis=1))
+    for t in range(steps):
+        assert cache.gates[t].tobytes() == want[0].tobytes()
+        for layer in range(2):
+            assert buffers.gates[layer + t, layer].tobytes() == want[layer].tobytes()
+    assert hidden.tobytes() == lstm_stack_hidden(LstmStack.of(layers[:1]), seq).tobytes()
+    assert top.tobytes() == cache_free.tobytes() and np.isfinite(top).all()
 
 
 @pytest.mark.parametrize("steps, batch, width, hid", [(8, 8, 64, 16), (8, 8, 16, 32), (3, 1, 5, 4)])
@@ -584,8 +631,8 @@ def test_lstm_forward_is_bit_equal_to_the_concatenating_reference():
     st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0, 1e3]),
 )
 def test_cache_free_lstm_is_bit_equal_to_the_buffered_one(steps, batch, width, hid, seed, scale):
-    # Scales up to 1e3 put pre-activations on both sides of the sigmoid's sign
-    # split and deep into saturation, where it returns exactly 0 or 1.
+    # Scales up to 1e3 put pre-activations on both sides of zero and deep
+    # into saturation, where the gates return exactly 0, 1 or -1.
     rng = np.random.default_rng(seed)
     p = lstm_init(rng, width, hid)
     p.bias[:] = rng.normal(scale=scale, size=4 * hid)
