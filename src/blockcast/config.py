@@ -78,17 +78,23 @@ def check_value(key: str, value):
     """``value`` in the form of the key's default, as ``ingest.json_field``
     gives it: an int where the default is one, else a float or a list of as
     many floats. ``walls`` is null or a list of ``[x0, y0, x1, y1]`` rows
-    (none too), ``bounce_x`` null or a pair; ``symbol_power`` is positive
-    and the seeds are not negative. Anything else is a SchemaError naming
-    ``key``."""
+    (none too), ``bounce_x`` null or a pair; ``symbol_power``,
+    ``lidar_max_range`` and ``object_width`` are positive, the seeds are not
+    negative, and ``road_region``'s x1 - x0 and y1 - y0 are finite and
+    positive. Anything else is a SchemaError naming ``key``."""
     rows = key == "walls" and isinstance(value, list)  # as many as given
     if rows and not value:
         return value
     shape = (len(value), 4) if rows else np.shape(DEFAULTS[key])
     value = json_field({key: value}, key, None, shape, integer=type(DEFAULTS[key]) is int,
-                       positive=key == "symbol_power", optional=key in ("walls", "bounce_x"))
+                       positive=key in ("symbol_power", "lidar_max_range", "object_width"),
+                       optional=key in ("walls", "bounce_x"))
     if key in ("seed", "train_seed") and value < 0:
         raise SchemaError(f"{key} must be a non-negative integer, got {value}")
+    if key == "road_region" and not all(
+            0 < hi - lo < math.inf for lo, hi in ((value[0], value[2]), (value[1], value[3]))):
+        raise SchemaError(f"{key} must be [x0, y0, x1, y1] with x1 - x0 and y1 - y0 finite "
+                          f"and positive, got {value}")
     return value
 
 

@@ -33,11 +33,11 @@ checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
 
 Training runs the buffered forward that its backward pass reads;
-prediction and the validation loss score with the cache-free one. The
-schedule depends on the architecture alone: the one-layer localization
-model runs one recurrence (``nn.lstm_forward``, or ``nn.lstm_stack_hidden``
-of one layer), and the stacks of rf and rf+lidar run as one wavefront
-(``nn.lstm_stack_forward``, ``nn.lstm_stack_hidden``) at every batch size.
+prediction and the validation loss score with the cache-free one. Both are
+``nn``'s one diagonal loop, whose schedule depends on the architecture
+alone, at every batch size: ``nn.lstm_stack_forward`` keeps the buffers,
+and ``nn.lstm_stack_hidden`` keeps rolling states. Only localization
+training, one layer, runs ``nn.lstm_forward``, a one-layer loop of its own.
 A training step's backward runs one ``nn.lstm_stack_backward`` over the
 forward's buffers at any depth and writes every gradient into views of one
 vector laid out as ``Model.params``, which ``nn.adam_step`` takes whole.
@@ -330,11 +330,12 @@ def forward(
 
     The two forwards give the same bits. Given a ``caches`` dict, every
     layer leaves in it what ``_backward`` needs, the LSTM layers under
-    ``"lstm"``: one layer runs the buffered ``lstm_forward``, a stack one
-    buffered ``lstm_stack_forward`` wavefront. Without one, the LSTM layers
-    are one cache-free ``lstm_stack_hidden`` call. Each call checks its input
-    once. ReLU runs in place: ``relu_backward`` reads only the sign of its
-    cached input, which ReLU keeps.
+    ``"lstm"``: one layer runs ``lstm_forward``'s own loop, a stack the
+    diagonal loop with its buffers, ``lstm_stack_forward``. Without one, the
+    LSTM layers are the diagonal loop over rolling states,
+    ``lstm_stack_hidden``. Each call checks its input once. ReLU runs in
+    place: ``relu_backward`` reads only the sign of its cached input, which
+    ReLU keeps.
     """
     layers = model.layers
     buffered = caches is not None

@@ -7,17 +7,18 @@ Everything runs in float64 on plain numpy arrays. A conv layer reads its
 input channels-last and unrolls it into windows of its K taps, a few
 inputs at a time, for one BLAS product per window; it returns the
 (B, C, L) view of a (B, L, C) buffer, which the next conv layer and the
-pooling read in place. The LSTM starts from zero state
-and has two forwards with the same bits. Stacked layers of one hidden size
-are an ``LstmStack``, their weights stacked by array, which the stack
-kernels read without a copy. Training buffers the gates and cell states of
-every step for the backward: ``lstm_forward`` runs one layer, and
-``lstm_stack_forward`` runs a stack as one wavefront into diagonal-major
-buffers. Prediction runs ``lstm_stack_hidden``, a cache-free recurrence with
-the same wavefront, whose steps keep only the hidden and cell state. The
-schedule depends on the number of layers alone, never on the batch. Either
-wavefront activates all four gates with one ``sigmoid`` per step, then
-overwrites the candidate columns with their ``tanh``. There is
+pooling read in place. The LSTM starts from zero state. Stacked layers of
+one hidden size are an ``LstmStack``, their weights stacked by array, which
+the stack kernels read without a copy. One loop runs every stack forward as
+a wavefront over the diagonals l + t, whose schedule depends on T and the
+number of layers alone, never on the batch; each step activates all four
+gates with one ``sigmoid``, then overwrites the candidate columns with their
+``tanh``. It has two storage modes with the same bits: training's
+``lstm_stack_forward`` keeps every step's gates and cell states in
+diagonal-major buffers for the backward, and prediction's
+``lstm_stack_hidden`` keeps rolling (L, B, ·) states. ``lstm_forward`` is a
+one-layer loop of its own, with a ``sigmoid`` call per gate (perfbench's
+tests count them), which localization training runs. There is
 one backward loop, ``lstm_stack_backward``: the wavefront in reverse over
 those buffers, with only the recurrent and layer-to-layer matmuls inside it;
 ``lstm_backward`` is its one-layer case. Each layer ships a hand-derived
@@ -35,7 +36,9 @@ whose intermediates go through two scratch vectors of its state.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,12 +65,12 @@ def relu_backward(d_out: Array, x: Array) -> Array:
     return d_out * (x > 0.0)
 
 
-def sigmoid(x: Array) -> Array:
+def sigmoid(x: Array, out: Array | None = None) -> Array:
     # 0.5 * tanh(0.5 * x) + 0.5, written through one buffer: four ufunc
     # calls, and tanh saturates at any input without overflow. Below about
     # x = -20 it keeps only absolute precision (error near 1e-16), which the
     # gates and the clamped ``bce_loss`` do not need to exceed.
-    y = np.multiply(x, 0.5)
+    y = np.multiply(x, 0.5, out=out)
     np.tanh(y, out=y)
     y *= 0.5
     y += 0.5
@@ -212,8 +215,10 @@ class LstmStack:
 @dataclass
 class LstmCache:
     """What the backward pass reads of a forward over seq (T, B, input_size).
-    ``lstm_forward`` keeps one layer's arrays by step t, ``lstm_stack_forward``
-    L layers' by diagonal d = l + t, with a layer axis after the first."""
+    ``lstm_forward``, the one-layer loop, keeps one layer's arrays by step t;
+    ``lstm_stack_forward`` keeps L layers' by diagonal d = l + t, with a layer
+    axis after the first. ``lstm_stack_hidden`` runs the same loop over
+    rolling arrays of that layout, whose rows along d are one buffer."""
 
     inputs: Array     # (T, B, input_size): the first layer's input sequence
     gates: Array      # (T, B, 4H) or (T + L - 1, L, B, 4H); activated, gate order i,f,g,o
@@ -263,125 +268,89 @@ def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
 
 def lstm_stack_hidden(stack: LstmStack, seq: Array) -> Array:
     """The top layer's hidden sequence (T, B, H) of ``stack`` over seq
-    (T, B, input_size); bit for bit the chained ``lstm_forward`` calls,
-    without their backward buffers.
-
-    One layer runs its own recurrence. A stack runs as a wavefront
-    (Appleyard, Kocisky and Blunsom, arXiv:1604.01946) at any batch size:
-    layer l's step t needs only (l, t - 1) and (l - 1, t), so every layer on
-    a diagonal l + t runs together, in T + L - 1 steps instead of T * L.
-    """
-    seq = _checked_seq(stack, seq)
-    seq = _recurrence(stack, seq) if stack.depth == 1 else _wavefront(stack, seq)
-    return ensure_finite("lstm hidden", seq)
-
-
-def _recurrence(stack: LstmStack, seq: Array) -> Array:
-    """A one-layer stack's hidden sequence. Each step activates all 4H gate
-    columns with one ``sigmoid`` and then overwrites the candidate slice with
-    ``tanh`` of its pre-activation."""
-    steps, batch, _ = seq.shape
-    hid = stack.hidden_size
-    i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
-    h = c = np.zeros((batch, hid))
-    hidden = np.empty((steps, batch, hid))
-    pre = seq @ stack.w_in0
-    pre += stack.bias[0]
-    for t in range(steps):
-        a = pre[t] + h @ stack.w_rec[0]
-        gates = sigmoid(a)
-        cand = np.tanh(a[:, g], out=gates[:, g])
-        c = gates[:, f] * c
-        c += gates[:, i] * cand
-        h = np.multiply(gates[:, o], np.tanh(c), out=hidden[t])
-    return hidden
-
-
-def _input_terms(stack: LstmStack, seq: Array, buf: Array) -> None:
-    """Fill ``buf`` (T + L - 1, L, B, 4H) with each layer's input term by
-    diagonal: x @ w_in0 + bias for layer 0, and the bias alone for the layers
-    above, whose input product is added on its diagonal."""
-    steps = len(seq)
-    np.matmul(seq, stack.w_in0, out=buf[:steps, 0])
-    buf[:steps, 0] += stack.bias[0]
-    buf[:, 1:] = stack.bias[1:, None]
-
-
-def _wavefront(stack: LstmStack, seq: Array) -> Array:
-    """``_recurrence`` chained over the layers of ``stack``, one diagonal
-    l + t at a time.
-
-    ``hs[l, t + l + 1]`` holds layer l's hidden state after step t, and
-    ``hs[l, l]`` its zero initial state, so diagonal d reads column d of
-    layers lo:hi (their own last state, and the input from the layer below)
-    and writes column d + 1. ``pre[d, l]`` holds layer l's input term at
-    diagonal d, summed as in ``_recurrence``: (x @ w_in + bias) + h @ w_rec.
-    """
-    steps, batch, _ = seq.shape
-    depth, hid = stack.depth, stack.hidden_size
-    i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
-    pre = np.empty((steps + depth - 1, depth, batch, 4 * hid))
-    _input_terms(stack, seq, pre)
-    hs = np.zeros((depth, steps + depth, batch, hid))
-    cs = np.zeros((depth, batch, hid))
-    for d in range(steps + depth - 1):
-        lo, hi = max(0, d - steps + 1), min(depth, d + 1)
-        up = max(lo, 1)  # the first active layer that reads the one below
-        if up < hi:
-            x = pre[d, up:hi]
-            x += hs[up - 1 : hi - 1, d] @ stack.w_in[up - 1 : hi - 1]
-        a = pre[d, lo:hi]
-        a += hs[lo:hi, d] @ stack.w_rec[lo:hi]
-        gates = sigmoid(a)
-        cand = np.tanh(a[..., g], out=gates[..., g])
-        c = cs[lo:hi]
-        c *= gates[..., f]
-        c += gates[..., i] * cand
-        np.multiply(gates[..., o], np.tanh(c), out=hs[lo:hi, d + 1])
-    return hs[-1, depth:]
+    (T, B, input_size); bit for bit the chained ``lstm_forward`` calls.
+    ``_diagonals`` over rolling states: no backward buffer is kept."""
+    return _diagonals(stack, _checked_seq(stack, seq), _rolling)[0]
 
 
 def lstm_stack_forward(stack: LstmStack, seq: Array) -> tuple[Array, LstmCache]:
-    """``lstm_forward`` chained over the layers of ``stack``, run as the
-    wavefront of ``_wavefront`` with its order of operations, plus a copy of
-    each diagonal's activated gates: the top layer's hidden sequence (T, B, H)
-    and the buffers of ``lstm_stack_backward``, every layer's rows bit for bit
-    those of the chained calls.
+    """``lstm_forward`` chained over the layers of ``stack``: the top layer's
+    hidden sequence (T, B, H) and the buffers of ``lstm_stack_backward``,
+    every layer's rows bit for bit those of the chained calls.
 
-    Diagonal d = l + t keeps layer l's step t in diagonal-major buffers:
-    its gates in ``gates[d, l]`` (T + L - 1, L, B, 4H) and ``cell_tanh[d, l]``
-    alike, its states in ``cells[d + 1, l]`` and ``hidden[d + 1, l]``
-    (T + L, L, B, H), whose never-written ``[l, l]`` is the zero initial
-    state. So layer l's ``lstm_forward`` arrays are ``gates[l : l + T, l]``,
-    ``hidden[l : l + T + 1, l]`` and so on, and its inputs, for l >= 1,
-    ``hidden[l : l + T, l - 1]``. A gate row holds the pre-activation, summed
-    as in ``lstm_forward``, until its diagonal activates it. Rows that no
-    diagonal reaches hold zeros or, in ``gates``, a layer's bias: the
-    backward's elementwise passes over whole buffers meet only finite values.
+    ``_diagonals`` over diagonal-major buffers. Diagonal d = l + t keeps
+    layer l's step t: its activated gates in ``gates[d, l]`` (T + L - 1, L,
+    B, 4H) and ``cell_tanh[d, l]`` alike, its states in ``cells[d + 1, l]``
+    and ``hidden[d + 1, l]`` (T + L, L, B, H), whose never-written ``[l, l]``
+    is the zero initial state. So layer l's ``lstm_forward`` arrays are
+    ``gates[l : l + T, l]``, ``hidden[l : l + T + 1, l]`` and so on, and its
+    inputs, for l >= 1, ``hidden[l : l + T, l - 1]``.
     """
-    seq = _checked_seq(stack, seq)
-    steps, batch, _ = seq.shape
-    depth, hid = stack.depth, stack.hidden_size
-    i, f, g, o = (slice(k * hid, (k + 1) * hid) for k in range(4))
-    gates = np.zeros((steps + depth - 1, depth, batch, 4 * hid))
-    cell_tanh = np.zeros((steps + depth - 1, depth, batch, hid))
-    cells = np.zeros((steps + depth, depth, batch, hid))
-    hidden = np.zeros((steps + depth, depth, batch, hid))
-    _input_terms(stack, seq, gates)
+    return _diagonals(stack, _checked_seq(stack, seq), np.zeros)
+
+
+def _rolling(shape: tuple) -> Array:
+    """One zeroed ``shape[1:]`` buffer seen as ``shape``, with stride 0 along axis 0."""
+    buf = np.zeros(shape[1:])
+    return np.ndarray(shape, buf.dtype, buf, 0, (0,) + buf.strides)
+
+
+@functools.cache
+def _schedule(steps: int, depth: int) -> tuple[tuple, ...]:
+    """The index keys of each diagonal d of ``_diagonals``, which runs layers
+    lo:hi: (d, lo:hi) and (d + 1, lo:hi) (d and d + 1, faster, if that is
+    all layers), lo:hi, their pre-activation rows and, if layers up:hi >= 1
+    run, (d, up - 1:hi - 1), up - 1:hi - 1 and their rows. Cached: building
+    them took 6-9% of a B = 1 forecast."""
+    keys = []
     for d in range(steps + depth - 1):
         lo, hi = max(0, d - steps + 1), min(depth, d + 1)
         up = max(lo, 1)  # the first active layer that reads the one below
-        if up < hi:
-            x = gates[d, up:hi]
-            x += hidden[d, up - 1 : hi - 1] @ stack.w_in[up - 1 : hi - 1]
-        a = gates[d, lo:hi]
-        a += hidden[d, lo:hi] @ stack.w_rec[lo:hi]
-        act = sigmoid(a)
-        np.tanh(a[..., g], out=act[..., g])
-        a[...] = act
-        c = np.multiply(act[..., f], cells[d, lo:hi], out=cells[d + 1, lo:hi])
-        c += act[..., i] * act[..., g]
-        np.multiply(act[..., o], np.tanh(c, out=cell_tanh[d, lo:hi]), out=hidden[d + 1, lo:hi])
+        layers, below, row = slice(lo, hi), slice(up - 1, hi - 1), steps - 1 - d
+        now, nxt = (d, d + 1) if hi - lo == depth else ((d, layers), (d + 1, layers))
+        keys.append((now, nxt, layers, slice(row + lo, row + hi),
+                     ((d, below), below, slice(row + up, row + hi)) if up < hi else None))
+    return tuple(keys)
+
+
+def _diagonals(stack: LstmStack, seq: Array, buffer: Callable) -> tuple[Array, LstmCache]:
+    """The one LSTM stack forward, a wavefront (Appleyard, Kocisky and
+    Blunsom, arXiv:1604.01946): layer l's step t needs only (l, t - 1) and
+    (l - 1, t), so every layer on a diagonal d = l + t runs in one batched
+    step, T + L - 1 steps at any batch size. Returns the top hidden sequence
+    and the buffers in ``lstm_stack_forward``'s layout, all but ``hidden``
+    made by ``buffer(shape)``. Rows that no diagonal reaches hold zeros or,
+    in ``gates``, a layer's bias: finite for the backward's passes over
+    whole buffers, which overflow on a bias that training has blown up.
+
+    A step sums the pre-activations as ``lstm_forward`` does, (x @ w_in +
+    bias) + h @ w_rec, and activates all 4H columns with one ``sigmoid`` and
+    the candidate columns with ``tanh``. Step t's pre-activations live in row
+    T - 1 - t of one (T, B, 4H) buffer: layer 0's input terms, which layer
+    l >= 1 overwrites with its own, so one diagonal's rows are adjacent.
+    """
+    steps, batch, _ = seq.shape
+    depth, hid = stack.depth, stack.hidden_size
+    diags, states = (steps + depth - 1, depth, batch), (steps + depth, depth, batch, hid)
+    gates, cell_tanh, cells = buffer(diags + (4 * hid,)), buffer(diags + (hid,)), buffer(states)
+    hidden = np.zeros(states)
+    gates[: depth - 1, 1:] = stack.bias[1:, None]
+    pre = np.empty((steps, batch, 4 * hid))
+    np.matmul(seq, stack.w_in0, out=pre[::-1])
+    pre += stack.bias[0]
+    i, f, g, o = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
+    pre_g, bias_in = pre[..., 2 * hid : 3 * hid], stack.bias[1:, None]  # indexed as w_in
+    for now, nxt, layers, rows, up in _schedule(steps, depth):
+        if up:
+            src, below, dst = up
+            np.add(hidden[src] @ stack.w_in[below], bias_in[below], pre[dst])
+        a = pre[rows]
+        a += hidden[now] @ stack.w_rec[layers]
+        sigmoid(a, gates[now])
+        cand = np.tanh(pre_g[rows], g[now])
+        c = np.multiply(f[now], cells[now], cells[nxt])
+        c += i[now] * cand
+        np.multiply(o[now], np.tanh(c, cell_tanh[now]), hidden[nxt])
     ensure_finite("lstm hidden", hidden)
     return hidden[depth:, -1], LstmCache(seq, gates, cells, cell_tanh, hidden)
 

@@ -419,6 +419,9 @@ BAD_CONFIG = {  # case -> (subcommand, key, JSON text of its value)
     "num_beams-text": ("simulate", "num_beams", '"64"'),
     "noise_variance-nan": ("simulate", "noise_variance", "NaN"),
     "road_region-short": ("simulate", "road_region", "[0, 0, 1]"),
+    "road_region-unbounded": ("simulate", "road_region", "[-1e308, 4, 1e308, 8]"),
+    "lidar_max_range-zero": ("simulate", "lidar_max_range", "0"),
+    "object_width-negative": ("label", "object_width", "-1"),
     "eps-text": ("label", "eps", '"x"'),
     "tx-short": ("simulate", "tx", "[0]"),
 }
@@ -436,7 +439,9 @@ def test_a_bad_set_value_is_a_usage_error_naming_the_key(chain, tmp_path, capsys
     # as none; "x" failed with a bare float() message, [0] and a bounce_x
     # of [5] with an IndexError traceback, walls=5 with a TypeError one, a
     # row of three numbers with an unpacking message, a symbol_power of -1
-    # with "math domain error" and a seed of -1 with numpy's message.
+    # with "math domain error" and a seed of -1 with numpy's message. A
+    # lidar_max_range of 0, an object_width of -1 and a road_region of
+    # infinite extent ran until train or evaluate refused their dataset.
     command, key, text = BAD_CONFIG[case]
     out = tmp_path / "out"
     assert run(_config_stage(chain, command) + ["--set", f"{key}={text}", "--out", str(out)]) == 2

@@ -786,7 +786,7 @@ def test_save_model_rejects_unknown_objects(tmp_path):
 
 
 def test_batch_forward_over_the_whole_drive_keeps_no_dead_intermediates(
-    trained_lidar, standard_dataset, traced_peak_mib
+    trained_lidar, trained_rf, standard_dataset, traced_peak_mib
 ):
     """rf+lidar on all 1488 windows peaks at 2.49 MiB under tracemalloc in
     blocks of SCORE_BLOCK = 64 windows, with the conv forward unrolling 8
@@ -796,6 +796,13 @@ def test_batch_forward_over_the_whole_drive_keeps_no_dead_intermediates(
     windows at once, 11.9 MiB in blocks of 256 windows (10.6 MiB there
     when no block ran as a wavefront), 61.1 MiB in one pass, and 76.1 MiB
     when conv and dense outputs stayed in a throwaway dict and ReLU and the
-    conv taps allocated."""
+    conv taps allocated.
+
+    The four-layer rf model peaks at 1.53 MiB, its LSTM keeping rolling
+    (L, B, ·) states and one (T0, B, 4H) pre-activation buffer; the bound is
+    15% above that, so neither can grow with the depth or T0 unnoticed. It
+    peaked at 2.65 MiB when the cache-free wavefront kept every diagonal's
+    pre-activations."""
     windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
     assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 2.86
+    assert traced_peak_mib(lambda: predict_blockage_probs(trained_rf, windows)) < 1.76
