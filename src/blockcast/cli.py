@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, check_value, parse_value, resolve_config
+from .config import DEFAULTS, check_config, check_value, parse_value, resolve_config
 from .errors import ConfigMismatchError, PipelineError, SchemaError
 from .evaluation import (
     BLOCKAGE_CSV_HEADER,
@@ -154,14 +154,13 @@ def replay_manifest(manifest_path, out_dir) -> dict[str, bool]:
     subcommand = manifest["subcommand"]
     if subcommand not in _COMMANDS:
         raise SchemaError(f"{manifest_path}: unknown subcommand {subcommand!r}")
-    cfg = {}
     for key in DEFAULTS:
         if key not in manifest["config"]:
             raise SchemaError(f"{manifest_path}: config has no {key!r}")
-        try:
-            cfg[key] = check_value(key, manifest["config"][key])
-        except SchemaError as exc:
-            raise SchemaError(f"{manifest_path}: config {exc}") from None
+    try:
+        cfg = check_config({key: manifest["config"][key] for key in DEFAULTS})
+    except SchemaError as exc:
+        raise SchemaError(f"{manifest_path}: config {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _COMMANDS[subcommand](cfg, _ManifestInputs(manifest_path, manifest["inputs"]), out)

@@ -78,16 +78,20 @@ def check_value(key: str, value):
     """``value`` in the form of the key's default, as ``ingest.json_field``
     gives it: an int where the default is one, else a float or a list of as
     many floats. ``walls`` is null or a list of ``[x0, y0, x1, y1]`` rows
-    (none too), ``bounce_x`` null or a pair; ``symbol_power``,
-    ``lidar_max_range`` and ``object_width`` are positive, the seeds are not
-    negative, and ``road_region``'s x1 - x0 and y1 - y0 are finite and
-    positive. Anything else is a SchemaError naming ``key``."""
+    (none too), ``bounce_x`` null or a pair; ``num_beams``, ``fov``,
+    ``symbol_power``, ``lidar_max_range`` and ``object_width`` are positive,
+    the seeds are not negative, ``road_region``'s x1 - x0 and y1 - y0 are
+    finite and positive, and ``theta_offset`` gives the default codebook
+    finite, strictly increasing beam directions (``check_config`` checks it
+    again against the codebook configured). Anything else is a SchemaError
+    naming ``key``."""
     rows = key == "walls" and isinstance(value, list)  # as many as given
     if rows and not value:
         return value
     shape = (len(value), 4) if rows else np.shape(DEFAULTS[key])
     value = json_field({key: value}, key, None, shape, integer=type(DEFAULTS[key]) is int,
-                       positive=key in ("symbol_power", "lidar_max_range", "object_width"),
+                       positive=key in ("num_beams", "fov", "symbol_power", "lidar_max_range",
+                                        "object_width"),
                        optional=key in ("walls", "bounce_x"))
     if key in ("seed", "train_seed") and value < 0:
         raise SchemaError(f"{key} must be a non-negative integer, got {value}")
@@ -95,7 +99,33 @@ def check_value(key: str, value):
             0 < hi - lo < math.inf for lo, hi in ((value[0], value[2]), (value[1], value[3]))):
         raise SchemaError(f"{key} must be [x0, y0, x1, y1] with x1 - x0 and y1 - y0 finite "
                           f"and positive, got {value}")
+    if key == "theta_offset":
+        _check_beam_directions(value, DEFAULTS["num_beams"], DEFAULTS["fov"])
     return value
+
+
+def _check_beam_directions(theta_offset: float, num_beams: int, fov: float) -> None:
+    """Refuses a ``theta_offset`` whose M = ``num_beams`` beam directions
+    theta_offset + (m + 1/2) * fov / M, as ``scene.build_codebook`` computes
+    them, are not finite and strictly increasing: past about 1e15 radians
+    the default beams round onto one another. They are made 4,096 at a
+    time, so that a huge ``num_beams`` costs time but no memory."""
+    step, last = fov / num_beams, -math.inf
+    for lo in range(0, num_beams, 4096):
+        dirs = theta_offset + (np.arange(lo, min(lo + 4096, num_beams)) + 0.5) * step
+        if not (np.isfinite(dirs).all() and dirs[0] > last and (np.diff(dirs) > 0).all()):
+            raise SchemaError(f"theta_offset must be an angle whose {num_beams} beam directions "
+                              f"over a fov of {fov!r} are finite and strictly increasing, got "
+                              f"{theta_offset!r}")
+        last = dirs[-1]
+
+
+def check_config(values: dict) -> dict:
+    """Every value of ``values``, a whole config, checked by ``check_value``;
+    then ``theta_offset`` against its ``num_beams`` and ``fov``."""
+    cfg = {key: check_value(key, value) for key, value in values.items()}
+    _check_beam_directions(cfg["theta_offset"], cfg["num_beams"], cfg["fov"])
+    return cfg
 
 
 def parse_value(key: str, text: str):
@@ -134,7 +164,7 @@ def parse_config_file(path) -> dict:
 
 def resolve_config(cli_values: dict | None = None, config_path=None) -> dict:
     """Merge defaults, config file, and CLI overrides into one dict of
-    values checked by ``check_value``; a bad one is a SchemaError naming
+    values checked by ``check_config``; a bad one is a SchemaError naming
     its key.
 
     Every cli_values entry overrides, None too (``bounce_x`` and ``walls``
@@ -150,7 +180,7 @@ def resolve_config(cli_values: dict | None = None, config_path=None) -> dict:
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key {key!r}")
         resolved[key] = value
-    return {key: check_value(key, value) for key, value in resolved.items()}
+    return check_config(resolved)
 
 
 def dump_config(cfg: dict) -> str:

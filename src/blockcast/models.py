@@ -33,14 +33,20 @@ checkpoint so inference needs no dataset access. Training is
 bit-reproducible: one seed drives initialization and batch sampling.
 
 Training runs the buffered forward that its backward pass reads;
-prediction and the validation loss score with the cache-free one. Both are
-``nn``'s one diagonal loop, whose schedule depends on the architecture
-alone, at every batch size: ``nn.lstm_stack_forward`` keeps the buffers,
-and ``nn.lstm_stack_hidden`` keeps rolling states. Only localization
-training, one layer, runs ``nn.lstm_forward``, a one-layer loop of its own.
-A training step's backward runs one ``nn.lstm_stack_backward`` over the
-forward's buffers at any depth and writes every gradient into views of one
-vector laid out as ``Model.params``, which ``nn.adam_step`` takes whole.
+prediction and the validation loss score with the cache-free one. Both run
+``nn``'s one diagonal loop through an ``nn.LstmPlan`` that the model keeps:
+at most one per storage mode (diagonal-major buffers for training, rolling
+states for scoring), made again when T or B changes and dropped before its
+successor is made. So a stream of single-window forecasts, the B = 8 steps
+of a fit and the blocks of a scoring call reuse their buffers and views.
+Only storage is reused: a plan reads the weights in ``Model.params``, which
+``nn.adam_step`` and ``load_model`` update in place, at every run. Only
+localization training, one layer, runs ``nn.lstm_forward``, a one-layer
+loop of its own. A training step's backward runs one
+``nn.lstm_stack_backward`` over the forward's buffers at any depth and
+writes every gradient into views of one vector laid out as ``Model.params``,
+which ``nn.adam_step`` takes whole. A model is therefore not safe to use
+from two threads at once.
 
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
 cache-free forward over blocks of ``SCORE_BLOCK`` = 64 windows that start
@@ -73,6 +79,7 @@ from .nn import (
     Conv1dParams,
     DenseParams,
     LstmParams,
+    LstmPlan,
     LstmStack,
     adam_init,
     adam_step,
@@ -89,8 +96,6 @@ from .nn import (
     lstm_forward,
     lstm_init,
     lstm_stack_backward,
-    lstm_stack_forward,
-    lstm_stack_hidden,
     relu,
     relu_backward,
     sigmoid,
@@ -221,7 +226,9 @@ Layer = LstmParams | DenseParams | Conv1dParams
 @dataclass
 class Model:
     """One predictor: its named layers in initialization order, plus the
-    shapes and normalization statistics inference needs."""
+    shapes and normalization statistics inference needs, and the LSTM plans
+    its forwards reuse (see the module docstring). A model is not
+    thread-safe: two forwards at once would share a plan's buffers."""
 
     kind: str  # "localization" | "rf" | "rf+lidar"
     layers: dict[str, Layer]
@@ -231,6 +238,9 @@ class Model:
     raster_bins: int | None = None  # length of the lidar raster; rf+lidar only
     params: np.ndarray = field(init=False, repr=False)  # every parameter, in named_params() order
     lstm: LstmStack = field(init=False, repr=False)  # the LSTM layers' weights: views of params
+    # At most one LSTM plan per storage mode, keyed by ``rolling``.
+    plans: dict[bool, LstmPlan] = field(init=False, repr=False, compare=False,
+                                        default_factory=dict)
 
     def __post_init__(self):
         live = self.named_params()
@@ -268,6 +278,17 @@ class Model:
         named = {name: piece.reshape(arr.shape) for (name, arr), piece in zip(live.items(), pieces)}
         lstm = [self.layers[name] for name in self.names(LstmParams)]
         return named, LstmStack.view(vector, len(lstm), lstm[0].input_size, lstm[0].hidden_size)
+
+    def plan(self, shape: tuple, *, rolling: bool) -> LstmPlan:
+        """The model's ``nn.LstmPlan`` of one storage mode for seqs of
+        ``shape``: the one it keeps, or, when T or B differ, a new one that
+        replaces it. The old plan is dropped first, so the model never holds
+        two sets of buffers of one mode."""
+        plan = self.plans.get(rolling)
+        if plan is None or plan.shape != shape:
+            self.plans.pop(rolling, None)
+            plan = self.plans[rolling] = LstmPlan(self.lstm, shape, rolling=rolling)
+        return plan
 
     def names(self, layer_type: type) -> list[str]:
         """Names of the layers of one type, in order."""
@@ -331,22 +352,15 @@ def forward(
     The two forwards give the same bits. Given a ``caches`` dict, every
     layer leaves in it what ``_backward`` needs, the LSTM layers under
     ``"lstm"``: one layer runs ``lstm_forward``'s own loop, a stack the
-    diagonal loop with its buffers, ``lstm_stack_forward``. Without one, the
-    LSTM layers are the diagonal loop over rolling states,
-    ``lstm_stack_hidden``. Each call checks its input once. ReLU runs in
-    place: ``relu_backward`` reads only the sign of its cached input, which
-    ReLU keeps.
+    model's diagonal-major plan, whose buffers the caches then hold until the
+    model's next buffered forward. Without one, the LSTM layers run the
+    model's rolling plan. Each call checks its input once, and its output is
+    a new array. ReLU runs in place: ``relu_backward`` reads only the sign of
+    its cached input, which ReLU keeps.
     """
     layers = model.layers
     buffered = caches is not None
-    seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
-    if not buffered:
-        feat = lstm_stack_hidden(model.lstm, seq)[-1]
-    elif model.lstm.depth == 1:
-        _, feat, caches["lstm"] = lstm_forward(layers[model.names(LstmParams)[0]], seq)
-    else:
-        seq, caches["lstm"] = lstm_stack_forward(model.lstm, seq)
-        feat = seq[-1]
+    feat = _lstm_last_hidden(model, features, caches)
     conv = model.names(Conv1dParams)
     if conv:
         x = _checked_rasters(model, rasters, len(features))[:, None, :]  # (B, 1, bins)
@@ -366,6 +380,20 @@ def forward(
             caches[name] = (z, cache)
         feat = relu(z, out=z) if regress else z
     return feat if regress else sigmoid(feat)
+
+
+def _lstm_last_hidden(model: Model, features: np.ndarray, caches: dict | None) -> np.ndarray:
+    """The LSTM layers' last hidden state (B, H) over (B, T0, M) features, for
+    ``forward``. Their time-major copy is freed on return unless ``caches``
+    keeps it, so it does not live through the conv layers' peak."""
+    seq = np.ascontiguousarray(np.transpose(features, (1, 0, 2)))  # time-major (T0, B, M)
+    if caches is not None and model.lstm.depth == 1:
+        _, last, caches["lstm"] = lstm_forward(model.layers[model.names(LstmParams)[0]], seq)
+        return last
+    top, cache = model.plan(seq.shape, rolling=caches is None).run(seq)
+    if caches is not None:
+        caches["lstm"] = cache
+    return top[-1]
 
 
 def _backward(model: Model, d_out: np.ndarray, caches: dict, grads: dict[str, np.ndarray],

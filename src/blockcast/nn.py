@@ -9,18 +9,23 @@ inputs at a time, for one BLAS product per window; it returns the
 (B, C, L) view of a (B, L, C) buffer, which the next conv layer and the
 pooling read in place. The LSTM starts from zero state. Stacked layers of
 one hidden size are an ``LstmStack``, their weights stacked by array, which
-the stack kernels read without a copy. One loop runs every stack forward as
-a wavefront over the diagonals l + t, whose schedule depends on T and the
-number of layers alone, never on the batch; each step activates all four
-gates with one ``sigmoid``, then overwrites the candidate columns with their
-``tanh``. It has two storage modes with the same bits: training's
-``lstm_stack_forward`` keeps every step's gates and cell states in
-diagonal-major buffers for the backward, and prediction's
-``lstm_stack_hidden`` keeps rolling (L, B, ·) states. ``lstm_forward`` is a
-one-layer loop of its own, with a ``sigmoid`` call per gate (perfbench's
-tests count them), which localization training runs. There is
-one backward loop, ``lstm_stack_backward``: the wavefront in reverse over
-those buffers, with only the recurrent and layer-to-layer matmuls inside it;
+the stack kernels read without a copy. One loop, ``LstmPlan.run``, runs
+every stack forward as a wavefront over the diagonals l + t, T + L - 1 steps
+at any batch size; each step activates all four gates with one ``sigmoid``,
+then overwrites the candidate columns with their ``tanh``. A plan is made
+for one seq shape (T, B, input_size) and one of two storage modes with the
+same bits: diagonal-major buffers that keep every step's gates and cell
+states for the backward, or rolling (L, B, ·) states. It allocates its
+buffers and indexes every diagonal's views once, so running it again costs
+only the arithmetic and the numpy calls of the steps: that is most of a
+single-window forecast. It holds views of the weights, not their values.
+``lstm_stack_forward`` (diagonal-major) and ``lstm_stack_hidden`` (rolling)
+are one-shot plans, whose results are fresh buffers; ``models.Model`` keeps
+its own plans across calls. ``lstm_forward`` is a one-layer loop of its
+own, with a ``sigmoid`` call per gate (perfbench's tests count them), which
+localization training runs. There is one backward loop,
+``lstm_stack_backward``: the wavefront in reverse over the diagonal-major
+buffers, with only the recurrent and layer-to-layer matmuls inside it;
 ``lstm_backward`` is its one-layer case. Each layer ships a hand-derived
 backward pass returning gradients in the same shapes as its parameters;
 finite-difference tests lock every one of them. There is no autodiff graph:
@@ -36,9 +41,7 @@ whose intermediates go through two scratch vectors of its state.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,13 +230,18 @@ class LstmCache:
     hidden: Array     # like cells
 
 
+def _checked_shape(p: LstmParams | LstmStack, shape: tuple) -> None:
+    """Refuses a seq shape other than (T, B, input_size) with T >= 1."""
+    if len(shape) != 3 or shape[0] < 1:
+        raise ValueError("seq must be (T, B, input_size) with T >= 1")
+    if shape[2] != p.input_size:
+        raise ValueError(f"seq width {shape[2]} != input_size {p.input_size}")
+
+
 def _checked_seq(p: LstmParams | LstmStack, seq) -> Array:
     """seq as float64 (T, B, input_size) with T >= 1 and finite values."""
     seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 3 or seq.shape[0] < 1:
-        raise ValueError("seq must be (T, B, input_size) with T >= 1")
-    if seq.shape[2] != p.input_size:
-        raise ValueError(f"seq width {seq.shape[2]} != input_size {p.input_size}")
+    _checked_shape(p, seq.shape)
     return ensure_finite("lstm input", seq)
 
 
@@ -269,8 +277,9 @@ def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
 def lstm_stack_hidden(stack: LstmStack, seq: Array) -> Array:
     """The top layer's hidden sequence (T, B, H) of ``stack`` over seq
     (T, B, input_size); bit for bit the chained ``lstm_forward`` calls.
-    ``_diagonals`` over rolling states: no backward buffer is kept."""
-    return _diagonals(stack, _checked_seq(stack, seq), _rolling)[0]
+    A one-shot rolling ``LstmPlan``: no backward buffer is kept."""
+    seq = np.asarray(seq, dtype=np.float64)
+    return LstmPlan(stack, seq.shape, rolling=True).run(seq)[0]
 
 
 def lstm_stack_forward(stack: LstmStack, seq: Array) -> tuple[Array, LstmCache]:
@@ -278,15 +287,16 @@ def lstm_stack_forward(stack: LstmStack, seq: Array) -> tuple[Array, LstmCache]:
     hidden sequence (T, B, H) and the buffers of ``lstm_stack_backward``,
     every layer's rows bit for bit those of the chained calls.
 
-    ``_diagonals`` over diagonal-major buffers. Diagonal d = l + t keeps
-    layer l's step t: its activated gates in ``gates[d, l]`` (T + L - 1, L,
-    B, 4H) and ``cell_tanh[d, l]`` alike, its states in ``cells[d + 1, l]``
-    and ``hidden[d + 1, l]`` (T + L, L, B, H), whose never-written ``[l, l]``
-    is the zero initial state. So layer l's ``lstm_forward`` arrays are
-    ``gates[l : l + T, l]``, ``hidden[l : l + T + 1, l]`` and so on, and its
-    inputs, for l >= 1, ``hidden[l : l + T, l - 1]``.
+    A one-shot ``LstmPlan`` over diagonal-major buffers. Diagonal d = l + t
+    keeps layer l's step t: its activated gates in ``gates[d, l]`` (T + L -
+    1, L, B, 4H) and ``cell_tanh[d, l]`` alike, its states in ``cells[d + 1,
+    l]`` and ``hidden[d + 1, l]`` (T + L, L, B, H), whose never-written
+    ``[l, l]`` is the zero initial state. So layer l's ``lstm_forward``
+    arrays are ``gates[l : l + T, l]``, ``hidden[l : l + T + 1, l]`` and so
+    on, and its inputs, for l >= 1, ``hidden[l : l + T, l - 1]``.
     """
-    return _diagonals(stack, _checked_seq(stack, seq), np.zeros)
+    seq = np.asarray(seq, dtype=np.float64)
+    return LstmPlan(stack, seq.shape, rolling=False).run(seq)
 
 
 def _rolling(shape: tuple) -> Array:
@@ -295,64 +305,96 @@ def _rolling(shape: tuple) -> Array:
     return np.ndarray(shape, buf.dtype, buf, 0, (0,) + buf.strides)
 
 
-@functools.cache
-def _schedule(steps: int, depth: int) -> tuple[tuple, ...]:
-    """The index keys of each diagonal d of ``_diagonals``, which runs layers
-    lo:hi: (d, lo:hi) and (d + 1, lo:hi) (d and d + 1, faster, if that is
-    all layers), lo:hi, their pre-activation rows and, if layers up:hi >= 1
-    run, (d, up - 1:hi - 1), up - 1:hi - 1 and their rows. Cached: building
-    them took 6-9% of a B = 1 forecast."""
-    keys = []
-    for d in range(steps + depth - 1):
-        lo, hi = max(0, d - steps + 1), min(depth, d + 1)
-        up = max(lo, 1)  # the first active layer that reads the one below
-        layers, below, row = slice(lo, hi), slice(up - 1, hi - 1), steps - 1 - d
-        now, nxt = (d, d + 1) if hi - lo == depth else ((d, layers), (d + 1, layers))
-        keys.append((now, nxt, layers, slice(row + lo, row + hi),
-                     ((d, below), below, slice(row + up, row + hi)) if up < hi else None))
-    return tuple(keys)
+class LstmPlan:
+    """The one LSTM stack forward for seqs of one ``shape`` (T, B,
+    input_size), with its buffers and every diagonal's views made once, so
+    that a plan run again allocates nothing but its cache record.
 
+    It runs a wavefront (Appleyard, Kocisky and Blunsom, arXiv:1604.01946):
+    layer l's step t needs only (l, t - 1) and (l - 1, t), so every layer on
+    a diagonal d = l + t runs in one batched step, T + L - 1 steps at any
+    batch size. ``rolling`` picks the storage of the gates, cells and cell
+    tanh: diagonal-major buffers in ``lstm_stack_forward``'s layout, for the
+    backward, or rolling (L, B, ·) states, stride-0 views of one buffer each.
+    Both keep the whole (T + L, L, B, H) hidden buffer.
 
-def _diagonals(stack: LstmStack, seq: Array, buffer: Callable) -> tuple[Array, LstmCache]:
-    """The one LSTM stack forward, a wavefront (Appleyard, Kocisky and
-    Blunsom, arXiv:1604.01946): layer l's step t needs only (l, t - 1) and
-    (l - 1, t), so every layer on a diagonal d = l + t runs in one batched
-    step, T + L - 1 steps at any batch size. Returns the top hidden sequence
-    and the buffers in ``lstm_stack_forward``'s layout, all but ``hidden``
-    made by ``buffer(shape)``. Rows that no diagonal reaches hold zeros or,
-    in ``gates``, a layer's bias: finite for the backward's passes over
-    whole buffers, which overflow on a bias that training has blown up.
-
-    A step sums the pre-activations as ``lstm_forward`` does, (x @ w_in +
-    bias) + h @ w_rec, and activates all 4H columns with one ``sigmoid`` and
-    the candidate columns with ``tanh``. Step t's pre-activations live in row
-    T - 1 - t of one (T, B, 4H) buffer: layer 0's input terms, which layer
-    l >= 1 overwrites with its own, so one diagonal's rows are adjacent.
+    The plan holds views of ``stack``'s arrays, never their values: each
+    ``run`` reads the weights as they are then, so an in-place update of
+    them (``adam_step``, ``models.load_model``) needs no new plan. A run
+    refreshes what the one before changed: layer 0's input terms, the
+    rolling cell state (zero at each layer's first step) and, in the gate
+    rows that no diagonal reaches, each layer's bias: finite for the
+    backward's passes over whole buffers, which overflow on a bias that
+    training has blown up. Every other row a run writes it writes whole,
+    and the rows it never writes stay zero. What a run returns are views of
+    the plan's buffers, valid until its next run; a plan is not safe to run
+    from two threads at once.
     """
-    steps, batch, _ = seq.shape
-    depth, hid = stack.depth, stack.hidden_size
-    diags, states = (steps + depth - 1, depth, batch), (steps + depth, depth, batch, hid)
-    gates, cell_tanh, cells = buffer(diags + (4 * hid,)), buffer(diags + (hid,)), buffer(states)
-    hidden = np.zeros(states)
-    gates[: depth - 1, 1:] = stack.bias[1:, None]
-    pre = np.empty((steps, batch, 4 * hid))
-    np.matmul(seq, stack.w_in0, out=pre[::-1])
-    pre += stack.bias[0]
-    i, f, g, o = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
-    pre_g, bias_in = pre[..., 2 * hid : 3 * hid], stack.bias[1:, None]  # indexed as w_in
-    for now, nxt, layers, rows, up in _schedule(steps, depth):
-        if up:
-            src, below, dst = up
-            np.add(hidden[src] @ stack.w_in[below], bias_in[below], pre[dst])
-        a = pre[rows]
-        a += hidden[now] @ stack.w_rec[layers]
-        sigmoid(a, gates[now])
-        cand = np.tanh(pre_g[rows], g[now])
-        c = np.multiply(f[now], cells[now], cells[nxt])
-        c += i[now] * cand
-        np.multiply(o[now], np.tanh(c, cell_tanh[now]), hidden[nxt])
-    ensure_finite("lstm hidden", hidden)
-    return hidden[depth:, -1], LstmCache(seq, gates, cells, cell_tanh, hidden)
+
+    def __init__(self, stack: LstmStack, shape: tuple, *, rolling: bool):
+        _checked_shape(stack, shape)
+        self.stack, self.shape = stack, tuple(shape)
+        steps, batch, _ = self.shape
+        depth, hid = stack.depth, stack.hidden_size
+        buffer = _rolling if rolling else np.zeros
+        diags, states = (steps + depth - 1, depth, batch), (steps + depth, depth, batch, hid)
+        gates, cell_tanh, cells = buffer(diags + (4 * hid,)), buffer(diags + (hid,)), buffer(states)
+        hidden = np.zeros(states)
+        self._buffers = gates, cells, cell_tanh, hidden
+        self._top = hidden[depth:, -1]
+        # Step t's pre-activations live in row T - 1 - t: layer 0's input
+        # terms, which layer l >= 1 overwrites with its own, so one
+        # diagonal's rows are adjacent, in layer order.
+        pre = np.empty((steps, batch, 4 * hid))
+        self._input_terms = pre[::-1]
+        self._unreached = gates[: depth - 1, 1:], stack.bias[1:, None]
+        # The rolling cell state starts each run at zero; diagonal-major cells
+        # keep the zero initial state in rows that no run writes.
+        self._carry = cells.base if rolling else cells[:0]
+        i, f, g, o = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
+        pre_g, bias_in = pre[..., 2 * hid : 3 * hid], stack.bias[1:, None]  # indexed as w_in
+        self._diagonals = []
+        for d in range(steps + depth - 1):
+            lo, hi = max(0, d - steps + 1), min(depth, d + 1)  # the layers that run
+            up = max(lo, 1)  # the first of them that reads the one below
+            layers, below, row = slice(lo, hi), slice(up - 1, hi - 1), steps - 1 - d
+            now, nxt, rows = (d, layers), (d + 1, layers), slice(row + lo, row + hi)
+            inputs = ((hidden[d, below], stack.w_in[below], bias_in[below],
+                       pre[row + up : row + hi]) if up < hi else None)
+            self._diagonals.append((inputs, pre[rows], hidden[now], stack.w_rec[layers], gates[now],
+                                   pre_g[rows], g[now], f[now], cells[now], cells[nxt], i[now],
+                                   o[now], cell_tanh[now], hidden[nxt]))
+
+    def run(self, seq: Array) -> tuple[Array, LstmCache]:
+        """The top hidden sequence (T, B, H) over seq, a finite array of the
+        plan's shape, and the buffers in ``lstm_stack_forward``'s layout.
+
+        A step sums the pre-activations as ``lstm_forward`` does, (x @ w_in +
+        bias) + h @ w_rec, and activates all 4H columns with one ``sigmoid``
+        and the candidate columns with ``tanh``.
+        """
+        seq = np.asarray(seq, dtype=np.float64)
+        if seq.shape != self.shape:
+            raise ValueError(f"seq shape {seq.shape} != the plan's {self.shape}")
+        ensure_finite("lstm input", seq)
+        np.copyto(*self._unreached)
+        self._carry.fill(0.0)
+        np.matmul(seq, self.stack.w_in0, out=self._input_terms)
+        self._input_terms += self.stack.bias[0]
+        for inputs, a, h, w_rec, gates, a_g, g, f, c_prev, c_next, i, o, c_tanh, h_next in (
+                self._diagonals):
+            if inputs:
+                below, w_in, bias, dst = inputs
+                np.add(below @ w_in, bias, dst)
+            a += h @ w_rec
+            sigmoid(a, gates)
+            cand = np.tanh(a_g, g)
+            c = np.multiply(f, c_prev, c_next)
+            c += i * cand
+            np.multiply(o, np.tanh(c, c_tanh), h_next)
+        gates, cells, cell_tanh, hidden = self._buffers
+        ensure_finite("lstm hidden", hidden)
+        return self._top, LstmCache(seq, gates, cells, cell_tanh, hidden)
 
 
 def _layer_major(buf: Array, steps: int) -> Array:

@@ -424,6 +424,8 @@ BAD_CONFIG = {  # case -> (subcommand, key, JSON text of its value)
     "object_width-negative": ("label", "object_width", "-1"),
     "eps-text": ("label", "eps", '"x"'),
     "tx-short": ("simulate", "tx", "[0]"),
+    "theta_offset-huge": ("simulate", "theta_offset", "1e308"),
+    "theta_offset-beams-collide": ("simulate", "theta_offset", "1e17"),
 }
 
 
@@ -441,7 +443,9 @@ def test_a_bad_set_value_is_a_usage_error_naming_the_key(chain, tmp_path, capsys
     # row of three numbers with an unpacking message, a symbol_power of -1
     # with "math domain error" and a seed of -1 with numpy's message. A
     # lidar_max_range of 0, an object_width of -1 and a road_region of
-    # infinite extent ran until train or evaluate refused their dataset.
+    # infinite extent ran until train or evaluate refused their dataset. A
+    # theta_offset of 1e308 or 1e17 failed as "steering_dirs must be
+    # strictly increasing", naming no key.
     command, key, text = BAD_CONFIG[case]
     out = tmp_path / "out"
     assert run(_config_stage(chain, command) + ["--set", f"{key}={text}", "--out", str(out)]) == 2
@@ -462,6 +466,26 @@ def test_a_bad_config_file_value_names_the_file_and_line(chain, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"{cfg_file}:2: {key} must be" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_theta_offset_is_checked_against_the_codebook_configured(chain, tmp_path, capsys):
+    # 1.0 gives the default 64 beams distinct directions, but over a fov of
+    # 1e-14 they lie 1.6e-16 apart, below the spacing of doubles near 1.
+    assert resolve_config({"theta_offset": 1.0})["theta_offset"] == 1.0
+    message = "theta_offset must be an angle whose 64 beam directions over a fov of 1e-14"
+    with pytest.raises(SchemaError, match=f"^{message}"):
+        resolve_config({"theta_offset": 1.0, "fov": 1e-14})
+    out = tmp_path / "out"
+    assert run(["simulate", "--set", "theta_offset=1.0", "--set", "fov=1e-14",
+                "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err and not out.exists()
+    manifest = read_manifest(chain / "scene")
+    manifest["config"].update(theta_offset=1.0, fov=1e-14)
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match=f"{re.escape(str(bad))}: config {message}"):
+        replay_manifest(bad, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
 
 
 def test_every_config_value_reaches_the_stages_in_the_form_of_its_default(tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blockcast
 from blockcast import cli, models, nn, numeric_environment
 from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
@@ -409,11 +410,16 @@ def predictor(kind, beams=6, window_len=5, horizon=3, bins=40, seed=7):
     stats = toy_stats(beams)
     stats.rssi_mean[:] = np.linspace(-1.0, 1.0, beams)
     model = build_model(kind, beams, window_len, horizon, stats, bins, seed=seed)
-    if kind == "localization":
-        return model, lambda w, r: predict_locations_batch(model, w)
-    if kind == "rf":
-        return model, lambda w, r: predict_blockage_probs(model, w)
-    return model, lambda w, r: predict_blockage_probs(model, w, r)
+    return model, scorer(model)
+
+
+def scorer(model):
+    """``model``'s predict function over (windows, rasters)."""
+    if model.kind == "localization":
+        return lambda w, r: predict_locations_batch(model, w)
+    if model.kind == "rf":
+        return lambda w, r: predict_blockage_probs(model, w)
+    return lambda w, r: predict_blockage_probs(model, w, r)
 
 
 def whole_batch_prediction(model, windows, rasters, caches=None):
@@ -466,6 +472,94 @@ def test_the_training_forward_leaves_the_caches_of_chained_lstm_layers(kind, bat
         for array, steps in (("gates", 8), ("cells", 9), ("cell_tanh", 8), ("hidden", 9)):
             got = np.ascontiguousarray(getattr(buffers, array)[l : l + steps, l])
             assert got.tobytes() == getattr(want, array).tobytes(), (name, array)
+
+
+# A model keeps one LSTM plan per storage mode and runs it again while T and
+# B hold. Only its buffers are reused: each run must read the weights as
+# they are now and give the bytes of a model that has no plan yet.
+
+def planless_twin(model):
+    """A model of ``model``'s architecture and current weights, with no plan."""
+    twin = build_model(model.kind, model.num_beams, model.window_len, model.horizon,
+                       model.stats, model.raster_bins)
+    twin.params[:] = model.params
+    return twin
+
+
+def assert_same_forwards(model, feats, rasters):
+    """Both forwards of ``model`` give the bytes of a planless twin's, the
+    training forward's LSTM buffers too, which it returns."""
+    twin = planless_twin(model)
+    assert forward(model, feats, rasters).tobytes() == forward(twin, feats, rasters).tobytes()
+    got, want = {}, {}
+    assert (forward(model, feats, rasters, caches=got).tobytes()
+            == forward(twin, feats, rasters, caches=want).tobytes())
+    for array in ("inputs", "gates", "cells", "cell_tanh", "hidden"):
+        assert (getattr(got["lstm"], array).tobytes()
+                == getattr(want["lstm"], array).tobytes()), array
+    return got["lstm"]
+
+
+def train_step(model, opt, feats, rasters, rng):
+    """One Adam step of ``model`` on a random batch, its parameters updated in place."""
+    width = model.horizon * (2 if model.kind == "localization" else 1)
+    targets = rng.integers(0, 2, size=(len(feats), width)).astype(np.float64)
+    grad = np.empty_like(model.params)
+    loss_and_grads(model, feats, targets, rasters, views=model.views(grad))
+    nn.adam_step(opt, model.params, grad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_reused_plan_reads_the_weights_that_adam_updated_in_place(kind):
+    # The gate rows that no diagonal reaches hold each layer's bias; a run
+    # refills them, so they follow the update as the reached rows do.
+    model, _ = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
+    rng = np.random.default_rng(21)
+    feats, rasters = rng.normal(size=(8, 8, 64)), rng.uniform(0.0, 1.0, size=(8, 360))
+    opt = nn.adam_init(model.params, lr=0.05)
+    for _ in range(3):
+        forward(model, feats, rasters)
+        train_step(model, opt, feats, rasters, rng)
+        gates = assert_same_forwards(model, feats, rasters).gates
+        for layer in range(1, model.lstm.depth):  # diagonals d < l skip layer l
+            assert (gates[:layer, layer] == model.lstm.bias[layer]).all()
+    assert len(model.plans) == (1 if kind == "localization" else 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_plans_follow_the_batch_size_through_scoring_and_training(kind):
+    model, predict = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
+    rng = np.random.default_rng(22)
+    windows = rng.uniform(1e-6, 2.0, size=(64, 8, 64))
+    rasters = rng.uniform(0.1, 16.0, size=(64, 360))
+    opt = nn.adam_init(model.params, lr=0.05)
+    for step, n in enumerate([1, 64, 16, 1, 64]):
+        if step == 2:  # a training step between two scoring calls
+            feats = rssi_features(windows[:8], model.stats)
+            train_step(model, opt, feats, rasters[:8] / model.stats.lidar_max_range, rng)
+        want = scorer(planless_twin(model))(windows[:n], rasters[:n])
+        assert predict(windows[:n], rasters[:n]).tobytes() == want.tobytes(), n
+        assert model.plans[True].shape == (8, n, 64)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_later_forward_leaves_an_earlier_output_as_it_was(kind):
+    model, predict = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
+    rng = np.random.default_rng(23)
+    windows = rng.uniform(1e-6, 2.0, size=(2, 8, 64))
+    rasters = rng.uniform(0.1, 16.0, size=(2, 360))
+    feats = rssi_features(windows, model.stats)
+    first, trained = predict(windows[:1], rasters[:1]), forward(model, feats, rasters, caches={})
+    kept = first.tobytes(), trained.tobytes()
+    predict(windows[1:], rasters[1:])
+    forward(model, feats[::-1].copy(), rasters[::-1].copy(), caches={})
+    assert (first.tobytes(), trained.tobytes()) == kept
+    seq = np.ascontiguousarray(feats.transpose(1, 0, 2))
+    top = nn.lstm_stack_hidden(model.lstm, seq)
+    kept = top.tobytes()
+    nn.lstm_stack_hidden(model.lstm, seq[:, ::-1].copy())
+    nn.lstm_stack_forward(model.lstm, seq[:, ::-1].copy())
+    assert top.tobytes() == kept
 
 
 @pytest.mark.parametrize("n", [1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
@@ -522,8 +616,12 @@ def test_scoring_the_standard_windows_keeps_its_bits_at_other_block_sizes(
 
 def run_without_a_thread_count(args, **env):
     """``python args`` in a fresh process whose environment sets no
-    ``OPENBLAS_NUM_THREADS`` and adds ``env``."""
+    ``OPENBLAS_NUM_THREADS`` and adds ``env``. The directory that holds the
+    ``blockcast`` imported here leads its ``PYTHONPATH``, so the child
+    imports the same package however this suite was started."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    package_root = str(Path(blockcast.__file__).resolve().parent.parent)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=dict(environ, **env), capture_output=True,
                           text=True, timeout=300, cwd=Path(__file__).resolve().parent.parent)
 
