@@ -54,6 +54,7 @@ from .evaluation import (
 )
 from .geometry import LinkGeometry, blockage_labels_from_rssi, transfer_link
 from .ingest import (
+    Lidar,
     ScenarioBundle,
     Truth,
     json_field,
@@ -262,10 +263,12 @@ def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
         scenario_id=str(inputs.get("scenario_id") or out_dir.name),
         t=steps,
         rssi=result.frames,
-        lidar=result.scans,
+        lidar=Lidar(np.repeat(steps, [len(scan.points) for scan in result.scans]),
+                    np.concatenate([scan.points for scan in result.scans])),
         truth=Truth(steps, result.positions, result.occluded),
         meta=meta,
     )
+    del result  # and with it the per-step scans, now the bundle's rows
     save_scenario(bundle, out_dir)
     return ["rssi.csv", "lidar.csv", "truth.csv", "meta.json"]
 

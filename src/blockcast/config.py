@@ -78,20 +78,21 @@ def check_value(key: str, value):
     """``value`` in the form of the key's default, as ``ingest.json_field``
     gives it: an int where the default is one, else a float or a list of as
     many floats. ``walls`` is null or a list of ``[x0, y0, x1, y1]`` rows
-    (none too), ``bounce_x`` null or a pair; ``num_beams``, ``fov``,
-    ``symbol_power``, ``lidar_max_range`` and ``object_width`` are positive,
-    the seeds are not negative, ``road_region``'s x1 - x0 and y1 - y0 are
-    finite and positive, and ``theta_offset`` gives the default codebook
-    finite, strictly increasing beam directions (``check_config`` checks it
-    again against the codebook configured). Anything else is a SchemaError
-    naming ``key``."""
+    (none too), ``bounce_x`` null or a pair; every integer key but the seeds
+    (a count or a length), ``fov``, ``symbol_power``, ``lidar_max_range``
+    and ``object_width`` are positive, the seeds are not negative,
+    ``road_region``'s x1 - x0 and y1 - y0 are finite and positive, and
+    ``theta_offset`` gives the default codebook finite, strictly increasing
+    beam directions (``check_config`` checks it again against the codebook
+    configured). Anything else is a SchemaError naming ``key``."""
     rows = key == "walls" and isinstance(value, list)  # as many as given
     if rows and not value:
         return value
     shape = (len(value), 4) if rows else np.shape(DEFAULTS[key])
-    value = json_field({key: value}, key, None, shape, integer=type(DEFAULTS[key]) is int,
-                       positive=key in ("num_beams", "fov", "symbol_power", "lidar_max_range",
-                                        "object_width"),
+    integer = type(DEFAULTS[key]) is int  # a seed, or else a count or a length
+    value = json_field({key: value}, key, None, shape, integer=integer,
+                       positive=key in ("fov", "symbol_power", "lidar_max_range", "object_width")
+                       or integer and key not in ("seed", "train_seed"),
                        optional=key in ("walls", "bounce_x"))
     if key in ("seed", "train_seed") and value < 0:
         raise SchemaError(f"{key} must be a non-negative integer, got {value}")

@@ -15,10 +15,10 @@ its own directory (the import format for real captures too):
 
 Blockage flags are not stored: ``label`` derives them from meta.json's
 power threshold. In memory a scenario is one ``ScenarioBundle`` of
-columns, with no per-row object: ``t`` (T,) and ``rssi`` (T, M), ``truth``
-a ``Truth`` of (R,) times, (R, 2) positions (NaN where blank) and (R,)
-flags, and ``lidar`` one ``scene.LidarScan`` per scanned frame, in time
-order, whose points the bundle checks in one pass over the drive.
+columns, with no per-row or per-scan object: ``t`` (T,) and ``rssi`` (T,
+M), ``truth`` a ``Truth`` of (R,) times, (R, 2) positions (NaN where
+blank) and (R,) flags, and ``lidar`` a ``Lidar`` of lidar.csv's (P,) times
+and (P, 2) points in time order; the rows at one t are that frame's scan.
 
 A dataset holds the training windows of one drive (format 5). Its two
 bulk float64 blocks are ``.npy`` arrays, written with ``np.save`` and read
@@ -80,7 +80,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ensure_finite
 from .preprocess import LabeledSample, WindowSet
-from .scene import TWO_PI, LidarScan
+from .scene import TWO_PI
 
 SCENARIO_FORMAT_VERSION = 1
 DATASET_FORMAT_VERSION = 5
@@ -94,21 +94,26 @@ class Truth(NamedTuple):
     blocked: np.ndarray  # (R,) bool
 
 
+class Lidar(NamedTuple):
+    """lidar.csv's rows in time order, the rows at one t (its scan) in file order."""
+
+    t: np.ndarray       # (P,) int64 frame times, not decreasing
+    points: np.ndarray  # (P, 2) angle [rad] in [0, 2*pi), depth [m] > 0
+
+
 @dataclass
 class ScenarioBundle:
     """One recorded drive as columns: row i of ``rssi`` is the frame at time
-    ``t[i]``; lidar scans and truth rows name their frame by its time. It
-    refuses what ``load_scenario`` refuses, so it saves and loads back bit
-    for bit (bar its scans of no points, which lidar.csv has no row for):
-    frame times rise by 1, scan times rise, truth times are unique, a truth
-    x, y is finite or NaN in both, and every scan's points are an (n, 2)
-    array of finite angles in [0, 2*pi) and depths > 0, checked at once
-    over the drive's concatenation."""
+    ``t[i]``; lidar and truth rows name their frame by its time. It refuses
+    what ``load_scenario`` refuses, so it saves and loads back bit for bit:
+    frame times rise by 1, lidar times do not fall, truth times are unique,
+    a truth x, y is finite or NaN in both, and the lidar points are a (P, 2)
+    array of finite angles in [0, 2*pi) and depths > 0."""
 
     scenario_id: str
     t: np.ndarray     # (T,) int64, consecutive
     rssi: np.ndarray  # (T, M) per-beam power, linear units
-    lidar: list[LidarScan]
+    lidar: Lidar
     truth: Truth | None = None
     meta: dict = field(default_factory=dict)
 
@@ -121,21 +126,21 @@ class ScenarioBundle:
             raise ValueError("powers must be a (T, M) array with one time t per row")
         if (self.rssi < 0).any():
             raise ValueError("powers must be nonnegative")
-        points = [scan.points for scan in self.lidar]
-        if not all(isinstance(p, np.ndarray) and p.ndim == 2 and p.shape[1] == 2 for p in points):
-            raise ValueError("points must have shape (n, 2)")
-        points = ensure_finite("points", np.concatenate(points + [np.empty((0, 2))]))
+        scan_t, points = self.lidar = Lidar(*map(np.asarray, self.lidar, (np.int64, np.float64)))
+        if points.ndim != 2 or points.shape[1] != 2 or scan_t.shape != points.shape[:1]:
+            raise ValueError("lidar must hold (n,) times and points of shape (n, 2)")
+        ensure_finite("points", points)
         if ((points[:, 0] < 0) | (points[:, 0] >= TWO_PI)).any():
             raise ValueError("angles must lie in [0, 2*pi)")
         if (points[:, 1] <= 0).any():
             raise ValueError("depths must be positive")
-        scan_t = np.array([scan.t for scan in self.lidar], dtype=np.int64)
-        rules = [  # (broken where, at times, message)
+        rules = [  # (broken where, at times, message), checked in order
             (np.diff(self.t) != 1, self.t[1:],
              "RSSI frames are not in time order: t={} must follow the row above by 1"),
-            (~np.isin(scan_t, self.t), scan_t, "lidar scan at t={} has no matching RSSI frame"),
-            (np.diff(scan_t) <= 0, scan_t[1:],
-             "lidar scans are not in time order: t={} must rise above the scan before"),
+            ((scan_t < self.t[0]) | (scan_t > self.t[-1]), scan_t,  # frames: t[0] .. t[-1]
+             "lidar scan at t={} has no matching RSSI frame"),
+            (scan_t[1:] < scan_t[:-1], scan_t[1:],
+             "lidar rows are not in time order: t={} must not fall below the row above"),
         ]
         if self.truth is not None:
             self.truth = Truth(*map(np.asarray, self.truth, (np.int64, np.float64, bool)))
@@ -544,10 +549,7 @@ def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
 
     write_csv(out / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
               [bundle.t, bundle.rssi])
-    counts = [scan.points.shape[0] for scan in bundle.lidar]
-    write_csv(out / "lidar.csv", ["t", "angle", "depth"],
-              [np.repeat(np.array([scan.t for scan in bundle.lidar], dtype=np.int64), counts),
-               np.concatenate([scan.points for scan in bundle.lidar] + [np.empty((0, 2))])])
+    write_csv(out / "lidar.csv", ["t", "angle", "depth"], list(bundle.lidar))
     if bundle.truth is not None:
         times, pos, blocked = bundle.truth
         cells = pos.astype(object)
@@ -583,13 +585,11 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     table = CsvTable(root / "lidar.csv", ["t", "angle", "depth"], "iff")
     times = table.ints(0, 1)[:, 0]
     table.reject_rows(~np.isin(times, frame_times), "lidar scan has no matching RSSI frame")
-    order = np.argsort(times, kind="stable")
-    scan_times, starts = np.unique(times[order], return_index=True)
     points = table.floats(1, 3)
     table.reject_rows((points[:, 0] < 0) | (points[:, 0] >= TWO_PI), "angle must lie in [0, 2*pi)")
     table.reject_rows(points[:, 1] <= 0, "depth must be positive")
-    points = np.split(points[order], starts[1:])
-    scans = [LidarScan(t, pts) for t, pts in zip(scan_times.tolist(), points)]
+    order = np.argsort(times, kind="stable") if (np.diff(times) < 0).any() else slice(None)
+    lidar = Lidar(times[order], points[order])
 
     truth = None
     truth_path = root / "truth.csv"
@@ -604,7 +604,7 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
         table.reject_rows(repeated, "truth time repeats an earlier row's t")
         truth = Truth(times, table.floats(1, 3), table.flags(3, 4)[:, 0])
 
-    return ScenarioBundle(str(meta["scenario_id"]), frame_times, powers, scans, truth, meta)
+    return ScenarioBundle(str(meta["scenario_id"]), frame_times, powers, lidar, truth, meta)
 
 
 # ---------------------------------------------------------------------------

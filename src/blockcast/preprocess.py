@@ -11,13 +11,13 @@ Centroid coordinates are stored in the road frame: meters, origin at the
 road region's minimum corner, so every valid label is nonnegative and a
 clamping output activation cannot cut off legitimate targets.
 
-A drive's scans are filtered one by one and clustered in blocks: the
-filtered point sets, in order of size, are padded to (S, K, 2) and
-clustered at once, a block holding at most ``PAIR_BUDGET`` padded point
-pairs S * K**2. A set of more points than that is a block of its own, so
-a drive needs no more memory than its largest scan's n x n distances or
-one block. ``dbscan`` runs the same kernel on one set. Each set's centroid
-has the bits of clustering and averaging it alone.
+A drive's scans, its lidar rows at each time, are filtered one by one and
+clustered in blocks: the kept point sets, in order of size, are padded to
+(S, K, 2) and clustered at once, a block holding at most ``PAIR_BUDGET``
+padded point pairs S * K**2. A set of more points than that is a block of
+its own, so a drive needs no more memory than its largest scan's n x n
+distances or one block. ``dbscan`` runs the same kernel on one set. Each
+set's centroid has the bits of clustering and averaging it alone.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ class WindowSet:
 def src_filter(scan: LidarScan, cfg: SrcConfig) -> np.ndarray:
     """Cartesian on-road returns, order preserved, shape (n, 2)."""
     pts = scan.points
-    if pts.shape[0] == 0:
-        return np.empty((0, 2), dtype=np.float64)
     x = pts[:, 1] * np.cos(pts[:, 0])
     y = pts[:, 1] * np.sin(pts[:, 0])
     x0, y0, x1, y1 = cfg.road_region
@@ -239,9 +237,11 @@ def _blocks(counts: np.ndarray) -> list[np.ndarray]:
 
 def scenario_centroids(bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfig) -> np.ndarray:
     """(T, 2) road-frame centroids, row i for frame i; NaN rows where a frame
-    has no scan or its scan no cluster. Each scan is filtered alone; the
-    kept point sets are clustered in blocks (``_blocks``)."""
-    kept = [src_filter(scan, src) for scan in bundle.lidar]
+    has no lidar row or its scan no cluster. The rows at one t are one scan,
+    filtered alone; the kept point sets are clustered in blocks (``_blocks``)."""
+    scan_t, starts = np.unique(bundle.lidar.t, return_index=True)
+    scans = np.split(bundle.lidar.points, starts[1:])
+    kept = [src_filter(LidarScan(t, points), src) for t, points in zip(scan_t.tolist(), scans)]
     counts = np.array([len(pts) for pts in kept], dtype=np.int64)
     centroids = np.full((len(kept), 2), np.nan)
     for idx in _blocks(counts):
@@ -252,7 +252,7 @@ def scenario_centroids(bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfi
         roots = _cluster_roots(points, valid, db)
         centroids[idx] = _dominant_centroids(points, roots, np.asarray(src.road_center))
     out = np.full((len(bundle.t), 2), np.nan)
-    out[[scan.t - bundle.t[0] for scan in bundle.lidar]] = centroids - src.road_origin
+    out[scan_t - bundle.t[0]] = centroids - src.road_origin
     return out
 
 
@@ -264,9 +264,8 @@ def _rasterize(points: np.ndarray, rows: np.ndarray, count: int, bins: int,
     if bins < 1:
         raise ValueError("bins must be >= 1")
     out = np.full((count, bins), float(max_range))
-    if points.shape[0]:
-        idx = (points[:, 0] * (bins / (2.0 * math.pi))).astype(np.int64) % bins
-        np.minimum.at(out.reshape(-1), rows * bins + idx, points[:, 1])
+    idx = (points[:, 0] * (bins / (2.0 * math.pi))).astype(np.int64) % bins
+    np.minimum.at(out.reshape(-1), rows * bins + idx, points[:, 1])
     return out
 
 
@@ -310,16 +309,12 @@ def build_windows(
     ends = ends[invalid[ends + horizon + 1] == invalid[ends]]
     ahead = ends[:, None] + np.arange(1, horizon + 1)
 
-    # Every scan's points with the window row of its step (-1: no window ends).
-    t0 = bundle.t[0]
-    row_at = np.full(n, -1)
+    row_at = np.full(n, -1)  # each step's window row, -1 where no window ends
     row_at[ends] = np.arange(len(ends))
-    rows = np.repeat(row_at[[scan.t - t0 for scan in bundle.lidar]],
-                     [len(scan.points) for scan in bundle.lidar])
-    points = np.concatenate([scan.points for scan in bundle.lidar] + [np.empty((0, 2))])
+    rows, points = row_at[bundle.lidar.t - bundle.t[0]], bundle.lidar.points
 
     return WindowSet(
-        t=t0 + ends,  # frame times are consecutive
+        t=bundle.t[0] + ends,  # frame times are consecutive
         windows=powers[ends[:, None] + np.arange(1 - window_len, 1)],
         futures=xy[ahead],
         blocked=flags[ahead],

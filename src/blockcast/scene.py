@@ -94,7 +94,7 @@ class ChannelConfig:
 @dataclass(frozen=True)
 class LidarScan:
     """Polar point set at one time step: (n, 2) rows of (angle [rad], depth
-    [m]). A drive's scans are checked together, by ``ingest.ScenarioBundle``."""
+    [m]); only the simulator's output per step and ``src_filter``'s input."""
 
     t: int
     points: np.ndarray

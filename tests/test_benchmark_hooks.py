@@ -12,6 +12,8 @@ file and not modified.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from blockcast import cli
 from blockcast.config import resolve_config
 from blockcast.ingest import load_dataset, load_scenario
@@ -41,12 +43,12 @@ def test_the_benchmark_counts_frames_points_and_windows_of_a_short_drive(tmp_pat
 
     bundle = load_scenario(tmp_path / "scene")
     windows = load_dataset(tmp_path / "data").labeled
-    points = sum(scan.points.shape[0] for scan in bundle.lidar)
+    points = len(bundle.lidar.points)
     counts = recorder.metrics()
     assert counts["scene.simulate_scenario.calls"] == 1
     assert counts["scene.frames"] == len(bundle.t) == STEPS
     assert counts["scene.lidar_points"] == points > 0
-    assert counts["preprocess.src_filter.calls"] == len(bundle.lidar)
+    assert counts["preprocess.src_filter.calls"] == len(np.unique(bundle.lidar.t))
     assert counts["preprocess.points_in"] == points
     assert 0 < counts["preprocess.points_kept"] < points
     assert counts["preprocess.build_windows.calls"] == 1

@@ -415,6 +415,8 @@ BAD_CONFIG = {  # case -> (subcommand, key, JSON text of its value)
     "walls-short-row": ("simulate", "walls", "[[1, 2, 3]]"),
     "window_len-fraction": ("label", "window_len", "8.5"),
     "raster_bins-flag": ("label", "raster_bins", "true"),
+    "raster_bins-zero": ("label", "raster_bins", "0"),
+    "window_len-zero": ("label", "window_len", "0"),
     "steps-fraction": ("simulate", "steps", "60.9"),
     "num_beams-text": ("simulate", "num_beams", '"64"'),
     "noise_variance-nan": ("simulate", "noise_variance", "NaN"),
@@ -445,7 +447,9 @@ def test_a_bad_set_value_is_a_usage_error_naming_the_key(chain, tmp_path, capsys
     # lidar_max_range of 0, an object_width of -1 and a road_region of
     # infinite extent ran until train or evaluate refused their dataset. A
     # theta_offset of 1e308 or 1e17 failed as "steering_dirs must be
-    # strictly increasing", naming no key.
+    # strictly increasing", naming no key. A raster_bins or window_len of
+    # 0 ran the whole clustering pass before its refusal, the first as
+    # "bins must be >= 1".
     command, key, text = BAD_CONFIG[case]
     out = tmp_path / "out"
     assert run(_config_stage(chain, command) + ["--set", f"{key}={text}", "--out", str(out)]) == 2

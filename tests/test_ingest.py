@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockcast import cli, ingest
+from blockcast.config import resolve_config
 from blockcast.errors import NonFiniteError, ParseError, SchemaError
 from blockcast.ingest import (
     CsvTable,
     DatasetFile,
+    Lidar,
     ScenarioBundle,
     Truth,
     _not_utf8,
@@ -40,12 +43,20 @@ from blockcast.preprocess import (
 )
 from blockcast.scene import (
     ChannelConfig,
-    LidarScan,
     Vehicle,
     WorldState,
     build_codebook,
     simulate_scenario,
 )
+
+
+def joined(scans) -> Lidar:
+    """The lidar table of per-step scans: their rows, in their order."""
+    t = np.repeat(np.array([s.t for s in scans], np.int64), [len(s.points) for s in scans])
+    return Lidar(t, np.concatenate([s.points for s in scans] + [np.empty((0, 2))]))
+
+
+NO_LIDAR = joined([])  # a drive with no lidar returns
 
 
 def small_bundle(seed=0, steps=15):
@@ -59,7 +70,7 @@ def small_bundle(seed=0, steps=15):
         scenario_id=f"run{seed}",
         t=np.arange(steps),
         rssi=res.frames,
-        lidar=res.scans,
+        lidar=joined(res.scans),
         truth=Truth(np.arange(steps), res.positions, res.occluded),
         meta={"note": "fixture"},
     )
@@ -94,8 +105,7 @@ def test_scenario_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.t, bundle.t)
     np.testing.assert_array_equal(loaded.rssi, bundle.rssi)
     for a, b in zip(loaded.lidar, bundle.lidar):
-        assert a.t == b.t
-        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a, b)
     for a, b in zip(loaded.truth, bundle.truth):
         np.testing.assert_array_equal(a, b)
     assert loaded.meta["note"] == "fixture"
@@ -109,6 +119,32 @@ def test_second_save_produces_identical_files(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_lidar_rows_out_of_time_order_load_and_label_as_the_sorted_file(tmp_path):
+    # Rows in any order load grouped by t, each time's rows in file order;
+    # they label as the stably sorted file does, and a resave writes it.
+    cfg = resolve_config({"steps": 60})
+    cli.cmd_simulate(cfg, {"scenario_id": "drive"}, tmp_path / "scene")
+    header, *rows = (tmp_path / "scene" / "lidar.csv").read_text().splitlines()
+    rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    ordered = sorted(rows, key=lambda row: int(row.split(",")[0]))  # stable: file order per t
+    assert rows != ordered
+    for name, lines in (("shuffled", rows), ("sorted", ordered)):
+        shutil.copytree(tmp_path / "scene", tmp_path / name)
+        (tmp_path / name / "lidar.csv").write_text("\n".join([header, *lines]) + "\n")
+
+    loaded = load_scenario(tmp_path / "shuffled")
+    cells = [row.split(",") for row in ordered]
+    assert loaded.lidar.t.tolist() == [int(t) for t, _, _ in cells]
+    assert _same_bits(loaded.lidar.points, np.array([[float(a), float(d)] for _, a, d in cells]))
+    for name in ("shuffled", "sorted"):
+        cli.cmd_label(cfg, {"scenario": str(tmp_path / name)}, tmp_path / name / "data")
+    assert _files(tmp_path / "shuffled" / "data") == _files(tmp_path / "sorted" / "data")
+    assert len(load_dataset(tmp_path / "sorted" / "data").labeled) > 0
+    save_scenario(loaded, tmp_path / "resaved")
+    assert (tmp_path / "resaved" / "lidar.csv").read_bytes() == (
+        tmp_path / "sorted" / "lidar.csv").read_bytes()
+
+
 def test_row_counts_match_line_counts(tmp_path):
     bundle = small_bundle(steps=12)
     save_scenario(bundle, tmp_path / "s")
@@ -116,14 +152,14 @@ def test_row_counts_match_line_counts(tmp_path):
     rssi_lines = (tmp_path / "s" / "rssi.csv").read_text().strip().splitlines()
     assert len(loaded.rssi) == len(rssi_lines) - 1
     lidar_lines = (tmp_path / "s" / "lidar.csv").read_text().strip().splitlines()
-    assert sum(s.points.shape[0] for s in loaded.lidar) == len(lidar_lines) - 1
+    assert len(loaded.lidar.t) == len(loaded.lidar.points) == len(lidar_lines) - 1
 
 
 def test_truth_positions_can_be_blank(tmp_path):
     world = WorldState((0.0, 0.0), (0.0, 12.0), vehicles=())
     res = simulate_scenario(world, build_codebook(4, 0.0, math.pi),
                             ChannelConfig(noise_variance=0.0), steps=3, seed=0)
-    bundle = ScenarioBundle("empty", np.arange(3), res.frames, res.scans,
+    bundle = ScenarioBundle("empty", np.arange(3), res.frames, joined(res.scans),
                             truth=Truth(np.arange(3), res.positions, res.occluded))
     save_scenario(bundle, tmp_path / "s")
     assert (tmp_path / "s" / "truth.csv").read_text().splitlines()[1:] == ["0,,,0", "1,,,0",
@@ -235,7 +271,7 @@ def test_a_time_that_does_not_match_the_rssi_frames_names_its_line(
 
 def test_a_bundle_with_a_repeated_frame_time_is_out_of_order():
     with pytest.raises(SchemaError, match="time order"):
-        ScenarioBundle("x", [0, 1, 1, 2], np.ones((4, 1)), [])
+        ScenarioBundle("x", [0, 1, 1, 2], np.ones((4, 1)), NO_LIDAR)
 
 
 @pytest.mark.parametrize("name", ["rssi.csv", "lidar.csv", "meta.json"])
@@ -262,31 +298,31 @@ def test_unknown_meta_version_rejected(tmp_path):
 
 def test_a_time_gap_is_refused_naming_the_t():
     with pytest.raises(SchemaError, match="RSSI frames are not in time order: t=4 must follow"):
-        ScenarioBundle("gap", [0, 1, 4], np.ones((3, 1)), [])
+        ScenarioBundle("gap", [0, 1, 4], np.ones((3, 1)), NO_LIDAR)
 
 
 def test_misaligned_streams_rejected():
     times, powers = np.arange(3), np.ones((3, 1))
     with pytest.raises(SchemaError, match="lidar scan at t=7"):
-        ScenarioBundle("x", times, powers, [LidarScan(7, np.empty((0, 2)))])
+        ScenarioBundle("x", times, powers, Lidar([0, 7], [[1.0, 2.0], [1.0, 2.0]]))
     with pytest.raises(SchemaError, match="truth row at t=9"):
-        ScenarioBundle("x", times, powers, [],
+        ScenarioBundle("x", times, powers, NO_LIDAR,
                        truth=Truth([0, 9], np.full((2, 2), np.nan), [False, False]))
     with pytest.raises(SchemaError):
-        ScenarioBundle("x", [], np.empty((0, 1)), [])
+        ScenarioBundle("x", [], np.empty((0, 1)), NO_LIDAR)
 
 
 def test_bundle_powers_must_be_a_finite_nonnegative_matrix():
     with pytest.raises(ValueError):
-        ScenarioBundle("x", [0, 1], np.array([[1.0], [-2.0]]), [])
+        ScenarioBundle("x", [0, 1], np.array([[1.0], [-2.0]]), NO_LIDAR)
     with pytest.raises(NonFiniteError):
-        ScenarioBundle("x", [0, 1], np.array([[1.0], [math.nan]]), [])
+        ScenarioBundle("x", [0, 1], np.array([[1.0], [math.nan]]), NO_LIDAR)
     with pytest.raises(ValueError):
-        ScenarioBundle("x", [0, 1], np.array([1.0, 2.0]), [])       # not (T, M)
+        ScenarioBundle("x", [0, 1], np.array([1.0, 2.0]), NO_LIDAR)  # not (T, M)
     with pytest.raises(ValueError):
-        ScenarioBundle("x", [0, 1, 2], np.ones((2, 1)), [])          # a time per row
+        ScenarioBundle("x", [0, 1, 2], np.ones((2, 1)), NO_LIDAR)  # a time per row
     with pytest.raises(ValueError):
-        ScenarioBundle("x", [0], np.ones((1, 1)), [], truth=Truth([0], [1.0, 2.0], [False]))
+        ScenarioBundle("x", [0], np.ones((1, 1)), NO_LIDAR, truth=Truth([0], [1.0, 2.0], [False]))
 
 
 @pytest.mark.parametrize("points, error, message", [
@@ -300,12 +336,20 @@ def test_bundle_powers_must_be_a_finite_nonnegative_matrix():
     ([1.0, 2.0], ValueError, r"shape \(n, 2\)"),
 ])
 def test_a_bundle_refuses_a_bad_scan_among_good_ones(points, error, message):
-    good = [LidarScan(0, np.array([[0.0, 1.0], [6.28, 15.0]])), LidarScan(2, np.empty((0, 2)))]
-    bad = LidarScan(1, np.array(points))
-    for lidar in ([bad], good[:1] + [bad] + good[1:]):
+    # The bad scan is the rows at t=1, alone or between the good ones.
+    good = Lidar(np.array([0, 0, 2]), np.array([[0.0, 1.0], [6.28, 15.0], [3.0, 2.0]]))
+    bad = np.array(points)
+    tables = [Lidar(np.ones(len(bad), np.int64), bad)]
+    if bad.shape[1:] == (2,):  # rows of two cells, between the good ones
+        tables.append(Lidar(np.array([0, 0, 1, 2]),
+                            np.concatenate([good.points[:2], bad, good.points[2:]])))
+    for lidar in tables:
         with pytest.raises(error, match=message):
             ScenarioBundle("x", [0, 1, 2], np.ones((3, 1)), lidar)
-    assert ScenarioBundle("x", [0, 1, 2], np.ones((3, 1)), good).lidar == good
+    with pytest.raises(ValueError, match=r"\(n,\) times and points of shape \(n, 2\)"):
+        ScenarioBundle("x", [0, 1, 2], np.ones((3, 1)), Lidar(good.t[:2], good.points))
+    kept = ScenarioBundle("x", [0, 1, 2], np.ones((3, 1)), good).lidar
+    assert all(_same_bits(a, b) for a, b in zip(kept, good))
 
 
 def test_a_stray_labels_file_is_not_read(tmp_path):
@@ -630,11 +674,12 @@ garbage = st.text(st.characters(blacklist_characters="\n\r", blacklist_categorie
 # breaks one of them.
 DRIVE_RULES = {
     "frame times": "RSSI frames are not in time order",
-    "scan times": "lidar scans are not in time order",
+    "lidar times": "lidar rows are not in time order",
     "truth times": "truth time repeats",
     "truth position": "x and y must be finite, or blank (NaN) together",
     "beams": "scenario has no RSSI frames or no beams",
 }
+DRIVE_RULES_OF_TWO = ("frame times", "lidar times")  # faults that need two frames
 
 
 @st.composite
@@ -644,7 +689,7 @@ def drives(draw, faults=True):
     that its one drawn fault breaks and the t named (None for no t)."""
     fault = draw(st.none() | st.sampled_from(sorted(DRIVE_RULES))) if faults else None
     beams = 0 if fault == "beams" else draw(st.integers(1, 4))
-    t0, n = draw(st.integers(-5, 5)), draw(st.integers(2 if fault == "frame times" else 1, 6))
+    t0, n = draw(st.integers(-5, 5)), draw(st.integers(1 + (fault in DRIVE_RULES_OF_TWO), 6))
     times, stray = list(range(t0, t0 + n)), None
     if fault == "frame times":  # a repeated or falling t, or a gap
         k, shift = draw(st.integers(1, n - 1)), draw(st.sampled_from([-3, -2, -1, 1, 2]))
@@ -652,15 +697,16 @@ def drives(draw, faults=True):
         stray = times[k]
     power = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
     rssi = draw(arrays(np.float64, (n, beams), elements=power))
-    scan_times = sorted(draw(st.sets(st.sampled_from(times))))
-    if fault == "scan times":  # two scans at one step, or a scan before the one above
-        scan_times = draw(st.lists(st.sampled_from(times), min_size=2, max_size=4).filter(
-            lambda ts: any(b <= a for a, b in zip(ts, ts[1:]))))
-        stray = next(b for a, b in zip(scan_times, scan_times[1:]) if b <= a)
+    # Rows at any frame times, several at one time being one scan.
+    lidar_t = sorted(draw(st.lists(st.sampled_from(times), max_size=8)))
+    if fault == "lidar times":  # a row before the row above
+        lidar_t = draw(st.lists(st.sampled_from(times), min_size=2, max_size=6).filter(
+            lambda ts: any(b < a for a, b in zip(ts, ts[1:]))))
+        stray = next(b for a, b in zip(lidar_t, lidar_t[1:]) if b < a)
     point = st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True),
                       st.floats(0.0, exclude_min=True, allow_infinity=False))
-    lidar = [LidarScan(t, np.array(draw(st.lists(point, max_size=3))).reshape(-1, 2))
-             for t in scan_times]
+    points = draw(st.lists(point, min_size=len(lidar_t), max_size=len(lidar_t)))
+    lidar = Lidar(lidar_t, np.array(points).reshape(-1, 2))
     truth = None
     if fault in ("truth times", "truth position") or draw(st.booleans()):
         # Unique truth times, in any order; an unknown position is blank.
@@ -731,9 +777,9 @@ def _files(root: Path) -> dict[str, bytes]:
 
 @settings(max_examples=150)
 @given(drives())
-@example((dict(scenario_id="two scans at t=1", t=[0, 1, 2], rssi=np.ones((3, 1)),
-               lidar=[LidarScan(1, np.array([[0.5, 9.0]])), LidarScan(1, np.array([[2.5, 9.0]]))],
-               meta={}), (DRIVE_RULES["scan times"], 1)))
+@example((dict(scenario_id="two rows at t=1, one scan", t=[0, 1, 2], rssi=np.ones((3, 1)),
+               lidar=Lidar([1, 1], np.array([[2.5, 9.0], [0.5, 9.0]])), meta={"note": 0.0}),
+          None))
 def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(drive):
     # A bundle refuses what load_scenario refuses, so each one built saves
     # and loads back bit for bit.
@@ -753,9 +799,7 @@ def test_random_scenarios_round_trip_bit_exactly_and_resave_identically(drive):
     assert (loaded.scenario_id, loaded.meta["note"]) == (bundle.scenario_id, bundle.meta["note"])
     assert _same_bits(loaded.t, bundle.t)
     assert _same_bits(loaded.rssi, bundle.rssi)
-    scanned = [s for s in bundle.lidar if len(s.points)]  # lidar.csv has no row for an empty scan
-    assert [s.t for s in loaded.lidar] == [s.t for s in scanned]
-    assert all(_same_bits(a.points, b.points) for a, b in zip(loaded.lidar, scanned))
+    assert all(_same_bits(a, b) for a, b in zip(loaded.lidar, bundle.lidar))
     if bundle.truth is None:
         assert loaded.truth is None
     else:  # an unknown position is NaN, NaN on both sides
@@ -1038,7 +1082,7 @@ def test_standard_drive_files_equal_the_row_wise_writer(tmp_path, monkeypatch, s
     reference_write_csv(ref / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
                         ([t] + row for t, row in zip(bundle.t.tolist(), bundle.rssi.tolist())))
     reference_write_csv(ref / "lidar.csv", ["t", "angle", "depth"],
-                        ([scan.t, a, d] for scan in bundle.lidar for a, d in scan.points.tolist()))
+                        ([t, a, d] for t, (a, d) in zip(*(c.tolist() for c in bundle.lidar))))
     truth_rows = zip(*(column.tolist() for column in bundle.truth))
     reference_write_csv(ref / "truth.csv", ["t", "x", "y", "blocked"],
                         ([t, *(None if math.isnan(v) else v for v in pos), blocked]

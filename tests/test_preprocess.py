@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockcast import preprocess
-from blockcast.ingest import ScenarioBundle
+from blockcast.ingest import Lidar, ScenarioBundle
 from blockcast.preprocess import (
     Centroid,
     DbscanConfig,
@@ -31,6 +31,18 @@ def polar_scan(t, xy):
     angle = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * math.pi)
     depth = np.hypot(xy[:, 0], xy[:, 1])
     return LidarScan(t, np.column_stack([angle, depth]))
+
+
+def joined(scans) -> Lidar:
+    """The lidar table of per-step scans: their rows, in their order."""
+    t = np.repeat(np.array([s.t for s in scans], np.int64), [len(s.points) for s in scans])
+    return Lidar(t, np.concatenate([s.points for s in scans] + [np.empty((0, 2))]))
+
+
+def scans_of(bundle):
+    """The bundle's lidar rows as one LidarScan per time, in time order."""
+    t, points = bundle.lidar
+    return [LidarScan(s, points[t == s]) for s in dict.fromkeys(t.tolist())]
 
 
 def reference_dbscan(points, eps, min_pts):
@@ -159,8 +171,9 @@ def test_src_filter_keeps_vehicle_returns_only(standard_bundle, standard_config)
     # every surviving return must lie on its (inflated) outline.
     cfg = SrcConfig(road_region=tuple(standard_config["road_region"]))
     hits = 0
-    assert standard_bundle.truth.t.tolist() == [scan.t for scan in standard_bundle.lidar]
-    for scan, (cx, cy) in zip(standard_bundle.lidar[:200], standard_bundle.truth.pos.tolist()):
+    scans = scans_of(standard_bundle)
+    assert standard_bundle.truth.t.tolist() == [scan.t for scan in scans]
+    for scan, (cx, cy) in zip(scans[:200], standard_bundle.truth.pos.tolist()):
         pts = src_filter(scan, cfg)
         hits += pts.shape[0]
         if pts.shape[0] == 0:
@@ -339,7 +352,7 @@ def reference_centroid(scan, src, db):
 
 def reference_scenario_centroids(bundle, src, db):
     out = np.full((len(bundle.t), 2), np.nan)
-    for scan in bundle.lidar:
+    for scan in scans_of(bundle):
         out[scan.t - bundle.t[0]] = reference_centroid(scan, src, db)
     return out
 
@@ -347,7 +360,7 @@ def reference_scenario_centroids(bundle, src, db):
 def drive(scans, t0=0, steps=None):
     """A bundle of ``steps`` frames from ``t0`` holding ``scans``."""
     steps = steps or max([scan.t - t0 + 1 for scan in scans] + [1])
-    return ScenarioBundle("x", np.arange(t0, t0 + steps), np.ones((steps, 2)), scans)
+    return ScenarioBundle("x", np.arange(t0, t0 + steps), np.ones((steps, 2)), joined(scans))
 
 
 def scan_centroid(xy):
@@ -564,7 +577,7 @@ def toy_bundle(n, num_beams=3, seed=0):
     powers = rng.uniform(0.1, 2.0, size=(n, num_beams))
     cluster = [(0.1 * i, 6.0) for i in range(5)]
     scans = [polar_scan(t, cluster) for t in range(n)]
-    return ScenarioBundle("toy", np.arange(n), powers, scans)
+    return ScenarioBundle("toy", np.arange(n), powers, joined(scans))
 
 
 def all_valid_centroids(n):
@@ -595,7 +608,7 @@ def test_exactly_one_window_and_its_contents():
         windows.blocked[0], [False, True, True, True, True]
     )
     np.testing.assert_array_equal(
-        windows.rasters[0], rasterize_scan(bundle.lidar[7], 12, 16.0)
+        windows.rasters[0], rasterize_scan(scans_of(bundle)[7], 12, 16.0)
     )
 
 
@@ -663,7 +676,7 @@ def reference_build_windows(bundle, centroids, window_len, horizon, blocked=None
     """One LabeledSample per window, built by a loop over the window ends;
     a centroid row holding a NaN is invalid."""
     times = bundle.t.tolist()
-    scan_at = {scan.t: scan for scan in bundle.lidar}
+    scan_at = {scan.t: scan for scan in scans_of(bundle)}
     empty = LidarScan(0, np.empty((0, 2)))
     samples = []
     for end in range(window_len - 1, len(times) - horizon):
@@ -706,7 +719,7 @@ def window_inputs(draw):
     centroids = np.array([(draw(coord), draw(coord)) if ok else (math.nan, math.nan)
                           for ok in valid]).reshape(n, 2)
     blocked = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
-    return (ScenarioBundle("drive", t0 + np.arange(n), powers, scans), centroids,
+    return (ScenarioBundle("drive", t0 + np.arange(n), powers, joined(scans)), centroids,
             draw(st.integers(1, 6)),
             draw(st.integers(1, 6)), blocked, draw(st.integers(1, 12)),
             draw(st.floats(0.5, 30.0)))
