@@ -101,14 +101,30 @@ class Lidar(NamedTuple):
     points: np.ndarray  # (P, 2) angle [rad] in [0, 2*pi), depth [m] > 0
 
 
+def _times(values, what: str) -> np.ndarray:
+    """``values`` as int64 times. A float that is not an integer within int64
+    is refused, naming ``what``, as ``load_scenario`` refuses ``1.5``: the
+    cast alone would truncate it."""
+    values = np.asarray(values)
+    if values.dtype.kind != "f":
+        return np.asarray(values, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # NaN, inf and overflows cast to junk, refused below
+        times = values.astype(np.int64)
+    bad = times != values
+    if bad.any():
+        raise SchemaError(f"{what} time t={float(values[bad][0])} is not an integer within int64")
+    return times
+
+
 @dataclass
 class ScenarioBundle:
     """One recorded drive as columns: row i of ``rssi`` is the frame at time
     ``t[i]``; lidar and truth rows name their frame by its time. It refuses
     what ``load_scenario`` refuses, so it saves and loads back bit for bit:
-    frame times rise by 1, lidar times do not fall, truth times are unique,
-    a truth x, y is finite or NaN in both, and the lidar points are a (P, 2)
-    array of finite angles in [0, 2*pi) and depths > 0."""
+    times are integers, frame times rise by 1, lidar times do not fall,
+    truth times are unique, a truth x, y is finite or NaN in both, and the
+    lidar points are a (P, 2) array of finite angles in [0, 2*pi) and depths
+    > 0."""
 
     scenario_id: str
     t: np.ndarray     # (T,) int64, consecutive
@@ -121,12 +137,14 @@ class ScenarioBundle:
         if 0 in np.shape(self.rssi):
             raise SchemaError(f"scenario has no RSSI frames or no beams: {np.shape(self.rssi)}")
         self.rssi = ensure_finite("powers", self.rssi)
-        self.t = np.asarray(self.t, dtype=np.int64)
+        self.t = _times(self.t, "RSSI frame")
         if self.rssi.ndim != 2 or self.t.shape != self.rssi.shape[:1]:
             raise ValueError("powers must be a (T, M) array with one time t per row")
         if (self.rssi < 0).any():
             raise ValueError("powers must be nonnegative")
-        scan_t, points = self.lidar = Lidar(*map(np.asarray, self.lidar, (np.int64, np.float64)))
+        scan_t, points = self.lidar
+        scan_t, points = self.lidar = Lidar(_times(scan_t, "lidar row"),
+                                            np.asarray(points, dtype=np.float64))
         if points.ndim != 2 or points.shape[1] != 2 or scan_t.shape != points.shape[:1]:
             raise ValueError("lidar must hold (n,) times and points of shape (n, 2)")
         ensure_finite("points", points)
@@ -143,8 +161,10 @@ class ScenarioBundle:
              "lidar rows are not in time order: t={} must not fall below the row above"),
         ]
         if self.truth is not None:
-            self.truth = Truth(*map(np.asarray, self.truth, (np.int64, np.float64, bool)))
             t, pos, blocked = self.truth
+            t, pos, blocked = self.truth = Truth(_times(t, "truth row"),
+                                                 np.asarray(pos, dtype=np.float64),
+                                                 np.asarray(blocked, dtype=bool))
             if pos.shape != (len(t), 2) or blocked.shape != (len(t),):
                 raise ValueError("truth must hold (R,) times, (R, 2) positions and (R,) flags")
             ordered = np.sort(t)

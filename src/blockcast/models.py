@@ -42,11 +42,14 @@ of a fit and the blocks of a scoring call reuse their buffers and views.
 Only storage is reused: a plan reads the weights in ``Model.params``, which
 ``nn.adam_step`` and ``load_model`` update in place, at every run. Only
 localization training, one layer, runs ``nn.lstm_forward``, a one-layer
-loop of its own. A training step's backward runs one
-``nn.lstm_stack_backward`` over the forward's buffers at any depth and
-writes every gradient into views of one vector laid out as ``Model.params``,
-which ``nn.adam_step`` takes whole. A model is therefore not safe to use
-from two threads at once.
+loop of its own. A training step's backward runs the model's
+``nn.LstmBackwardPlan``, kept beside the forward plans and replaced the same
+way when T or B changes, over either forward's buffers at any depth. It is
+given the gradient w.r.t. the last hidden state alone, since the plan keeps
+the other steps' rows zero, and writes every gradient into views of one
+vector laid out as ``Model.params``, which ``nn.adam_step`` takes whole; it
+allocates no buffer of its own after a fit's first step. A model is
+therefore not safe to use from two threads at once.
 
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
 cache-free forward over blocks of ``SCORE_BLOCK`` = 64 windows that start
@@ -78,6 +81,7 @@ from .ingest import DatasetFile, json_field, read_json_object
 from .nn import (
     Conv1dParams,
     DenseParams,
+    LstmBackwardPlan,
     LstmParams,
     LstmPlan,
     LstmStack,
@@ -95,7 +99,6 @@ from .nn import (
     huber_loss,
     lstm_forward,
     lstm_init,
-    lstm_stack_backward,
     relu,
     relu_backward,
     sigmoid,
@@ -227,8 +230,8 @@ Layer = LstmParams | DenseParams | Conv1dParams
 class Model:
     """One predictor: its named layers in initialization order, plus the
     shapes and normalization statistics inference needs, and the LSTM plans
-    its forwards reuse (see the module docstring). A model is not
-    thread-safe: two forwards at once would share a plan's buffers."""
+    its forwards and backward reuse (see the module docstring). A model is
+    not thread-safe: two forwards at once would share a plan's buffers."""
 
     kind: str  # "localization" | "rf" | "rf+lidar"
     layers: dict[str, Layer]
@@ -238,11 +241,19 @@ class Model:
     raster_bins: int | None = None  # length of the lidar raster; rf+lidar only
     params: np.ndarray = field(init=False, repr=False)  # every parameter, in named_params() order
     lstm: LstmStack = field(init=False, repr=False)  # the LSTM layers' weights: views of params
-    # At most one LSTM plan per storage mode, keyed by ``rolling``.
+    # At most one LSTM plan per storage mode, keyed by ``rolling``, and one
+    # backward plan.
     plans: dict[bool, LstmPlan] = field(init=False, repr=False, compare=False,
                                         default_factory=dict)
+    backward: LstmBackwardPlan | None = field(init=False, repr=False, compare=False,
+                                              default=None)
+    # The layer names of each type, in order: the layers are fixed once built.
+    _names: dict[type, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._names = {kind: tuple(name for name, layer in self.layers.items()
+                                   if isinstance(layer, kind))
+                       for kind in (LstmParams, DenseParams, Conv1dParams)}
         live = self.named_params()
         self.params = np.concatenate([arr.ravel() for arr in live.values()])
         named, self.lstm = self.views(self.params)
@@ -290,9 +301,18 @@ class Model:
             plan = self.plans[rolling] = LstmPlan(self.lstm, shape, rolling=rolling)
         return plan
 
-    def names(self, layer_type: type) -> list[str]:
+    def backward_plan(self, shape: tuple) -> LstmBackwardPlan:
+        """The model's ``nn.LstmBackwardPlan`` for forwards over seqs of
+        ``shape``, kept and replaced as ``plan`` keeps and replaces a
+        forward plan."""
+        if self.backward is None or self.backward.shape != shape:
+            self.backward = None
+            self.backward = LstmBackwardPlan(self.lstm, shape)
+        return self.backward
+
+    def names(self, layer_type: type) -> tuple[str, ...]:
         """Names of the layers of one type, in order."""
-        return [name for name, layer in self.layers.items() if isinstance(layer, layer_type)]
+        return self._names[layer_type]
 
 
 def build_model(
@@ -401,7 +421,8 @@ def _backward(model: Model, d_out: np.ndarray, caches: dict, grads: dict[str, np
     """Writes the gradient of every named parameter, from the loss gradient
     w.r.t. the output (w.r.t. the logits for the classifiers), into
     ``Model.views`` of one vector: ``grads`` by name, ``lstm_grads`` the
-    stack's. The LSTM stack runs one ``lstm_stack_backward`` at any depth."""
+    stack's. The LSTM stack runs the model's backward plan at any depth,
+    given the gradient w.r.t. the last hidden state alone."""
     layers = model.layers
     d = d_out
     for name in reversed(model.names(DenseParams)):
@@ -421,9 +442,7 @@ def _backward(model: Model, d_out: np.ndarray, caches: dict, grads: dict[str, np
                                     input_grad=name != conv[0])
             grads[f"{name}.weight"][...], grads[f"{name}.bias"][...] = g["weight"], g["bias"]
     cache = caches["lstm"]
-    d_hidden = np.zeros(cache.inputs.shape[:2] + (model.lstm.hidden_size,))
-    d_hidden[-1] = d
-    lstm_stack_backward(model.lstm, d_hidden, cache, lstm_grads, input_grad=False)
+    model.backward_plan(cache.inputs.shape).run(cache, d, lstm_grads, input_grad=False)
 
 
 def _loss(model: Model, out: np.ndarray, targets: np.ndarray, delta: float):

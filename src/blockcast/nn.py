@@ -24,13 +24,20 @@ are one-shot plans, whose results are fresh buffers; ``models.Model`` keeps
 its own plans across calls. ``lstm_forward`` is a one-layer loop of its
 own, with a ``sigmoid`` call per gate (perfbench's tests count them), which
 localization training runs. There is one backward loop,
-``lstm_stack_backward``: the wavefront in reverse over the diagonal-major
-buffers, with only the recurrent and layer-to-layer matmuls inside it;
-``lstm_backward`` is its one-layer case. Each layer ships a hand-derived
-backward pass returning gradients in the same shapes as its parameters;
-finite-difference tests lock every one of them. There is no autodiff graph:
-the architecture set is small and fixed, and explicit backward code keeps
-the arithmetic auditable.
+``LstmBackwardPlan.run``: the wavefront in reverse over the diagonal-major
+buffers, with only the recurrent and layer-to-layer matmuls inside it. It
+reads either forward's cache. A backward plan is made for one stack and
+one (T, B), like a forward plan, with its buffers and every diagonal's
+views made once. It computes the gates' gradient factors gate-major, in
+contiguous (..., H) blocks, because on the H-wide columns of the 4H-wide
+gate rows each elementwise op costs about three times as much; one copy
+puts them back into 4H-wide rows for the loop's matmuls.
+``lstm_stack_backward`` and ``lstm_backward`` (its one-layer case) are
+one-shot plans; ``models.Model`` keeps its own. Each layer ships a
+hand-derived backward pass returning gradients in the same shapes as its
+parameters; finite-difference tests lock every one of them. There is no
+autodiff graph: the architecture set is small and fixed, and explicit
+backward code keeps the arithmetic auditable.
 
 Parameter initialization is fully seeded: weights are uniform in
 [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases start at zero except the LSTM
@@ -399,85 +406,182 @@ class LstmPlan:
 
 def _layer_major(buf: Array, steps: int) -> Array:
     """Rows ``buf[l + t, l]`` for t < ``steps`` of a contiguous diagonal-major
-    buffer (D, L, ...), as one contiguous (L, steps, ...) copy. The strided
-    view is built by the ``ndarray`` constructor, at a tenth of the cost of
-    ``as_strided``."""
+    buffer (D, L, ...), as a strided (L, steps, ...) view. It is built by
+    the ``ndarray`` constructor, at a tenth of the cost of ``as_strided``."""
     s_d, s_l = buf.strides[:2]
-    view = np.ndarray((buf.shape[1], steps) + buf.shape[2:], buf.dtype, buf, 0,
+    return np.ndarray((buf.shape[1], steps) + buf.shape[2:], buf.dtype, buf, 0,
                       (s_d + s_l, s_d) + buf.strides[2:])
-    return np.ascontiguousarray(view)
+
+
+class LstmBackwardPlan:
+    """The one LSTM stack backward (backpropagation through time) over the
+    forwards of seqs of one ``shape`` (T, B, input_size), with its buffers
+    and every diagonal's views made once, so that a plan run again
+    allocates nothing but the input gradient it may return.
+
+    The diagonals d = l + t run in reverse, every active layer of one in a
+    single batched step. Each gate's pre-activation gradient is dc (dh for
+    the output gate) times a factor of forward values alone, and ``dc_dh``,
+    dc's share of dh, is one too. A run first computes all of them for
+    every (d, l) at once, in a gate-major (4, T + L - 1, L, B, H) copy of
+    the cache's gates: on contiguous blocks, an elementwise op costs about
+    a third of what it costs on the H-wide columns of the 4H-wide rows. It
+    then writes the factors into the (..., 4H) rows of ``d_pre`` with one
+    copy, and a diagonal scales its rows by its dc and dh. Only the
+    recurrent dh and the input gradient that layer l >= 1 sends to layer
+    l - 1, which arrives on diagonal d - 1, are products inside the loop.
+    Then every layer's weight gradients come from one batched product per
+    array over the T*B rows of ``d_pre``, copied layer-major once, as does
+    the input gradient. At one layer every operation is that of the
+    per-layer form. With more, the per-diagonal input gradients give the
+    bits of one product over T*B rows at B = 8; at the model shapes and B
+    of 1, 64 or 65 the weight gradients moved by at most 2.2e-15 of the
+    largest one.
+
+    The factor pass runs over whole buffers, the gate rows that no diagonal
+    reaches included, where ``LstmPlan`` keeps each layer's bias. A bias
+    that training has blown up overflows there, and that overflow is what
+    refuses a diverging lr in rf training today: with those rows skipped,
+    ``--lr 1e300`` trained to exit 0, its gates saturated and every LSTM
+    gradient exactly 0.
+
+    ``run`` accepts both caches: ``LstmPlan``'s diagonal-major buffers, or,
+    for one layer, ``lstm_forward``'s, whose (T, ...) arrays are the L = 1
+    case. Like ``LstmPlan``, the plan holds views of ``stack``'s arrays,
+    never their values, so an in-place update of them needs no new plan,
+    and it is not safe to run from two threads at once.
+    """
+
+    def __init__(self, stack: LstmStack, shape: tuple):
+        _checked_shape(stack, shape)
+        self.stack, self.shape = stack, tuple(shape)
+        steps, batch, _ = self.shape
+        depth, hid = stack.depth, stack.hidden_size
+        rows = (steps + depth - 1, depth, batch)
+        self._gates, self._factors = np.empty((2, 4) + rows + (hid,))  # gate-major
+        self._dc_dh = np.empty(rows + (hid,))
+        d_pre = np.empty(rows + (4 * hid,))
+        blocks = d_pre.reshape(rows + (4, hid))
+        self._d_pre_blocks = blocks.transpose(3, 0, 1, 2, 4)
+        # dh arriving from above: layer l + 1 or, in the top layer's rows,
+        # the loss, which are all zero while runs pass only the last step's.
+        d_in = np.zeros(rows + (hid,))
+        self._top, self._last_only = d_in[depth - 1 :, depth - 1], True
+        self._carry = np.zeros((2, depth, batch, hid))  # dh and dc into the step before
+        dh_next, dc_next = self._carry
+        dh, dc = np.empty((2, depth, batch, hid))
+        scale = np.empty((depth, batch, 4, hid))  # a diagonal's (dc, dc, dc, dh) rows
+        # Layer-major copies of d_pre's rows and of the hidden states, for the
+        # weight gradients' products over T*B rows.
+        layer_rows = np.empty((depth, steps, batch, 4 * hid))
+        states = self._states = np.empty((depth, steps + 1, batch, hid))
+        self._rows_copy = layer_rows, _layer_major(d_pre, steps)
+        self._rows = layer_rows.reshape(depth, steps * batch, 4 * hid)
+        self._h_prev_t = states[:, :-1].reshape(depth, steps * batch, hid).transpose(0, 2, 1)
+        # layer l's inputs, l >= 1
+        self._below_t = states[:-1, 1:].reshape(depth - 1, steps * batch, hid).transpose(0, 2, 1)
+        w_rec_t, w_in_t = stack.w_rec.transpose(0, 2, 1), stack.w_in.transpose(0, 2, 1)
+        self._diagonals = []
+        for d in range(rows[0] - 1, -1, -1):
+            lo, hi = max(0, d - steps + 1), min(depth, d + 1)  # the layers that run
+            up = max(lo, 1)  # the first of them that sends a gradient below
+            now = slice(lo, hi)
+            below = ((d_pre[d, up:hi], w_in_t[up - 1 : hi - 1], d_in[d - 1, up - 1 : hi - 1])
+                     if up < hi else None)
+            self._diagonals.append((d_in[d, now], dh_next[now], dh[now], self._dc_dh[d, now],
+                                    dc[now], dc_next[now], scale[now, :, :3], dc[now, :, None],
+                                    scale[now, :, 3], scale[now].reshape(hi - lo, batch, 4 * hid),
+                                    d_pre[d, now], w_rec_t[now], self._gates[1, d, now], below))
+
+    def run(self, cache: LstmCache, d_hidden: Array, grads: LstmStack, *,
+            input_grad: bool = True):
+        """Every weight gradient of the forward that left ``cache``, written
+        into ``grads``, a stack of the plan's stack's shapes. ``d_hidden`` is
+        the loss gradient w.r.t. the top layer's hidden sequence (T, B, H),
+        or w.r.t. its last state alone (B, H). Returns the gradient w.r.t.
+        the input sequence, a new array; with ``input_grad=False`` that
+        product, which nothing reads below a model's first layer, is skipped
+        and None returned."""
+        steps, batch, _ = self.shape
+        depth, hid = self.stack.depth, self.stack.hidden_size
+        diags = steps + depth - 1
+        if cache.inputs.shape != self.shape:
+            raise ValueError(f"cache shape {cache.inputs.shape} != the plan's {self.shape}")
+        top = self._top
+        if d_hidden.shape == top.shape[1:]:
+            if not self._last_only:
+                top[:-1] = 0.0
+                self._last_only = True
+            top[-1] = d_hidden
+        elif d_hidden.shape == top.shape:
+            top[...], self._last_only = d_hidden, False
+        else:
+            raise ValueError("d_hidden must match the hidden sequence shape")
+
+        gates, factors, dc_dh = self._gates, self._factors, self._dc_dh
+        np.copyto(gates, cache.gates.reshape(diags, depth, batch, 4, hid).transpose(3, 0, 1, 2, 4))
+        ct = cache.cell_tanh.reshape(diags, depth, batch, hid)
+        c_prev = cache.cells.reshape(diags + 1, depth, batch, hid)[:-1]
+        i, f, g, o = gates
+        # Each factor in the order of (g * i) * (1 - i), (c_prev * f) * (1 - f),
+        # i * (1 - g**2), (ct * o) * (1 - o) and o * (1 - ct**2); the free
+        # blocks of ``factors`` and g, once read, hold the differences.
+        np.subtract(1.0, i, out=factors[2])
+        np.multiply(g, i, out=factors[0])
+        factors[0] *= factors[2]
+        np.square(g, out=factors[2])
+        np.subtract(1.0, factors[2], out=factors[2])
+        factors[2] *= i
+        np.subtract(1.0, f, out=factors[3])
+        np.multiply(c_prev, f, out=factors[1])
+        factors[1] *= factors[3]
+        np.subtract(1.0, o, out=g)
+        np.multiply(ct, o, out=factors[3])
+        factors[3] *= g
+        np.square(ct, out=dc_dh)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        np.copyto(self._d_pre_blocks, factors)
+
+        self._carry.fill(0.0)
+        for (d_in, dh_next, dh, dc_dh, dc, dc_next, scale_icg, dc_cols, scale_o, scale, rows,
+             w_rec_t, f, below) in self._diagonals:
+            np.add(d_in, dh_next, out=dh)
+            np.multiply(dh, dc_dh, out=dc)
+            dc += dc_next
+            np.copyto(scale_icg, dc_cols)
+            np.copyto(scale_o, dh)
+            rows *= scale
+            np.matmul(rows, w_rec_t, out=dh_next)
+            np.multiply(dc, f, out=dc_next)
+            if below:
+                rows_up, w_in_t, d_in_below = below
+                np.matmul(rows_up, w_in_t, out=d_in_below)
+
+        np.copyto(*self._rows_copy)
+        np.copyto(self._states, _layer_major(cache.hidden.reshape(diags + 1, depth, batch, hid),
+                                             steps + 1))
+        rows = self._rows
+        np.matmul(cache.inputs.reshape(steps * batch, -1).T, rows[0], out=grads.w_in0)
+        np.matmul(self._below_t, rows[1:], out=grads.w_in)
+        np.matmul(self._h_prev_t, rows, out=grads.w_rec)
+        rows.sum(axis=1, out=grads.bias)
+        if not input_grad:
+            return None
+        return (rows[0] @ self.stack.w_in0.T).reshape(self.shape)
 
 
 def lstm_stack_backward(stack: LstmStack, d_hidden: Array, cache: LstmCache, grads: LstmStack,
                         *, input_grad: bool = True):
-    """Backpropagation through time over ``stack``.
-
-    ``d_hidden`` (T, B, H) is the loss gradient w.r.t. the top layer's hidden
-    sequence (callers that read only its final state pass zeros elsewhere),
-    and ``cache`` the forward's buffers: ``lstm_stack_forward``'s, or, for one
-    layer, ``lstm_forward``'s, whose (T, ...) arrays are the L = 1 case.
-    Every weight gradient is written into ``grads``, a stack of ``stack``'s
-    shapes. Returns the gradient w.r.t. the input sequence; with
-    ``input_grad=False`` that product, which nothing reads below a model's
-    first layer, is skipped and None returned.
-
-    The diagonals d = l + t run in reverse, every active layer of one in a
-    single batched step. Each gate's pre-activation gradient is dc (dh for
-    the output gate) times a factor of forward values alone: ``d_pre`` starts
-    as those factors for every (d, l) at once, and a diagonal scales its
-    rows by its dc and dh. Only the recurrent dh and the input gradient that
-    layer l >= 1 sends to layer l - 1, which arrives on diagonal d - 1, are
-    products inside the loop. Then every layer's weight gradients come from
-    one batched product per array over the T*B rows of ``d_pre``, copied
-    layer-major once, as does the input gradient. At one layer every
-    operation is that of the per-layer form. With more, the per-diagonal
-    input gradients give the bits of one product over T*B rows at B = 8;
-    at the model shapes and B of 1, 64 or 65 the weight gradients moved by
-    at most 2.2e-15 of the largest one.
-    """
-    steps, batch, _ = cache.inputs.shape
-    depth, hid = stack.depth, stack.hidden_size
-    if d_hidden.shape != (steps, batch, hid):
-        raise ValueError("d_hidden must match the hidden sequence shape")
-    diags = steps + depth - 1
-    gates = cache.gates.reshape(diags, depth, batch, 4 * hid)
-    ct = cache.cell_tanh.reshape(diags, depth, batch, hid)
-    c_prev = cache.cells.reshape(diags + 1, depth, batch, hid)[:-1]
-    i, f, g, o = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
-    d_pre = np.concatenate(
-        [g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2), ct * o * (1.0 - o)], axis=-1
-    )
-    dc_dh = o * (1.0 - ct**2)
-    d_in = np.empty((diags, depth, batch, hid))  # dh arriving from above: layer l + 1 or the loss
-    d_in[depth - 1 :, depth - 1] = d_hidden
-    dh_next = np.zeros((depth, batch, hid))
-    dc_next = np.zeros((depth, batch, hid))
-    w_rec_t, w_in_t = stack.w_rec.transpose(0, 2, 1), stack.w_in.transpose(0, 2, 1)
-    for d in range(diags - 1, -1, -1):
-        lo, hi = max(0, d - steps + 1), min(depth, d + 1)
-        dh = d_in[d, lo:hi]
-        dh += dh_next[lo:hi]
-        dc = dh * dc_dh[d, lo:hi]
-        dc += dc_next[lo:hi]
-        rows = d_pre[d, lo:hi]
-        rows *= np.concatenate((dc, dc, dc, dh), axis=-1)
-        np.matmul(rows, w_rec_t[lo:hi], out=dh_next[lo:hi])
-        np.multiply(dc, f[d, lo:hi], out=dc_next[lo:hi])
-        up = max(lo, 1)  # the first active layer that sends a gradient below
-        if up < hi:
-            np.matmul(d_pre[d, up:hi], w_in_t[up - 1 : hi - 1], out=d_in[d - 1, up - 1 : hi - 1])
-
-    rows = _layer_major(d_pre, steps).reshape(depth, steps * batch, 4 * hid)
-    states = _layer_major(cache.hidden.reshape(diags + 1, depth, batch, hid), steps + 1)
-    h_prev = states[:, :-1].reshape(depth, steps * batch, hid)
-    below = states[:-1, 1:].reshape(depth - 1, steps * batch, hid)  # layer l's inputs, l >= 1
-    np.matmul(cache.inputs.reshape(steps * batch, -1).T, rows[0], out=grads.w_in0)
-    np.matmul(below.transpose(0, 2, 1), rows[1:], out=grads.w_in)
-    np.matmul(h_prev.transpose(0, 2, 1), rows, out=grads.w_rec)
-    rows.sum(axis=1, out=grads.bias)
-    if not input_grad:
-        return None
-    return (rows[0] @ stack.w_in0.T).reshape(cache.inputs.shape)
+    """Backpropagation through time over ``stack``, as a one-shot
+    ``LstmBackwardPlan``: ``d_hidden`` (T, B, H) is the loss gradient w.r.t.
+    the top layer's hidden sequence, and ``cache`` the forward's buffers,
+    ``lstm_stack_forward``'s or, for one layer, ``lstm_forward``'s. Every
+    weight gradient is written into ``grads``, a stack of ``stack``'s
+    shapes. Returns the gradient w.r.t. the input sequence, or None with
+    ``input_grad=False``."""
+    plan = LstmBackwardPlan(stack, cache.inputs.shape)
+    return plan.run(cache, d_hidden, grads, input_grad=input_grad)
 
 
 def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache, *, input_grad: bool = True):

@@ -611,7 +611,7 @@ def test_an_eps_whose_square_overflows_is_refused_before_anything_is_written(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("variant", ["localization", "rf"])
+@pytest.mark.parametrize("variant", ["localization", "rf", "rf+lidar"])
 def test_a_diverging_lr_is_refused_naming_lr_and_the_episode(chain, tmp_path, capsys, variant):
     # It used to leak "overflow encountered in matmul", then exit 1 with
     # "dense output contains non-finite values", which named no key.

@@ -312,6 +312,27 @@ def test_misaligned_streams_rejected():
         ScenarioBundle("x", [], np.empty((0, 1)), NO_LIDAR)
 
 
+def test_a_bundle_refuses_times_that_are_not_integers():
+    # The int64 cast used to truncate them: this drive was accepted with
+    # frame times 0, 1, 2, lidar time 1 and truth time 2.
+    times, lidar, truth = [0.5, 1.5, 2.7], ([1.9], [[1.0, 2.0]]), ([2.2], [[1.0, 1.0]], [True])
+    with pytest.raises(SchemaError, match=r"RSSI frame time t=0\.5 is not an integer within int64"):
+        ScenarioBundle("x", times, np.ones((3, 1)), Lidar(*lidar), Truth(*truth))
+    cases = [("lidar row", 1.9, Lidar(*lidar), None), ("truth row", 2.2, NO_LIDAR, Truth(*truth)),
+             ("lidar row", math.nan, Lidar([math.nan], [[1.0, 2.0]]), None),
+             ("truth row", 2.0**63, NO_LIDAR, Truth([2.0**63], [[1.0, 1.0]], [True]))]
+    for what, bad, lidar_rows, truth_rows in cases:
+        with pytest.raises(SchemaError, match=re.escape(f"{what} time t={bad} is not an integer")):
+            ScenarioBundle("x", [0, 1, 2], np.ones((3, 1)), lidar_rows, truth_rows)
+    # Whole floats are times, as before.
+    kept = ScenarioBundle("x", [0.0, 1.0, 2.0], np.ones((3, 1)), Lidar([1.0], [[1.0, 2.0]]),
+                          Truth([2.0], [[1.0, 1.0]], [True]))
+    for t in (kept.t, kept.lidar.t, kept.truth.t):
+        assert t.dtype == np.int64
+    assert kept.t.tolist() == [0, 1, 2] and kept.lidar.t.tolist() == [1]
+    assert kept.truth.t.tolist() == [2]
+
+
 def test_bundle_powers_must_be_a_finite_nonnegative_matrix():
     with pytest.raises(ValueError):
         ScenarioBundle("x", [0, 1], np.array([[1.0], [-2.0]]), NO_LIDAR)

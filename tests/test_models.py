@@ -543,6 +543,28 @@ def test_plans_follow_the_batch_size_through_scoring_and_training(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_the_backward_plan_is_kept_while_t_and_b_hold_and_replaced_when_they_change(kind):
+    model, _ = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
+    rng = np.random.default_rng(24)
+    opt = nn.adam_init(model.params, lr=0.05)
+    width = model.horizon * (2 if kind == "localization" else 1)
+    plans = []
+    for steps, batch in [(8, 8), (8, 8), (8, 16), (5, 16), (5, 1), (8, 8)]:
+        feats, rasters = rng.normal(size=(batch, steps, 64)), rng.uniform(size=(batch, 360))
+        targets = rng.integers(0, 2, size=(batch, width)).astype(np.float64)
+        twin = planless_twin(model)
+        got, want = np.empty_like(model.params), np.empty_like(model.params)
+        loss_and_grads(model, feats, targets, rasters, views=model.views(got))
+        loss_and_grads(twin, feats, targets, rasters, views=twin.views(want))
+        assert got.tobytes() == want.tobytes(), (steps, batch)
+        assert model.backward.shape == (steps, batch, 64)
+        plans.append(model.backward)
+        nn.adam_step(opt, model.params, got)
+    assert plans[1] is plans[0]
+    assert len({id(plan) for plan in plans[1:]}) == 5  # a new plan at each change
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_later_forward_leaves_an_earlier_output_as_it_was(kind):
     model, predict = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
     rng = np.random.default_rng(23)

@@ -728,17 +728,18 @@ def assert_buffered_stack_is_chained(layers, seq):
             assert np.ascontiguousarray(got).tobytes() == ref.tobytes(), name
 
 
-def assert_stack_backward_is_chained(layers, seq, d_top):
-    """``lstm_stack_backward`` over ``lstm_stack_forward``'s buffers against
-    chained ``lstm_backward`` over chained ``lstm_forward`` caches. At B = 8
-    every weight gradient has the chained bits, and at one layer the input
-    gradient too; otherwise they agree within ``assert_close``, as all agree
-    with the per-step reference, whose code they do not share."""
+def assert_stack_backward_is_chained(layers, seq, d_top, backward=lstm_stack_backward):
+    """``backward`` (``lstm_stack_backward``'s signature) over
+    ``lstm_stack_forward``'s buffers against chained ``lstm_backward`` over
+    chained ``lstm_forward`` caches. At B = 8 every weight gradient has the
+    chained bits, and at one layer the input gradient too; otherwise they
+    agree within ``assert_close``, as all agree with the per-step
+    reference, whose code they do not share. Returns the gradients."""
     stack = LstmStack.of(layers)
     with np.errstate(invalid="raise"):  # the factor passes also read rows no diagonal reaches
         _, buffers = lstm_stack_forward(stack, seq)
         grads = LstmStack(*(np.full_like(a, np.nan) for a in vars(stack).values()))
-        d_seq = lstm_stack_backward(stack, d_top, buffers, grads)
+        d_seq = backward(stack, d_top, buffers, grads)
     _, caches = chained_forward(layers, seq)
     want_d, ref_d, pairs = d_top, d_top, []
     for l in range(len(layers) - 1, -1, -1):
@@ -755,6 +756,7 @@ def assert_stack_backward_is_chained(layers, seq, d_top):
             assert got.tobytes() == want.tobytes()
         else:
             assert_close(got, want)
+    return d_seq, grads
 
 
 @settings(max_examples=200)
@@ -802,6 +804,95 @@ def test_the_stack_kernels_keep_their_bits_at_the_model_shapes(kernel, shape, ba
     else:
         want = chained(lambda p, s: lstm_forward(p, s)[0], layers, seq)
         assert lstm_stack_hidden(LstmStack.of(layers), seq).tobytes() == want.tobytes()
+
+
+# A backward plan is made once per stack and (T, B) and run again: each run
+# must give the bits of a one-shot backward whatever the runs before it
+# left in its buffers, read the weights as they are now, and allocate
+# nothing but the input gradient it returns.
+
+def run_twice(plan, d_first, *, last_only=False):
+    """A ``backward`` for ``assert_stack_backward_is_chained`` that runs
+    ``plan`` over another forward of the stack first, with ``d_first``;
+    with ``last_only`` it passes the plan only the last step's gradient."""
+    def backward(stack, d_top, buffers, grads):
+        rng = np.random.default_rng(99)
+        other = rng.normal(scale=3.0, size=buffers.inputs.shape)
+        if stack.depth == 1:  # one layer: lstm_forward's cache, the other kind
+            p = LstmParams(stack.input_size, stack.hidden_size, stack.w_in0, stack.w_rec[0],
+                           stack.bias[0])
+            cache = lstm_forward(p, other)[2]
+        else:
+            cache = lstm_stack_forward(stack, other)[1]
+        plan.run(cache, d_first, LstmStack(*(np.empty_like(a) for a in vars(grads).values())))
+        return plan.run(buffers, d_top[-1] if last_only else d_top, grads)
+    return backward
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("batch", [1, 8, 64])
+def test_a_reused_backward_plan_keeps_the_bits_of_the_references(depth, batch):
+    rng = np.random.default_rng(depth * 100 + batch)
+    layers = lstm_stack(rng, 64, [16] * depth, 1.0)
+    seq, d_top = rng.normal(size=(8, batch, 64)), rng.normal(size=(8, batch, 16))
+    want_seq, want = assert_stack_backward_is_chained(layers, seq, d_top)
+    plan = nn.LstmBackwardPlan(LstmStack.of(layers), seq.shape)
+    for d_first in (rng.normal(size=(8, batch, 16)), rng.normal(size=(batch, 16))):
+        got_seq, got = assert_stack_backward_is_chained(layers, seq, d_top, run_twice(plan, d_first))
+        assert got_seq.tobytes() == want_seq.tobytes()
+        for array in vars(want):
+            assert getattr(got, array).tobytes() == getattr(want, array).tobytes(), array
+    # The last step's gradient alone is the sequence's, zero elsewhere, even
+    # after a run given the whole sequence.
+    last = np.zeros_like(d_top)
+    last[-1] = d_top[-1]
+    _, want = assert_stack_backward_is_chained(layers, seq, last)
+    _, got = assert_stack_backward_is_chained(layers, seq, last,
+                                              run_twice(plan, d_top, last_only=True))
+    for array in vars(want):
+        assert getattr(got, array).tobytes() == getattr(want, array).tobytes(), array
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_a_backward_plan_reads_the_weights_that_adam_updated_in_place(depth):
+    rng = np.random.default_rng(31 + depth)
+    layers = lstm_stack(rng, 64, [16] * depth, 1.0)
+    vector = np.concatenate([a.ravel() for a in vars(LstmStack.of(layers)).values()])
+    stack = LstmStack.view(vector, depth, 64, 16)
+    seq, d_last = rng.normal(size=(8, 8, 64)), rng.normal(size=(8, 16))
+    plan, opt = nn.LstmBackwardPlan(stack, seq.shape), adam_init(vector, lr=0.05)
+    grad, want = np.empty_like(vector), np.empty_like(vector)
+    grads, want_grads = (LstmStack.view(v, depth, 64, 16) for v in (grad, want))
+    d_hidden = np.zeros((8, 8, 16))
+    d_hidden[-1] = d_last
+    for _ in range(3):
+        _, cache = lstm_stack_forward(stack, seq)
+        d_seq = plan.run(cache, d_last, grads)
+        fresh = LstmStack(*(a.copy() for a in vars(stack).values()))  # today's weights, copied
+        want_seq = lstm_stack_backward(fresh, d_hidden, cache, want_grads)
+        assert d_seq.tobytes() == want_seq.tobytes() and grad.tobytes() == want.tobytes()
+        adam_step(opt, vector, grad)
+
+
+@pytest.mark.parametrize("depth, hid", [(1, 32), (2, 16), (4, 16)])
+def test_a_reused_backward_plan_allocates_no_buffer(depth, hid, traced_peak_mib):
+    """A run after the first allocates only small objects, views and the
+    like, which peaked at 2,064 bytes at each shape. The plan's smallest
+    buffer, at B = 8, is 4 KiB; a one-shot backward peaks at 343 KiB and
+    more at these shapes, since it allocates every buffer anew."""
+    rng = np.random.default_rng(depth)
+    stack = LstmStack.of(lstm_stack(rng, 64, [hid] * depth, 1.0))
+    seq = rng.normal(size=(8, 8, 64))
+    cache = (lstm_forward(LstmParams(64, hid, stack.w_in0, stack.w_rec[0], stack.bias[0]), seq)[2]
+             if depth == 1 else lstm_stack_forward(stack, seq)[1])
+    grads = LstmStack(*(np.empty_like(a) for a in vars(stack).values()))
+    plan, d_last = nn.LstmBackwardPlan(stack, seq.shape), rng.normal(size=(8, hid))
+
+    def runs():
+        for _ in range(5):
+            plan.run(cache, d_last, grads, input_grad=False)
+    runs()
+    assert traced_peak_mib(runs) * 2**20 < 3072
 
 
 def test_the_input_gradients_can_be_skipped_with_the_same_weight_gradients():
