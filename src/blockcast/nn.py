@@ -4,38 +4,37 @@ These are numpy kernels only, with no file IO: a model's checkpoint,
 ``model.json``, belongs to ``models``.
 
 Everything runs in float64 on plain numpy arrays. A conv layer reads its
-input channels-last and unrolls it into windows of its K taps, a few
-inputs at a time, for one BLAS product per window; it returns the
-(B, C, L) view of a (B, L, C) buffer, which the next conv layer and the
-pooling read in place. The LSTM starts from zero state. Stacked layers of
-one hidden size are an ``LstmStack``, their weights stacked by array, which
-the stack kernels read without a copy. One loop, ``LstmPlan.run``, runs
-every stack forward as a wavefront over the diagonals l + t, T + L - 1 steps
-at any batch size; each step activates all four gates with one ``sigmoid``,
-then overwrites the candidate columns with their ``tanh``. A plan is made
-for one seq shape (T, B, input_size) and one of two storage modes with the
-same bits: diagonal-major buffers that keep every step's gates and cell
-states for the backward, or rolling (L, B, ·) states. It allocates its
-buffers and indexes every diagonal's views once, so running it again costs
-only the arithmetic and the numpy calls of the steps: that is most of a
-single-window forecast. It holds views of the weights, not their values.
-``lstm_stack_forward`` (diagonal-major) and ``lstm_stack_hidden`` (rolling)
-are one-shot plans, whose results are fresh buffers; ``models.Model`` keeps
-its own plans across calls. ``lstm_forward`` is a one-layer loop of its
-own, with a ``sigmoid`` call per gate (perfbench's tests count them), which
+input channels-last and unrolls it into windows of its K taps, a few inputs
+at a time, for one BLAS product per window; it returns the (B, C, L) view of
+a (B, L, C) buffer, which the next conv layer and the pooling read in place.
+The LSTM starts from zero state. Stacked layers of one hidden size are an
+``LstmStack``, their weights stacked by array, which the stack kernels read
+without a copy. One loop, ``LstmPlan.run``, runs every stack forward as a
+wavefront over the diagonals l + t, T + L - 1 steps at any batch size; each
+step activates all four gates with one ``sigmoid``, then overwrites the
+candidate columns with their ``tanh``. A plan is made for one seq shape (T,
+B, input_size) and one of two storage modes with the same bits:
+diagonal-major buffers that keep every step's gates and cell states for the
+backward, or rolling (L, B, ·) states. It allocates its buffers and indexes
+every diagonal's views once, so running it again costs only the arithmetic
+and the numpy calls of the steps: that is most of a single-window forecast.
+It holds views of the weights, not their values, and ``models.Model`` keeps
+its plans across calls. ``lstm_forward`` is a one-layer loop of its own,
+with a ``sigmoid`` call per gate (perfbench's tests count them), which
 localization training runs. There is one backward loop,
 ``LstmBackwardPlan.run``: the wavefront in reverse over the diagonal-major
 buffers, with only the recurrent and layer-to-layer matmuls inside it. It
-reads either forward's cache. A backward plan is made for one stack and
-one (T, B), like a forward plan, with its buffers and every diagonal's
-views made once. It computes the gates' gradient factors gate-major, in
-contiguous (..., H) blocks, because on the H-wide columns of the 4H-wide
-gate rows each elementwise op costs about three times as much; one copy
-puts them back into 4H-wide rows for the loop's matmuls.
-``lstm_stack_backward`` and ``lstm_backward`` (its one-layer case) are
-one-shot plans; ``models.Model`` keeps its own. Each layer ships a
-hand-derived backward pass returning gradients in the same shapes as its
-parameters; finite-difference tests lock every one of them. There is no
+reads either forward's cache. A backward plan is made for one stack and one
+(T, B), like a forward plan, with its buffers and every diagonal's views
+made once. It computes the gates' gradient factors gate-major, in contiguous
+(..., H) blocks, because on the H-wide columns of the 4H-wide gate rows each
+elementwise op costs about three times as much; one copy puts them back into
+4H-wide rows for the loop's matmuls. ``lstm_backward``, its one-layer case,
+is a one-shot plan. Neither plan refuses a fit that diverges; ``models``
+judges a fit by its loss. The gate rows that no diagonal reaches stay zero,
+so a bias that training has blown up overflows nothing there. Each layer
+ships a hand-derived backward pass returning gradients in the same shapes as
+its parameters; finite-difference tests lock every one of them. There is no
 autodiff graph: the architecture set is small and fixed, and explicit
 backward code keeps the arithmetic auditable.
 
@@ -225,10 +224,16 @@ class LstmStack:
 @dataclass
 class LstmCache:
     """What the backward pass reads of a forward over seq (T, B, input_size).
-    ``lstm_forward``, the one-layer loop, keeps one layer's arrays by step t;
-    ``lstm_stack_forward`` keeps L layers' by diagonal d = l + t, with a layer
-    axis after the first. ``lstm_stack_hidden`` runs the same loop over
-    rolling arrays of that layout, whose rows along d are one buffer."""
+    ``lstm_forward``, the one-layer loop, keeps one layer's arrays by step t.
+    A diagonal-major ``LstmPlan`` keeps L layers' by diagonal d = l + t, with
+    a layer axis after the first: layer l's step t keeps its activated gates
+    in ``gates[d, l]`` and its cell tanh in ``cell_tanh[d, l]``, its states in
+    ``cells[d + 1, l]`` and ``hidden[d + 1, l]``, whose never-written
+    ``[l, l]`` is the zero initial state. So layer l's ``lstm_forward``
+    arrays are ``gates[l : l + T, l]``, ``hidden[l : l + T + 1, l]`` and so
+    on, and its inputs, for l >= 1, ``hidden[l : l + T, l - 1]``. A rolling
+    plan runs the same loop over rolling arrays of that layout, whose rows
+    along d are one buffer."""
 
     inputs: Array     # (T, B, input_size): the first layer's input sequence
     gates: Array      # (T, B, 4H) or (T + L - 1, L, B, 4H); activated, gate order i,f,g,o
@@ -281,31 +286,6 @@ def lstm_forward(p: LstmParams, seq: Array) -> tuple[Array, Array, LstmCache]:
     return hidden[1:], hidden[-1], LstmCache(seq, gates, cells, cell_tanh, hidden)
 
 
-def lstm_stack_hidden(stack: LstmStack, seq: Array) -> Array:
-    """The top layer's hidden sequence (T, B, H) of ``stack`` over seq
-    (T, B, input_size); bit for bit the chained ``lstm_forward`` calls.
-    A one-shot rolling ``LstmPlan``: no backward buffer is kept."""
-    seq = np.asarray(seq, dtype=np.float64)
-    return LstmPlan(stack, seq.shape, rolling=True).run(seq)[0]
-
-
-def lstm_stack_forward(stack: LstmStack, seq: Array) -> tuple[Array, LstmCache]:
-    """``lstm_forward`` chained over the layers of ``stack``: the top layer's
-    hidden sequence (T, B, H) and the buffers of ``lstm_stack_backward``,
-    every layer's rows bit for bit those of the chained calls.
-
-    A one-shot ``LstmPlan`` over diagonal-major buffers. Diagonal d = l + t
-    keeps layer l's step t: its activated gates in ``gates[d, l]`` (T + L -
-    1, L, B, 4H) and ``cell_tanh[d, l]`` alike, its states in ``cells[d + 1,
-    l]`` and ``hidden[d + 1, l]`` (T + L, L, B, H), whose never-written
-    ``[l, l]`` is the zero initial state. So layer l's ``lstm_forward``
-    arrays are ``gates[l : l + T, l]``, ``hidden[l : l + T + 1, l]`` and so
-    on, and its inputs, for l >= 1, ``hidden[l : l + T, l - 1]``.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    return LstmPlan(stack, seq.shape, rolling=False).run(seq)
-
-
 def _rolling(shape: tuple) -> Array:
     """One zeroed ``shape[1:]`` buffer seen as ``shape``, with stride 0 along axis 0."""
     buf = np.zeros(shape[1:])
@@ -321,21 +301,19 @@ class LstmPlan:
     layer l's step t needs only (l, t - 1) and (l - 1, t), so every layer on
     a diagonal d = l + t runs in one batched step, T + L - 1 steps at any
     batch size. ``rolling`` picks the storage of the gates, cells and cell
-    tanh: diagonal-major buffers in ``lstm_stack_forward``'s layout, for the
-    backward, or rolling (L, B, ·) states, stride-0 views of one buffer each.
-    Both keep the whole (T + L, L, B, H) hidden buffer.
+    tanh: diagonal-major buffers in ``LstmCache``'s layout, for the
+    backward, or rolling (L, B, ·) states, stride-0 views of one buffer
+    each. Both keep the whole (T + L, L, B, H) hidden buffer.
 
     The plan holds views of ``stack``'s arrays, never their values: each
     ``run`` reads the weights as they are then, so an in-place update of
     them (``adam_step``, ``models.load_model``) needs no new plan. A run
-    refreshes what the one before changed: layer 0's input terms, the
-    rolling cell state (zero at each layer's first step) and, in the gate
-    rows that no diagonal reaches, each layer's bias: finite for the
-    backward's passes over whole buffers, which overflow on a bias that
-    training has blown up. Every other row a run writes it writes whole,
-    and the rows it never writes stay zero. What a run returns are views of
-    the plan's buffers, valid until its next run; a plan is not safe to run
-    from two threads at once.
+    refreshes what the one before changed: layer 0's input terms and the
+    rolling cell state (zero at each layer's first step). Every other row a
+    run writes it writes whole, and the rows it never writes, such as the
+    gate rows that no diagonal reaches, stay zero. What a run returns are
+    views of the plan's buffers, valid until its next run; a plan is not
+    safe to run from two threads at once.
     """
 
     def __init__(self, stack: LstmStack, shape: tuple, *, rolling: bool):
@@ -354,7 +332,6 @@ class LstmPlan:
         # diagonal's rows are adjacent, in layer order.
         pre = np.empty((steps, batch, 4 * hid))
         self._input_terms = pre[::-1]
-        self._unreached = gates[: depth - 1, 1:], stack.bias[1:, None]
         # The rolling cell state starts each run at zero; diagonal-major cells
         # keep the zero initial state in rows that no run writes.
         self._carry = cells.base if rolling else cells[:0]
@@ -374,7 +351,7 @@ class LstmPlan:
 
     def run(self, seq: Array) -> tuple[Array, LstmCache]:
         """The top hidden sequence (T, B, H) over seq, a finite array of the
-        plan's shape, and the buffers in ``lstm_stack_forward``'s layout.
+        plan's shape, and the buffers in ``LstmCache``'s diagonal-major layout.
 
         A step sums the pre-activations as ``lstm_forward`` does, (x @ w_in +
         bias) + h @ w_rec, and activates all 4H columns with one ``sigmoid``
@@ -384,7 +361,6 @@ class LstmPlan:
         if seq.shape != self.shape:
             raise ValueError(f"seq shape {seq.shape} != the plan's {self.shape}")
         ensure_finite("lstm input", seq)
-        np.copyto(*self._unreached)
         self._carry.fill(0.0)
         np.matmul(seq, self.stack.w_in0, out=self._input_terms)
         self._input_terms += self.stack.bias[0]
@@ -437,13 +413,6 @@ class LstmBackwardPlan:
     bits of one product over T*B rows at B = 8; at the model shapes and B
     of 1, 64 or 65 the weight gradients moved by at most 2.2e-15 of the
     largest one.
-
-    The factor pass runs over whole buffers, the gate rows that no diagonal
-    reaches included, where ``LstmPlan`` keeps each layer's bias. A bias
-    that training has blown up overflows there, and that overflow is what
-    refuses a diverging lr in rf training today: with those rows skipped,
-    ``--lr 1e300`` trained to exit 0, its gates saturated and every LSTM
-    gradient exactly 0.
 
     ``run`` accepts both caches: ``LstmPlan``'s diagonal-major buffers, or,
     for one layer, ``lstm_forward``'s, whose (T, ...) arrays are the L = 1
@@ -571,29 +540,18 @@ class LstmBackwardPlan:
         return (rows[0] @ self.stack.w_in0.T).reshape(self.shape)
 
 
-def lstm_stack_backward(stack: LstmStack, d_hidden: Array, cache: LstmCache, grads: LstmStack,
-                        *, input_grad: bool = True):
-    """Backpropagation through time over ``stack``, as a one-shot
-    ``LstmBackwardPlan``: ``d_hidden`` (T, B, H) is the loss gradient w.r.t.
-    the top layer's hidden sequence, and ``cache`` the forward's buffers,
-    ``lstm_stack_forward``'s or, for one layer, ``lstm_forward``'s. Every
-    weight gradient is written into ``grads``, a stack of ``stack``'s
-    shapes. Returns the gradient w.r.t. the input sequence, or None with
-    ``input_grad=False``."""
-    plan = LstmBackwardPlan(stack, cache.inputs.shape)
-    return plan.run(cache, d_hidden, grads, input_grad=input_grad)
-
-
 def lstm_backward(p: LstmParams, d_hidden: Array, cache: LstmCache, *, input_grad: bool = True):
-    """Backpropagation through time for one layer, as ``lstm_stack_backward``
-    of a one-layer stack: d_hidden holds the loss gradient w.r.t. every
-    hidden output (T, B, H). Returns the gradient w.r.t. the input sequence
-    (None with ``input_grad=False``) and a dict of ``p``'s weight gradients.
+    """Backpropagation through time for one layer, as a one-shot
+    ``LstmBackwardPlan`` of a one-layer stack over ``cache``, a forward's of
+    ``p``: d_hidden holds the loss gradient w.r.t. every hidden output (T, B,
+    H). Returns the gradient w.r.t. the input sequence (None with
+    ``input_grad=False``) and a dict of ``p``'s weight gradients.
     """
     hid = p.hidden_size
     grads = LstmStack(np.empty_like(p.w_in), np.empty((0, hid, 4 * hid)),
                       np.empty((1, hid, 4 * hid)), np.empty((1, 4 * hid)))
-    d_seq = lstm_stack_backward(LstmStack.of([p]), d_hidden, cache, grads, input_grad=input_grad)
+    plan = LstmBackwardPlan(LstmStack.of([p]), cache.inputs.shape)
+    d_seq = plan.run(cache, d_hidden, grads, input_grad=input_grad)
     return d_seq, {"w_in": grads.w_in0, "w_rec": grads.w_rec[0], "bias": grads.bias[0]}
 
 

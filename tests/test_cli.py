@@ -623,6 +623,22 @@ def test_a_diverging_lr_is_refused_naming_lr_and_the_episode(chain, tmp_path, ca
     assert not any(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant, lr", [("localization", "1e30"), ("rf", "1e30"),
+                                         ("rf+lidar", "1e30"), ("rf", "1e100")])
+def test_an_lr_whose_fit_ends_above_the_untrained_loss_is_refused(
+        chain, tmp_path, capsys, variant, lr):
+    # These fits overflow nowhere: they used to exit 0 with a model worse
+    # than the untrained one. The val loss is what refuses them now.
+    out = tmp_path / "model"
+    assert run(["train", "--dataset", str(chain / "data"), "--variant", variant, "--lr", lr,
+                "--episodes", "2", "--iterations", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "diverged in episode 1 of 2 (val loss" in err, err
+    assert f"lr below {float(lr)!r}" in err and "Traceback" not in err, err
+    assert not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Unused imports, dead private helpers and unread constants in the
-package source, found with the stdlib ``ast``.
+"""Unused imports, dead private helpers, unread constants and unread public
+functions in the package source, found with the stdlib ``ast``.
 
 No linter is a dependency, so this test stands in for one. A name an
 import binds is used when the module reads it anywhere, annotations
@@ -8,7 +8,11 @@ included. ``__init__.py`` imports are re-exports, and imports under
 module-level ``_private`` function, class or constant is private to its
 module, so it is dead unless that module reads it. A public UPPER_CASE
 module constant is dead unless some file of the package, its tests or the
-benchmark reads it, by name or as a module attribute.
+benchmark reads it, by name or as a module attribute. A public module-level
+function is dead unless the package or the benchmark reads it, by name, as
+a module attribute or as a string of its name alone (``__all__``, the
+benchmark's table of traced functions): a function that only tests call is
+the tests' code. ``CALLED_OUTSIDE`` names the few that other readers call.
 """
 
 import ast
@@ -67,10 +71,9 @@ def unused_privates(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-def unread_constants(modules: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
-    """(module, line, name) of each public UPPER_CASE name that a
-    module-level assignment in ``modules`` (name -> source) binds and that
-    no source in ``readers`` loads, as a name or as an attribute."""
+def loaded_names(readers: list[str], *, strings: bool = False) -> set[str]:
+    """Every name that a source in ``readers`` loads, as a name or as an
+    attribute; with ``strings``, every string constant too."""
     read = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -78,6 +81,16 @@ def unread_constants(modules: dict[str, str], readers: list[str]) -> list[tuple[
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def unread_constants(modules: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public UPPER_CASE name that a
+    module-level assignment in ``modules`` (name -> source) binds and that
+    no source in ``readers`` loads, as a name or as an attribute."""
+    read = loaded_names(readers)
     unread = []
     for module, source in modules.items():
         for node in ast.parse(source).body:
@@ -90,7 +103,25 @@ def unread_constants(modules: dict[str, str], readers: list[str]) -> list[tuple[
     return sorted(unread)
 
 
+def unread_functions(modules: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public function that a module-level def
+    in ``modules`` (name -> source) binds and that no source in ``readers``
+    loads, as a name, an attribute or a string of the name alone."""
+    read = loaded_names(readers, strings=True)
+    return sorted((module, node.lineno, node.name) for module, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
 SOURCES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# The public functions that no file of the package or the benchmark calls,
+# and who calls them.
+CALLED_OUTSIDE = {
+    ("cli.py", "replay_manifest"): "the acceptance tests' chain replay, and README's library use",
+    ("config.py", "dump_config"): "the config file round-trip test",
+}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -108,6 +139,15 @@ def test_every_public_constant_is_read_by_the_package_its_tests_or_the_benchmark
     readers = [p.read_text(encoding="utf-8")
                for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py")]
     assert unread_constants(modules, readers) == []
+
+
+def test_every_public_function_is_read_by_the_package_or_the_benchmark():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for folder in ("src", "perfbench") for p in (ROOT / folder).rglob("*.py")]
+    unread = unread_functions(modules, readers)
+    assert [f for f in unread if (f[0], f[2]) not in CALLED_OUTSIDE] == []
+    assert {(f[0], f[2]) for f in unread} == set(CALLED_OUTSIDE)  # no exemption outlives its need
 
 
 def test_the_check_finds_unused_names_and_exempts_type_checking_imports():
@@ -163,6 +203,33 @@ def test_the_check_finds_public_constants_no_file_reads():
     )
     assert unread_constants({"mod.py": module}, [module, reader]) == [
         ("mod.py", 3, "A"), ("mod.py", 3, "B"), ("mod.py", 5, "TOL")]
+
+
+def test_the_check_finds_public_functions_no_file_reads():
+    module = (
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def traced():\n"
+        "    return 2\n"
+        "async def gone():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Kept:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "def dead():\n"
+        "    'dead, though this docstring names dead'\n"
+    )
+    reader = (
+        "import mod\n"
+        "mod.used()\n"
+        "TRACED = ['traced']\n"
+    )
+    assert unread_functions({"mod.py": module}, [module, reader]) == [
+        ("mod.py", 7, "gone"), ("mod.py", 14, "dead")]
 
 
 def test_nn_imports_only_the_errors_of_the_package_and_no_file_io():

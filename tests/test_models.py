@@ -321,6 +321,23 @@ def test_training_validates_inputs():
         train_localization(tagged, TrainConfig(episodes=1, iterations=1))
 
 
+@pytest.mark.parametrize("kind", ["localization", "rf", "rf+lidar"])
+def test_a_fit_without_a_val_split_is_judged_on_its_train_split(kind):
+    ds = synth_dataset(40)
+    no_val = DatasetFile(ds.labeled, dict(ds.splits, val=[]), ds.meta)
+
+    def fit(lr):
+        cfg = TrainConfig(lr=lr, episodes=2, iterations=5)
+        return (train_localization(no_val, cfg) if kind == "localization"
+                else train_blockage(no_val, cfg, kind))
+
+    with pytest.raises(NonFiniteError, match=r"diverged in episode 1 of 2 \(train loss .* "
+                                             r"above the untrained model's .*lr below 1e\+30"):
+        fit(1e30)
+    _, curves = fit(1e-3)
+    assert len(curves.train) == 10 and curves.val == []
+
+
 # ---------------------------------------------------------------------------
 # Inference
 # ---------------------------------------------------------------------------
@@ -511,8 +528,7 @@ def train_step(model, opt, feats, rasters, rng):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_reused_plan_reads_the_weights_that_adam_updated_in_place(kind):
-    # The gate rows that no diagonal reaches hold each layer's bias; a run
-    # refills them, so they follow the update as the reached rows do.
+    # The gate rows that no diagonal reaches stay zero through every run.
     model, _ = predictor(kind, beams=64, window_len=8, horizon=5, bins=360)
     rng = np.random.default_rng(21)
     feats, rasters = rng.normal(size=(8, 8, 64)), rng.uniform(0.0, 1.0, size=(8, 360))
@@ -522,7 +538,7 @@ def test_a_reused_plan_reads_the_weights_that_adam_updated_in_place(kind):
         train_step(model, opt, feats, rasters, rng)
         gates = assert_same_forwards(model, feats, rasters).gates
         for layer in range(1, model.lstm.depth):  # diagonals d < l skip layer l
-            assert (gates[:layer, layer] == model.lstm.bias[layer]).all()
+            assert not gates[:layer, layer].any()
     assert len(model.plans) == (1 if kind == "localization" else 2)
 
 
@@ -577,10 +593,10 @@ def test_a_later_forward_leaves_an_earlier_output_as_it_was(kind):
     forward(model, feats[::-1].copy(), rasters[::-1].copy(), caches={})
     assert (first.tobytes(), trained.tobytes()) == kept
     seq = np.ascontiguousarray(feats.transpose(1, 0, 2))
-    top = nn.lstm_stack_hidden(model.lstm, seq)
+    top = nn.LstmPlan(model.lstm, seq.shape, rolling=True).run(seq)[0]
     kept = top.tobytes()
-    nn.lstm_stack_hidden(model.lstm, seq[:, ::-1].copy())
-    nn.lstm_stack_forward(model.lstm, seq[:, ::-1].copy())
+    nn.LstmPlan(model.lstm, seq.shape, rolling=True).run(seq[:, ::-1].copy())
+    nn.LstmPlan(model.lstm, seq.shape, rolling=False).run(seq[:, ::-1].copy())
     assert top.tobytes() == kept
 
 

@@ -32,9 +32,6 @@ from blockcast.nn import (
     lstm_backward,
     lstm_forward,
     lstm_init,
-    lstm_stack_backward,
-    lstm_stack_forward,
-    lstm_stack_hidden,
     relu,
     relu_backward,
     sigmoid,
@@ -241,14 +238,21 @@ def test_lstm_input_validation():
         lstm_backward(p, np.zeros((2, 1, 5)), cache)
 
 
-@pytest.mark.parametrize("run", [lambda p, seq: lstm_forward(p, seq),
-                                 lambda p, seq: lstm_stack_hidden(LstmStack.of([p]), seq)])
+def plan_run(stack, seq, *, rolling):
+    """A one-shot ``nn.LstmPlan`` of ``stack`` run over ``seq``."""
+    return nn.LstmPlan(stack, np.shape(seq), rolling=rolling).run(seq)
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, seq: lstm_forward(p, seq),
+    lambda p, seq: plan_run(LstmStack.of([p]), seq, rolling=True)])
 def test_both_lstm_paths_reject_the_same_inputs(run):
     assert_bad_lstm_inputs_are_rejected(run)
 
 
 def test_the_buffered_wavefront_rejects_the_same_inputs():
-    assert_bad_lstm_inputs_are_rejected(lambda p, seq: lstm_stack_forward(LstmStack.of([p]), seq))
+    assert_bad_lstm_inputs_are_rejected(
+        lambda p, seq: plan_run(LstmStack.of([p]), seq, rolling=False))
 
 
 def assert_bad_lstm_inputs_are_rejected(run):
@@ -577,8 +581,8 @@ def test_every_forward_activates_extreme_gate_inputs_as_sigmoid_and_tanh():
     seq = np.ones((steps, 2, hid))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         hidden, _, cache = lstm_forward(layers[0], seq)
-        top, buffers = lstm_stack_forward(LstmStack.of(layers), seq)
-        cache_free = lstm_stack_hidden(LstmStack.of(layers), seq)
+        top, buffers = plan_run(LstmStack.of(layers), seq, rolling=False)
+        cache_free = plan_run(LstmStack.of(layers), seq, rolling=True)[0]
         want = []
         for p in layers:
             i, f, g, o = np.split(np.broadcast_to(p.bias, (2, 4 * hid)), 4, axis=1)
@@ -587,7 +591,7 @@ def test_every_forward_activates_extreme_gate_inputs_as_sigmoid_and_tanh():
         assert cache.gates[t].tobytes() == want[0].tobytes()
         for layer in range(2):
             assert buffers.gates[layer + t, layer].tobytes() == want[layer].tobytes()
-    assert hidden.tobytes() == lstm_stack_hidden(LstmStack.of(layers[:1]), seq).tobytes()
+    assert hidden.tobytes() == plan_run(LstmStack.of(layers[:1]), seq, rolling=True)[0].tobytes()
     assert top.tobytes() == cache_free.tobytes() and np.isfinite(top).all()
 
 
@@ -637,7 +641,7 @@ def test_cache_free_lstm_is_bit_equal_to_the_buffered_one(steps, batch, width, h
     p = lstm_init(rng, width, hid)
     p.bias[:] = rng.normal(scale=scale, size=4 * hid)
     seq = rng.normal(scale=scale, size=(steps, batch, width))
-    hidden = lstm_stack_hidden(LstmStack.of([p]), seq)
+    hidden = plan_run(LstmStack.of([p]), seq, rolling=True)[0]
     assert hidden.shape == (steps, batch, hid)
     assert hidden.tobytes() == lstm_forward(p, seq)[0].tobytes()
 
@@ -669,9 +673,9 @@ def test_the_stack_wavefront_is_bit_equal_to_chained_layers(depth, steps, batch,
     rng = np.random.default_rng(seed)
     layers = lstm_stack(rng, width, [hid] * depth, scale)
     seq = rng.normal(scale=scale, size=(steps, batch, width))
-    hidden = lstm_stack_hidden(LstmStack.of(layers), seq)
+    hidden = plan_run(LstmStack.of(layers), seq, rolling=True)[0]
     assert hidden.shape == (steps, batch, hid)
-    one_layer = chained(lambda p, s: lstm_stack_hidden(LstmStack.of([p]), s), layers, seq)
+    one_layer = chained(lambda p, s: plan_run(LstmStack.of([p]), s, rolling=True)[0], layers, seq)
     assert hidden.tobytes() == one_layer.tobytes()
     assert hidden.tobytes() == chained(lambda p, s: lstm_forward(p, s)[0], layers, seq).tobytes()
 
@@ -706,8 +710,8 @@ def chained_forward(layers, seq):
 
 
 def layer_arrays(buffers, l, steps):
-    """Layer l's ``lstm_forward`` cache arrays in ``lstm_stack_forward``'s
-    diagonal-major buffers."""
+    """Layer l's ``lstm_forward`` cache arrays in a diagonal-major
+    ``LstmPlan``'s buffers."""
     return {"inputs": buffers.inputs if l == 0 else buffers.hidden[l : l + steps, l - 1],
             "gates": buffers.gates[l : l + steps, l], "cells": buffers.cells[l : l + steps + 1, l],
             "cell_tanh": buffers.cell_tanh[l : l + steps, l],
@@ -715,10 +719,10 @@ def layer_arrays(buffers, l, steps):
 
 
 def assert_buffered_stack_is_chained(layers, seq):
-    """``lstm_stack_forward`` over ``layers`` returns the hidden sequence of
-    chained ``lstm_forward`` calls, and holds each layer's cache arrays in its
-    buffers, all bit for bit."""
-    top, buffers = lstm_stack_forward(LstmStack.of(layers), seq)
+    """A diagonal-major ``LstmPlan`` over ``layers`` returns the hidden
+    sequence of chained ``lstm_forward`` calls, and holds each layer's cache
+    arrays in its buffers, all bit for bit."""
+    top, buffers = plan_run(LstmStack.of(layers), seq, rolling=False)
     want, want_caches = chained_forward(layers, seq)
     assert top.shape == want.shape and top.tobytes() == want.tobytes()
     for l, want_cache in enumerate(want_caches):
@@ -728,16 +732,21 @@ def assert_buffered_stack_is_chained(layers, seq):
             assert np.ascontiguousarray(got).tobytes() == ref.tobytes(), name
 
 
-def assert_stack_backward_is_chained(layers, seq, d_top, backward=lstm_stack_backward):
-    """``backward`` (``lstm_stack_backward``'s signature) over
-    ``lstm_stack_forward``'s buffers against chained ``lstm_backward`` over
+def one_shot_backward(stack, d_top, buffers, grads):
+    """A one-shot ``nn.LstmBackwardPlan`` of ``stack`` run over ``buffers``."""
+    return nn.LstmBackwardPlan(stack, buffers.inputs.shape).run(buffers, d_top, grads)
+
+
+def assert_stack_backward_is_chained(layers, seq, d_top, backward=one_shot_backward):
+    """``backward`` (``one_shot_backward``'s signature) over a diagonal-major
+    ``LstmPlan``'s buffers against chained ``lstm_backward`` over
     chained ``lstm_forward`` caches. At B = 8 every weight gradient has the
     chained bits, and at one layer the input gradient too; otherwise they
     agree within ``assert_close``, as all agree with the per-step
     reference, whose code they do not share. Returns the gradients."""
     stack = LstmStack.of(layers)
     with np.errstate(invalid="raise"):  # the factor passes also read rows no diagonal reaches
-        _, buffers = lstm_stack_forward(stack, seq)
+        _, buffers = plan_run(stack, seq, rolling=False)
         grads = LstmStack(*(np.full_like(a, np.nan) for a in vars(stack).values()))
         d_seq = backward(stack, d_top, buffers, grads)
     _, caches = chained_forward(layers, seq)
@@ -803,7 +812,7 @@ def test_the_stack_kernels_keep_their_bits_at_the_model_shapes(kernel, shape, ba
         assert_stack_backward_is_chained(layers, seq, rng.normal(size=(8, batch, hid)))
     else:
         want = chained(lambda p, s: lstm_forward(p, s)[0], layers, seq)
-        assert lstm_stack_hidden(LstmStack.of(layers), seq).tobytes() == want.tobytes()
+        assert plan_run(LstmStack.of(layers), seq, rolling=True)[0].tobytes() == want.tobytes()
 
 
 # A backward plan is made once per stack and (T, B) and run again: each run
@@ -823,7 +832,7 @@ def run_twice(plan, d_first, *, last_only=False):
                            stack.bias[0])
             cache = lstm_forward(p, other)[2]
         else:
-            cache = lstm_stack_forward(stack, other)[1]
+            cache = plan_run(stack, other, rolling=False)[1]
         plan.run(cache, d_first, LstmStack(*(np.empty_like(a) for a in vars(grads).values())))
         return plan.run(buffers, d_top[-1] if last_only else d_top, grads)
     return backward
@@ -866,12 +875,31 @@ def test_a_backward_plan_reads_the_weights_that_adam_updated_in_place(depth):
     d_hidden = np.zeros((8, 8, 16))
     d_hidden[-1] = d_last
     for _ in range(3):
-        _, cache = lstm_stack_forward(stack, seq)
+        _, cache = plan_run(stack, seq, rolling=False)
         d_seq = plan.run(cache, d_last, grads)
         fresh = LstmStack(*(a.copy() for a in vars(stack).values()))  # today's weights, copied
-        want_seq = lstm_stack_backward(fresh, d_hidden, cache, want_grads)
+        want_seq = one_shot_backward(fresh, d_hidden, cache, want_grads)
         assert d_seq.tobytes() == want_seq.tobytes() and grad.tobytes() == want.tobytes()
         adam_step(opt, vector, grad)
+
+
+def test_a_blown_up_bias_runs_through_both_plans_without_an_overflow():
+    # Neither plan refuses a diverging fit: ``models._train`` judges a fit by
+    # its loss. The gate rows that no diagonal reaches stay zero, so the
+    # backward's factor pass, which reads them too, squares no bias there.
+    rng = np.random.default_rng(41)
+    layers = lstm_stack(rng, 64, [16] * 4, 1.0)
+    for p in layers:
+        p.bias[:] = 1e300
+    stack = LstmStack.of(layers)
+    seq = rng.normal(size=(8, 8, 64))
+    grads = LstmStack(*(np.full_like(a, np.nan) for a in vars(stack).values()))
+    with np.errstate(over="raise", invalid="raise"):
+        top, cache = nn.LstmPlan(stack, seq.shape, rolling=False).run(seq)
+        nn.LstmBackwardPlan(stack, seq.shape).run(cache, rng.normal(size=(8, 16)), grads)
+    assert np.isfinite(top).all()
+    # Every gate saturates, so every gradient is exactly zero.
+    assert not any(a.any() for a in vars(grads).values())
 
 
 @pytest.mark.parametrize("depth, hid", [(1, 32), (2, 16), (4, 16)])
@@ -884,7 +912,7 @@ def test_a_reused_backward_plan_allocates_no_buffer(depth, hid, traced_peak_mib)
     stack = LstmStack.of(lstm_stack(rng, 64, [hid] * depth, 1.0))
     seq = rng.normal(size=(8, 8, 64))
     cache = (lstm_forward(LstmParams(64, hid, stack.w_in0, stack.w_rec[0], stack.bias[0]), seq)[2]
-             if depth == 1 else lstm_stack_forward(stack, seq)[1])
+             if depth == 1 else plan_run(stack, seq, rolling=False)[1])
     grads = LstmStack(*(np.empty_like(a) for a in vars(stack).values()))
     plan, d_last = nn.LstmBackwardPlan(stack, seq.shape), rng.normal(size=(8, hid))
 
