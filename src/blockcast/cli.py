@@ -182,14 +182,16 @@ def _road_frame_link(tx, rx, origin, object_width: float) -> LinkGeometry:
                         object_width=object_width)
 
 
-def _scenario_windows(cfg: dict, bundle: ScenarioBundle, threshold: float | None) -> WindowSet:
-    """The labeled windows of one scenario as the config cuts them; the
-    blockage flags come from ``threshold``, all False when it is None."""
+def _scenario_windows(cfg: dict, bundle: ScenarioBundle, threshold: float | None,
+                      known: np.ndarray | None = None) -> WindowSet:
+    """The labeled windows of one scenario as the config cuts them, ``known``
+    as in ``build_windows``; flags from ``threshold``, all False when None."""
     flags = None if threshold is None else blockage_labels_from_rssi(bundle.rssi, threshold)
     src_cfg = SrcConfig(cfg["proximity_radius"], cfg["road_region"])
     db_cfg = DbscanConfig(cfg["eps"], cfg["min_pts"])
     return build_windows(bundle, scenario_centroids(bundle, src_cfg, db_cfg), cfg["window_len"],
-                         cfg["horizon"], flags, cfg["raster_bins"], cfg["lidar_max_range"])
+                         cfg["horizon"], flags, cfg["raster_bins"], cfg["lidar_max_range"],
+                         known=known)
 
 
 def _window_steps(times, horizon: int) -> list[np.ndarray]:
@@ -407,8 +409,8 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 def _transfer_windows(cfg: dict, scenario) -> tuple:
     """The windows of ``scenario`` whose next horizon steps all have a true
     position: (windows, rasters, (B, N, 2) world-frame positions, tx, rx,
-    vehicle width, vehicle depth). The scenario bundle and the other
-    windows live only in this call, so they are freed before the models run."""
+    vehicle width, vehicle depth), the only ones built. The scenario bundle
+    lives only in this call, so it is freed before the models run."""
     bundle = load_scenario(scenario)
     meta = bundle.meta
     if bundle.truth is None:
@@ -421,15 +423,14 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
         raise SchemaError(f"{meta_path}: transfer needs vehicle_width and vehicle_depth")
     json_field(meta, "power_threshold", meta_path, positive=True, optional=True)  # not read
 
-    labeled = _scenario_windows(cfg, bundle, None)
     t0 = bundle.t[0]
     truth = np.full((len(bundle.t), 2), np.nan)  # NaN: no known position
     truth[bundle.truth.t - t0] = bundle.truth.pos
-    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
-    kept = ~np.isnan(ahead).any(axis=(1, 2))
-    if not kept.any():
+    labeled = _scenario_windows(cfg, bundle, None, ~np.isnan(truth).any(axis=1))
+    if not labeled:
         raise ValueError("no windows with complete ground truth positions")
-    return labeled.windows[kept], labeled.rasters[kept], ahead[kept], tx, rx0, width, depth
+    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
+    return labeled.windows, labeled.rasters, ahead, tx, rx0, width, depth
 
 
 def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:

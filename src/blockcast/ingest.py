@@ -640,7 +640,9 @@ class DatasetFile:
     def _split(self, split: str) -> WindowSet:
         if split not in self.splits:
             raise KeyError(f"unknown split {split!r}; have {sorted(self.splits)}")
-        return self.labeled.take(np.array(self.splits[split], dtype=np.int64))
+        idx = np.array(self.splits[split], dtype=np.int64)
+        run = idx.size and (np.diff(idx) == 1).all()  # one ascending run: views, no copy
+        return self.labeled.take(slice(idx[0], idx[-1] + 1) if run else idx)
 
     @property
     def samples(self) -> list[LabeledSample]:
@@ -652,7 +654,9 @@ class DatasetFile:
         return self._split(split).rows()
 
     def arrays(self, split: str) -> WindowSet:
-        """The split's windows; an empty split is an error."""
+        """The split's windows; an empty split is an error. One ascending run
+        of indices, as ``split_dataset`` writes, gives views into ``labeled``,
+        which callers must not write; any other split is copied."""
         windows = self._split(split)
         if not windows:
             raise ValueError(f"split {split!r} is empty")

@@ -101,7 +101,7 @@ class LabeledSample:
 class WindowSet:
     """Labeled windows of one drive as one array per field, window i in row
     i of each, in time order. A dataset holds one, and its splits are
-    ``take`` of row indices."""
+    ``take`` of row indices or of a slice."""
 
     t: np.ndarray        # (B,) int64, step of the window's last frame
     windows: np.ndarray  # (B, T0, M) linear powers
@@ -117,7 +117,8 @@ class WindowSet:
         return len(self.t)
 
     def take(self, idx) -> "WindowSet":
-        """The windows at row indices ``idx``, in that order."""
+        """The windows at row indices ``idx``, in that order: copies, or
+        views into this set when ``idx`` is a slice."""
         return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     def rows(self) -> list[LabeledSample]:
@@ -259,13 +260,16 @@ def scenario_centroids(bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfi
 def _rasterize(points: np.ndarray, rows: np.ndarray, count: int, bins: int,
                max_range: float) -> np.ndarray:
     """(count, bins) polar depth rasters, (angle, depth) point i drawn into
-    row rows[i]; empty bins hold max_range, bins with several returns keep
-    the nearest."""
+    row rows[i], or into none where rows[i] < 0; empty bins hold max_range,
+    bins with several returns keep the nearest."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     out = np.full((count, bins), float(max_range))
-    idx = (points[:, 0] * (bins / (2.0 * math.pi))).astype(np.int64) % bins
-    np.minimum.at(out.reshape(-1), rows * bins + idx, points[:, 1])
+    drawn = rows >= 0
+    flat = (points[drawn, 0] * (bins / (2.0 * math.pi))).astype(np.int64)
+    flat %= bins
+    flat += rows[drawn] * bins
+    np.minimum.at(out.reshape(-1), flat, points[drawn, 1])
     return out
 
 
@@ -282,6 +286,7 @@ def build_windows(
     blocked: np.ndarray | None = None,
     raster_bins: int = 360,
     max_range: float = 16.0,
+    *, known: np.ndarray | None = None,
 ) -> WindowSet:
     """Stride-1 sliding windows over one drive, in time order.
 
@@ -289,9 +294,10 @@ def build_windows(
     and ``blocked`` (T,) flags, all False when None. A window ends at step
     index `end` when window_len frames exist up to and including `end` and
     the centroids at end..end+horizon are all valid; windows touching an
-    invalid detection are dropped, not imputed. The per-step powers,
-    centroids and flags are sliced at the kept ends, and only the scans at
-    those ends are rasterized.
+    invalid detection are dropped, not imputed, and so are those whose
+    steps end+1..end+horizon are not all set in a (T,) ``known`` mask. Only
+    the scans at the kept ends are rasterized, before the per-step powers,
+    centroids and flags are sliced there: no drive-sized temporary is left.
     """
     if window_len < 1 or horizon < 1:
         raise ValueError("window_len and horizon must be >= 1")
@@ -303,20 +309,24 @@ def build_windows(
     flags = np.zeros(n, dtype=bool) if blocked is None else np.asarray(blocked, dtype=bool)
     if flags.shape != (n,):
         raise ValueError("blocked flags must align one-to-one with frames")
+    known = np.ones(n, dtype=bool) if known is None else np.asarray(known, dtype=bool)
+    if known.shape != (n,):
+        raise ValueError("known steps must align one-to-one with frames")
 
-    invalid = np.concatenate([[0], np.cumsum(np.isnan(xy).any(axis=1))])  # before each step
+    invalid = np.isnan(xy).any(axis=1)
+    gaps = np.concatenate([[0], np.cumsum(invalid | ~known)])  # before each step
     ends = np.arange(window_len - 1, max(window_len - 1, n - horizon))
-    ends = ends[invalid[ends + horizon + 1] == invalid[ends]]
+    ends = ends[~invalid[ends] & (gaps[ends + horizon + 1] == gaps[ends + 1])]
     ahead = ends[:, None] + np.arange(1, horizon + 1)
 
     row_at = np.full(n, -1)  # each step's window row, -1 where no window ends
     row_at[ends] = np.arange(len(ends))
-    rows, points = row_at[bundle.lidar.t - bundle.t[0]], bundle.lidar.points
-
+    rasters = _rasterize(bundle.lidar.points, row_at[bundle.lidar.t - bundle.t[0]], len(ends),
+                         raster_bins, max_range)
     return WindowSet(
         t=bundle.t[0] + ends,  # frame times are consecutive
         windows=powers[ends[:, None] + np.arange(1 - window_len, 1)],
         futures=xy[ahead],
         blocked=flags[ahead],
-        rasters=_rasterize(points[rows >= 0], rows[rows >= 0], len(ends), raster_bins, max_range),
+        rasters=rasters,
     )

@@ -21,8 +21,8 @@ from blockcast import cli, scene
 from blockcast.cli import replay_manifest, run
 from blockcast.config import DEFAULTS, dump_config, parse_config_file, resolve_config
 from blockcast.errors import ParseError, SchemaError
-from blockcast.ingest import load_dataset
-from blockcast.models import load_model, predict_locations_batch
+from blockcast.ingest import load_dataset, load_scenario
+from blockcast.models import load_model, predict_locations_batch, save_model
 from blockcast.scene import segment_intersects_rect
 
 
@@ -228,6 +228,73 @@ def test_transfer_drops_exactly_the_windows_whose_horizon_lacks_a_true_position(
         predicted = segment_intersects_rect(np.subtract(tx, origin), np.subtract(receiver, origin),
                                             coords, cfg["object_width"], 0.0)
         assert float(row[5]) == np.mean(predicted == actual)
+
+
+def reference_transfer_windows(cfg, scenario):
+    """Windows, rasters and positions as transfer once cut them: every window
+    of the drive built, then those whose horizon lacks a true position
+    dropped by a boolean gather."""
+    bundle = load_scenario(scenario)
+    labeled = cli._scenario_windows(cfg, bundle, None)
+    t0 = bundle.t[0]
+    truth = np.full((len(bundle.t), 2), np.nan)
+    truth[bundle.truth.t - t0] = bundle.truth.pos
+    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
+    kept = ~np.isnan(ahead).any(axis=(1, 2))
+    return labeled.windows[kept], labeled.rasters[kept], ahead[kept]
+
+
+def _blank_truth(scene: Path, blank) -> None:
+    """Blank the position of each truth.csv data row i with ``blank(i)``."""
+    lines = (scene / "truth.csv").read_text().splitlines()
+    for i, line in enumerate(lines[1:]):
+        if blank(i):
+            t, _, _, flag = line.split(",")
+            lines[i + 1] = ",".join([t, "", "", flag])
+    (scene / "truth.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_transfer_builds_the_windows_of_a_drive_with_truth_gaps_as_the_filter_did(
+        scenario_dir, standard_config, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(scenario_dir, scene)
+    _blank_truth(scene, lambda i: i % 53 in (0, 1) or 700 <= i < 760)
+    got = cli._transfer_windows(standard_config, scene)[:3]
+    want = reference_transfer_windows(standard_config, scene)
+    assert len(got[0]) == 1262  # of the drive's 1488 windows
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    _blank_truth(scene, lambda i: True)
+    with pytest.raises(ValueError, match="no windows with complete ground truth positions"):
+        cli._transfer_windows(standard_config, scene)
+
+
+def test_label_keeps_no_drive_sized_temporaries(scenario_dir, standard_config, tmp_path,
+                                                traced_peak_mib):
+    """Labeling the standard drive peaks at 17.39 MiB under tracemalloc, set
+    in save_dataset after the bundle is gone; the bound is about 15% above.
+    It peaked at 22.88 MiB when the rasterizer held several drive-sized index
+    temporaries while the windows were gathered."""
+    inputs = {"scenario": str(scenario_dir)}
+    assert traced_peak_mib(lambda: cli.cmd_label(standard_config, inputs, tmp_path)) < 20.0
+
+
+def test_transfer_gathers_each_window_once(scenario_dir, standard_config, tmp_path,
+                                           trained_localization, trained_rf, trained_lidar,
+                                           traced_peak_mib):
+    """The 3-rx transfer of the standard drive with all three checkpoints
+    peaks at 15.29 MiB under tracemalloc, the bundle plus the windows it
+    scores; the bound is about 15% above. It peaked at 25.25 MiB when it
+    built every window and then copied the kept ones."""
+    inputs = {"scenario": str(scenario_dir), "rx_positions": [(4.0, 12.0), (-6.0, 12.0),
+                                                             (8.0, 12.0)]}
+    for flag, model in (("loc", trained_localization), ("rf", trained_rf),
+                        ("lidar", trained_lidar)):
+        save_model(model, tmp_path / f"{flag}.json")
+        inputs[flag] = [str(tmp_path / f"{flag}.json")]
+    inputs["loc"] = inputs["loc"][0]
+    assert traced_peak_mib(lambda: cli.cmd_transfer(standard_config, inputs, tmp_path)) < 17.6
 
 
 # ---------------------------------------------------------------------------

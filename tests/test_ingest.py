@@ -489,6 +489,32 @@ def test_split_indices_load_as_ints_in_their_order(tmp_path):
         loaded.arrays("val")
 
 
+def test_a_contiguous_split_is_views_into_the_labeled_windows(standard_dataset):
+    labeled = standard_dataset.labeled
+    for name, idx in standard_dataset.splits.items():
+        split = standard_dataset.arrays(name)
+        want = labeled.take(np.array(idx))
+        for f in fields(WindowSet):
+            assert np.shares_memory(getattr(split, f.name), getattr(labeled, f.name)), name
+            assert _same_bits(getattr(split, f.name), getattr(want, f.name)), name
+
+
+@pytest.mark.parametrize("idx", [[5, 4, 3], [2, 3, 5, 6], [4, 4, 5]],
+                         ids=["reversed", "gapped", "repeated"])
+def test_any_other_split_loads_as_copies_in_its_own_order(tmp_path, idx):
+    save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), tmp_path / "d")
+    path = tmp_path / "d" / "dataset.json"
+    payload = json.loads(path.read_text())
+    payload["splits"]["train"] = idx
+    path.write_text(json.dumps(payload))
+    loaded = load_dataset(tmp_path / "d")
+    split = loaded.arrays("train")
+    for f in fields(WindowSet):
+        got, every = getattr(split, f.name), getattr(loaded.labeled, f.name)
+        assert not np.shares_memory(got, every)
+        assert _same_bits(got, every[idx])
+
+
 # ---------------------------------------------------------------------------
 # Splits
 # ---------------------------------------------------------------------------

@@ -563,6 +563,13 @@ def test_rasterize_matches_loop_oracle():
     np.testing.assert_array_equal(out, want)
 
 
+def test_an_angle_that_rounds_up_to_a_full_turn_wraps_to_bin_0():
+    # The largest angle below 2*pi times 5 / (2*pi) rounds to 5.0.
+    last = np.nextafter(2.0 * math.pi, 0.0)
+    scan = LidarScan(0, np.array([[last, 4.0]]))
+    np.testing.assert_array_equal(rasterize_scan(scan, 5, 16.0), [4.0, 16.0, 16.0, 16.0, 16.0])
+
+
 def test_rasterize_rejects_bad_bins():
     with pytest.raises(ValueError):
         rasterize_scan(LidarScan(0, np.empty((0, 2))), 0, 16.0)
@@ -624,6 +631,15 @@ def test_windows_skip_spans_touching_an_invalid_centroid():
     assert len(windows) == 82
 
 
+def test_windows_skip_spans_whose_horizon_has_an_unknown_step():
+    # Only the steps after a window's end must be known, not the end itself.
+    n = 100
+    known = np.ones(n, dtype=bool)
+    known[50] = False
+    windows = build_windows(toy_bundle(n), all_valid_centroids(n), 8, 5, known=known)
+    assert set(windows.t.tolist()) == {end for end in range(7, n - 5) if not 45 <= end <= 49}
+
+
 def test_windows_default_flags_are_all_false():
     bundle = toy_bundle(14)
     windows = build_windows(bundle, all_valid_centroids(14), 8, 5)
@@ -642,6 +658,10 @@ def test_build_windows_argument_validation():
         build_windows(bundle, cs[:-1], 8, 5)
     with pytest.raises(ValueError):
         build_windows(bundle, cs, 8, 5, blocked=[False] * 12)
+    with pytest.raises(ValueError, match="known steps"):
+        build_windows(bundle, cs, 8, 5, known=[True] * 12)
+    with pytest.raises(ValueError, match="known steps"):
+        build_windows(bundle, cs, 8, 5, known=np.ones((13, 1), dtype=bool))
 
 
 def test_window_set_take_and_row_views():
@@ -672,9 +692,10 @@ def reference_rasterize_scan(scan, bins, max_range):
 
 
 def reference_build_windows(bundle, centroids, window_len, horizon, blocked=None,
-                            raster_bins=360, max_range=16.0):
+                            raster_bins=360, max_range=16.0, known=None):
     """One LabeledSample per window, built by a loop over the window ends;
-    a centroid row holding a NaN is invalid."""
+    a centroid row holding a NaN is invalid, and a window whose next horizon
+    steps are not all ``known`` is dropped."""
     times = bundle.t.tolist()
     scan_at = {scan.t: scan for scan in scans_of(bundle)}
     empty = LidarScan(0, np.empty((0, 2)))
@@ -683,6 +704,8 @@ def reference_build_windows(bundle, centroids, window_len, horizon, blocked=None
         span = [Centroid(times[i], x, y, not (math.isnan(x) or math.isnan(y)))
                 for i, (x, y) in enumerate(centroids[end : end + horizon + 1].tolist(), end)]
         if not all(c.valid for c in span):
+            continue
+        if known is not None and not all(known[end + 1 : end + horizon + 1]):
             continue
         window = np.stack([bundle.rssi[i] for i in range(end - window_len + 1, end + 1)])
         future = np.array([[c.x, c.y] for c in span[1:]], dtype=np.float64)
@@ -719,17 +742,20 @@ def window_inputs(draw):
     centroids = np.array([(draw(coord), draw(coord)) if ok else (math.nan, math.nan)
                           for ok in valid]).reshape(n, 2)
     blocked = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    # Mostly known steps, so a window can survive both masks.
+    known = draw(st.none() | st.lists(st.sampled_from([True, True, True, False]),
+                                      min_size=n, max_size=n))
     return (ScenarioBundle("drive", t0 + np.arange(n), powers, joined(scans)), centroids,
             draw(st.integers(1, 6)),
             draw(st.integers(1, 6)), blocked, draw(st.integers(1, 12)),
-            draw(st.floats(0.5, 30.0)))
+            draw(st.floats(0.5, 30.0)), known)
 
 
 @settings(max_examples=200)
 @given(window_inputs())
 def test_build_windows_equals_the_per_window_loop_bit_for_bit(inputs):
-    bundle, centroids, window_len, horizon, blocked, bins, max_range = inputs
-    got = build_windows(*inputs)
+    bundle, centroids, window_len, horizon, blocked, bins, max_range, known = inputs
+    got = build_windows(*inputs[:-1], known=known)
     want = reference_build_windows(*inputs)
     assert len(got) == len(want)
     if len(bundle.rssi) < window_len + horizon:
