@@ -332,11 +332,11 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
                 Path(inputs["dataset"]) / "dataset.json")
     split = dataset.arrays(inputs["split"])
     if model.kind == "localization":
-        coords = predict_locations_batch(model, split.windows)
+        coords = predict_locations_batch(model, split)
         write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "x", "y"],
                   _window_steps(split.t, coords.shape[1]) + [coords.reshape(-1, 2)])
     else:
-        probs = predict_blockage_probs(model, split.windows, split.rasters)
+        probs = predict_blockage_probs(model, split, split.rasters)
         write_csv(out_dir / "predictions.csv", ["sample", "t", "step", "probability", "blocked"],
                   _window_steps(split.t, probs.shape[1]) + [probs.ravel(), probs.ravel() >= 0.5])
     return ["predictions.csv"]
@@ -346,7 +346,7 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     del cfg
     dataset = load_dataset(inputs["dataset"])
     split = dataset.arrays(inputs["split"])
-    windows, futures, blocked, rasters = split.windows, split.futures, split.blocked, split.rasters
+    futures, blocked = split.futures, split.blocked
     groups = [(kind, inputs.get(flag) or []) for kind, flag in _CHECKPOINT_FLAGS.items()]
     if not any(paths for _, paths in groups):
         raise ValueError("no checkpoints given; pass --loc/--rf/--lidar")
@@ -368,13 +368,13 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
             model = _load_checked(ckpt, method, meta, path)
             label = f"{method}#{run_idx}"
             if method == "localization":
-                coords = predict_locations_batch(model, windows)
+                coords = predict_locations_batch(model, split)
                 # The width-only object is the box of depth 0.
                 flags = segment_intersects_rect(link.tx, link.rx, coords, link.object_width, 0.0)
                 probs = None
                 localization += localization_rows(label, evaluate_localization(coords, futures))
             else:
-                probs = predict_blockage_probs(model, windows, rasters)
+                probs = predict_blockage_probs(model, split, split.rasters)
                 flags = probs >= 0.5
             rows = blockage_rows(label, evaluate_blockage(flags, blocked))
             blockage += rows
@@ -408,9 +408,9 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 def _transfer_windows(cfg: dict, scenario) -> tuple:
     """The windows of ``scenario`` whose next horizon steps all have a true
-    position: (windows, rasters, (B, N, 2) world-frame positions, tx, rx,
-    vehicle width, vehicle depth), the only ones built. The scenario bundle
-    lives only in this call, so it is freed before the models run."""
+    position: (their WindowSet, (B, N, 2) world-frame positions, tx, rx,
+    vehicle width, vehicle depth), the only ones built. Of the scenario
+    bundle only the RSSI frames outlive this call, as the windows' frames."""
     bundle = load_scenario(scenario)
     meta = bundle.meta
     if bundle.truth is None:
@@ -430,7 +430,7 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
     if not labeled:
         raise ValueError("no windows with complete ground truth positions")
     ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
-    return labeled.windows, labeled.rasters, ahead, tx, rx0, width, depth
+    return labeled, ahead, tx, rx0, width, depth
 
 
 def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
@@ -439,16 +439,15 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     checked = [(ckpt, _load_checked(ckpt, kind, dims, "config")) for kind, ckpts in (
         ("localization", [inputs["loc"]]), ("rf", inputs.get("rf") or []),
         ("rf+lidar", inputs.get("lidar") or [])) for ckpt in ckpts]
-    windows, rasters, positions, tx, rx0, width, depth = _transfer_windows(
-        cfg, inputs["scenario"])
+    windows, positions, tx, rx0, width, depth = _transfer_windows(cfg, inputs["scenario"])
     for ckpt, model in checked:
-        _check_dims(ckpt, model, {"num_beams": windows.shape[2]}, "scenario")
+        _check_dims(ckpt, model, {"num_beams": windows.frames.shape[1]}, "scenario")
     loc_model = checked[0][1]
 
     coords = predict_locations_batch(loc_model, windows)
     # The baselines cannot use the receiver position: their flags are fixed.
     baseline_flags = [
-        (m.kind, predict_blockage_probs(m, windows, rasters) >= 0.5) for _, m in checked[1:]
+        (m.kind, predict_blockage_probs(m, windows, windows.rasters) >= 0.5) for _, m in checked[1:]
     ]
     # Predictions live in the road frame the model was trained in; shift
     # the link into that frame rather than trusting the local config, then

@@ -46,8 +46,9 @@ written with repr, and a load after save is bit-identical, as is a save
 after load. A load refuses a t that does not rise, naming its line. An
 array's header is checked before its data is read: dtype float64, the
 shape that dataset.json and samples.csv give, and then finite values. In
-memory a dataset is one ``preprocess.WindowSet`` (an array per field
-group) plus the splits' row indices.
+memory a dataset is one ``preprocess.WindowSet``, frames.npy's array as it
+is plus each window's start_i and an array per other field, and the splits'
+row indices; no (n, T0, M) window tensor is built.
 
 ``write_csv`` takes a table as column blocks (arrays or lists) and formats
 each numeric block once per distinct value: one ``repr`` per float64 bit
@@ -742,8 +743,7 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
     two windows with other bytes for a step they share, are a ValueError,
     raised before any file is written."""
     labeled, n = dataset.labeled, len(dataset.labeled)
-    t, windows = labeled.t, np.ascontiguousarray(labeled.windows, dtype=np.float64)
-    _, window_len, num_beams = windows.shape
+    t, window_len, num_beams = labeled.t, labeled.window_len, labeled.frames.shape[1]
     horizon, raster_bins = labeled.blocked.shape[1], labeled.rasters.shape[1]
     falls = np.flatnonzero(t[1:] <= t[:-1])
     if falls.size:
@@ -751,11 +751,15 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
                          f"t={t[falls[0] + 1]}, not after t={t[falls[0]]}")
 
     fresh = _fresh_steps(t, window_len)
-    # Each step's frame from the first window that covers it, in step order.
-    frames = windows[np.arange(window_len) >= window_len - fresh[:, None]]
-    starts = (np.cumsum(fresh) - window_len).astype(np.int64)
-    moved = (frames[starts[:, None] + np.arange(window_len)].view(np.uint64)
-             != windows.view(np.uint64)).any(axis=2)
+    rows = labeled.starts[:, None] + np.arange(window_len)  # each window's frame rows
+    # Each covered step's row from the first window that covers it, in step
+    # order; a window that reads another row for a step must hold its bytes.
+    kept = rows[np.arange(window_len) >= window_len - fresh[:, None]]
+    first = kept[(np.cumsum(fresh) - window_len).astype(np.int64)[:, None] + np.arange(window_len)]
+    powers = np.asarray(labeled.frames, dtype=np.float64)
+    moved = first != rows
+    moved[moved] = (powers[first[moved]].view(np.uint64)
+                    != powers[rows[moved]].view(np.uint64)).any(axis=1)
     if moved.any():
         i, k = np.argwhere(moved)[0].tolist()
         step = int(t[i]) - window_len + 1 + k
@@ -764,7 +768,7 @@ def save_dataset(dataset: DatasetFile, out_dir) -> Path:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _save_array(out / "frames.npy", frames)
+    _save_array(out / "frames.npy", powers[kept])
     _save_array(out / "rasters.npy", labeled.rasters)
     write_csv(out / "samples.csv", _samples_header(horizon), [
         t, labeled.futures.reshape(n, 2 * horizon), labeled.blocked,
@@ -798,17 +802,16 @@ def load_dataset(dataset_dir) -> DatasetFile:
     table.reject_rows(np.concatenate([[False], t[1:] <= t[:-1]]),
                       "t must rise row by row: windows are stored in time order")
     fresh = _fresh_steps(t, window_len)
-    # The header is checked against the count of covered steps before any
+    # The header is checked against the count of covered steps, and no
     # (n, window_len) array is built, so a bogus window_len allocates nothing.
     frames = _load_array(root / "frames.npy", (sum(fresh.tolist()), num_beams))
-    starts = (np.cumsum(fresh) - window_len).astype(np.int64)
-    steps = np.arange(window_len if len(t) else 0)  # no window, no frame to bound window_len
     b = 1 + 2 * horizon  # end of the futures; the flags follow
     labeled = WindowSet(
-        t=t, windows=frames[starts[:, None] + steps].reshape(len(t), window_len, num_beams),
+        t=t, starts=(np.cumsum(fresh) - window_len).astype(np.int64),
         futures=table.floats(1, b).reshape(len(t), horizon, 2),
         blocked=table.flags(b, len(header)),
         rasters=_load_array(root / "rasters.npy", (len(t), raster_bins)),
+        frames=frames, window_len=window_len,
     )
 
     splits = payload.get("splits", {})

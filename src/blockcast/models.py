@@ -70,7 +70,8 @@ therefore not safe to use from two threads at once.
 
 Scoring (``predict_locations_batch``, ``predict_blockage_probs``) runs the
 cache-free forward over blocks of ``SCORE_BLOCK`` = 64 windows that start
-at each multiple of 64, writing into one preallocated output; a lone
+at each multiple of 64, gathering a block's frames from a ``WindowSet`` (or
+an array of windows) and writing into one preallocated output; a lone
 trailing window joins the block before it. Peak memory therefore does not
 grow with the number of windows, and the result equals one forward pass
 over all of them bit for bit. That holds for a ``SCORE_BLOCK`` that is a
@@ -182,8 +183,8 @@ class NormStats:
                       for key, value in values.items()})
 
 
-def power_to_db(powers: np.ndarray) -> np.ndarray:
-    db = np.maximum(np.asarray(powers, dtype=np.float64), DB_FLOOR)
+def power_to_db(powers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    db = np.maximum(np.asarray(powers, dtype=np.float64), DB_FLOOR, out=out)
     np.log10(db, out=db)
     db *= 10.0
     return db
@@ -196,26 +197,31 @@ def road_frame(meta: dict, path) -> tuple[np.ndarray, np.ndarray]:
     return np.array([min(x0, x1), min(y0, y1)]), np.array([abs(x1 - x0), abs(y1 - y0)])
 
 
-def compute_norm_stats(windows: np.ndarray, meta: dict) -> NormStats:
-    """Per-beam dB statistics of (B, T0, M) raw windows; the road frame of ``meta``."""
+def compute_norm_stats(windows: WindowSet, meta: dict) -> NormStats:
+    """Per-beam dB statistics of a split's raw windows, their rows gathered
+    once in window order and put in dB, centred and squared in place: the
+    steps and bits of ``np.std``, with no other buffer; the road frame of ``meta``."""
     if not len(windows):
         raise ValueError("cannot compute normalization stats from an empty split")
-    db = power_to_db(windows.reshape(-1, windows.shape[-1]))  # (B*T0, M)
+    db = windows.windows().astype(np.float64, copy=False).reshape(-1, windows.frames.shape[1])
+    mean = power_to_db(db, out=db).mean(axis=0)
+    np.square(np.subtract(db, mean, out=db), out=db)
     road_origin, road_size = road_frame(meta, "dataset meta")
     max_range = meta.get("lidar_max_range")
     return NormStats(
-        rssi_mean=db.mean(axis=0),
-        rssi_std=np.maximum(db.std(axis=0), STD_FLOOR),
+        rssi_mean=mean,
+        rssi_std=np.maximum(np.sqrt(db.sum(axis=0) / len(db)), STD_FLOOR),
         road_origin=road_origin,
         road_size=road_size,
         lidar_max_range=16.0 if max_range is None else float(max_range),
     )
 
 
-def rssi_features(windows: np.ndarray, stats: NormStats) -> np.ndarray:
-    """(B, T0, M) raw powers -> standardized dB features, same shape, in
-    one buffer."""
-    feats = power_to_db(windows)
+def rssi_features(windows: np.ndarray, stats: NormStats, out=None) -> np.ndarray:
+    """(..., M) raw powers -> standardized dB features, into ``out`` (may be
+    ``windows``) or a new buffer. Each value is standardized alone: frames
+    standardized, then gathered, have the bits of gathered windows standardized."""
+    feats = power_to_db(windows, out=out)
     feats -= stats.rssi_mean
     feats /= stats.rssi_std
     return feats
@@ -521,11 +527,12 @@ def _targets(model: Model, arrays: WindowSet) -> np.ndarray:
 
 
 def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
-    """The fitted model of ``kind`` and its loss curves; a NonFiniteError if
-    an episode overflows or ends worse than the untrained model on val and
-    train alike (see the module docstring)."""
+    """The fitted model of ``kind`` and its loss curves, each batch gathered
+    from the dataset's frames standardized once; a NonFiniteError if an
+    episode overflows or ends worse than the untrained model on val and train
+    alike (see the module docstring)."""
     train = dataset.arrays("train")
-    n, window_len, num_beams = train.windows.shape
+    n, window_len, num_beams = len(train), train.window_len, train.frames.shape[1]
     horizon = train.futures.shape[1]
     raster_bins = train.rasters.shape[1] if kind == "rf+lidar" else None
     for key, value in (("window_len", window_len), ("num_beams", num_beams), ("horizon", horizon)):
@@ -534,15 +541,16 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
                 f"dataset {key}={dataset.meta[key]} does not match its samples' {key}={value}"
             )
 
-    stats = compute_norm_stats(train.windows, dataset.meta)
+    stats = compute_norm_stats(train, dataset.meta)
     model = build_model(kind, num_beams, window_len, horizon, stats, raster_bins, cfg.seed)
-    feats, targets = rssi_features(train.windows, model.stats), _targets(model, train)
+    feats, targets = rssi_features(train.frames, model.stats), _targets(model, train)
+    rows = train.starts[:, None] + np.arange(window_len)  # (n, T0) each window's frame rows
     rasters = _norm_rasters(train.rasters, model.stats) if kind == "rf+lidar" else None
     val = dataset.arrays("val") if dataset.splits.get("val") else None
     judged = {name: split for name, split in (("val", val), ("train", train)) if split is not None}
 
     def judged_loss(which: Model, split) -> float:  # scored in blocks, with the bits of one forward
-        out = _score(which, split.windows, split.rasters if kind == "rf+lidar" else None)
+        out = _score(which, split, split.rasters if kind == "rf+lidar" else None)
         return _loss(which, out, _targets(which, split), cfg.delta)[0]
 
     # The fit's starting point, built again from its seed; it scores a split
@@ -562,7 +570,7 @@ def _train(dataset: DatasetFile, cfg: TrainConfig, kind: str):
                 for _ in range(cfg.iterations):
                     idx = rng.integers(0, n, size=cfg.batch_size)
                     loss, _ = loss_and_grads(
-                        model, feats[idx], targets[idx],
+                        model, feats[rows[idx]], targets[idx],
                         None if rasters is None else rasters[idx], cfg.delta, views=views,
                     )
                     adam_step(opt, model.params, grad)
@@ -600,13 +608,18 @@ def train_blockage(dataset: DatasetFile, cfg: TrainConfig = TrainConfig(), varia
 # Inference
 # ---------------------------------------------------------------------------
 
-def _checked_windows(model: Model, windows, kinds: tuple[str, ...]) -> np.ndarray:
+def _checked_windows(model: Model, windows, kinds: tuple[str, ...]):
+    """A WindowSet as it is, or (B, T0, M) raw powers as a float64 array; checked."""
     if model.kind not in kinds:
         raise ConfigMismatchError(f"a {model.kind} model cannot make this prediction")
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1:] != (model.window_len, model.num_beams):
+    if isinstance(windows, WindowSet):
+        shape = (windows.window_len,) + windows.frames.shape[1:]
+    else:
+        windows = np.asarray(windows, dtype=np.float64)
+        shape = windows.shape[1:]
+    if shape != (model.window_len, model.num_beams):
         raise ConfigMismatchError(
-            f"window shape {windows.shape[1:]} does not match model "
+            f"window shape {shape} does not match model "
             f"(T0={model.window_len}, M={model.num_beams})"
         )
     return windows
@@ -623,37 +636,37 @@ def _checked_rasters(model: Model, rasters, count: int) -> np.ndarray:
     return rasters
 
 
-def _score(model: Model, windows: np.ndarray, rasters: np.ndarray | None):
-    """The ``forward`` output of (B, T0, M) raw windows (and raw rasters),
-    one block at a time (see the module docstring). A lone trailing window
+def _score(model: Model, windows, rasters: np.ndarray | None):
+    """The ``forward`` output of (B, T0, M) raw windows or a WindowSet's (and
+    raw rasters), one block at a time (see the module docstring); a set's
+    block is gathered, then standardized in place. A lone trailing window
     joins the block before it because numpy multiplies a single row by
     another kernel, whose last bits differ from a batch's."""
     if SCORE_BLOCK < 1 or SCORE_BLOCK % 4:
         raise ValueError(f"SCORE_BLOCK must be a positive multiple of 4, not {SCORE_BLOCK}")
-    n = len(windows)
+    n, gathered = len(windows), isinstance(windows, WindowSet)
     out = np.empty((n, model.horizon * (2 if model.kind == "localization" else 1)))
     starts = list(range(0, n, SCORE_BLOCK))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     for lo, hi in zip(starts, starts[1:] + [n]):
-        feats = rssi_features(windows[lo:hi], model.stats)
+        block = windows.windows(slice(lo, hi)) if gathered else windows[lo:hi]
+        feats = rssi_features(block, model.stats, out=block if gathered else None)
         norm = None if rasters is None else _norm_rasters(rasters[lo:hi], model.stats)
         out[lo:hi] = forward(model, feats, norm)
     return out
 
 
-def predict_locations_batch(model: Model, windows: np.ndarray) -> np.ndarray:
-    """(B, T0, M) raw powers -> (B, N, 2) road-frame meters."""
+def predict_locations_batch(model: Model, windows) -> np.ndarray:
+    """(B, T0, M) raw powers or a WindowSet's B windows -> (B, N, 2) road-frame meters."""
     windows = _checked_windows(model, windows, ("localization",))
     out = _score(model, windows, None)
     return out.reshape(-1, model.horizon, 2) * model.stats.road_size
 
 
-def predict_blockage_probs(
-    model: Model, windows: np.ndarray, rasters: np.ndarray | None = None
-) -> np.ndarray:
-    """(B, T0, M) raw powers (+ (B, raster_bins) raw rasters for the lidar
-    model) -> (B, N)."""
+def predict_blockage_probs(model: Model, windows, rasters: np.ndarray | None = None) -> np.ndarray:
+    """(B, T0, M) raw powers, or a WindowSet's B windows (+ (B, raster_bins)
+    raw rasters for the lidar model) -> (B, N)."""
     windows = _checked_windows(model, windows, ("rf", "rf+lidar"))
     rasters = _checked_rasters(model, rasters, len(windows)) if model.kind == "rf+lidar" else None
     return _score(model, windows, rasters)

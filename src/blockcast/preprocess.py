@@ -23,7 +23,7 @@ set's centroid has the bits of clustering and averaging it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -99,32 +99,44 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Labeled windows of one drive as one array per field, window i in row
-    i of each, in time order. A dataset holds one, and its splits are
-    ``take`` of row indices or of a slice."""
+    """Labeled windows of one drive, window i in row i of each per-window
+    field, in time order. The power frames are stored once, window i being
+    ``frames[starts[i]:starts[i] + window_len]``; ``windows(rows)`` gathers
+    the (k, T0, M) block a consumer needs. A dataset holds one, and its
+    splits are ``take`` of row indices or of a slice, over the same frames."""
 
     t: np.ndarray        # (B,) int64, step of the window's last frame
-    windows: np.ndarray  # (B, T0, M) linear powers
+    starts: np.ndarray   # (B,) int64, frames row of the window's first frame
     futures: np.ndarray  # (B, N, 2) the next N centroids
     blocked: np.ndarray  # (B, N) bool
     rasters: np.ndarray  # (B, bins) depths, max-range filled
+    frames: np.ndarray   # (F, M) linear powers, shared by every window
+    window_len: int      # T0, frames per window
+    _PER_WINDOW = ("t", "starts", "futures", "blocked", "rasters")  # fields of one row per window
 
     def __post_init__(self):
-        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
+        if len({len(getattr(self, name)) for name in self._PER_WINDOW}) != 1:
             raise ValueError("window set fields hold different window counts")
+        if ((self.starts < 0) | (self.starts > len(self.frames) - self.window_len)).any():
+            raise ValueError("a window's frames lie outside the frame array")
 
     def __len__(self) -> int:
         return len(self.t)
 
     def take(self, idx) -> "WindowSet":
-        """The windows at row indices ``idx``, in that order: copies, or
-        views into this set when ``idx`` is a slice."""
-        return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
+        """The windows at row indices ``idx``, in that order, over the same
+        frames: copies, or views into this set when ``idx`` is a slice."""
+        return replace(self, **{name: getattr(self, name)[idx] for name in self._PER_WINDOW})
+
+    def windows(self, rows=slice(None)) -> np.ndarray:
+        """(k, T0, M) the windows at ``rows`` (indices or a slice), gathered anew."""
+        return self.frames[self.starts[rows, None] + np.arange(self.window_len)]
 
     def rows(self) -> list[LabeledSample]:
         """Each window as a LabeledSample whose arrays are views into this set."""
-        return [LabeledSample(t, self.windows[i], self.futures[i], self.blocked[i], self.rasters[i])
-                for i, t in enumerate(self.t.tolist())]
+        return [LabeledSample(t, self.frames[s:s + self.window_len], *row) for t, s, *row
+                in zip(self.t.tolist(), self.starts.tolist(), self.futures, self.blocked,
+                       self.rasters)]
 
 
 def src_filter(scan: LidarScan, cfg: SrcConfig) -> np.ndarray:
@@ -257,25 +269,36 @@ def scenario_centroids(bundle: "ScenarioBundle", src: SrcConfig, db: DbscanConfi
     return out
 
 
-def _rasterize(points: np.ndarray, rows: np.ndarray, count: int, bins: int,
+# Points ``_rasterize`` draws per pass, the length of its index temporaries.
+# Any positive value draws the same bits: np.minimum.at applies the points in
+# index order, block after block, so a bin meets its returns in one order.
+RASTER_POINT_BLOCK = 2**13
+
+
+def _rasterize(points: np.ndarray, t: np.ndarray, t0: int, row_at: np.ndarray, bins: int,
                max_range: float) -> np.ndarray:
-    """(count, bins) polar depth rasters, (angle, depth) point i drawn into
-    row rows[i], or into none where rows[i] < 0; empty bins hold max_range,
-    bins with several returns keep the nearest."""
+    """(R, bins) polar depth rasters, R = row_at.max() + 1: the (angle,
+    depth) point i, taken at time t[i], drawn into row row_at[t[i] - t0], or
+    into none where that is < 0; empty bins hold max_range, bins with several
+    returns keep the nearest."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    out = np.full((count, bins), float(max_range))
-    drawn = rows >= 0
-    flat = (points[drawn, 0] * (bins / (2.0 * math.pi))).astype(np.int64)
-    flat %= bins
-    flat += rows[drawn] * bins
-    np.minimum.at(out.reshape(-1), flat, points[drawn, 1])
+    out = np.full((int(row_at.max(initial=-1)) + 1, bins), float(max_range))
+    for lo in range(0, len(points), RASTER_POINT_BLOCK):
+        block = points[lo:lo + RASTER_POINT_BLOCK]
+        rows = row_at[t[lo:lo + RASTER_POINT_BLOCK] - t0]
+        drawn = rows >= 0
+        flat = (block[drawn, 0] * (bins / (2.0 * math.pi))).astype(np.int64)
+        flat %= bins
+        flat += rows[drawn] * bins
+        np.minimum.at(out.reshape(-1), flat, block[drawn, 1])
     return out
 
 
 def rasterize_scan(scan: LidarScan, bins: int, max_range: float) -> np.ndarray:
     """Fixed-length polar depth vector of one scan (see ``_rasterize``)."""
-    return _rasterize(scan.points, np.zeros(scan.points.shape[0], np.int64), 1, bins, max_range)[0]
+    return _rasterize(scan.points, np.zeros(len(scan.points), np.int64), 0,
+                      np.zeros(1, np.int64), bins, max_range)[0]
 
 
 def build_windows(
@@ -295,9 +318,10 @@ def build_windows(
     index `end` when window_len frames exist up to and including `end` and
     the centroids at end..end+horizon are all valid; windows touching an
     invalid detection are dropped, not imputed, and so are those whose
-    steps end+1..end+horizon are not all set in a (T,) ``known`` mask. Only
-    the scans at the kept ends are rasterized, before the per-step powers,
-    centroids and flags are sliced there: no drive-sized temporary is left.
+    steps end+1..end+horizon are not all set in a (T,) ``known`` mask. The
+    windows point into the bundle's ``rssi``, only the scans at the kept ends
+    are rasterized, and the centroids and flags are sliced there: no
+    drive-sized temporary is left.
     """
     if window_len < 1 or horizon < 1:
         raise ValueError("window_len and horizon must be >= 1")
@@ -321,12 +345,12 @@ def build_windows(
 
     row_at = np.full(n, -1)  # each step's window row, -1 where no window ends
     row_at[ends] = np.arange(len(ends))
-    rasters = _rasterize(bundle.lidar.points, row_at[bundle.lidar.t - bundle.t[0]], len(ends),
-                         raster_bins, max_range)
     return WindowSet(
         t=bundle.t[0] + ends,  # frame times are consecutive
-        windows=powers[ends[:, None] + np.arange(1 - window_len, 1)],
+        starts=ends - (window_len - 1),
         futures=xy[ahead],
         blocked=flags[ahead],
-        rasters=rasters,
+        rasters=_rasterize(bundle.lidar.points, bundle.lidar.t, bundle.t[0], row_at,
+                           raster_bins, max_range),
+        frames=powers, window_len=window_len,
     )

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockcast
-from blockcast import cli, scene
+from blockcast import cli, preprocess, scene
 from blockcast.cli import replay_manifest, run
 from blockcast.config import DEFAULTS, dump_config, parse_config_file, resolve_config
 from blockcast.errors import ParseError, SchemaError
@@ -207,9 +207,9 @@ def test_transfer_drops_exactly_the_windows_whose_horizon_lacks_a_true_position(
     touching = (every.t < int(t_blank)) & (every.t + horizon >= int(t_blank))
     assert touching.sum() == horizon  # the windows ending at t_blank - 5 .. t_blank - 1
     kept = every.take(np.flatnonzero(~touching))
-    windows, rasters, positions, tx, rx, _, _ = cli._transfer_windows(cfg, scene)
-    np.testing.assert_array_equal(windows, kept.windows)
-    np.testing.assert_array_equal(rasters, kept.rasters)
+    windows, positions, tx, rx, _, _ = cli._transfer_windows(cfg, scene)
+    np.testing.assert_array_equal(windows.windows(), kept.windows())
+    np.testing.assert_array_equal(windows.rasters, kept.rasters)
     np.testing.assert_array_equal(
         positions, [[truth[t + k] for k in range(1, horizon + 1)] for t in kept.t.tolist()])
 
@@ -219,7 +219,7 @@ def test_transfer_drops_exactly_the_windows_whose_horizon_lacks_a_true_position(
                 "--rx", "4,12", "--out", str(out)]) == 0
     _, rows = read_csv_rows(out / "transfer.csv")
     model = load_model(loc)
-    coords = predict_locations_batch(model, kept.windows)
+    coords = predict_locations_batch(model, kept.windows())
     meta = json.loads((scene / "meta.json").read_text())
     origin = model.stats.road_origin
     for row, receiver in zip(rows, [rx, (4.0, 12.0)]):
@@ -241,7 +241,7 @@ def reference_transfer_windows(cfg, scenario):
     truth[bundle.truth.t - t0] = bundle.truth.pos
     ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
     kept = ~np.isnan(ahead).any(axis=(1, 2))
-    return labeled.windows[kept], labeled.rasters[kept], ahead[kept]
+    return labeled.windows()[kept], labeled.rasters[kept], ahead[kept]
 
 
 def _blank_truth(scene: Path, blank) -> None:
@@ -259,7 +259,8 @@ def test_transfer_builds_the_windows_of_a_drive_with_truth_gaps_as_the_filter_di
     scene = tmp_path / "scene"
     shutil.copytree(scenario_dir, scene)
     _blank_truth(scene, lambda i: i % 53 in (0, 1) or 700 <= i < 760)
-    got = cli._transfer_windows(standard_config, scene)[:3]
+    windows, positions = cli._transfer_windows(standard_config, scene)[:2]
+    got = windows.windows(), windows.rasters, positions
     want = reference_transfer_windows(standard_config, scene)
     assert len(got[0]) == 1262  # of the drive's 1488 windows
     for a, b in zip(got, want):
@@ -272,21 +273,27 @@ def test_transfer_builds_the_windows_of_a_drive_with_truth_gaps_as_the_filter_di
 
 def test_label_keeps_no_drive_sized_temporaries(scenario_dir, standard_config, tmp_path,
                                                 traced_peak_mib):
-    """Labeling the standard drive peaks at 17.39 MiB under tracemalloc, set
-    in save_dataset after the bundle is gone; the bound is about 15% above.
-    It peaked at 22.88 MiB when the rasterizer held several drive-sized index
-    temporaries while the windows were gathered."""
+    """Labeling the standard drive peaks at 11.16 MiB under tracemalloc, set
+    in load_scenario's chunk joins: the windows point into the bundle's RSSI
+    frames and save_dataset compares frame rows, not a second copy of every
+    window. The bound is about 15% above. It peaked at 17.39 MiB when the
+    WindowSet held an (n, T0, M) window tensor and save_dataset gathered
+    another, and at 22.88 MiB when the rasterizer also held several
+    drive-sized index temporaries."""
     inputs = {"scenario": str(scenario_dir)}
-    assert traced_peak_mib(lambda: cli.cmd_label(standard_config, inputs, tmp_path)) < 20.0
+    assert traced_peak_mib(lambda: cli.cmd_label(standard_config, inputs, tmp_path)) < 12.8
 
 
 def test_transfer_gathers_each_window_once(scenario_dir, standard_config, tmp_path,
                                            trained_localization, trained_rf, trained_lidar,
                                            traced_peak_mib):
     """The 3-rx transfer of the standard drive with all three checkpoints
-    peaks at 15.29 MiB under tracemalloc, the bundle plus the windows it
-    scores; the bound is about 15% above. It peaked at 25.25 MiB when it
-    built every window and then copied the kept ones."""
+    peaks at 11.44 MiB under tracemalloc, in load_scenario; the windows it
+    scores are the bundle's RSSI frames and their start rows, gathered one
+    scoring block at a time. The bound is about 15% above. It peaked at
+    15.29 MiB when it built the (n, T0, M) window tensor beside the bundle,
+    and at 25.25 MiB when it built every window and then copied the kept
+    ones."""
     inputs = {"scenario": str(scenario_dir), "rx_positions": [(4.0, 12.0), (-6.0, 12.0),
                                                              (8.0, 12.0)]}
     for flag, model in (("loc", trained_localization), ("rf", trained_rf),
@@ -294,7 +301,7 @@ def test_transfer_gathers_each_window_once(scenario_dir, standard_config, tmp_pa
         save_model(model, tmp_path / f"{flag}.json")
         inputs[flag] = [str(tmp_path / f"{flag}.json")]
     inputs["loc"] = inputs["loc"][0]
-    assert traced_peak_mib(lambda: cli.cmd_transfer(standard_config, inputs, tmp_path)) < 17.6
+    assert traced_peak_mib(lambda: cli.cmd_transfer(standard_config, inputs, tmp_path)) < 13.2
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +332,18 @@ def test_simulate_writes_the_pinned_bytes_of_a_short_drive(tmp_path, monkeypatch
     out = tmp_path / "short"
     assert run(["simulate", "--steps", "60", "--scenario-id", "short", "--out", str(out)]) == 0
     assert read_manifest(out)["outputs"] == SHORT_DRIVE_SHA256
+
+
+# The rasterizer draws preprocess.RASTER_POINT_BLOCK lidar points at a time;
+# the rasters must not depend on the cut, down to one point and past the drive.
+def test_label_writes_the_same_rasters_at_any_point_block(chain, tmp_path, monkeypatch):
+    points = len(load_scenario(chain / "scene").lidar.t)
+    want = (chain / "data" / "rasters.npy").read_bytes()
+    for block in (1, 7, points + 1):
+        monkeypatch.setattr(preprocess, "RASTER_POINT_BLOCK", block)
+        out = tmp_path / f"block{block}"
+        assert run(["label", "--scenario", str(chain / "scene"), "--out", str(out)]) == 0
+        assert (out / "rasters.npy").read_bytes() == want, block
 
 
 def test_label_replays_byte_identical(chain, tmp_path):

@@ -3,7 +3,6 @@ import math
 import re
 import shutil
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -81,16 +80,25 @@ def random_windows(n, rng, window_len=4, beams=3, horizon=2, bins=5):
     drive = rng.uniform(0.0, 3.0, size=(n + window_len - 1, beams))
     return WindowSet(
         t=np.arange(n) + window_len - 1,
-        windows=drive[np.arange(n)[:, None] + np.arange(window_len)],
+        starts=np.arange(n),
         futures=rng.normal(size=(n, horizon, 2)),
         blocked=rng.integers(0, 2, size=(n, horizon)).astype(bool),
         rasters=rng.uniform(0.1, 16.0, size=(n, bins)),
+        frames=drive,
+        window_len=window_len,
     )
 
 
+# The WindowSet fields with one row per window; frames and window_len are shared.
+PER_WINDOW = ("t", "starts", "futures", "blocked", "rasters")
+
+
 def _same_windows(a: WindowSet, b: WindowSet) -> bool:
-    """Every field equal in its bits."""
-    return all(_same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(WindowSet))
+    """The same window length, every window's gathered (n, T0, M) frames and
+    every other per-window field equal in their bits. Where the frames lie
+    (``starts`` and ``frames``) may differ."""
+    return a.window_len == b.window_len and _same_bits(a.windows(), b.windows()) and all(
+        _same_bits(getattr(a, name), getattr(b, name)) for name in PER_WINDOW if name != "starts")
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +502,10 @@ def test_a_contiguous_split_is_views_into_the_labeled_windows(standard_dataset):
     for name, idx in standard_dataset.splits.items():
         split = standard_dataset.arrays(name)
         want = labeled.take(np.array(idx))
-        for f in fields(WindowSet):
-            assert np.shares_memory(getattr(split, f.name), getattr(labeled, f.name)), name
-            assert _same_bits(getattr(split, f.name), getattr(want, f.name)), name
+        assert split.frames is labeled.frames and split.window_len == labeled.window_len
+        for field in PER_WINDOW:
+            assert np.shares_memory(getattr(split, field), getattr(labeled, field)), name
+            assert _same_bits(getattr(split, field), getattr(want, field)), name
 
 
 @pytest.mark.parametrize("idx", [[5, 4, 3], [2, 3, 5, 6], [4, 4, 5]],
@@ -509,8 +518,9 @@ def test_any_other_split_loads_as_copies_in_its_own_order(tmp_path, idx):
     path.write_text(json.dumps(payload))
     loaded = load_dataset(tmp_path / "d")
     split = loaded.arrays("train")
-    for f in fields(WindowSet):
-        got, every = getattr(split, f.name), getattr(loaded.labeled, f.name)
+    assert split.frames is loaded.labeled.frames  # shared, never copied
+    for field in PER_WINDOW:
+        got, every = getattr(split, field), getattr(loaded.labeled, field)
         assert not np.shares_memory(got, every)
         assert _same_bits(got, every[idx])
 
@@ -593,8 +603,8 @@ def test_each_window_row_is_stored_once_in_frames_npy(tmp_path):
     frames[4] = [-0.0, 1.0]
     frames[5] = [0.0, 1.0]  # equal to frames[4] as a number, not in its bytes
     ends = np.arange(2, 6)
-    labeled = WindowSet(ends, frames[ends[:, None] + [-2, -1, 0]], np.zeros((4, 1, 2)),
-                        np.zeros((4, 1), dtype=bool), np.ones((4, 3)))
+    labeled = WindowSet(ends, ends - 2, np.zeros((4, 1, 2)), np.zeros((4, 1), dtype=bool),
+                        np.ones((4, 3)), frames, 3)
     save_dataset(split_dataset(labeled), tmp_path / "d")
     assert _same_bits(np.load(tmp_path / "d" / "frames.npy", allow_pickle=False), frames)
     header, *rows = (tmp_path / "d" / "samples.csv").read_text().splitlines()
@@ -605,15 +615,15 @@ def test_each_window_row_is_stored_once_in_frames_npy(tmp_path):
 
 @pytest.mark.parametrize("step, value", [(3, 0.5), (4, -0.0)])
 def test_windows_that_hold_other_frames_for_a_shared_step_are_refused(tmp_path, step, value):
-    # Windows ending at 2..5 over frames 0..5; window 3 (steps 3..5) gets
-    # another frame for one step it shares with windows 1 and 2, and the
-    # first window that covers the step is named with it.
-    frames = np.zeros((6, 2))
+    # Windows ending at 2..5 over frames 0..5; window 3 (steps 3..5) reads
+    # rows 6..8 instead, which hold another frame for one step it shares with
+    # windows 1 and 2, and the first window that covers the step is named
+    # with it. Its other rows differ from rows 3..5 only in where they lie.
+    frames = np.zeros((9, 2))
+    frames[6 + step - 3, 1] = value  # by its bytes, -0.0 is another frame than 0.0
     ends = np.arange(2, 6)
-    windows = frames[ends[:, None] + [-2, -1, 0]]
-    windows[3, step - 3, 1] = value  # by its bytes, -0.0 is another frame than 0.0
-    labeled = WindowSet(ends, windows, np.zeros((4, 1, 2)), np.zeros((4, 1), dtype=bool),
-                        np.ones((4, 3)))
+    labeled = WindowSet(ends, np.array([0, 1, 2, 6]), np.zeros((4, 1, 2)),
+                        np.zeros((4, 1), dtype=bool), np.ones((4, 3)), frames, 3)
     (tmp_path / "d").mkdir()
     with pytest.raises(ValueError) as err:
         save_dataset(split_dataset(labeled), tmp_path / "d")
@@ -805,10 +815,11 @@ def datasets(draw, min_samples=0):
     t, rows = drive_steps(draw, n, window_len)
     drive = draw(arrays(np.float64, (int(rows.max(initial=-1)) + 1, beams), elements=edge_floats))
     labeled = WindowSet(
-        t=t, windows=drive[rows],
+        t=t, starts=rows[:, 0],
         futures=draw(arrays(np.float64, (n, horizon, 2), elements=finite)),
         blocked=draw(arrays(np.bool_, (n, horizon))),
         rasters=draw(arrays(np.float64, (n, bins), elements=finite)),
+        frames=drive, window_len=window_len,
     )
     return split_dataset(labeled, meta={"note": draw(finite)})
 
@@ -874,12 +885,14 @@ def test_a_saved_dataset_loads_every_field_bit_for_bit_with_the_same_frame_keys(
     t, rows = drive_steps(data.draw, n, window_len)
     picks = data.draw(arrays(np.int64, int(rows.max()) + 1,
                              elements=st.integers(0, pool_size - 1)))
-    windows = pool[picks][rows]  # the drive repeats frames
+    drive = pool[picks]  # the drive repeats frames
+    windows = drive[rows]
     labeled = WindowSet(
-        t=t, windows=windows,
+        t=t, starts=rows[:, 0],
         futures=data.draw(arrays(np.float64, (n, horizon, 2), elements=edge_floats)),
         blocked=data.draw(arrays(np.bool_, (n, horizon))),
         rasters=data.draw(arrays(np.float64, (n, bins), elements=edge_floats)),
+        frames=drive, window_len=window_len,
     )
     with tempfile.TemporaryDirectory() as tmp:
         save_dataset(split_dataset(labeled), Path(tmp))
@@ -922,7 +935,8 @@ def test_a_dataset_of_no_window_loads_any_window_len_without_allocating(tmp_path
     path.write_text(json.dumps(payload))
     loaded = []
     assert traced_peak_mib(lambda: loaded.append(load_dataset(tmp_path))) < 0.5
-    assert loaded[0].labeled.windows.shape == (0, 2**40, 3)
+    labeled = loaded[0].labeled
+    assert (len(labeled), labeled.window_len, labeled.frames.shape) == (0, 2**40, (0, 3))
 
 
 def _saved(data, tmp: str) -> Path:
@@ -1381,13 +1395,15 @@ def test_a_short_row_and_a_later_bad_byte_raise_what_a_line_by_line_read_meets(
         assert str(err.value).endswith(want)
 
 
-# Peaks of the standard drive under tracemalloc, measured at 13.4 MiB for
-# load_scenario and 11.4 MiB for load_dataset (the output arrays plus one
-# chunk of text), bounded with at least 40% headroom. The object-table reader
-# peaked at 53.1 and 48.4 MiB.
+# Peaks of the standard drive under tracemalloc. load_scenario, the output
+# arrays plus one chunk of text, measured 13.4 MiB when its bound was set
+# with at least 40% headroom (11.16 MiB now). load_dataset measures 5.55 MiB,
+# bounded about 15% above: frames.npy as it is and no (n, T0, M) window
+# tensor, which put it at 11.4 MiB. The object-table reader peaked at 53.1
+# and 48.4 MiB.
 def test_load_scenario_keeps_only_its_arrays_and_one_chunk(scenario_dir, traced_peak_mib):
     assert traced_peak_mib(lambda: load_scenario(scenario_dir)) < 19.0
 
 
 def test_load_dataset_keeps_only_its_arrays_and_one_chunk(dataset_dir, traced_peak_mib):
-    assert traced_peak_mib(lambda: load_dataset(dataset_dir)) < 17.5
+    assert traced_peak_mib(lambda: load_dataset(dataset_dir)) < 6.4

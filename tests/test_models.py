@@ -65,8 +65,9 @@ def synth_dataset(n=40, window_len=4, beams=3, horizon=2, bins=13, seed=0,
         windows.append(rng.uniform(1e-6, 2.0, size=(window_len, beams)))
         rasters.append(rng.uniform(0.1, 16.0, size=bins))
     futures = np.array(futures)
-    labeled = WindowSet(np.arange(n) + window_len - 1, np.array(windows), futures,
-                        np.array(blocked), np.array(rasters))
+    # Independent windows: window i is frames rows i * T0 .. i * T0 + T0 - 1.
+    labeled = WindowSet(np.arange(n) + window_len - 1, np.arange(n) * window_len, futures,
+                        np.array(blocked), np.array(rasters), np.concatenate(windows), window_len)
     cut1, cut2 = int(n * 0.7), int(n * 0.85)
     splits = {
         "train": list(range(cut1)),
@@ -164,9 +165,9 @@ def test_power_to_db_floors_at_minus_120():
 
 def test_norm_stats_standardize_the_training_windows():
     ds = synth_dataset(30)
-    windows = ds.arrays("train").windows
-    stats = compute_norm_stats(windows, ds.meta)
-    feats = rssi_features(windows, stats)
+    train = ds.arrays("train")
+    stats = compute_norm_stats(train, ds.meta)
+    feats = rssi_features(train.windows(), stats)
     flat = feats.reshape(-1, feats.shape[-1])
     np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-9)
@@ -174,8 +175,8 @@ def test_norm_stats_standardize_the_training_windows():
 
 def test_norm_stats_std_is_floored_for_constant_beams():
     ds = synth_dataset(10)
-    ds.labeled.windows[:, :, 1] = 0.5
-    stats = compute_norm_stats(ds.arrays("train").windows, ds.meta)
+    ds.labeled.frames[:, 1] = 0.5
+    stats = compute_norm_stats(ds.arrays("train"), ds.meta)
     assert stats.rssi_std[1] == STD_FLOOR
     assert stats.rssi_std[0] > STD_FLOOR
 
@@ -183,9 +184,9 @@ def test_norm_stats_std_is_floored_for_constant_beams():
 def test_norm_stats_validation():
     ds = synth_dataset(10)
     with pytest.raises(ValueError):
-        compute_norm_stats(np.empty((0, 4, 3)), ds.meta)
+        compute_norm_stats(ds.labeled.take(slice(0, 0)), ds.meta)
     with pytest.raises(SchemaError):
-        compute_norm_stats(ds.arrays("train").windows, {"lidar_max_range": 16.0})
+        compute_norm_stats(ds.arrays("train"), {"lidar_max_range": 16.0})
 
 
 def test_train_config_validation():
@@ -288,13 +289,13 @@ def test_first_episode_loss_trend_is_downward(localization_training):
 def test_all_clear_dataset_drives_probabilities_down():
     ds = synth_dataset(50, all_clear=True, seed=6)
     model, _ = train_blockage(ds, TrainConfig(episodes=4, iterations=100, seed=0), "rf")
-    probs = predict_blockage_probs(model, ds.arrays("test").windows)
+    probs = predict_blockage_probs(model, ds.arrays("test"))
     assert float(probs.max()) < 0.1
 
 
 def test_rf_model_fits_its_training_split(trained_rf, standard_dataset):
     train = standard_dataset.arrays("train")
-    probs = predict_blockage_probs(trained_rf, train.windows)
+    probs = predict_blockage_probs(trained_rf, train.windows())
     truth = train.blocked
     acc = float(((probs >= 0.5) == truth).mean())
     assert acc >= 0.9
@@ -302,7 +303,7 @@ def test_rf_model_fits_its_training_split(trained_rf, standard_dataset):
 
 def test_near_horizon_location_error_is_small(trained_localization, standard_dataset):
     test = standard_dataset.arrays("test")
-    pred = predict_locations_batch(trained_localization, test.windows)
+    pred = predict_locations_batch(trained_localization, test)
     truth = test.futures
     step1 = float(np.linalg.norm(pred[:, 0] - truth[:, 0], axis=1).mean())
     assert step1 <= 1.0
@@ -614,6 +615,60 @@ def test_scoring_in_blocks_equals_one_forward_over_every_window(kind, shape, n):
     assert got.tobytes() == whole_batch_prediction(model, windows, rasters).tobytes()
 
 
+def window_tensor(dataset_dir, dataset: DatasetFile) -> np.ndarray:
+    """The (n, T0, M) tensor of every window, as the loader once built it:
+    frames.npy rows start_i .. start_i + T0 - 1, where start_i counts the
+    covered steps before window i's first (the dataset format's rule)."""
+    frames = np.load(dataset_dir / "frames.npy", allow_pickle=False)
+    t, window_len = dataset.labeled.t, dataset.meta["window_len"]
+    fresh = np.minimum(np.diff(t, prepend=t[0] - window_len), window_len)
+    return frames[(np.cumsum(fresh) - window_len)[:, None] + np.arange(window_len)]
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_windows_gathered_per_block_and_per_batch_are_the_window_tensor(
+        dataset_dir, standard_dataset, monkeypatch, split):
+    want = window_tensor(dataset_dir, standard_dataset)[standard_dataset.splits[split]]
+    part = standard_dataset.arrays(split)
+    assert part.frames is standard_dataset.labeled.frames
+    rows = standard_dataset.subset(split)  # views into the shared frames
+    assert all(np.shares_memory(row.window, part.frames) for row in rows)
+    assert np.stack([row.window for row in rows]).tobytes() == want.tobytes()
+
+    # Scoring gathers SCORE_BLOCK windows at a time, the last block taking a
+    # lone trailing window; rssi_features sees each block's raw windows.
+    seen, real = [], models.rssi_features
+
+    def features(windows, *args, **kwargs):
+        seen.append(windows.copy())
+        return real(windows, *args, **kwargs)
+    monkeypatch.setattr(models, "rssi_features", features)
+    model = build_model("rf", want.shape[2], want.shape[1], part.blocked.shape[1],
+                        compute_norm_stats(part, standard_dataset.meta))
+    predict_blockage_probs(model, part)
+    assert all(len(block) <= SCORE_BLOCK + 1 for block in seen) and len(seen) > 1
+    assert np.concatenate(seen).tobytes() == want.tobytes()
+    monkeypatch.setattr(models, "rssi_features", real)
+    if split != "train":
+        return
+
+    # A training batch gathers its windows from frames standardized once:
+    # the bits of standardizing the gathered windows.
+    batches, real_step = [], models.loss_and_grads
+
+    def step(model, features, *args, **kwargs):
+        batches.append(features.copy())
+        return real_step(model, features, *args, **kwargs)
+    monkeypatch.setattr(models, "loss_and_grads", step)
+    cfg = TrainConfig(episodes=1, iterations=6, seed=3)
+    model, _ = train_localization(standard_dataset, cfg)
+    rng = np.random.default_rng(cfg.seed)  # _train's only draws: each batch's rows
+    for features in batches:
+        idx = rng.integers(0, len(part), size=cfg.batch_size)
+        assert features.tobytes() == rssi_features(want[idx], model.stats).tobytes()
+    assert len(batches) == cfg.iterations
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_validation_loss_is_that_of_one_forward_over_the_split(standard_dataset, kind):
     # Training scores the validation split in blocks; one episode's loss comes
@@ -625,7 +680,7 @@ def test_the_validation_loss_is_that_of_one_forward_over_the_split(standard_data
         model, curves = train_blockage(standard_dataset, cfg, kind)
     val = standard_dataset.arrays("val")
     assert len(val) > 3 * SCORE_BLOCK + 1
-    out = forward(model, rssi_features(val.windows, model.stats),
+    out = forward(model, rssi_features(val.windows(), model.stats),
                   val.rasters / model.stats.lidar_max_range)
     want = models._loss(model, out, models._targets(model, val), cfg.delta)[0]
     assert np.array(curves.val).tobytes() == np.array([want]).tobytes()
@@ -634,7 +689,7 @@ def test_the_validation_loss_is_that_of_one_forward_over_the_split(standard_data
 @pytest.fixture(scope="module")
 def score_standard(trained_localization, trained_rf, trained_lidar, standard_dataset):
     """Scores every standard window with the three session-trained models."""
-    windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
+    windows, rasters = standard_dataset.labeled, standard_dataset.labeled.rasters
     assert len(windows) == 1488
     return lambda: [predict_locations_batch(trained_localization, windows).tobytes(),
                     predict_blockage_probs(trained_rf, windows).tobytes(),
@@ -921,16 +976,20 @@ def test_save_model_rejects_unknown_objects(tmp_path):
         save_model(object(), tmp_path / "x.json")
 
 
-@pytest.mark.parametrize("kind, bound", [("localization", 9.43), ("rf", 9.43),
-                                         ("rf+lidar", 12.4)])
+@pytest.mark.parametrize("kind, bound", [("localization", 4.75), ("rf", 5.3),
+                                         ("rf+lidar", 8.65)])
 def test_a_fit_keeps_its_splits_as_views_of_the_loaded_dataset(
         standard_dataset, traced_peak_mib, kind, bound):
-    """A 1-episode fit on the standard dataset peaks at 8.20 MiB
-    (localization), 8.20 (rf) and 10.78 MiB (rf+lidar) under tracemalloc
-    above the loaded dataset: the train features, targets and normalized
-    rasters, and the val split's scoring. The bounds are about 15% above.
-    When ``DatasetFile.arrays`` copied each split, the fits peaked at
-    15.49, 16.40 and 19.30 MiB."""
+    """A 1-episode fit on the standard dataset peaks at 4.13 MiB
+    (localization), 4.61 (rf) and 7.52 MiB (rf+lidar) under tracemalloc
+    above the loaded dataset: in compute_norm_stats' one buffer (the train
+    windows' rows, gathered) or in the val scoring of the fit and of the
+    untrained model, which gathers one block of windows at a time; rf+lidar
+    holds its normalized train rasters throughout. The bounds are about 15%
+    above. When the train windows were standardized up front as (n, T0, M)
+    features and the stats took a centred copy, the fits peaked at 8.20,
+    8.20 and 10.78 MiB; when ``DatasetFile.arrays`` also copied each split,
+    at 15.49, 16.40 and 19.30 MiB."""
     cfg = TrainConfig(episodes=1, iterations=20, seed=0)
     if kind == "localization":
         assert traced_peak_mib(lambda: train_localization(standard_dataset, cfg)) < bound
@@ -956,6 +1015,6 @@ def test_batch_forward_over_the_whole_drive_keeps_no_dead_intermediates(
     15% above that, so neither can grow with the depth or T0 unnoticed. It
     peaked at 2.65 MiB when the cache-free wavefront kept every diagonal's
     pre-activations."""
-    windows, rasters = standard_dataset.labeled.windows, standard_dataset.labeled.rasters
+    windows, rasters = standard_dataset.labeled, standard_dataset.labeled.rasters
     assert traced_peak_mib(lambda: predict_blockage_probs(trained_lidar, windows, rasters)) < 2.86
     assert traced_peak_mib(lambda: predict_blockage_probs(trained_rf, windows)) < 1.76

@@ -595,7 +595,7 @@ def test_no_window_fits_when_run_is_too_short():
     bundle = toy_bundle(12)
     windows = build_windows(bundle, all_valid_centroids(12), 8, 5)
     assert len(windows) == 0 and not windows
-    assert windows.windows.shape == (0, 8, 3) and windows.futures.shape == (0, 5, 2)
+    assert windows.windows().shape == (0, 8, 3) and windows.futures.shape == (0, 5, 2)
     assert windows.rasters.shape == (0, 360) and windows.rows() == []
 
 
@@ -606,8 +606,9 @@ def test_exactly_one_window_and_its_contents():
     windows = build_windows(bundle, centroids, 8, 5, blocked=blocked, raster_bins=12)
     assert len(windows) == 1
     assert windows.t.tolist() == [7]
-    assert windows.windows.shape == (1, 8, 3)
-    np.testing.assert_array_equal(windows.windows[0], bundle.rssi[:8])
+    assert windows.windows().shape == (1, 8, 3)
+    np.testing.assert_array_equal(windows.windows()[0], bundle.rssi[:8])
+    assert windows.frames is bundle.rssi and windows.starts.tolist() == [0]  # no copy
     np.testing.assert_allclose(
         windows.futures[0], [[14.0 + 0.25 * t, 2.0] for t in range(8, 13)], rtol=1e-12
     )
@@ -673,9 +674,14 @@ def test_window_set_take_and_row_views():
     row = windows.rows()[2]
     assert (row.t, row.future.tolist()) == (5, [[15.5, 2.0], [15.75, 2.0]])
     row.window[0, 0] = -1.0  # a view: writes land in the set
-    assert windows.windows[2, 0, 0] == -1.0
+    assert windows.windows()[2, 0, 0] == -1.0
     with pytest.raises(ValueError, match="window counts"):
         replace(windows, t=windows.t[:3])
+    # The 20 frames hold windows starting at rows 0..16; one row either side is refused.
+    assert len(replace(windows, starts=windows.starts + 2)) == 15
+    for starts in (windows.starts - 1, windows.starts + 3):
+        with pytest.raises(ValueError, match="outside the frame array"):
+            replace(windows, starts=starts)
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +768,9 @@ def test_build_windows_equals_the_per_window_loop_bit_for_bit(inputs):
         assert len(got) == 0
     assert got.t.tolist() == [s.t for s in want]
     beams = bundle.rssi.shape[1]
-    assert got.windows.shape[1:] == (window_len, beams) and got.futures.shape[1:] == (horizon, 2)
+    assert got.windows().shape[1:] == (window_len, beams) and got.futures.shape[1:] == (horizon, 2)
     assert got.blocked.shape[1:] == (horizon,) and got.rasters.shape[1:] == (bins,)
     for name, field in (("windows", "window"), ("futures", "future"),
                         ("blocked", "future_blocked"), ("rasters", "lidar_raster")):
-        assert [_bits(v) for v in getattr(got, name)] == [_bits(getattr(s, field)) for s in want]
+        got_rows = got.windows() if name == "windows" else getattr(got, name)
+        assert [_bits(v) for v in got_rows] == [_bits(getattr(s, field)) for s in want]
