@@ -19,6 +19,8 @@ columns, with no per-row or per-scan object: ``t`` (T,) and ``rssi`` (T,
 M), ``truth`` a ``Truth`` of (R,) times, (R, 2) positions (NaN where
 blank) and (R,) flags, and ``lidar`` a ``Lidar`` of lidar.csv's (P,) times
 and (P, 2) points in time order; the rows at one t are that frame's scan.
+The bundle's one rule table says what a valid scenario is; ``load_scenario``
+only adds the file and line of the first broken row.
 
 A dataset holds the training windows of one drive (format 5). Its two
 bulk float64 blocks are ``.npy`` arrays, written with ``np.save`` and read
@@ -120,12 +122,10 @@ def _times(values, what: str) -> np.ndarray:
 @dataclass
 class ScenarioBundle:
     """One recorded drive as columns: row i of ``rssi`` is the frame at time
-    ``t[i]``; lidar and truth rows name their frame by its time. It refuses
-    what ``load_scenario`` refuses, so it saves and loads back bit for bit:
-    times are integers, frame times rise by 1, lidar times do not fall,
-    truth times are unique, a truth x, y is finite or NaN in both, and the
-    lidar points are a (P, 2) array of finite angles in [0, 2*pi) and depths
-    > 0."""
+    ``t[i]``; lidar and truth rows name their frame by its time. Past the
+    shapes, ``_rules`` is the one table of scenario rules, ``load_scenario``'s
+    too, so a bundle saves and loads back bit for bit; the first rule broken
+    raises naming its first broken row's t, with ``table`` and ``row`` set."""
 
     scenario_id: str
     t: np.ndarray     # (T,) int64, consecutive
@@ -135,32 +135,16 @@ class ScenarioBundle:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if 0 in np.shape(self.rssi):
-            raise SchemaError(f"scenario has no RSSI frames or no beams: {np.shape(self.rssi)}")
         self.rssi = ensure_finite("powers", self.rssi)
         self.t = _times(self.t, "RSSI frame")
         if self.rssi.ndim != 2 or self.t.shape != self.rssi.shape[:1]:
             raise ValueError("powers must be a (T, M) array with one time t per row")
-        if (self.rssi < 0).any():
-            raise ValueError("powers must be nonnegative")
         scan_t, points = self.lidar
         scan_t, points = self.lidar = Lidar(_times(scan_t, "lidar row"),
                                             np.asarray(points, dtype=np.float64))
         if points.ndim != 2 or points.shape[1] != 2 or scan_t.shape != points.shape[:1]:
             raise ValueError("lidar must hold (n,) times and points of shape (n, 2)")
         ensure_finite("points", points)
-        if ((points[:, 0] < 0) | (points[:, 0] >= TWO_PI)).any():
-            raise ValueError("angles must lie in [0, 2*pi)")
-        if (points[:, 1] <= 0).any():
-            raise ValueError("depths must be positive")
-        rules = [  # (broken where, at times, message), checked in order
-            (np.diff(self.t) != 1, self.t[1:],
-             "RSSI frames are not in time order: t={} must follow the row above by 1"),
-            ((scan_t < self.t[0]) | (scan_t > self.t[-1]), scan_t,  # frames: t[0] .. t[-1]
-             "lidar scan at t={} has no matching RSSI frame"),
-            (scan_t[1:] < scan_t[:-1], scan_t[1:],
-             "lidar rows are not in time order: t={} must not fall below the row above"),
-        ]
         if self.truth is not None:
             t, pos, blocked = self.truth
             t, pos, blocked = self.truth = Truth(_times(t, "truth row"),
@@ -168,16 +152,42 @@ class ScenarioBundle:
                                                  np.asarray(blocked, dtype=bool))
             if pos.shape != (len(t), 2) or blocked.shape != (len(t),):
                 raise ValueError("truth must hold (R,) times, (R, 2) positions and (R,) flags")
-            ordered = np.sort(t)
-            rules += [
-                (~np.isin(t, self.t), t, "truth row at t={} has no matching RSSI frame"),
-                (np.diff(ordered) == 0, ordered[1:], "truth time repeats an earlier row's t: t={}"),
-                (~(np.isfinite(pos).all(axis=1) | np.isnan(pos).all(axis=1)), t,
-                 "truth row at t={}: x and y must be finite, or blank (NaN) together"),
-            ]
-        for broken, times, message in rules:
-            if broken.any():
-                raise SchemaError(message.format(times[broken][0]))
+        for table, broken, error, message in self._rules():
+            if np.any(broken):
+                row = int(np.argmax(broken)) if np.ndim(broken) else None
+                times = {"rssi": self, "lidar": self.lidar, "truth": self.truth}[table].t
+                fault = error(message if row is None else message.format(times[row]))
+                fault.table, fault.row = table, row
+                raise fault
+
+    def _rules(self):
+        """The rules in order, each (table, broken, error, message): ``broken``
+        flags the rows of ``rssi``, ``lidar`` or ``truth`` (one flag for a
+        whole-table rule, row None). Each is worked out only once those before
+        it hold, so other times meet consecutive frames."""
+        t, rssi, (scan_t, points) = self.t, self.rssi, self.lidar
+        yield ("rssi", 0 in rssi.shape, SchemaError,
+               f"scenario has no RSSI frames or no beams: {rssi.shape}")
+        yield "rssi", (rssi < 0).any(axis=1), ValueError, "RSSI frame at t={} has a negative power"
+        yield ("rssi", np.diff(t, prepend=t[:1] - 1) != 1, SchemaError,
+               "RSSI frames are not in time order: t={} must follow the row above by 1")
+        yield ("lidar", (scan_t < t[0]) | (scan_t > t[-1]), SchemaError,
+               "lidar scan at t={} has no matching RSSI frame")
+        yield ("lidar", np.diff(scan_t, prepend=scan_t[:1]) < 0, SchemaError,
+               "lidar rows are not in time order: t={} must not fall below the row above")
+        yield ("lidar", (points[:, 0] < 0) | (points[:, 0] >= TWO_PI), ValueError,
+               "lidar point at t={}: angles must lie in [0, 2*pi)")
+        yield ("lidar", points[:, 1] <= 0, ValueError,
+               "lidar point at t={}: depths must be positive")
+        if self.truth is not None:
+            truth_t, xy, _ = self.truth
+            yield ("truth", ~(np.isfinite(xy).all(axis=1) | np.isnan(xy).all(axis=1)), SchemaError,
+                   "truth row at t={}: x and y must be finite, or blank (NaN) together")
+            yield ("truth", (truth_t < t[0]) | (truth_t > t[-1]), SchemaError,
+                   "truth row at t={} has no matching RSSI frame")
+            repeated = np.ones(len(truth_t), dtype=bool)
+            repeated[np.unique(truth_t, return_index=True)[1]] = False  # each time's first row
+            yield "truth", repeated, SchemaError, "truth time repeats an earlier row's t: t={}"
 
 
 def _parse_float(path: Path, line_no: int, cell: str, column: str) -> float:
@@ -584,6 +594,9 @@ def save_scenario(bundle: ScenarioBundle, out_dir) -> Path:
 
 
 def load_scenario(scenario_dir) -> ScenarioBundle:
+    """The scenario in ``scenario_dir``; a rule the bundle finds broken is a
+    ParseError at its first broken row's file and line (line 0 for a
+    whole-file rule), lidar rows mapped back through their stable time sort."""
     root = Path(scenario_dir)
     meta_path = root / "meta.json"
     meta = read_json_object(meta_path)
@@ -594,38 +607,23 @@ def load_scenario(scenario_dir) -> ScenarioBundle:
     num_beams = json_field(meta, "num_beams", meta_path, integer=True, positive=True)
 
     _check_width(root / "rssi.csv", 1 + num_beams)
-    table = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
-                     "i" + "f" * num_beams)
-    powers = table.floats(1, num_beams + 1)
-    table.reject_rows((powers < 0).any(axis=1), "negative power")
-    # ScenarioBundle checks the times too, but names neither file nor line.
-    frame_times = table.ints(0, 1)[:, 0]
-    table.reject_rows(np.diff(frame_times, prepend=frame_times[:1] - 1) != 1,
-                      "RSSI frames are not in time order: t must follow the row above by 1")
-
-    table = CsvTable(root / "lidar.csv", ["t", "angle", "depth"], "iff")
-    times = table.ints(0, 1)[:, 0]
-    table.reject_rows(~np.isin(times, frame_times), "lidar scan has no matching RSSI frame")
-    points = table.floats(1, 3)
-    table.reject_rows((points[:, 0] < 0) | (points[:, 0] >= TWO_PI), "angle must lie in [0, 2*pi)")
-    table.reject_rows(points[:, 1] <= 0, "depth must be positive")
+    rssi = CsvTable(root / "rssi.csv", ["t"] + [f"p{m}" for m in range(num_beams)],
+                    "i" + "f" * num_beams)
+    powers, frame_times = rssi.floats(1, num_beams + 1), rssi.ints(0, 1)[:, 0]
+    lidar = CsvTable(root / "lidar.csv", ["t", "angle", "depth"], "iff")
+    times, points = lidar.ints(0, 1)[:, 0], lidar.floats(1, 3)
     order = np.argsort(times, kind="stable") if (np.diff(times) < 0).any() else slice(None)
-    lidar = Lidar(times[order], points[order])
-
-    truth = None
-    truth_path = root / "truth.csv"
-    if truth_path.exists():
-        table = CsvTable(truth_path, ["t", "x", "y", "blocked"], "ioob")
-        blank = table.blanks(1, 3)
-        table.reject_rows(blank[:, 0] != blank[:, 1], "x and y must be blank together")
-        times = table.ints(0, 1)[:, 0]
-        table.reject_rows(~np.isin(times, frame_times), "truth row has no matching RSSI frame")
-        repeated = np.ones(len(times), dtype=bool)
-        repeated[np.unique(times, return_index=True)[1]] = False  # each time's first row
-        table.reject_rows(repeated, "truth time repeats an earlier row's t")
-        truth = Truth(times, table.floats(1, 3), table.flags(3, 4)[:, 0])
-
-    return ScenarioBundle(str(meta["scenario_id"]), frame_times, powers, lidar, truth, meta)
+    lines, truth = {"rssi": rssi.line_nos, "lidar": lidar.line_nos[order]}, None
+    if (root / "truth.csv").exists():
+        table = CsvTable(root / "truth.csv", ["t", "x", "y", "blocked"], "ioob")
+        truth = Truth(table.ints(0, 1)[:, 0], table.floats(1, 3), table.flags(3, 4)[:, 0])
+        lines["truth"] = table.line_nos
+    try:
+        return ScenarioBundle(str(meta["scenario_id"]), frame_times, powers,
+                              Lidar(times[order], points[order]), truth, meta)
+    except (ValueError, SchemaError) as fault:  # a rule: the parsed columns have their shapes
+        line = 0 if fault.row is None else int(lines[fault.table][fault.row])
+        raise ParseError(root / f"{fault.table}.csv", line, str(fault)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -41,6 +42,7 @@ from blockcast.preprocess import (
     scenario_centroids,
 )
 from blockcast.scene import (
+    TWO_PI,
     ChannelConfig,
     Vehicle,
     WorldState,
@@ -241,8 +243,8 @@ def test_negative_power_rejected_on_load(tmp_path):
 @pytest.mark.parametrize("row, message", [("0,7.0,1.0", "angle"), ("0,-0.5,1.0", "angle"),
                                           ("0,1.0,0.0", "depth"), ("0,1.0,-2.0", "depth")])
 def test_lidar_point_out_of_range_names_its_line(tmp_path, row, message):
-    # ScenarioBundle checks the same ranges, but its error names neither the
-    # file nor the line.
+    # The range rules are ScenarioBundle's; load_scenario adds the file and
+    # the line of the first broken row.
     save_scenario(small_bundle(), tmp_path / "s")
     path = tmp_path / "s" / "lidar.csv"
     lines = path.read_text().splitlines()
@@ -268,13 +270,101 @@ def _edit_lines(path: Path, edit) -> None:
 ])
 def test_a_time_that_does_not_match_the_rssi_frames_names_its_line(
         tmp_path, name, edit, line, message):
-    # ScenarioBundle checks the same, but its error names neither the file
-    # nor the line.
+    # The time rules are ScenarioBundle's; load_scenario adds the file and
+    # the line of the first broken row.
     save_scenario(small_bundle(), tmp_path / "s")
     _edit_lines(tmp_path / "s" / name, edit)
     with pytest.raises(ParseError) as err:
         load_scenario(tmp_path / "s")
     assert f"{name}:{line}:" in str(err.value) and message in str(err.value)
+
+
+def _cells(bundle: ScenarioBundle) -> dict[str, np.ndarray]:
+    """Each CSV file of ``bundle`` as the float cells it saves, a row per
+    line and a column per cell (NaN for a blank)."""
+    cells = {"rssi.csv": np.column_stack([bundle.t, bundle.rssi]),
+             "lidar.csv": np.column_stack([bundle.lidar.t, bundle.lidar.points])}
+    if bundle.truth is not None:
+        cells["truth.csv"] = np.column_stack([bundle.truth.t, bundle.truth.pos,
+                                              bundle.truth.blocked])
+    return cells
+
+
+def _with_cell(line: str, col: int, cell: str) -> str:
+    """A CSV line with its cell ``col`` replaced by ``cell``."""
+    cells = line.split(",")
+    cells[col] = cell
+    return ",".join(cells)
+
+
+def _bundle_of(cells: dict[str, np.ndarray]) -> ScenarioBundle:
+    """The bundle of files' cells, as ``_cells`` gives them; lidar rows are
+    stably sorted by t, as ``load_scenario`` sorts them."""
+    rssi, lidar, truth = cells["rssi.csv"], cells["lidar.csv"], cells.get("truth.csv")
+    lidar = lidar[np.argsort(lidar[:, 0], kind="stable")]
+    return ScenarioBundle("x", rssi[:, 0], rssi[:, 1:], Lidar(lidar[:, 0], lidar[:, 1:]),
+                          None if truth is None else Truth(truth[:, 0], truth[:, 1:3], truth[:, 3]))
+
+
+# One case per scenario rule: the file, the t of the row edited (its first
+# row at that t), the column and the cell written there, then the error,
+# words of its message and the t it names. None for the row empties the file.
+SCENARIO_RULES = {
+    "negative power": ("rssi.csv", 3, 1, "-1.0", ValueError, "negative power", 3),
+    "frame time order": ("rssi.csv", 3, 0, "4", SchemaError, "time order", 4),
+    "lidar time outside the frames": ("lidar.csv", 5, 0, "99", SchemaError, "RSSI frame", 99),
+    "angle": ("lidar.csv", 5, 1, "7.0", ValueError, "angle", 5),
+    "depth": ("lidar.csv", 5, 2, "0.0", ValueError, "depth", 5),
+    "truth x, y blank together": ("truth.csv", 3, 2, "", SchemaError, "blank (NaN) together", 3),
+    "truth time outside the frames": ("truth.csv", 3, 0, "99", SchemaError, "RSSI frame", 99),
+    "truth time repeated": ("truth.csv", 3, 0, "2", SchemaError, "repeats an earlier", 2),
+    "no frames": ("rssi.csv", None, None, None, SchemaError, "no RSSI frames", None),
+}
+
+
+@pytest.mark.parametrize("rule", SCENARIO_RULES)
+def test_each_scenario_rule_names_its_t_in_a_bundle_and_its_line_on_load(tmp_path, rule):
+    name, t, col, cell, error, words, named = SCENARIO_RULES[rule]
+    bundle = small_bundle()
+    cells = _cells(bundle)
+    if t is None:
+        cells[name] = cells[name][:0]
+    else:
+        row = int(np.flatnonzero(cells[name][:, 0] == t)[0])
+        cells[name][row, col] = float(cell) if cell else math.nan
+    with pytest.raises(error) as err:
+        _bundle_of(cells)
+    assert err.type is error and words in str(err.value)
+    assert named is None or re.search(rf"t={named}\b", str(err.value))
+
+    save_scenario(bundle, tmp_path / "s")
+
+    def edit(lines):
+        if t is None:
+            del lines[1:]
+        else:
+            lines[row + 1] = _with_cell(lines[row + 1], col, cell)
+    _edit_lines(tmp_path / "s" / name, edit)
+    with pytest.raises(ParseError) as err:
+        load_scenario(tmp_path / "s")
+    line = 0 if t is None else row + 2  # line 1 is the header; 0 is the whole file
+    assert f"{name}:{line}:" in str(err.value) and words in str(err.value)
+
+
+@pytest.mark.parametrize("emptied", [["rssi.csv"], ["rssi.csv", "lidar.csv", "truth.csv"]])
+def test_a_scenario_with_no_frame_is_refused_naming_rssi_csv(tmp_path, capsys, emptied):
+    # A header-only rssi.csv used to be blamed on lidar.csv's first row, and
+    # three header-only files on no file at all.
+    cfg = resolve_config({"steps": 20})
+    cli.cmd_simulate(cfg, {"scenario_id": "drive"}, tmp_path / "scene")
+    for name in emptied:
+        _edit_lines(tmp_path / "scene" / name, lambda lines: lines.__delitem__(slice(1, None)))
+    with pytest.raises(ParseError, match=r"rssi\.csv:0: scenario has no RSSI frames"):
+        load_scenario(tmp_path / "scene")
+    assert cli.run(["label", "--scenario", str(tmp_path / "scene"),
+                    "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert "rssi.csv:0: scenario has no RSSI frames" in err and "Traceback" not in err, err
 
 
 def test_a_bundle_with_a_repeated_frame_time_is_out_of_order():
@@ -1010,6 +1100,65 @@ def test_a_file_cut_mid_line_is_a_parse_error(data):
             _load(path)
 
 
+def _parsed(cell: str, kind: str) -> float | None:
+    """The value ``CsvTable`` reads from a cell of column type ``kind``
+    (``i`` int, ``b`` 0/1 flag, else float), or None if it refuses it."""
+    try:
+        value = int(cell) if kind in "ib" else float(cell)
+    except ValueError:
+        return None
+    return None if kind == "b" and value not in (0, 1) else value
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_number_written_into_a_scenario_loads_as_its_bundle_or_names_its_file(data):
+    """One numeric cell of a saved drive of two frames or more is replaced
+    by a number: the load is the bundle of the edited cells, or, where that
+    bundle breaks a rule or the reader refuses the cell, a ParseError naming
+    the edited file. A rule stated only in the bundle would surface here
+    without a file name."""
+    bundle = data.draw(bundles().filter(lambda b: len(b.t) >= 2))
+    cells = _cells(bundle)
+    name = data.draw(st.sampled_from(sorted(cells)))
+    col = data.draw(st.integers(0, cells[name].shape[1] - 1))
+    rows = np.flatnonzero(~np.isnan(cells[name][:, col]))  # blank truth x, y are no number
+    assume(rows.size)
+    row = data.draw(st.sampled_from(rows.tolist()))
+    t, times = int(cells[name][row, 0]), bundle.t
+    cell = data.draw(st.one_of(
+        st.integers(-9, -1).map(str), st.floats(max_value=0.0, exclude_max=True,
+                                                allow_infinity=False).map(repr),
+        st.sampled_from(["0", "0.0"]),
+        st.integers(7, 99).map(str), st.floats(TWO_PI, 1e3).map(repr),
+        st.sampled_from([t - 1, t + 1]).map(str),
+        st.sampled_from([int(times[0]) - 2, int(times[-1]) + 2]).map(str),
+    ))
+    kinds = {"rssi.csv": "i" + "f" * bundle.rssi.shape[1], "lidar.csv": "iff",
+             "truth.csv": "ioob"}
+    value, expected = _parsed(cell, kinds[name][col]), None
+    if value is not None:
+        cells[name][row, col] = value
+        with contextlib.suppress(ValueError, SchemaError):
+            expected = _bundle_of(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_scenario(bundle, Path(tmp))
+        path = Path(tmp) / name
+        _edit_lines(path, lambda lines: lines.__setitem__(
+            row + 1, _with_cell(lines[row + 1], col, cell)))
+        if expected is None:
+            with pytest.raises(ParseError) as err:
+                load_scenario(tmp)
+            assert f"{name}:" in str(err.value)
+            return
+        loaded = load_scenario(tmp)
+    assert _same_bits(loaded.t, expected.t) and _same_bits(loaded.rssi, expected.rssi)
+    assert all(_same_bits(a, b) for a, b in zip(loaded.lidar, expected.lidar))
+    assert (loaded.truth is None) == (expected.truth is None)
+    assert loaded.truth is None or all(_same_bits(a, b) for a, b in zip(loaded.truth,
+                                                                         expected.truth))
+
+
 # ---------------------------------------------------------------------------
 # The columnar writer against the row-wise reference
 # ---------------------------------------------------------------------------
@@ -1242,7 +1391,7 @@ def _runs(types: str) -> list[tuple[int, int]]:
 
 def _typed_read(table: CsvTable, types: str) -> list[np.ndarray]:
     """Every column run through its accessor, as a loader reads them; a
-    float-or-blank run checks its blanks first, as ``load_scenario`` does."""
+    float-or-blank run checks its blanks first, through ``blanks``."""
     out = []
     for lo, hi in _runs(types):
         kind = types[lo]
