@@ -61,8 +61,10 @@ raster's max-range fill), so most cells cost an index, not a ``repr``.
 ``CsvTable`` reads the other way: each loader names its columns' types
 (float, int, 0/1 flag, or float-or-blank), and the reader casts a
 chunk of about ``CHUNK_CELLS`` cells at a time into typed arrays and drops
-its strings. A load's memory is its output arrays plus one chunk of text,
-and its values and ParseErrors are those of casting the whole file at once.
+its strings. A load's memory is its output arrays plus one chunk of text.
+Its one fault rule holds at any chunk size: a file raises the first fault
+that a line-by-line read meets, a line's cell count before its cells, left
+to right.
 Like the writer, it handles a repeated value once: when a chunk's distinct
 strings of one column type are at most half of its cells, each is parsed
 once and the values are gathered (``lidar.csv``); other chunks are cast
@@ -169,7 +171,8 @@ class ScenarioBundle:
         yield ("rssi", 0 in rssi.shape, SchemaError,
                f"scenario has no RSSI frames or no beams: {rssi.shape}")
         yield "rssi", (rssi < 0).any(axis=1), ValueError, "RSSI frame at t={} has a negative power"
-        yield ("rssi", np.diff(t, prepend=t[:1] - 1) != 1, SchemaError,
+        rises = np.concatenate([[True], t[1:] > t[:-1]])  # diff wraps: 2**63-1, -2**63 steps 1
+        yield ("rssi", (np.diff(t, prepend=t[:1] - 1) != 1) | ~rises, SchemaError,
                "RSSI frames are not in time order: t={} must follow the row above by 1")
         yield ("lidar", (scan_t < t[0]) | (scan_t > t[-1]), SchemaError,
                "lidar scan at t={} has no matching RSSI frame")
@@ -331,17 +334,17 @@ class CsvTable:
 
     ``types`` holds one letter per column: ``f`` a finite float, ``i`` an
     int64, ``b`` a 0/1 flag, ``o`` a finite float or a blank cell (NaN in
-    the array). The file is read a chunk of lines at a time,
-    about ``CHUNK_CELLS`` cells: blank lines are skipped, and the header
-    and each row's cell count are checked. Then the chunk's cells of each
-    type are cast in one call, which runs Python's ``float`` / ``int`` on
-    each cell, or on each distinct string when those are at most half of
-    the cells, and its strings are dropped: memory is the output arrays
-    plus one chunk of text. When a cast rejects a cell, the scalar parsers
-    scan that chunk's columns to name the first bad cell of each; its
-    ParseError is raised by the accessor that reads its column. So a file
-    with several faults reports the one that the loader's order of checks
-    meets first, as if the whole file had been read before any cast.
+    the array). The file is read a chunk of lines at a time, about
+    ``CHUNK_CELLS`` cells: blank lines are skipped, and the header and each
+    row's cell count are checked. Then the chunk's cells of each type are
+    cast in one call, which runs Python's ``float`` / ``int`` on each cell,
+    or on each distinct string when those are at most half of the cells,
+    and its strings are dropped: memory is the output arrays plus one chunk
+    of text. A file raises the first fault that a line-by-line read meets:
+    on one line the cell count, then the cells left to right. So when a
+    cast rejects a cell, the scalar parsers scan that chunk row by row to
+    name the first bad cell, and a row of the wrong cell count is raised
+    only once the rows above it have been cast. The accessors raise nothing.
     """
 
     def __init__(self, path: Path, header: list[str], types: str):
@@ -352,9 +355,6 @@ class CsvTable:
         self.path, self.header, self.types = path, header, types
         self._columns = {kind: [j for j, t in enumerate(types) if t == kind]
                          for kind in dict.fromkeys(types)}
-        self._errors: dict[int, tuple[int, ParseError]] = {}  # column -> (row, first bad cell)
-        self._not_flags: dict[int, int] = {}  # flag column -> first row holding neither 0 nor 1
-        self._rows = 0
         chunks = {kind: [np.empty((0, len(cols)), _DTYPES[kind])]
                   for kind, cols in self._columns.items()}
         line_nos = [np.empty(0, np.int64)]
@@ -362,8 +362,8 @@ class CsvTable:
         try:
             with path.open(encoding="utf-8") as fh:
                 while lines := list(islice(fh, step)):
-                    flat, numbers = self._data_rows(lines, first)
-                    for kind, values in self._cast_chunk(flat, numbers).items():
+                    rows, numbers = self._data_rows(lines, first)
+                    for kind, values in self._cast_chunk(rows, numbers).items():
                         chunks[kind].append(values)
                     line_nos.append(numbers)
                     first += len(lines)
@@ -374,10 +374,11 @@ class CsvTable:
         self._arrays = {kind: np.concatenate(chunks.pop(kind)) for kind in self._columns}
 
     def _data_rows(self, lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
-        """The cells and line numbers of the data rows among ``lines``, the
-        file's lines from number ``first`` on: a nonblank line 1 must be the
-        header and is dropped, blank lines are dropped, and a row of the wrong
-        cell count is a ParseError."""
+        """The data rows among ``lines``, the file's lines from number
+        ``first`` on, and their line numbers: a nonblank line 1 must be the
+        header and is dropped, and blank lines are dropped. A row of the
+        wrong cell count is a ParseError, raised once the rows above it are
+        cast, so a bad cell above it is met first."""
         numbers = np.arange(first, first + len(lines))
         if first == 1 and lines[0] != "\n":
             got, expected = lines[0].rstrip("\n"), ",".join(self.header)
@@ -391,9 +392,9 @@ class CsvTable:
         commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
         if (commas != width - 1).any():
             k = int((commas != width - 1).argmax())
+            self._cast_chunk(lines[:k], numbers[:k])
             raise ParseError(self.path, int(numbers[k]), f"expected {width} cells, got {commas[k] + 1}")
-        text = "".join(lines).removesuffix("\n")  # each line ends in one "\n", the last maybe not
-        return text.replace("\n", ",").split(",") if text else [], numbers
+        return lines, numbers
 
     def _decode_fault(self) -> ParseError:
         """The error of a file holding a byte that is not UTF-8: the first
@@ -402,68 +403,51 @@ class CsvTable:
         try:
             with self.path.open(encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
-                    self._data_rows([line], line_no)
+                    self._cast_chunk(*self._data_rows([line], line_no))
         except ParseError as exc:
             return exc
         except UnicodeDecodeError:
             pass
         return _not_utf8(self.path)
 
-    def _cast_chunk(self, flat: list[str], line_nos: np.ndarray) -> dict[str, np.ndarray]:
-        """The chunk's rows as one array per column type."""
+    def _cast_chunk(self, rows: list[str], line_nos: np.ndarray) -> dict[str, np.ndarray]:
+        """The chunk's rows, each of the header's cell count, as one array
+        per column type; a bad cell raises ``_first_fault``'s ParseError."""
+        text = "".join(rows).removesuffix("\n")  # each row ends in one "\n", the last maybe not
+        flat = text.replace("\n", ",").split(",") if text else []
         cells = np.array(flat, dtype=object).reshape(len(line_nos), len(self.header))
         typed = {}
         for kind, cols in self._columns.items():
-            block = cells[:, cols]
-            values = _try_cast(kind, block)
-            if values is None:
-                values = self._named_faults(kind, cols, block, line_nos)
-            if kind == "b":
-                faults = (values != 0) & (values != 1)
-                for c in np.flatnonzero(faults.any(axis=0)).tolist():
-                    self._not_flags.setdefault(cols[c], self._rows + int(faults[:, c].argmax()))
-                values = values.astype(bool)
-            typed[kind] = values
-        self._rows += len(line_nos)
+            values = _try_cast(kind, cells[:, cols])
+            if values is None or kind == "b" and ((values != 0) & (values != 1)).any():
+                raise self._first_fault(cells, line_nos)
+            typed[kind] = values.astype(bool) if kind == "b" else values
         return typed
 
-    def _named_faults(self, kind, cols, block, line_nos) -> np.ndarray:
-        """A chunk's block cast column by column; the first bad cell of each
-        column that has one is kept as a ParseError, and the column's cells
-        read 0 (blanks of a float-or-blank column stay NaN)."""
-        values = np.where(block == "", np.nan, 0.0) if kind == "o" else np.zeros(
-            block.shape, np.float64 if kind == "f" else np.int64)
-        parse = _parse_int if kind in "ib" else _parse_float
-        for c, col in enumerate(cols):
-            column = _try_cast(kind, block[:, c])
-            if column is not None:
-                values[:, c] = column
-                continue
-            for r, (line_no, cell) in enumerate(zip(line_nos.tolist(), block[:, c].tolist())):
-                if kind == "o" and cell == "":
-                    continue
-                try:
-                    parse(self.path, line_no, cell, self.header[col])
-                except ParseError as exc:
-                    self._errors.setdefault(col, (self._rows + r, exc))
-                    break
-            else:
-                raise AssertionError("the cast rejected a cell the scalar parsers accept")
-        return values
+    def _first_fault(self, cells: np.ndarray, line_nos: np.ndarray) -> ParseError:
+        """The first bad cell of a chunk, row by row and left to right, as
+        the scalar parsers name it."""
+        try:
+            for line_no, row in zip(line_nos.tolist(), cells.tolist()):
+                for kind, column, cell in zip(self.types, self.header, row):
+                    if kind in "ib":
+                        value = _parse_int(self.path, line_no, cell, column)
+                        if kind == "b" and value not in (0, 1):
+                            return ParseError(self.path, line_no, f"{column} must be 0 or 1")
+                    elif cell or kind == "f":  # a blank float-or-blank cell is NaN
+                        _parse_float(self.path, line_no, cell, column)
+        except ParseError as exc:
+            return exc
+        raise AssertionError("the cast rejected a cell the scalar parsers accept")
 
-    def _typed(self, lo: int, hi: int, kinds: str, checked: bool = True) -> np.ndarray:
+    def _typed(self, lo: int, hi: int, kinds: str) -> np.ndarray:
         """Columns lo..hi-1, all of one type in ``kinds``, as a slice of that
-        type's array; with ``checked``, the first bad cell among them in row
-        order raises its ParseError."""
+        type's array."""
         kind = self.types[lo] if hi > lo else kinds[0]
         if kind not in kinds or self.types[lo:hi] != kind * (hi - lo):
             raise TypeError(f"{self.path}: columns {lo}..{hi - 1} are not all of type {kinds!r}")
-        if checked:
-            faults = [self._errors[col] for col in range(lo, hi) if col in self._errors]
-            if faults:
-                raise min(faults, key=lambda fault: fault[0])[1]
         start = sum(t == kind for t in self.types[:lo])
-        values = self._arrays.get(kind, np.empty((self._rows, 0), _DTYPES[kind]))
+        values = self._arrays.get(kind, np.empty((len(self.line_nos), 0), _DTYPES[kind]))
         return values[:, start:start + hi - lo]
 
     def floats(self, lo: int, hi: int) -> np.ndarray:
@@ -475,18 +459,7 @@ class CsvTable:
         return self._typed(lo, hi, "i")
 
     def flags(self, lo: int, hi: int) -> np.ndarray:
-        """Columns lo..hi-1 as bool; a cell other than 0 or 1 is a ParseError."""
-        values = self._typed(lo, hi, "b")
-        for col in range(lo, hi):
-            if col in self._not_flags:
-                raise ParseError(self.path, int(self.line_nos[self._not_flags[col]]),
-                                 f"{self.header[col]} must be 0 or 1")
-        return values
-
-    def blanks(self, lo: int, hi: int) -> np.ndarray:
-        """Where float-or-blank columns lo..hi-1 are blank; a bad cell among
-        them is not raised here but by ``floats``."""
-        return np.isnan(self._typed(lo, hi, "o", checked=False))
+        return self._typed(lo, hi, "b")
 
     def reject_rows(self, bad: np.ndarray, message: str) -> None:
         """A ParseError at the line of the first row where ``bad`` is set."""

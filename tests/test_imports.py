@@ -9,10 +9,11 @@ module-level ``_private`` function, class or constant is private to its
 module, so it is dead unless that module reads it. A public UPPER_CASE
 module constant is dead unless some file of the package, its tests or the
 benchmark reads it, by name or as a module attribute. A public module-level
-function is dead unless the package or the benchmark reads it, by name, as
-a module attribute or as a string of its name alone (``__all__``, the
-benchmark's table of traced functions): a function that only tests call is
-the tests' code. ``CALLED_OUTSIDE`` names the few that other readers call.
+function, or a public method of a module-level class, is dead unless the
+package or the benchmark reads it, by name, as an attribute or as a string
+of its name alone (``__all__``, the benchmark's table of traced functions):
+a function that only tests call is the tests' code. ``CALLED_OUTSIDE`` names
+the few functions that other readers call.
 """
 
 import ast
@@ -114,6 +115,20 @@ def unread_functions(modules: dict[str, str], readers: list[str]) -> list[tuple[
                   and not node.name.startswith("_") and node.name not in read)
 
 
+def unread_methods(modules: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
+    """(module, line, "Class.method") of each public method (a property or a
+    classmethod too) that a class at module level in ``modules`` (name ->
+    source) defines and that no source in ``readers`` loads, as a name, an
+    attribute or a string of the name alone."""
+    read = loaded_names(readers, strings=True)
+    return sorted((module, node.lineno, f"{cls.name}.{node.name}")
+                  for module, source in modules.items()
+                  for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
 SOURCES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # The public functions that no file of the package or the benchmark calls,
@@ -148,6 +163,13 @@ def test_every_public_function_is_read_by_the_package_or_the_benchmark():
     unread = unread_functions(modules, readers)
     assert [f for f in unread if (f[0], f[2]) not in CALLED_OUTSIDE] == []
     assert {(f[0], f[2]) for f in unread} == set(CALLED_OUTSIDE)  # no exemption outlives its need
+
+
+def test_every_public_method_is_read_by_the_package_or_the_benchmark():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for folder in ("src", "perfbench") for p in (ROOT / folder).rglob("*.py")]
+    assert unread_methods(modules, readers) == []
 
 
 def test_the_check_finds_unused_names_and_exempts_type_checking_imports():
@@ -230,6 +252,38 @@ def test_the_check_finds_public_functions_no_file_reads():
     )
     assert unread_functions({"mod.py": module}, [module, reader]) == [
         ("mod.py", 7, "gone"), ("mod.py", 14, "dead")]
+
+
+def test_the_check_finds_public_methods_no_file_reads():
+    module = (
+        "class Table:\n"
+        "    def read(self):\n"
+        "        return self.rows()\n"
+        "    def rows(self):\n"
+        "        return []\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return 0\n"
+        "    @classmethod\n"
+        "    def empty(cls):\n"
+        "        return cls()\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def named(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    def inner():\n"
+        "        pass\n"
+    )
+    reader = (
+        "import mod\n"
+        "mod.Table().read()\n"
+        "TRACED = ['named']\n"
+    )
+    assert unread_methods({"mod.py": module}, [module, reader]) == [
+        ("mod.py", 7, "Table.width"), ("mod.py", 10, "Table.empty")]
 
 
 def test_nn_imports_only_the_errors_of_the_package_and_no_file_io():

@@ -309,6 +309,8 @@ def _bundle_of(cells: dict[str, np.ndarray]) -> ScenarioBundle:
 # One case per scenario rule: the file, the t of the row edited (its first
 # row at that t), the column and the cell written there, then the error,
 # words of its message and the t it names. None for the row empties the file.
+# A case in START_AT first moves every time of the drive (t = 0, 1, ...) to
+# start there, wrapping in int64.
 SCENARIO_RULES = {
     "negative power": ("rssi.csv", 3, 1, "-1.0", ValueError, "negative power", 3),
     "frame time order": ("rssi.csv", 3, 0, "4", SchemaError, "time order", 4),
@@ -319,12 +321,24 @@ SCENARIO_RULES = {
     "truth time outside the frames": ("truth.csv", 3, 0, "99", SchemaError, "RSSI frame", 99),
     "truth time repeated": ("truth.csv", 3, 0, "2", SchemaError, "repeats an earlier", 2),
     "no frames": ("rssi.csv", None, None, None, SchemaError, "no RSSI frames", None),
+    "frame times wrap past int64": ("rssi.csv", 14, 0, "14", SchemaError, "time order", -2**63),
 }
+# Its cell edit writes back the cell that is there: the last frame falls
+# from 2**63 - 1 to -2**63, a step the int64 diff reads as 1.
+START_AT = {"frame times wrap past int64": 2**63 - 14}
+
+
+def _wrapped(t, start: int):
+    """Times ``t`` of a drive that starts at 0, moved to start at ``start``,
+    wrapping in int64 as its arithmetic does."""
+    wrapped = (np.asarray(t).astype(np.int64).astype(object) + start + 2**63) % 2**64 - 2**63
+    return np.array(wrapped, dtype=np.int64)
 
 
 @pytest.mark.parametrize("rule", SCENARIO_RULES)
 def test_each_scenario_rule_names_its_t_in_a_bundle_and_its_line_on_load(tmp_path, rule):
     name, t, col, cell, error, words, named = SCENARIO_RULES[rule]
+    start = START_AT.get(rule)
     bundle = small_bundle()
     cells = _cells(bundle)
     if t is None:
@@ -333,7 +347,13 @@ def test_each_scenario_rule_names_its_t_in_a_bundle_and_its_line_on_load(tmp_pat
         row = int(np.flatnonzero(cells[name][:, 0] == t)[0])
         cells[name][row, col] = float(cell) if cell else math.nan
     with pytest.raises(error) as err:
-        _bundle_of(cells)
+        if start is None:
+            _bundle_of(cells)
+        else:
+            rssi, lidar, truth = cells["rssi.csv"], cells["lidar.csv"], cells["truth.csv"]
+            ScenarioBundle("x", _wrapped(rssi[:, 0], start), rssi[:, 1:],
+                           Lidar(_wrapped(lidar[:, 0], start), lidar[:, 1:]),
+                           Truth(_wrapped(truth[:, 0], start), truth[:, 1:3], truth[:, 3]))
     assert err.type is error and words in str(err.value)
     assert named is None or re.search(rf"t={named}\b", str(err.value))
 
@@ -345,6 +365,10 @@ def test_each_scenario_rule_names_its_t_in_a_bundle_and_its_line_on_load(tmp_pat
         else:
             lines[row + 1] = _with_cell(lines[row + 1], col, cell)
     _edit_lines(tmp_path / "s" / name, edit)
+    for path in (tmp_path / "s").glob("*.csv") if start is not None else ():
+        _edit_lines(path, lambda lines: lines.__setitem__(slice(1, None), [
+            _with_cell(line, 0, str(_wrapped(int(line.split(",")[0]), start)))
+            for line in lines[1:]]))
     with pytest.raises(ParseError) as err:
         load_scenario(tmp_path / "s")
     line = 0 if t is None else row + 2  # line 1 is the header; 0 is the whole file
@@ -1159,6 +1183,65 @@ def test_a_number_written_into_a_scenario_loads_as_its_bundle_or_names_its_file(
                                                                          expected.truth))
 
 
+@pytest.fixture(scope="module")
+def small_drive_files(tmp_path_factory) -> dict[str, bytes]:
+    """The bytes of each file of a small saved drive, ``scene/`` (15 frames,
+    truth with blank positions) and ``data/`` (10 windows), by relative path."""
+    root = tmp_path_factory.mktemp("small_drive")
+    bundle = small_bundle()
+    bundle.truth.pos[[2, 7]] = np.nan
+    save_scenario(bundle, root / "scene")
+    save_dataset(split_dataset(random_windows(10, np.random.default_rng(0))), root / "data")
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.glob("*/*"))}
+
+
+LINE_MUTATIONS = ["drop a cell", "add a cell", "blank a number", "NaN or inf", "flag of 2",
+                  "byte not UTF-8"]
+
+
+@settings(max_examples=1000)
+@given(data=st.data())
+def test_a_mutated_line_of_a_saved_drive_is_a_parse_error_naming_its_line(
+    small_drive_files, data
+):
+    """One data line of ``rssi.csv``, ``lidar.csv``, ``truth.csv`` or
+    ``samples.csv`` loses or gains a cell, has a filled cell blanked, a NaN
+    or inf written, a flag of 2, or a byte that is not UTF-8 inserted: its
+    loader raises a ParseError at ``<file>:<line>`` of that line."""
+    mutation = data.draw(st.sampled_from(LINE_MUTATIONS))
+    names = ("truth.csv", "samples.csv") if mutation == "flag of 2" else (
+        "rssi.csv", "lidar.csv", "truth.csv", "samples.csv")
+    file = data.draw(st.sampled_from(sorted(f for f in small_drive_files
+                                            if Path(f).name in names)))
+    lines = small_drive_files[file].split(b"\n")[:-1]
+    row = data.draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(b",")
+    header = lines[0].split(b",")
+    if mutation == "drop a cell":
+        del cells[data.draw(st.integers(0, len(cells) - 1))]
+    elif mutation == "add a cell":
+        cells.insert(data.draw(st.integers(0, len(cells))), data.draw(st.sampled_from([b"0", b""])))
+    elif mutation == "byte not UTF-8":
+        at = data.draw(st.integers(0, len(lines[row])))
+        cells = [lines[row][:at] + data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"]))
+                 + lines[row][at:]]  # the whole line as one cell, joined back as it is
+    else:
+        flags = [j for j, name in enumerate(header) if name.startswith(b"b")]  # blocked, b0, ...
+        cols = flags if mutation == "flag of 2" else [j for j, cell in enumerate(cells) if cell]
+        col = data.draw(st.sampled_from(cols))
+        cells[col] = (b"" if mutation == "blank a number" else b"2" if mutation == "flag of 2"
+                      else data.draw(st.sampled_from([b"nan", b"inf", b"-inf"])))
+    lines[row] = b",".join(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in small_drive_files.items():
+            (Path(tmp) / name).parent.mkdir(exist_ok=True)
+            (Path(tmp) / name).write_bytes(b"\n".join(lines) + b"\n" if name == file else raw)
+        path = Path(tmp) / file
+        with pytest.raises(ParseError) as err:
+            (load_dataset if path.name == "samples.csv" else load_scenario)(path.parent)
+    assert str(err.value).startswith(f"{path}:{row + 1}: "), mutation
+
+
 # ---------------------------------------------------------------------------
 # The columnar writer against the row-wise reference
 # ---------------------------------------------------------------------------
@@ -1391,12 +1474,12 @@ def _runs(types: str) -> list[tuple[int, int]]:
 
 def _typed_read(table: CsvTable, types: str) -> list[np.ndarray]:
     """Every column run through its accessor, as a loader reads them; a
-    float-or-blank run checks its blanks first, through ``blanks``."""
+    float-or-blank run checks its blanks (NaN) first."""
     out = []
     for lo, hi in _runs(types):
         kind = types[lo]
         if kind == "o":
-            blank = table.blanks(lo, hi)
+            blank = np.isnan(table.floats(lo, hi))
             table.reject_rows(blank.any(axis=1) & ~blank.all(axis=1), "blank together")
         read = {"f": table.floats, "o": table.floats, "i": table.ints, "b": table.flags}[kind]
         out.append(read(lo, hi))
@@ -1542,6 +1625,89 @@ def test_a_short_row_and_a_later_bad_byte_raise_what_a_line_by_line_read_meets(
         with pytest.raises(ParseError) as err:
             read()
         assert str(err.value).endswith(want)
+
+
+@pytest.mark.parametrize("bad_line, want", [(900, "t.csv:3: bad float 'x' in column angle"),
+                                             (50, "t.csv:50: byte 0xff is not UTF-8 text")])
+def test_a_bad_cell_and_a_later_bad_byte_raise_what_a_line_by_line_read_meets(
+    tmp_path, bad_line, want
+):
+    """As for a short row above: a bad cell far enough before the bad byte
+    to be decoded is met first, one in the bad byte's block of text is not."""
+    lines = [b"t,angle,depth"] + [b"%d,1.25,3.5" % i for i in range(1000)]
+    lines[2] = b"1,x,3.5"  # line 3
+    lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError) as err:
+        CsvTable(path, ["t", "angle", "depth"], "iff")
+    assert str(err.value).endswith(want)
+
+
+# The faults of FAULTS that make a line nonblank, so that it is read.
+LINE_FAULTS = {kind: [fault for fault in faults if fault] for kind, faults in FAULTS.items()}
+
+
+@st.composite
+def multi_fault_csv(draw):
+    """(types, header, file text, line, words): rows of typed cells with
+    blank lines and mixed line ends, two or three of them faulty, each by a
+    bad cell (maybe with a second one to its right) or by a short or long
+    row (maybe holding a bad cell too). ``line`` is the first faulty line
+    and ``words`` what its error names: the column of its leftmost bad
+    cell, or its cell count, which is checked before its cells."""
+    types = "".join(draw(st.lists(st.sampled_from("fibo"), min_size=1, max_size=5)))
+    header, width = [f"c{j}" for j in range(len(types))], len(types)
+    rows = []
+    for _ in range(draw(st.integers(2, 12))):
+        unknown = draw(st.booleans())  # the float-or-blank cells of a row are blank together
+        rows.append(["" if kind == "o" and unknown else draw(CELLS[kind]) for kind in types])
+    faulty, words = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=3,
+                                  unique=True)), {}
+    for r in faulty:
+        bad = sorted(draw(st.lists(st.integers(0, width - 1), max_size=2, unique=True)))
+        for col in bad:
+            rows[r][col] = draw(st.sampled_from(LINE_FAULTS[types[col]]))
+        shape = draw(st.sampled_from(["short", "long"][width == 1:] + ["cells"] * bool(bad)))
+        if shape == "short":
+            rows[r] = rows[r][:draw(st.integers(1, width - 1))]
+            rows[r][0] = rows[r][0] or "0"  # a row of one blank cell would be a blank line
+        elif shape == "long":
+            rows[r].append("0")
+        words[r] = f"expected {width} cells" if shape != "cells" else header[bad[0]]
+    lines, line_of = [",".join(header)], []
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2))
+        line_of.append(len(lines) + 1)
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    for i in range(1, len(lines)):  # a blank line's "\n" after "\r" would end no line of its own
+        if ends[i - 1] == "\r" and not lines[i] and ends[i] == "\n":
+            ends[i] = "\r"
+    first = min(faulty, key=line_of.__getitem__)
+    return types, header, "".join(map(str.__add__, lines, ends)), line_of[first], words[first]
+
+
+@settings(max_examples=500)
+@given(multi_fault_csv(), st.integers(1, 40))
+def test_a_file_with_several_faults_raises_its_first_faulty_line(case, chunk_cells):
+    """However the file falls into chunks (CHUNK_CELLS of 1-40 cells), the
+    reader raises the first fault that a line-by-line read meets, whatever
+    the types of the columns at fault and the order a loader reads them in."""
+    types, header, text, line, words = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ingest, "CHUNK_CELLS", chunk_cells), \
+                pytest.raises(ParseError) as err:
+            table = CsvTable(path, header, types)
+            for lo, hi in _runs(types):
+                {"f": table.floats, "o": table.floats, "i": table.ints, "b": table.flags}[
+                    types[lo]](lo, hi)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert re.search(rf"\b{words}\b", str(err.value).removeprefix(f"{path}:{line}: ")), text
 
 
 # Peaks of the standard drive under tracemalloc. load_scenario, the output
