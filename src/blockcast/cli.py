@@ -182,18 +182,6 @@ def _road_frame_link(tx, rx, origin, object_width: float) -> LinkGeometry:
                         object_width=object_width)
 
 
-def _scenario_windows(cfg: dict, bundle: ScenarioBundle, threshold: float | None,
-                      known: np.ndarray | None = None) -> WindowSet:
-    """The labeled windows of one scenario as the config cuts them, ``known``
-    as in ``build_windows``; flags from ``threshold``, all False when None."""
-    flags = None if threshold is None else blockage_labels_from_rssi(bundle.rssi, threshold)
-    src_cfg = SrcConfig(cfg["proximity_radius"], cfg["road_region"])
-    db_cfg = DbscanConfig(cfg["eps"], cfg["min_pts"])
-    return build_windows(bundle, scenario_centroids(bundle, src_cfg, db_cfg), cfg["window_len"],
-                         cfg["horizon"], flags, cfg["raster_bins"], cfg["lidar_max_range"],
-                         known=known)
-
-
 def _window_steps(times, horizon: int) -> list[np.ndarray]:
     """The sample, t and step columns of one row per window and horizon step."""
     return [np.repeat(np.arange(len(times)), horizon),
@@ -276,7 +264,9 @@ def cmd_simulate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 
 def _labeled_drive(cfg: dict, scenario_dir) -> tuple[WindowSet, dict]:
-    """One scenario's labeled windows, and the link fields of its meta.json
+    """One scenario's windows as the config cuts them, labeled by the
+    self-supervised step: the LiDAR centroids as locations and flags from
+    the meta.json power threshold. Also the link fields of that meta.json
     that dataset.json copies; the drive itself is dropped on return."""
     bundle = load_scenario(scenario_dir)
     meta_path = Path(scenario_dir) / "meta.json"
@@ -286,7 +276,12 @@ def _labeled_drive(cfg: dict, scenario_dir) -> tuple[WindowSet, dict]:
     for key in ("tx", "rx"):  # copied into dataset.json, where evaluate reads them
         json_field(bundle.meta, key, meta_path, (2,), optional=True)
     link = {"tx": bundle.meta.get("tx"), "rx": bundle.meta.get("rx"), "power_threshold": threshold}
-    return _scenario_windows(cfg, bundle, threshold), link
+    centroids = scenario_centroids(bundle, SrcConfig(cfg["proximity_radius"], cfg["road_region"]),
+                                   DbscanConfig(cfg["eps"], cfg["min_pts"]))
+    labeled = build_windows(bundle, centroids, cfg["window_len"], cfg["horizon"],
+                            blockage_labels_from_rssi(bundle.rssi, threshold),
+                            cfg["raster_bins"], cfg["lidar_max_range"])
+    return labeled, link
 
 
 def cmd_label(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
@@ -407,10 +402,12 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 
 def _transfer_windows(cfg: dict, scenario) -> tuple:
-    """The windows of ``scenario`` whose next horizon steps all have a true
-    position: (their WindowSet, (B, N, 2) world-frame positions, tx, rx,
-    vehicle width, vehicle depth), the only ones built. Of the scenario
-    bundle only the RSSI frames outlive this call, as the windows' frames."""
+    """The windows of ``scenario`` that have a true position at their last
+    step and at each of the next horizon steps, as label cuts them with the
+    true positions in place of the LiDAR centroids: (their WindowSet, whose
+    futures are the (B, N, 2) world-frame true positions, tx, rx, vehicle
+    width, vehicle depth). No LiDAR scan is clustered. Of the scenario bundle
+    only the RSSI frames outlive this call, as the windows' frames."""
     bundle = load_scenario(scenario)
     meta = bundle.meta
     if bundle.truth is None:
@@ -423,14 +420,13 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
         raise SchemaError(f"{meta_path}: transfer needs vehicle_width and vehicle_depth")
     json_field(meta, "power_threshold", meta_path, positive=True, optional=True)  # not read
 
-    t0 = bundle.t[0]
     truth = np.full((len(bundle.t), 2), np.nan)  # NaN: no known position
-    truth[bundle.truth.t - t0] = bundle.truth.pos
-    labeled = _scenario_windows(cfg, bundle, None, ~np.isnan(truth).any(axis=1))
+    truth[bundle.truth.t - bundle.t[0]] = bundle.truth.pos
+    labeled = build_windows(bundle, truth, cfg["window_len"], cfg["horizon"], None,
+                            cfg["raster_bins"], cfg["lidar_max_range"])
     if not labeled:
         raise ValueError("no windows with complete ground truth positions")
-    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
-    return labeled, ahead, tx, rx0, width, depth
+    return labeled, tx, rx0, width, depth
 
 
 def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
@@ -439,7 +435,7 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     checked = [(ckpt, _load_checked(ckpt, kind, dims, "config")) for kind, ckpts in (
         ("localization", [inputs["loc"]]), ("rf", inputs.get("rf") or []),
         ("rf+lidar", inputs.get("lidar") or [])) for ckpt in ckpts]
-    windows, positions, tx, rx0, width, depth = _transfer_windows(cfg, inputs["scenario"])
+    windows, tx, rx0, width, depth = _transfer_windows(cfg, inputs["scenario"])
     for ckpt, model in checked:
         _check_dims(ckpt, model, {"num_beams": windows.frames.shape[1]}, "scenario")
     loc_model = checked[0][1]
@@ -460,7 +456,7 @@ def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     rows = []
     for pos_idx, rx in enumerate(rx_positions):
         moved = transfer_link(link, np.subtract(rx, origin))
-        truth_flags = segment_intersects_rect(tx, rx, positions, width, depth)
+        truth_flags = segment_intersects_rect(tx, rx, windows.futures, width, depth)
         pred = segment_intersects_rect(moved.tx, moved.rx, coords, moved.object_width, 0.0)
         for name, predicted in [("localization", pred)] + baseline_flags:
             rows.append(

@@ -64,7 +64,8 @@ chunk of about ``CHUNK_CELLS`` cells at a time into typed arrays and drops
 its strings. A load's memory is its output arrays plus one chunk of text.
 Its one fault rule holds at any chunk size: a file raises the first fault
 that a line-by-line read meets, a line's cell count before its cells, left
-to right.
+to right. Line 1 is the header, so a file of no bytes, or one whose line 1
+is blank, is a fault at line 1.
 Like the writer, it handles a repeated value once: when a chunk's distinct
 strings of one column type are at most half of its cells, each is parsed
 once and the values are gathered (``lidar.csv``); other chunks are cast
@@ -335,8 +336,9 @@ class CsvTable:
     ``types`` holds one letter per column: ``f`` a finite float, ``i`` an
     int64, ``b`` a 0/1 flag, ``o`` a finite float or a blank cell (NaN in
     the array). The file is read a chunk of lines at a time, about
-    ``CHUNK_CELLS`` cells: blank lines are skipped, and the header and each
-    row's cell count are checked. Then the chunk's cells of each type are
+    ``CHUNK_CELLS`` cells: line 1 must be the header (a file of no bytes
+    has a blank one), later blank lines are skipped, and each row's cell
+    count is checked. Then the chunk's cells of each type are
     cast in one call, which runs Python's ``float`` / ``int`` on each cell,
     or on each distinct string when those are at most half of the cells,
     and its strings are dropped: memory is the output arrays plus one chunk
@@ -358,9 +360,10 @@ class CsvTable:
         chunks = {kind: [np.empty((0, len(cols)), _DTYPES[kind])]
                   for kind, cols in self._columns.items()}
         line_nos = [np.empty(0, np.int64)]
-        step, first = max(1, CHUNK_CELLS // len(header)), 1  # first: number of the next line
+        step, first = max(1, CHUNK_CELLS // len(header)), 2  # first: number of the next line
         try:
             with path.open(encoding="utf-8") as fh:
+                self._check_header(fh.readline())
                 while lines := list(islice(fh, step)):
                     rows, numbers = self._data_rows(lines, first)
                     for kind, values in self._cast_chunk(rows, numbers).items():
@@ -373,18 +376,19 @@ class CsvTable:
         # One type at a time, so its chunks are freed before the next is joined.
         self._arrays = {kind: np.concatenate(chunks.pop(kind)) for kind in self._columns}
 
+    def _check_header(self, line: str) -> None:
+        """A ParseError at line 1 unless ``line``, the file's line 1 ("" when
+        the file has none), is the header."""
+        got, expected = line.rstrip("\n"), ",".join(self.header)
+        if got != expected:
+            raise ParseError(self.path, 1, f"expected header {expected!r}, got {got!r}")
+
     def _data_rows(self, lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
         """The data rows among ``lines``, the file's lines from number
-        ``first`` on, and their line numbers: a nonblank line 1 must be the
-        header and is dropped, and blank lines are dropped. A row of the
-        wrong cell count is a ParseError, raised once the rows above it are
-        cast, so a bad cell above it is met first."""
+        ``first`` (2 or more) on, and their line numbers: blank lines are
+        dropped. A row of the wrong cell count is a ParseError, raised once
+        the rows above it are cast, so a bad cell above it is met first."""
         numbers = np.arange(first, first + len(lines))
-        if first == 1 and lines[0] != "\n":
-            got, expected = lines[0].rstrip("\n"), ",".join(self.header)
-            if got != expected:
-                raise ParseError(self.path, 1, f"expected header {expected!r}, got {got!r}")
-            lines, numbers = lines[1:], numbers[1:]
         if "\n" in lines:
             keep = [i for i, line in enumerate(lines) if line != "\n"]
             lines, numbers = [lines[i] for i in keep], numbers[keep]
@@ -402,7 +406,8 @@ class CsvTable:
         or else the bad byte's line."""
         try:
             with self.path.open(encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
+                self._check_header(fh.readline())
+                for line_no, line in enumerate(fh, start=2):
                     self._cast_chunk(*self._data_rows([line], line_no))
         except ParseError as exc:
             return exc
@@ -468,18 +473,18 @@ class CsvTable:
 
 
 def _check_width(path: Path, width: int) -> None:
-    """A ParseError unless the first nonblank line of ``path`` (the header,
-    or the first row of a file without one) holds ``width`` cells. Loaders
-    run this before they build a header of ``width`` names from a dimension
-    read from JSON, so a huge dimension costs no more than the file does; a
-    missing file is left to ``CsvTable`` to report."""
+    """A ParseError unless line 1 of ``path``, its header, holds ``width``
+    cells. Loaders run this before they build a header of ``width`` names
+    from a dimension read from JSON, so a huge dimension costs no more than
+    the file does; a missing file is left to ``CsvTable`` to report."""
     if not path.exists():
         return
     with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        line_no, line = next(((i, line) for i, line in enumerate(fh, start=1) if line != "\n"),
-                             (0, None))
-    if line is not None and line.count(",") + 1 != width:
-        raise ParseError(path, line_no, f"expected {width} cells, got {line.count(',') + 1}")
+        line = fh.readline().rstrip("\n")
+    if not line:
+        raise ParseError(path, 1, f"expected header of {width} cells, got {line!r}")
+    if line.count(",") + 1 != width:
+        raise ParseError(path, 1, f"expected {width} cells, got {line.count(',') + 1}")
 
 
 def _not_utf8(path: Path) -> ParseError:

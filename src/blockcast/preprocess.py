@@ -309,18 +309,17 @@ def build_windows(
     blocked: np.ndarray | None = None,
     raster_bins: int = 360,
     max_range: float = 16.0,
-    *, known: np.ndarray | None = None,
 ) -> WindowSet:
     """Stride-1 sliding windows over one drive, in time order.
 
-    ``centroids`` is (T, 2), a NaN in a row marking an invalid detection,
-    and ``blocked`` (T,) flags, all False when None. A window ends at step
-    index `end` when window_len frames exist up to and including `end` and
-    the centroids at end..end+horizon are all valid; windows touching an
-    invalid detection are dropped, not imputed, and so are those whose
-    steps end+1..end+horizon are not all set in a (T,) ``known`` mask. The
+    ``centroids`` is (T, 2) locations, a NaN in a row marking an unknown
+    one: the LiDAR centroids when labeling, the true positions when
+    transfer scores. ``blocked`` is (T,) flags, all False when None. A
+    window ends at step index `end` when window_len frames exist up to and
+    including `end` and the locations at end..end+horizon are all known;
+    windows touching an unknown location are dropped, not imputed. The
     windows point into the bundle's ``rssi``, only the scans at the kept ends
-    are rasterized, and the centroids and flags are sliced there: no
+    are rasterized, and the locations and flags are sliced there: no
     drive-sized temporary is left.
     """
     if window_len < 1 or horizon < 1:
@@ -333,12 +332,9 @@ def build_windows(
     flags = np.zeros(n, dtype=bool) if blocked is None else np.asarray(blocked, dtype=bool)
     if flags.shape != (n,):
         raise ValueError("blocked flags must align one-to-one with frames")
-    known = np.ones(n, dtype=bool) if known is None else np.asarray(known, dtype=bool)
-    if known.shape != (n,):
-        raise ValueError("known steps must align one-to-one with frames")
 
     invalid = np.isnan(xy).any(axis=1)
-    gaps = np.concatenate([[0], np.cumsum(invalid | ~known)])  # before each step
+    gaps = np.concatenate([[0], np.cumsum(invalid)])  # before each step
     ends = np.arange(window_len - 1, max(window_len - 1, n - horizon))
     ends = ends[~invalid[ends] & (gaps[ends + horizon + 1] == gaps[ends + 1])]
     ahead = ends[:, None] + np.arange(1, horizon + 1)

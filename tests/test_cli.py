@@ -204,14 +204,14 @@ def test_transfer_drops_exactly_the_windows_whose_horizon_lacks_a_true_position(
     cfg = resolve_config()
     horizon = cfg["horizon"]
     every = load_dataset(chain / "data").labeled  # every window of the drive, all splits
-    touching = (every.t < int(t_blank)) & (every.t + horizon >= int(t_blank))
-    assert touching.sum() == horizon  # the windows ending at t_blank - 5 .. t_blank - 1
+    touching = (every.t <= int(t_blank)) & (every.t + horizon >= int(t_blank))
+    assert touching.sum() == horizon + 1  # the windows ending at t_blank - 5 .. t_blank
     kept = every.take(np.flatnonzero(~touching))
-    windows, positions, tx, rx, _, _ = cli._transfer_windows(cfg, scene)
+    windows, tx, rx, _, _ = cli._transfer_windows(cfg, scene)
     np.testing.assert_array_equal(windows.windows(), kept.windows())
     np.testing.assert_array_equal(windows.rasters, kept.rasters)
     np.testing.assert_array_equal(
-        positions, [[truth[t + k] for k in range(1, horizon + 1)] for t in kept.t.tolist()])
+        windows.futures, [[truth[t + k] for k in range(1, horizon + 1)] for t in kept.t.tolist()])
 
     loc = chain / "loc" / "model.json"
     out = tmp_path / "sweep"
@@ -223,7 +223,7 @@ def test_transfer_drops_exactly_the_windows_whose_horizon_lacks_a_true_position(
     meta = json.loads((scene / "meta.json").read_text())
     origin = model.stats.road_origin
     for row, receiver in zip(rows, [rx, (4.0, 12.0)]):
-        actual = segment_intersects_rect(tx, receiver, positions, meta["vehicle_width"],
+        actual = segment_intersects_rect(tx, receiver, windows.futures, meta["vehicle_width"],
                                          meta["vehicle_depth"])
         predicted = segment_intersects_rect(np.subtract(tx, origin), np.subtract(receiver, origin),
                                             coords, cfg["object_width"], 0.0)
@@ -231,17 +231,19 @@ def test_transfer_drops_exactly_the_windows_whose_horizon_lacks_a_true_position(
 
 
 def reference_transfer_windows(cfg, scenario):
-    """Windows, rasters and positions as transfer once cut them: every window
-    of the drive built, then those whose horizon lacks a true position
-    dropped by a boolean gather."""
+    """Windows, rasters and positions as a filter cuts them: every window of
+    the drive built, then those without a true position at their last step
+    and at each of the next horizon steps dropped by a boolean gather."""
     bundle = load_scenario(scenario)
-    labeled = cli._scenario_windows(cfg, bundle, None)
+    every = preprocess.build_windows(bundle, np.zeros((len(bundle.t), 2)), cfg["window_len"],
+                                     cfg["horizon"], None, cfg["raster_bins"],
+                                     cfg["lidar_max_range"])
     t0 = bundle.t[0]
     truth = np.full((len(bundle.t), 2), np.nan)
     truth[bundle.truth.t - t0] = bundle.truth.pos
-    ahead = truth[labeled.t[:, None] - t0 + np.arange(1, cfg["horizon"] + 1)]
-    kept = ~np.isnan(ahead).any(axis=(1, 2))
-    return labeled.windows()[kept], labeled.rasters[kept], ahead[kept]
+    steps = truth[every.t[:, None] - t0 + np.arange(cfg["horizon"] + 1)]
+    kept = ~np.isnan(steps).any(axis=(1, 2))
+    return every.windows()[kept], every.rasters[kept], steps[kept, 1:]
 
 
 def _blank_truth(scene: Path, blank) -> None:
@@ -259,16 +261,43 @@ def test_transfer_builds_the_windows_of_a_drive_with_truth_gaps_as_the_filter_di
     scene = tmp_path / "scene"
     shutil.copytree(scenario_dir, scene)
     _blank_truth(scene, lambda i: i % 53 in (0, 1) or 700 <= i < 760)
-    windows, positions = cli._transfer_windows(standard_config, scene)[:2]
-    got = windows.windows(), windows.rasters, positions
+    windows = cli._transfer_windows(standard_config, scene)[0]
+    got = windows.windows(), windows.rasters, windows.futures
     want = reference_transfer_windows(standard_config, scene)
-    assert len(got[0]) == 1262  # of the drive's 1488 windows
+    assert len(got[0]) == 1234  # of the drive's 1488 windows
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     _blank_truth(scene, lambda i: True)
     with pytest.raises(ValueError, match="no windows with complete ground truth positions"):
         cli._transfer_windows(standard_config, scene)
+
+
+def test_transfer_scores_the_windows_whose_scan_found_no_object(
+        scenario_dir, standard_config, trained_localization, tmp_path):
+    """transfer scores against truth.csv: a step whose lidar rows are gone,
+    so that the labeler finds no object there, keeps its windows. Only the
+    rasters at those steps change, to the max-range fill of an empty scan."""
+    scene = tmp_path / "scene"
+    shutil.copytree(scenario_dir, scene)
+    lines = (scene / "lidar.csv").read_text().splitlines()
+    (scene / "lidar.csv").write_text("\n".join(
+        lines[:1] + [line for line in lines[1:] if not 300 <= int(line.split(",")[0]) <= 309])
+        + "\n")
+    standard = cli._transfer_windows(standard_config, scenario_dir)[0]
+    windows = cli._transfer_windows(standard_config, scene)[0]
+    assert len(windows) == len(standard) == 1488
+    for name in ("t", "starts", "futures", "blocked"):
+        assert getattr(windows, name).tobytes() == getattr(standard, name).tobytes(), name
+    assert windows.windows().tobytes() == standard.windows().tobytes()
+    emptied = (windows.t >= 300) & (windows.t <= 309)
+    assert emptied.sum() == 10
+    assert (windows.rasters[emptied] == standard_config["lidar_max_range"]).all()
+    assert windows.rasters[~emptied].tobytes() == standard.rasters[~emptied].tobytes()
+
+    save_model(trained_localization, tmp_path / "loc.json")
+    assert run(["transfer", "--scenario", str(scene), "--loc", str(tmp_path / "loc.json"),
+                "--rx", "4,12", "--out", str(tmp_path / "sweep")]) == 0
 
 
 def test_label_keeps_no_drive_sized_temporaries(scenario_dir, standard_config, tmp_path,

@@ -219,6 +219,24 @@ def test_wrong_header_rejected(tmp_path):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["scene/rssi.csv", "scene/lidar.csv", "scene/truth.csv",
+                                  "data/samples.csv"])
+@pytest.mark.parametrize("head", [None, b"\n"], ids=["no-bytes", "blank-line-1"])
+def test_a_csv_whose_line_1_is_not_its_header_is_a_parse_error_at_line_1(
+    small_drive_files, tmp_path, name, head
+):
+    # A file of no bytes used to load as a table of no rows: a drive with no
+    # lidar returns, or a dataset blamed on frames.npy's shape.
+    for file, raw in small_drive_files.items():
+        (tmp_path / file).parent.mkdir(exist_ok=True)
+        (tmp_path / file).write_bytes(raw if file != name else b"" if head is None else head + raw)
+    path = tmp_path / name
+    with pytest.raises(ParseError) as err:
+        (load_dataset if path.name == "samples.csv" else load_scenario)(path.parent)
+    assert str(err.value).startswith(f"{path}:1: expected header ")
+    assert str(err.value).endswith("got ''")
+
+
 def test_missing_files_reported(tmp_path):
     with pytest.raises(ParseError):
         load_scenario(tmp_path / "nowhere")
@@ -1415,13 +1433,12 @@ class _ObjectTable:
         expected, width, flat = ",".join(header), len(header), []
         try:
             with path.open(encoding="utf-8") as fh:
-                for line_no, raw in enumerate(fh, start=1):
+                line = fh.readline().rstrip("\n")  # "" when the file has no line 1
+                if line != expected:
+                    raise ParseError(path, 1, f"expected header {expected!r}, got {line!r}")
+                for line_no, raw in enumerate(fh, start=2):
                     line = raw.rstrip("\n")
                     if not line:
-                        continue
-                    if line_no == 1:
-                        if line != expected:
-                            raise ParseError(path, 1, f"expected header {expected!r}, got {line!r}")
                         continue
                     cells = line.split(",")
                     if len(cells) != width:
@@ -1530,9 +1547,10 @@ FAULTS = {"f": ["nan", "inf", "-inf", "x", "2**63", ""], "o": ["nan", "inf", "x"
 def typed_csv(draw):
     """(types, header, file text, whether a fault was made): rows of typed
     cells with blank lines and mixed line ends, and maybe one bad cell or
-    one short row in a line that is not blank. Runs of rows repeat one or two
-    pooled rows, so some chunks repeat their cells (the reader parses each
-    distinct string once) and others do not."""
+    one short row in a line that is not blank; about a tenth of the files
+    have no line 1, or a blank one above the header. Runs of rows repeat one
+    or two pooled rows, so some chunks repeat their cells (the reader parses
+    each distinct string once) and others do not."""
     types = "".join(draw(st.lists(st.sampled_from("fibo"), min_size=1, max_size=5)))
     header = [f"c{j}" for j in range(len(types))]
 
@@ -1563,7 +1581,10 @@ def typed_csv(draw):
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""
-    return types, header, "".join(map(str.__add__, lines, ends)), faulty
+    text = "".join(map(str.__add__, lines, ends))
+    if draw(st.integers(0, 9)) == 0:  # no line 1, or a blank one above the header
+        text, faulty = draw(st.sampled_from(["", "\n" + text])), True
+    return types, header, text, faulty
 
 
 def repeating_csv(types: str, row: str, odd: str, faulty: bool) -> tuple:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blockcast
-from blockcast import cli, models, nn, numeric_environment
+from blockcast import cli, models, nn, numeric_environment, preprocess
 from blockcast.errors import ConfigMismatchError, NonFiniteError, SchemaError
 from blockcast.ingest import DatasetFile
 from blockcast.models import (
@@ -247,7 +247,7 @@ STANDARD_OUTPUT_SHA256 = {
 
 
 def test_the_standard_checkpoints_evaluate_and_transfer_to_the_pinned_outputs(
-        tmp_path, standard_config, dataset_dir, scenario_dir, trained_localization,
+        tmp_path, monkeypatch, standard_config, dataset_dir, scenario_dir, trained_localization,
         trained_rf, trained_lidar):
     checkpoints = {}
     for flag, model in (("loc", trained_localization), ("rf", trained_rf),
@@ -256,6 +256,14 @@ def test_the_standard_checkpoints_evaluate_and_transfer_to_the_pinned_outputs(
         save_model(model, checkpoints[flag][0])
     cli.cmd_evaluate(dict(standard_config),
                      {"dataset": str(dataset_dir), "split": "test", **checkpoints}, tmp_path)
+
+    def labeler_called(*args, **kwargs):
+        raise AssertionError("transfer ran the LiDAR labeler")
+    # transfer scores against truth.csv: it never filters or clusters a scan.
+    for module in (preprocess, cli):
+        for name in ("scenario_centroids", "src_filter", "_cluster_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, labeler_called)
     cli.cmd_transfer(dict(standard_config),
                      {**checkpoints, "scenario": str(scenario_dir), "loc": checkpoints["loc"][0],
                       "rx_positions": [(4.0, 12.0), (-6.0, 12.0), (8.0, 12.0)]}, tmp_path)
