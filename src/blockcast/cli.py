@@ -33,6 +33,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -193,20 +194,22 @@ _CHECKPOINT_FLAGS = {"localization": "loc", "rf": "rf", "rf+lidar": "lidar"}  # 
 
 
 def _check_dims(path, model: Model, dims: dict, source) -> None:
-    """Raise ConfigMismatchError, naming ``path`` and the key, unless the
-    model's num_beams, window_len, horizon and (rf+lidar) raster_bins match
-    those that ``dims`` holds, read from ``source`` (the dataset.json, the
-    resolved config or the scenario) its inputs are cut by, and a localization
-    model's road frame that of a ``road_region`` in ``dims``, in which its
-    predictions are scored and crossed with the link."""
-    keys = ("num_beams", "window_len", "horizon") + (
-        ("raster_bins",) if model.kind == "rf+lidar" else ())
-    for key in keys:
-        if key in dims and getattr(model, key) != int(dims[key]):
-            raise ConfigMismatchError(
-                f"{path}: checkpoint {key}={getattr(model, key)} does not match "
-                f"the {source} {key}={dims[key]}"
-            )
+    """Raise ConfigMismatchError, naming ``path``, the key and both values,
+    unless each dimension the model has (num_beams, window_len, horizon; with
+    raster input, raster_bins and the lidar_max_range of an empty bin) matches
+    ``dims``, read from ``source`` (the dataset.json, the config or the
+    scenario) its inputs are cut by, where ``dims`` holds it; and unless a
+    localization model's road frame is that of a ``road_region`` in ``dims``,
+    in which its predictions are scored and crossed with the link."""
+    found = {key: getattr(model, key) for key in ("num_beams", "window_len", "horizon",
+                                                  "raster_bins")}
+    if model.raster_bins is not None:
+        found["lidar_max_range"] = model.stats.lidar_max_range
+        json_field(dims, "lidar_max_range", source, positive=True, optional=True)
+    for key, value in found.items():
+        if value is not None and dims.get(key) is not None and value != dims[key]:
+            raise ConfigMismatchError(f"{path}: checkpoint {key}={value} does not match "
+                                      f"the {source} {key}={dims[key]}")
     frame = [model.stats.road_origin.tolist(), model.stats.road_size.tolist()]
     if model.kind == "localization" and "road_region" in dims and not all(
             map(np.array_equal, frame, road_frame(dims, source))):
@@ -214,17 +217,19 @@ def _check_dims(path, model: Model, dims: dict, source) -> None:
                                   f"match the {source} road_region={dims['road_region']}")
 
 
-def _load_checked(path, kind: str, dims: dict, source) -> Model:
-    """Load a checkpoint given under the flag for ``kind`` and check its
-    dimensions against ``dims``."""
-    model = load_model(path)
-    if model.kind != kind:
-        raise SchemaError(
-            f"{path}: --{_CHECKPOINT_FLAGS[kind]} expects a {kind} checkpoint, "
-            f"got a {model.kind} one"
-        )
-    _check_dims(path, model, dims, source)
-    return model
+def _checkpoints(inputs: dict, dims: dict, source) -> Iterator[tuple[str, str, Model]]:
+    """Yield (label ``<kind>#<i>``, path, model) for each checkpoint that
+    ``inputs`` lists under ``--loc``, ``--rf`` and ``--lidar``, in that
+    order, loaded as it is asked for: a SchemaError if not of its flag's
+    kind, checked by ``_check_dims``."""
+    for kind, flag in _CHECKPOINT_FLAGS.items():
+        for i, path in enumerate(inputs.get(flag) or []):
+            model = load_model(path)
+            if model.kind != kind:
+                raise SchemaError(f"{path}: --{flag} expects a {kind} checkpoint, "
+                                  f"got a {model.kind} one")
+            _check_dims(path, model, dims, source)
+            yield f"{kind}#{i}", path, model
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +307,9 @@ def cmd_train(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
     json_field(dataset.meta, "lidar_max_range", path, positive=True, optional=True)  # or 16.0
     tcfg = TrainConfig(cfg["lr"], cfg["batch_size"], cfg["episodes"], cfg["iterations"],
                        cfg["train_seed"], cfg["delta"])
-    variant = inputs["variant"]
-    if variant == "localization":
-        model, curves = train_localization(dataset, tcfg)
-    elif variant in ("rf", "rf+lidar"):
-        model, curves = train_blockage(dataset, tcfg, variant)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    variant = inputs["variant"]  # train_blockage refuses one it does not know
+    model, curves = (train_localization(dataset, tcfg) if variant == "localization"
+                     else train_blockage(dataset, tcfg, variant))
     save_model(model, out_dir / "model.json")
 
     val = [None] * len(curves.train)  # filled at the last iteration of each episode
@@ -338,17 +339,19 @@ def cmd_predict(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
+    """Score each checkpoint (``_checkpoints``, checked against dataset.json,
+    one held at a time) on the split: flags for all, distance errors for
+    localization."""
     del cfg
     dataset = load_dataset(inputs["dataset"])
     split = dataset.arrays(inputs["split"])
     futures, blocked = split.futures, split.blocked
-    groups = [(kind, inputs.get(flag) or []) for kind, flag in _CHECKPOINT_FLAGS.items()]
-    if not any(paths for _, paths in groups):
+    if not any(inputs.get(flag) for flag in _CHECKPOINT_FLAGS.values()):
         raise ValueError("no checkpoints given; pass --loc/--rf/--lidar")
 
     meta, path = dataset.meta, Path(inputs["dataset"]) / "dataset.json"
     link = None
-    if groups[0][1]:
+    if inputs.get("loc"):
         tx, rx = (json_field(meta, key, path, (2,)) for key in ("tx", "rx"))
         origin = road_frame(meta, path)[0]
         width = json_field(meta, "object_width", path, positive=True, optional=True)
@@ -356,25 +359,22 @@ def cmd_evaluate(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
                                 DEFAULTS["object_width"] if width is None else width)
 
     blockage, localization = [], []  # CSV rows
-    accuracies: dict[str, list[list[float]]] = {}  # method -> per-step accuracies per checkpoint
+    accuracies: dict[str, list[list[float]]] = {}  # kind -> per-step accuracies per checkpoint
     raw: list[tuple[str, np.ndarray, np.ndarray | None]] = []  # per checkpoint
-    for method, paths in groups:
-        for run_idx, ckpt in enumerate(paths):
-            model = _load_checked(ckpt, method, meta, path)
-            label = f"{method}#{run_idx}"
-            if method == "localization":
-                coords = predict_locations_batch(model, split)
-                # The width-only object is the box of depth 0.
-                flags = segment_intersects_rect(link.tx, link.rx, coords, link.object_width, 0.0)
-                probs = None
-                localization += localization_rows(label, evaluate_localization(coords, futures))
-            else:
-                probs = predict_blockage_probs(model, split, split.rasters)
-                flags = probs >= 0.5
-            rows = blockage_rows(label, evaluate_blockage(flags, blocked))
-            blockage += rows
-            accuracies.setdefault(method, []).append([acc for *_, acc, _ in rows[:-1]])
-            raw.append((label, flags.ravel(), None if probs is None else probs.ravel()))
+    for label, _, model in _checkpoints(inputs, meta, path):
+        if model.kind == "localization":
+            coords = predict_locations_batch(model, split)
+            # The width-only object is the box of depth 0.
+            flags = segment_intersects_rect(link.tx, link.rx, coords, link.object_width, 0.0)
+            probs = None
+            localization += localization_rows(label, evaluate_localization(coords, futures))
+        else:
+            probs = predict_blockage_probs(model, split, split.rasters)
+            flags = probs >= 0.5
+        rows = blockage_rows(label, evaluate_blockage(flags, blocked))
+        blockage += rows
+        accuracies.setdefault(model.kind, []).append([acc for *_, acc, _ in rows[:-1]])
+        raw.append((label, flags.ravel(), None if probs is None else probs.ravel()))
 
     outputs = ["blockage.csv", "predictions_raw.csv", "report.txt"]
     write_csv(out_dir / "blockage.csv", BLOCKAGE_CSV_HEADER, [blockage])
@@ -430,20 +430,20 @@ def _transfer_windows(cfg: dict, scenario) -> tuple:
 
 
 def cmd_transfer(cfg: dict, inputs: dict, out_dir: Path) -> list[str]:
-    # The windows are cut as the config says, from the scenario's beams.
-    dims = {key: cfg[key] for key in ("window_len", "horizon", "raster_bins")}
-    checked = [(ckpt, _load_checked(ckpt, kind, dims, "config")) for kind, ckpts in (
-        ("localization", [inputs["loc"]]), ("rf", inputs.get("rf") or []),
-        ("rf+lidar", inputs.get("lidar") or [])) for ckpt in ckpts]
+    """Score the flags of ``--loc`` at each receiver, and the baselines' fixed
+    flags, against the truth. The checkpoints (``_checkpoints``) are checked
+    against the config, which cuts and fills the windows, and the scenario's beams."""
+    dims = {key: cfg[key] for key in ("window_len", "horizon", "raster_bins", "lidar_max_range")}
+    checkpoints = list(_checkpoints({**inputs, "loc": [inputs["loc"]]}, dims, "config"))
     windows, tx, rx0, width, depth = _transfer_windows(cfg, inputs["scenario"])
-    for ckpt, model in checked:
-        _check_dims(ckpt, model, {"num_beams": windows.frames.shape[1]}, "scenario")
-    loc_model = checked[0][1]
+    for _, path, model in checkpoints:
+        _check_dims(path, model, {"num_beams": windows.frames.shape[1]}, "scenario")
+    (_, _, loc_model), *baselines = checkpoints
 
     coords = predict_locations_batch(loc_model, windows)
     # The baselines cannot use the receiver position: their flags are fixed.
     baseline_flags = [
-        (m.kind, predict_blockage_probs(m, windows, windows.rasters) >= 0.5) for _, m in checked[1:]
+        (m.kind, predict_blockage_probs(m, windows, windows.rasters) >= 0.5) for *_, m in baselines
     ]
     # Predictions live in the road frame the model was trained in; shift
     # the link into that frame rather than trusting the local config, then
@@ -589,12 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dataset", type=_path, required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--loc", type=_path, action="append", default=[], metavar="CKPT",
-                   help="localization checkpoint; repeatable")
-    p.add_argument("--rf", type=_path, action="append", default=[], metavar="CKPT",
-                   help="rssi-only blockage checkpoint; repeatable")
-    p.add_argument("--lidar", type=_path, action="append", default=[], metavar="CKPT",
-                   help="rssi+lidar blockage checkpoint; repeatable")
+    for kind, flag in _CHECKPOINT_FLAGS.items():
+        p.add_argument("--" + flag, type=_path, action="append", default=[], metavar="CKPT",
+                       help=f"{kind} checkpoint; repeatable")
 
     p = sub.add_parser(
         "transfer",

@@ -45,6 +45,23 @@ def standard_bundle(scenario_dir):
     return load_scenario(scenario_dir)
 
 
+# Held-out traffic: the standard scene but for the vehicle's speed, so the
+# vehicle drives a track that the standard drive (period 208 steps) never shows.
+HELD_OUT = {"vehicle_velocity": [0.31, 0.0]}
+
+
+@pytest.fixture(scope="session")
+def held_out_scenario_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("held_out") / "drive"
+    cli.cmd_simulate(resolve_config(HELD_OUT), {"scenario_id": "held_out"}, out)
+    return out
+
+
+@pytest.fixture(scope="session")
+def held_out_bundle(held_out_scenario_dir):
+    return load_scenario(held_out_scenario_dir)
+
+
 @pytest.fixture(scope="session")
 def dataset_dir(tmp_path_factory, standard_config, scenario_dir):
     out = tmp_path_factory.mktemp("dataset") / "data"

@@ -1216,6 +1216,31 @@ def test_transfer_checks_the_beams_of_the_scenario_not_the_config(chain, narrow,
                 "--set", "num_beams=32", "--rx", "4,12", "--out", str(out)]) == 0
 
 
+def test_an_rf_lidar_checkpoint_of_another_lidar_range_is_refused(chain, tmp_path, capsys):
+    # Its rasters' empty bins were filled to 20 m: a raster filled to the
+    # dataset's or the config's 16 m would reach it reading 0.8, not 1.0.
+    ckpt = (tmp_path / "lidar.json").resolve()
+    payload = json.loads((chain / "lidar" / "model.json").read_text())
+    assert payload["descriptor"]["norm"]["lidar_max_range"] == 16.0
+    payload["descriptor"]["norm"]["lidar_max_range"] = 20.0
+    ckpt.write_text(json.dumps(payload))
+    data = chain / "data"
+    dataset = f"{(data / 'dataset.json').resolve()} lidar_max_range=16.0"
+    transfer = ["transfer", "--scenario", str(chain / "scene"),
+                "--loc", str(chain / "loc" / "model.json"), "--lidar", str(ckpt), "--rx", "4,12"]
+    for argv, source in (
+        (["predict", "--checkpoint", str(ckpt), "--dataset", str(data)], dataset),
+        (["evaluate", "--dataset", str(data), "--lidar", str(ckpt)], dataset),
+        (transfer, "config lidar_max_range=16.0"),
+    ):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint lidar_max_range=20.0 does not match the {source}" in err
+        assert not list(out.iterdir())
+    assert run(transfer + ["--set", "lidar_max_range=20", "--out", str(tmp_path / "ok")]) == 0
+
+
 def _without_window_len(payload):
     del payload["meta"]["window_len"]
     return json.dumps(payload)
